@@ -6,6 +6,7 @@ use hs_fl::{ClientContext, ClientTrainer, ClientUpdate, LossKind};
 use hs_nn::{Network, Sgd};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
+use std::borrow::Cow;
 
 /// The HeteroSwitch local trainer.
 ///
@@ -61,11 +62,12 @@ impl ClientTrainer for HeteroSwitchTrainer {
             Policy::AlwaysTransform | Policy::AlwaysTransformAndSwad => true,
         };
 
-        // Algorithm 1, lines 6–8: diversify the biased client's data.
+        // Algorithm 1, lines 6–8: diversify the biased client's data (the
+        // unbiased majority trains on the client's own set, borrowed).
         let train_data = if switch1 {
-            transform_dataset(data, self.config.transform, rng)
+            Cow::Owned(transform_dataset(data, self.config.transform, rng))
         } else {
-            data.clone()
+            Cow::Borrowed(data)
         };
 
         // Algorithm 1, lines 9–21: local SGD with dense weight averaging.

@@ -3,13 +3,17 @@
 //! Whole evaluation batches are sharded across the shared [`hs_parallel`]
 //! pool against one `&Network` (layers expose a shared-state inference path
 //! via `Layer::forward_eval`), so per-device evaluation in the FL simulator
-//! scales with cores without cloning model weights. Models containing a
-//! custom layer without a shared-state path fall back to the serial
-//! exclusive-access loop.
+//! scales with cores without cloning model weights: every (test set, batch)
+//! pair of a sweep is one item of a single work-conserving fan-out
+//! ([`hs_parallel::for_each_claimed`]). Models containing a custom layer
+//! without a shared-state path — found by a one-sample probe, once per
+//! sweep — fall back to the serial exclusive-access loop.
 
 use hs_data::{Dataset, Labels};
 use hs_metrics::{accuracy, average_precision, GroupAccuracy};
 use hs_nn::Network;
+use hs_parallel::sync;
+use std::sync::Mutex;
 
 /// Maximum evaluation batch size (keeps peak memory bounded and is the
 /// sharding granule for the parallel path).
@@ -28,66 +32,93 @@ fn batch_logits(
     net.forward_eval(&x)
 }
 
-/// Runs `consume(start, logits)` for every `EVAL_BATCH`-sized batch of
-/// `data`, sharding batches across the pool when the model supports
-/// shared-state eval (and the work is worth fanning out). `consume` writes
-/// into disjoint per-batch regions via interior indexing, so it must be
-/// callable concurrently.
+/// Runs `consume(set, start, logits)` for every `EVAL_BATCH`-sized batch of
+/// every dataset in `sets`, all (set, batch) pairs fanned out together over
+/// at most `num_threads()` claiming loops — so a sweep over many small test
+/// sets is as parallel as one over a single large set, and
+/// `hs_parallel::set_num_threads` stays an effective knob for the
+/// eval-scaling bench. `consume` writes into disjoint per-batch regions via
+/// interior indexing, so it must be callable concurrently.
 ///
-/// Returns `false` if the model has no shared-state path — the caller must
-/// then run its serial fallback.
-fn for_each_batch_logits<F>(net: &Network, data: &Dataset, consume: F) -> bool
+/// Returns `false` if the model has no shared-state path (probed with one
+/// sample, before any parallel work is queued) — the caller must then run
+/// its serial fallback.
+fn for_each_batch_logits<F>(net: &Network, sets: &[&Dataset], consume: F) -> bool
 where
-    F: Fn(usize, &hs_tensor::Tensor) + Sync,
+    F: Fn(usize, usize, &hs_tensor::Tensor) + Sync,
 {
-    let n = data.len();
-    let n_batches = n.div_ceil(EVAL_BATCH);
-    // probe the first batch serially: a model with an unsupported custom
-    // layer is detected before any parallel work is queued
-    let first_end = EVAL_BATCH.min(n);
-    match batch_logits(net, data, 0, first_end) {
-        None => return false,
-        Some(logits) => consume(0, &logits),
-    }
-    if n_batches <= 1 {
+    let batches: Vec<(usize, usize)> = sets
+        .iter()
+        .enumerate()
+        .flat_map(|(set, data)| {
+            (0..data.len())
+                .step_by(EVAL_BATCH)
+                .map(move |start| (set, start))
+        })
+        .collect();
+    let Some(&(probe_set, _)) = batches.first() else {
         return true;
+    };
+    if batch_logits(net, sets[probe_set], 0, 1).is_none() {
+        return false;
     }
-    // the remaining batches are sharded into at most `num_threads()`
-    // contiguous groups (one pool task each, batches within a group run
-    // serially), so the concurrency is bounded by the parallelism target —
-    // which makes `hs_parallel::set_num_threads` an effective knob for the
-    // eval-scaling bench — and spawn overhead stays O(threads), not
-    // O(batches)
-    let rest = n_batches - 1;
-    let groups = hs_parallel::num_threads().min(rest);
-    if groups > 1 && !hs_parallel::inside_pool() {
-        let per_group = rest.div_ceil(groups);
-        hs_parallel::scope(|s| {
-            for group in 0..groups {
-                let consume = &consume;
-                s.spawn(move || {
-                    let b_lo = 1 + group * per_group;
-                    let b_hi = (b_lo + per_group).min(n_batches);
-                    for b in b_lo..b_hi {
-                        let start = b * EVAL_BATCH;
-                        let end = (start + EVAL_BATCH).min(n);
-                        let logits = batch_logits(net, data, start, end)
-                            .expect("shared-state eval support cannot vary across batches");
-                        consume(start, &logits);
-                    }
-                });
-            }
-        });
-    } else {
-        for b in 1..n_batches {
-            let start = b * EVAL_BATCH;
-            let end = (start + EVAL_BATCH).min(n);
+    hs_parallel::for_each_claimed(
+        batches.len(),
+        hs_parallel::num_threads(),
+        || (),
+        |_, claimed| {
+            let (set, start) = batches[claimed];
+            let data = sets[set];
+            let end = (start + EVAL_BATCH).min(data.len());
             let logits = batch_logits(net, data, start, end)
                 .expect("shared-state eval support cannot vary across batches");
-            consume(start, &logits);
-        }
-    }
+            consume(set, start, &logits);
+        },
+    );
     true
+}
+
+/// The class labels of `data`.
+///
+/// # Panics
+///
+/// Panics if the dataset does not carry class labels.
+fn class_labels(data: &Dataset) -> &[usize] {
+    match &data.labels {
+        Labels::Classes(l) => l,
+        _ => panic!("evaluate_accuracy requires class labels"),
+    }
+}
+
+/// Predicted classes for every sample of every dataset in `sets`, one sweep
+/// over all of them.
+fn predict_classes(net: &mut Network, sets: &[&Dataset]) -> Vec<Vec<usize>> {
+    let predictions: Vec<Mutex<Vec<usize>>> = sets
+        .iter()
+        .map(|data| Mutex::new(vec![0usize; data.len()]))
+        .collect();
+    let sharded = for_each_batch_logits(net, sets, |set, start, logits| {
+        let preds = logits.argmax_rows();
+        sync::lock(&predictions[set])[start..start + preds.len()].copy_from_slice(&preds);
+    });
+    if sharded {
+        return predictions.into_iter().map(sync::into_inner).collect();
+    }
+    // serial fallback for models without a shared-state eval path
+    sets.iter()
+        .map(|data| {
+            let mut predictions = Vec::with_capacity(data.len());
+            let mut start = 0;
+            while start < data.len() {
+                let end = (start + EVAL_BATCH).min(data.len());
+                let indices: Vec<usize> = (start..end).collect();
+                let (x, _) = data.batch(&indices);
+                predictions.extend(net.predict_classes(&x));
+                start = end;
+            }
+            predictions
+        })
+        .collect()
 }
 
 /// Classification accuracy of `net` on a dataset with class labels.
@@ -96,33 +127,8 @@ where
 ///
 /// Panics if the dataset does not carry class labels.
 pub fn evaluate_accuracy(net: &mut Network, data: &Dataset) -> f32 {
-    let labels = match &data.labels {
-        Labels::Classes(l) => l.clone(),
-        _ => panic!("evaluate_accuracy requires class labels"),
-    };
-    if data.is_empty() {
-        return 0.0;
-    }
-    let predictions = std::sync::Mutex::new(vec![0usize; data.len()]);
-    let sharded = for_each_batch_logits(net, data, |start, logits| {
-        let preds = logits.argmax_rows();
-        let mut guard = hs_parallel::sync::lock(&predictions);
-        guard[start..start + preds.len()].copy_from_slice(&preds);
-    });
-    if sharded {
-        return accuracy(&hs_parallel::sync::into_inner(predictions), &labels);
-    }
-    // serial fallback for models without a shared-state eval path
-    let mut predictions = Vec::with_capacity(data.len());
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + EVAL_BATCH).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let (x, _) = data.batch(&indices);
-        predictions.extend(net.predict_classes(&x));
-        start = end;
-    }
-    accuracy(&predictions, &labels)
+    let labels = class_labels(data);
+    accuracy(&predict_classes(net, &[data])[0], labels)
 }
 
 /// Mean averaged precision of `net` on a multi-label dataset (the paper's
@@ -147,15 +153,15 @@ pub fn evaluate_average_precision(net: &mut Network, data: &Dataset) -> f32 {
             aps[i] = average_precision(&scores, &relevant);
         }
     };
-    let aps = std::sync::Mutex::new(vec![0.0f32; data.len()]);
-    let sharded = for_each_batch_logits(net, data, |start, logits| {
+    let aps = Mutex::new(vec![0.0f32; data.len()]);
+    let sharded = for_each_batch_logits(net, &[data], |_, start, logits| {
         let mut local = vec![0.0f32; logits.dims()[0]];
         per_sample_ap(start, logits, &mut local);
-        let mut guard = hs_parallel::sync::lock(&aps);
+        let mut guard = sync::lock(&aps);
         guard[start..start + local.len()].copy_from_slice(&local);
     });
     if sharded {
-        let aps = hs_parallel::sync::into_inner(aps);
+        let aps = sync::into_inner(aps);
         return aps.iter().sum::<f32>() / aps.len() as f32;
     }
     // serial fallback
@@ -191,16 +197,16 @@ pub fn evaluate_heart_rate(
     if data.is_empty() {
         return (Vec::new(), actual);
     }
-    let preds = std::sync::Mutex::new(vec![0.0f32; data.len()]);
-    let sharded = for_each_batch_logits(net, data, |start, out| {
+    let preds = Mutex::new(vec![0.0f32; data.len()]);
+    let sharded = for_each_batch_logits(net, &[data], |_, start, out| {
         let n = out.dims()[0];
-        let mut guard = hs_parallel::sync::lock(&preds);
+        let mut guard = sync::lock(&preds);
         for i in 0..n {
             guard[start + i] = out.at(&[i, 0]) * denormalize;
         }
     });
     if sharded {
-        return (hs_parallel::sync::into_inner(preds), actual);
+        return (sync::into_inner(preds), actual);
     }
     // serial fallback
     let mut preds = Vec::with_capacity(data.len());
@@ -219,15 +225,25 @@ pub fn evaluate_heart_rate(
 }
 
 /// Per-device-type accuracy of a single model over a list of named test
-/// sets — the quantity behind the paper's fairness/DG tables. Each set's
-/// evaluation shards its batches across the pool.
+/// sets — the quantity behind the paper's fairness/DG tables. The batches of
+/// all sets are evaluated in one sweep across the pool, so many small test
+/// sets parallelise as well as one large one.
+///
+/// # Panics
+///
+/// Panics if a test set does not carry class labels.
 pub fn per_device_accuracy(
     net: &mut Network,
     device_tests: &[(String, Dataset)],
 ) -> Vec<GroupAccuracy> {
+    let sets: Vec<&Dataset> = device_tests.iter().map(|(_, test)| test).collect();
+    let predictions = predict_classes(net, &sets);
     device_tests
         .iter()
-        .map(|(device, test)| GroupAccuracy::new(device.clone(), evaluate_accuracy(net, test)))
+        .zip(&predictions)
+        .map(|((device, test), preds)| {
+            GroupAccuracy::new(device.clone(), accuracy(preds, class_labels(test)))
+        })
         .collect()
 }
 
@@ -298,21 +314,22 @@ mod tests {
         assert_eq!(sharded, accuracy(&serial_preds, &labels));
     }
 
+    /// A layer without a shared-state eval path.
+    struct Opaque;
+    impl Layer for Opaque {
+        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+            input.clone()
+        }
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            grad_out.clone()
+        }
+        fn name(&self) -> &'static str {
+            "opaque"
+        }
+    }
+
     #[test]
     fn unsupported_layers_fall_back_to_serial() {
-        /// A layer without a shared-state eval path.
-        struct Opaque;
-        impl Layer for Opaque {
-            fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-                input.clone()
-            }
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-                grad_out.clone()
-            }
-            fn name(&self) -> &'static str {
-                "opaque"
-            }
-        }
         let mut rng = StdRng::seed_from_u64(1);
         let mut net = Net::new(Sequential::new(vec![
             Box::new(Opaque),
@@ -367,5 +384,50 @@ mod tests {
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].group, "A");
         assert_eq!(groups[0].accuracy, 1.0);
+    }
+
+    #[test]
+    fn one_sweep_over_many_sets_equals_set_by_set_evaluation() {
+        // ragged sets (several batches, a partial batch, one sample, none):
+        // the pooled (set, batch) fan-out must score each exactly as a
+        // set-by-set evaluation does — with a shared-state model and with
+        // one that falls back to the serial loop
+        let set = |n: usize, salt: usize| {
+            let x: Vec<Tensor> = (0..n)
+                .map(|i| {
+                    let mut t = Tensor::zeros(&[4]);
+                    t.as_mut_slice()[(i + salt) % 4] = 1.0;
+                    t
+                })
+                .collect();
+            let labels = (0..n)
+                .map(|i| if i % 3 == 0 { i % 4 } else { (i + salt) % 4 })
+                .collect();
+            Dataset::new(x, Labels::Classes(labels))
+        };
+        let tests: Vec<(String, Dataset)> = [2 * EVAL_BATCH + 5, 4, 0, EVAL_BATCH, 1]
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| (format!("dev-{i}"), set(n, i)))
+            .collect();
+        let mut shared = identity_like_net(4, 4);
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut opaque = Net::new(Sequential::new(vec![
+            Box::new(Opaque),
+            Box::new(Linear::new(4, 4, &mut rng)),
+        ]));
+        for net in [&mut shared, &mut opaque] {
+            let groups = per_device_accuracy(net, &tests);
+            assert_eq!(groups.len(), tests.len());
+            for (group, (device, data)) in groups.iter().zip(&tests) {
+                assert_eq!(&group.group, device);
+                assert_eq!(
+                    group.accuracy.to_bits(),
+                    evaluate_accuracy(net, data).to_bits(),
+                    "{device}"
+                );
+            }
+            assert_eq!(groups[2].accuracy, 0.0, "an empty set scores zero");
+        }
     }
 }

@@ -184,6 +184,16 @@ impl ClientBackend {
     }
 }
 
+/// The order a round's workers claim its trainees in: most samples first,
+/// ties by ascending client id. A permutation of `trainees`; it decides only
+/// which worker trains whom and when, never the numerics (updates are
+/// re-sorted by client id before screening).
+fn longest_first(trainees: &[usize], num_samples: impl Fn(usize) -> usize) -> Vec<usize> {
+    let mut order = trainees.to_vec();
+    order.sort_by_cached_key(|&cid| (std::cmp::Reverse(num_samples(cid)), cid));
+    order
+}
+
 /// A complete federated-learning simulation: clients, model, local-update
 /// strategy and aggregation rule.
 pub struct FlSimulation {
@@ -439,52 +449,49 @@ impl FlSimulation {
         drop(triage_span);
 
         let updates = Mutex::new(Vec::<ClientUpdate>::with_capacity(to_train.len()));
-        let workers = hs_parallel::num_threads().min(to_train.len()).max(1);
-        let chunk_len = to_train.len().div_ceil(workers).max(1);
-
         let train_span = crate::phases::phase("client_train", round);
-        hs_parallel::scope(|scope| {
-            for chunk in to_train.chunks(chunk_len) {
-                let updates = &updates;
-                let global = &self.global_weights;
-                let trainer = self.trainer.as_ref();
-                let factory = &self.model_factory;
-                let backend = &self.backend;
-                let config = self.config;
-                let loss_ema = self.loss_ema;
-                scope.spawn(move || {
-                    let mut net = factory(config.seed);
-                    for &client_id in chunk {
-                        net.set_weights(global);
-                        net.zero_grad();
-                        let ctx = ClientContext {
-                            round,
-                            loss_ema,
-                            lr: config.lr,
-                            batch_size: config.batch_size,
-                            local_epochs: config.local_epochs,
-                            global_weights: global,
-                            client_id,
-                        };
-                        let mut client_rng = StdRng::seed_from_u64(
-                            config.seed
-                                ^ (client_id as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
-                                ^ (round as u64).wrapping_mul(0x2545_f491_4f6c_dd1d),
-                        );
-                        // on the lazy backend the dataset lives exactly as
-                        // long as this closure — O(cohort) resident state
-                        let update = backend.with_data(client_id, |data| {
-                            trainer.client_update(&mut net, data, &ctx, &mut client_rng)
-                        });
-                        sync::lock(updates).push(update);
-                    }
+        // clients differ in size by an order of magnitude, so the workers
+        // claim them one at a time, biggest first, instead of each taking a
+        // fixed share of the cohort; one replica per worker, as before
+        let order = longest_first(to_train, |cid| self.backend.num_samples(cid));
+        let global = &self.global_weights;
+        let config = self.config;
+        let loss_ema = self.loss_ema;
+        hs_parallel::for_each_claimed(
+            order.len(),
+            hs_parallel::num_threads(),
+            || (self.model_factory)(config.seed),
+            |net, claimed| {
+                let client_id = order[claimed];
+                net.set_weights(global);
+                net.zero_grad();
+                let ctx = ClientContext {
+                    round,
+                    loss_ema,
+                    lr: config.lr,
+                    batch_size: config.batch_size,
+                    local_epochs: config.local_epochs,
+                    global_weights: global,
+                    client_id,
+                };
+                let mut client_rng = StdRng::seed_from_u64(
+                    config.seed
+                        ^ (client_id as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+                        ^ (round as u64).wrapping_mul(0x2545_f491_4f6c_dd1d),
+                );
+                // on the lazy backend the dataset lives exactly as long as
+                // this closure — O(cohort) resident state
+                let update = self.backend.with_data(client_id, |data| {
+                    self.trainer.client_update(net, data, &ctx, &mut client_rng)
                 });
-            }
-        });
+                sync::lock(&updates).push(update);
+            },
+        );
 
         let mut updates = sync::into_inner(updates);
         drop(train_span);
-        // deterministic aggregation order regardless of thread interleaving
+        // deterministic aggregation order regardless of which worker
+        // claimed which client, and when
         updates.sort_by_key(|u| u.client_id);
 
         // inject the marked corruptions into the delivered updates, then
@@ -641,24 +648,24 @@ mod tests {
         })
     }
 
-    fn clients(n: usize, samples: usize) -> Vec<ClientData> {
-        (0..n)
-            .map(|id| {
-                let mut rng = StdRng::seed_from_u64(id as u64 + 100);
-                let x: Vec<Tensor> = (0..samples)
-                    .map(|i| {
-                        let mut t = Tensor::rand_uniform(&[4], -0.2, 0.2, &mut rng);
-                        t.as_mut_slice()[i % 3] += 1.0;
-                        t
-                    })
-                    .collect();
-                ClientData {
-                    id,
-                    device: format!("dev-{}", id % 2),
-                    data: Dataset::new(x, Labels::Classes((0..samples).map(|i| i % 3).collect())),
-                }
+    fn client(id: usize, samples: usize) -> ClientData {
+        let mut rng = StdRng::seed_from_u64(id as u64 + 100);
+        let x: Vec<Tensor> = (0..samples)
+            .map(|i| {
+                let mut t = Tensor::rand_uniform(&[4], -0.2, 0.2, &mut rng);
+                t.as_mut_slice()[i % 3] += 1.0;
+                t
             })
-            .collect()
+            .collect();
+        ClientData {
+            id,
+            device: format!("dev-{}", id % 2),
+            data: Dataset::new(x, Labels::Classes((0..samples).map(|i| i % 3).collect())),
+        }
+    }
+
+    fn clients(n: usize, samples: usize) -> Vec<ClientData> {
+        (0..n).map(|id| client(id, samples)).collect()
     }
 
     fn test_set() -> Vec<(String, Dataset)> {
@@ -1102,5 +1109,192 @@ mod tests {
                 ..SemiSyncPolicy::default()
             },
         );
+    }
+
+    // ---- work-conserving client fan-out ----------------------------------
+
+    #[test]
+    fn claim_order_is_a_longest_first_permutation_with_id_tie_break() {
+        // sample count = a pure function of the id, with plenty of ties
+        let size = |cid: usize| [7usize, 3, 7, 1, 12, 3, 7][cid % 7];
+        let trainees = vec![19usize, 4, 11, 0, 6, 2, 9, 13, 5, 1];
+        let order = longest_first(&trainees, size);
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        let mut expect = trainees.clone();
+        expect.sort_unstable();
+        assert_eq!(sorted, expect, "a permutation of the trainees");
+        for pair in order.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert!(
+                size(a) > size(b) || (size(a) == size(b) && a < b),
+                "{a} ({}) before {b} ({})",
+                size(a),
+                size(b)
+            );
+        }
+        // pure: the input's order does not matter, nor does asking twice
+        let mut reversed = trainees.clone();
+        reversed.reverse();
+        assert_eq!(longest_first(&reversed, size), order);
+        assert_eq!(longest_first(&trainees, size), order);
+        assert!(longest_first(&[], size).is_empty());
+    }
+
+    /// Clients whose sizes differ 20×, as a capture fleet's do.
+    fn skewed_clients(n: usize) -> Vec<ClientData> {
+        (0..n)
+            .map(|id| client(id, 3 + 6 * ((id * 7) % 10)))
+            .collect()
+    }
+
+    /// Records the order `client_update` is entered in, then trains as
+    /// FedAvg does.
+    struct RecordingTrainer {
+        inner: FedAvgTrainer,
+        seen: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl ClientTrainer for RecordingTrainer {
+        fn client_update(
+            &self,
+            net: &mut Network,
+            data: &Dataset,
+            ctx: &ClientContext<'_>,
+            rng: &mut StdRng,
+        ) -> ClientUpdate {
+            sync::lock(&self.seen).push(ctx.client_id);
+            self.inner.client_update(net, data, ctx, rng)
+        }
+
+        fn name(&self) -> &'static str {
+            "recording"
+        }
+    }
+
+    /// Restores the default fan-out width when dropped.
+    struct DefaultThreads;
+    impl Drop for DefaultThreads {
+        fn drop(&mut self) {
+            hs_parallel::set_num_threads(None);
+        }
+    }
+
+    #[test]
+    fn every_trainee_is_trained_once_and_the_heaviest_is_claimed_first() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let population = skewed_clients(16);
+        let sizes: Vec<usize> = population.iter().map(|c| c.data.len()).collect();
+        let mut config = FlConfig::tiny();
+        config.num_clients = 16;
+        config.clients_per_round = 9;
+        let mut sim = FlSimulation::new(
+            config,
+            population,
+            factory(),
+            Box::new(RecordingTrainer {
+                inner: FedAvgTrainer::new(LossKind::CrossEntropy),
+                seen: Arc::clone(&seen),
+            }),
+            AggregationMethod::FedAvg,
+        );
+
+        // however many workers claim: each participant exactly once
+        let stats = sim.run_round();
+        let mut trained = std::mem::take(&mut *sync::lock(&seen));
+        trained.sort_unstable();
+        let mut cohort = stats.participants.clone();
+        cohort.sort_unstable();
+        assert_eq!(trained, cohort);
+        assert_eq!(stats.completed, cohort.len());
+
+        // one worker: the recorded order IS the claim order
+        let _restore = DefaultThreads;
+        hs_parallel::set_num_threads(Some(1));
+        let stats = sim.run_round();
+        let claimed = std::mem::take(&mut *sync::lock(&seen));
+        assert_eq!(
+            claimed,
+            longest_first(&stats.participants, |cid| sizes[cid])
+        );
+        let heaviest = stats.participants.iter().map(|&c| sizes[c]).max().unwrap();
+        assert_eq!(sizes[claimed[0]], heaviest);
+    }
+
+    #[test]
+    fn skewed_cohorts_replay_bit_identically_on_both_backends_with_and_without_faults() {
+        let plan = FaultPlan {
+            seed: 31,
+            straggler_rate: 0.3,
+            straggler_slowdown: (2.0, 10.0),
+            crash_rate: 0.1,
+            transport_drop_rate: 0.05,
+            corrupt_rate: 0.1,
+        };
+        let eager = |faults: bool| {
+            let mut config = FlConfig::tiny();
+            config.rounds = 3;
+            config.num_clients = 16;
+            config.clients_per_round = 8;
+            let sim = FlSimulation::new(
+                config,
+                skewed_clients(16),
+                factory(),
+                Box::new(FedAvgTrainer::new(LossKind::CrossEntropy)),
+                AggregationMethod::FedAvg,
+            );
+            if faults {
+                sim.with_faults(FaultInjector::new(plan), SemiSyncPolicy::default())
+            } else {
+                sim
+            }
+        };
+        let lazy = |faults: bool| {
+            // 2..=24 samples per client
+            let fleet = Arc::new(FleetSpec::from_profiles(200, &paper_devices(), (2, 24), 13));
+            let source = Arc::new(LazyClientSet::new(Arc::clone(&fleet), 4, 8, 13));
+            let mut config = FlConfig::tiny();
+            config.rounds = 3;
+            config.num_clients = 200;
+            config.clients_per_round = 8;
+            let sim = FlSimulation::with_source(
+                config,
+                source,
+                image_factory(4),
+                Box::new(FedAvgTrainer::new(LossKind::CrossEntropy)),
+                AggregationMethod::FedAvg,
+            );
+            if faults {
+                sim.with_faults(
+                    FaultInjector::with_fleet(plan, fleet),
+                    SemiSyncPolicy::default(),
+                )
+            } else {
+                sim
+            }
+        };
+        let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let builders: [(&str, &dyn Fn(bool) -> FlSimulation); 2] =
+            [("eager", &eager), ("lazy", &lazy)];
+        for (backend, build) in builders {
+            for faults in [false, true] {
+                let mut first = build(faults);
+                let history = first.run();
+                assert!(history.iter().any(|r| r.completed > 0));
+                for _ in 0..2 {
+                    let mut again = build(faults);
+                    assert_eq!(
+                        again.run(),
+                        history,
+                        "{backend}, faults={faults}: round stats must replay"
+                    );
+                    assert_eq!(
+                        bits(again.global_weights()),
+                        bits(first.global_weights()),
+                        "{backend}, faults={faults}: weights must replay bit for bit"
+                    );
+                }
+            }
+        }
     }
 }

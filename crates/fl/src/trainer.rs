@@ -166,7 +166,7 @@ impl ClientTrainer for FedProxTrainer {
     ) -> ClientUpdate {
         let loss = self.loss.build();
         let init_loss = initial_loss(net, data, loss.as_ref());
-        let global = ctx.global_weights.to_vec();
+        let global = ctx.global_weights;
         let mu = self.mu;
         let train_loss = sgd_local_update(net, data, loss.as_ref(), ctx, rng, |net, _lr| {
             // add μ (w − w_global) to every parameter gradient; the offset

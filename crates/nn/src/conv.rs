@@ -30,12 +30,16 @@
 //! backend that cannot execute the layer's geometry falls back to im2col so
 //! forcing is always safe.
 //!
-//! **Training** keeps the im2col→GEMM path unconditionally: backward
-//! consumes the cached column matrices
-//! (`dW_g += dOut_g * col^T`, `dCol = W_g^T * dOut_g` folded by col2im).
+//! **Training** has one path per geometry. Dense and grouped layers keep
+//! im2col→GEMM: forward caches the column matrices and backward consumes
+//! them (`dW_g += dOut_g * col^T`, `dCol = W_g^T * dOut_g` folded by
+//! col2im). Depthwise layers train on the direct kernels whatever inference
+//! backend is forced: forward is [`hs_tensor::depthwise_conv2d`] and caches
+//! the *input*, backward is [`hs_tensor::depthwise_conv2d_backward`] — no
+//! column matrix, transpose or per-channel GEMM.
 //!
-//! The im2col matrices are written into one flat scratch buffer owned by the
-//! layer (`col_cache`), resized once per input geometry and reused across
+//! What backward consumes lives in one flat buffer owned by the layer
+//! (`train_cache`), resized once per input geometry and reused across
 //! steps — the seed's per-sample `Vec` allocations are gone. The batch loop
 //! fans out over the shared `hs_parallel` pool in sample bands; each band
 //! accumulates weight/bias gradients into its own partial buffer, reduced
@@ -50,9 +54,10 @@ use crate::{Layer, Param, ParamStore};
 use hs_parallel::sync;
 use hs_tensor::gemm::NR;
 use hs_tensor::{
-    depthwise_conv2d, gemm, gemm_acc, gemm_acc_q, gemm_batch_cyclic_acc_strided_q,
-    gemm_batch_cyclic_strided_q, gemm_batch_strided, gemm_epilogue_q, he_normal, transpose_into,
-    valid_out_range, winograd_conv3x3_q, DType, Epilogue, EpilogueAct, QTensor, Tensor, WeightMat,
+    depthwise_conv2d, depthwise_conv2d_backward, gemm, gemm_acc, gemm_acc_q,
+    gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided_q, gemm_batch_strided,
+    gemm_epilogue_q, he_normal, transpose_into, valid_out_range, winograd_conv3x3_q, DType,
+    Epilogue, EpilogueAct, QTensor, Tensor, WeightMat,
 };
 use rand::rngs::StdRng;
 use std::cell::{Cell, RefCell};
@@ -551,12 +556,13 @@ pub struct Conv2d {
     padding: usize,
     groups: usize,
     cached_input_dims: Option<Vec<usize>>,
-    /// Flat im2col scratch: `[n][groups][wrow * ohw]`, resized per input
-    /// geometry and reused across steps.
-    col_cache: Vec<f32>,
+    /// What `backward` consumes from the last `forward(train)`, resized per
+    /// input geometry and reused across steps: the im2col columns
+    /// `[n][groups][wrow * ohw]`, or for a depthwise layer the input itself.
+    train_cache: Vec<f32>,
     /// Reusable im2col scratch for the exclusive (`&mut`) inference entry
-    /// points. Kept separate from `col_cache` so an eval pass between
-    /// `forward(train)` and `backward` never clobbers cached columns; taken
+    /// points. Kept separate from `train_cache` so an eval pass between
+    /// `forward(train)` and `backward` never clobbers it; taken
     /// out of the struct for the duration of a call so the `&self` inference
     /// body can borrow the layer freely.
     eval_col: Vec<f32>,
@@ -615,7 +621,7 @@ impl Conv2d {
             padding,
             groups,
             cached_input_dims: None,
-            col_cache: Vec::new(),
+            train_cache: Vec::new(),
             eval_col: Vec::new(),
             forced_algo: None,
             batched_ohw: OnceLock::new(),
@@ -770,10 +776,9 @@ impl Conv2d {
         }
 
         let x = input.as_slice();
-        // `wgt` feeds the depthwise branch, which never runs on a quantized
-        // layer (depthwise weights stay f32), so the empty parked f32 slice
-        // is never read; the GEMM and Winograd routes take `wmat`.
-        let wgt = self.weight.value.as_slice();
+        // the depthwise branch reads the f32 weight directly: it never runs
+        // on a quantized layer (depthwise weights stay f32); the GEMM and
+        // Winograd routes take `wmat`
         let wmat = self.weight_mat();
         let bias = self.bias.value.as_slice();
         let out_channels = self.out_channels;
@@ -803,45 +808,7 @@ impl Conv2d {
                 return;
             }
             ConvAlgo::DirectDepthwise => {
-                // one spatial micro-kernel per (sample, channel): no column
-                // matrix, no scratch at all
-                let chw = c * h * w;
-                let out_chw = out_channels * ohw;
-                let sample = |ni: usize, out_sample: &mut [f32]| {
-                    depthwise_conv2d(
-                        &x[ni * chw..(ni + 1) * chw],
-                        wgt,
-                        bias,
-                        epilogue,
-                        out_sample,
-                        c,
-                        h,
-                        w,
-                        k,
-                        stride,
-                        padding,
-                    );
-                };
-                let bands = hs_parallel::num_threads().min(n.max(1));
-                if bands <= 1 || hs_parallel::inside_pool() {
-                    for (ni, out_sample) in out_data.chunks_mut(out_chw).enumerate() {
-                        sample(ni, out_sample);
-                    }
-                } else {
-                    let band_len = n.div_ceil(bands).max(1);
-                    hs_parallel::scope(|s| {
-                        for (band, out_band) in out_data.chunks_mut(band_len * out_chw).enumerate()
-                        {
-                            let sample = &sample;
-                            s.spawn(move || {
-                                let n0 = band * band_len;
-                                for (si, out_sample) in out_band.chunks_mut(out_chw).enumerate() {
-                                    sample(n0 + si, out_sample);
-                                }
-                            });
-                        }
-                    });
-                }
+                self.depthwise_forward(x, epilogue, out_data, h, w);
                 return;
             }
             ConvAlgo::Im2colGemm => {}
@@ -1008,6 +975,62 @@ impl Conv2d {
                                     [si * out_channels * ohw..(si + 1) * out_channels * ohw];
                                 sample_group(n0 + si, g, &mut local_col, out_sample);
                             }
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    /// The direct depthwise forward over a whole batch: one spatial
+    /// micro-kernel per (sample, channel) — no column matrix, no scratch —
+    /// with the samples fanned out over the pool in bands. Serves both the
+    /// [`ConvAlgo::DirectDepthwise`] inference backend and `forward(train)`.
+    fn depthwise_forward(
+        &self,
+        x: &[f32],
+        epilogue: Option<Epilogue<'_>>,
+        out_data: &mut [f32],
+        h: usize,
+        w: usize,
+    ) {
+        let c = self.in_channels;
+        let (oh, ow) = self.out_size(h, w);
+        let chw = c * h * w;
+        let out_chw = c * oh * ow;
+        let n = x.len() / chw.max(1);
+        let wgt = self.weight.value.as_slice();
+        let bias = self.bias.value.as_slice();
+        let (k, stride, padding) = (self.kernel, self.stride, self.padding);
+        let sample = |ni: usize, out_sample: &mut [f32]| {
+            depthwise_conv2d(
+                &x[ni * chw..(ni + 1) * chw],
+                wgt,
+                bias,
+                epilogue,
+                out_sample,
+                c,
+                h,
+                w,
+                k,
+                stride,
+                padding,
+            );
+        };
+        let bands = hs_parallel::num_threads().min(n.max(1));
+        if bands <= 1 || hs_parallel::inside_pool() {
+            for (ni, out_sample) in out_data.chunks_mut(out_chw).enumerate() {
+                sample(ni, out_sample);
+            }
+        } else {
+            let band_len = n.div_ceil(bands).max(1);
+            hs_parallel::scope(|s| {
+                for (band, out_band) in out_data.chunks_mut(band_len * out_chw).enumerate() {
+                    let sample = &sample;
+                    s.spawn(move || {
+                        let n0 = band * band_len;
+                        for (si, out_sample) in out_band.chunks_mut(out_chw).enumerate() {
+                            sample(n0 + si, out_sample);
                         }
                     });
                 }
@@ -1201,11 +1224,20 @@ impl Layer for Conv2d {
         let (stride, padding) = (self.stride, self.padding);
 
         self.cached_input_dims = Some(dims.to_vec());
-        // one flat scratch for every sample's im2col, reused across
-        // steps; backward consumes it, so ONLY train-mode forwards may
-        // touch it (an eval pass between forward(train) and backward
-        // must not clobber the cached columns)
-        self.col_cache.resize(n * groups * colsz, 0.0);
+        // backward consumes `train_cache`, so ONLY train-mode forwards may
+        // touch it (an eval pass between forward(train) and backward must
+        // not clobber it)
+        if self.is_depthwise() {
+            // direct kernel; backward needs the input, not a 9×-larger
+            // column matrix
+            self.train_cache.clear();
+            self.train_cache.extend_from_slice(input.as_slice());
+            let mut out = vec![0.0f32; n * self.out_channels * ohw];
+            self.depthwise_forward(input.as_slice(), None, &mut out, h, w);
+            return Tensor::from_vec(out, &[n, self.out_channels, oh, ow]);
+        }
+        // one flat scratch for every sample's im2col, reused across steps
+        self.train_cache.resize(n * groups * colsz, 0.0);
 
         let x = input.as_slice();
         let wgt = self.weight.value.as_slice();
@@ -1245,7 +1277,7 @@ impl Layer for Conv2d {
             // row-block parallelism can fan out instead
             for (ni, out_sample) in out.chunks_mut(out_channels * ohw).enumerate() {
                 for g in 0..groups {
-                    let col = &mut self.col_cache
+                    let col = &mut self.train_cache
                         [(ni * groups + g) * colsz..(ni * groups + g + 1) * colsz];
                     sample_group(ni, g, col, out_sample);
                 }
@@ -1253,8 +1285,8 @@ impl Layer for Conv2d {
         } else {
             let band_len = n.div_ceil(bands).max(1);
             let band_out = band_len * out_channels * ohw;
-            // each band writes its slice of col_cache (consumed by backward)
-            let col_bands = self.col_cache.chunks_mut(band_len * groups * colsz);
+            // each band writes its slice of the cache (consumed by backward)
+            let col_bands = self.train_cache.chunks_mut(band_len * groups * colsz);
             hs_parallel::scope(|s| {
                 for ((band, out_band), col_band) in
                     out.chunks_mut(band_out).enumerate().zip(col_bands)
@@ -1328,15 +1360,20 @@ impl Layer for Conv2d {
         let go = grad_out.as_slice();
         let wgt = self.weight.value.as_slice();
 
-        // W^T per group, shared read-only by every sample band
-        let mut wt = vec![0.0f32; groups * wrow * cout_g];
-        for g in 0..groups {
-            transpose_into(
-                &wgt[g * cout_g * wrow..(g + 1) * cout_g * wrow],
-                &mut wt[g * wrow * cout_g..(g + 1) * wrow * cout_g],
-                cout_g,
-                wrow,
-            );
+        // W^T per group, shared read-only by every sample band (the
+        // depthwise kernel reads W as it is)
+        let depthwise = self.is_depthwise();
+        let mut wt = Vec::new();
+        if !depthwise {
+            wt.resize(groups * wrow * cout_g, 0.0f32);
+            for g in 0..groups {
+                transpose_into(
+                    &wgt[g * cout_g * wrow..(g + 1) * cout_g * wrow],
+                    &mut wt[g * wrow * cout_g..(g + 1) * wrow * cout_g],
+                    cout_g,
+                    wrow,
+                );
+            }
         }
 
         let mut grad_in = vec![0.0f32; n * c * h * w];
@@ -1347,11 +1384,32 @@ impl Layer for Conv2d {
         let mut grad_w_parts = vec![0.0f32; n_bands * wlen];
         let mut grad_b_parts = vec![0.0f32; n_bands * out_channels];
 
-        let col_cache = &self.col_cache;
+        let train_cache = &self.train_cache;
         let wt = &wt;
         // one sample band: bias/weight gradients into the band's partial
         // buffers, input gradients into its disjoint grad_in window
-        let band_body =
+        let depthwise_band =
+            |n0: usize, gin_band: &mut [f32], gw_part: &mut [f32], gb_part: &mut [f32]| {
+                let chw = c * h * w;
+                for (si, gin_sample) in gin_band.chunks_mut(chw).enumerate() {
+                    let ni = n0 + si;
+                    depthwise_conv2d_backward(
+                        &train_cache[ni * chw..(ni + 1) * chw],
+                        wgt,
+                        &go[ni * out_channels * ohw..(ni + 1) * out_channels * ohw],
+                        gin_sample,
+                        gw_part,
+                        gb_part,
+                        c,
+                        h,
+                        w,
+                        k,
+                        stride,
+                        padding,
+                    );
+                }
+            };
+        let gemm_band =
             |n0: usize, gin_band: &mut [f32], gw_part: &mut [f32], gb_part: &mut [f32]| {
                 let samples = gin_band.len() / (c * h * w);
                 let mut grad_col = vec![0.0f32; colsz];
@@ -1360,7 +1418,7 @@ impl Layer for Conv2d {
                     let ni = n0 + si;
                     for g in 0..groups {
                         let col =
-                            &col_cache[(ni * groups + g) * colsz..(ni * groups + g + 1) * colsz];
+                            &train_cache[(ni * groups + g) * colsz..(ni * groups + g + 1) * colsz];
                         let go_off = ni * out_channels * ohw + g * cout_g * ohw;
                         let go_g = &go[go_off..go_off + cout_g * ohw];
                         // bias gradient
@@ -1402,6 +1460,14 @@ impl Layer for Conv2d {
                             ow,
                         );
                     }
+                }
+            };
+        let band_body =
+            |n0: usize, gin_band: &mut [f32], gw_part: &mut [f32], gb_part: &mut [f32]| {
+                if depthwise {
+                    depthwise_band(n0, gin_band, gw_part, gb_part);
+                } else {
+                    gemm_band(n0, gin_band, gw_part, gb_part);
                 }
             };
 
@@ -1770,7 +1836,7 @@ mod tests {
     #[test]
     fn repeated_steps_reuse_scratch_without_drift() {
         // two identical train steps must produce identical outputs and
-        // gradients (the col_cache is reused, not re-derived state)
+        // gradients (the train cache is reused, not re-derived state)
         let mut rng = StdRng::seed_from_u64(6);
         let mut conv = Conv2d::new(3, 5, 3, 1, 1, 1, &mut rng);
         let x = Tensor::rand_uniform(&[2, 3, 7, 7], -1.0, 1.0, &mut rng);

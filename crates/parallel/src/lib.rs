@@ -20,8 +20,9 @@
 //!    of the runtime dependency graph.
 //!
 //! The API is deliberately small: [`scope`] with [`Scope::spawn`] (the
-//! crossbeam/rayon-scope shape), plus [`parallel_for`] and
-//! [`parallel_chunks_mut`] conveniences layered on top.
+//! crossbeam/rayon-scope shape), plus [`parallel_for`],
+//! [`parallel_chunks_mut`] and the work-conserving [`for_each_claimed`]
+//! conveniences layered on top.
 //!
 //! # Safety model
 //!
@@ -412,6 +413,53 @@ where
     });
 }
 
+/// Work-conserving fan-out over `0..total` for items of **uneven** cost:
+/// up to `workers` loops run on the pool, and each one claims the next
+/// unclaimed index from a shared cursor until none is left, running
+/// `body(&mut state, index)` on it — so no loop idles while another still
+/// has a backlog, which a fixed split into `workers` chunks cannot promise.
+/// Indices are claimed in increasing order: put the longest items first and
+/// the schedule is longest-processing-time-first.
+///
+/// `state` is per loop, built by `init` when the loop claims its first index
+/// (a loop that finds the cursor exhausted builds nothing) and reused for
+/// every later one — the place for a scratch buffer or a model replica.
+/// Which loop runs which index is a race; `body` must not let it reach its
+/// results.
+///
+/// Runs as one loop on the calling thread when `workers <= 1`, when there
+/// is a single item, or when already inside a pool task.
+pub fn for_each_claimed<S, I, F>(total: usize, workers: usize, init: I, body: F)
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, usize) + Sync,
+{
+    // Relaxed: the cursor only hands out indices; everything the loops read
+    // was written before the scope started, and the scope's completion
+    // handshake publishes what they wrote
+    let cursor = AtomicUsize::new(0);
+    let claim_loop = || {
+        let mut state = None;
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= total {
+                break;
+            }
+            body(state.get_or_insert_with(&init), index);
+        }
+    };
+    let workers = workers.min(total);
+    if workers <= 1 || inside_pool() {
+        claim_loop();
+        return;
+    }
+    scope(|s| {
+        for _ in 0..workers {
+            s.spawn(claim_loop);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,5 +612,78 @@ mod tests {
             done.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(done.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn for_each_claimed_runs_every_index_once_with_per_loop_state() {
+        for workers in [1usize, 2, 4, 9] {
+            let hits: Vec<AtomicUsize> = (0..203).map(|_| AtomicUsize::new(0)).collect();
+            let states_built = AtomicUsize::new(0);
+            for_each_claimed(
+                hits.len(),
+                workers,
+                || {
+                    states_built.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |claimed_by_this_loop, i| {
+                    *claimed_by_this_loop += 1;
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                },
+            );
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            let built = states_built.load(Ordering::Relaxed);
+            assert!(
+                (1..=workers).contains(&built),
+                "{built} states for {workers} loops"
+            );
+        }
+    }
+
+    #[test]
+    fn for_each_claimed_is_one_ordered_loop_when_serial() {
+        // one loop claims 0, 1, 2, … in order: the longest-first contract
+        let order = Mutex::new(Vec::new());
+        for_each_claimed(17, 1, || (), |_, i| sync::lock(&order).push(i));
+        assert_eq!(sync::into_inner(order), (0..17).collect::<Vec<_>>());
+        // no items: no state is built, nothing runs
+        for_each_claimed(
+            0,
+            4,
+            || panic!("must not build"),
+            |_: &mut (), _| panic!("must not run"),
+        );
+    }
+
+    #[test]
+    fn for_each_claimed_keeps_every_loop_busy_on_skewed_items() {
+        // one long item first, many short ones after: the loop that did not
+        // get the long item must take all the short ones (a fixed two-way
+        // split would leave half of them queued behind the long item)
+        if pool_stats().workers == 0 {
+            return; // a single-core pool runs everything on one loop
+        }
+        let short_by_long_loop = AtomicUsize::new(0);
+        let release = AtomicUsize::new(0);
+        for_each_claimed(
+            41,
+            2,
+            || false,
+            |has_long, i| {
+                if i == 0 {
+                    *has_long = true;
+                    // hold the long item until every short one is done
+                    while release.load(Ordering::Acquire) < 40 {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    if *has_long {
+                        short_by_long_loop.fetch_add(1, Ordering::Relaxed);
+                    }
+                    release.fetch_add(1, Ordering::Release);
+                }
+            },
+        );
+        assert_eq!(short_by_long_loop.load(Ordering::Relaxed), 0);
     }
 }

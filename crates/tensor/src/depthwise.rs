@@ -13,6 +13,13 @@
 //! over the freshly-computed (cache-hot) channel block, matching
 //! [`crate::gemm_epilogue`]'s semantics exactly — including NaN behaviour,
 //! since it reuses the same scalar [`crate::EpilogueAct::apply`].
+//!
+//! [`depthwise_conv2d_backward`] is the training twin: per channel it
+//! produces the input gradient and accumulates the `k²` weight gradients and
+//! the bias gradient straight from the input and `grad_out` blocks, in the
+//! same tap-outer / contiguous-row-inner shape — the im2col route spent its
+//! time building, transposing and multiplying a `k² × (oh·ow)` column matrix
+//! per (sample, channel) for `2·k²·oh·ow` useful multiply-adds.
 
 use crate::gemm::Epilogue;
 
@@ -215,6 +222,234 @@ fn depthwise_generic(
     }
 }
 
+/// Independent partial sums a row dot product is split over, so the
+/// reduction is not one serial chain of dependent adds (and vectorises).
+const LANES: usize = 8;
+
+/// `acc[i % LANES] += a[i]·b[i]` for two equally long rows; the caller sums
+/// the lanes at the end.
+#[inline]
+fn dot_lanes(acc: &mut [f32; LANES], a: &[f32], b: &[f32]) {
+    debug_assert_eq!(a.len(), b.len());
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    for (xa, xb) in (&mut ca).zip(&mut cb) {
+        for l in 0..LANES {
+            acc[l] += xa[l] * xb[l];
+        }
+    }
+    for ((lane, x), y) in acc.iter_mut().zip(ca.remainder()).zip(cb.remainder()) {
+        *lane += x * y;
+    }
+}
+
+/// `Σ xs[i]`, split over [`LANES`] partial sums like [`dot_lanes`].
+fn sum_lanes(xs: &[f32]) -> f32 {
+    let mut acc = [0.0f32; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for l in 0..LANES {
+            acc[l] += chunk[l];
+        }
+    }
+    for (lane, x) in acc.iter_mut().zip(chunks.remainder()) {
+        *lane += x;
+    }
+    acc.iter().sum()
+}
+
+/// Backward pass of [`depthwise_conv2d`] for one `[c, h, w]` sample: given
+/// the forward `input`, the `[c, k, k]` `weights` and the `[c, oh, ow]`
+/// output gradient, writes the input gradient into `grad_in` (`[c, h, w]`,
+/// fully overwritten) and **accumulates** the weight gradient into `grad_w`
+/// (`[c, k, k]`) and the bias gradient into `grad_b` (`[c]`), so a caller
+/// can fold a band of samples into one partial buffer.
+///
+/// The result is the adjoint of the im2col formulation, NaN semantics
+/// included: there a tap that lands in the padding still multiplies
+/// `grad_out` by the column matrix's zero, so a non-finite `grad_out`
+/// element poisons every weight gradient of its channel. The direct loops
+/// skip those products; a channel whose `grad_out` is not all finite adds
+/// them back literally (`add_padding_products`), which finite training never
+/// pays for.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than its shape contract.
+#[allow(clippy::too_many_arguments)]
+pub fn depthwise_conv2d_backward(
+    input: &[f32],
+    weights: &[f32],
+    grad_out: &[f32],
+    grad_in: &mut [f32],
+    grad_w: &mut [f32],
+    grad_b: &mut [f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) {
+    assert!(stride >= 1 && k >= 1, "kernel and stride must be positive");
+    assert!(
+        h + 2 * pad >= k && w + 2 * pad >= k,
+        "input too small for the kernel"
+    );
+    let oh = (h + 2 * pad - k) / stride + 1;
+    let ow = (w + 2 * pad - k) / stride + 1;
+    assert!(input.len() >= c * h * w, "depthwise input too short");
+    assert!(weights.len() >= c * k * k, "depthwise weights too short");
+    assert!(
+        grad_out.len() >= c * oh * ow,
+        "depthwise grad_out too short"
+    );
+    assert!(grad_in.len() >= c * h * w, "depthwise grad_in too short");
+    assert!(grad_w.len() >= c * k * k, "depthwise grad_w too short");
+    assert!(grad_b.len() >= c, "depthwise grad_b too short");
+
+    for ci in 0..c {
+        let chan_in = &input[ci * h * w..(ci + 1) * h * w];
+        let chan_w = &weights[ci * k * k..(ci + 1) * k * k];
+        let chan_go = &grad_out[ci * oh * ow..(ci + 1) * oh * ow];
+        let chan_gin = &mut grad_in[ci * h * w..(ci + 1) * h * w];
+        let chan_gw = &mut grad_w[ci * k * k..(ci + 1) * k * k];
+        let go_sum = sum_lanes(chan_go);
+        grad_b[ci] += go_sum;
+        if k == 3 && stride == 1 && pad == 1 && h >= 2 && w >= 2 {
+            // the input gradient of a stride-1 "same" convolution is the
+            // same convolution of grad_out with the kernel rotated by 180°:
+            // the forward's register-accumulating micro-kernel does it
+            let mut rotated = [0.0f32; 9];
+            for (r, &v) in rotated.iter_mut().zip(chan_w.iter().rev()) {
+                *r = v;
+            }
+            depthwise3x3_s1p1(chan_go, &rotated, chan_gin, h, w);
+            grad_w_3x3_s1p1(chan_in, chan_go, chan_gw, h, w);
+        } else {
+            backward_generic(
+                chan_in, chan_w, chan_go, chan_gin, chan_gw, h, w, k, stride, pad, oh, ow,
+            );
+        }
+        if pad > 0 && !go_sum.is_finite() {
+            add_padding_products(chan_go, chan_gw, h, w, k, stride, pad, oh, ow);
+        }
+    }
+}
+
+/// Weight gradient of one 3×3 stride-1 pad-1 channel in a single sweep over
+/// the output rows: each of the (up to) nine taps is a dot product of the
+/// `grad_out` row with a shifted input row, kept as [`LANES`] partial sums
+/// across all rows and reduced once at the end.
+fn grad_w_3x3_s1p1(input: &[f32], go: &[f32], gw: &mut [f32], h: usize, w: usize) {
+    let mut acc = [[0.0f32; LANES]; 9];
+    for oi in 0..h {
+        let go_row = &go[oi * w..(oi + 1) * w];
+        // input rows oi-1, oi, oi+1 that exist
+        let ki_lo = usize::from(oi == 0);
+        let ki_hi = 3 - usize::from(oi + 1 == h);
+        for ki in ki_lo..ki_hi {
+            let ii = oi + ki - 1;
+            let in_row = &input[ii * w..(ii + 1) * w];
+            dot_lanes(&mut acc[ki * 3], &go_row[1..], &in_row[..w - 1]);
+            dot_lanes(&mut acc[ki * 3 + 1], go_row, in_row);
+            dot_lanes(&mut acc[ki * 3 + 2], &go_row[..w - 1], &in_row[1..]);
+        }
+    }
+    for (g, lanes) in gw.iter_mut().zip(acc.iter()) {
+        *g += lanes.iter().sum::<f32>();
+    }
+}
+
+/// The generic tap-by-tap backward body for one channel (any kernel size,
+/// stride or padding): zeroes `chan_gin`, then per tap scatters
+/// `w_tap · grad_out` into it and reduces `grad_out · input` into the tap's
+/// weight gradient, over the tap's [`valid_out_range`] rectangle.
+#[allow(clippy::too_many_arguments)]
+fn backward_generic(
+    chan_in: &[f32],
+    chan_w: &[f32],
+    chan_go: &[f32],
+    chan_gin: &mut [f32],
+    chan_gw: &mut [f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) {
+    chan_gin.fill(0.0);
+    for ki in 0..k {
+        let (oi_lo, oi_hi) = valid_out_range(h, ki, stride, pad, oh);
+        for kj in 0..k {
+            let wv = chan_w[ki * k + kj];
+            let (oj_lo, oj_hi) = valid_out_range(w, kj, stride, pad, ow);
+            if oj_hi <= oj_lo {
+                continue;
+            }
+            let mut acc = [0.0f32; LANES];
+            for oi in oi_lo..oi_hi {
+                let ii = oi * stride + ki - pad;
+                let go_row = &chan_go[oi * ow + oj_lo..oi * ow + oj_hi];
+                if stride == 1 {
+                    let jj0 = ii * w + oj_lo + kj - pad;
+                    dot_lanes(&mut acc, go_row, &chan_in[jj0..jj0 + go_row.len()]);
+                    let gin_row = &mut chan_gin[jj0..jj0 + go_row.len()];
+                    for (g, &o) in gin_row.iter_mut().zip(go_row.iter()) {
+                        *g += wv * o;
+                    }
+                } else {
+                    let in_row = &chan_in[ii * w..(ii + 1) * w];
+                    let gin_row = &mut chan_gin[ii * w..(ii + 1) * w];
+                    for (idx, &o) in go_row.iter().enumerate() {
+                        let jj = (oj_lo + idx) * stride + kj - pad;
+                        acc[idx % LANES] += o * in_row[jj];
+                        gin_row[jj] += wv * o;
+                    }
+                }
+            }
+            chan_gw[ki * k + kj] += acc.iter().sum::<f32>();
+        }
+    }
+}
+
+/// Adds, per tap, the `grad_out · 0` products of the output positions whose
+/// sampled input lies in the padding — exactly the terms the im2col
+/// formulation computes and the direct loops skip. They are zero unless
+/// `grad_out` holds a NaN or an infinity there, so only a channel whose
+/// `grad_out` sum is not finite calls this.
+#[allow(clippy::too_many_arguments)]
+fn add_padding_products(
+    chan_go: &[f32],
+    chan_gw: &mut [f32],
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+) {
+    for ki in 0..k {
+        let (oi_lo, oi_hi) = valid_out_range(h, ki, stride, pad, oh);
+        for kj in 0..k {
+            let (oj_lo, oj_hi) = valid_out_range(w, kj, stride, pad, ow);
+            let mut acc = 0.0f32;
+            for oi in 0..oh {
+                let row_valid = (oi_lo..oi_hi).contains(&oi);
+                for oj in 0..ow {
+                    if !(row_valid && (oj_lo..oj_hi).contains(&oj)) {
+                        acc += chan_go[oi * ow + oj] * 0.0;
+                    }
+                }
+            }
+            chan_gw[ki * k + kj] += acc;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,6 +577,172 @@ mod tests {
                         "{act:?}: element {i}: {e} vs {g}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Scalar adjoint of the im2col formulation: padded taps multiply
+    /// `grad_out` by a literal zero, as the column matrix does.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_backward(
+        input: &[f32],
+        weights: &[f32],
+        go: &[f32],
+        c: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let oh = (h + 2 * pad - k) / stride + 1;
+        let ow = (w + 2 * pad - k) / stride + 1;
+        let mut gin = vec![0.0f32; c * h * w];
+        let mut gw = vec![0.0f32; c * k * k];
+        let mut gb = vec![0.0f32; c];
+        for ci in 0..c {
+            for oi in 0..oh {
+                for oj in 0..ow {
+                    let g = go[(ci * oh + oi) * ow + oj];
+                    gb[ci] += g;
+                    for ki in 0..k {
+                        for kj in 0..k {
+                            let ii = (oi * stride + ki) as isize - pad as isize;
+                            let jj = (oj * stride + kj) as isize - pad as isize;
+                            let tap = (ci * k + ki) * k + kj;
+                            if ii >= 0 && ii < h as isize && jj >= 0 && jj < w as isize {
+                                let at = ci * h * w + ii as usize * w + jj as usize;
+                                gw[tap] += g * input[at];
+                                gin[at] += weights[tap] * g;
+                            } else {
+                                gw[tap] += g * 0.0;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        (gin, gw, gb)
+    }
+
+    /// Shapes for the backward sweeps: the 3×3 s1 p1 special case (square,
+    /// ragged, minimal), strided, 5×5, unpadded and pointwise.
+    const BACKWARD_SHAPES: [(usize, usize, usize, usize, usize, usize); 9] = [
+        (1, 5, 5, 3, 1, 1),
+        (6, 7, 9, 3, 1, 1),
+        (3, 16, 16, 3, 1, 1),
+        (2, 2, 2, 3, 1, 1),
+        (4, 8, 8, 3, 2, 1),
+        (3, 6, 6, 5, 1, 2),
+        (5, 9, 7, 5, 2, 2),
+        (2, 4, 4, 1, 1, 0),
+        (2, 6, 5, 3, 1, 0),
+    ];
+
+    fn assert_close_or_both_nan(expect: &[f32], got: &[f32], what: &str) {
+        assert_eq!(expect.len(), got.len());
+        for (i, (e, g)) in expect.iter().zip(got.iter()).enumerate() {
+            assert_eq!(e.is_nan(), g.is_nan(), "{what}: element {i}: {e} vs {g}");
+            // `e == g` covers matching infinities, whose difference is NaN
+            if !e.is_nan() && e != g {
+                assert!(
+                    (e - g).abs() <= 1e-4 * e.abs().max(1.0),
+                    "{what}: element {i}: {e} vs {g}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn backward_matches_reference_across_shapes_and_accumulates() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for (c, h, w, k, stride, pad) in BACKWARD_SHAPES {
+            let oh = (h + 2 * pad - k) / stride + 1;
+            let ow = (w + 2 * pad - k) / stride + 1;
+            let input = rand_vec(&mut rng, c * h * w);
+            let weights = rand_vec(&mut rng, c * k * k);
+            let go = rand_vec(&mut rng, c * oh * ow);
+            let (gin, gw, gb) = reference_backward(&input, &weights, &go, c, h, w, k, stride, pad);
+            // grad_in is overwritten, grad_w / grad_b are accumulated into
+            let mut got_gin = vec![7.0f32; gin.len()];
+            let mut got_gw = vec![1.0f32; gw.len()];
+            let mut got_gb = vec![-2.0f32; gb.len()];
+            depthwise_conv2d_backward(
+                &input,
+                &weights,
+                &go,
+                &mut got_gin,
+                &mut got_gw,
+                &mut got_gb,
+                c,
+                h,
+                w,
+                k,
+                stride,
+                pad,
+            );
+            let what = format!("c={c} {h}x{w} k={k} s={stride} p={pad}");
+            let gw: Vec<f32> = gw.iter().map(|v| v + 1.0).collect();
+            let gb: Vec<f32> = gb.iter().map(|v| v - 2.0).collect();
+            assert_close_or_both_nan(&gin, &got_gin, &format!("{what} grad_in"));
+            assert_close_or_both_nan(&gw, &got_gw, &format!("{what} grad_w"));
+            assert_close_or_both_nan(&gb, &got_gb, &format!("{what} grad_b"));
+        }
+    }
+
+    #[test]
+    fn backward_puts_non_finite_values_where_the_reference_does() {
+        let mut rng = StdRng::seed_from_u64(24);
+        for (c, h, w, k, stride, pad) in BACKWARD_SHAPES {
+            let oh = (h + 2 * pad - k) / stride + 1;
+            let ow = (w + 2 * pad - k) / stride + 1;
+            let weights = rand_vec(&mut rng, c * k * k);
+            // a poisoned corner (its border taps land in the padding), a
+            // poisoned interior element, NaN and infinity, in either operand
+            for (in_poison, go_poison, at_corner) in [
+                (Some(f32::NAN), None, true),
+                (Some(f32::NAN), None, false),
+                (None, Some(f32::NAN), true),
+                (None, Some(f32::NAN), false),
+                (None, Some(f32::INFINITY), true),
+                (Some(f32::INFINITY), None, false),
+            ] {
+                let mut input = rand_vec(&mut rng, c * h * w);
+                let mut go = rand_vec(&mut rng, c * oh * ow);
+                // the last channel is poisoned, the others must stay clean
+                if let Some(v) = in_poison {
+                    let at = if at_corner { 0 } else { (h / 2) * w + w / 2 };
+                    input[(c - 1) * h * w + at] = v;
+                }
+                if let Some(v) = go_poison {
+                    let at = if at_corner { 0 } else { (oh / 2) * ow + ow / 2 };
+                    go[(c - 1) * oh * ow + at] = v;
+                }
+                let (gin, gw, gb) =
+                    reference_backward(&input, &weights, &go, c, h, w, k, stride, pad);
+                let mut got_gin = vec![0.0f32; gin.len()];
+                let mut got_gw = vec![0.0f32; gw.len()];
+                let mut got_gb = vec![0.0f32; gb.len()];
+                depthwise_conv2d_backward(
+                    &input,
+                    &weights,
+                    &go,
+                    &mut got_gin,
+                    &mut got_gw,
+                    &mut got_gb,
+                    c,
+                    h,
+                    w,
+                    k,
+                    stride,
+                    pad,
+                );
+                let what = format!(
+                    "c={c} {h}x{w} k={k} s={stride} p={pad} in={in_poison:?} go={go_poison:?} corner={at_corner}"
+                );
+                assert_close_or_both_nan(&gin, &got_gin, &format!("{what} grad_in"));
+                assert_close_or_both_nan(&gw, &got_gw, &format!("{what} grad_w"));
+                assert_close_or_both_nan(&gb, &got_gb, &format!("{what} grad_b"));
             }
         }
     }

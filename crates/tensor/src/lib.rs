@@ -16,7 +16,8 @@
 //! and row-block parallelism on the shared `hs_parallel` pool. Two
 //! specialised convolution kernels sit beside it — [`winograd`] (F(2×2,
 //! 3×3) tile transforms over batched tile-GEMMs) and
-//! [`depthwise_conv2d`] (direct per-channel spatial convolution) — both
+//! [`depthwise_conv2d`] (direct per-channel spatial convolution, with its
+//! training twin [`depthwise_conv2d_backward`]) — both
 //! sharing the GEMM epilogue's fused scale/shift+activation semantics.
 //! The seed's scalar kernels are preserved in [`naive`] as the correctness
 //! reference. `unsafe` is confined to the SIMD micro-kernels in `gemm.rs`
@@ -47,7 +48,7 @@ pub mod storage;
 mod tensor;
 pub mod winograd;
 
-pub use depthwise::{depthwise_conv2d, valid_out_range};
+pub use depthwise::{depthwise_conv2d, depthwise_conv2d_backward, valid_out_range};
 pub use dtype::{f16_bits_to_f32, f32_to_f16_bits, DType};
 pub use error::TensorError;
 pub use gemm::{

@@ -13,5 +13,6 @@ pub use hs_isp as isp;
 pub use hs_metrics as metrics;
 pub use hs_nn as nn;
 pub use hs_obs as obs;
+pub use hs_parallel as parallel;
 pub use hs_serve as serve;
 pub use hs_tensor as tensor;

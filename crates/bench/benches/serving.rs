@@ -2,10 +2,9 @@
 //! configuration, same run, same machine, same model.
 //!
 //! A 4-client closed loop drives `hs-serve` twice per model — once with
-//! dynamic batching (`max_batch` matched to the offered concurrency,
-//! `max_wait` 500 µs) and once with `max_batch 1` (the classic per-request
-//! server). Two record pairs land in `target/bench-results.json` for the
-//! gated model:
+//! dynamic batching (`max_batch 4`, `max_wait` 500 µs) and once with
+//! `max_batch 1` (the classic per-request server). Four record pairs land
+//! in `target/bench-results.json` for the gated model:
 //!
 //! * `serving/closed_loop_{batched,batch1}` — wall-clock per completed
 //!   request. The baseline ratio gates **throughput**: batched serving must
@@ -15,6 +14,15 @@
 //! * `serving/closed_loop_{batched,batch1}_p99` — the server-measured p99
 //!   latency. The baseline ratio (1.0) is the **latency bound**: batching
 //!   may not buy its throughput by blowing up tail latency vs batch=1.
+//! * `serving/solo_{batched,batch1}` — one client, one request at a time,
+//!   against `max_batch 8` vs `max_batch 1`. Nobody can join a lone
+//!   caller's batch, so the batcher must not hold it: the ratio gates the
+//!   **light-load latency** at ≤ 1.5× (a batcher that waits out `max_wait`
+//!   here reads ≈ 7×).
+//! * `serving/closed_loop_overshoot` vs `serving/closed_loop_batched` — the
+//!   same 4 clients under `max_batch 8` vs `max_batch 4`. A `max_batch`
+//!   above the offered concurrency must cost nothing: gated at ≤ 1.3×
+//!   (waiting for the four seats nobody can fill reads ≈ 2.3×).
 //!
 //! The gated model is `ecg_net(256)` — the zoo's MLP, whose per-request
 //! GEMMs are single-row (`m = 1`) and therefore maximally
@@ -38,12 +46,14 @@ use std::sync::Arc;
 const CLIENTS: usize = 4;
 const ECG_INPUT: usize = 256;
 
-/// `(per_request_ns, p99_ns, mean_batch)` for one served configuration.
+/// `(per_request_ns, p99_ns, mean_batch)` for one served configuration
+/// under a `clients`-wide closed loop.
 fn run_config(
     label: &str,
     make: impl Fn() -> Network + Send + Sync + Clone + 'static,
     input_dims: &[usize],
     policy: BatchPolicy,
+    clients: usize,
     per_client: usize,
 ) -> (f64, f64, f64) {
     let registry = Arc::new(ModelRegistry::new());
@@ -61,12 +71,12 @@ fn run_config(
     let sample = Tensor::rand_uniform(input_dims, 0.0, 1.0, &mut rng);
 
     // warm-up: plan arenas, crossover probes, batcher steady state
-    closed_loop(&client, CLIENTS, 4.min(per_client), &sample, None, None);
+    closed_loop(&client, clients, 4.min(per_client), &sample, None, None);
     server.reset_metrics();
 
-    let outcome = closed_loop(&client, CLIENTS, per_client, &sample, None, None);
+    let outcome = closed_loop(&client, clients, per_client, &sample, None, None);
     let metrics = server.metrics();
-    assert_eq!(outcome.ok, CLIENTS * per_client, "{label}: lost requests");
+    assert_eq!(outcome.ok, clients * per_client, "{label}: lost requests");
     let per_request_ns = outcome.elapsed_ms * 1e6 / outcome.ok as f64;
     let p99_ns = metrics.p99_us as f64 * 1e3;
     println!(
@@ -83,10 +93,7 @@ fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let per_client = if test_mode { 2 } else { 150 };
 
-    // --- gated pair: the zoo MLP under 4-client closed-loop load.
-    // max_batch matches the offered concurrency: a larger bound would make
-    // every batch wait out max_wait for companions that cannot arrive
-    // (closed-loop clients are blocked on the in-flight batch).
+    // --- gated pairs: the zoo MLP under 4-client closed-loop load
     let ecg = || {
         let mut rng = StdRng::seed_from_u64(7);
         ecg_net(ECG_INPUT, &mut rng)
@@ -96,6 +103,7 @@ fn main() {
         ecg,
         &[ECG_INPUT],
         BatchPolicy::new(CLIENTS, 500),
+        CLIENTS,
         per_client,
     );
     let (batch1_ns, batch1_p99, _) = run_config(
@@ -103,13 +111,47 @@ fn main() {
         ecg,
         &[ECG_INPUT],
         BatchPolicy::batch_of_one(),
+        CLIENTS,
         per_client,
+    );
+    // max_batch above the offered concurrency: the four closed-loop
+    // clients are everyone, so the batch must close on the fourth
+    let (overshoot_ns, _, _) = run_config(
+        "serving/closed_loop_overshoot",
+        ecg,
+        &[ECG_INPUT],
+        BatchPolicy::new(2 * CLIENTS, 500),
+        CLIENTS,
+        per_client,
+    );
+    // --- and under one client with one request in flight
+    let solo_requests = CLIENTS * per_client;
+    let (solo_batched_ns, _, _) = run_config(
+        "serving/solo_batched",
+        ecg,
+        &[ECG_INPUT],
+        BatchPolicy::new(2 * CLIENTS, 500),
+        1,
+        solo_requests,
+    );
+    let (solo_batch1_ns, _, _) = run_config(
+        "serving/solo_batch1",
+        ecg,
+        &[ECG_INPUT],
+        BatchPolicy::batch_of_one(),
+        1,
+        solo_requests,
     );
     println!(
         "serving: batched/batch1 per-request ratio {:.4} (throughput {:.2}x), p99 ratio {:.4}",
         batched_ns / batch1_ns,
         batch1_ns / batched_ns,
         batched_p99 / batch1_p99,
+    );
+    println!(
+        "serving: overshoot/batched ratio {:.4}, solo batched/batch1 ratio {:.4}",
+        overshoot_ns / batched_ns,
+        solo_batched_ns / solo_batch1_ns,
     );
 
     // --- context pair (recorded, not gated): a depthwise-heavy zoo model
@@ -127,6 +169,7 @@ fn main() {
         mobilenet,
         &[3, 16, 16],
         BatchPolicy::new(CLIENTS, 500),
+        CLIENTS,
         mobile_per_client,
     );
     let (m1_ns, _, _) = run_config(
@@ -134,6 +177,7 @@ fn main() {
         mobilenet,
         &[3, 16, 16],
         BatchPolicy::batch_of_one(),
+        CLIENTS,
         mobile_per_client,
     );
     println!(
@@ -164,6 +208,9 @@ fn main() {
             record("serving/closed_loop_batch1", batch1_ns),
             record("serving/closed_loop_batched_p99", batched_p99),
             record("serving/closed_loop_batch1_p99", batch1_p99),
+            record("serving/closed_loop_overshoot", overshoot_ns),
+            record("serving/solo_batched", solo_batched_ns),
+            record("serving/solo_batch1", solo_batch1_ns),
             record("serving/closed_loop_mobilenet_batched", mb_ns),
             record("serving/closed_loop_mobilenet_batch1", m1_ns),
         ],

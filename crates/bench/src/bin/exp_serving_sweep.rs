@@ -12,6 +12,10 @@
 //! ```
 //!
 //! `--quick` shrinks request counts for a fast sanity pass (the CI smoke).
+//! After each model's table the run prints the two light-load checks the
+//! batcher's close rule exists for: a lone client's p50 at `max_batch 8`
+//! over its `max_batch 1` cell (expected ≤ 1.5), and 4-client throughput at
+//! `max_batch 8` over the `max_batch 4` cell (expected ≥ 0.8).
 //! The run also prints the measured batched-GEMM routing crossover table
 //! (`hs_nn::batched_gemm_crossovers`) that the served forwards populated.
 
@@ -161,6 +165,23 @@ fn main() {
             );
             server.shutdown();
         }
+        let closed = |clients: usize, max_batch: usize| {
+            records
+                .iter()
+                .find(|r| {
+                    r.model == kind.as_str()
+                        && r.mode == "closed"
+                        && r.clients == clients
+                        && r.max_batch == max_batch
+                })
+                .expect("cell was swept above")
+        };
+        println!(
+            "light load: closed 1c p50 max_batch 8 / max_batch 1 = {:.2} (expect <= 1.5); \
+             closed 4c req/s max_batch 8 / max_batch 4 = {:.2} (expect >= 0.8)",
+            closed(1, 8).metrics.p50_us as f64 / closed(1, 1).metrics.p50_us.max(1) as f64,
+            closed(4, 8).throughput_rps / closed(4, 4).throughput_rps,
+        );
         println!();
     }
 

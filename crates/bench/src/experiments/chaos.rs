@@ -135,6 +135,9 @@ pub struct ChaosReport {
     /// Server metrics after the load (worker panics/restarts, shed, batch
     /// histogram).
     pub serving: MetricsSnapshot,
+    /// `Server::in_flight()` after the load: admitted requests the server
+    /// never counted out (0 unless one leaked).
+    pub in_flight_after_load: usize,
 }
 
 fn serving_replica(vision: VisionConfig) -> impl Fn() -> hs_nn::Network + Send + Sync + Clone {
@@ -234,6 +237,7 @@ pub fn chaos_study(cfg: &ChaosConfig) -> ChaosReport {
     });
 
     let serving = server.metrics();
+    let in_flight_after_load = server.in_flight();
     server.shutdown();
 
     let faulty_accs: Vec<f32> = sim
@@ -258,6 +262,7 @@ pub fn chaos_study(cfg: &ChaosConfig) -> ChaosReport {
         load,
         availability,
         serving,
+        in_flight_after_load,
     }
 }
 

@@ -12,7 +12,7 @@
 //!                                          ▼
 //!                         worker threads (one fused Network replica each)
 //!                           1. poll ModelRegistry, hot-swap between batches
-//!                           2. collect_batch: max_batch / max_wait_us
+//!                           2. collect_batch: full / everyone present / max_wait
 //!                           3. drop expired requests (deadlines)
 //!                           4. one batched Network::infer forward
 //!                           5. route logits rows via completion slots
@@ -79,11 +79,10 @@ mod metrics;
 mod queue;
 mod registry;
 mod server;
-mod sync;
 
-pub use batcher::{collect_batch, BatchPolicy, Collected};
+pub use batcher::{collect_batch, BatchPolicy, CloseReason, Collected};
 pub use metrics::{BatchBucket, MetricsSnapshot, ServerMetrics};
-pub use queue::{BoundedQueue, Popped, PushError};
+pub use queue::{BoundedQueue, Companion, Popped, PushError};
 pub use registry::{ModelRegistry, ModelVersion};
 pub use server::{
     BrownoutConfig, Pending, Response, ServeClient, ServeError, Server, ServerConfig, StartError,

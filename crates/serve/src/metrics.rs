@@ -15,8 +15,8 @@
 //! [`MetricsSnapshot`] derives `serde::ToJson`, so the load-generator
 //! harness dumps it straight into the experiment JSON.
 
-use crate::sync::lock;
 use hs_obs::Histogram;
+use hs_parallel::sync::lock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;

@@ -14,8 +14,8 @@
 //! Versions are retained (bounded by [`ModelRegistry::retain`]) so a sweep
 //! can pin, compare or roll back to a specific version.
 
-use crate::sync::lock;
 use hs_nn::Network;
+use hs_parallel::sync::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

@@ -7,7 +7,8 @@
 //!    try_push`]es a request carrying its completion [`Pending`] slot —
 //!    a full queue rejects immediately with [`ServeError::Backpressure`].
 //! 2. A worker thread collects a micro-batch under the
-//!    [`crate::BatchPolicy`], drops requests whose deadline already passed
+//!    [`crate::BatchPolicy`] (full, everyone present, or `max_wait` — see
+//!    [`crate::collect_batch`]), drops requests whose deadline already passed
 //!    ([`ServeError::DeadlineExceeded`]), stacks the survivors into one
 //!    `[b, ...]` tensor and runs **one** batched forward on its own fused +
 //!    planned [`Network`] replica (warm steady-state forwards allocate
@@ -16,12 +17,19 @@
 //! 3. Each request's logits row is routed back through its completion slot;
 //!    latency and batch-size metrics are recorded.
 //!
+//! Every admitted request is counted out of the system
+//! ([`BoundedQueue::finish`]) exactly once, *before* its waiter is released,
+//! whichever way it leaves: response, expiry, shed, worker panic or
+//! shutdown drain. [`Server::in_flight`] reads the balance, and the
+//! batcher's close rule runs on it.
+//!
 //! Between batches every worker polls the [`ModelRegistry`] and atomically
 //! hot-swaps its replica when a newer version of the served model was
 //! published — an in-flight batch always runs on exactly one version.
 //!
 //! The whole lifecycle is traced through `hs_obs` when `HS_TRACE` is set:
-//! an `admit` span per submission, `batch_collect`/`batch_execute`/
+//! an `admit` span per submission, `batch_collect` (payload: why the batch
+//! closed — 0 full, 1 everyone present, 2 timed out)/`batch_execute`/
 //! `batch_route` spans per batch, per-request `request`/`queue_wait`/
 //! `serve` spans reconstructed from captured timestamps, and instant
 //! events for `rejected`/`expired`/`shed` requests and supervisor
@@ -33,9 +41,9 @@ use crate::batcher::{collect_batch, BatchPolicy, Collected};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::queue::{BoundedQueue, Popped, PushError};
 use crate::registry::{ModelRegistry, ModelVersion};
-use crate::sync::{lock, wait};
 use hs_nn::{CheckpointError, Network};
 use hs_obs::{instant_ns, now_ns, trace};
+use hs_parallel::sync::{lock, wait};
 use hs_tensor::{DType, Tensor};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -427,7 +435,7 @@ impl ServeClient {
     /// Submits one single-sample request; returns a [`Pending`] completion
     /// handle without blocking on execution. `deadline` (measured from now)
     /// lets the server drop the request unexecuted once it can no longer be
-    /// useful.
+    /// useful; one too far away to add to the clock is no deadline.
     ///
     /// # Errors
     ///
@@ -453,7 +461,7 @@ impl ServeClient {
         let request = Request {
             sample,
             enqueued: now,
-            deadline: deadline.map(|d| now + d),
+            deadline: deadline.and_then(|d| now.checked_add(d)),
             slot: Arc::clone(&slot),
             trace_id,
         };
@@ -487,6 +495,12 @@ impl ServeClient {
     /// Current admission-queue depth (diagnostic).
     pub fn queue_len(&self) -> usize {
         self.shared.queue.len()
+    }
+
+    /// Requests admitted and not yet answered: queued, held in an open
+    /// batch, or executing (diagnostic; 0 on a quiescent server).
+    pub fn in_flight(&self) -> usize {
+        self.shared.queue.outstanding()
     }
 }
 
@@ -589,6 +603,12 @@ impl Server {
     /// Clears the metrics (between load-sweep configurations).
     pub fn reset_metrics(&self) {
         self.shared.metrics.reset()
+    }
+
+    /// Requests admitted and not yet answered (see
+    /// [`ServeClient::in_flight`]).
+    pub fn in_flight(&self) -> usize {
+        self.shared.queue.outstanding()
     }
 
     /// Whether the server is currently in brownout mode (diagnostic).
@@ -790,6 +810,7 @@ fn supervisor_loop(
 /// [`ServeError::Shutdown`] so no waiter hangs.
 fn fail_queued(shared: &Shared) {
     while let Popped::Item(request) = shared.queue.pop_timeout(Duration::ZERO) {
+        shared.queue.finish(1);
         request.slot.complete(Err(ServeError::Shutdown));
     }
 }
@@ -824,24 +845,27 @@ fn worker_loop(shared: &Shared, net: &mut Network, mut version: u64) {
         match collect_batch(&shared.queue, &policy, shared.idle_poll) {
             Collected::Closed => break,
             Collected::Idle => continue,
-            Collected::Batch(requests) => {
+            Collected::Batch(requests, reason) => {
                 if collect_from != 0 {
-                    trace::span_at(
-                        "batch_collect",
-                        collect_from,
-                        now_ns(),
-                        0,
-                        requests.len() as u64,
-                    );
-                }
-                if shared.panic_fuse.swap(false, Ordering::SeqCst) {
-                    // chaos hook: die exactly like a real mid-batch panic
-                    // (the requests vector unwinds → drop guards fire)
-                    panic!("injected worker panic (Server::inject_worker_panic)");
+                    trace::span_at("batch_collect", collect_from, now_ns(), 0, reason as u64);
                 }
                 run_batch(shared, net, version, &mut batch_in, requests);
             }
         }
+    }
+}
+
+/// Counts an executing batch out of the system when dropped: explicitly
+/// just before its responses are routed, or by the unwind if the forward
+/// panics.
+struct Departure<'a> {
+    queue: &'a BoundedQueue<Request>,
+    batch: usize,
+}
+
+impl Drop for Departure<'_> {
+    fn drop(&mut self) {
+        self.queue.finish(self.batch);
     }
 }
 
@@ -867,6 +891,7 @@ fn run_batch(
             Some(d) if now > d => {
                 shared.metrics.record_expired();
                 trace::instant("expired", request.trace_id);
+                shared.queue.finish(1);
                 request.slot.complete(Err(ServeError::DeadlineExceeded {
                     waited: now - request.enqueued,
                 }));
@@ -874,6 +899,7 @@ fn run_batch(
             Some(d) if browned_out && d - now < min_slack => {
                 shared.metrics.record_shed();
                 trace::instant("shed", request.trace_id);
+                shared.queue.finish(1);
                 request.slot.complete(Err(ServeError::Shed {
                     queue_depth: shared.queue.len(),
                 }));
@@ -892,8 +918,19 @@ fn run_batch(
     if live.is_empty() {
         return;
     }
-
+    // Declared after `live`, so an unwinding forward counts the batch out
+    // before the request drop guards release its waiters.
     let batch = live.len();
+    let departure = Departure {
+        queue: &shared.queue,
+        batch,
+    };
+    if shared.panic_fuse.swap(false, Ordering::SeqCst) {
+        // chaos hook: die exactly like a real mid-batch panic (`live`
+        // unwinds → drop guards fire)
+        panic!("injected worker panic (Server::inject_worker_panic)");
+    }
+
     let sample_len: usize = shared.input_dims.iter().product();
     let mut dims = Vec::with_capacity(1 + shared.input_dims.len());
     dims.push(batch);
@@ -912,6 +949,7 @@ fn run_batch(
     let row = out.len() / batch;
     let out_rows = out.as_slice();
     shared.metrics.record_batch(batch);
+    drop(departure);
     let route = trace::span("batch_route");
     route.set_payload(batch as u64);
     let t_open = instant_ns(now);

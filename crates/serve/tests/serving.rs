@@ -69,6 +69,7 @@ fn no_cross_request_sample_mixing_under_load() {
     assert_eq!(metrics.completed, 200);
     assert_eq!(metrics.rejected, 0);
     assert_eq!(metrics.expired, 0);
+    assert_eq!(server.in_flight(), 0);
     server.shutdown();
 }
 
@@ -154,6 +155,7 @@ fn full_queue_rejects_with_backpressure() {
         Err(ServeError::Backpressure { capacity: 2 }) => {}
         other => panic!("expected Backpressure at capacity 2, got {other:?}"),
     }
+    assert_eq!(server.in_flight(), 3, "one executing, two queued");
 
     in_flight.wait().unwrap();
     for p in queued {
@@ -162,6 +164,11 @@ fn full_queue_rejects_with_backpressure() {
     let metrics = server.metrics();
     assert_eq!(metrics.completed, 3);
     assert_eq!(metrics.rejected, 1);
+    assert_eq!(
+        server.in_flight(),
+        0,
+        "the rejected push was never admitted"
+    );
     server.shutdown();
 }
 
@@ -201,6 +208,7 @@ fn expired_deadlines_are_dropped_unexecuted() {
     let metrics = server.metrics();
     assert_eq!(metrics.completed, 2);
     assert_eq!(metrics.expired, 1);
+    assert_eq!(server.in_flight(), 0);
     server.shutdown();
 }
 
@@ -344,6 +352,7 @@ fn shape_mismatch_and_unknown_model_fail_actionably() {
         }
         other => panic!("expected ShapeMismatch, got {other:?}"),
     }
+    assert_eq!(server.in_flight(), 0, "a refused sample was never admitted");
     server.shutdown();
 }
 
@@ -398,6 +407,7 @@ fn worker_panic_fails_the_batch_but_not_the_server() {
     let metrics = server.metrics();
     assert_eq!(metrics.worker_panics, 1);
     assert_eq!(metrics.worker_restarts, 1);
+    assert_eq!(server.in_flight(), 0);
     server.shutdown();
 }
 
@@ -427,6 +437,7 @@ fn injected_worker_panic_recovers_via_supervisor_respawn() {
     let metrics = server.metrics();
     assert_eq!(metrics.worker_panics, 1);
     assert_eq!(metrics.worker_restarts, 1);
+    assert_eq!(server.in_flight(), 0);
     server.shutdown();
 }
 
@@ -460,6 +471,7 @@ fn exhausted_restart_budget_kills_the_pool_without_hanging_anyone() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(server.metrics().worker_restarts, 0);
+    assert_eq!(server.in_flight(), 0);
     server.shutdown();
 }
 
@@ -512,6 +524,7 @@ fn brownout_sheds_low_slack_requests_under_sustained_overload() {
     let metrics = server.metrics();
     assert_eq!(metrics.shed, shed);
     assert_eq!(metrics.brownout_entries, 1);
+    assert_eq!(server.in_flight(), 0);
     server.shutdown();
 }
 
@@ -620,4 +633,32 @@ fn shutdown_drains_accepted_requests_then_rejects() {
         Err(ServeError::Shutdown) => {}
         other => panic!("expected Shutdown, got {other:?}"),
     }
+    assert_eq!(client.in_flight(), 0);
+}
+
+#[test]
+fn unrepresentable_deadlines_and_waits_mean_none() {
+    // `Instant + Duration::MAX` overflows: in the worker for the policy's
+    // wait, in the caller for the request's deadline
+    let registry = Arc::new(ModelRegistry::new());
+    publish_scaled_identity(&registry, "id", 1.0);
+    let policy = BatchPolicy {
+        max_wait: Duration::MAX,
+        ..BatchPolicy::new(8, 0)
+    };
+    let server = Server::start(
+        Arc::clone(&registry),
+        "id",
+        linear_net,
+        &[4],
+        ServerConfig::new(1, 16, policy),
+    )
+    .unwrap();
+    let client = server.client();
+    let x = Tensor::full(&[4], 3.0);
+    assert_eq!(client.infer(x.clone(), None).unwrap().logits, vec![3.0; 4]);
+    let forever = Some(Duration::MAX);
+    assert_eq!(client.infer(x, forever).unwrap().logits, vec![3.0; 4]);
+    assert_eq!(server.metrics().worker_panics, 0);
+    server.shutdown();
 }

@@ -56,6 +56,20 @@ fn chaos_mix_meets_the_acceptance_bar() {
         "requests went missing: {load:?}"
     );
     assert_eq!(load.expired, 0, "no deadlines were set, nothing may expire");
+    // conservation across the two sets of books: every submission the
+    // clients made (first tries + retries) was either refused at the door
+    // or admitted, and every admitted one left through exactly one counted
+    // exit — a response, an expiry, a shed, or the aborted batch
+    let serving = &report.serving;
+    assert_eq!(
+        (load.attempted() + load.retries) as u64 - serving.rejected,
+        serving.completed + serving.expired + serving.shed + load.aborted as u64,
+        "admitted requests and counted outcomes diverged: {load:?} vs {serving:?}"
+    );
+    assert_eq!(
+        report.in_flight_after_load, 0,
+        "the server leaked a request"
+    );
 
     // --- availability >= 99% excluding shed, the injected panic included
     assert!(

@@ -3,7 +3,10 @@
 //! `hs-serve` loads the model from the registry, and a 4-client closed-loop
 //! load drives the dynamically batched server — responses must match direct
 //! inference with the published global model, batching must actually
-//! coalesce, and mid-serving publications must hot-swap in.
+//! coalesce, and mid-serving publications must hot-swap in. Two smaller
+//! tests pin the batcher's light-load behaviour end to end: a lone client
+//! never pays `max_wait`, and neither do four clients under `max_batch 8`
+//! on two workers.
 //!
 //! (The companion throughput claim — dynamic batching ≥ 2× the batch=1
 //! configuration at the same p99 bound — is timed and CI-gated in
@@ -17,7 +20,9 @@ use hs_serve::{BatchPolicy, ModelRegistry, Server, ServerConfig};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const IN: usize = 4;
 const CLASSES: usize = 3;
@@ -132,6 +137,7 @@ fn fl_checkpoints_feed_a_live_dynamically_batched_server() {
     let metrics = server.metrics();
     assert_eq!(metrics.completed, 160);
     assert_eq!(metrics.rejected + metrics.expired, 0);
+    assert_eq!(server.in_flight(), 0);
     assert!(
         metrics.mean_batch > 1.0,
         "4 concurrent closed-loop clients must coalesce into batches, histogram {:?}",
@@ -144,6 +150,7 @@ fn fl_checkpoints_feed_a_live_dynamically_batched_server() {
     let x = Tensor::ones(&[IN]);
     let before = server.client().infer(x.clone(), None).unwrap();
     assert_eq!(before.model_version, latest_version);
+    let mut admitted = 160 + 1;
     let mut improved = sim.global_model();
     let mut w = improved.weights();
     for v in w.iter_mut() {
@@ -154,6 +161,7 @@ fn fl_checkpoints_feed_a_live_dynamically_batched_server() {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
     loop {
         let r = server.client().infer(x.clone(), None).unwrap();
+        admitted += 1;
         if r.model_version == new_version {
             let expect = improved.infer(&x.reshape(&[1, IN])).clone();
             for (a, b) in r.logits.iter().zip(expect.as_slice()) {
@@ -167,5 +175,86 @@ fn fl_checkpoints_feed_a_live_dynamically_batched_server() {
         );
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
+
+    // --- conservation: every admitted request left through exactly one
+    // counted exit (no client here saw a worker panic or a shutdown)
+    let metrics = server.metrics();
+    assert_eq!(metrics.rejected, 0, "every submission was admitted");
+    assert_eq!(
+        admitted,
+        metrics.completed + metrics.expired + metrics.shed,
+        "admitted requests and counted outcomes diverged"
+    );
+    assert_eq!(server.in_flight(), 0);
+    server.shutdown();
+}
+
+fn serve_fresh_model(workers: usize, policy: BatchPolicy) -> Server {
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("m", &mut replica());
+    Server::start(
+        registry,
+        "m",
+        replica,
+        &[IN],
+        ServerConfig::new(workers, 64, policy),
+    )
+    .unwrap()
+}
+
+#[test]
+fn a_lone_closed_loop_client_never_pays_max_wait() {
+    let server = serve_fresh_model(1, BatchPolicy::new(8, 20_000)); // 20 ms
+    let client = server.client();
+    let mut latencies: Vec<Duration> = (0..50)
+        .map(|_| client.infer(Tensor::ones(&[IN]), None).unwrap().latency)
+        .collect();
+    latencies.sort_unstable();
+    let p50 = latencies[latencies.len() / 2];
+    assert!(
+        p50 < Duration::from_millis(10),
+        "window-1 p50 {p50:?}: the batcher held the door for nobody"
+    );
+    assert_eq!(server.in_flight(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn four_clients_under_max_batch_eight_coalesce_without_waiting_out_max_wait() {
+    // two workers: a partial batch held by one must close when the last
+    // expected request is taken by the other, not at max_wait
+    const CLIENTS: usize = 4;
+    const MEASURED: usize = 50;
+    let max_wait = Duration::from_millis(250);
+    let server = serve_fresh_model(2, BatchPolicy::new(8, max_wait.as_micros() as u64));
+    let done = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            let client = server.client();
+            let done = &done;
+            scope.spawn(move || {
+                for i in 0..MEASURED {
+                    let latency = client.infer(Tensor::ones(&[IN]), None).unwrap().latency;
+                    assert!(
+                        latency < max_wait,
+                        "request {i} took {latency:?}: its batch was held to max_wait"
+                    );
+                }
+                // keep the offered concurrency at four until every client
+                // has its measurements; a shrinking population may wait
+                done.fetch_add(1, Ordering::SeqCst);
+                while done.load(Ordering::SeqCst) < CLIENTS {
+                    client.infer(Tensor::ones(&[IN]), None).unwrap();
+                }
+            });
+        }
+    });
+    let metrics = server.metrics();
+    assert!(
+        metrics.mean_batch > 1.0,
+        "four concurrent clients never coalesced, histogram {:?}",
+        metrics.batch_histogram
+    );
+    assert_eq!(server.in_flight(), 0);
     server.shutdown();
 }

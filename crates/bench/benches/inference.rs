@@ -64,7 +64,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
 
     // a mobile-zoo model: fusion reaches the nested block Sequentials, and
-    // the conv-backend dispatch layer picks Winograd / direct-depthwise
+    // the depthwise layers run on the direct kernel
     let cfg = VisionConfig::new(3, 12, 16);
     let (mut unfused, mut fused) = model_pair(ModelKind::MobileNetV3Small, cfg);
     let x = Tensor::rand_uniform(&[8, 3, 16, 16], 0.0, 1.0, &mut rng);

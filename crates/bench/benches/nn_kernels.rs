@@ -61,7 +61,7 @@ fn bench_kernels(c: &mut Criterion) {
         bencher.iter(|| dw.forward(black_box(&x), false))
     });
 
-    // -- conv backends: forced-backend pairs through the dispatch layer ----
+    // -- conv backends: the forced-backend pair through the dispatch layer --
     // MobileNet-scale depthwise: the direct spatial kernel vs the per-channel
     // im2col→GEMM it replaces (the same-run ratio is gated in CI)
     let xdw = Tensor::rand_uniform(&[4, 64, 32, 32], -1.0, 1.0, &mut rng);
@@ -76,19 +76,6 @@ fn bench_kernels(c: &mut Criterion) {
         bencher.iter(|| dw_im2col.forward(black_box(&xdw), false))
     });
 
-    // dense 3×3 stride-1: Winograd F(2×2, 3×3) vs im2col→GEMM
-    let xwg = Tensor::rand_uniform(&[4, 32, 32, 32], -1.0, 1.0, &mut rng);
-    let mut conv_wg = Conv2d::new(32, 32, 3, 1, 1, 1, &mut rng);
-    conv_wg.force_algo(Some(ConvAlgo::Winograd));
-    c.bench_function("nn/conv3x3_32c_32px_b4_winograd", |bencher| {
-        bencher.iter(|| conv_wg.forward(black_box(&xwg), false))
-    });
-    let mut conv_ic = Conv2d::new(32, 32, 3, 1, 1, 1, &mut rng);
-    conv_ic.force_algo(Some(ConvAlgo::Im2colGemm));
-    c.bench_function("nn/conv3x3_32c_32px_b4_im2col", |bencher| {
-        bencher.iter(|| conv_ic.forward(black_box(&xwg), false))
-    });
-
     // -- batched small-GEMM: the many-skinny-GEMMs regime ------------------
     // MobileNet's 1×1 convolutions at 4×4 spatial: one shared 64×64 weight
     // panel against 64 per-sample 64×16 column panels. The batched entry
@@ -101,7 +88,7 @@ fn bench_kernels(c: &mut Criterion) {
     let mut gouts = vec![0.0f32; gb * gm * gn];
     c.bench_function("nn/small_gemm_batched", |bencher| {
         bencher.iter(|| {
-            hs_tensor::gemm_batch_strided(
+            hs_tensor::gemm_batch_cyclic_strided(
                 black_box(ga.as_slice()),
                 black_box(gbs.as_slice()),
                 &mut gouts,
@@ -109,6 +96,7 @@ fn bench_kernels(c: &mut Criterion) {
                 gk,
                 gn,
                 gb,
+                1,
                 0,
                 gk * gn,
                 gm * gn,

@@ -40,7 +40,7 @@ pub struct SemiSyncPolicy {
     /// `deadline_factor × median` are dropped. Must be > 0.
     pub deadline_factor: f32,
     /// Norm-bound screen aggressiveness passed to
-    /// [`screen_updates`]: updates whose delta norm
+    /// [`screen_updates`](crate::screen_updates): updates whose delta norm
     /// exceeds this multiple of the cohort median are rejected before
     /// aggregation. `0` disables the norm screen (the non-finite screen
     /// always runs).

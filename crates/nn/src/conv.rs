@@ -1,10 +1,9 @@
-//! 2-D convolution with optional grouping (covers depthwise convolution),
-//! executed through a pluggable backend-dispatch layer.
+//! 2-D convolution with optional grouping (covers depthwise convolution).
 //!
-//! **Inference** no longer hardwires one execution strategy: a
-//! shape/stride/groups-driven heuristic ([`ConvAlgo::select`]) picks one of
-//! three interchangeable backends at plan time, all sharing the same parity
-//! contract (identical output, same fused-epilogue semantics):
+//! **Inference** has one route per geometry ([`Conv2d::planned_algo`]):
+//! depthwise layers take the direct kernel, everything else im2col→GEMM.
+//! The two backends share one parity contract (identical output, same
+//! fused-epilogue semantics):
 //!
 //! * [`ConvAlgo::Im2colGemm`] — the PR 1 path: per group,
 //!   `out = W_g (cout_g x wrow) * col (wrow x ohw)` over the im2col matrix
@@ -17,18 +16,15 @@
 //!   packed once and every sample's columns stream through full-width
 //!   register strips ([`set_batched_gemm`] restores the per-sample loop for
 //!   benches);
-//! * [`ConvAlgo::Winograd`] — F(2×2, 3×3) tile transforms + batched
-//!   tile-GEMM for dense 3×3 stride-1 convolutions
-//!   ([`hs_tensor::winograd_conv3x3`]);
 //! * [`ConvAlgo::DirectDepthwise`] — a direct spatial micro-kernel for
 //!   depthwise convolutions ([`hs_tensor::depthwise_conv2d`]), which have
 //!   per-channel GEMMs too tiny for im2col to pay off.
 //!
-//! The choice can be forced per layer ([`Conv2d::force_algo`], used by the
-//! parity tests and backend benches) or process-wide via the `HS_CONV_ALGO`
-//! environment variable (`im2col` | `winograd` | `depthwise`); a forced
-//! backend that cannot execute the layer's geometry falls back to im2col so
-//! forcing is always safe.
+//! [`Conv2d::force_algo`] can put a depthwise layer on im2col→GEMM — the
+//! reference its parity sweeps and the direct-vs-im2col bench gate compare
+//! against. Measurements behind the rule, and the decision record for the
+//! backend that was tried and dropped, are in `docs/PERF.md` ("Conv backend
+//! selection").
 //!
 //! **Training** has one path per geometry. Dense and grouped layers keep
 //! im2col→GEMM: forward caches the column matrices and backward consumes
@@ -55,9 +51,9 @@ use hs_parallel::sync;
 use hs_tensor::gemm::NR;
 use hs_tensor::{
     depthwise_conv2d, depthwise_conv2d_backward, gemm, gemm_acc, gemm_acc_q,
-    gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided_q, gemm_batch_strided,
-    gemm_epilogue_q, he_normal, transpose_into, valid_out_range, winograd_conv3x3_q, DType,
-    Epilogue, EpilogueAct, QTensor, Tensor, WeightMat,
+    gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided, gemm_batch_cyclic_strided_q,
+    gemm_epilogue_q, he_normal, transpose_into, valid_out_range, DType, Epilogue, EpilogueAct,
+    QTensor, Tensor, WeightMat,
 };
 use rand::rngs::StdRng;
 use std::cell::{Cell, RefCell};
@@ -66,81 +62,18 @@ use std::sync::{Mutex, OnceLock};
 
 /// An inference execution backend for [`Conv2d`].
 ///
-/// Every backend satisfies the same contract: given identical inputs and
-/// weights it produces the same output (to ≤1e-3 relative error for
-/// [`ConvAlgo::Winograd`], whose transforms re-associate the arithmetic) and
-/// supports the fused per-channel scale/shift + activation epilogue.
+/// Both backends satisfy the same contract: given identical inputs and
+/// weights they produce the same output (to ≤1e-4 relative error, pinned by
+/// the parity sweeps) and support the fused per-channel scale/shift +
+/// activation epilogue.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConvAlgo {
     /// im2col followed by a blocked GEMM per (sample, group) — the general
     /// backend, valid for every geometry.
     Im2colGemm,
-    /// Winograd F(2×2, 3×3): valid for dense (`groups == 1`) 3×3 stride-1
-    /// convolutions.
-    Winograd,
     /// Direct spatial micro-kernel: valid for depthwise convolutions
     /// (`groups == in_channels == out_channels`).
     DirectDepthwise,
-}
-
-impl ConvAlgo {
-    /// Parses a backend name as used by the `HS_CONV_ALGO` environment
-    /// override. Accepts `im2col`/`gemm`, `winograd`, `depthwise`/`direct`.
-    pub fn parse(name: &str) -> Option<ConvAlgo> {
-        match name.to_ascii_lowercase().as_str() {
-            "im2col" | "gemm" => Some(ConvAlgo::Im2colGemm),
-            "winograd" => Some(ConvAlgo::Winograd),
-            "depthwise" | "direct" => Some(ConvAlgo::DirectDepthwise),
-            _ => None,
-        }
-    }
-
-    /// The heuristic backend choice for a convolution geometry, used when no
-    /// override is in force. Rationale and per-backend measurements are in
-    /// `docs/PERF.md` ("Conv backend selection").
-    ///
-    /// Depthwise convolutions always take the direct kernel (their
-    /// per-channel GEMMs are 1 × k² × ohw — im2col loses at every zoo
-    /// size). Dense convolutions stay on im2col→GEMM: on the AVX-512/AVX2
-    /// reference hardware the blocked GEMM runs close enough to peak that
-    /// Winograd's 2.25× multiply reduction never recovers its tile-transform
-    /// cost (measured 1.1–2.5× slower from 8×8 to 128×128 channels), so
-    /// [`ConvAlgo::Winograd`] is selected only explicitly — the expected win
-    /// on NEON-class kernels can flip this choice per ISA later without
-    /// touching any call site.
-    pub fn select(
-        _kernel: usize,
-        _stride: usize,
-        groups: usize,
-        in_channels: usize,
-        out_channels: usize,
-    ) -> ConvAlgo {
-        if groups == in_channels && groups == out_channels {
-            ConvAlgo::DirectDepthwise
-        } else {
-            ConvAlgo::Im2colGemm
-        }
-    }
-}
-
-/// The process-wide backend override from `HS_CONV_ALGO`, read once.
-///
-/// # Panics
-///
-/// Panics on an unrecognised value: the variable exists to force a backend
-/// in benches and parity sweeps, where a typo silently falling back to the
-/// heuristic would make the run measure or test the wrong thing.
-fn env_forced_algo() -> Option<ConvAlgo> {
-    static FORCED: OnceLock<Option<ConvAlgo>> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var("HS_CONV_ALGO").ok().map(|v| {
-            ConvAlgo::parse(&v).unwrap_or_else(|| {
-                panic!(
-                    "HS_CONV_ALGO={v:?} is not a conv backend (use im2col, winograd or depthwise)"
-                )
-            })
-        })
-    })
 }
 
 /// Candidate step for the measured crossover probe: thresholds are whole
@@ -194,7 +127,7 @@ fn probe_crossover(m: usize, k: usize) -> usize {
     let mut threshold = CROSSOVER_STEP;
     for cand in (1..4).map(|s| s * CROSSOVER_STEP) {
         let mut run_batched = || {
-            gemm_batch_strided(
+            gemm_batch_cyclic_strided(
                 &a,
                 &bs,
                 &mut out,
@@ -202,6 +135,7 @@ fn probe_crossover(m: usize, k: usize) -> usize {
                 k,
                 cand,
                 batch,
+                1,
                 0,
                 k * cand,
                 m * cand,
@@ -543,9 +477,10 @@ pub struct Conv2d {
     weight: Param,
     bias: Param,
     /// Quantized inference weight. When set, `weight` is emptied (the halved
-    /// resident bytes and halved GEMM weight traffic are the point), the
-    /// backend is clamped to im2col-GEMM (whose packing layer widens
-    /// quantized panels on the fly) and training is disabled. Conv weights
+    /// resident bytes and halved GEMM weight traffic are the point) and
+    /// training is disabled. The layer then runs on im2col-GEMM, whose
+    /// packing layer widens quantized panels on the fly; depthwise layers
+    /// never hold one (`to_dtype` leaves their weights f32). Conv weights
     /// quantize to f16 only — the per-tensor i8 scale is too coarse for
     /// conv stacks, so an i8 request also stores f16 here.
     qweight: Option<QTensor>,
@@ -566,8 +501,8 @@ pub struct Conv2d {
     /// out of the struct for the duration of a call so the `&self` inference
     /// body can borrow the layer freely.
     eval_col: Vec<f32>,
-    /// Per-layer backend override (tests/benches); `None` defers to
-    /// `HS_CONV_ALGO` and then the [`ConvAlgo::select`] heuristic.
+    /// Per-layer backend override (tests/benches); `None` defers to the
+    /// geometry rule in [`Conv2d::planned_algo`].
     forced_algo: Option<ConvAlgo>,
     /// Lazily resolved batched-routing threshold for this layer's GEMM
     /// shape (see [`batched_ohw_max`]) — one atomic load per forward after
@@ -668,17 +603,16 @@ impl Conv2d {
     }
 
     /// Forces the inference backend for this layer (`None` restores the
-    /// `HS_CONV_ALGO`-then-heuristic default). A forced backend that cannot
-    /// execute this layer's geometry (e.g. Winograd on a strided
-    /// convolution) falls back to [`ConvAlgo::Im2colGemm`], so sweeping a
-    /// forced backend over arbitrary layers is always safe.
+    /// geometry rule). Forcing [`ConvAlgo::DirectDepthwise`] on a layer that
+    /// is not depthwise falls back to [`ConvAlgo::Im2colGemm`], so sweeping
+    /// a forced backend over arbitrary layers is always safe.
     pub fn force_algo(&mut self, algo: Option<ConvAlgo>) {
         self.forced_algo = algo;
     }
 
     /// Whether this layer is a depthwise convolution
     /// (`groups == in_channels == out_channels`).
-    fn is_depthwise(&self) -> bool {
+    pub(crate) fn is_depthwise(&self) -> bool {
         self.groups == self.in_channels && self.groups == self.out_channels
     }
 
@@ -695,31 +629,16 @@ impl Conv2d {
         }
     }
 
-    /// Whether the Winograd backend can execute this layer's geometry.
-    fn winograd_applicable(&self) -> bool {
-        self.kernel == 3 && self.stride == 1 && self.groups == 1
-    }
-
-    /// The backend the next inference forward will run on: the layer force,
-    /// else the `HS_CONV_ALGO` override, else the shape heuristic — clamped
-    /// to a backend that supports this geometry.
+    /// The backend the next inference forward will run on: a depthwise
+    /// layer takes the direct kernel (its per-channel GEMMs are
+    /// 1 × k² × ohw — im2col loses at every zoo size) unless
+    /// [`ConvAlgo::Im2colGemm`] is forced; every other geometry runs
+    /// im2col→GEMM.
     pub fn planned_algo(&self) -> ConvAlgo {
-        let requested = self
-            .forced_algo
-            .or_else(env_forced_algo)
-            .unwrap_or_else(|| {
-                ConvAlgo::select(
-                    self.kernel,
-                    self.stride,
-                    self.groups,
-                    self.in_channels,
-                    self.out_channels,
-                )
-            });
-        match requested {
-            ConvAlgo::Winograd if !self.winograd_applicable() => ConvAlgo::Im2colGemm,
-            ConvAlgo::DirectDepthwise if !self.is_depthwise() => ConvAlgo::Im2colGemm,
-            algo => algo,
+        if self.is_depthwise() && self.forced_algo != Some(ConvAlgo::Im2colGemm) {
+            ConvAlgo::DirectDepthwise
+        } else {
+            ConvAlgo::Im2colGemm
         }
     }
 
@@ -777,8 +696,8 @@ impl Conv2d {
 
         let x = input.as_slice();
         // the depthwise branch reads the f32 weight directly: it never runs
-        // on a quantized layer (depthwise weights stay f32); the GEMM and
-        // Winograd routes take `wmat`
+        // on a quantized layer (depthwise weights stay f32); the GEMM route
+        // takes `wmat`
         let wmat = self.weight_mat();
         let bias = self.bias.value.as_slice();
         let out_channels = self.out_channels;
@@ -786,32 +705,9 @@ impl Conv2d {
         let out_data = out.as_mut_slice();
         let epilogue = ep.map(|(scale, shift, act)| Epilogue { scale, shift, act });
 
-        match self.planned_algo() {
-            ConvAlgo::Winograd => {
-                // whole-batch tile transforms + 16 batched tile-GEMMs; the
-                // caller's scratch buffer holds the transform slabs
-                // (quantized weights widen inside the weight transform)
-                winograd_conv3x3_q(
-                    x,
-                    wmat,
-                    bias,
-                    epilogue,
-                    out_data,
-                    n,
-                    c,
-                    out_channels,
-                    h,
-                    w,
-                    padding,
-                    col_scratch,
-                );
-                return;
-            }
-            ConvAlgo::DirectDepthwise => {
-                self.depthwise_forward(x, epilogue, out_data, h, w);
-                return;
-            }
-            ConvAlgo::Im2colGemm => {}
+        if self.planned_algo() == ConvAlgo::DirectDepthwise {
+            self.depthwise_forward(x, epilogue, out_data, h, w);
+            return;
         }
 
         // im2col→GEMM backend. A 1×1 stride-1 unpadded convolution's im2col

@@ -86,9 +86,8 @@ impl Network {
 
     /// Forces the convolution inference backend on every [`crate::Conv2d`]
     /// in the network (recursing through blocks and fused layers); `None`
-    /// restores the per-layer default (env override, then heuristic). Used
-    /// by the backend parity tests and the conv-backend benches — see
-    /// [`crate::ConvAlgo`].
+    /// restores the per-layer geometry rule. Used by the backend parity
+    /// tests and the conv-backend benches — see [`crate::ConvAlgo`].
     pub fn force_conv_algo(&mut self, algo: Option<crate::ConvAlgo>) {
         self.layers
             .for_each_conv2d_mut(&mut |conv| conv.force_algo(algo));

@@ -25,7 +25,7 @@
 //! buffer. Unlike the seed's i-k-j loop there is **no** `== 0.0` skip branch:
 //! `0 * NaN` correctly stays `NaN` and the inner loop stays branch-free.
 //!
-//! Packing buffers live in a thread-local [`GemmScratch`], so steady-state
+//! Packing buffers live in a thread-local `GemmScratch`, so steady-state
 //! GEMM calls allocate nothing.
 //!
 //! # Safety
@@ -113,7 +113,7 @@ impl<'a> Epilogue<'a> {
     }
 
     /// Applies the epilogue to one scalar at output row `row` (shared with
-    /// the Winograd and depthwise backends, whose store loops are scalar).
+    /// the depthwise backend, whose store loop is scalar).
     #[inline]
     pub(crate) fn apply_scalar(&self, row: usize, v: f32) -> f32 {
         self.act.apply(v * self.scale[row] + self.shift[row])
@@ -663,18 +663,6 @@ impl WeightMat<'_> {
             WeightMat::F32(_) => crate::dtype::DType::F32,
             WeightMat::F16(_) => crate::dtype::DType::F16,
             WeightMat::I8 { .. } => crate::dtype::DType::I8,
-        }
-    }
-
-    /// Element `i`, widened to `f32` (used by the Winograd weight
-    /// transform, which reads each weight exactly once per call — elsewhere
-    /// widening happens inside the packing routines).
-    #[inline(always)]
-    pub fn at(&self, i: usize) -> f32 {
-        match self {
-            WeightMat::F32(s) => s[i],
-            WeightMat::F16(s) => crate::dtype::f16_bits_to_f32(s[i]),
-            WeightMat::I8 { data, scale } => data[i] as f32 * scale,
         }
     }
 
@@ -1306,278 +1294,17 @@ fn gemm_batch_core<A: WeightElems>(
     }
 }
 
-/// Shared implementation behind [`gemm_batch_strided`] /
-/// [`gemm_batch_acc_strided`] with an explicit parallel/serial switch so
-/// tests can exercise both paths regardless of the host's core count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_batch_impl(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-    acc: bool,
-    ep: Option<Epilogue<'_>>,
-    parallel: bool,
-) {
-    debug_assert!(ep.is_none() || !acc, "epilogue implies overwrite semantics");
-    if batch == 0 || m == 0 || n == 0 {
-        return;
-    }
-    if !acc {
-        // overwrite semantics: clear every output panel (the strips then
-        // accumulate into zeros, exactly like `gemm`)
-        for s in 0..batch {
-            outs[s * stride_out..s * stride_out + m * n].fill(0.0);
-        }
-    }
-    if k == 0 {
-        if let Some(e) = ep {
-            // A*B is all zeros; the epilogue still applies
-            for s in 0..batch {
-                let panel = &mut outs[s * stride_out..s * stride_out + m * n];
-                for (i, row) in panel.chunks_mut(n).enumerate() {
-                    row.fill(e.apply_scalar(i, 0.0));
-                }
-            }
-        }
-        return;
-    }
-    let which = isa();
-    let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
-    if !parallel {
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            if stride_a == 0 {
-                gemm_batch_core(
-                    which, scratch, a, bs, outs, m, k, n, batch, stride_b, stride_out, kc_target,
-                    ep,
-                );
-            } else {
-                // per-item A panels: items run independently, but share one
-                // dispatch, one scratch, and the same packed-strip machinery
-                for s in 0..batch {
-                    gemm_batch_core(
-                        which,
-                        scratch,
-                        &a[s * stride_a..],
-                        &bs[s * stride_b..],
-                        &mut outs[s * stride_out..],
-                        m,
-                        k,
-                        n,
-                        1,
-                        stride_b,
-                        stride_out,
-                        kc_target,
-                        ep,
-                    );
-                }
-            }
-        });
-        return;
-    }
-
-    // Parallel path: shard the batch into contiguous item bands; each pool
-    // task packs into its own short-lived scratch (A is small in the batched
-    // regime, so re-packing it per band is cheaper than sharing).
-    let bands = hs_parallel::num_threads().min(batch);
-    let band_len = batch.div_ceil(bands).max(1);
-    let outs = &mut outs[..(batch - 1) * stride_out + m * n];
-    hs_parallel::scope(|sc| {
-        for (band, out_band) in outs.chunks_mut(band_len * stride_out).enumerate() {
-            sc.spawn(move || {
-                let s0 = band * band_len;
-                let items = band_len.min(batch - s0);
-                let mut scratch = GemmScratch::new();
-                if stride_a == 0 {
-                    gemm_batch_core(
-                        which,
-                        &mut scratch,
-                        a,
-                        &bs[s0 * stride_b..],
-                        out_band,
-                        m,
-                        k,
-                        n,
-                        items,
-                        stride_b,
-                        stride_out,
-                        kc_target,
-                        ep,
-                    );
-                } else {
-                    for i in 0..items {
-                        gemm_batch_core(
-                            which,
-                            &mut scratch,
-                            &a[(s0 + i) * stride_a..],
-                            &bs[(s0 + i) * stride_b..],
-                            &mut out_band[i * stride_out..],
-                            m,
-                            k,
-                            n,
-                            1,
-                            stride_b,
-                            stride_out,
-                            kc_target,
-                            ep,
-                        );
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// Validates the strided-batch slice contracts shared by
-/// [`gemm_batch_strided`] and [`gemm_batch_acc_strided`].
-#[allow(clippy::too_many_arguments)]
-fn assert_batch_contract(
-    a: &[f32],
-    bs: &[f32],
-    outs: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-) {
-    if batch == 0 {
-        return;
-    }
-    if batch > 1 {
-        assert!(
-            stride_a == 0 || stride_a >= m * k,
-            "stride_a {stride_a} smaller than an A panel (m*k = {})",
-            m * k
-        );
-        assert!(
-            stride_b >= k * n,
-            "stride_b {stride_b} smaller than a B panel (k*n = {})",
-            k * n
-        );
-        assert!(
-            stride_out >= m * n,
-            "stride_out {stride_out} smaller than an output panel (m*n = {})",
-            m * n
-        );
-    }
-    assert!(
-        a.len() >= (batch - 1) * stride_a + m * k,
-        "A is {} elements, need (batch-1)*stride_a + m*k = {}",
-        a.len(),
-        (batch - 1) * stride_a + m * k
-    );
-    assert!(
-        bs.len() >= (batch - 1) * stride_b + k * n,
-        "B is {} elements, need (batch-1)*stride_b + k*n = {}",
-        bs.len(),
-        (batch - 1) * stride_b + k * n
-    );
-    assert!(
-        outs.len() >= (batch - 1) * stride_out + m * n,
-        "out is {} elements, need (batch-1)*stride_out + m*n = {}",
-        outs.len(),
-        (batch - 1) * stride_out + m * n
-    );
-}
-
-/// Whether a batched problem is worth fanning out over the pool.
-fn batch_parallel(m: usize, k: usize, n: usize, batch: usize) -> bool {
-    batch >= 2
+/// Whether a batched problem is worth fanning out over the pool (the
+/// fan-out bands over samples, so it needs at least two per group).
+fn batch_parallel(m: usize, k: usize, n: usize, batch: usize, groups: usize) -> bool {
+    batch / groups >= 2
         && 2 * m * k * n * batch >= PARALLEL_FLOP_THRESHOLD
         && hs_parallel::num_threads() > 1
         && !hs_parallel::inside_pool()
 }
 
-/// Batched small-GEMM: `outs[s] = act(scale ⊙ (A_s * B_s) + shift)` for
-/// `s < batch`, where `A_s = a[s * stride_a ..]` (`stride_a == 0` means one
-/// shared `A`, the common conv-weight case), `B_s = bs[s * stride_b ..]` and
-/// the output panels sit `stride_out` apart.
-///
-/// This is the many-skinny-GEMMs entry point: a per-sample 1×1-conv GEMM at
-/// 4×4–8×8 spatial has `n = 16..64 < NR`, so calling [`gemm`] per sample
-/// re-packs the shared weight panel every time and runs every strip as a
-/// ragged edge. Here the shared `A` is packed **once per k-panel**, all
-/// samples' column panels stream through the hot micro-kernel back to back,
-/// and the n-blocked packing ([`pack_b_batch`]) lays several samples' skinny
-/// panels side by side in one `NR`-wide strip so the register tile runs at
-/// full width. The optional [`Epilogue`] (per-output-row scale/shift +
-/// activation) is applied in the store pass on all ISA tiers, exactly like
-/// [`gemm_epilogue`].
-///
-/// Overwrites each `m*n` output panel (elements between panels are left
-/// untouched). Large batches fan out item bands over the shared
-/// [`hs_parallel`] pool; calls from inside a pool task stay serial.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its strided contract, a stride is
-/// smaller than its panel (`batch > 1`), or the epilogue's scale/shift hold
-/// fewer than `m` entries.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_strided(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-    ep: Option<Epilogue<'_>>,
-) {
-    assert_batch_contract(a, bs, outs, m, k, n, batch, stride_a, stride_b, stride_out);
-    if let Some(e) = &ep {
-        assert!(e.scale.len() >= m, "epilogue scale needs {m} entries");
-        assert!(e.shift.len() >= m, "epilogue shift needs {m} entries");
-    }
-    let parallel = batch_parallel(m, k, n, batch);
-    gemm_batch_impl(
-        a, bs, outs, m, k, n, batch, stride_a, stride_b, stride_out, false, ep, parallel,
-    );
-}
-
-/// `outs[s] += A_s * B_s` for `s < batch`; otherwise identical to
-/// [`gemm_batch_strided`] (no epilogue — accumulation implies the caller
-/// provides the initial value, e.g. a bias fill).
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its strided contract or a stride is
-/// smaller than its panel (`batch > 1`).
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_acc_strided(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-) {
-    assert_batch_contract(a, bs, outs, m, k, n, batch, stride_a, stride_b, stride_out);
-    let parallel = batch_parallel(m, k, n, batch);
-    gemm_batch_impl(
-        a, bs, outs, m, k, n, batch, stride_a, stride_b, stride_out, true, None, parallel,
-    );
-}
-
 /// Validates the cyclic-batch contracts shared by
-/// [`gemm_batch_cyclic_strided`] and [`gemm_batch_cyclic_acc_strided`].
+/// [`gemm_batch_cyclic_strided_q`] and [`gemm_batch_cyclic_acc_strided_q`].
 #[allow(clippy::too_many_arguments)]
 fn assert_cyclic_contract(
     a_len: usize,
@@ -1640,18 +1367,19 @@ fn assert_cyclic_contract(
     );
 }
 
-/// Shared implementation behind [`gemm_batch_cyclic_strided`] /
-/// [`gemm_batch_cyclic_acc_strided`]: `batch` items whose `A` panels cycle
-/// with period `groups` (`A_t = a[(t % groups) * stride_a ..]`).
+/// Shared implementation behind [`gemm_batch_cyclic_strided_q`] /
+/// [`gemm_batch_cyclic_acc_strided_q`], with an explicit parallel/serial
+/// switch so tests can exercise both paths regardless of the host's core
+/// count: `batch` items whose `A` panels cycle with period `groups`
+/// (`A_t = a[(t % groups) * stride_a ..]`).
 ///
 /// Per group `g`, the item subsequence `t ≡ g (mod groups)` has uniform
 /// strides `groups * stride_b` / `groups * stride_out`, so each group runs
 /// the shared-A batched core ([`gemm_batch_core`]): the group's `A` panel is
 /// packed once per k-panel and its samples' skinny columns share `NR`-wide
-/// strips exactly like [`gemm_batch_strided`] with `stride_a == 0`. The
-/// parallel path bands over **samples** (each band covers all groups for a
-/// contiguous sample range, so output bands stay contiguous and
-/// `chunks_mut`-splittable).
+/// strips. The parallel path bands over **samples** (each band covers all
+/// groups for a contiguous sample range, so output bands stay contiguous
+/// and `chunks_mut`-splittable).
 #[allow(clippy::too_many_arguments)]
 fn gemm_batch_cyclic_impl<A: WeightElems>(
     a: A,
@@ -1751,22 +1479,31 @@ fn gemm_batch_cyclic_impl<A: WeightElems>(
     });
 }
 
-/// Grouped batched small-GEMM:
+/// Batched small-GEMM:
 /// `outs[t] = act(scale ⊙ (A_{t % groups} * B_t) + shift)` for `t < batch`,
-/// where the `groups` A panels sit `stride_a` apart and items are
+/// where `B_t = bs[t * stride_b ..]`, the output panels sit `stride_out`
+/// apart, the `groups` A panels sit `stride_a` apart and items are
 /// **sample-major, group-minor** (`t = sample * groups + group`) — the
 /// layout of a grouped convolution's per-(sample, group) GEMMs over
-/// `groups × samples`.
+/// `groups × samples`. `groups == 1` is one `A` shared by every item, the
+/// dense conv-weight case.
 ///
-/// This folds the per-group loop a caller would otherwise run around
-/// [`gemm_batch_strided`] into one call: every group's weight panel is still
-/// packed once per k-panel and its samples' skinny columns still share
-/// full-width register strips, but the pool fan-out now bands over the whole
-/// `groups × samples` item space at once instead of `groups` separate
-/// dispatches. The epilogue's `scale`/`shift` hold `groups * m` rows; item
-/// `t` uses rows `[(t % groups) * m, (t % groups + 1) * m)`.
+/// This is the many-skinny-GEMMs entry point: a per-sample 1×1-conv GEMM at
+/// 4×4–8×8 spatial has `n = 16..64 < NR`, so calling [`gemm`] per sample
+/// re-packs the shared weight panel every time and runs every strip as a
+/// ragged edge. Here every group's weight panel is packed **once per
+/// k-panel**, its samples' column panels stream through the hot
+/// micro-kernel back to back, and the n-blocked gather packing lays several
+/// samples' skinny panels side by side in one `NR`-wide strip so the
+/// register tile runs at full width. The optional [`Epilogue`] is applied
+/// in the store pass on all ISA tiers, exactly like [`gemm_epilogue`]; its
+/// `scale`/`shift` hold `groups * m` rows and item `t` uses rows
+/// `[(t % groups) * m, (t % groups + 1) * m)`.
 ///
-/// `groups == 1` is exactly [`gemm_batch_strided`] with a shared `A`.
+/// Overwrites each `m*n` output panel (elements between panels are left
+/// untouched). Large batches fan sample bands of the whole
+/// `groups × samples` item space out over the shared [`hs_parallel`] pool;
+/// calls from inside a pool task stay serial.
 ///
 /// # Panics
 ///
@@ -1852,50 +1589,15 @@ pub fn gemm_batch_cyclic_strided_q(
             groups * m
         );
     }
-    let parallel = batch_parallel(m, k, n, batch) && batch / groups.max(1) >= 2;
+    let parallel = batch_parallel(m, k, n, batch, groups);
     with_elems!(a, aa => gemm_batch_cyclic_impl(
         aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, false, ep, parallel,
     ));
 }
 
 /// `outs[t] += A_{t % groups} * B_t` for `t < batch`; otherwise identical to
-/// [`gemm_batch_cyclic_strided`] (no epilogue — accumulation implies the
+/// [`gemm_batch_cyclic_strided_q`] (no epilogue — accumulation implies the
 /// caller provides the initial value, e.g. a bias fill).
-///
-/// # Panics
-///
-/// As [`gemm_batch_cyclic_strided`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_batch_cyclic_acc_strided(
-    a: &[f32],
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    groups: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-) {
-    gemm_batch_cyclic_acc_strided_q(
-        WeightMat::F32(a),
-        bs,
-        outs,
-        m,
-        k,
-        n,
-        batch,
-        groups,
-        stride_a,
-        stride_b,
-        stride_out,
-    );
-}
-
-/// [`gemm_batch_cyclic_acc_strided`] over a runtime-dtype weight operand
-/// (see [`gemm_batch_cyclic_strided_q`] for the convert-on-pack semantics).
 ///
 /// # Panics
 ///
@@ -1927,7 +1629,7 @@ pub fn gemm_batch_cyclic_acc_strided_q(
         stride_b,
         stride_out,
     );
-    let parallel = batch_parallel(m, k, n, batch) && batch / groups.max(1) >= 2;
+    let parallel = batch_parallel(m, k, n, batch, groups);
     with_elems!(a, aa => gemm_batch_cyclic_impl(
         aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, true, None, parallel,
     ));
@@ -2351,337 +2053,7 @@ mod tests {
         }
     }
 
-    /// Per-sample serial reference for the batched entry points.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_reference(
-        a: &[f32],
-        bs: &[f32],
-        outs: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        batch: usize,
-        stride_a: usize,
-        stride_b: usize,
-        stride_out: usize,
-        ep: Option<&Epilogue<'_>>,
-    ) {
-        for s in 0..batch {
-            let a_s = &a[s * stride_a..s * stride_a + m * k];
-            let b_s = &bs[s * stride_b..s * stride_b + k * n];
-            let out_s = &mut outs[s * stride_out..s * stride_out + m * n];
-            match ep {
-                Some(e) => gemm_epilogue(a_s, b_s, out_s, m, k, n, e),
-                None => gemm(a_s, b_s, out_s, m, k, n),
-            }
-        }
-    }
-
-    #[test]
-    fn batched_matches_serial_gemm_across_ragged_shapes() {
-        let mut rng = StdRng::seed_from_u64(50);
-        // (m, k, n, batch): n < NR edge tiles, batch == 1, full strips,
-        // strip-spanning boundaries, multi-panel k, ragged m tiles
-        for (m, k, n, batch) in [
-            (1usize, 1usize, 1usize, 1usize),
-            (8, 16, 16, 5),
-            (24, 64, 16, 8),
-            (17, 33, 7, 9),
-            (64, 64, 64, 4),
-            (8, KC + 7, 5, 11),
-            (MR + 3, 19, NR + 5, 3),
-            (3, 5, 2, 1),
-        ] {
-            for shared_a in [true, false] {
-                let stride_a = if shared_a { 0 } else { m * k };
-                let a_panels = if shared_a { 1 } else { batch };
-                let a = random_matrix(&mut rng, a_panels * m * k);
-                let bs = random_matrix(&mut rng, batch * k * n);
-                let mut expect = vec![0.0; batch * m * n];
-                batch_reference(
-                    &a,
-                    &bs,
-                    &mut expect,
-                    m,
-                    k,
-                    n,
-                    batch,
-                    stride_a,
-                    k * n,
-                    m * n,
-                    None,
-                );
-                // stale output contents must be ignored (overwrite semantics)
-                let mut got = vec![777.0; batch * m * n];
-                gemm_batch_strided(
-                    &a,
-                    &bs,
-                    &mut got,
-                    m,
-                    k,
-                    n,
-                    batch,
-                    stride_a,
-                    k * n,
-                    m * n,
-                    None,
-                );
-                assert_close(
-                    &expect,
-                    &got,
-                    1e-5,
-                    &format!("{m}x{k}x{n} b{batch} shared_a={shared_a}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_epilogue_matches_per_sample_gemm_epilogue() {
-        let mut rng = StdRng::seed_from_u64(51);
-        for (m, k, n, batch) in [
-            (8usize, 16usize, 16usize, 6usize),
-            (13, 40, 9, 7),
-            (64, 32, 50, 3),
-        ] {
-            let a = random_matrix(&mut rng, m * k);
-            let bs = random_matrix(&mut rng, batch * k * n);
-            let scale = random_matrix(&mut rng, m);
-            let shift = random_matrix(&mut rng, m);
-            for act in [
-                EpilogueAct::None,
-                EpilogueAct::Relu,
-                EpilogueAct::LeakyRelu(0.1),
-                EpilogueAct::Relu6,
-            ] {
-                let ep = Epilogue {
-                    scale: &scale,
-                    shift: &shift,
-                    act,
-                };
-                let mut expect = vec![0.0; batch * m * n];
-                batch_reference(
-                    &a,
-                    &bs,
-                    &mut expect,
-                    m,
-                    k,
-                    n,
-                    batch,
-                    0,
-                    k * n,
-                    m * n,
-                    Some(&ep),
-                );
-                let mut got = vec![0.0; batch * m * n];
-                gemm_batch_strided(&a, &bs, &mut got, m, k, n, batch, 0, k * n, m * n, Some(ep));
-                assert_close(
-                    &expect,
-                    &got,
-                    1e-4,
-                    &format!("{m}x{k}x{n} b{batch} {act:?}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_strided_panels_leave_gaps_untouched() {
-        // stride_out > m*n: the elements between output panels must survive,
-        // and B panels may sit stride_b > k*n apart (the grouped-conv layout)
-        let mut rng = StdRng::seed_from_u64(52);
-        let (m, k, n, batch) = (5usize, 9usize, 11usize, 4usize);
-        let (stride_b, stride_out) = (k * n + 13, m * n + 17);
-        let a = random_matrix(&mut rng, m * k);
-        let bs = random_matrix(&mut rng, (batch - 1) * stride_b + k * n);
-        let mut expect = vec![-3.5f32; (batch - 1) * stride_out + m * n];
-        let mut got = expect.clone();
-        batch_reference(
-            &a,
-            &bs,
-            &mut expect,
-            m,
-            k,
-            n,
-            batch,
-            0,
-            stride_b,
-            stride_out,
-            None,
-        );
-        gemm_batch_strided(
-            &a, &bs, &mut got, m, k, n, batch, 0, stride_b, stride_out, None,
-        );
-        for (i, (e, g)) in expect.iter().zip(got.iter()).enumerate() {
-            assert!(
-                (e - g).abs() <= 1e-5 * e.abs().max(1.0),
-                "element {i}: {e} vs {g}"
-            );
-        }
-        // the gap elements specifically must still hold the sentinel
-        for s in 0..batch {
-            for gap in (s * stride_out + m * n)..((s + 1) * stride_out).min(got.len()) {
-                assert_eq!(got[gap], -3.5, "gap element {gap} clobbered");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_acc_accumulates_on_prior_contents() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let (m, k, n, batch) = (6usize, 12usize, 10usize, 5usize);
-        let a = random_matrix(&mut rng, m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
-        let mut once = vec![0.0; batch * m * n];
-        gemm_batch_strided(&a, &bs, &mut once, m, k, n, batch, 0, k * n, m * n, None);
-        let mut acc = vec![1.0f32; batch * m * n];
-        gemm_batch_acc_strided(&a, &bs, &mut acc, m, k, n, batch, 0, k * n, m * n);
-        for (o, t) in once.iter().zip(acc.iter()) {
-            assert!((o + 1.0 - t).abs() < 1e-4, "{t} should be {o} + 1");
-        }
-    }
-
-    #[test]
-    fn batched_parallel_path_matches_serial_path() {
-        let mut rng = StdRng::seed_from_u64(54);
-        for (m, k, n, batch, stride_a) in [
-            (16usize, 64usize, 16usize, 13usize, 0usize),
-            (8, 48, 5, 32, 8 * 48),
-        ] {
-            let a_panels = if stride_a == 0 { 1 } else { batch };
-            let a = random_matrix(&mut rng, a_panels * m * k);
-            let bs = random_matrix(&mut rng, batch * k * n);
-            let mut serial = vec![0.0; batch * m * n];
-            gemm_batch_impl(
-                &a,
-                &bs,
-                &mut serial,
-                m,
-                k,
-                n,
-                batch,
-                stride_a,
-                k * n,
-                m * n,
-                false,
-                None,
-                false,
-            );
-            let mut parallel = vec![0.0; batch * m * n];
-            gemm_batch_impl(
-                &a,
-                &bs,
-                &mut parallel,
-                m,
-                k,
-                n,
-                batch,
-                stride_a,
-                k * n,
-                m * n,
-                false,
-                None,
-                true,
-            );
-            assert_eq!(
-                serial, parallel,
-                "{m}x{k}x{n} b{batch} batched parallel/serial divergence"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_nan_stays_inside_its_sample() {
-        // a NaN in sample 1's B panel must poison only sample 1's output,
-        // even though the n-blocked strips pack samples side by side into
-        // one register tile
-        let mut rng = StdRng::seed_from_u64(55);
-        let (m, k, n, batch) = (MR, 10usize, 6usize, 4usize);
-        let a = random_matrix(&mut rng, m * k);
-        let mut bs = random_matrix(&mut rng, batch * k * n);
-        bs[k * n + 3] = f32::NAN; // sample 1, row 0, col 3
-        let mut out = vec![0.0; batch * m * n];
-        gemm_batch_strided(&a, &bs, &mut out, m, k, n, batch, 0, k * n, m * n, None);
-        for s in 0..batch {
-            let panel = &out[s * m * n..(s + 1) * m * n];
-            if s == 1 {
-                assert!(
-                    panel.iter().any(|v| v.is_nan()),
-                    "sample 1 must carry the NaN"
-                );
-            } else {
-                assert!(
-                    panel.iter().all(|v| !v.is_nan()),
-                    "sample {s} polluted by sample 1's NaN"
-                );
-            }
-        }
-        // ...and a NaN in the shared A poisons every sample, like gemm
-        let mut a_nan = a.clone();
-        a_nan[2 * k] = f32::NAN; // row 2
-        let bs_clean = random_matrix(&mut rng, batch * k * n);
-        let mut out = vec![0.0; batch * m * n];
-        gemm_batch_strided(
-            &a_nan,
-            &bs_clean,
-            &mut out,
-            m,
-            k,
-            n,
-            batch,
-            0,
-            k * n,
-            m * n,
-            None,
-        );
-        for s in 0..batch {
-            let row2 = &out[s * m * n + 2 * n..s * m * n + 3 * n];
-            assert!(
-                row2.iter().all(|v| v.is_nan()),
-                "sample {s} row 2 must be NaN"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_zero_dimensions_are_safe() {
-        let b = vec![1.0f32; 12];
-        let mut out = vec![5.0f32; 12];
-        // m == 0 stores nothing; batch == 0 is a no-op
-        gemm_batch_strided(&[], &b, &mut out, 0, 3, 2, 2, 0, 6, 0, None);
-        gemm_batch_strided(&[], &[], &mut out[..0], 2, 3, 2, 0, 0, 6, 4, None);
-        assert_eq!(out, vec![5.0; 12]);
-        // k == 0 overwrites with zeros (and still applies an epilogue)
-        let mut out = vec![5.0f32; 12];
-        gemm_batch_strided(&[], &[], &mut out, 2, 0, 3, 2, 0, 0, 6, None);
-        assert_eq!(out, vec![0.0; 12]);
-        let scale = vec![1.0f32; 2];
-        let shift = vec![2.0f32, -4.0];
-        let mut out = vec![5.0f32; 12];
-        gemm_batch_strided(
-            &[],
-            &[],
-            &mut out,
-            2,
-            0,
-            3,
-            2,
-            0,
-            0,
-            6,
-            Some(Epilogue {
-                scale: &scale,
-                shift: &shift,
-                act: EpilogueAct::Relu,
-            }),
-        );
-        assert_eq!(
-            out,
-            vec![2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0]
-        );
-    }
-
-    /// Per-item reference for the cyclic entry points: item `t` multiplies
+    /// Per-item reference for the batched entry points: item `t` multiplies
     /// `A_{t % groups}` with its own B panel via the plain [`gemm`] /
     /// [`gemm_epilogue`], epilogue rows offset by the item's group.
     #[allow(clippy::too_many_arguments)]
@@ -2722,13 +2094,23 @@ mod tests {
     fn cyclic_matches_per_item_reference_across_shapes() {
         let mut rng = StdRng::seed_from_u64(60);
         // (m, k, n, groups, per_group): skinny n below NR, strip-spanning
-        // boundaries, single group (== shared-A batched), single sample
+        // boundaries, single sample; then one shared A (groups == 1) over
+        // n < NR edge tiles, batch == 1, full strips, multi-panel k and
+        // ragged m tiles
         for (m, k, n, groups, per_group) in [
             (4usize, 9usize, 4usize, 4usize, 6usize),
             (8, 16, 16, 2, 5),
             (3, 5, 2, 3, 1),
             (16, 32, 7, 1, 9),
             (MR + 1, 21, NR + 3, 2, 3),
+            (1, 1, 1, 1, 1),
+            (8, 16, 16, 1, 5),
+            (24, 64, 16, 1, 8),
+            (17, 33, 7, 1, 9),
+            (64, 64, 64, 1, 4),
+            (8, KC + 7, 5, 1, 11),
+            (MR + 3, 19, NR + 5, 1, 3),
+            (3, 5, 2, 1, 1),
         ] {
             let batch = groups * per_group;
             let stride_a = m * k;
@@ -2777,19 +2159,122 @@ mod tests {
     #[test]
     fn cyclic_epilogue_selects_per_group_rows() {
         let mut rng = StdRng::seed_from_u64(61);
-        let (m, k, n, groups, per_group) = (5usize, 12usize, 6usize, 3usize, 4usize);
-        let batch = groups * per_group;
-        let a = random_matrix(&mut rng, groups * m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
-        // distinct scale/shift per group so a row-offset mistake shows up
-        let scale = random_matrix(&mut rng, groups * m);
-        let shift = random_matrix(&mut rng, groups * m);
-        for act in [EpilogueAct::None, EpilogueAct::Relu, EpilogueAct::Relu6] {
-            let ep = Epilogue {
-                scale: &scale,
-                shift: &shift,
-                act,
-            };
+        for (m, k, n, groups, per_group) in [
+            (5usize, 12usize, 6usize, 3usize, 4usize),
+            (8, 16, 16, 1, 6),
+            (13, 40, 9, 1, 7),
+            (64, 32, 50, 1, 3),
+        ] {
+            let batch = groups * per_group;
+            let a = random_matrix(&mut rng, groups * m * k);
+            let bs = random_matrix(&mut rng, batch * k * n);
+            // distinct scale/shift per group so a row-offset mistake shows up
+            let scale = random_matrix(&mut rng, groups * m);
+            let shift = random_matrix(&mut rng, groups * m);
+            for act in [
+                EpilogueAct::None,
+                EpilogueAct::Relu,
+                EpilogueAct::LeakyRelu(0.1),
+                EpilogueAct::Relu6,
+            ] {
+                let ep = Epilogue {
+                    scale: &scale,
+                    shift: &shift,
+                    act,
+                };
+                let mut expect = vec![0.0; batch * m * n];
+                cyclic_reference(
+                    &a,
+                    &bs,
+                    &mut expect,
+                    m,
+                    k,
+                    n,
+                    batch,
+                    groups,
+                    m * k,
+                    k * n,
+                    m * n,
+                    Some(&ep),
+                );
+                let mut got = vec![0.0; batch * m * n];
+                gemm_batch_cyclic_strided(
+                    &a,
+                    &bs,
+                    &mut got,
+                    m,
+                    k,
+                    n,
+                    batch,
+                    groups,
+                    m * k,
+                    k * n,
+                    m * n,
+                    Some(ep),
+                );
+                assert_close(
+                    &expect,
+                    &got,
+                    1e-4,
+                    &format!("{m}x{k}x{n} g{groups} b{batch} {act:?}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_strided_panels_leave_gaps_untouched() {
+        // stride_out > m*n: the elements between output panels must survive,
+        // and B panels may sit stride_b > k*n apart (the grouped-conv layout)
+        let mut rng = StdRng::seed_from_u64(52);
+        let (m, k, n, batch) = (5usize, 9usize, 11usize, 4usize);
+        let (stride_b, stride_out) = (k * n + 13, m * n + 17);
+        let a = random_matrix(&mut rng, m * k);
+        let bs = random_matrix(&mut rng, (batch - 1) * stride_b + k * n);
+        let mut expect = vec![-3.5f32; (batch - 1) * stride_out + m * n];
+        let mut got = expect.clone();
+        cyclic_reference(
+            &a,
+            &bs,
+            &mut expect,
+            m,
+            k,
+            n,
+            batch,
+            1,
+            0,
+            stride_b,
+            stride_out,
+            None,
+        );
+        gemm_batch_cyclic_strided(
+            &a, &bs, &mut got, m, k, n, batch, 1, 0, stride_b, stride_out, None,
+        );
+        for (i, (e, g)) in expect.iter().zip(got.iter()).enumerate() {
+            assert!(
+                (e - g).abs() <= 1e-5 * e.abs().max(1.0),
+                "element {i}: {e} vs {g}"
+            );
+        }
+        // the gap elements specifically must still hold the sentinel
+        for s in 0..batch {
+            for gap in (s * stride_out + m * n)..((s + 1) * stride_out).min(got.len()) {
+                assert_eq!(got[gap], -3.5, "gap element {gap} clobbered");
+            }
+        }
+    }
+
+    #[test]
+    fn cyclic_acc_accumulates_and_shared_a_works() {
+        let mut rng = StdRng::seed_from_u64(62);
+        // stride_a == 0: every group shares one A panel
+        for (m, k, n, groups, per_group) in
+            [(4usize, 8usize, 5usize, 2usize, 3usize), (6, 12, 10, 1, 5)]
+        {
+            let batch = groups * per_group;
+            let a = random_matrix(&mut rng, m * k);
+            let bs = random_matrix(&mut rng, batch * k * n);
+            let init = random_matrix(&mut rng, batch * m * n);
             let mut expect = vec![0.0; batch * m * n];
             cyclic_reference(
                 &a,
@@ -2800,14 +2285,17 @@ mod tests {
                 n,
                 batch,
                 groups,
-                m * k,
+                0,
                 k * n,
                 m * n,
-                Some(&ep),
+                None,
             );
-            let mut got = vec![0.0; batch * m * n];
-            gemm_batch_cyclic_strided(
-                &a,
+            for (e, i) in expect.iter_mut().zip(init.iter()) {
+                *e += i;
+            }
+            let mut got = init;
+            gemm_batch_cyclic_acc_strided_q(
+                WeightMat::F32(&a),
                 &bs,
                 &mut got,
                 m,
@@ -2815,89 +2303,149 @@ mod tests {
                 n,
                 batch,
                 groups,
-                m * k,
+                0,
                 k * n,
                 m * n,
-                Some(ep),
             );
-            assert_close(&expect, &got, 1e-4, &format!("{act:?}"));
+            assert_close(
+                &expect,
+                &got,
+                1e-5,
+                &format!("cyclic acc shared A g{groups}"),
+            );
         }
-    }
-
-    #[test]
-    fn cyclic_acc_accumulates_and_shared_a_works() {
-        let mut rng = StdRng::seed_from_u64(62);
-        let (m, k, n, groups, per_group) = (4usize, 8usize, 5usize, 2usize, 3usize);
-        let batch = groups * per_group;
-        // stride_a == 0: every group shares one A panel
-        let a = random_matrix(&mut rng, m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
-        let init = random_matrix(&mut rng, batch * m * n);
-        let mut expect = vec![0.0; batch * m * n];
-        cyclic_reference(
-            &a,
-            &bs,
-            &mut expect,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            0,
-            k * n,
-            m * n,
-            None,
-        );
-        for (e, i) in expect.iter_mut().zip(init.iter()) {
-            *e += i;
-        }
-        let mut got = init;
-        gemm_batch_cyclic_acc_strided(&a, &bs, &mut got, m, k, n, batch, groups, 0, k * n, m * n);
-        assert_close(&expect, &got, 1e-5, "cyclic acc shared A");
     }
 
     #[test]
     fn cyclic_parallel_path_matches_serial_path() {
         let mut rng = StdRng::seed_from_u64(63);
-        let (m, k, n, groups, per_group) = (8usize, 24usize, 9usize, 4usize, 16usize);
-        let batch = groups * per_group;
-        let a = random_matrix(&mut rng, groups * m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
-        let mut serial = vec![0.0; batch * m * n];
-        gemm_batch_cyclic_impl(
-            a.as_slice(),
-            &bs,
-            &mut serial,
+        for (m, k, n, groups, per_group) in [
+            (8usize, 24usize, 9usize, 4usize, 16usize),
+            (16, 64, 16, 1, 13),
+            (8, 48, 5, 1, 32),
+        ] {
+            let batch = groups * per_group;
+            let a = random_matrix(&mut rng, groups * m * k);
+            let bs = random_matrix(&mut rng, batch * k * n);
+            let run = |parallel: bool| {
+                let mut out = vec![0.0; batch * m * n];
+                gemm_batch_cyclic_impl(
+                    a.as_slice(),
+                    &bs,
+                    &mut out,
+                    m,
+                    k,
+                    n,
+                    batch,
+                    groups,
+                    m * k,
+                    k * n,
+                    m * n,
+                    false,
+                    None,
+                    parallel,
+                );
+                out
+            };
+            assert_eq!(
+                run(false),
+                run(true),
+                "{m}x{k}x{n} g{groups} b{batch}: band split must not change results"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_nan_stays_inside_its_sample() {
+        // a NaN in sample 1's B panel must poison only sample 1's output,
+        // even though the n-blocked strips pack samples side by side into
+        // one register tile
+        let mut rng = StdRng::seed_from_u64(55);
+        let (m, k, n, batch) = (MR, 10usize, 6usize, 4usize);
+        let a = random_matrix(&mut rng, m * k);
+        let mut bs = random_matrix(&mut rng, batch * k * n);
+        bs[k * n + 3] = f32::NAN; // sample 1, row 0, col 3
+        let mut out = vec![0.0; batch * m * n];
+        gemm_batch_cyclic_strided(&a, &bs, &mut out, m, k, n, batch, 1, 0, k * n, m * n, None);
+        for s in 0..batch {
+            let panel = &out[s * m * n..(s + 1) * m * n];
+            if s == 1 {
+                assert!(
+                    panel.iter().any(|v| v.is_nan()),
+                    "sample 1 must carry the NaN"
+                );
+            } else {
+                assert!(
+                    panel.iter().all(|v| !v.is_nan()),
+                    "sample {s} polluted by sample 1's NaN"
+                );
+            }
+        }
+        // ...and a NaN in the shared A poisons every sample, like gemm
+        let mut a_nan = a.clone();
+        a_nan[2 * k] = f32::NAN; // row 2
+        let bs_clean = random_matrix(&mut rng, batch * k * n);
+        let mut out = vec![0.0; batch * m * n];
+        gemm_batch_cyclic_strided(
+            &a_nan,
+            &bs_clean,
+            &mut out,
             m,
             k,
             n,
             batch,
-            groups,
-            m * k,
+            1,
+            0,
             k * n,
             m * n,
-            false,
             None,
-            false,
         );
-        let mut parallel = vec![0.0; batch * m * n];
-        gemm_batch_cyclic_impl(
-            a.as_slice(),
-            &bs,
-            &mut parallel,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-            false,
-            None,
-            true,
+        for s in 0..batch {
+            let row2 = &out[s * m * n + 2 * n..s * m * n + 3 * n];
+            assert!(
+                row2.iter().all(|v| v.is_nan()),
+                "sample {s} row 2 must be NaN"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_zero_dimensions_are_safe() {
+        let b = vec![1.0f32; 12];
+        let mut out = vec![5.0f32; 12];
+        // m == 0 stores nothing; batch == 0 is a no-op
+        gemm_batch_cyclic_strided(&[], &b, &mut out, 0, 3, 2, 2, 1, 0, 6, 0, None);
+        gemm_batch_cyclic_strided(&[], &[], &mut out[..0], 2, 3, 2, 0, 1, 0, 6, 4, None);
+        assert_eq!(out, vec![5.0; 12]);
+        // k == 0 overwrites with zeros (and still applies an epilogue)
+        let mut out = vec![5.0f32; 12];
+        gemm_batch_cyclic_strided(&[], &[], &mut out, 2, 0, 3, 2, 1, 0, 0, 6, None);
+        assert_eq!(out, vec![0.0; 12]);
+        let scale = vec![1.0f32; 2];
+        let shift = vec![2.0f32, -4.0];
+        let mut out = vec![5.0f32; 12];
+        gemm_batch_cyclic_strided(
+            &[],
+            &[],
+            &mut out,
+            2,
+            0,
+            3,
+            2,
+            1,
+            0,
+            0,
+            6,
+            Some(Epilogue {
+                scale: &scale,
+                shift: &shift,
+                act: EpilogueAct::Relu,
+            }),
         );
-        assert_eq!(serial, parallel, "band split must not change results");
+        assert_eq!(
+            out,
+            vec![2.0, 2.0, 2.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0, 0.0, 0.0]
+        );
     }
 
     #[test]
@@ -3062,8 +2610,8 @@ mod tests {
         }
         // the public acc entry: bias-style initial value preserved
         let mut expect = vec![0.3; batch * m * n];
-        gemm_batch_cyclic_acc_strided(
-            &wide,
+        gemm_batch_cyclic_acc_strided_q(
+            WeightMat::F32(&wide),
             &bs,
             &mut expect,
             m,

@@ -11,14 +11,13 @@
 //! * reductions (sum, mean, max, argmax) over the whole tensor or an axis,
 //! * random initialisation helpers with explicit, seedable RNGs.
 //!
-//! The hot paths run on the [`gemm`] kernel layer: a cache-blocked,
+//! The hot paths run on the [`mod@gemm`] kernel layer: a cache-blocked,
 //! register-tiled GEMM with runtime-dispatched AVX-512/AVX2 micro-kernels
-//! and row-block parallelism on the shared `hs_parallel` pool. Two
-//! specialised convolution kernels sit beside it — [`winograd`] (F(2×2,
-//! 3×3) tile transforms over batched tile-GEMMs) and
-//! [`depthwise_conv2d`] (direct per-channel spatial convolution, with its
-//! training twin [`depthwise_conv2d_backward`]) — both
-//! sharing the GEMM epilogue's fused scale/shift+activation semantics.
+//! and row-block parallelism on the shared `hs_parallel` pool. One
+//! specialised convolution kernel sits beside it — [`depthwise_conv2d`]
+//! (direct per-channel spatial convolution, with its training twin
+//! [`depthwise_conv2d_backward`]) — sharing the GEMM epilogue's fused
+//! scale/shift+activation semantics.
 //! The seed's scalar kernels are preserved in [`naive`] as the correctness
 //! reference. `unsafe` is confined to the SIMD micro-kernels in `gemm.rs`
 //! (see that module's safety notes); everything else in the crate denies
@@ -46,15 +45,13 @@ mod ops;
 mod shape;
 pub mod storage;
 mod tensor;
-pub mod winograd;
 
 pub use depthwise::{depthwise_conv2d, depthwise_conv2d_backward, valid_out_range};
 pub use dtype::{f16_bits_to_f32, f32_to_f16_bits, DType};
 pub use error::TensorError;
 pub use gemm::{
-    gemm, gemm_acc, gemm_acc_q, gemm_batch_acc_strided, gemm_batch_cyclic_acc_strided,
-    gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided, gemm_batch_cyclic_strided_q,
-    gemm_batch_strided, gemm_epilogue, gemm_epilogue_q, gemm_nt, gemm_nt_q, gemm_tn,
+    gemm, gemm_acc, gemm_acc_q, gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided,
+    gemm_batch_cyclic_strided_q, gemm_epilogue, gemm_epilogue_q, gemm_nt, gemm_nt_q, gemm_tn,
     transpose_into, Epilogue, EpilogueAct, WeightMat,
 };
 pub use init::{he_normal, uniform, xavier_uniform};
@@ -62,7 +59,6 @@ pub use naive::matmul_naive;
 pub use shape::Shape;
 pub use storage::{F16Storage, I8Storage, QTensor, Storage};
 pub use tensor::{Tensor, TensorBase, TensorF16, TensorI8};
-pub use winograd::{winograd_conv3x3, winograd_conv3x3_q};
 
 /// Convenience alias for results produced by fallible tensor operations.
 pub type Result<T> = std::result::Result<T, TensorError>;

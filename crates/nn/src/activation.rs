@@ -401,6 +401,10 @@ impl Layer for HardSwish {
         map_into(input, out, |x| x * hard_sigmoid_scalar(x));
     }
 
+    fn epilogue_act(&self) -> Option<EpilogueAct> {
+        Some(EpilogueAct::HardSwish)
+    }
+
     fn name(&self) -> &'static str {
         "hard_swish"
     }

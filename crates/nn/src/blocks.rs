@@ -912,6 +912,27 @@ mod tests {
     }
 
     #[test]
+    fn fused_inverted_residual_keeps_no_stand_alone_activation() {
+        // hard-swish and ReLU both have an epilogue form: every
+        // conv -> bn -> act run of the block collapses to one fused layer
+        for use_hs in [true, false] {
+            let mut block = InvertedResidual::new(16, 32, 16, 3, 2, true, use_hs, &mut rng());
+            block.fuse_inference();
+            let names: Vec<_> = block.body.layers().iter().map(|l| l.name()).collect();
+            assert_eq!(
+                names,
+                [
+                    "fused_conv_bn_act",
+                    "fused_conv_bn_act",
+                    "squeeze_excite",
+                    "fused_conv_bn_act"
+                ],
+                "use_hs={use_hs}"
+            );
+        }
+    }
+
+    #[test]
     fn slice_and_concat_channels_round_trip() {
         let mut r = rng();
         let x = Tensor::rand_uniform(&[2, 6, 3, 3], -1.0, 1.0, &mut r);

@@ -23,9 +23,12 @@
 //! reusable buffers), so weight updates and server aggregation between
 //! rounds are always reflected.
 //!
-//! Patterns that do not match — a non-ReLU-family activation, a batch-norm
-//! whose width disagrees with the convolution, anything else in between —
-//! are left untouched, falling back to the exact layer-by-layer path.
+//! Every activation with an [`EpilogueAct`] form fuses — the ReLU family and
+//! hard-swish, so no `Conv -> BN -> activation` stack of the mobile zoo keeps
+//! a stand-alone activation pass. Patterns that do not match — an activation
+//! without an epilogue form (sigmoid, tanh, hard-sigmoid), a batch-norm whose
+//! width disagrees with the convolution, anything else in between — are left
+//! untouched, falling back to the exact layer-by-layer path.
 
 use crate::{Layer, Param, ParamStore, Sequential};
 use hs_tensor::{DType, EpilogueAct, Tensor};
@@ -87,7 +90,7 @@ pub struct FusedConvBnAct {
 impl FusedConvBnAct {
     /// Builds the fused layer. `conv` must be a [`crate::Conv2d`]; `bn`,
     /// when present, a [`crate::BatchNorm2d`] of matching width; `act`, when
-    /// present, a ReLU-family activation.
+    /// present, an activation with an [`EpilogueAct`] form.
     ///
     /// # Panics
     ///
@@ -108,7 +111,7 @@ impl FusedConvBnAct {
         let act_kind = match &act {
             Some(a) => a
                 .epilogue_act()
-                .expect("FusedConvBnAct activation must be a ReLU-family layer"),
+                .expect("FusedConvBnAct activation must have an epilogue form"),
             None => EpilogueAct::None,
         };
         FusedConvBnAct {
@@ -274,7 +277,7 @@ pub struct FusedLinearAct {
 
 impl FusedLinearAct {
     /// Builds the fused pair. `linear` must be a [`crate::Linear`] and `act`
-    /// a ReLU-family activation.
+    /// an activation with an [`EpilogueAct`] form.
     ///
     /// # Panics
     ///
@@ -286,7 +289,7 @@ impl FusedLinearAct {
         );
         let act_kind = act
             .epilogue_act()
-            .expect("FusedLinearAct activation must be a ReLU-family layer");
+            .expect("FusedLinearAct activation must have an epilogue form");
         FusedLinearAct {
             linear,
             act,
@@ -367,7 +370,9 @@ pub fn fuse_sequential(mut seq: Sequential) -> Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchNorm2d, Conv2d, HardSwish, LeakyRelu, Linear, MaxPool2d, Relu, Relu6};
+    use crate::{
+        BatchNorm2d, Conv2d, HardSigmoid, HardSwish, LeakyRelu, Linear, MaxPool2d, Relu, Relu6,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -399,6 +404,9 @@ mod tests {
         let seq = Sequential::new(vec![
             Box::new(Conv2d::new(2, 4, 3, 1, 1, 1, &mut rng)),
             Box::new(Relu6::new()),
+            Box::new(Conv2d::depthwise(4, 3, 2, 1, &mut rng)),
+            Box::new(BatchNorm2d::new(4)),
+            Box::new(HardSwish::new()),
             Box::new(Linear::new(4, 4, &mut rng)),
             Box::new(LeakyRelu::new(0.1)),
             Box::new(Linear::new(4, 2, &mut rng)),
@@ -406,7 +414,12 @@ mod tests {
         let fused = fuse_sequential(seq);
         assert_eq!(
             layer_names(&fused),
-            vec!["fused_conv_bn_act", "fused_linear_act", "linear"]
+            vec![
+                "fused_conv_bn_act",
+                "fused_conv_bn_act",
+                "fused_linear_act",
+                "linear"
+            ]
         );
     }
 
@@ -414,10 +427,10 @@ mod tests {
     fn leaves_unsupported_patterns_alone() {
         let mut rng = StdRng::seed_from_u64(2);
         let seq = Sequential::new(vec![
-            // hard-swish is not a GEMM-epilogue activation: bn fuses, act stays
+            // hard-sigmoid has no epilogue form: bn fuses, act stays
             Box::new(Conv2d::new(2, 4, 3, 1, 1, 1, &mut rng)),
             Box::new(BatchNorm2d::new(4)),
-            Box::new(HardSwish::new()),
+            Box::new(HardSigmoid::new()),
             // width-mismatched bn must not fuse
             Box::new(Conv2d::new(4, 4, 3, 1, 1, 1, &mut rng)),
             Box::new(BatchNorm2d::new(2)),
@@ -425,7 +438,12 @@ mod tests {
         let fused = fuse_sequential(seq);
         assert_eq!(
             layer_names(&fused),
-            vec!["fused_conv_bn_act", "hard_swish", "conv2d", "batch_norm2d"]
+            vec![
+                "fused_conv_bn_act",
+                "hard_sigmoid",
+                "conv2d",
+                "batch_norm2d"
+            ]
         );
     }
 

@@ -165,8 +165,8 @@ pub trait Layer: Send + Sync {
     }
 
     /// The element-wise activation this layer computes, when it is expressible
-    /// as a GEMM-epilogue activation (ReLU family). `None` for everything
-    /// else, which keeps such layers out of the fusion pass.
+    /// as a GEMM-epilogue activation (ReLU family, hard-swish). `None` for
+    /// everything else, which keeps such layers out of the fusion pass.
     fn epilogue_act(&self) -> Option<EpilogueAct> {
         None
     }

@@ -40,6 +40,13 @@ impl Network {
         }
     }
 
+    /// The top-level layer stack (test-only: structural assertions on the
+    /// fused model zoo).
+    #[cfg(test)]
+    pub(crate) fn layers(&self) -> &Sequential {
+        &self.layers
+    }
+
     /// Runs a forward pass. `train` enables training-time behaviour
     /// (batch statistics, dropout, gradient caches).
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {

@@ -583,6 +583,10 @@ mod tests {
 
     #[test]
     fn pool_stats_count_queued_tasks_and_drain() {
+        // the pool and its counters are process-global and the other tests
+        // of this binary use them concurrently, so only what this scope
+        // itself guarantees is asserted — `queue_depth` may hold another
+        // test's tasks at any instant
         let before = pool_stats();
         scope(|s| {
             for _ in 0..32 {
@@ -591,7 +595,6 @@ mod tests {
         });
         let after = pool_stats();
         assert_eq!(after.workers, before.workers);
-        assert_eq!(after.queue_depth, 0, "scope waits for its tasks");
         if after.workers > 0 {
             assert!(
                 after.tasks_run >= before.tasks_run + 32,

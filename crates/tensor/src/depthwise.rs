@@ -5,14 +5,28 @@
 //! the im2col→GEMM strategy into its worst case: per channel the "GEMM" is a
 //! `1 × k² × (oh·ow)` product, so the engine spends more time writing and
 //! re-reading the column matrix than multiplying. This module convolves each
-//! channel directly: the kernel taps are iterated in the outer loops and the
-//! inner loop runs contiguously along an output row
-//! (`out_row[j] += w_tap * in_row[j + kj - pad]` for stride 1), which the
-//! compiler auto-vectorises into packed FMA over the row. The optional
-//! per-channel scale/shift + activation epilogue is applied in a final pass
-//! over the freshly-computed (cache-hot) channel block, matching
-//! [`crate::gemm_epilogue`]'s semantics exactly — including NaN behaviour,
-//! since it reuses the same scalar [`crate::EpilogueAct::apply`].
+//! channel directly.
+//!
+//! The mobile zoo's one depthwise geometry — 3×3, pad 1, stride 1 or 2 —
+//! runs a single kernel body ([`conv3x3_channel`]) written over a small
+//! lane abstraction ([`Lanes`]) and instantiated for AVX-512 (16 lanes),
+//! AVX2 (8) and a scalar-array portable tier (8) behind the same runtime
+//! [`isa`] decision the GEMM micro-kernels take. One vector of output
+//! columns accumulates all nine taps in a register, then takes the
+//! per-channel scale/shift and the activation before its one store, so the
+//! epilogue costs no second pass. **Every tier computes the same bits**:
+//! each tap is a plain multiply then an add, in row-major tap order, with no
+//! FMA contraction and no reassociation, and a tap that lands in the padding
+//! is *skipped* by a lane mask, never multiplied by a loaded zero.
+//!
+//! Every other geometry takes the generic tap-outer loops
+//! ([`depthwise_generic`]) and a scalar epilogue pass over the cache-hot
+//! channel block, matching [`crate::gemm_epilogue`]'s semantics through the
+//! same scalar [`crate::EpilogueAct::apply`]. So does a channel with a NaN
+//! or infinite weight, whatever its geometry: the im2col formulation
+//! multiplies such a weight by the column matrix's padding zeros, and that
+//! channel adds those products back literally ([`for_each_padding_tap`]) so
+//! non-finite values land exactly where the reference puts them.
 //!
 //! [`depthwise_conv2d_backward`] is the training twin: per channel it
 //! produces the input gradient and accumulates the `k²` weight gradients and
@@ -20,8 +34,23 @@
 //! same tap-outer / contiguous-row-inner shape — the im2col route spent its
 //! time building, transposing and multiplying a `k² × (oh·ow)` column matrix
 //! per (sample, channel) for `2·k²·oh·ow` useful multiply-adds.
+//!
+//! # Safety
+//!
+//! The `unsafe` here is the AVX-512 / AVX2 [`Lanes`] implementations and the
+//! two calls into their `#[target_feature]` entry points. A tier's token
+//! type is only ever constructed inside the entry point that [`conv3x3`]
+//! calls after [`tier`] reported that ISA, and every vector memory access is
+//! masked to the lanes that lie inside the slice it was handed — the mask is
+//! derived from the slice's own length inside the access, so the kernel body
+//! above the trait is safe code.
 
-use crate::gemm::Epilogue;
+#![allow(unsafe_code)]
+
+use crate::gemm::{Epilogue, EpilogueAct};
+use crate::isa::{isa, Isa};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 
 /// For one kernel tap offset `k` (row or column), the half-open range of
 /// output coordinates whose sampled input coordinate `o*stride + k - pad`
@@ -51,6 +80,10 @@ pub fn valid_out_range(
 /// * With `ep == Some(e)`: `out = e.act(e.scale[c] * conv + e.shift[c])`;
 ///   `bias` is ignored (folded into `shift` by the caller).
 /// * With `ep == None`: `out = conv + bias[c]`.
+///
+/// `conv` has the im2col formulation's non-finite semantics: a NaN or
+/// infinite weight poisons, besides everything it multiplies, every output
+/// at which its tap samples the padding.
 ///
 /// The output block is fully overwritten. No scratch is needed — this is
 /// the allocation-free backend for the depthwise layers of the mobile zoo.
@@ -91,24 +124,64 @@ pub fn depthwise_conv2d(
         assert!(bias.len() >= c, "depthwise bias too short");
     }
 
+    // Both kernels skip the taps that sample the padding, where the im2col
+    // formulation multiplies the weight by the column matrix's zero — the
+    // same thing unless the weight is NaN or infinite. A channel with such a
+    // weight (re)takes the generic path and adds those products literally;
+    // all finite weights pay for is this scan (no short-circuit, so it
+    // vectorises).
+    let weights = &weights[..c * k * k];
+    let any_poisoned = pad > 0 && weights.iter().fold(false, |bad, v| bad | !v.is_finite());
+
+    // the mobile zoo's one depthwise geometry runs the vector kernel, a
+    // whole sample per call
+    let vector = k == 3 && pad == 1 && stride <= 2;
+    if vector {
+        let post = match ep {
+            Some(e) => Post {
+                scale: Some(e.scale),
+                shift: Some(e.shift),
+                act: e.act,
+            },
+            None => Post {
+                shift: Some(bias),
+                ..Post::RAW
+            },
+        };
+        let sample = Sample {
+            input,
+            weights,
+            post,
+            c,
+            h,
+            w,
+            stride,
+        };
+        conv3x3(&sample, out);
+        if !any_poisoned {
+            return;
+        }
+    }
     for ci in 0..c {
-        let chan_in = &input[ci * h * w..(ci + 1) * h * w];
         let chan_w = &weights[ci * k * k..(ci + 1) * k * k];
+        let poisoned = any_poisoned && !chan_w.iter().all(|v| v.is_finite());
+        if vector && !poisoned {
+            continue;
+        }
+        let chan_in = &input[ci * h * w..(ci + 1) * h * w];
         let chan_out = &mut out[ci * oh * ow..(ci + 1) * oh * ow];
-        // the mobile zoo's one true depthwise shape gets a single-pass
-        // micro-kernel: all nine taps accumulate in registers per output
-        // element instead of nine read-modify-write sweeps over the row
-        // (which dominate at the zoo's small spatial extents)
-        if k == 3 && stride == 1 && pad == 1 && h >= 2 && w >= 2 {
-            depthwise3x3_s1p1(chan_in, chan_w, chan_out, h, w);
-        } else {
-            depthwise_generic(chan_in, chan_w, chan_out, h, w, k, stride, pad, oh, ow);
+        depthwise_generic(chan_in, chan_w, chan_out, h, w, k, stride, pad, oh, ow);
+        if poisoned {
+            for_each_padding_tap(h, w, k, stride, pad, oh, ow, |tap, o| {
+                chan_out[o] += chan_w[tap] * 0.0;
+            });
         }
         // epilogue / bias over the cache-hot channel block
         match ep {
             Some(e) => {
+                let (scale, shift) = (e.scale[ci], e.shift[ci]);
                 for v in chan_out.iter_mut() {
-                    *v = e.apply_scalar(ci, *v);
+                    *v = e.act.apply(*v * scale + shift);
                 }
             }
             None => {
@@ -121,59 +194,631 @@ pub fn depthwise_conv2d(
     }
 }
 
-/// Single-pass 3×3 stride-1 pad-1 depthwise kernel for one channel:
-/// `out` has the same `h × w` extent as the input. Interior rows unroll all
-/// nine taps into one register accumulation per output element (the inner
-/// column loop vectorises); the four borders run the tap-by-tap fallback.
-fn depthwise3x3_s1p1(input: &[f32], wgt: &[f32], out: &mut [f32], h: usize, w: usize) {
-    let (w00, w01, w02) = (wgt[0], wgt[1], wgt[2]);
-    let (w10, w11, w12) = (wgt[3], wgt[4], wgt[5]);
-    let (w20, w21, w22) = (wgt[6], wgt[7], wgt[8]);
-    for oi in 1..h.saturating_sub(1) {
-        let r0 = &input[(oi - 1) * w..oi * w];
-        let r1 = &input[oi * w..(oi + 1) * w];
-        let r2 = &input[(oi + 1) * w..(oi + 2) * w];
-        let out_row = &mut out[oi * w..(oi + 1) * w];
-        for j in 1..w - 1 {
-            out_row[j] = w00 * r0[j - 1]
-                + w01 * r0[j]
-                + w02 * r0[j + 1]
-                + w10 * r1[j - 1]
-                + w11 * r1[j]
-                + w12 * r1[j + 1]
-                + w20 * r2[j - 1]
-                + w21 * r2[j]
-                + w22 * r2[j + 1];
-        }
-        // left/right padded columns: the out-of-image taps contribute zero
-        out_row[0] =
-            w01 * r0[0] + w02 * r0[1] + w11 * r1[0] + w12 * r1[1] + w21 * r2[0] + w22 * r2[1];
-        out_row[w - 1] = w00 * r0[w - 2]
-            + w01 * r0[w - 1]
-            + w10 * r1[w - 2]
-            + w11 * r1[w - 1]
-            + w20 * r2[w - 2]
-            + w21 * r2[w - 1];
-    }
-    // top and bottom padded rows through the generic tap loop
-    for oi in [0, h - 1] {
-        let out_row = &mut out[oi * w..(oi + 1) * w];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for r in 0..3 {
-                let ii = oi as isize + r as isize - 1;
-                if ii < 0 || ii >= h as isize {
-                    continue;
-                }
-                for cc in 0..3 {
-                    let jj = j as isize + cc as isize - 1;
-                    if jj >= 0 && jj < w as isize {
-                        acc += wgt[r * 3 + cc] * input[ii as usize * w + jj as usize];
+/// Calls `f(tap, o)` for every pair of a kernel tap and an output position
+/// at which that tap samples the padding: exactly the products by zero the
+/// im2col formulation computes and the direct loops skip.
+#[allow(clippy::too_many_arguments)]
+fn for_each_padding_tap(
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+    mut f: impl FnMut(usize, usize),
+) {
+    for ki in 0..k {
+        let (oi_lo, oi_hi) = valid_out_range(h, ki, stride, pad, oh);
+        for kj in 0..k {
+            let (oj_lo, oj_hi) = valid_out_range(w, kj, stride, pad, ow);
+            for oi in 0..oh {
+                let row_valid = (oi_lo..oi_hi).contains(&oi);
+                for oj in 0..ow {
+                    if !(row_valid && (oj_lo..oj_hi).contains(&oj)) {
+                        f(ki * k + kj, oi * ow + oj);
                     }
                 }
             }
-            *o = acc;
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The 3×3 pad-1 kernel: one body over `Lanes`, three instantiations
+// ---------------------------------------------------------------------------
+
+/// What follows the raw convolution of channel `ci`:
+/// `act(scale[ci] · conv + shift[ci])`, with a missing `scale` meaning `1.0`
+/// and a missing `shift` meaning `-0.0` — both exact identities in IEEE
+/// arithmetic (`x · 1.0` and `x + -0.0` return `x` bit for bit, signed zeros
+/// included), so the bias-only forward and the raw convolution the backward
+/// pass needs are the same store path as the fused epilogue.
+#[derive(Clone, Copy)]
+struct Post<'a> {
+    scale: Option<&'a [f32]>,
+    shift: Option<&'a [f32]>,
+    act: EpilogueAct,
+}
+
+impl Post<'_> {
+    /// The raw convolution, stored unchanged.
+    const RAW: Post<'static> = Post {
+        scale: None,
+        shift: None,
+        act: EpilogueAct::None,
+    };
+}
+
+/// One `[c, h, w]` sample's worth of 3×3 pad-1 work (`stride` 1 or 2).
+struct Sample<'a> {
+    input: &'a [f32],
+    weights: &'a [f32],
+    post: Post<'a>,
+    c: usize,
+    h: usize,
+    w: usize,
+    stride: usize,
+}
+
+/// Bit `l` set for each of the first `n` lanes.
+#[inline(always)]
+fn lane_mask(n: usize) -> u32 {
+    debug_assert!(n <= 16);
+    (1u32 << n) - 1
+}
+
+/// Bit `l` set for each lane `l < n` whose element `start + l` lies inside
+/// a slice of `len` elements.
+#[inline(always)]
+fn in_bounds(len: usize, start: isize, n: usize) -> u32 {
+    let lo = (-start).clamp(0, n as isize) as usize;
+    let hi = (len as isize - start).clamp(0, n as isize) as usize;
+    lane_mask(hi) & !lane_mask(lo)
+}
+
+/// A vector of `N` `f32` lanes and the handful of operations the 3×3 kernel
+/// is written in. Lane masks are plain bit sets (`bit l` ↔ lane `l`). Every
+/// implementation computes each operation to the same bits, lane by lane —
+/// in particular `max` / `min` have the x86 operand-order semantics spelled
+/// out below, which is what makes NaN handling tier-independent.
+trait Lanes: Copy {
+    /// The vector type.
+    type V: Copy;
+    /// Lanes per vector (at most 16).
+    const N: usize;
+    /// All lanes `x`.
+    fn splat(self, x: f32) -> Self::V;
+    /// Lane `l` is `row[start + l]` where that index exists, `0.0` elsewhere.
+    fn load(self, row: &[f32], start: isize) -> Self::V;
+    /// The `2N` elements from `row[start]` on, de-interleaved: lane `l` of
+    /// the pair is `(row[start + 2l], row[start + 2l + 1])` where those
+    /// indices exist, `0.0` elsewhere.
+    fn load2(self, row: &[f32], start: isize) -> (Self::V, Self::V);
+    /// Writes the first `dst.len().min(N)` lanes to `dst`.
+    fn store(self, v: Self::V, dst: &mut [f32]);
+    /// Lane-wise product.
+    fn mul(self, a: Self::V, b: Self::V) -> Self::V;
+    /// Lane-wise sum.
+    fn add(self, a: Self::V, b: Self::V) -> Self::V;
+    /// Lane-wise `if a > b { a } else { b }`: `b` on NaN or equal zeros.
+    fn max(self, a: Self::V, b: Self::V) -> Self::V;
+    /// Lane-wise `if a < b { a } else { b }`: `b` on NaN or equal zeros.
+    fn min(self, a: Self::V, b: Self::V) -> Self::V;
+    /// The lanes where `a > b` (ordered: false on NaN).
+    fn gt(self, a: Self::V, b: Self::V) -> u32;
+    /// `x` in the lanes of `mask`, `y` in the others.
+    fn select(self, mask: u32, x: Self::V, y: Self::V) -> Self::V;
+}
+
+/// The scalar-array tier: the reference the vector tiers must equal, and
+/// what runs where no vector ISA was detected.
+#[derive(Clone, Copy)]
+struct Portable;
+
+impl Lanes for Portable {
+    type V = [f32; 8];
+    const N: usize = 8;
+
+    #[inline(always)]
+    fn splat(self, x: f32) -> [f32; 8] {
+        [x; 8]
+    }
+
+    #[inline(always)]
+    fn load(self, row: &[f32], start: isize) -> [f32; 8] {
+        let whole = usize::try_from(start).ok().and_then(|s| row.get(s..s + 8));
+        if let Some(whole) = whole {
+            return whole.try_into().expect("eight elements");
+        }
+        let mask = in_bounds(row.len(), start, 8);
+        std::array::from_fn(|l| {
+            if mask >> l & 1 == 1 {
+                row[(start + l as isize) as usize]
+            } else {
+                0.0
+            }
+        })
+    }
+
+    #[inline(always)]
+    fn load2(self, row: &[f32], start: isize) -> ([f32; 8], [f32; 8]) {
+        let at = |i: isize| {
+            usize::try_from(i)
+                .ok()
+                .and_then(|i| row.get(i))
+                .copied()
+                .unwrap_or(0.0)
+        };
+        (
+            std::array::from_fn(|l| at(start + 2 * l as isize)),
+            std::array::from_fn(|l| at(start + 2 * l as isize + 1)),
+        )
+    }
+
+    #[inline(always)]
+    fn store(self, v: [f32; 8], dst: &mut [f32]) {
+        for (d, s) in dst.iter_mut().zip(v) {
+            *d = s;
+        }
+    }
+
+    #[inline(always)]
+    fn mul(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+        std::array::from_fn(|l| a[l] * b[l])
+    }
+
+    #[inline(always)]
+    fn add(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+        std::array::from_fn(|l| a[l] + b[l])
+    }
+
+    #[inline(always)]
+    fn max(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+        std::array::from_fn(|l| if a[l] > b[l] { a[l] } else { b[l] })
+    }
+
+    #[inline(always)]
+    fn min(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+        std::array::from_fn(|l| if a[l] < b[l] { a[l] } else { b[l] })
+    }
+
+    #[inline(always)]
+    fn gt(self, a: [f32; 8], b: [f32; 8]) -> u32 {
+        (0..8).fold(0, |m, l| m | u32::from(a[l] > b[l]) << l)
+    }
+
+    #[inline(always)]
+    fn select(self, mask: u32, x: [f32; 8], y: [f32; 8]) -> [f32; 8] {
+        std::array::from_fn(|l| if mask >> l & 1 == 1 { x[l] } else { y[l] })
+    }
+}
+
+/// The AVX-512F tier. Constructed only in [`conv3x3_avx512`], which is
+/// called only after [`tier`] reported [`Isa::Avx512`] — holding one is the
+/// proof every method's intrinsics are available.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx512(());
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx512 {
+    type V = __m512;
+    const N: usize = 16;
+
+    #[inline(always)]
+    fn splat(self, x: f32) -> __m512 {
+        // SAFETY: an `Avx512` exists only where avx512f was detected.
+        unsafe { _mm512_set1_ps(x) }
+    }
+
+    #[inline(always)]
+    fn load(self, row: &[f32], start: isize) -> __m512 {
+        let mask = in_bounds(row.len(), start, 16) as __mmask16;
+        // SAFETY: avx512f by the token. A masked load touches only its
+        // enabled lanes (disabled lanes cannot fault), `in_bounds` enables
+        // exactly the lanes inside `row`, and the base pointer is formed
+        // with wrapping arithmetic, so it may lie outside the slice.
+        unsafe { _mm512_maskz_loadu_ps(mask, row.as_ptr().wrapping_offset(start)) }
+    }
+
+    #[inline(always)]
+    fn load2(self, row: &[f32], start: isize) -> (__m512, __m512) {
+        let (a, b) = (self.load(row, start), self.load(row, start + 16));
+        // SAFETY: an `Avx512` exists only where avx512f was detected.
+        unsafe {
+            let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+            let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
+            (
+                _mm512_permutex2var_ps(a, even, b),
+                _mm512_permutex2var_ps(a, odd, b),
+            )
+        }
+    }
+
+    #[inline(always)]
+    fn store(self, v: __m512, dst: &mut [f32]) {
+        let mask = lane_mask(dst.len().min(16)) as __mmask16;
+        // SAFETY: avx512f by the token; the masked store writes only the
+        // first `dst.len().min(16)` lanes, all inside `dst`.
+        unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, v) }
+    }
+
+    #[inline(always)]
+    fn mul(self, a: __m512, b: __m512) -> __m512 {
+        // SAFETY: an `Avx512` exists only where avx512f was detected.
+        unsafe { _mm512_mul_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn add(self, a: __m512, b: __m512) -> __m512 {
+        // SAFETY: an `Avx512` exists only where avx512f was detected.
+        unsafe { _mm512_add_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn max(self, a: __m512, b: __m512) -> __m512 {
+        // SAFETY: an `Avx512` exists only where avx512f was detected.
+        unsafe { _mm512_max_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn min(self, a: __m512, b: __m512) -> __m512 {
+        // SAFETY: an `Avx512` exists only where avx512f was detected.
+        unsafe { _mm512_min_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn gt(self, a: __m512, b: __m512) -> u32 {
+        // SAFETY: an `Avx512` exists only where avx512f was detected.
+        u32::from(unsafe { _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ) })
+    }
+
+    #[inline(always)]
+    fn select(self, mask: u32, x: __m512, y: __m512) -> __m512 {
+        // SAFETY: an `Avx512` exists only where avx512f was detected.
+        unsafe { _mm512_mask_blend_ps(mask as __mmask16, y, x) }
+    }
+}
+
+/// The AVX2 tier; same construction rule as [`Avx512`], through
+/// [`conv3x3_avx2`] and [`Isa::Avx2`].
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx2(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
+    /// Expands a lane bit set into the all-ones / all-zeros lane words the
+    /// AVX masked moves and blends take.
+    #[inline(always)]
+    fn lane_words(self, mask: u32) -> __m256i {
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        unsafe {
+            let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+            _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(mask as i32), bit), bit)
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for Avx2 {
+    type V = __m256;
+    const N: usize = 8;
+
+    #[inline(always)]
+    fn splat(self, x: f32) -> __m256 {
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        unsafe { _mm256_set1_ps(x) }
+    }
+
+    #[inline(always)]
+    fn load(self, row: &[f32], start: isize) -> __m256 {
+        let mask = in_bounds(row.len(), start, 8);
+        let ptr = row.as_ptr().wrapping_offset(start);
+        // SAFETY: avx2 by the token. With all eight lanes in bounds the
+        // plain load reads `row[start..start + 8]`; otherwise the masked load
+        // touches only its enabled lanes (disabled lanes cannot fault),
+        // which `in_bounds` confines to `row`; the base pointer is formed
+        // with wrapping arithmetic, so it may lie outside the slice.
+        unsafe {
+            if mask == 0xff {
+                _mm256_loadu_ps(ptr)
+            } else {
+                _mm256_maskload_ps(ptr, self.lane_words(mask))
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn load2(self, row: &[f32], start: isize) -> (__m256, __m256) {
+        let (a, b) = (self.load(row, start), self.load(row, start + 8));
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        unsafe {
+            // per 128-bit half: [a0 a2 b0 b2 | a4 a6 b4 b6], likewise the
+            // odd elements; swapping the middle 64-bit quarters orders them
+            let even = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
+            let odd = _mm256_castps_pd(_mm256_shuffle_ps::<0b11_01_11_01>(a, b));
+            (
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(even)),
+                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(odd)),
+            )
+        }
+    }
+
+    #[inline(always)]
+    fn store(self, v: __m256, dst: &mut [f32]) {
+        // SAFETY: avx2 by the token; the plain store writes `dst[..8]`, the
+        // masked one only the first `dst.len()` lanes.
+        unsafe {
+            if dst.len() >= 8 {
+                _mm256_storeu_ps(dst.as_mut_ptr(), v)
+            } else {
+                let words = self.lane_words(lane_mask(dst.len()));
+                _mm256_maskstore_ps(dst.as_mut_ptr(), words, v)
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn mul(self, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        unsafe { _mm256_mul_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn add(self, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        unsafe { _mm256_add_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn max(self, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        unsafe { _mm256_max_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn min(self, a: __m256, b: __m256) -> __m256 {
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        unsafe { _mm256_min_ps(a, b) }
+    }
+
+    #[inline(always)]
+    fn gt(self, a: __m256, b: __m256) -> u32 {
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        (unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(a, b)) }) as u32
+    }
+
+    #[inline(always)]
+    fn select(self, mask: u32, x: __m256, y: __m256) -> __m256 {
+        if mask & 0xff == 0xff {
+            return x;
+        }
+        // SAFETY: an `Avx2` exists only where avx2 was detected.
+        unsafe { _mm256_blendv_ps(y, x, _mm256_castsi256_ps(self.lane_words(mask))) }
+    }
+}
+
+/// One input row's three taps for a vector of output columns whose first
+/// sampled column is `col`: `acc + wl·x[col-1..] + wc·x[col..] + wr·x[col+1..]`
+/// (stepping by the stride `S`), each a multiply then an add, the left and
+/// right tap only in the lanes of `left` / `right`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn row_taps<L: Lanes, const S: usize>(
+    l: L,
+    acc: L::V,
+    row: &[f32],
+    col: isize,
+    [wl, wc, wr]: [L::V; 3],
+    left: u32,
+    right: u32,
+) -> L::V {
+    let (xl, xc, xr) = match S {
+        1 => (l.load(row, col - 1), l.load(row, col), l.load(row, col + 1)),
+        _ => {
+            let ((_, xl), (xc, xr)) = (l.load2(row, col - 2), l.load2(row, col));
+            (xl, xc, xr)
+        }
+    };
+    let acc = l.select(left, l.add(acc, l.mul(wl, xl)), acc);
+    let acc = l.add(acc, l.mul(wc, xc));
+    l.select(right, l.add(acc, l.mul(wr, xr)), acc)
+}
+
+/// The 3×3 pad-1 convolution of one `h × w` channel at stride `S` (1 or 2),
+/// followed by `act(scale · conv + shift)`, into its `oh × ow` output.
+///
+/// Output columns are walked a vector at a time; the `left` / `right` masks
+/// name the lanes whose left / right tap lands inside the row, and a missing
+/// top or bottom input row drops its three taps — padding taps are skipped,
+/// never multiplied. Where a row tap is skipped (and at stride 2 throughout)
+/// the sum starts from `+0.0`, as the tap-by-tap loops this kernel replaced
+/// did; elsewhere it starts from `-0.0`, the additive identity, i.e. from
+/// the first product itself — so signed zeros, too, come out as before.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn conv3x3_channel<L: Lanes, const S: usize>(
+    l: L,
+    input: &[f32],
+    wgt: &[f32],
+    out: &mut [f32],
+    h: usize,
+    w: usize,
+    (scale, shift): (f32, f32),
+    act: impl Fn(L::V) -> L::V,
+) {
+    let (oh, ow) = ((h - 1) / S + 1, (w - 1) / S + 1);
+    let input = &input[..h * w];
+    let out = &mut out[..oh * ow];
+    // spelled out rather than `array::from_fn` / `map`: a closure handed to
+    // a std combinator is compiled without the tier's target feature, and
+    // the intrinsics inside it stop inlining
+    let top = [l.splat(wgt[0]), l.splat(wgt[1]), l.splat(wgt[2])];
+    let mid = [l.splat(wgt[3]), l.splat(wgt[4]), l.splat(wgt[5])];
+    let bottom = [l.splat(wgt[6]), l.splat(wgt[7]), l.splat(wgt[8])];
+    let (scale, shift) = (l.splat(scale), l.splat(shift));
+    for oj0 in (0..ow).step_by(L::N) {
+        let n = (ow - oj0).min(L::N);
+        let left = lane_mask(n) & !u32::from(oj0 == 0);
+        let right = lane_mask(((w - 1).div_ceil(S) - oj0).min(n));
+        let col = (S * oj0) as isize;
+        for oi in 0..oh {
+            let ii = S * oi;
+            let (has_top, has_bottom) = (ii >= 1, ii + 1 < h);
+            let from_product = S == 1 && has_top && has_bottom && w >= 2;
+            let mut acc = l.splat(if from_product { -0.0 } else { 0.0 });
+            if has_top {
+                let row = &input[(ii - 1) * w..][..w];
+                acc = row_taps::<L, S>(l, acc, row, col, top, left, right);
+            }
+            acc = row_taps::<L, S>(l, acc, &input[ii * w..][..w], col, mid, left, right);
+            if has_bottom {
+                let row = &input[(ii + 1) * w..][..w];
+                acc = row_taps::<L, S>(l, acc, row, col, bottom, left, right);
+            }
+            let v = act(l.add(l.mul(acc, scale), shift));
+            l.store(v, &mut out[oi * ow + oj0..][..n]);
+        }
+    }
+}
+
+/// All channels of one sample on tier `L`: the activation is resolved to a
+/// lane closure once, here, not per element. (The closures are
+/// `inline(always)` so they are compiled inside the tier's
+/// `#[target_feature]` entry point, where the intrinsics inline.)
+#[inline(always)]
+fn conv3x3_sample<L: Lanes>(l: L, s: &Sample<'_>, out: &mut [f32]) {
+    let (zero, one) = (l.splat(0.0), l.splat(1.0));
+    match s.post.act {
+        EpilogueAct::None => conv3x3_channels(
+            l,
+            s,
+            out,
+            #[inline(always)]
+            |v| v,
+        ),
+        EpilogueAct::Relu => conv3x3_channels(
+            l,
+            s,
+            out,
+            #[inline(always)]
+            |v| l.max(v, zero),
+        ),
+        EpilogueAct::LeakyRelu(slope) => {
+            let slope = l.splat(slope);
+            conv3x3_channels(
+                l,
+                s,
+                out,
+                #[inline(always)]
+                |v| l.select(l.gt(v, zero), v, l.mul(slope, v)),
+            )
+        }
+        EpilogueAct::Relu6 => {
+            let six = l.splat(6.0);
+            conv3x3_channels(
+                l,
+                s,
+                out,
+                #[inline(always)]
+                |v| l.min(six, l.max(zero, v)),
+            )
+        }
+        EpilogueAct::HardSwish => {
+            let (three, sixth) = (l.splat(3.0), l.splat(1.0 / 6.0));
+            conv3x3_channels(
+                l,
+                s,
+                out,
+                #[inline(always)]
+                |v| {
+                    let t = l.mul(l.add(v, three), sixth);
+                    l.mul(v, l.min(one, l.max(zero, t)))
+                },
+            )
+        }
+    }
+}
+
+/// The channel loop of [`conv3x3_sample`] for one resolved activation.
+#[inline(always)]
+fn conv3x3_channels<L: Lanes>(
+    l: L,
+    s: &Sample<'_>,
+    out: &mut [f32],
+    act: impl Fn(L::V) -> L::V + Copy,
+) {
+    let (h, w) = (s.h, s.w);
+    let out_hw = ((h - 1) / s.stride + 1) * ((w - 1) / s.stride + 1);
+    for (ci, chan_out) in out.chunks_exact_mut(out_hw).take(s.c).enumerate() {
+        let chan_in = &s.input[ci * h * w..(ci + 1) * h * w];
+        let chan_w = &s.weights[ci * 9..(ci + 1) * 9];
+        let affine = (
+            s.post.scale.map_or(1.0, |scale| scale[ci]),
+            s.post.shift.map_or(-0.0, |shift| shift[ci]),
+        );
+        match s.stride {
+            1 => conv3x3_channel::<L, 1>(l, chan_in, chan_w, chan_out, h, w, affine, act),
+            _ => conv3x3_channel::<L, 2>(l, chan_in, chan_w, chan_out, h, w, affine, act),
+        }
+    }
+}
+
+/// [`conv3x3_sample`] compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn conv3x3_avx512(s: &Sample<'_>, out: &mut [f32]) {
+    conv3x3_sample(Avx512(()), s, out);
+}
+
+/// [`conv3x3_sample`] compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn conv3x3_avx2(s: &Sample<'_>, out: &mut [f32]) {
+    conv3x3_sample(Avx2(()), s, out);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test builds only: the tier [`conv3x3`] is pinned to on this thread.
+    static FORCED_TIER: std::cell::Cell<Option<Isa>> = const { std::cell::Cell::new(None) };
+}
+
+/// Test builds only: pins the 3×3 kernels to `tier` on the calling thread
+/// (`None` restores detection).
+///
+/// # Panics
+///
+/// Panics if this CPU cannot run `tier`.
+#[cfg(test)]
+pub(crate) fn force_tier(tier: Option<Isa>) {
+    assert!(tier.is_none_or(Isa::supported), "{tier:?} not supported");
+    FORCED_TIER.with(|t| t.set(tier));
+}
+
+/// The tier the 3×3 kernels run on: the best one detected (test builds can
+/// pin a supported one with [`force_tier`]).
+fn tier() -> Isa {
+    #[cfg(test)]
+    if let Some(forced) = FORCED_TIER.with(std::cell::Cell::get) {
+        return forced;
+    }
+    isa()
+}
+
+/// Runs one sample's 3×3 pad-1 convolution on the tier this CPU supports.
+fn conv3x3(s: &Sample<'_>, out: &mut [f32]) {
+    debug_assert!(s.stride == 1 || s.stride == 2);
+    match tier() {
+        // SAFETY: `tier()` returns only ISAs this CPU was detected to have.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { conv3x3_avx512(s, out) },
+        // SAFETY: `tier()` returns only ISAs this CPU was detected to have.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { conv3x3_avx2(s, out) },
+        Isa::Portable => conv3x3_sample(Portable, s, out),
     }
 }
 
@@ -270,8 +915,8 @@ fn sum_lanes(xs: &[f32]) -> f32 {
 /// `grad_out` by the column matrix's zero, so a non-finite `grad_out`
 /// element poisons every weight gradient of its channel. The direct loops
 /// skip those products; a channel whose `grad_out` is not all finite adds
-/// them back literally (`add_padding_products`), which finite training never
-/// pays for.
+/// them back literally (`for_each_padding_tap`), which finite training
+/// never pays for.
 ///
 /// # Panics
 ///
@@ -319,12 +964,21 @@ pub fn depthwise_conv2d_backward(
         if k == 3 && stride == 1 && pad == 1 && h >= 2 && w >= 2 {
             // the input gradient of a stride-1 "same" convolution is the
             // same convolution of grad_out with the kernel rotated by 180°:
-            // the forward's register-accumulating micro-kernel does it
+            // the forward's 3×3 kernel does it, storing the raw sums
             let mut rotated = [0.0f32; 9];
             for (r, &v) in rotated.iter_mut().zip(chan_w.iter().rev()) {
                 *r = v;
             }
-            depthwise3x3_s1p1(chan_go, &rotated, chan_gin, h, w);
+            let rotated_conv = Sample {
+                input: chan_go,
+                weights: &rotated,
+                post: Post::RAW,
+                c: 1,
+                h,
+                w,
+                stride: 1,
+            };
+            conv3x3(&rotated_conv, chan_gin);
             grad_w_3x3_s1p1(chan_in, chan_go, chan_gw, h, w);
         } else {
             backward_generic(
@@ -332,7 +986,9 @@ pub fn depthwise_conv2d_backward(
             );
         }
         if pad > 0 && !go_sum.is_finite() {
-            add_padding_products(chan_go, chan_gw, h, w, k, stride, pad, oh, ow);
+            for_each_padding_tap(h, w, k, stride, pad, oh, ow, |tap, o| {
+                chan_gw[tap] += chan_go[o] * 0.0;
+            });
         }
     }
 }
@@ -415,49 +1071,15 @@ fn backward_generic(
     }
 }
 
-/// Adds, per tap, the `grad_out · 0` products of the output positions whose
-/// sampled input lies in the padding — exactly the terms the im2col
-/// formulation computes and the direct loops skip. They are zero unless
-/// `grad_out` holds a NaN or an infinity there, so only a channel whose
-/// `grad_out` sum is not finite calls this.
-#[allow(clippy::too_many_arguments)]
-fn add_padding_products(
-    chan_go: &[f32],
-    chan_gw: &mut [f32],
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    oh: usize,
-    ow: usize,
-) {
-    for ki in 0..k {
-        let (oi_lo, oi_hi) = valid_out_range(h, ki, stride, pad, oh);
-        for kj in 0..k {
-            let (oj_lo, oj_hi) = valid_out_range(w, kj, stride, pad, ow);
-            let mut acc = 0.0f32;
-            for oi in 0..oh {
-                let row_valid = (oi_lo..oi_hi).contains(&oi);
-                for oj in 0..ow {
-                    if !(row_valid && (oj_lo..oj_hi).contains(&oj)) {
-                        acc += chan_go[oi * ow + oj] * 0.0;
-                    }
-                }
-            }
-            chan_gw[ki * k + kj] += acc;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::EpilogueAct;
+    use crate::isa::supported_tiers;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Scalar per-pixel depthwise reference.
+    /// Scalar per-pixel depthwise reference with the im2col formulation's
+    /// padding semantics: a padded tap multiplies the weight by zero.
     #[allow(clippy::too_many_arguments)]
     fn reference(
         input: &[f32],
@@ -481,9 +1103,11 @@ mod tests {
                         for kj in 0..k {
                             let ii = (oi * stride + ki) as isize - pad as isize;
                             let jj = (oj * stride + kj) as isize - pad as isize;
+                            let wv = weights[(ci * k + ki) * k + kj];
                             if ii >= 0 && ii < h as isize && jj >= 0 && jj < w as isize {
-                                acc += weights[(ci * k + ki) * k + kj]
-                                    * input[ci * h * w + ii as usize * w + jj as usize];
+                                acc += wv * input[ci * h * w + ii as usize * w + jj as usize];
+                            } else {
+                                acc += wv * 0.0;
                             }
                         }
                     }
@@ -543,6 +1167,7 @@ mod tests {
             EpilogueAct::Relu,
             EpilogueAct::LeakyRelu(0.1),
             EpilogueAct::Relu6,
+            EpilogueAct::HardSwish,
         ] {
             let ep = Epilogue {
                 scale: &scale,
@@ -576,6 +1201,179 @@ mod tests {
                         (e - g).abs() <= 1e-5 * e.abs().max(1.0),
                         "{act:?}: element {i}: {e} vs {g}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The bits of `v`, with every NaN collapsed to one pattern (which
+    /// operand's payload a NaN result carries is not something Rust pins).
+    fn bits(v: &[f32]) -> Vec<u32> {
+        let canon = |x: &f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+        v.iter().map(canon).collect()
+    }
+
+    /// `None` (the bias path) and every epilogue activation.
+    const POSTS: [Option<EpilogueAct>; 6] = [
+        None,
+        Some(EpilogueAct::None),
+        Some(EpilogueAct::Relu),
+        Some(EpilogueAct::LeakyRelu(0.1)),
+        Some(EpilogueAct::Relu6),
+        Some(EpilogueAct::HardSwish),
+    ];
+
+    /// One 3×3 pad-1 forward on `tier`, with `post` as in [`POSTS`].
+    #[allow(clippy::too_many_arguments)]
+    fn run_on(
+        tier: Isa,
+        input: &[f32],
+        weights: &[f32],
+        affine: (&[f32], &[f32]),
+        post: Option<EpilogueAct>,
+        (c, h, w, stride): (usize, usize, usize, usize),
+    ) -> Vec<f32> {
+        let (oh, ow) = ((h - 1) / stride + 1, (w - 1) / stride + 1);
+        let mut out = vec![7.0f32; c * oh * ow];
+        let ep = post.map(|act| Epilogue {
+            scale: affine.0,
+            shift: affine.1,
+            act,
+        });
+        force_tier(Some(tier));
+        depthwise_conv2d(
+            input, weights, affine.1, ep, &mut out, c, h, w, 3, stride, 1,
+        );
+        force_tier(None);
+        out
+    }
+
+    #[test]
+    fn vector_tiers_equal_the_portable_tier_bit_for_bit() {
+        const EXTENTS: [usize; 11] = [1, 2, 3, 4, 7, 8, 15, 16, 17, 31, 33];
+        let mut rng = StdRng::seed_from_u64(31);
+        for tier in supported_tiers() {
+            for stride in [1usize, 2] {
+                for (h, w, c) in EXTENTS
+                    .iter()
+                    .flat_map(|&h| EXTENTS.iter().map(move |&w| (h, w)))
+                    .flat_map(|(h, w)| [1usize, 3].map(|c| (h, w, c)))
+                {
+                    // signed zeros ride along: a skipped tap and a product
+                    // by zero differ exactly there
+                    let mut input = rand_vec(&mut rng, c * h * w);
+                    for v in input.iter_mut() {
+                        if rng.gen_bool(0.1) {
+                            *v = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+                        }
+                    }
+                    let weights = rand_vec(&mut rng, c * 9);
+                    let (scale, shift) = (rand_vec(&mut rng, c), rand_vec(&mut rng, c));
+                    for post in POSTS {
+                        let dims = (c, h, w, stride);
+                        let affine = (&scale[..], &shift[..]);
+                        let expect = run_on(Isa::Portable, &input, &weights, affine, post, dims);
+                        let got = run_on(tier, &input, &weights, affine, post, dims);
+                        assert_eq!(
+                            bits(&expect),
+                            bits(&got),
+                            "{tier:?} s={stride} {h}x{w} c={c} {post:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zeros_come_out_as_the_tap_loops_left_them() {
+        // nine products of -0.0: summed from the first product they stay
+        // -0.0, summed from a +0.0 accumulator they become +0.0. The loops
+        // this kernel replaced did the former on the interior rows of a
+        // stride-1 channel and the latter everywhere else; an identity
+        // epilogue (·1, + -0.0) shows which one ran
+        let (h, w) = (5usize, 5usize);
+        let (input, weights) = (vec![0.0f32; h * w], vec![-1.0f32; 9]);
+        let affine = (&[1.0f32][..], &[-0.0f32][..]);
+        for tier in supported_tiers() {
+            for stride in [1usize, 2] {
+                let dims = (1, h, w, stride);
+                let got = run_on(
+                    tier,
+                    &input,
+                    &weights,
+                    affine,
+                    Some(EpilogueAct::None),
+                    dims,
+                );
+                let ow = (w - 1) / stride + 1;
+                for (i, v) in got.iter().enumerate() {
+                    let interior_row = stride == 1 && (1..h - 1).contains(&(i / ow));
+                    assert_eq!(
+                        v.to_bits(),
+                        if interior_row { -0.0f32 } else { 0.0f32 }.to_bits(),
+                        "{tier:?} s={stride} element {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_pixels_and_weights_land_where_im2col_puts_them_on_every_tier() {
+        let mut rng = StdRng::seed_from_u64(32);
+        let tiers: Vec<Isa> = supported_tiers().collect();
+        for (stride, h, w) in [
+            (1usize, 6usize, 7usize),
+            (2, 6, 7),
+            (1, 16, 16),
+            (2, 16, 16),
+        ] {
+            let c = 3;
+            let zero_bias = vec![0.0f32; c];
+            let (scale, shift) = (rand_vec(&mut rng, c), rand_vec(&mut rng, c));
+            // channel 1 is poisoned: a border or interior pixel, or a border
+            // (corner, edge) or centre tap weight
+            let pixels = [0, w - 1, (h - 1) * w, h * w - 1, (h / 2) * w + w / 2];
+            let sites = pixels
+                .map(|at| (true, at))
+                .into_iter()
+                .chain([0usize, 1, 5, 8, 4].map(|tap| (false, tap)));
+            for (in_input, at) in sites {
+                for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut input = rand_vec(&mut rng, c * h * w);
+                    let mut weights = rand_vec(&mut rng, c * 9);
+                    if in_input {
+                        input[h * w + at] = value;
+                    } else {
+                        weights[9 + at] = value;
+                    }
+                    let plain = reference(&input, &weights, &zero_bias, c, h, w, 3, stride, 1);
+                    let channel = plain.len() / c;
+                    for post in POSTS {
+                        let expect: Vec<f32> = match post {
+                            None => plain
+                                .iter()
+                                .enumerate()
+                                .map(|(i, p)| p + shift[i / channel])
+                                .collect(),
+                            Some(act) => plain
+                                .iter()
+                                .enumerate()
+                                .map(|(i, p)| {
+                                    act.apply(p * scale[i / channel] + shift[i / channel])
+                                })
+                                .collect(),
+                        };
+                        for &tier in &tiers {
+                            let dims = (c, h, w, stride);
+                            let got = run_on(tier, &input, &weights, (&scale, &shift), post, dims);
+                            let what = format!(
+                                "{tier:?} s={stride} {h}x{w} input={in_input} at={at} {value} {post:?}"
+                            );
+                            assert_close_or_both_nan(&expect, &got, &what);
+                        }
+                    }
                 }
             }
         }

@@ -41,6 +41,7 @@
 // design; iterator chains there obscure the tiling and hurt codegen
 #![allow(clippy::needless_range_loop)]
 
+use crate::isa::{isa, Isa};
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 use std::cell::RefCell;
@@ -57,13 +58,21 @@ pub enum EpilogueAct {
     LeakyRelu(f32),
     /// `min(max(0, x), 6)` — the mobile-zoo clipped ReLU.
     Relu6,
+    /// MobileNetV3 hard-swish, `x · clamp((x + 3) / 6, 0, 1)`, with the
+    /// division written as a multiplication by `1/6`: every kernel tier
+    /// computes this same form, one rounding away from the stand-alone
+    /// layer's quotient (inside the fused-vs-unfused parity tolerance).
+    HardSwish,
 }
+
+/// `1/6` as the hard-swish epilogue multiplies by it.
+const SIXTH: f32 = 1.0 / 6.0;
 
 impl EpilogueAct {
     /// Applies the activation to a single value (the scalar reference the
     /// SIMD store loops must match, including on NaN: ReLU maps NaN to 0
-    /// like `f32::max`, LeakyReLU and ReLU6 propagate it like the
-    /// corresponding unfused activation layers).
+    /// like `f32::max`; LeakyReLU, ReLU6 and hard-swish propagate it like
+    /// the corresponding unfused activation layers).
     #[inline]
     pub fn apply(self, v: f32) -> f32 {
         match self {
@@ -77,6 +86,7 @@ impl EpilogueAct {
                 }
             }
             EpilogueAct::Relu6 => v.clamp(0.0, 6.0),
+            EpilogueAct::HardSwish => v * ((v + 3.0) * SIXTH).clamp(0.0, 1.0),
         }
     }
 }
@@ -112,10 +122,9 @@ impl<'a> Epilogue<'a> {
         }
     }
 
-    /// Applies the epilogue to one scalar at output row `row` (shared with
-    /// the depthwise backend, whose store loop is scalar).
+    /// Applies the epilogue to one scalar at output row `row`.
     #[inline]
-    pub(crate) fn apply_scalar(&self, row: usize, v: f32) -> f32 {
+    fn apply_scalar(&self, row: usize, v: f32) -> f32 {
         self.act.apply(v * self.scale[row] + self.shift[row])
     }
 }
@@ -126,17 +135,28 @@ impl<'a> Epilogue<'a> {
 /// scale/shift).
 #[inline]
 fn store_edge_row(dst: &mut [f32], src: &[f32], row: usize, ep: Option<Epilogue<'_>>) {
-    match ep {
-        None => {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
+    /// `dst = act((dst + src) · scale + shift)`, compiled once per `act`.
+    #[inline(always)]
+    fn store(dst: &mut [f32], src: &[f32], (scale, shift): (f32, f32), act: impl Fn(f32) -> f32) {
+        for (d, s) in dst.iter_mut().zip(src.iter()) {
+            *d = act((*d + s) * scale + shift);
         }
-        Some(e) => {
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d = e.apply_scalar(row, *d + s);
-            }
+    }
+    let Some(e) = ep else {
+        for (d, s) in dst.iter_mut().zip(src.iter()) {
+            *d += s;
         }
+        return;
+    };
+    // the activation is resolved per row, not per element, so each loop
+    // vectorises (the mobile zoo's small maps store every tile through here)
+    let affine = (e.scale[row], e.shift[row]);
+    match e.act {
+        EpilogueAct::None => store(dst, src, affine, |v| v),
+        EpilogueAct::Relu => store(dst, src, affine, |v| EpilogueAct::Relu.apply(v)),
+        EpilogueAct::Relu6 => store(dst, src, affine, |v| EpilogueAct::Relu6.apply(v)),
+        EpilogueAct::HardSwish => store(dst, src, affine, |v| EpilogueAct::HardSwish.apply(v)),
+        act @ EpilogueAct::LeakyRelu(_) => store(dst, src, affine, |v| act.apply(v)),
     }
 }
 
@@ -191,35 +211,6 @@ thread_local! {
     /// [`gemm`], since a parallel gemm may run unrelated pool tasks on this
     /// thread while waiting.
     static TRANSPOSE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Which micro-kernel the running CPU supports.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Isa {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Portable,
-}
-
-fn detect_isa() -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            return Isa::Avx512;
-        }
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return Isa::Avx2;
-        }
-    }
-    Isa::Portable
-}
-
-fn isa() -> Isa {
-    use std::sync::OnceLock;
-    static ISA: OnceLock<Isa> = OnceLock::new();
-    *ISA.get_or_init(detect_isa)
 }
 
 // ---------------------------------------------------------------------------
@@ -306,6 +297,17 @@ unsafe fn kernel_avx512_direct(
                             let clamped = _mm512_mask_blend_ps(lt, val, zero);
                             _mm512_mask_blend_ps(gt, clamped, six)
                         }
+                        EpilogueAct::HardSwish => {
+                            let one = _mm512_set1_ps(1.0);
+                            let t = _mm512_mul_ps(
+                                _mm512_add_ps(val, _mm512_set1_ps(3.0)),
+                                _mm512_set1_ps(SIXTH),
+                            );
+                            // max/min return their second operand on NaN,
+                            // so this order is `t.clamp(0, 1)` exactly
+                            let clamped = _mm512_min_ps(one, _mm512_max_ps(zero, t));
+                            _mm512_mul_ps(val, clamped)
+                        }
                     };
                     _mm512_storeu_ps(ptr, val);
                 }
@@ -381,6 +383,16 @@ unsafe fn kernel_avx2_direct(
                                 let gt = _mm256_cmp_ps(val, six, _CMP_GT_OQ);
                                 let clamped = _mm256_blendv_ps(val, zero, lt);
                                 _mm256_blendv_ps(clamped, six, gt)
+                            }
+                            EpilogueAct::HardSwish => {
+                                let one = _mm256_set1_ps(1.0);
+                                let t = _mm256_mul_ps(
+                                    _mm256_add_ps(val, _mm256_set1_ps(3.0)),
+                                    _mm256_set1_ps(SIXTH),
+                                );
+                                // (operand order as in the AVX-512 kernel)
+                                let clamped = _mm256_min_ps(one, _mm256_max_ps(zero, t));
+                                _mm256_mul_ps(val, clamped)
                             }
                         };
                         _mm256_storeu_ps(ptr, val);
@@ -1895,6 +1907,7 @@ mod tests {
             EpilogueAct::Relu,
             EpilogueAct::LeakyRelu(0.1),
             EpilogueAct::Relu6,
+            EpilogueAct::HardSwish,
         ];
         // shapes covering: full/partial tiles, full/edge strips, the
         // small-m direct path (m <= 64), the packed big-m path, and
@@ -1972,6 +1985,7 @@ mod tests {
             EpilogueAct::Relu,
             EpilogueAct::LeakyRelu(0.1),
             EpilogueAct::Relu6,
+            EpilogueAct::HardSwish,
         ] {
             let ep = Epilogue {
                 scale: &scale,
@@ -2030,6 +2044,9 @@ mod tests {
             (EpilogueAct::Relu, 2.0, 2.0),
             (EpilogueAct::LeakyRelu(0.5), -2.0, -1.0),
             (EpilogueAct::Relu6, 9.0, 6.0),
+            (EpilogueAct::HardSwish, -4.0, 0.0),
+            (EpilogueAct::HardSwish, 3.0, 3.0),
+            (EpilogueAct::HardSwish, 5.0, 5.0),
         ] {
             let scale = vec![input; 4];
             let shift = vec![0.0f32; 4];
@@ -2176,6 +2193,7 @@ mod tests {
                 EpilogueAct::Relu,
                 EpilogueAct::LeakyRelu(0.1),
                 EpilogueAct::Relu6,
+                EpilogueAct::HardSwish,
             ] {
                 let ep = Epilogue {
                     scale: &scale,

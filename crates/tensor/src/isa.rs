@@ -1,0 +1,52 @@
+//! Which vector instruction set the running CPU offers — the one runtime
+//! decision every ISA-dispatched kernel in this crate ([`crate::gemm`]'s
+//! micro-kernels, the 3×3 depthwise kernels) is taken behind. Detected once
+//! per process; the build stays a plain portable target.
+
+/// The kernel tier the running CPU supports.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Isa {
+    /// AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    /// AVX2 with FMA.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// No vector extension assumed.
+    Portable,
+}
+
+impl Isa {
+    /// Whether this CPU can run the tier (every CPU runs the portable one;
+    /// an AVX-512 host also runs the AVX2 tier).
+    pub(crate) fn supported(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            Isa::Portable => true,
+        }
+    }
+}
+
+/// Every tier, best first.
+const TIERS: &[Isa] = &[
+    #[cfg(target_arch = "x86_64")]
+    Isa::Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Isa::Avx2,
+    Isa::Portable,
+];
+
+/// The tiers this CPU can run, best first (the portable one is always last).
+pub(crate) fn supported_tiers() -> impl Iterator<Item = Isa> {
+    TIERS.iter().copied().filter(|tier| tier.supported())
+}
+
+/// The best tier this CPU supports (detected on first use).
+pub(crate) fn isa() -> Isa {
+    use std::sync::OnceLock;
+    static ISA: OnceLock<Isa> = OnceLock::new();
+    *ISA.get_or_init(|| supported_tiers().next().unwrap_or(Isa::Portable))
+}

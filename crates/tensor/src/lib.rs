@@ -19,9 +19,10 @@
 //! [`depthwise_conv2d_backward`]) — sharing the GEMM epilogue's fused
 //! scale/shift+activation semantics.
 //! The seed's scalar kernels are preserved in [`naive`] as the correctness
-//! reference. `unsafe` is confined to the SIMD micro-kernels in `gemm.rs`
-//! (see that module's safety notes); everything else in the crate denies
-//! it.
+//! reference. `unsafe` is confined to the ISA-dispatched kernels — the SIMD
+//! micro-kernels in `gemm.rs` and the vector tiers of the 3×3 depthwise
+//! kernel in `depthwise.rs` (see each module's safety notes); everything
+//! else in the crate denies it.
 //!
 //! ```
 //! use hs_tensor::Tensor;
@@ -33,13 +34,14 @@
 //! ```
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)] // allowed only inside gemm.rs's SIMD micro-kernels
+#![deny(unsafe_code)] // allowed only inside the SIMD kernels of gemm.rs and depthwise.rs
 
 mod depthwise;
 pub mod dtype;
 mod error;
 pub mod gemm;
 mod init;
+mod isa;
 pub mod naive;
 mod ops;
 mod shape;

@@ -10,8 +10,8 @@ use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::evaluate_accuracy;
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{
-    BatchNorm2d, Conv2d, ConvAlgo, CrossEntropyLoss, Layer, LeakyRelu, Network, Relu, Relu6,
-    Sequential, Target,
+    BatchNorm2d, Conv2d, ConvAlgo, CrossEntropyLoss, HardSwish, Layer, LeakyRelu, Network, Relu,
+    Relu6, Sequential, Target,
 };
 use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -28,6 +28,25 @@ fn assert_close(a: &Tensor, b: &Tensor, ctx: &str) {
             (x - y).abs() <= REL_TOL * x.abs().max(y.abs()).max(1.0),
             "{ctx}: element {i}: {x} vs {y}"
         );
+    }
+}
+
+/// [`assert_close`] at tolerance `tol` for outputs that may hold NaNs, which
+/// must sit in exactly the same places.
+fn assert_close_with_nans(got: &Tensor, expect: &Tensor, tol: f32, ctx: &str) {
+    assert_eq!(got.dims(), expect.dims(), "{ctx}: shape mismatch");
+    for (i, (a, b)) in got.as_slice().iter().zip(expect.as_slice()).enumerate() {
+        assert_eq!(
+            a.is_nan(),
+            b.is_nan(),
+            "{ctx}: element {i}: NaN divergence {a} vs {b}"
+        );
+        if !a.is_nan() {
+            assert!(
+                (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0),
+                "{ctx}: element {i}: {a} vs {b}"
+            );
+        }
     }
 }
 
@@ -56,6 +75,7 @@ fn conv_stack(
             1 => layers.push(Box::new(Relu::new())),
             2 => layers.push(Box::new(LeakyRelu::new(0.1))),
             3 => layers.push(Box::new(Relu6::new())),
+            4 => layers.push(Box::new(HardSwish::new())),
             _ => {}
         }
         Network::new(Sequential::new(layers))
@@ -90,7 +110,7 @@ fn fused_conv_bn_act_matches_unfused_across_configs() {
     ];
     for (case, &(cin, cout, k, s, p, g, h, w)) in configs.iter().enumerate() {
         for with_bn in [true, false] {
-            for act in 0..4usize {
+            for act in 0..5usize {
                 let seed = 1000 + case as u64 * 16 + act as u64 + if with_bn { 8 } else { 0 };
                 let (mut reference, mut fused) =
                     conv_stack(seed, cin, cout, k, s, p, g, with_bn, act);
@@ -140,7 +160,7 @@ fn fused_paths_match_unfused_on_every_forced_conv_backend() {
     ];
     for algo in [ConvAlgo::Im2colGemm, ConvAlgo::DirectDepthwise] {
         for (case, &(cin, cout, k, s, p, g, h, w)) in configs.iter().enumerate() {
-            for act in 0..4usize {
+            for act in 0..5usize {
                 let seed = 7000 + case as u64 * 8 + act as u64;
                 let (mut reference, mut fused) = conv_stack(seed, cin, cout, k, s, p, g, true, act);
                 let x_warm = Tensor::rand_uniform(&[2, cin, h, w], -1.0, 1.0, &mut rng);
@@ -171,8 +191,9 @@ fn fused_paths_match_unfused_on_every_forced_conv_backend() {
 fn depthwise_backend_propagates_nan_like_the_unfused_path() {
     // a NaN pixel must flow through the direct depthwise kernel — fused
     // epilogue included — exactly as through the unfused conv+bn+act stack
-    // (ReLU maps NaN to 0 like f32::max; LeakyReLU propagates it)
-    for act in [1usize, 2] {
+    // (ReLU maps NaN to 0 like f32::max; LeakyReLU and hard-swish propagate
+    // it)
+    for act in [1usize, 2, 4] {
         let (mut reference, mut fused) = conv_stack(91, 4, 4, 3, 1, 1, 4, true, act);
         let mut rng = StdRng::seed_from_u64(92);
         let x_warm = Tensor::rand_uniform(&[2, 4, 8, 8], -1.0, 1.0, &mut rng);
@@ -188,18 +209,49 @@ fn depthwise_backend_propagates_nan_like_the_unfused_path() {
             expect.as_slice().iter().any(|v| v.is_nan()) || act == 1,
             "test setup: the NaN should reach the output unless ReLU clears it"
         );
-        for (i, (a, b)) in got.as_slice().iter().zip(expect.as_slice()).enumerate() {
-            assert_eq!(
-                a.is_nan(),
-                b.is_nan(),
-                "act={act}: element {i}: NaN divergence {a} vs {b}"
+        assert_close_with_nans(&got, &expect, 1e-3, &format!("act={act}"));
+    }
+}
+
+#[test]
+fn fused_hard_swish_propagates_nan_like_the_unfused_path_on_every_conv_kind() {
+    // hard-swish rides the GEMM store loops (dense, pointwise) and the
+    // depthwise epilogue; a NaN pixel must come out of each exactly where
+    // the stand-alone conv -> bn -> hard-swish stack puts it
+    // (cin, cout, kernel, stride, pad, groups)
+    for (case, &(cin, cout, k, s, p, g)) in [
+        (4usize, 6usize, 3usize, 1usize, 1usize, 1usize), // dense 3×3
+        (4, 6, 1, 1, 0, 1),                               // pointwise
+        (4, 4, 3, 1, 1, 4),                               // depthwise
+        (4, 4, 3, 2, 1, 4),                               // strided depthwise
+    ]
+    .iter()
+    .enumerate()
+    {
+        let (mut reference, mut fused) =
+            conv_stack(95 + case as u64, cin, cout, k, s, p, g, true, 4);
+        let mut rng = StdRng::seed_from_u64(96);
+        let x_warm = Tensor::rand_uniform(&[2, cin, 8, 8], -1.0, 1.0, &mut rng);
+        warm_bn(&mut reference, &mut fused, &x_warm);
+        fused.fuse_inference();
+
+        let mut x = Tensor::rand_uniform(&[2, cin, 8, 8], -1.5, 1.5, &mut rng);
+        *x.at_mut(&[1, 1, 0, 3]) = f32::NAN;
+        let expect = reference.forward(&x, false);
+        assert!(
+            expect.as_slice().iter().any(|v| v.is_nan()),
+            "test setup: the NaN should reach the output"
+        );
+        for (path, got) in [
+            ("fused", fused.forward(&x, false)),
+            ("plan", fused.infer(&x).clone()),
+        ] {
+            assert_close_with_nans(
+                &got,
+                &expect,
+                REL_TOL,
+                &format!("k={k} s={s} g={g} [{path}]"),
             );
-            if !a.is_nan() {
-                assert!(
-                    (a - b).abs() <= 1e-3 * a.abs().max(b.abs()).max(1.0),
-                    "act={act}: element {i}: {a} vs {b}"
-                );
-            }
         }
     }
 }

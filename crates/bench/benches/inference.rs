@@ -1,16 +1,18 @@
-//! End-to-end inference benchmarks for the fused engine (PR 2).
+//! End-to-end inference benchmarks for the fused engine.
 //!
-//! Three rungs per model, so one run shows where the time goes:
+//! Every rung runs the one inference body per layer (`Layer::infer`); they
+//! differ in what was fused and in whether the workspace is kept:
 //!
-//! * `*_unfused`   — the layer-at-a-time path: conv, then a full-tensor
-//!   batch-norm pass, then a full-tensor activation pass, each allocating
-//!   its output;
-//! * `*_fused`     — after `Network::fuse_inference()`: conv+BN+activation
-//!   collapsed into one GEMM with the scale/shift+activation epilogue in the
-//!   micro-kernel store loop;
-//! * `*_fused_plan` — the fused network driven through `Network::infer`'s
-//!   ping-pong arena, so steady-state forwards also stop allocating
-//!   activation tensors.
+//! * `*_unfused`   — `forward(x, false)` on the unfused network: conv, then
+//!   a full-tensor batch-norm pass, then a full-tensor activation pass, on a
+//!   cold workspace (every buffer the pass needs is allocated inside it);
+//! * `*_fused`     — the same cold-workspace call after
+//!   `Network::fuse_inference()`: conv+BN+activation collapsed into one GEMM
+//!   with the scale/shift+activation epilogue in the micro-kernel store
+//!   loop;
+//! * `*_fused_plan` — the fused network through `Network::infer`, i.e. over
+//!   the network's own warm workspace, so steady-state forwards also stop
+//!   allocating.
 //!
 //! `inference/eval_accuracy_*` measures the FL-facing quantity: whole-batch
 //! sharded evaluation over the `hs_parallel` pool (run with
@@ -99,9 +101,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     c.bench_function("inference/mobilenet_b8_fused_plan_im2col", |b| {
         b.iter(|| fused_im2col.infer(black_box(&x)).len())
     });
-    // ...and without the forward plan: layer-at-a-time through the blocks'
-    // allocating forward, i.e. the closest same-run stand-in for the PR 2
-    // fused path (whose plan arena did not reach inside composite blocks)
+    // ...and the same body on a cold workspace (`forward(x, false)`), so
+    // every pass pays its allocations: the closest same-run stand-in for
+    // the PR 2 fused path, which allocated inside the composite blocks
     c.bench_function("inference/mobilenet_b8_fused_im2col", |b| {
         b.iter(|| fused_im2col.forward(black_box(&x), false))
     });

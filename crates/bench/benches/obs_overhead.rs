@@ -108,7 +108,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(1);
     let sample = Tensor::rand_uniform(&[ECG_INPUT], 0.0, 1.0, &mut rng);
 
-    // warm-up: plan arenas, crossover probes, batcher steady state — and
+    // warm-up: workspaces, crossover probes, batcher steady state — and
     // one traced pass so the per-thread trace rings are allocated (and
     // pooled for reuse) before anything is timed
     hs_obs::trace::set_enabled(false);

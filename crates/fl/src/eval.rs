@@ -1,36 +1,21 @@
 //! Evaluation helpers for trained (global) models.
 //!
 //! Whole evaluation batches are sharded across the shared [`hs_parallel`]
-//! pool against one `&Network` (layers expose a shared-state inference path
-//! via `Layer::forward_eval`), so per-device evaluation in the FL simulator
-//! scales with cores without cloning model weights: every (test set, batch)
-//! pair of a sweep is one item of a single work-conserving fan-out
-//! ([`hs_parallel::for_each_claimed`]). Models containing a custom layer
-//! without a shared-state path — found by a one-sample probe, once per
-//! sweep — fall back to the serial exclusive-access loop.
+//! pool against one `&Network` ([`Network::infer_with`], one
+//! [`Workspace`] per claiming loop), so per-device evaluation in the FL
+//! simulator scales with cores without cloning model weights: every (test
+//! set, batch) pair of a sweep is one item of a single work-conserving
+//! fan-out ([`hs_parallel::for_each_claimed`]).
 
 use hs_data::{Dataset, Labels};
 use hs_metrics::{accuracy, average_precision, GroupAccuracy};
-use hs_nn::Network;
+use hs_nn::{Network, Workspace};
 use hs_parallel::sync;
 use std::sync::Mutex;
 
 /// Maximum evaluation batch size (keeps peak memory bounded and is the
 /// sharding granule for the parallel path).
 const EVAL_BATCH: usize = 32;
-
-/// Stacks the samples `start..end` and runs the shared-state inference
-/// forward.
-fn batch_logits(
-    net: &Network,
-    data: &Dataset,
-    start: usize,
-    end: usize,
-) -> Option<hs_tensor::Tensor> {
-    let indices: Vec<usize> = (start..end).collect();
-    let (x, _) = data.batch(&indices);
-    net.forward_eval(&x)
-}
 
 /// Runs `consume(set, start, logits)` for every `EVAL_BATCH`-sized batch of
 /// every dataset in `sets`, all (set, batch) pairs fanned out together over
@@ -39,11 +24,7 @@ fn batch_logits(
 /// `hs_parallel::set_num_threads` stays an effective knob for the
 /// eval-scaling bench. `consume` writes into disjoint per-batch regions via
 /// interior indexing, so it must be callable concurrently.
-///
-/// Returns `false` if the model has no shared-state path (probed with one
-/// sample, before any parallel work is queued) — the caller must then run
-/// its serial fallback.
-fn for_each_batch_logits<F>(net: &Network, sets: &[&Dataset], consume: F) -> bool
+fn for_each_batch_logits<F>(net: &Network, sets: &[&Dataset], consume: F)
 where
     F: Fn(usize, usize, &hs_tensor::Tensor) + Sync,
 {
@@ -56,26 +37,21 @@ where
                 .map(move |start| (set, start))
         })
         .collect();
-    let Some(&(probe_set, _)) = batches.first() else {
-        return true;
-    };
-    if batch_logits(net, sets[probe_set], 0, 1).is_none() {
-        return false;
-    }
     hs_parallel::for_each_claimed(
         batches.len(),
         hs_parallel::num_threads(),
-        || (),
-        |_, claimed| {
+        Workspace::new,
+        |ws, claimed| {
             let (set, start) = batches[claimed];
             let data = sets[set];
             let end = (start + EVAL_BATCH).min(data.len());
-            let logits = batch_logits(net, data, start, end)
-                .expect("shared-state eval support cannot vary across batches");
+            let indices: Vec<usize> = (start..end).collect();
+            let (x, _) = data.batch(&indices);
+            let logits = net.infer_with(&x, ws);
             consume(set, start, &logits);
+            ws.give(logits);
         },
     );
-    true
 }
 
 /// The class labels of `data`.
@@ -92,33 +68,16 @@ fn class_labels(data: &Dataset) -> &[usize] {
 
 /// Predicted classes for every sample of every dataset in `sets`, one sweep
 /// over all of them.
-fn predict_classes(net: &mut Network, sets: &[&Dataset]) -> Vec<Vec<usize>> {
+fn predict_classes(net: &Network, sets: &[&Dataset]) -> Vec<Vec<usize>> {
     let predictions: Vec<Mutex<Vec<usize>>> = sets
         .iter()
         .map(|data| Mutex::new(vec![0usize; data.len()]))
         .collect();
-    let sharded = for_each_batch_logits(net, sets, |set, start, logits| {
+    for_each_batch_logits(net, sets, |set, start, logits| {
         let preds = logits.argmax_rows();
         sync::lock(&predictions[set])[start..start + preds.len()].copy_from_slice(&preds);
     });
-    if sharded {
-        return predictions.into_iter().map(sync::into_inner).collect();
-    }
-    // serial fallback for models without a shared-state eval path
-    sets.iter()
-        .map(|data| {
-            let mut predictions = Vec::with_capacity(data.len());
-            let mut start = 0;
-            while start < data.len() {
-                let end = (start + EVAL_BATCH).min(data.len());
-                let indices: Vec<usize> = (start..end).collect();
-                let (x, _) = data.batch(&indices);
-                predictions.extend(net.predict_classes(&x));
-                start = end;
-            }
-            predictions
-        })
-        .collect()
+    predictions.into_iter().map(sync::into_inner).collect()
 }
 
 /// Classification accuracy of `net` on a dataset with class labels.
@@ -138,43 +97,25 @@ pub fn evaluate_accuracy(net: &mut Network, data: &Dataset) -> f32 {
 ///
 /// Panics if the dataset does not carry multi-hot labels.
 pub fn evaluate_average_precision(net: &mut Network, data: &Dataset) -> f32 {
-    let hot = match &data.labels {
-        Labels::MultiHot(h) => h.clone(),
-        _ => panic!("evaluate_average_precision requires multi-hot labels"),
+    let Labels::MultiHot(hot) = &data.labels else {
+        panic!("evaluate_average_precision requires multi-hot labels");
     };
     if data.is_empty() {
         return 0.0;
     }
-    let per_sample_ap = |start: usize, logits: &hs_tensor::Tensor, aps: &mut [f32]| {
-        let (n, l) = (logits.dims()[0], logits.dims()[1]);
-        for i in 0..n {
-            let scores: Vec<f32> = (0..l).map(|j| logits.at(&[i, j])).collect();
-            let relevant: Vec<bool> = hot[start + i].iter().map(|&v| v > 0.5).collect();
-            aps[i] = average_precision(&scores, &relevant);
-        }
-    };
     let aps = Mutex::new(vec![0.0f32; data.len()]);
-    let sharded = for_each_batch_logits(net, &[data], |_, start, logits| {
-        let mut local = vec![0.0f32; logits.dims()[0]];
-        per_sample_ap(start, logits, &mut local);
-        let mut guard = sync::lock(&aps);
-        guard[start..start + local.len()].copy_from_slice(&local);
+    for_each_batch_logits(net, &[data], |_, start, logits| {
+        let (n, l) = (logits.dims()[0], logits.dims()[1]);
+        let local: Vec<f32> = (0..n)
+            .map(|i| {
+                let scores: Vec<f32> = (0..l).map(|j| logits.at(&[i, j])).collect();
+                let relevant: Vec<bool> = hot[start + i].iter().map(|&v| v > 0.5).collect();
+                average_precision(&scores, &relevant)
+            })
+            .collect();
+        sync::lock(&aps)[start..start + n].copy_from_slice(&local);
     });
-    if sharded {
-        let aps = sync::into_inner(aps);
-        return aps.iter().sum::<f32>() / aps.len() as f32;
-    }
-    // serial fallback
-    let mut aps = vec![0.0f32; data.len()];
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + EVAL_BATCH).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let (x, _) = data.batch(&indices);
-        let logits = net.forward(&x, false);
-        per_sample_ap(start, &logits, &mut aps[start..end]);
-        start = end;
-    }
+    let aps = sync::into_inner(aps);
     aps.iter().sum::<f32>() / aps.len() as f32
 }
 
@@ -189,39 +130,19 @@ pub fn evaluate_heart_rate(
     data: &Dataset,
     denormalize: f32,
 ) -> (Vec<f32>, Vec<f32>) {
-    let values = match &data.labels {
-        Labels::Values(v) => v.clone(),
-        _ => panic!("evaluate_heart_rate requires value labels"),
+    let Labels::Values(values) = &data.labels else {
+        panic!("evaluate_heart_rate requires value labels");
     };
     let actual: Vec<f32> = values.iter().map(|v| v * denormalize).collect();
-    if data.is_empty() {
-        return (Vec::new(), actual);
-    }
     let preds = Mutex::new(vec![0.0f32; data.len()]);
-    let sharded = for_each_batch_logits(net, &[data], |_, start, out| {
+    for_each_batch_logits(net, &[data], |_, start, out| {
         let n = out.dims()[0];
         let mut guard = sync::lock(&preds);
         for i in 0..n {
             guard[start + i] = out.at(&[i, 0]) * denormalize;
         }
     });
-    if sharded {
-        return (sync::into_inner(preds), actual);
-    }
-    // serial fallback
-    let mut preds = Vec::with_capacity(data.len());
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + EVAL_BATCH).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let (x, _) = data.batch(&indices);
-        let out = net.forward(&x, false);
-        for i in 0..(end - start) {
-            preds.push(out.at(&[i, 0]) * denormalize);
-        }
-        start = end;
-    }
-    (preds, actual)
+    (sync::into_inner(preds), actual)
 }
 
 /// Per-device-type accuracy of a single model over a list of named test
@@ -250,7 +171,7 @@ pub fn per_device_accuracy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hs_nn::{Layer, Linear, Network as Net, Sequential};
+    use hs_nn::{Linear, Sequential};
     use hs_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -301,7 +222,7 @@ mod tests {
         let data = Dataset::new(x, Labels::Classes(labels.clone()));
         let sharded = evaluate_accuracy(&mut net, &data);
 
-        // serial reference through the exclusive-access path
+        // serial reference through the network's own workspace
         let mut serial_preds = Vec::new();
         let mut start = 0;
         while start < data.len() {
@@ -312,35 +233,6 @@ mod tests {
             start = end;
         }
         assert_eq!(sharded, accuracy(&serial_preds, &labels));
-    }
-
-    /// A layer without a shared-state eval path.
-    struct Opaque;
-    impl Layer for Opaque {
-        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-            input.clone()
-        }
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-            grad_out.clone()
-        }
-        fn name(&self) -> &'static str {
-            "opaque"
-        }
-    }
-
-    #[test]
-    fn unsupported_layers_fall_back_to_serial() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut net = Net::new(Sequential::new(vec![
-            Box::new(Opaque),
-            Box::new(Linear::new(2, 2, &mut rng)),
-        ]));
-        assert!(net.forward_eval(&Tensor::ones(&[1, 2])).is_none());
-        let n = 2 * EVAL_BATCH + 3;
-        let data = Dataset::new(vec![Tensor::ones(&[2]); n], Labels::Classes(vec![0; n]));
-        // must not panic, and must produce a valid accuracy via the fallback
-        let acc = evaluate_accuracy(&mut net, &data);
-        assert!((0.0..=1.0).contains(&acc));
     }
 
     #[test]
@@ -390,8 +282,7 @@ mod tests {
     fn one_sweep_over_many_sets_equals_set_by_set_evaluation() {
         // ragged sets (several batches, a partial batch, one sample, none):
         // the pooled (set, batch) fan-out must score each exactly as a
-        // set-by-set evaluation does — with a shared-state model and with
-        // one that falls back to the serial loop
+        // set-by-set evaluation does
         let set = |n: usize, salt: usize| {
             let x: Vec<Tensor> = (0..n)
                 .map(|i| {
@@ -410,24 +301,17 @@ mod tests {
             .enumerate()
             .map(|(i, &n)| (format!("dev-{i}"), set(n, i)))
             .collect();
-        let mut shared = identity_like_net(4, 4);
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut opaque = Net::new(Sequential::new(vec![
-            Box::new(Opaque),
-            Box::new(Linear::new(4, 4, &mut rng)),
-        ]));
-        for net in [&mut shared, &mut opaque] {
-            let groups = per_device_accuracy(net, &tests);
-            assert_eq!(groups.len(), tests.len());
-            for (group, (device, data)) in groups.iter().zip(&tests) {
-                assert_eq!(&group.group, device);
-                assert_eq!(
-                    group.accuracy.to_bits(),
-                    evaluate_accuracy(net, data).to_bits(),
-                    "{device}"
-                );
-            }
-            assert_eq!(groups[2].accuracy, 0.0, "an empty set scores zero");
+        let mut net = identity_like_net(4, 4);
+        let groups = per_device_accuracy(&mut net, &tests);
+        assert_eq!(groups.len(), tests.len());
+        for (group, (device, data)) in groups.iter().zip(&tests) {
+            assert_eq!(&group.group, device);
+            assert_eq!(
+                group.accuracy.to_bits(),
+                evaluate_accuracy(&mut net, data).to_bits(),
+                "{device}"
+            );
         }
+        assert_eq!(groups[2].accuracy, 0.0, "an empty set scores zero");
     }
 }

@@ -3,11 +3,11 @@
 //! The mobile model zoo relies on the ReLU family plus the hard-swish /
 //! hard-sigmoid pair introduced by MobileNetV3.
 
-use crate::Layer;
+use crate::{Layer, Workspace};
 use hs_tensor::{EpilogueAct, Tensor};
 
 /// Writes `f` applied to every element of `input` into `out` (resized),
-/// the shared allocation-free `forward_into` body of the activations.
+/// the shared [`Layer::infer`] body of the activations.
 fn map_into<F: Fn(f32) -> f32>(input: &Tensor, out: &mut Tensor, f: F) {
     out.resize_to(input.dims());
     for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice().iter()) {
@@ -34,10 +34,8 @@ impl Default for Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         input.map(|x| x.max(0.0))
     }
 
@@ -46,15 +44,8 @@ impl Layer for Relu {
         grad_out.zip(input, |g, x| if x > 0.0 { g } else { 0.0 })
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         map_into(input, out, |x| x.max(0.0));
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(|x| x.max(0.0)))
     }
 
     fn epilogue_act(&self) -> Option<EpilogueAct> {
@@ -86,10 +77,8 @@ impl Default for Relu6 {
 }
 
 impl Layer for Relu6 {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         input.map(|x| x.clamp(0.0, 6.0))
     }
 
@@ -98,15 +87,8 @@ impl Layer for Relu6 {
         grad_out.zip(input, |g, x| if x > 0.0 && x < 6.0 { g } else { 0.0 })
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         map_into(input, out, |x| x.clamp(0.0, 6.0));
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(|x| x.clamp(0.0, 6.0)))
     }
 
     fn epilogue_act(&self) -> Option<EpilogueAct> {
@@ -135,10 +117,8 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         let s = self.slope;
         input.map(|x| if x > 0.0 { x } else { s * x })
     }
@@ -149,17 +129,9 @@ impl Layer for LeakyRelu {
         grad_out.zip(input, |g, x| if x > 0.0 { g } else { s * g })
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         let s = self.slope;
         map_into(input, out, |x| if x > 0.0 { x } else { s * x });
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let s = self.slope;
-        Some(input.map(|x| if x > 0.0 { x } else { s * x }))
     }
 
     fn epilogue_act(&self) -> Option<EpilogueAct> {
@@ -202,12 +174,14 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         let out = input.map(sigmoid_scalar);
-        if train {
-            self.cached_output = Some(out.clone());
-        }
+        self.cached_output = Some(out.clone());
         out
+    }
+
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        map_into(input, out, sigmoid_scalar);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -216,18 +190,6 @@ impl Layer for Sigmoid {
             .as_ref()
             .expect("backward before forward");
         grad_out.zip(out, |g, y| g * y * (1.0 - y))
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(sigmoid_scalar))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, train);
-        } else {
-            map_into(input, out, sigmoid_scalar);
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -256,12 +218,14 @@ impl Default for Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         let out = input.map(f32::tanh);
-        if train {
-            self.cached_output = Some(out.clone());
-        }
+        self.cached_output = Some(out.clone());
         out
+    }
+
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        map_into(input, out, f32::tanh);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -270,18 +234,6 @@ impl Layer for Tanh {
             .as_ref()
             .expect("backward before forward");
         grad_out.zip(out, |g, y| g * (1.0 - y * y))
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(f32::tanh))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, train);
-        } else {
-            map_into(input, out, f32::tanh);
-        }
     }
 
     fn name(&self) -> &'static str {
@@ -313,11 +265,13 @@ pub(crate) fn hard_sigmoid_scalar(x: f32) -> f32 {
 }
 
 impl Layer for HardSigmoid {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         input.map(hard_sigmoid_scalar)
+    }
+
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        map_into(input, out, hard_sigmoid_scalar);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -332,17 +286,6 @@ impl Layer for HardSigmoid {
                 }
             },
         )
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(hard_sigmoid_scalar))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        map_into(input, out, hard_sigmoid_scalar);
     }
 
     fn name(&self) -> &'static str {
@@ -369,11 +312,13 @@ impl Default for HardSwish {
 }
 
 impl Layer for HardSwish {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         input.map(|x| x * hard_sigmoid_scalar(x))
+    }
+
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        map_into(input, out, |x| x * hard_sigmoid_scalar(x));
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -388,17 +333,6 @@ impl Layer for HardSwish {
             };
             g * d
         })
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.map(|x| x * hard_sigmoid_scalar(x)))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        map_into(input, out, |x| x * hard_sigmoid_scalar(x));
     }
 
     fn epilogue_act(&self) -> Option<EpilogueAct> {
@@ -459,30 +393,6 @@ mod tests {
         numerical_check(&mut Relu6::new(), 0.7);
         numerical_check(&mut Relu6::new(), -0.7);
         numerical_check(&mut Relu6::new(), 7.0);
-    }
-
-    #[test]
-    fn forward_into_and_eval_match_forward() {
-        let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 0.5, 2.0, 8.0], &[6]);
-        let mut layers: Vec<Box<dyn Layer>> = vec![
-            Box::new(Relu::new()),
-            Box::new(Relu6::new()),
-            Box::new(LeakyRelu::new(0.1)),
-            Box::new(Sigmoid::new()),
-            Box::new(Tanh::new()),
-            Box::new(HardSigmoid::new()),
-            Box::new(HardSwish::new()),
-        ];
-        for layer in layers.iter_mut() {
-            let expect = layer.forward(&x, false);
-            let mut out = Tensor::zeros(&[0]);
-            layer.forward_into(&x, &mut out, false);
-            assert_eq!(out.as_slice(), expect.as_slice(), "{}", layer.name());
-            let eval = layer
-                .forward_eval(&x)
-                .expect("activations support shared eval");
-            assert_eq!(eval.as_slice(), expect.as_slice(), "{}", layer.name());
-        }
     }
 
     #[test]

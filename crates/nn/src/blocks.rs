@@ -4,7 +4,7 @@
 
 use crate::{
     BatchNorm2d, Conv2d, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, Param, ParamStore,
-    Relu, Sequential,
+    Relu, Sequential, Workspace,
 };
 use hs_tensor::{DType, Tensor};
 use rand::rngs::StdRng;
@@ -16,8 +16,7 @@ fn slice_channels(x: &Tensor, from: usize, to: usize) -> Tensor {
     out
 }
 
-/// [`slice_channels`] into a caller-owned arena tensor (resized in place),
-/// the allocation-free body behind the planned-inference block paths.
+/// [`slice_channels`] into a caller-owned tensor (resized in place).
 fn slice_channels_into(x: &Tensor, from: usize, to: usize, out: &mut Tensor) {
     let dims = x.dims();
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -41,7 +40,7 @@ fn concat_channels(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::concat(&[a, b], 1)
 }
 
-/// [`concat_channels`] into a caller-owned arena tensor (resized in place).
+/// [`concat_channels`] into a caller-owned tensor (resized in place).
 fn concat_channels_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (da, db) = (a.dims(), b.dims());
     assert_eq!(da[0], db[0], "concat batch mismatch");
@@ -74,8 +73,8 @@ impl Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let y = self.body.forward(input, train);
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let y = self.body.forward_train(input);
         assert_eq!(
             y.dims(),
             input.dims(),
@@ -88,14 +87,10 @@ impl Layer for Residual {
         self.body.backward(grad_out).add(grad_out)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
         // the body writes straight into `out`; the skip connection folds the
-        // input in afterwards, in place — no extra arena needed
-        self.body.forward_into(input, out, false);
+        // input in afterwards, in place
+        self.body.infer(input, out, ws);
         assert_eq!(
             out.dims(),
             input.dims(),
@@ -104,16 +99,6 @@ impl Layer for Residual {
         for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
             *o += x;
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let y = self.body.forward_eval(input)?;
-        assert_eq!(
-            y.dims(),
-            input.dims(),
-            "residual body must preserve the input shape"
-        );
-        Some(y.add(input))
     }
 
     fn fuse_inference(&mut self) {
@@ -153,8 +138,6 @@ pub struct SqueezeExcite {
     squeeze: Sequential,
     cached_input: Option<Tensor>,
     cached_scale: Option<Tensor>,
-    /// Arena for the per-channel gates on the planned-inference path.
-    scale_arena: Tensor,
 }
 
 impl SqueezeExcite {
@@ -173,16 +156,15 @@ impl SqueezeExcite {
             squeeze,
             cached_input: None,
             cached_scale: None,
-            scale_arena: Tensor::zeros(&[0]),
         }
     }
 }
 
 impl Layer for SqueezeExcite {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         let dims = input.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let scale = self.squeeze.forward(input, train); // [n, c]
+        let scale = self.squeeze.forward_train(input); // [n, c]
         let s = scale.as_slice();
         let x = input.as_slice();
         let mut out = vec![0.0f32; x.len()];
@@ -196,10 +178,8 @@ impl Layer for SqueezeExcite {
                 }
             }
         }
-        if train {
-            self.cached_input = Some(input.clone());
-            self.cached_scale = Some(scale);
-        }
+        self.cached_input = Some(input.clone());
+        self.cached_scale = Some(scale);
         Tensor::from_vec(out, dims)
     }
 
@@ -235,17 +215,13 @@ impl Layer for SqueezeExcite {
         Tensor::from_vec(grad_direct, dims).add(&grad_through_squeeze)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
         let dims = input.dims();
         let (n, c) = (dims[0], dims[1]);
         let hw = dims[2] * dims[3];
-        self.squeeze
-            .forward_into(input, &mut self.scale_arena, false); // [n, c]
-        let s = self.scale_arena.as_slice();
+        let mut scale = ws.take();
+        self.squeeze.infer(input, &mut scale, ws); // [n, c]
+        let s = scale.as_slice();
         out.resize_to(dims);
         let o = out.as_mut_slice();
         let x = input.as_slice();
@@ -258,26 +234,7 @@ impl Layer for SqueezeExcite {
                 *ov = xv * g;
             }
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let scale = self.squeeze.forward_eval(input)?; // [n, c]
-        let s = scale.as_slice();
-        let x = input.as_slice();
-        let mut out = vec![0.0f32; x.len()];
-        let hw = h * w;
-        for ni in 0..n {
-            for ci in 0..c {
-                let g = s[ni * c + ci];
-                let off = (ni * c + ci) * hw;
-                for i in 0..hw {
-                    out[off + i] = x[off + i] * g;
-                }
-            }
-        }
-        Some(Tensor::from_vec(out, dims))
+        ws.give(scale);
     }
 
     fn fuse_inference(&mut self) {
@@ -385,8 +342,8 @@ impl InvertedResidual {
 }
 
 impl Layer for InvertedResidual {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let y = self.body.forward(input, train);
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let y = self.body.forward_train(input);
         if self.use_skip {
             y.add(input)
         } else {
@@ -403,14 +360,10 @@ impl Layer for InvertedResidual {
         }
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
         // the body writes straight into `out`; the skip connection folds the
         // input in afterwards, in place
-        self.body.forward_into(input, out, false);
+        self.body.infer(input, out, ws);
         if self.use_skip {
             assert_eq!(
                 out.dims(),
@@ -421,11 +374,6 @@ impl Layer for InvertedResidual {
                 *o += x;
             }
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let y = self.body.forward_eval(input)?;
-        Some(if self.use_skip { y.add(input) } else { y })
     }
 
     fn fuse_inference(&mut self) {
@@ -466,10 +414,6 @@ pub struct Fire {
     expand1_channels: usize,
     expand3_channels: usize,
     cached_squeezed: Option<Tensor>,
-    /// Arenas (squeezed, expand1, expand3) for the planned-inference path.
-    sq_arena: Tensor,
-    e1_arena: Tensor,
-    e3_arena: Tensor,
 }
 
 impl Fire {
@@ -516,9 +460,6 @@ impl Fire {
             expand1_channels,
             expand3_channels,
             cached_squeezed: None,
-            sq_arena: Tensor::zeros(&[0]),
-            e1_arena: Tensor::zeros(&[0]),
-            e3_arena: Tensor::zeros(&[0]),
         }
     }
 
@@ -529,13 +470,11 @@ impl Fire {
 }
 
 impl Layer for Fire {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let squeezed = self.squeeze.forward(input, train);
-        let e1 = self.expand1.forward(&squeezed, train);
-        let e3 = self.expand3.forward(&squeezed, train);
-        if train {
-            self.cached_squeezed = Some(squeezed);
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let squeezed = self.squeeze.forward_train(input);
+        let e1 = self.expand1.forward_train(&squeezed);
+        let e3 = self.expand3.forward_train(&squeezed);
+        self.cached_squeezed = Some(squeezed);
         concat_channels(&e1, &e3)
     }
 
@@ -551,24 +490,15 @@ impl Layer for Fire {
         self.squeeze.backward(&gs1.add(&gs3))
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
-        self.squeeze.forward_into(input, &mut self.sq_arena, false);
-        self.expand1
-            .forward_into(&self.sq_arena, &mut self.e1_arena, false);
-        self.expand3
-            .forward_into(&self.sq_arena, &mut self.e3_arena, false);
-        concat_channels_into(&self.e1_arena, &self.e3_arena, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let squeezed = self.squeeze.forward_eval(input)?;
-        let e1 = self.expand1.forward_eval(&squeezed)?;
-        let e3 = self.expand3.forward_eval(&squeezed)?;
-        Some(concat_channels(&e1, &e3))
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        let (mut squeezed, mut e1, mut e3) = (ws.take(), ws.take(), ws.take());
+        self.squeeze.infer(input, &mut squeezed, ws);
+        self.expand1.infer(&squeezed, &mut e1, ws);
+        self.expand3.infer(&squeezed, &mut e3, ws);
+        concat_channels_into(&e1, &e3, out);
+        ws.give(e3);
+        ws.give(e1);
+        ws.give(squeezed);
     }
 
     fn fuse_inference(&mut self) {
@@ -638,8 +568,8 @@ impl ChannelShuffle {
         out
     }
 
-    /// [`ChannelShuffle::permute`] into a caller-owned arena tensor (resized
-    /// in place) — the allocation-free planned-inference body.
+    /// [`ChannelShuffle::permute`] into a caller-owned tensor (resized in
+    /// place).
     fn permute_into(&self, x: &Tensor, inverse: bool, out: &mut Tensor) {
         let dims = x.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -669,7 +599,7 @@ impl ChannelShuffle {
 }
 
 impl Layer for ChannelShuffle {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         self.permute(input, false)
     }
 
@@ -677,12 +607,8 @@ impl Layer for ChannelShuffle {
         self.permute(grad_out, true)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, _train: bool) {
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         self.permute_into(input, false, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(self.permute(input, false))
     }
 
     fn name(&self) -> &'static str {
@@ -703,12 +629,6 @@ pub struct ShuffleUnit {
     branch_proj: Option<Sequential>,
     shuffle: ChannelShuffle,
     cached_input: Option<Tensor>,
-    /// Arenas (branch inputs/outputs + pre-shuffle concat) for the
-    /// planned-inference path.
-    split_arena: Tensor,
-    y1_arena: Tensor,
-    y2_arena: Tensor,
-    cat_arena: Tensor,
 }
 
 impl ShuffleUnit {
@@ -753,10 +673,6 @@ impl ShuffleUnit {
             branch_proj,
             shuffle: ChannelShuffle::new(2),
             cached_input: None,
-            split_arena: Tensor::zeros(&[0]),
-            y1_arena: Tensor::zeros(&[0]),
-            y2_arena: Tensor::zeros(&[0]),
-            cat_arena: Tensor::zeros(&[0]),
         }
     }
 
@@ -768,25 +684,23 @@ impl ShuffleUnit {
 }
 
 impl Layer for ShuffleUnit {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_input = Some(input.clone());
         let out = if self.stride == 1 {
             let x1 = slice_channels(input, 0, self.half);
             let x2 = slice_channels(input, self.half, self.half * 2);
-            let y2 = self.branch_main.forward(&x2, train);
+            let y2 = self.branch_main.forward_train(&x2);
             concat_channels(&x1, &y2)
         } else {
             let y1 = self
                 .branch_proj
                 .as_mut()
                 .expect("stride-2 unit has a projection branch")
-                .forward(input, train);
-            let y2 = self.branch_main.forward(input, train);
+                .forward_train(input);
+            let y2 = self.branch_main.forward_train(input);
             concat_channels(&y1, &y2)
         };
-        self.shuffle.forward(&out, train)
+        self.shuffle.forward_train(&out)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -811,45 +725,26 @@ impl Layer for ShuffleUnit {
         }
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-            return;
-        }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        let (mut y1, mut y2, mut cat) = (ws.take(), ws.take(), ws.take());
         if self.stride == 1 {
             // identity half into y1, processed half through the main branch
-            slice_channels_into(input, 0, self.half, &mut self.y1_arena);
-            slice_channels_into(input, self.half, self.half * 2, &mut self.split_arena);
-            self.branch_main
-                .forward_into(&self.split_arena, &mut self.y2_arena, false);
+            // (staged in `cat`, which is free until the concat)
+            slice_channels_into(input, 0, self.half, &mut y1);
+            slice_channels_into(input, self.half, self.half * 2, &mut cat);
+            self.branch_main.infer(&cat, &mut y2, ws);
         } else {
             self.branch_proj
-                .as_mut()
-                .expect("stride-2 unit has a projection branch")
-                .forward_into(input, &mut self.y1_arena, false);
-            self.branch_main
-                .forward_into(input, &mut self.y2_arena, false);
-        }
-        concat_channels_into(&self.y1_arena, &self.y2_arena, &mut self.cat_arena);
-        self.shuffle.permute_into(&self.cat_arena, false, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let out = if self.stride == 1 {
-            let x1 = slice_channels(input, 0, self.half);
-            let x2 = slice_channels(input, self.half, self.half * 2);
-            let y2 = self.branch_main.forward_eval(&x2)?;
-            concat_channels(&x1, &y2)
-        } else {
-            let y1 = self
-                .branch_proj
                 .as_ref()
                 .expect("stride-2 unit has a projection branch")
-                .forward_eval(input)?;
-            let y2 = self.branch_main.forward_eval(input)?;
-            concat_channels(&y1, &y2)
-        };
-        self.shuffle.forward_eval(&out)
+                .infer(input, &mut y1, ws);
+            self.branch_main.infer(input, &mut y2, ws);
+        }
+        concat_channels_into(&y1, &y2, &mut cat);
+        self.shuffle.permute_into(&cat, false, out);
+        ws.give(cat);
+        ws.give(y2);
+        ws.give(y1);
     }
 
     fn fuse_inference(&mut self) {

@@ -1,6 +1,9 @@
 //! 2-D convolution with optional grouping (covers depthwise convolution).
 //!
-//! **Inference** has one route per geometry ([`Conv2d::planned_algo`]):
+//! **Inference** is one `&self` body, [`Conv2d::infer_epilogue`], behind
+//! [`Layer::infer`] (no epilogue) and [`crate::FusedConvBnAct`] (folded
+//! scale/shift + activation); its im2col scratch comes from the caller's
+//! [`Workspace`]. It has one route per geometry ([`Conv2d::planned_algo`]):
 //! depthwise layers take the direct kernel, everything else im2col→GEMM.
 //! The two backends share one parity contract (identical output, same
 //! fused-epilogue semantics):
@@ -36,7 +39,9 @@
 //!
 //! What backward consumes lives in one flat buffer owned by the layer
 //! (`train_cache`), resized once per input geometry and reused across
-//! steps — the seed's per-sample `Vec` allocations are gone. The batch loop
+//! steps — the seed's per-sample `Vec` allocations are gone. Only
+//! [`Layer::forward_train`] writes it, so an inference between a training
+//! forward and its backward cannot disturb the gradients. The batch loop
 //! fans out over the shared `hs_parallel` pool in sample bands; each band
 //! accumulates weight/bias gradients into its own partial buffer, reduced
 //! serially afterwards, so no synchronisation happens inside the hot loop.
@@ -46,7 +51,7 @@
 //! the baseline for the `nn_kernels` bench. (Its `== 0.0` weight-skip
 //! branches were removed: they broke NaN/Inf propagation.)
 
-use crate::{Layer, Param, ParamStore};
+use crate::{Layer, Param, ParamStore, Workspace};
 use hs_parallel::sync;
 use hs_tensor::gemm::NR;
 use hs_tensor::{
@@ -56,7 +61,7 @@ use hs_tensor::{
     QTensor, Tensor, WeightMat,
 };
 use rand::rngs::StdRng;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -244,25 +249,6 @@ pub fn set_batched_gemm(enabled: bool) {
 
 fn batched_gemm_enabled() -> bool {
     BATCHED_GEMM.with(|cell| cell.get())
-}
-
-thread_local! {
-    /// Reusable im2col scratch for the shared-state (`&self`) inference
-    /// entry points (`forward_eval`), where no layer-held buffer can be
-    /// borrowed mutably. One per thread: sharded-eval pool workers each
-    /// warm their own and then stop allocating.
-    static EVAL_COL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Runs `f` with the thread's eval im2col scratch. The buffer is taken out
-/// of the cell (not borrowed) for the duration of the call: a parallel GEMM
-/// inside may run unrelated queued pool tasks on this thread, and one of
-/// those could re-enter here.
-pub(crate) fn with_eval_col_scratch<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
-    let mut buf = EVAL_COL_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-    let result = f(&mut buf);
-    EVAL_COL_SCRATCH.with(|cell| *cell.borrow_mut() = buf);
-    result
 }
 
 /// Unfolds a single-sample channel block `[c, h, w]` into a column matrix
@@ -491,16 +477,10 @@ pub struct Conv2d {
     padding: usize,
     groups: usize,
     cached_input_dims: Option<Vec<usize>>,
-    /// What `backward` consumes from the last `forward(train)`, resized per
+    /// What `backward` consumes from the last `forward_train`, resized per
     /// input geometry and reused across steps: the im2col columns
     /// `[n][groups][wrow * ohw]`, or for a depthwise layer the input itself.
     train_cache: Vec<f32>,
-    /// Reusable im2col scratch for the exclusive (`&mut`) inference entry
-    /// points. Kept separate from `train_cache` so an eval pass between
-    /// `forward(train)` and `backward` never clobbers it; taken
-    /// out of the struct for the duration of a call so the `&self` inference
-    /// body can borrow the layer freely.
-    eval_col: Vec<f32>,
     /// Per-layer backend override (tests/benches); `None` defers to the
     /// geometry rule in [`Conv2d::planned_algo`].
     forced_algo: Option<ConvAlgo>,
@@ -557,7 +537,6 @@ impl Conv2d {
             groups,
             cached_input_dims: None,
             train_cache: Vec::new(),
-            eval_col: Vec::new(),
             forced_algo: None,
             batched_ohw: OnceLock::new(),
         }
@@ -658,21 +637,21 @@ impl Conv2d {
     /// the caller folds it into `shift`. With `ep == None` this is the plain
     /// convolution with bias.
     ///
-    /// Reads only shared state (`&self`), so sharded evaluation can run many
-    /// batches against one layer concurrently. `col_scratch` is the
-    /// caller-owned im2col buffer reused across calls; the batch-parallel
-    /// path gives each sample band its own short-lived buffer instead.
+    /// [`Layer::infer`] is this with no epilogue; [`crate::FusedConvBnAct`]
+    /// passes its fold. The im2col column matrix lives in a tensor taken from
+    /// `ws` (the batch-parallel path gives each sample band its own
+    /// short-lived buffer instead).
     ///
     /// # Panics
     ///
     /// Panics on input rank/channel mismatches, or if an epilogue's
     /// scale/shift have fewer entries than output channels.
-    pub(crate) fn infer_into(
+    pub(crate) fn infer_epilogue(
         &self,
         input: &Tensor,
         ep: Option<(&[f32], &[f32], EpilogueAct)>,
         out: &mut Tensor,
-        col_scratch: &mut Vec<f32>,
+        ws: &mut Workspace,
     ) {
         assert_eq!(input.rank(), 4, "Conv2d expects a [n, c, h, w] input");
         let dims = input.dims();
@@ -715,6 +694,7 @@ impl Conv2d {
         // column scratch is touched at all.
         let identity_col = k == 1 && stride == 1 && padding == 0;
         let colsz_eff = if identity_col { 0 } else { colsz };
+        let mut col_scratch = ws.take();
 
         // Batched small-GEMM route: when the per-sample GEMM is skinny
         // (small ohw), per-call packing/dispatch dominates. ONE cyclic
@@ -740,15 +720,16 @@ impl Conv2d {
                 (x, cin_g * h * w)
             } else {
                 if col_scratch.len() < n * groups * colsz {
-                    col_scratch.resize(n * groups * colsz, 0.0);
+                    col_scratch.resize_to(&[n * groups * colsz]);
                 }
+                let cols = col_scratch.as_mut_slice();
                 for ni in 0..n {
                     for g in 0..groups {
                         let in_offset = ni * c * h * w + g * cin_g * h * w;
                         let slab = (ni * groups + g) * colsz;
                         im2col(
                             &x[in_offset..in_offset + cin_g * h * w],
-                            &mut col_scratch[slab..slab + colsz],
+                            &mut cols[slab..slab + colsz],
                             cin_g,
                             h,
                             w,
@@ -761,7 +742,7 @@ impl Conv2d {
                         );
                     }
                 }
-                (&col_scratch[..n * groups * colsz], colsz)
+                (&col_scratch.as_slice()[..n * groups * colsz], colsz)
             };
             match ep {
                 Some((scale, shift, act)) => gemm_batch_cyclic_strided_q(
@@ -801,6 +782,7 @@ impl Conv2d {
                     );
                 }
             }
+            ws.give(col_scratch);
             return;
         }
 
@@ -845,14 +827,15 @@ impl Conv2d {
         let bands = hs_parallel::num_threads().min(n.max(1));
         if bands <= 1 || hs_parallel::inside_pool() {
             // single stream (or already on a pool worker, where spawns would
-            // run inline anyway): reuse the caller's scratch so steady-state
-            // inference allocates nothing
+            // run inline anyway): reuse the workspace's scratch so
+            // steady-state inference allocates nothing
             if col_scratch.len() < colsz_eff {
-                col_scratch.resize(colsz_eff, 0.0);
+                col_scratch.resize_to(&[colsz_eff]);
             }
+            let col = &mut col_scratch.as_mut_slice()[..colsz_eff];
             for (ni, out_sample) in out_data.chunks_mut(out_channels * ohw).enumerate() {
                 for g in 0..groups {
-                    sample_group(ni, g, &mut col_scratch[..colsz_eff], out_sample);
+                    sample_group(ni, g, col, out_sample);
                 }
             }
         } else {
@@ -876,12 +859,13 @@ impl Conv2d {
                 }
             });
         }
+        ws.give(col_scratch);
     }
 
     /// The direct depthwise forward over a whole batch: one spatial
     /// micro-kernel per (sample, channel) — no column matrix, no scratch —
     /// with the samples fanned out over the pool in bands. Serves both the
-    /// [`ConvAlgo::DirectDepthwise`] inference backend and `forward(train)`.
+    /// [`ConvAlgo::DirectDepthwise`] inference backend and `forward_train`.
     fn depthwise_forward(
         &self,
         x: &[f32],
@@ -1090,16 +1074,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train {
-            // inference: shared-state body + the layer-held reusable scratch
-            // (taken out of the struct so `infer_into` can borrow `&self`)
-            let mut col = std::mem::take(&mut self.eval_col);
-            let mut out = Tensor::zeros(&[0]);
-            self.infer_into(input, None, &mut out, &mut col);
-            self.eval_col = col;
-            return out;
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         assert!(
             self.qweight.is_none(),
             "Conv2d: cannot train a quantized layer — call to_dtype(DType::F32) first"
@@ -1120,9 +1095,8 @@ impl Layer for Conv2d {
         let (stride, padding) = (self.stride, self.padding);
 
         self.cached_input_dims = Some(dims.to_vec());
-        // backward consumes `train_cache`, so ONLY train-mode forwards may
-        // touch it (an eval pass between forward(train) and backward must
-        // not clobber it)
+        // backward consumes `train_cache`, which only this method writes —
+        // an inference between forward_train and backward cannot clobber it
         if self.is_depthwise() {
             // direct kernel; backward needs the input, not a 9×-larger
             // column matrix
@@ -1207,20 +1181,8 @@ impl Layer for Conv2d {
         Tensor::from_vec(out, &[n, out_channels, oh, ow])
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            let mut col = std::mem::take(&mut self.eval_col);
-            self.infer_into(input, None, out, &mut col);
-            self.eval_col = col;
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        with_eval_col_scratch(|col| self.infer_into(input, None, &mut out, col));
-        Some(out)
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        self.infer_epilogue(input, None, out, ws);
     }
 
     fn as_conv2d(&self) -> Option<&Conv2d> {

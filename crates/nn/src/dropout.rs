@@ -1,6 +1,6 @@
 //! Inverted dropout regularisation.
 
-use crate::Layer;
+use crate::{Layer, Workspace};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,8 +35,8 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        if self.p == 0.0 {
             return input.clone();
         }
         let keep = 1.0 - self.p;
@@ -62,18 +62,9 @@ impl Layer for Dropout {
         }
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            // inference identity: copy into the arena buffer
-            out.resize_to(input.dims());
-            out.as_mut_slice().copy_from_slice(input.as_slice());
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(input.clone())
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        out.resize_to(input.dims());
+        out.as_mut_slice().copy_from_slice(input.as_slice());
     }
 
     fn name(&self) -> &'static str {

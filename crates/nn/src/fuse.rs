@@ -4,12 +4,12 @@
 //!
 //! Fusion is a *structural* rewrite with *behavioural* equivalence:
 //!
-//! * **Inference** (`train == false`) runs the fast path — batch-norm (and
+//! * **Inference** ([`Layer::infer`]) runs the fast path — batch-norm (and
 //!   the convolution bias) folded into a per-output-channel scale/shift that
 //!   the GEMM applies in its micro-kernel store loop together with the
 //!   activation ([`hs_tensor::gemm_epilogue`]), so a three-layer stack
 //!   becomes one GEMM with zero extra passes over the activation tensor.
-//! * **Training** (`train == true`) and `backward` delegate to the original
+//! * **Training** ([`Layer::forward_train`]) and `backward` delegate to the original
 //!   layers unchanged — a fused network remains exactly trainable, which the
 //!   federated-learning simulator relies on.
 //! * **Weight layout is invariant**: the fused layers expose their children's
@@ -20,7 +20,7 @@
 //!
 //! The scale/shift fold is recomputed from the batch-norm's *current*
 //! running statistics on every inference forward (an `O(channels)` loop into
-//! reusable buffers), so weight updates and server aggregation between
+//! a workspace tensor), so weight updates and server aggregation between
 //! rounds are always reflected.
 //!
 //! Every activation with an [`EpilogueAct`] form fuses — the ReLU family and
@@ -30,7 +30,7 @@
 //! width disagrees with the convolution, anything else in between — are left
 //! untouched, falling back to the exact layer-by-layer path.
 
-use crate::{Layer, Param, ParamStore, Sequential};
+use crate::{Layer, Param, ParamStore, Sequential, Workspace};
 use hs_tensor::{DType, EpilogueAct, Tensor};
 
 /// Rewrites a layer list, fusing `conv (-> bn) (-> act)` and `linear -> act`
@@ -79,12 +79,6 @@ pub struct FusedConvBnAct {
     bn: Option<Box<dyn Layer>>,
     act: Option<Box<dyn Layer>>,
     act_kind: EpilogueAct,
-    /// Reusable fold buffers (per-output-channel scale/shift) for the
-    /// exclusive-access inference entry points.
-    scale: Vec<f32>,
-    shift: Vec<f32>,
-    /// Reusable im2col scratch handed to the conv's shared-state body.
-    col_scratch: Vec<f32>,
 }
 
 impl FusedConvBnAct {
@@ -103,9 +97,14 @@ impl FusedConvBnAct {
     ) -> Self {
         assert!(conv.as_conv2d().is_some(), "FusedConvBnAct needs a Conv2d");
         if let Some(bn) = &bn {
-            assert!(
-                bn.as_batch_norm().is_some(),
-                "FusedConvBnAct needs a BatchNorm2d"
+            let bn = bn
+                .as_batch_norm()
+                .expect("FusedConvBnAct needs a BatchNorm2d");
+            let conv = conv.as_conv2d().expect("checked above");
+            assert_eq!(
+                bn.channels(),
+                conv.out_channels(),
+                "FusedConvBnAct: batch-norm width must match the conv's output channels"
             );
         }
         let act_kind = match &act {
@@ -119,18 +118,35 @@ impl FusedConvBnAct {
             bn,
             act,
             act_kind,
-            scale: Vec::new(),
-            shift: Vec::new(),
-            col_scratch: Vec::new(),
         }
     }
+}
 
-    /// Computes the folded per-output-channel scale/shift from the current
-    /// batch-norm running statistics (identity scale when there is no
-    /// batch-norm), with the convolution bias folded into `shift`.
-    fn fold_into(&self, scale: &mut Vec<f32>, shift: &mut Vec<f32>) {
+impl Layer for FusedConvBnAct {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        // exact fallback: run the original layers so batch statistics,
+        // caches and gradients behave as if never fused
+        let mut x = self.conv.forward_train(input);
+        if let Some(bn) = &mut self.bn {
+            x = bn.forward_train(&x);
+        }
+        if let Some(act) = &mut self.act {
+            x = act.forward_train(&x);
+        }
+        x
+    }
+
+    /// One GEMM (or depthwise pass) whose epilogue carries the folded
+    /// per-output-channel scale/shift — recomputed here from the batch-norm's
+    /// current running statistics (identity scale when there is no
+    /// batch-norm), with the convolution bias folded into `shift` — and the
+    /// activation.
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
         let conv = self.conv.as_conv2d().expect("validated in new()");
         let bias = conv.bias_values();
+        let mut fold = ws.take();
+        fold.resize_to(&[2, bias.len()]);
+        let (scale, shift) = fold.as_mut_slice().split_at_mut(bias.len());
         match &self.bn {
             Some(bn) => {
                 let bn = bn.as_batch_norm().expect("validated in new()");
@@ -141,46 +157,12 @@ impl FusedConvBnAct {
                 }
             }
             None => {
-                scale.clear();
-                scale.resize(bias.len(), 1.0);
-                shift.clear();
-                shift.extend_from_slice(bias);
+                scale.fill(1.0);
+                shift.copy_from_slice(bias);
             }
         }
-    }
-
-    /// The exclusive-access fused inference forward, writing into `out`.
-    fn infer_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        let mut scale = std::mem::take(&mut self.scale);
-        let mut shift = std::mem::take(&mut self.shift);
-        let mut col = std::mem::take(&mut self.col_scratch);
-        self.fold_into(&mut scale, &mut shift);
-        let conv = self.conv.as_conv2d().expect("validated in new()");
-        conv.infer_into(input, Some((&scale, &shift, self.act_kind)), out, &mut col);
-        self.scale = scale;
-        self.shift = shift;
-        self.col_scratch = col;
-    }
-}
-
-impl Layer for FusedConvBnAct {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            // exact fallback: run the original layers so batch statistics,
-            // caches and gradients behave as if never fused
-            let mut x = self.conv.forward(input, true);
-            if let Some(bn) = &mut self.bn {
-                x = bn.forward(&x, true);
-            }
-            if let Some(act) = &mut self.act {
-                x = act.forward(&x, true);
-            }
-            x
-        } else {
-            let mut out = Tensor::zeros(&[0]);
-            self.infer_into(input, &mut out);
-            out
-        }
+        conv.infer_epilogue(input, Some((scale, shift, self.act_kind)), out, ws);
+        ws.give(fold);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -193,25 +175,6 @@ impl Layer for FusedConvBnAct {
             None => g,
         };
         self.conv.backward(&g)
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            self.infer_into(input, out);
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let (mut scale, mut shift) = (Vec::new(), Vec::new());
-        self.fold_into(&mut scale, &mut shift);
-        let conv = self.conv.as_conv2d().expect("validated in new()");
-        let mut out = Tensor::zeros(&[0]);
-        crate::conv::with_eval_col_scratch(|col| {
-            conv.infer_into(input, Some((&scale, &shift, self.act_kind)), &mut out, col)
-        });
-        Some(out)
     }
 
     fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
@@ -299,37 +262,19 @@ impl FusedLinearAct {
 }
 
 impl Layer for FusedLinearAct {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            let x = self.linear.forward(input, true);
-            self.act.forward(&x, true)
-        } else {
-            let mut out = Tensor::zeros(&[0]);
-            let linear = self.linear.as_linear().expect("validated in new()");
-            linear.infer_into(input, self.act_kind, &mut out);
-            out
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        let x = self.linear.forward_train(input);
+        self.act.forward_train(&x)
+    }
+
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        let linear = self.linear.as_linear().expect("validated in new()");
+        linear.infer_act(input, self.act_kind, out);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let g = self.act.backward(grad_out);
         self.linear.backward(&g)
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            let linear = self.linear.as_linear().expect("validated in new()");
-            linear.infer_into(input, self.act_kind, out);
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        let linear = self.linear.as_linear().expect("validated in new()");
-        linear.infer_into(input, self.act_kind, &mut out);
-        Some(out)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

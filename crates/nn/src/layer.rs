@@ -48,64 +48,96 @@ impl ParamStore<'_> {
     }
 }
 
+/// Caller-owned scratch for [`Layer::infer`]: a LIFO pool of tensors.
+///
+/// A layer [`take`](Workspace::take)s whatever intermediates it needs
+/// (ping-pong activations, branch outputs, im2col columns, folded
+/// scale/shift) and [`give`](Workspace::give)s them back before returning,
+/// in reverse order of taking. The pool then looks the same after a pass as
+/// before it, so the next pass over the same network hands every call site
+/// the tensor it sized last time and — because [`Tensor::resize_to`] keeps
+/// capacity — allocates nothing.
+///
+/// One workspace serves one inference at a time; concurrent inferences over
+/// a shared `&Network` each bring their own.
+#[derive(Default)]
+pub struct Workspace {
+    free: Vec<Tensor>,
+}
+
+impl Workspace {
+    /// An empty (cold) workspace.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Takes a tensor out of the pool; its shape and contents are
+    /// unspecified, so callers `resize_to` and overwrite it.
+    pub fn take(&mut self) -> Tensor {
+        self.free.pop().unwrap_or_else(|| Tensor::zeros(&[0]))
+    }
+
+    /// Returns a tensor to the pool.
+    pub fn give(&mut self, tensor: Tensor) {
+        self.free.push(tensor);
+    }
+}
+
 /// A differentiable network building block.
 ///
-/// A layer caches whatever it needs during [`Layer::forward`] (inputs, masks,
-/// intermediate activations) and uses that cache in [`Layer::backward`] to
-/// produce the gradient with respect to its input while accumulating
-/// parameter gradients into its [`Param`]s.
+/// A layer has one training forward and one inference forward:
 ///
-/// Layers are `Send + Sync` so client updates can run on worker threads in
-/// the federated-learning simulator and evaluation batches can be sharded
-/// across the pool against one shared `&Network`.
+/// * [`Layer::forward_train`] caches whatever [`Layer::backward`] needs
+///   (inputs, masks, intermediate activations); `backward` turns that cache
+///   into the gradient with respect to the layer input while accumulating
+///   parameter gradients into the layer's [`Param`]s.
+/// * [`Layer::infer`] reads only shared state (`&self`), writes into a
+///   caller-owned output and takes its scratch from a caller-owned
+///   [`Workspace`] — so one network serves any number of concurrent
+///   inferences, and a warm workspace makes each of them allocation-free.
 ///
-/// Beyond the training pair (`forward`/`backward`), the trait carries three
-/// groups of default-implemented inference hooks, so existing layers keep
-/// working unchanged:
+/// [`Layer::forward`] dispatches between the two. Layers are `Send + Sync`
+/// so client updates can run on worker threads in the federated-learning
+/// simulator and evaluation batches can be sharded across the pool against
+/// one shared `&Network`.
 ///
-/// * [`Layer::forward_into`] — allocation-free forward into a caller-owned
-///   arena tensor (the forward-plan path),
-/// * [`Layer::forward_eval`] — `&self` inference for batch-sharded
-///   evaluation,
-/// * [`Layer::fuse_inference`] plus the typed views ([`Layer::as_conv2d`],
-///   [`Layer::as_batch_norm`], [`Layer::as_linear`],
-///   [`Layer::epilogue_act`]) — the hooks the conv/BN/activation fusion pass
-///   uses to pattern-match and rebuild layer runs.
+/// [`Layer::fuse_inference`] plus the typed views ([`Layer::as_conv2d`],
+/// [`Layer::as_batch_norm`], [`Layer::as_linear`], [`Layer::epilogue_act`])
+/// are the hooks the conv/BN/activation fusion pass uses to pattern-match
+/// and rebuild layer runs.
 pub trait Layer: Send + Sync {
-    /// Computes the layer output for `input`.
-    ///
-    /// `train` selects training-time behaviour (e.g. batch-norm batch
-    /// statistics, dropout masking); inference uses running statistics and
-    /// identity dropout.
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer output for `input`: [`Layer::forward_train`] when
+    /// `train` (batch-norm batch statistics, dropout masking, gradient
+    /// caches), otherwise [`Layer::infer`] on a cold [`Workspace`] — the
+    /// same arithmetic as [`crate::Network::infer`], paying the allocations
+    /// a kept workspace saves.
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if train {
+            return self.forward_train(input);
+        }
+        let mut out = Tensor::zeros(&[0]);
+        self.infer(input, &mut out, &mut Workspace::new());
+        out
+    }
+
+    /// The training forward: computes the output with training-time
+    /// behaviour and caches what [`Layer::backward`] consumes.
+    fn forward_train(&mut self, input: &Tensor) -> Tensor;
 
     /// Propagates `grad_out` (gradient w.r.t. the layer output) backwards,
     /// returning the gradient w.r.t. the layer input and accumulating
     /// parameter gradients.
     ///
-    /// Must be called after a `forward` pass with `train == true`.
+    /// Must be called after a [`Layer::forward_train`] pass.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
-    /// Writes the layer output for `input` into `out`, resizing it via
-    /// [`Tensor::resize_to`] so a warm arena buffer is reused instead of
-    /// reallocated. `out` never aliases `input`.
-    ///
-    /// The default falls back to [`Layer::forward`] (which allocates);
-    /// layers on the inference hot path override it.
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        *out = self.forward(input, train);
-    }
-
-    /// Inference-mode forward that only reads shared state, so one network
-    /// can evaluate many batches concurrently from `&self`.
-    ///
-    /// Returns `None` when the layer has no shared-state inference path
-    /// (the default); callers must then fall back to the exclusive
-    /// [`Layer::forward`] with `train == false`. Implementations must return
-    /// exactly what `forward(input, false)` would.
-    fn forward_eval(&self, _input: &Tensor) -> Option<Tensor> {
-        None
-    }
+    /// The inference forward (running statistics, identity dropout): writes
+    /// the output for `input` into `out`, resizing it via
+    /// [`Tensor::resize_to`] so a warm buffer is reused instead of
+    /// reallocated. `out` never aliases `input`. Touches no layer state —
+    /// not the parameters, not batch-norm statistics, not a pending
+    /// training cache.
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace);
 
     /// Rewrites this layer's children for fused inference (conv/BN/activation
     /// and linear/activation runs collapse into fused layers; see
@@ -179,15 +211,18 @@ pub trait Layer: Send + Sync {
 mod tests {
     use super::*;
 
-    /// A minimal identity layer exercising the trait's default methods.
+    /// A minimal identity layer exercising the trait's provided methods.
     struct Identity;
 
     impl Layer for Identity {
-        fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+        fn forward_train(&mut self, input: &Tensor) -> Tensor {
             input.clone()
         }
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
             grad_out.clone()
+        }
+        fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+            out.clone_from(input);
         }
         fn name(&self) -> &'static str {
             "identity"
@@ -210,23 +245,29 @@ mod tests {
     }
 
     #[test]
-    fn default_inference_hooks_are_conservative() {
+    fn default_hooks_are_conservative() {
         let mut id = Identity;
         let x = Tensor::ones(&[2, 2]);
-        // forward_eval: unsupported by default
-        assert!(id.forward_eval(&x).is_none());
         // typed views: not a conv/bn/linear/activation
         assert!(id.as_conv2d().is_none());
         assert!(id.as_batch_norm().is_none());
         assert!(id.as_linear().is_none());
         assert!(id.epilogue_act().is_none());
-        // forward_into falls back to forward
-        let mut out = Tensor::zeros(&[0]);
-        id.forward_into(&x, &mut out, false);
-        assert_eq!(out.as_slice(), x.as_slice());
+        // forward(_, false) is infer on a cold workspace
+        assert_eq!(id.forward(&x, false), x);
         // fuse_inference and to_dtype are no-ops; param_stores mirrors params
         id.fuse_inference();
         id.to_dtype(DType::F16);
         assert!(id.param_stores().is_empty());
+    }
+
+    #[test]
+    fn workspace_hands_back_what_it_was_given_last_first() {
+        let mut ws = Workspace::new();
+        assert_eq!(ws.take().len(), 0, "a cold pool makes empty tensors");
+        ws.give(Tensor::ones(&[2]));
+        ws.give(Tensor::ones(&[3]));
+        assert_eq!(ws.take().len(), 3);
+        assert_eq!(ws.take().len(), 2);
     }
 }

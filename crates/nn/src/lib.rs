@@ -60,7 +60,7 @@ pub use conv::{batched_gemm_crossovers, set_batched_gemm, Conv2d, ConvAlgo};
 pub use dropout::Dropout;
 pub use fuse::{fuse_sequential, FusedConvBnAct, FusedLinearAct};
 pub use hs_tensor::EpilogueAct;
-pub use layer::{Layer, ParamStore};
+pub use layer::{Layer, ParamStore, Workspace};
 pub use linear::Linear;
 pub use loss::{BceWithLogitsLoss, CrossEntropyLoss, Loss, MseLoss, Target};
 pub use network::Network;

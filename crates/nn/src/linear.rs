@@ -1,6 +1,6 @@
 //! Fully-connected (dense) layer.
 
-use crate::{Layer, Param, ParamStore};
+use crate::{Layer, Param, ParamStore, Workspace};
 use hs_tensor::{he_normal, DType, EpilogueAct, QTensor, Tensor, WeightMat};
 use rand::rngs::StdRng;
 
@@ -58,12 +58,12 @@ impl Linear {
         }
     }
 
-    /// Inference forward into `out` (resized in place): `y = x W^T + b`
+    /// The inference forward into `out` (resized in place): `y = x W^T + b`
     /// followed by `act`, with the bias add and activation fused into one
     /// pass over the output instead of two separate tensor traversals.
-    /// Reads only shared state, so sharded evaluation can call it from
-    /// `&self`.
-    pub(crate) fn infer_into(&self, input: &Tensor, act: EpilogueAct, out: &mut Tensor) {
+    /// [`Layer::infer`] is this with no activation; [`crate::FusedLinearAct`]
+    /// passes its own.
+    pub(crate) fn infer_act(&self, input: &Tensor, act: EpilogueAct, out: &mut Tensor) {
         assert_eq!(input.rank(), 2, "Linear expects a [n, features] input");
         assert_eq!(
             input.dims()[1],
@@ -92,17 +92,11 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         assert!(
-            self.qweight.is_none() || !train,
+            self.qweight.is_none(),
             "Linear: cannot train a quantized layer — call to_dtype(DType::F32) first"
         );
-        if self.qweight.is_some() {
-            // allocating inference path on a quantized layer: reuse infer_into
-            let mut out = Tensor::zeros(&[0]);
-            self.infer_into(input, EpilogueAct::None, &mut out);
-            return out;
-        }
         assert_eq!(input.rank(), 2, "Linear expects a [n, features] input");
         assert_eq!(
             input.dims()[1],
@@ -111,9 +105,7 @@ impl Layer for Linear {
             self.in_features,
             input.dims()[1]
         );
-        if train {
-            self.cached_input = Some(input.clone());
-        }
+        self.cached_input = Some(input.clone());
         // y = x W^T + b on the GEMM layer; matmul_nt transposes W through a
         // scratch buffer instead of materialising a Tensor, and the bias is
         // added in place rather than via another allocation.
@@ -141,18 +133,8 @@ impl Layer for Linear {
         grad_out.matmul(&self.weight.value)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            self.infer_into(input, EpilogueAct::None, out);
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, EpilogueAct::None, &mut out);
-        Some(out)
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        self.infer_act(input, EpilogueAct::None, out);
     }
 
     fn as_linear(&self) -> Option<&Linear> {

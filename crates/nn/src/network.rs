@@ -1,34 +1,24 @@
 //! The [`Network`] wrapper: a trainable model whose parameters and buffers
 //! can be flattened into a single weight vector for federated aggregation.
+//!
+//! Inference has one route, [`Layer::infer`] down the layer stack, with two
+//! entry points that differ only in who owns the scratch:
+//! [`Network::infer`] uses the network's own [`Workspace`] and output
+//! buffer (exclusive access, nothing to manage), [`Network::infer_with`]
+//! takes the caller's (shared access, one workspace per concurrent caller).
 
-use crate::{Layer, Loss, Param, ParamStore, Sequential, Target};
+use crate::{Layer, Loss, Param, ParamStore, Sequential, Target, Workspace};
 use hs_tensor::{DType, Tensor};
-
-/// The per-network inference arena: two ping-pong activation buffers that
-/// layers write into via [`Layer::forward_into`]. Sized lazily by the first
-/// forward for each (batch, shape); after that warm-up, planned inference
-/// reuses the buffers and allocates nothing in the layers that implement
-/// `forward_into` natively.
-struct ForwardPlan {
-    front: Tensor,
-    back: Tensor,
-}
-
-impl ForwardPlan {
-    fn new() -> Self {
-        ForwardPlan {
-            front: Tensor::zeros(&[0]),
-            back: Tensor::zeros(&[0]),
-        }
-    }
-}
 
 /// A trainable model: a [`Sequential`] stack plus the weight-vector plumbing
 /// needed by federated learning (flatten / restore all parameters and
 /// batch-norm buffers).
 pub struct Network {
     layers: Sequential,
-    plan: ForwardPlan,
+    /// Scratch and output buffer behind [`Network::infer`], warm after the
+    /// first pass at each input shape.
+    ws: Workspace,
+    out: Tensor,
 }
 
 impl Network {
@@ -36,7 +26,8 @@ impl Network {
     pub fn new(layers: Sequential) -> Self {
         Network {
             layers,
-            plan: ForwardPlan::new(),
+            ws: Workspace::new(),
+            out: Tensor::zeros(&[0]),
         }
     }
 
@@ -48,39 +39,31 @@ impl Network {
     }
 
     /// Runs a forward pass. `train` enables training-time behaviour
-    /// (batch statistics, dropout, gradient caches).
+    /// (batch statistics, dropout, gradient caches); without it this is
+    /// [`Network::infer_with`] on a cold workspace.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         self.layers.forward(x, train)
     }
 
-    /// The planned inference forward: drives every top-level layer through
-    /// [`Layer::forward_into`] over the network's ping-pong arena, so after
-    /// warm-up a steady-state inference pass performs no output-tensor
-    /// allocations in the planned layers. Returns a reference into the arena
-    /// (clone it if the result must outlive the next forward).
-    ///
-    /// Numerically identical to `forward(x, false)`.
+    /// The inference forward over the network's own workspace: after the
+    /// first pass at a given input shape it allocates nothing. Returns a
+    /// reference to the network's output buffer (clone it if the result
+    /// must outlive the next call).
     pub fn infer(&mut self, x: &Tensor) -> &Tensor {
-        let plan = &mut self.plan;
-        match self.layers.layers_mut() {
-            [] => plan.front = x.clone(),
-            [first, rest @ ..] => {
-                first.forward_into(x, &mut plan.front, false);
-                for layer in rest {
-                    layer.forward_into(&plan.front, &mut plan.back, false);
-                    std::mem::swap(&mut plan.front, &mut plan.back);
-                }
-            }
-        }
-        &plan.front
+        self.layers.infer(x, &mut self.out, &mut self.ws);
+        &self.out
     }
 
-    /// Inference forward that only reads shared state, so whole evaluation
-    /// batches can be sharded across threads against one `&Network`.
-    /// `None` when some layer lacks a shared-state path (see
-    /// [`Layer::forward_eval`]); callers then fall back to [`Network::forward`].
-    pub fn forward_eval(&self, x: &Tensor) -> Option<Tensor> {
-        self.layers.forward_eval(x)
+    /// The inference forward from shared access, so any number of threads
+    /// can run one `&Network`, each over its own workspace. The returned
+    /// tensor comes out of `ws`; [`Workspace::give`] it back once read and
+    /// the next call reuses it (and, warm, allocates nothing).
+    ///
+    /// Bit-identical to [`Network::infer`] and `forward(x, false)`.
+    pub fn infer_with(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+        let mut out = ws.take();
+        self.layers.infer(x, &mut out, ws);
+        out
     }
 
     /// Rewrites the layer stack for fused inference: conv/BN/activation and
@@ -227,15 +210,13 @@ impl Network {
     }
 
     /// Evaluates the mean loss on a batch without touching gradients or
-    /// batch-norm running statistics. Runs on the allocation-free plan path
-    /// ([`Network::infer`]).
+    /// batch-norm running statistics, through [`Network::infer`].
     pub fn eval_loss(&mut self, x: &Tensor, target: &Target, loss: &dyn Loss) -> f32 {
         let (l, _) = loss.forward(self.infer(x), target);
         l
     }
 
-    /// Predicted class indices for a batch (inference mode). Runs on the
-    /// allocation-free plan path ([`Network::infer`]).
+    /// Predicted class indices for a batch, through [`Network::infer`].
     pub fn predict_classes(&mut self, x: &Tensor) -> Vec<usize> {
         self.infer(x).argmax_rows()
     }

@@ -1,6 +1,6 @@
 //! Batch normalisation over the channel axis of `[n, c, h, w]` tensors.
 
-use crate::{Layer, Param};
+use crate::{Layer, Param, Workspace};
 use hs_tensor::Tensor;
 
 /// Batch normalisation for convolutional feature maps.
@@ -49,60 +49,24 @@ impl BatchNorm2d {
 
     /// Folds the inference normalisation into a per-channel affine
     /// `y = scale[c] * x + shift[c]` with `scale = gamma / sqrt(var + eps)`
-    /// and `shift = beta - mean * scale`, writing into the caller's reusable
-    /// vectors. This is the form the fusion pass feeds into the GEMM
-    /// epilogue (after also folding the convolution bias into `shift`).
-    pub(crate) fn fold_inference(&self, scale: &mut Vec<f32>, shift: &mut Vec<f32>) {
-        scale.clear();
-        shift.clear();
+    /// and `shift = beta - mean * scale`, writing one entry per channel into
+    /// the caller's slices. This is the form the fusion pass feeds into the
+    /// GEMM epilogue (after also folding the convolution bias into `shift`).
+    pub(crate) fn fold_inference(&self, scale: &mut [f32], shift: &mut [f32]) {
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
         let mean = self.running_mean.as_slice();
         let var = self.running_var.as_slice();
         for c in 0..self.channels {
             let s = gamma[c] / (var[c] + self.eps).sqrt();
-            scale.push(s);
-            shift.push(beta[c] - mean[c] * s);
-        }
-    }
-
-    /// Inference forward into `out` (resized in place): a single fused
-    /// per-channel affine pass over the input using running statistics.
-    /// Unlike the training path this allocates no normalised-value cache and
-    /// never touches layer state.
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.rank(), 4, "BatchNorm2d expects a [n, c, h, w] input");
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
-        let hw = h * w;
-        let x = input.as_slice();
-        let gamma = self.gamma.value.as_slice();
-        let beta = self.beta.value.as_slice();
-        let mean = self.running_mean.as_slice();
-        let var = self.running_var.as_slice();
-        out.resize_to(dims);
-        let o = out.as_mut_slice();
-        for ci in 0..c {
-            let s = gamma[ci] / (var[ci] + self.eps).sqrt();
-            let t = beta[ci] - mean[ci] * s;
-            for ni in 0..n {
-                let off = (ni * c + ci) * hw;
-                for (ov, &xv) in o[off..off + hw].iter_mut().zip(x[off..off + hw].iter()) {
-                    *ov = s * xv + t;
-                }
-            }
+            scale[c] = s;
+            shift[c] = beta[c] - mean[c] * s;
         }
     }
 }
 
 impl Layer for BatchNorm2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train {
-            let mut out = Tensor::zeros(&[0]);
-            self.infer_into(input, &mut out);
-            return out;
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 4, "BatchNorm2d expects a [n, c, h, w] input");
         let dims = input.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -156,18 +120,31 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(out, dims)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            self.infer_into(input, out);
+    /// A single fused per-channel affine pass over the input using running
+    /// statistics.
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        assert_eq!(input.rank(), 4, "BatchNorm2d expects a [n, c, h, w] input");
+        let dims = input.dims();
+        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
+        let hw = h * w;
+        let x = input.as_slice();
+        let gamma = self.gamma.value.as_slice();
+        let beta = self.beta.value.as_slice();
+        let mean = self.running_mean.as_slice();
+        let var = self.running_var.as_slice();
+        out.resize_to(dims);
+        let o = out.as_mut_slice();
+        for ci in 0..c {
+            let s = gamma[ci] / (var[ci] + self.eps).sqrt();
+            let t = beta[ci] - mean[ci] * s;
+            for ni in 0..n {
+                let off = (ni * c + ci) * hw;
+                for (ov, &xv) in o[off..off + hw].iter_mut().zip(x[off..off + hw].iter()) {
+                    *ov = s * xv + t;
+                }
+            }
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, &mut out);
-        Some(out)
     }
 
     fn as_batch_norm(&self) -> Option<&BatchNorm2d> {

@@ -1,6 +1,6 @@
 //! Pooling and reshaping layers.
 
-use crate::Layer;
+use crate::{Layer, Workspace};
 use hs_tensor::Tensor;
 
 /// 2-D max pooling with a square window and stride equal to the window size.
@@ -24,39 +24,10 @@ impl MaxPool2d {
             cached_in_dims: None,
         }
     }
-
-    /// Inference pooling into `out` (resized): no argmax bookkeeping, no
-    /// state writes.
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        assert_eq!(input.rank(), 4, "MaxPool2d expects a [n, c, h, w] input");
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let s = self.size;
-        let (oh, ow) = (h / s, w / s);
-        let x = input.as_slice();
-        out.resize_to(&[n, c, oh, ow]);
-        let o = out.as_mut_slice();
-        for nc in 0..n * c {
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for di in 0..s {
-                        for dj in 0..s {
-                            let v = x[(nc * h + oi * s + di) * w + oj * s + dj];
-                            if v > best {
-                                best = v;
-                            }
-                        }
-                    }
-                    o[(nc * oh + oi) * ow + oj] = best;
-                }
-            }
-        }
-    }
 }
 
 impl Layer for MaxPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         assert_eq!(input.rank(), 4, "MaxPool2d expects a [n, c, h, w] input");
         let dims = input.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -85,10 +56,8 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        if train {
-            self.cached_argmax = Some(argmax);
-            self.cached_in_dims = Some(dims.to_vec());
-        }
+        self.cached_argmax = Some(argmax);
+        self.cached_in_dims = Some(dims.to_vec());
         Tensor::from_vec(out, &[n, c, oh, ow])
     }
 
@@ -105,18 +74,31 @@ impl Layer for MaxPool2d {
         Tensor::from_vec(grad_in, &in_dims)
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            self.infer_into(input, out);
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        assert_eq!(input.rank(), 4, "MaxPool2d expects a [n, c, h, w] input");
+        let dims = input.dims();
+        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let s = self.size;
+        let (oh, ow) = (h / s, w / s);
+        let x = input.as_slice();
+        out.resize_to(&[n, c, oh, ow]);
+        let o = out.as_mut_slice();
+        for nc in 0..n * c {
+            for oi in 0..oh {
+                for oj in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    for di in 0..s {
+                        for dj in 0..s {
+                            let v = x[(nc * h + oi * s + di) * w + oj * s + dj];
+                            if v > best {
+                                best = v;
+                            }
+                        }
+                    }
+                    o[(nc * oh + oi) * ow + oj] = best;
+                }
+            }
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, &mut out);
-        Some(out)
     }
 
     fn name(&self) -> &'static str {
@@ -144,10 +126,16 @@ impl AvgPool2d {
             cached_in_dims: None,
         }
     }
+}
 
-    /// The stateless pooling computation shared by every forward variant,
-    /// writing into `out` (resized in place).
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+impl Layer for AvgPool2d {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_in_dims = Some(input.dims().to_vec());
+        // stateless computation: the inference body is the training forward
+        self.forward(input, false)
+    }
+
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         assert_eq!(input.rank(), 4, "AvgPool2d expects a [n, c, h, w] input");
         let dims = input.dims();
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -170,33 +158,6 @@ impl AvgPool2d {
                 }
             }
         }
-    }
-
-    /// The stateless pooling computation shared by every forward variant.
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, &mut out);
-        out
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_in_dims = Some(input.dims().to_vec());
-        }
-        self.infer(input)
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_in_dims = Some(input.dims().to_vec());
-        }
-        self.infer_into(input, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(self.infer(input))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -253,10 +214,14 @@ impl Default for GlobalAvgPool {
     }
 }
 
-impl GlobalAvgPool {
-    /// The stateless pooling computation shared by every forward variant,
-    /// writing into `out` (resized in place).
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+impl Layer for GlobalAvgPool {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_in_dims = Some(input.dims().to_vec());
+        // stateless computation: the inference body is the training forward
+        self.forward(input, false)
+    }
+
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         assert_eq!(
             input.rank(),
             4,
@@ -274,33 +239,6 @@ impl GlobalAvgPool {
                 o[ni * c + ci] = x[off..off + h * w].iter().sum::<f32>() / hw;
             }
         }
-    }
-
-    /// The stateless pooling computation shared by every forward variant.
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.infer_into(input, &mut out);
-        out
-    }
-}
-
-impl Layer for GlobalAvgPool {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.cached_in_dims = Some(input.dims().to_vec());
-        }
-        self.infer(input)
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            self.cached_in_dims = Some(input.dims().to_vec());
-        }
-        self.infer_into(input, out);
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        Some(self.infer(input))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -350,15 +288,17 @@ impl Default for Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        self.cached_in_dims = Some(input.dims().to_vec());
+        self.forward(input, false)
+    }
+
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         assert!(input.rank() >= 2, "Flatten expects at least a rank-2 input");
         let dims = input.dims();
-        let n = dims[0];
         let rest: usize = dims[1..].iter().product();
-        if train {
-            self.cached_in_dims = Some(dims.to_vec());
-        }
-        input.reshape(&[n, rest])
+        out.resize_to(&[dims[0], rest]);
+        out.as_mut_slice().copy_from_slice(input.as_slice());
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -367,23 +307,6 @@ impl Layer for Flatten {
             .clone()
             .expect("backward before forward");
         grad_out.reshape(&in_dims)
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
-        } else {
-            let dims = input.dims();
-            let rest: usize = dims[1..].iter().product();
-            out.resize_to(&[dims[0], rest]);
-            out.as_mut_slice().copy_from_slice(input.as_slice());
-        }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let dims = input.dims();
-        let rest: usize = dims[1..].iter().product();
-        Some(input.reshape(&[dims[0], rest]))
     }
 
     fn name(&self) -> &'static str {

@@ -1,28 +1,24 @@
 //! A container that chains layers in order.
+//!
+//! Inference ([`Layer::infer`]) ping-pongs the intermediate activations
+//! between two tensors taken from the caller's [`Workspace`] and has the
+//! last layer write straight into the caller's `out`, so a chain of any
+//! depth — including the bodies of the zoo's composite blocks, which are
+//! nested `Sequential`s — costs two pool slots and, warm, no allocation.
 
-use crate::{Layer, Param, ParamStore};
+use crate::{Layer, Param, ParamStore, Workspace};
 use hs_tensor::{DType, Tensor};
 
 /// Runs a list of layers in sequence; the workhorse container for every model
 /// in the zoo.
-///
-/// For planned inference ([`Layer::forward_into`]) the container owns a
-/// ping-pong arena pair, so nested sequentials (the bodies of the zoo's
-/// composite blocks) stop allocating per layer exactly like the top-level
-/// plan in [`crate::Network::infer`].
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
-    /// Ping-pong arena buffers for the planned inference path.
-    arena: (Tensor, Tensor),
 }
 
 impl Sequential {
     /// Creates a sequential container from boxed layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Sequential {
-            layers,
-            arena: (Tensor::zeros(&[0]), Tensor::zeros(&[0])),
-        }
+        Sequential { layers }
     }
 
     /// Creates an empty container (useful with [`Sequential::push`]).
@@ -45,8 +41,8 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Mutable access to the layer list (used by the network-level forward
-    /// plan to drive `forward_into` layer by layer).
+    /// Mutable access to the layer list (checkpoint naming walks it to pair
+    /// each buffer with its owning layer's name).
     pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
@@ -60,10 +56,10 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         let mut x = input.clone();
         for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+            x = layer.forward_train(&x);
         }
         x
     }
@@ -76,43 +72,29 @@ impl Layer for Sequential {
         g
     }
 
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor, train: bool) {
-        if train {
-            *out = self.forward(input, true);
+    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
+        let Some((last, rest)) = self.layers.split_last() else {
+            out.resize_to(input.dims());
+            out.as_mut_slice().copy_from_slice(input.as_slice());
             return;
+        };
+        let Some((first, mid)) = rest.split_first() else {
+            return last.infer(input, out, ws);
+        };
+        let (mut cur, mut next) = (ws.take(), ws.take());
+        first.infer(input, &mut cur, ws);
+        for layer in mid {
+            layer.infer(&cur, &mut next, ws);
+            std::mem::swap(&mut cur, &mut next);
         }
-        // planned inference: every layer but the last writes into the
-        // container's ping-pong arena; the last writes straight into `out`,
-        // so after warm-up the whole chain performs no allocations
-        match self.layers.split_last_mut() {
-            None => {
-                out.resize_to(input.dims());
-                out.as_mut_slice().copy_from_slice(input.as_slice());
-            }
-            Some((last, rest)) => {
-                let (front, back) = &mut self.arena;
-                match rest.split_first_mut() {
-                    None => last.forward_into(input, out, false),
-                    Some((first, mid)) => {
-                        first.forward_into(input, front, false);
-                        for layer in mid {
-                            layer.forward_into(front, back, false);
-                            std::mem::swap(front, back);
-                        }
-                        last.forward_into(front, out, false);
-                    }
-                }
-            }
+        last.infer(&cur, out, ws);
+        // give back in reverse order of taking, whichever way the swaps
+        // left the two names
+        if mid.len() % 2 == 1 {
+            std::mem::swap(&mut cur, &mut next);
         }
-    }
-
-    fn forward_eval(&self, input: &Tensor) -> Option<Tensor> {
-        let mut x: Option<Tensor> = None;
-        for layer in &self.layers {
-            let cur = x.as_ref().unwrap_or(input);
-            x = Some(layer.forward_eval(cur)?);
-        }
-        Some(x.unwrap_or_else(|| input.clone()))
+        ws.give(next);
+        ws.give(cur);
     }
 
     fn fuse_inference(&mut self) {

@@ -1,7 +1,7 @@
 //! Server-level concurrency tests: request/response routing integrity under
 //! load, deadline expiry, admission backpressure, and hot-swap atomicity.
 
-use hs_nn::{Layer, Linear, Network, Sequential};
+use hs_nn::{Layer, Linear, Network, Sequential, Workspace};
 use hs_serve::{BatchPolicy, ModelRegistry, ServeError, Server, ServerConfig};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -109,12 +109,15 @@ fn async_submissions_coalesce_into_real_batches() {
 struct Slow(Duration);
 
 impl Layer for Slow {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        std::thread::sleep(self.0);
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         input.clone()
     }
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         grad_out.clone()
+    }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        std::thread::sleep(self.0);
+        out.clone_from(input);
     }
     fn name(&self) -> &'static str {
         "slow"
@@ -361,14 +364,17 @@ fn shape_mismatch_and_unknown_model_fail_actionably() {
 struct PanicOn(f32);
 
 impl Layer for PanicOn {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        if input.as_slice().contains(&self.0) {
-            panic!("poison value hit");
-        }
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
         input.clone()
     }
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         grad_out.clone()
+    }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        if input.as_slice().contains(&self.0) {
+            panic!("poison value hit");
+        }
+        out.clone_from(input);
     }
     fn name(&self) -> &'static str {
         "panic_on"

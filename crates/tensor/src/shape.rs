@@ -25,8 +25,8 @@ impl Shape {
     }
 
     /// Overwrites this shape with `dims`, reusing the existing storage — the
-    /// allocation-free companion of [`Shape::new`] used by the inference
-    /// arena's [`crate::Tensor::resize_to`].
+    /// allocation-free companion of [`Shape::new`] used by
+    /// [`crate::Tensor::resize_to`].
     pub(crate) fn copy_from(&mut self, dims: &[usize]) {
         self.0.clear();
         self.0.extend_from_slice(dims);

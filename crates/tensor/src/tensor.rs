@@ -269,12 +269,12 @@ impl Tensor {
 
     /// Reshapes this tensor in place to `dims`, resizing the backing buffer
     /// while reusing its capacity. Existing element values are unspecified
-    /// afterwards (grown regions are zero-filled) — this is the arena
-    /// primitive behind the inference forward plan: after warm-up a
-    /// `resize_to` to a previously seen size allocates nothing.
+    /// afterwards (grown regions are zero-filled) — this is the primitive
+    /// behind allocation-free inference (`hs_nn::Workspace`): after warm-up
+    /// a `resize_to` to a previously seen size allocates nothing.
     pub fn resize_to(&mut self, dims: &[usize]) {
         if self.shape.dims() != dims {
-            // reuse the shape's own storage: a warm arena resize must not
+            // reuse the shape's own storage: a warm resize must not
             // allocate, and the common case (same dims as last forward)
             // skips even the copy
             self.shape.copy_from(dims);

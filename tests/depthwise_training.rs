@@ -161,8 +161,8 @@ fn depthwise_gradients_match_numerical_differences() {
 
 #[test]
 fn eval_forward_between_train_forward_and_backward_keeps_depthwise_gradients() {
-    // the eval pass (other batch size AND geometry, exclusive and shared
-    // entry points) must not touch the input cached for backward
+    // an inference (other batch size AND geometry) must not touch the input
+    // cached for backward
     let mut rng = StdRng::seed_from_u64(43);
     for (k, stride, pad) in [(3usize, 1usize, 1usize), (3, 2, 1), (5, 1, 2)] {
         let mut conv = Conv2d::depthwise(4, k, stride, pad, &mut rng);
@@ -171,7 +171,6 @@ fn eval_forward_between_train_forward_and_backward_keeps_depthwise_gradients() {
 
         let y = conv.forward(&x_train, true);
         let _ = conv.forward(&x_eval, false);
-        let _ = conv.forward_eval(&x_eval);
         let grad_out = Tensor::rand_uniform(y.dims(), -1.0, 1.0, &mut rng);
         let grad_in = conv.backward(&grad_out);
 

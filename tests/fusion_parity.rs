@@ -1,19 +1,24 @@
-//! Parity suite for the fused inference engine (PR 2): the fused
-//! conv+BN+activation path, the planned (arena) forward and the shared-state
-//! sharded eval path are pinned against the unfused layer-by-layer
+//! Parity suite for the fused inference engine: the fused
+//! conv+BN+activation path is pinned against the unfused layer-by-layer
 //! reference across random shapes, grouped/strided/padded convolutions and
 //! every supported activation — including the exact train-mode fallback and
 //! the guarantee that evaluation never mutates batch-norm running
 //! statistics.
+//!
+//! Inference has one route with three entry points (`forward(x, false)`,
+//! `Network::infer`, `Network::infer_with`);
+//! `every_inference_entry_point_returns_the_same_bits_across_the_zoo` pins
+//! them `to_bits`-equal, so the tolerance sweeps below go through
+//! `Network::infer` alone.
 
 use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::evaluate_accuracy;
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{
     BatchNorm2d, Conv2d, ConvAlgo, CrossEntropyLoss, HardSwish, Layer, LeakyRelu, Network, Relu,
-    Relu6, Sequential, Target,
+    Relu6, Sequential, Target, Workspace,
 };
-use heteroswitch_repro::tensor::Tensor;
+use heteroswitch_repro::tensor::{DType, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,20 +127,7 @@ fn fused_conv_bn_act_matches_unfused_across_configs() {
                 let x = Tensor::rand_uniform(&[n, cin, h, w], -1.5, 1.5, &mut rng);
                 let ctx =
                     format!("cin={cin} cout={cout} k={k} s={s} p={p} g={g} bn={with_bn} act={act}");
-                let expect = reference.forward(&x, false);
-                // fused forward
-                assert_close(
-                    &fused.forward(&x, false),
-                    &expect,
-                    &format!("{ctx} [fused]"),
-                );
-                // planned (arena) forward
-                assert_close(&fused.infer(&x).clone(), &expect, &format!("{ctx} [plan]"));
-                // shared-state eval forward
-                let shared = fused
-                    .forward_eval(&x)
-                    .expect("built-ins support shared eval");
-                assert_close(&shared, &expect, &format!("{ctx} [shared]"));
+                assert_close(fused.infer(&x), reference.infer(&x), &ctx);
             }
         }
     }
@@ -143,8 +135,8 @@ fn fused_conv_bn_act_matches_unfused_across_configs() {
 
 #[test]
 fn fused_paths_match_unfused_on_every_forced_conv_backend() {
-    // the full fused/planned/shared-eval parity contract, swept over both
-    // ConvAlgos forced network-wide: backends must be interchangeable under
+    // the fused parity contract, swept over both ConvAlgos forced
+    // network-wide: backends must be interchangeable under
     // fusion (epilogue semantics included), with inapplicable geometries
     // falling back to im2col — at the default-path bar (REL_TOL).
     let mut rng = StdRng::seed_from_u64(300);
@@ -169,19 +161,9 @@ fn fused_paths_match_unfused_on_every_forced_conv_backend() {
                 fused.force_conv_algo(Some(algo));
 
                 let x = Tensor::rand_uniform(&[2, cin, h, w], -1.5, 1.5, &mut rng);
-                let expect = reference.forward(&x, false);
                 let ctx =
                     format!("{algo:?} cin={cin} cout={cout} k={k} s={s} p={p} g={g} act={act}");
-                assert_close(
-                    &fused.forward(&x, false),
-                    &expect,
-                    &format!("{ctx} [fused]"),
-                );
-                assert_close(&fused.infer(&x).clone(), &expect, &format!("{ctx} [plan]"));
-                let shared = fused
-                    .forward_eval(&x)
-                    .expect("built-ins support shared eval");
-                assert_close(&shared, &expect, &format!("{ctx} [shared]"));
+                assert_close(fused.infer(&x), reference.infer(&x), &ctx);
             }
         }
     }
@@ -203,13 +185,12 @@ fn depthwise_backend_propagates_nan_like_the_unfused_path() {
 
         let mut x = Tensor::rand_uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut rng);
         *x.at_mut(&[0, 1, 3, 3]) = f32::NAN;
-        let expect = reference.forward(&x, false);
-        let got = fused.forward(&x, false);
+        let expect = reference.infer(&x);
         assert!(
             expect.as_slice().iter().any(|v| v.is_nan()) || act == 1,
             "test setup: the NaN should reach the output unless ReLU clears it"
         );
-        assert_close_with_nans(&got, &expect, 1e-3, &format!("act={act}"));
+        assert_close_with_nans(fused.infer(&x), expect, 1e-3, &format!("act={act}"));
     }
 }
 
@@ -237,22 +218,17 @@ fn fused_hard_swish_propagates_nan_like_the_unfused_path_on_every_conv_kind() {
 
         let mut x = Tensor::rand_uniform(&[2, cin, 8, 8], -1.5, 1.5, &mut rng);
         *x.at_mut(&[1, 1, 0, 3]) = f32::NAN;
-        let expect = reference.forward(&x, false);
+        let expect = reference.infer(&x);
         assert!(
             expect.as_slice().iter().any(|v| v.is_nan()),
             "test setup: the NaN should reach the output"
         );
-        for (path, got) in [
-            ("fused", fused.forward(&x, false)),
-            ("plan", fused.infer(&x).clone()),
-        ] {
-            assert_close_with_nans(
-                &got,
-                &expect,
-                REL_TOL,
-                &format!("k={k} s={s} g={g} [{path}]"),
-            );
-        }
+        assert_close_with_nans(
+            fused.infer(&x),
+            expect,
+            REL_TOL,
+            &format!("k={k} s={s} g={g}"),
+        );
     }
 }
 
@@ -320,21 +296,52 @@ fn fused_model_zoo_inference_matches_unfused() {
         warm_bn(&mut reference, &mut fused, &x_warm);
         fused.fuse_inference();
         let x = Tensor::rand_uniform(&[3, 3, 16, 16], 0.0, 1.0, &mut rng);
-        let expect = reference.forward(&x, false);
-        assert_close(
-            &fused.forward(&x, false),
-            &expect,
-            &format!("{kind:?} [fused]"),
-        );
-        assert_close(
-            &fused.infer(&x).clone(),
-            &expect,
-            &format!("{kind:?} [plan]"),
-        );
-        let shared = fused
-            .forward_eval(&x)
-            .expect("zoo layers support shared eval");
-        assert_close(&shared, &expect, &format!("{kind:?} [shared]"));
+        assert_close(fused.infer(&x), reference.infer(&x), &format!("{kind:?}"));
+    }
+}
+
+#[test]
+fn every_inference_entry_point_returns_the_same_bits_across_the_zoo() {
+    // one inference body per layer, three ways in: `forward(x, false)` (cold
+    // workspace), `Network::infer` (the network's own, warm from the second
+    // batch on) and `Network::infer_with` (the caller's, cold then warm)
+    let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+    let mut rng = StdRng::seed_from_u64(13);
+    let x_warm = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
+    let inputs: Vec<Tensor> = [1usize, 8, 32]
+        .iter()
+        .map(|&batch| Tensor::rand_uniform(&[batch, 3, 16, 16], 0.0, 1.0, &mut rng))
+        .collect();
+    for kind in [
+        ModelKind::SimpleCnn,
+        ModelKind::MobileNetV3Small,
+        ModelKind::ShuffleNetV2,
+        ModelKind::SqueezeNet,
+    ] {
+        for fused in [false, true] {
+            for dtype in [DType::F32, DType::F16, DType::I8] {
+                let cfg = VisionConfig::new(3, 8, 16);
+                let mut net = build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(9));
+                for _ in 0..2 {
+                    let _ = net.forward(&x_warm, true); // non-default BN stats
+                }
+                if fused {
+                    net.fuse_inference();
+                }
+                net.to_dtype(dtype);
+                let mut ws = Workspace::new();
+                for x in &inputs {
+                    let ctx = format!("{kind:?} fused={fused} {dtype:?} batch={}", x.dims()[0]);
+                    let expect = bits(&net.forward(x, false));
+                    assert_eq!(bits(net.infer(x)), expect, "{ctx}: infer");
+                    for pass in ["cold", "warm"] {
+                        let y = net.infer_with(x, &mut ws);
+                        assert_eq!(bits(&y), expect, "{ctx}: infer_with ({pass})");
+                        ws.give(y);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -359,9 +366,9 @@ fn planned_forward_reuses_arena_across_shapes() {
 
 #[test]
 fn eval_paths_never_mutate_bn_running_stats() {
-    // the PR-2 "small fix" pin: predict_classes, eval_loss, infer,
-    // forward_eval and sharded evaluate_accuracy must leave every weight
-    // and buffer (incl. BN running stats) untouched
+    // predict_classes, eval_loss, infer, infer_with, forward(x, false) and
+    // sharded evaluate_accuracy must leave every weight and buffer (incl.
+    // BN running stats) untouched
     let cfg = VisionConfig::new(3, 4, 16);
     let mut rng = StdRng::seed_from_u64(11);
     let mut net = build_vision_model(ModelKind::SimpleCnn, cfg, &mut rng);
@@ -376,7 +383,8 @@ fn eval_paths_never_mutate_bn_running_stats() {
     let _ = net.predict_classes(&x);
     let _ = net.eval_loss(&x, &Target::Classes(vec![0, 1, 2, 3]), &CrossEntropyLoss);
     let _ = net.infer(&x);
-    let _ = net.forward_eval(&x);
+    let _ = net.infer_with(&x, &mut Workspace::new());
+    let _ = net.forward(&x, false);
     let samples: Vec<Tensor> = (0..70)
         .map(|_| Tensor::rand_uniform(&[3, 16, 16], 0.0, 1.0, &mut rng))
         .collect();

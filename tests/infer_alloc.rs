@@ -1,8 +1,9 @@
-//! Pins the allocation-free forward plan: after warm-up, `Network::infer`
-//! must perform **zero** heap allocations on the calling thread for every
-//! model in the zoo — including inside the composite blocks (inverted
-//! residuals, squeeze-excite, fire modules, shuffle units), whose nested
-//! Sequentials previously fell back to the allocating layer-at-a-time path.
+//! Pins allocation-free inference: after warm-up, `Network::infer` (the
+//! network's own workspace) and `Network::infer_with` (a caller's workspace
+//! over a shared `&Network`) must perform **zero** heap allocations on the
+//! calling thread for every model in the zoo — including inside the
+//! composite blocks (inverted residuals, squeeze-excite, fire modules,
+//! shuffle units) and their nested Sequentials.
 //!
 //! The pin uses a counting global allocator with a per-thread counter, so
 //! concurrently running tests in this binary cannot perturb the count. The
@@ -12,6 +13,7 @@
 //! hosts) and is not what this test is about.
 
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
+use heteroswitch_repro::nn::Workspace;
 use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,7 +87,7 @@ fn warm_infer_performs_zero_allocations_across_the_model_zoo() {
         net.fuse_inference();
         let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
 
-        // warm-up: sizes the arenas, scratch buffers and thread-local packs
+        // warm-up: sizes the workspace and the thread-local packs
         let expect = net.infer(&x).clone();
         let _ = net.infer(&x);
 
@@ -104,7 +106,7 @@ fn warm_infer_performs_zero_allocations_across_the_model_zoo() {
 #[test]
 fn warm_infer_stays_allocation_free_when_batch_returns_to_a_seen_size() {
     // alternating between two previously-seen shapes must not re-trigger
-    // arena growth (Vec::resize never shrinks capacity). Both shapes stay
+    // workspace growth (Vec::resize never shrinks capacity). Both shapes stay
     // at batch 1 so the conv batch loop never fans out on multi-core hosts
     // (pool spawns box their closures — a legitimate allocation that is not
     // under test here); the alternation is spatial instead.
@@ -123,4 +125,81 @@ fn warm_infer_stays_allocation_free_when_batch_returns_to_a_seen_size() {
         let _ = net.infer(&x2);
     });
     assert_eq!(allocs, 0, "shape alternation re-allocated {allocs} times");
+}
+
+#[test]
+fn warm_infer_with_on_a_shared_network_performs_zero_allocations_across_the_model_zoo() {
+    let cfg = VisionConfig::new(3, 6, 16);
+    for kind in [
+        ModelKind::SimpleCnn,
+        ModelKind::MobileNetV3Small,
+        ModelKind::ShuffleNetV2,
+        ModelKind::SqueezeNet,
+    ] {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut net = build_vision_model(kind, cfg, &mut rng);
+        net.fuse_inference();
+        let net = &net; // shared from here on
+        let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
+
+        // one pass warms the workspace: every take/give pair nests, so the
+        // pool hands each call site the same tensor on every later pass
+        let mut ws = Workspace::new();
+        let first = net.infer_with(&x, &mut ws);
+        let expect = first.clone();
+        ws.give(first);
+
+        let (allocs, same) = count_allocs(|| {
+            let y = net.infer_with(&x, &mut ws);
+            let same = y == expect;
+            ws.give(y);
+            same
+        });
+        assert_eq!(
+            allocs, 0,
+            "{kind:?}: warm Network::infer_with allocated {allocs} times"
+        );
+        assert!(same, "{kind:?}: counted pass diverged from warm-up output");
+    }
+}
+
+#[test]
+fn two_threads_with_two_workspaces_on_one_network_return_identical_logits() {
+    let cfg = VisionConfig::new(3, 6, 16);
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut net = build_vision_model(ModelKind::MobileNetV3Small, cfg, &mut rng);
+    net.fuse_inference();
+    let inputs: Vec<Tensor> = [1usize, 4, 2]
+        .iter()
+        .map(|&batch| Tensor::rand_uniform(&[batch, 3, 16, 16], 0.0, 1.0, &mut rng))
+        .collect();
+    let expect: Vec<Tensor> = inputs.iter().map(|x| net.infer(x).clone()).collect();
+
+    let (net, inputs, expect) = (&net, &inputs, &expect);
+    // both threads leave the barrier together, so their passes overlap
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for thread in 0..2 {
+            let start = &start;
+            s.spawn(move || {
+                let mut ws = Workspace::new();
+                start.wait();
+                for round in 0..8 {
+                    // opposite orders, so the two are rarely on the same input
+                    let i = (round + thread) % inputs.len();
+                    let y = net.infer_with(&inputs[i], &mut ws);
+                    let same_bits = y
+                        .as_slice()
+                        .iter()
+                        .zip(expect[i].as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(
+                        y.dims() == expect[i].dims() && same_bits,
+                        "thread {thread} round {round}: logits diverged"
+                    );
+                    ws.give(y);
+                }
+            });
+        }
+    });
 }

@@ -83,31 +83,6 @@ fn bench_end_to_end(c: &mut Criterion) {
     c.bench_function("inference/mobilenet_b8_fused_plan_f16", |b| {
         b.iter(|| fused_f16.infer(black_box(&x)).len())
     });
-    // the PR 3 execution strategy on the same fused+planned network — the
-    // batched small-GEMM route disabled, so every skinny 1×1 conv runs the
-    // per-(sample, group) GEMM loop: the same-run denominator for the
-    // CI-gated batched-GEMM speedup ratio
-    hs_nn::set_batched_gemm(false);
-    let (_, mut fused_nobatch) = model_pair(ModelKind::MobileNetV3Small, cfg);
-    c.bench_function("inference/mobilenet_b8_fused_plan_nobatch", |b| {
-        b.iter(|| fused_nobatch.infer(black_box(&x)).len())
-    });
-    // the PR 2 execution strategy (im2col→GEMM on every conv, batched
-    // small-GEMM route off — it postdates PR 2) on the same fused+planned
-    // network: the same-run denominator for the CI-gated backend-dispatch
-    // speedup ratio
-    let (_, mut fused_im2col) = model_pair(ModelKind::MobileNetV3Small, cfg);
-    fused_im2col.force_conv_algo(Some(hs_nn::ConvAlgo::Im2colGemm));
-    c.bench_function("inference/mobilenet_b8_fused_plan_im2col", |b| {
-        b.iter(|| fused_im2col.infer(black_box(&x)).len())
-    });
-    // ...and the same body on a cold workspace (`forward(x, false)`), so
-    // every pass pays its allocations: the closest same-run stand-in for
-    // the PR 2 fused path, which allocated inside the composite blocks
-    c.bench_function("inference/mobilenet_b8_fused_im2col", |b| {
-        b.iter(|| fused_im2col.forward(black_box(&x), false))
-    });
-    hs_nn::set_batched_gemm(true);
 }
 
 fn bench_sharded_eval(c: &mut Criterion) {

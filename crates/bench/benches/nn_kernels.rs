@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
-use hs_nn::{Conv2d, ConvAlgo, CrossEntropyLoss, Layer, Target};
+use hs_nn::{Conv2d, CrossEntropyLoss, Layer, Target};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,19 +61,11 @@ fn bench_kernels(c: &mut Criterion) {
         bencher.iter(|| dw.forward(black_box(&x), false))
     });
 
-    // -- conv backends: the forced-backend pair through the dispatch layer --
-    // MobileNet-scale depthwise: the direct spatial kernel vs the per-channel
-    // im2col→GEMM it replaces (the same-run ratio is gated in CI)
+    // MobileNet-scale depthwise on the direct spatial kernel
     let xdw = Tensor::rand_uniform(&[4, 64, 32, 32], -1.0, 1.0, &mut rng);
     let mut dw_direct = Conv2d::depthwise(64, 3, 1, 1, &mut rng);
-    dw_direct.force_algo(Some(ConvAlgo::DirectDepthwise));
     c.bench_function("nn/depthwise3x3_64c_32px_b4_direct", |bencher| {
         bencher.iter(|| dw_direct.forward(black_box(&xdw), false))
-    });
-    let mut dw_im2col = Conv2d::depthwise(64, 3, 1, 1, &mut rng);
-    dw_im2col.force_algo(Some(ConvAlgo::Im2colGemm));
-    c.bench_function("nn/depthwise3x3_64c_32px_b4_im2col", |bencher| {
-        bencher.iter(|| dw_im2col.forward(black_box(&xdw), false))
     });
 
     // -- batched small-GEMM: the many-skinny-GEMMs regime ------------------

@@ -108,9 +108,9 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(1);
     let sample = Tensor::rand_uniform(&[ECG_INPUT], 0.0, 1.0, &mut rng);
 
-    // warm-up: workspaces, crossover probes, batcher steady state — and
-    // one traced pass so the per-thread trace rings are allocated (and
-    // pooled for reuse) before anything is timed
+    // warm-up: workspaces, batcher steady state — and one traced pass so
+    // the per-thread trace rings are allocated (and pooled for reuse)
+    // before anything is timed
     hs_obs::trace::set_enabled(false);
     closed_loop(
         &server.client(),

@@ -70,7 +70,7 @@ fn run_config(
     let mut rng = StdRng::seed_from_u64(1);
     let sample = Tensor::rand_uniform(input_dims, 0.0, 1.0, &mut rng);
 
-    // warm-up: workspaces, crossover probes, batcher steady state
+    // warm-up: workspaces, batcher steady state
     closed_loop(&client, clients, 4.min(per_client), &sample, None, None);
     server.reset_metrics();
 

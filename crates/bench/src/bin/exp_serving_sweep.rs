@@ -16,8 +16,8 @@
 //! batcher's close rule exists for: a lone client's p50 at `max_batch 8`
 //! over its `max_batch 1` cell (expected ≤ 1.5), and 4-client throughput at
 //! `max_batch 8` over the `max_batch 4` cell (expected ≥ 0.8).
-//! The run also prints the measured batched-GEMM routing crossover table
-//! (`hs_nn::batched_gemm_crossovers`) that the served forwards populated.
+//! The run ends by printing the batched-GEMM routing rule the served
+//! forwards ran under (`hs_nn::batched_gemm_crossovers`).
 
 use hs_bench::json_out_path;
 use hs_bench::serving_load::{closed_loop, open_loop, LoadOutcome};
@@ -185,16 +185,10 @@ fn main() {
         println!();
     }
 
-    let crossovers = hs_nn::batched_gemm_crossovers();
-    println!("batched-GEMM routing crossovers (m_class, k_class -> ohw threshold):");
-    if crossovers.is_empty() {
-        println!(
-            "  (none probed: threshold pinned via HS_BATCHED_OHW_MAX or no small-ohw conv ran)"
-        );
-    }
-    for (m_class, k_class, threshold) in &crossovers {
-        println!("  m≈{m_class:<5} k≈{k_class:<5} -> ohw < {threshold}");
-    }
+    let (_, _, threshold) = hs_nn::batched_gemm_crossovers()[0];
+    println!(
+        "batched-GEMM routing rule: im2col convs with ohw < {threshold} take the batched route"
+    );
 
     if let Some(path) = json_out_path(&args) {
         serde::json::write_file(&path, &records).expect("failed to write --json-out file");

@@ -64,7 +64,6 @@ pub const WALL_CLOCK_SANCTIONED: &[&str] = &[
     "examples/",
     "tests/",
     "vendor/",
-    "crates/nn/src/conv.rs",
 ];
 
 /// Directories never walked: build output, VCS metadata, and this crate's
@@ -269,9 +268,8 @@ mod tests {
         assert!(ctx_for("examples/serve_quickstart.rs").wall_clock_sanctioned);
         assert!(ctx_for("tests/serving_e2e.rs").wall_clock_sanctioned);
         assert!(ctx_for("vendor/criterion/src/lib.rs").wall_clock_sanctioned);
-        // one exact-file exemption
-        assert!(ctx_for("crates/nn/src/conv.rs").wall_clock_sanctioned);
         // prefixes don't leak into sibling names or other crates
+        assert!(!ctx_for("crates/nn/src/conv.rs").wall_clock_sanctioned);
         assert!(!ctx_for("crates/nn/src/gemm.rs").wall_clock_sanctioned);
         assert!(!ctx_for("crates/fl/src/phases.rs").wall_clock_sanctioned);
         assert!(!ctx_for("crates/parallel/src/lib.rs").wall_clock_sanctioned);

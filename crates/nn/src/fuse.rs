@@ -177,8 +177,10 @@ impl Layer for FusedConvBnAct {
         self.conv.backward(&g)
     }
 
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        self.conv.for_each_conv2d_mut(f);
+    fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
+        for layer in std::iter::once(&self.conv).chain(&self.bn).chain(&self.act) {
+            f(layer.as_ref());
+        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -322,7 +324,9 @@ mod tests {
     use rand::SeedableRng;
 
     fn layer_names(seq: &Sequential) -> Vec<&'static str> {
-        seq.layers().iter().map(|l| l.name()).collect()
+        let mut names = Vec::new();
+        seq.for_each_child(&mut |l| names.push(l.name()));
+        names
     }
 
     #[test]

@@ -104,7 +104,9 @@ impl Workspace {
 /// [`Layer::fuse_inference`] plus the typed views ([`Layer::as_conv2d`],
 /// [`Layer::as_batch_norm`], [`Layer::as_linear`], [`Layer::epilogue_act`])
 /// are the hooks the conv/BN/activation fusion pass uses to pattern-match
-/// and rebuild layer runs.
+/// and rebuild layer runs. [`Layer::for_each_child`] is the read-only
+/// structural walk: nothing outside a layer can reach into it to change
+/// what its inference runs.
 pub trait Layer: Send + Sync {
     /// Computes the layer output for `input`: [`Layer::forward_train`] when
     /// `train` (batch-norm batch statistics, dropout masking, gradient
@@ -178,11 +180,13 @@ pub trait Layer: Send + Sync {
         None
     }
 
-    /// Visits every [`Conv2d`] reachable from this layer (containers and
-    /// fused layers recurse; leaves other than `Conv2d` do nothing). Used to
-    /// force a convolution backend network-wide in tests and the backend
-    /// benches — see [`crate::ConvAlgo`].
-    fn for_each_conv2d_mut(&mut self, _f: &mut dyn FnMut(&mut Conv2d)) {}
+    /// Visits this layer's direct children, in execution order: a container
+    /// or block yields the layers of its body (or bodies, one after the
+    /// other), a fused layer the original layers it owns; leaves have none.
+    /// Read-only — with [`Layer::name`] and the typed views this is how a
+    /// caller enumerates what a network is made of
+    /// ([`crate::Network::for_each_layer`] is the recursive walk).
+    fn for_each_child(&self, _f: &mut dyn FnMut(&dyn Layer)) {}
 
     /// Typed view for the fusion pass: `Some` iff this layer is a plain
     /// [`BatchNorm2d`].
@@ -253,6 +257,7 @@ mod tests {
         assert!(id.as_batch_norm().is_none());
         assert!(id.as_linear().is_none());
         assert!(id.epilogue_act().is_none());
+        id.for_each_child(&mut |_| panic!("a leaf has no children"));
         // forward(_, false) is infer on a cold workspace
         assert_eq!(id.forward(&x, false), x);
         // fuse_inference and to_dtype are no-ops; param_stores mirrors params

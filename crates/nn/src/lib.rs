@@ -56,7 +56,7 @@ mod sequential;
 pub use activation::{HardSigmoid, HardSwish, LeakyRelu, Relu, Relu6, Sigmoid, Tanh};
 pub use blocks::{ChannelShuffle, Fire, InvertedResidual, Residual, ShuffleUnit, SqueezeExcite};
 pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
-pub use conv::{batched_gemm_crossovers, set_batched_gemm, Conv2d, ConvAlgo};
+pub use conv::{batched_gemm_crossovers, Conv2d, ConvAlgo};
 pub use dropout::Dropout;
 pub use fuse::{fuse_sequential, FusedConvBnAct, FusedLinearAct};
 pub use hs_tensor::EpilogueAct;

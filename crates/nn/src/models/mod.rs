@@ -143,59 +143,6 @@ mod tests {
         assert_eq!(a.weights(), b.weights());
     }
 
-    /// The traffic claim behind the two-backend dispatch, on the models the
-    /// paper trains: every depthwise layer plans the direct kernel and every
-    /// other conv im2col→GEMM — unfused or fused, f32 or quantized (whose
-    /// weights only the GEMM packing layer can widen).
-    #[test]
-    fn zoo_convs_plan_one_route_per_geometry() {
-        use crate::{ConvAlgo, Layer};
-        use hs_tensor::DType;
-        for kind in [
-            ModelKind::SimpleCnn,
-            ModelKind::MobileNetV3Small,
-            ModelKind::ShuffleNetV2,
-            ModelKind::SqueezeNet,
-        ] {
-            for (fused, dtype) in [
-                (false, DType::F32),
-                (true, DType::F32),
-                (false, DType::F16),
-                (true, DType::F16),
-            ] {
-                let mut rng = StdRng::seed_from_u64(3);
-                let mut net = build_vision_model(kind, VisionConfig::new(3, 12, 32), &mut rng);
-                if fused {
-                    net.fuse_inference();
-                }
-                net.to_dtype(dtype);
-                let ctx = format!("{kind:?} fused={fused} {dtype:?}");
-                let (mut direct, mut im2col) = (0, 0);
-                net.layer_stack_mut().for_each_conv2d_mut(&mut |conv| {
-                    if conv.is_depthwise() {
-                        assert_eq!(conv.planned_algo(), ConvAlgo::DirectDepthwise, "{ctx}");
-                        assert!(!conv.is_quantized(), "{ctx}: depthwise weights stay f32");
-                        direct += 1;
-                    } else {
-                        assert_eq!(conv.planned_algo(), ConvAlgo::Im2colGemm, "{ctx}");
-                        assert_eq!(conv.is_quantized(), dtype != DType::F32, "{ctx}");
-                        im2col += 1;
-                    }
-                });
-                // the walk reached real layers of both kinds where the
-                // architecture has them
-                let has_depthwise =
-                    matches!(kind, ModelKind::MobileNetV3Small | ModelKind::ShuffleNetV2);
-                assert_eq!(
-                    direct > 0,
-                    has_depthwise,
-                    "{kind:?}: {direct} depthwise convs"
-                );
-                assert!(im2col > 0, "{kind:?}: no dense convs visited");
-            }
-        }
-    }
-
     #[test]
     fn kind_names_are_distinct() {
         let names: std::collections::HashSet<_> = [

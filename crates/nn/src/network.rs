@@ -31,13 +31,6 @@ impl Network {
         }
     }
 
-    /// The top-level layer stack (test-only: structural assertions on the
-    /// fused model zoo).
-    #[cfg(test)]
-    pub(crate) fn layers(&self) -> &Sequential {
-        &self.layers
-    }
-
     /// Runs a forward pass. `train` enables training-time behaviour
     /// (batch statistics, dropout, gradient caches); without it this is
     /// [`Network::infer_with`] on a cold workspace.
@@ -74,13 +67,21 @@ impl Network {
         self.layers.fuse_inference();
     }
 
-    /// Forces the convolution inference backend on every [`crate::Conv2d`]
-    /// in the network (recursing through blocks and fused layers); `None`
-    /// restores the per-layer geometry rule. Used by the backend parity
-    /// tests and the conv-backend benches — see [`crate::ConvAlgo`].
-    pub fn force_conv_algo(&mut self, algo: Option<crate::ConvAlgo>) {
-        self.layers
-            .for_each_conv2d_mut(&mut |conv| conv.force_algo(algo));
+    /// Visits every layer of the network depth-first in execution order,
+    /// parents before their children ([`Layer::for_each_child`]), passing
+    /// each layer's nesting depth (0 for the top-level stack's layers).
+    /// Read-only: with [`Layer::name`] and the typed views
+    /// ([`Layer::as_conv2d`], …) it enumerates what the network is made of
+    /// — e.g. which backend every convolution plans
+    /// ([`crate::Conv2d::planned_algo`]) — without being able to change it.
+    pub fn for_each_layer(&self, f: &mut dyn FnMut(usize, &dyn Layer)) {
+        fn walk(layer: &dyn Layer, depth: usize, f: &mut dyn FnMut(usize, &dyn Layer)) {
+            layer.for_each_child(&mut |child| {
+                f(depth, child);
+                walk(child, depth + 1, f);
+            });
+        }
+        walk(&self.layers, 0, f);
     }
 
     /// Back-propagates the loss gradient through every layer, accumulating

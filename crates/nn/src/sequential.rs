@@ -46,13 +46,6 @@ impl Sequential {
     pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
-
-    /// Read-only access to the layer list (test-only: used by the fusion
-    /// pass's structural assertions).
-    #[cfg(test)]
-    pub(crate) fn layers(&self) -> &[Box<dyn Layer>] {
-        &self.layers
-    }
 }
 
 impl Layer for Sequential {
@@ -102,9 +95,9 @@ impl Layer for Sequential {
         self.layers = crate::fuse::fuse_layers(layers);
     }
 
-    fn for_each_conv2d_mut(&mut self, f: &mut dyn FnMut(&mut crate::Conv2d)) {
-        for layer in &mut self.layers {
-            layer.for_each_conv2d_mut(f);
+    fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
+        for layer in &self.layers {
+            f(layer.as_ref());
         }
     }
 

@@ -351,16 +351,15 @@ pub struct ServerConfig {
     pub brownout: BrownoutConfig,
     /// Inference dtype for every worker replica. Applied after fusion and
     /// before the checkpoint load, so published f32 checkpoints quantize on
-    /// load (see `hs_nn::Network::to_dtype`). Defaults to the `HS_DTYPE`
-    /// environment override, falling back to f32.
+    /// load (see `hs_nn::Network::to_dtype`). f32 unless
+    /// [`ServerConfig::with_dtype`] says otherwise.
     pub replica_dtype: DType,
 }
 
 impl ServerConfig {
     /// A configuration with the given knobs, a 1 ms idle poll, and default
     /// self-healing knobs (5 restarts per worker at 5 ms base backoff,
-    /// default [`BrownoutConfig`]); the replica dtype comes from `HS_DTYPE`
-    /// (f32 when unset).
+    /// default [`BrownoutConfig`]) and f32 replicas.
     pub fn new(workers: usize, queue_capacity: usize, policy: BatchPolicy) -> Self {
         assert!(workers > 0, "server needs at least one worker");
         ServerConfig {
@@ -372,7 +371,7 @@ impl ServerConfig {
             restart_backoff: Duration::from_millis(5),
             supervisor_poll: Duration::from_millis(1),
             brownout: BrownoutConfig::default(),
-            replica_dtype: DType::from_env().unwrap_or(DType::F32),
+            replica_dtype: DType::F32,
         }
     }
 
@@ -384,8 +383,7 @@ impl ServerConfig {
             .unwrap_or(1)
     }
 
-    /// Sets the worker-replica inference dtype explicitly, overriding the
-    /// `HS_DTYPE` environment default.
+    /// Sets the worker-replica inference dtype.
     pub fn with_dtype(mut self, dtype: DType) -> Self {
         self.replica_dtype = dtype;
         self

@@ -53,14 +53,6 @@ impl DType {
             _ => None,
         }
     }
-
-    /// Reads the `HS_DTYPE` environment override: `None` when unset or
-    /// unparseable (callers fall back to their own default).
-    pub fn from_env() -> Option<DType> {
-        std::env::var("HS_DTYPE")
-            .ok()
-            .and_then(|v| DType::parse(&v))
-    }
 }
 
 impl std::fmt::Display for DType {

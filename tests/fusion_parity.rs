@@ -15,8 +15,8 @@ use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::evaluate_accuracy;
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{
-    BatchNorm2d, Conv2d, ConvAlgo, CrossEntropyLoss, HardSwish, Layer, LeakyRelu, Network, Relu,
-    Relu6, Sequential, Target, Workspace,
+    BatchNorm2d, Conv2d, CrossEntropyLoss, HardSwish, Layer, LeakyRelu, Network, Relu, Relu6,
+    Sequential, Target, Workspace,
 };
 use heteroswitch_repro::tensor::{DType, Tensor};
 use rand::rngs::StdRng;
@@ -134,11 +134,10 @@ fn fused_conv_bn_act_matches_unfused_across_configs() {
 }
 
 #[test]
-fn fused_paths_match_unfused_on_every_forced_conv_backend() {
-    // the fused parity contract, swept over both ConvAlgos forced
-    // network-wide: backends must be interchangeable under
-    // fusion (epilogue semantics included), with inapplicable geometries
-    // falling back to im2col — at the default-path bar (REL_TOL).
+fn fused_paths_match_unfused_on_every_planned_conv_backend() {
+    // the fused parity contract (epilogue semantics included) on both
+    // ConvAlgos, each where the geometry rule plans it — at the
+    // default-path bar (REL_TOL).
     let mut rng = StdRng::seed_from_u64(300);
     // (cin, cout, kernel, stride, pad, groups, h, w)
     let configs = [
@@ -150,21 +149,17 @@ fn fused_paths_match_unfused_on_every_forced_conv_backend() {
         (5, 5, 5, 2, 2, 5, 11, 9), // strided depthwise, 5×5
         (4, 4, 1, 1, 0, 1, 6, 6),  // pointwise
     ];
-    for algo in [ConvAlgo::Im2colGemm, ConvAlgo::DirectDepthwise] {
-        for (case, &(cin, cout, k, s, p, g, h, w)) in configs.iter().enumerate() {
-            for act in 0..5usize {
-                let seed = 7000 + case as u64 * 8 + act as u64;
-                let (mut reference, mut fused) = conv_stack(seed, cin, cout, k, s, p, g, true, act);
-                let x_warm = Tensor::rand_uniform(&[2, cin, h, w], -1.0, 1.0, &mut rng);
-                warm_bn(&mut reference, &mut fused, &x_warm);
-                fused.fuse_inference();
-                fused.force_conv_algo(Some(algo));
+    for (case, &(cin, cout, k, s, p, g, h, w)) in configs.iter().enumerate() {
+        for act in 0..5usize {
+            let seed = 7000 + case as u64 * 8 + act as u64;
+            let (mut reference, mut fused) = conv_stack(seed, cin, cout, k, s, p, g, true, act);
+            let x_warm = Tensor::rand_uniform(&[2, cin, h, w], -1.0, 1.0, &mut rng);
+            warm_bn(&mut reference, &mut fused, &x_warm);
+            fused.fuse_inference();
 
-                let x = Tensor::rand_uniform(&[2, cin, h, w], -1.5, 1.5, &mut rng);
-                let ctx =
-                    format!("{algo:?} cin={cin} cout={cout} k={k} s={s} p={p} g={g} act={act}");
-                assert_close(fused.infer(&x), reference.infer(&x), &ctx);
-            }
+            let x = Tensor::rand_uniform(&[2, cin, h, w], -1.5, 1.5, &mut rng);
+            let ctx = format!("cin={cin} cout={cout} k={k} s={s} p={p} g={g} act={act}");
+            assert_close(fused.infer(&x), reference.infer(&x), &ctx);
         }
     }
 }
@@ -181,7 +176,6 @@ fn depthwise_backend_propagates_nan_like_the_unfused_path() {
         let x_warm = Tensor::rand_uniform(&[2, 4, 8, 8], -1.0, 1.0, &mut rng);
         warm_bn(&mut reference, &mut fused, &x_warm);
         fused.fuse_inference();
-        fused.force_conv_algo(Some(ConvAlgo::DirectDepthwise));
 
         let mut x = Tensor::rand_uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut rng);
         *x.at_mut(&[0, 1, 3, 3]) = f32::NAN;

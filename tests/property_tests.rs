@@ -192,26 +192,34 @@ fn matmul_nt_and_tn_match_composed_transpose() {
 /// The im2col+GEMM convolution agrees with the seed scalar implementation
 /// across random grouped / depthwise / strided / padded configurations, in
 /// both the forward values and every backward gradient.
+/// A random grouped / depthwise / strided / padded convolution, an input for
+/// it, a description of the draw and the RNG that made them.
+fn random_conv_case(seed: u64, depthwise_odds: f64) -> (Conv2d, Tensor, String, StdRng) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let groups = [1usize, 2, 4][rng.gen_range(0usize..3)];
+    let cin = groups * rng.gen_range(1usize..4);
+    let cout = if rng.gen_bool(depthwise_odds) && cin == groups {
+        cin // depthwise
+    } else {
+        groups * rng.gen_range(1usize..4)
+    };
+    let kernel = [1usize, 3, 5][rng.gen_range(0usize..3)];
+    let stride = rng.gen_range(1usize..3);
+    let padding = rng.gen_range(0usize..=kernel / 2 + 1);
+    let extent = kernel.max(3) + rng.gen_range(2usize..8);
+    let (h, w) = (extent, extent + rng.gen_range(0usize..3));
+    let batch = rng.gen_range(1usize..4);
+
+    let conv = Conv2d::new(cin, cout, kernel, stride, padding, groups, &mut rng);
+    let x = Tensor::rand_uniform(&[batch, cin, h, w], -1.0, 1.0, &mut rng);
+    let ctx = format!("cin={cin} cout={cout} k={kernel} s={stride} p={padding} g={groups}");
+    (conv, x, ctx, rng)
+}
+
 #[test]
 fn conv2d_gemm_path_matches_reference_across_configs() {
     for seed in 0..24 {
-        let mut rng = StdRng::seed_from_u64(700 + seed);
-        let groups = [1usize, 2, 4][rng.gen_range(0usize..3)];
-        let cin = groups * rng.gen_range(1usize..4);
-        let cout = if rng.gen_bool(0.25) && cin == groups {
-            cin // depthwise
-        } else {
-            groups * rng.gen_range(1usize..4)
-        };
-        let kernel = [1usize, 3, 5][rng.gen_range(0usize..3)];
-        let stride = rng.gen_range(1usize..3);
-        let padding = rng.gen_range(0usize..=kernel / 2 + 1);
-        let extent = kernel.max(3) + rng.gen_range(2usize..8);
-        let (h, w) = (extent, extent + rng.gen_range(0usize..3));
-        let batch = rng.gen_range(1usize..4);
-
-        let mut conv = Conv2d::new(cin, cout, kernel, stride, padding, groups, &mut rng);
-        let x = Tensor::rand_uniform(&[batch, cin, h, w], -1.0, 1.0, &mut rng);
+        let (mut conv, x, ctx, mut rng) = random_conv_case(700 + seed, 0.25);
 
         let fast = conv.forward(&x, true);
         let reference = conv.forward_reference(&x);
@@ -219,7 +227,7 @@ fn conv2d_gemm_path_matches_reference_across_configs() {
         for (f, r) in fast.as_slice().iter().zip(reference.as_slice()) {
             assert!(
                 (f - r).abs() <= 1e-4 * r.abs().max(1.0),
-                "conv forward cin={cin} cout={cout} k={kernel} s={stride} p={padding} g={groups}: {f} vs {r}"
+                "conv forward {ctx}: {f} vs {r}"
             );
         }
 
@@ -249,50 +257,28 @@ fn conv2d_gemm_path_matches_reference_across_configs() {
     }
 }
 
-/// Both convolution backends, forced through the dispatch override, agree
-/// with the seed scalar reference across random grouped / depthwise /
-/// strided / padded configurations. The direct kernel cannot execute a
-/// non-depthwise geometry and must fall back to im2col rather than panic or
-/// diverge, so the sweep runs both backends over every configuration.
+/// The planned inference route — the direct kernel on the depthwise draws,
+/// im2col on the rest — agrees with the seed scalar reference across random
+/// grouped / depthwise / strided / padded configurations.
 #[test]
 fn every_conv_backend_matches_reference_across_configs() {
     for seed in 0..16 {
-        let mut rng = StdRng::seed_from_u64(2000 + seed);
-        let groups = [1usize, 2, 4][rng.gen_range(0usize..3)];
-        let cin = groups * rng.gen_range(1usize..4);
-        let cout = if rng.gen_bool(0.3) && cin == groups {
-            cin // depthwise
-        } else {
-            groups * rng.gen_range(1usize..4)
-        };
-        let kernel = [1usize, 3, 5][rng.gen_range(0usize..3)];
-        let stride = rng.gen_range(1usize..3);
-        let padding = rng.gen_range(0usize..=kernel / 2 + 1);
-        let extent = kernel.max(3) + rng.gen_range(2usize..8);
-        let (h, w) = (extent, extent + rng.gen_range(0usize..3));
-        let batch = rng.gen_range(1usize..4);
-
-        let mut conv = Conv2d::new(cin, cout, kernel, stride, padding, groups, &mut rng);
-        let x = Tensor::rand_uniform(&[batch, cin, h, w], -1.0, 1.0, &mut rng);
+        let (mut conv, x, ctx, _) = random_conv_case(2000 + seed, 0.3);
         let reference = conv.forward_reference(&x);
-
-        for algo in [ConvAlgo::Im2colGemm, ConvAlgo::DirectDepthwise] {
-            conv.force_algo(Some(algo));
-            let got = conv.forward(&x, false);
-            assert_eq!(got.dims(), reference.dims());
-            for (g, r) in got.as_slice().iter().zip(reference.as_slice()) {
-                assert!(
-                    (g - r).abs() <= 1e-4 * r.abs().max(1.0),
-                    "{algo:?} cin={cin} cout={cout} k={kernel} s={stride} p={padding} g={groups}: {g} vs {r}"
-                );
-            }
+        let algo = conv.planned_algo();
+        let got = conv.forward(&x, false);
+        assert_eq!(got.dims(), reference.dims());
+        for (g, r) in got.as_slice().iter().zip(reference.as_slice()) {
+            assert!(
+                (g - r).abs() <= 1e-4 * r.abs().max(1.0),
+                "{algo:?} {ctx}: {g} vs {r}"
+            );
         }
     }
 }
 
 /// One route per geometry: depthwise layers plan the direct kernel, every
-/// other layer im2col, and the only force that changes a plan is im2col on
-/// a depthwise layer (the parity/bench reference).
+/// other layer im2col.
 #[test]
 fn conv_backend_selection_respects_geometry() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -306,17 +292,6 @@ fn conv_backend_selection_respects_geometry() {
     assert_eq!(dense.planned_algo(), ConvAlgo::Im2colGemm);
     let grouped = Conv2d::new(8, 16, 3, 1, 1, 8, &mut rng);
     assert_eq!(grouped.planned_algo(), ConvAlgo::Im2colGemm);
-    // forcing the depthwise kernel on a dense conv falls back to im2col
-    let mut dense2 = Conv2d::new(4, 8, 3, 1, 1, 1, &mut rng);
-    dense2.force_algo(Some(ConvAlgo::DirectDepthwise));
-    assert_eq!(dense2.planned_algo(), ConvAlgo::Im2colGemm);
-    // forcing im2col on a depthwise conv sticks, and clearing restores the
-    // geometry rule
-    let mut dw2 = Conv2d::depthwise(8, 3, 1, 1, &mut rng);
-    dw2.force_algo(Some(ConvAlgo::Im2colGemm));
-    assert_eq!(dw2.planned_algo(), ConvAlgo::Im2colGemm);
-    dw2.force_algo(None);
-    assert_eq!(dw2.planned_algo(), ConvAlgo::DirectDepthwise);
 }
 
 // ----------------------------------------------------------------------

@@ -1,0 +1,107 @@
+//! Training bits must not depend on the parallelism target.
+//!
+//! `docs/SCALE.md`'s replay contract says a run is a pure function of its
+//! seeds; aggregation has always kept that at any thread count. The client
+//! training that feeds it has to as well: `Conv2d::backward` sums per-band
+//! partial gradients, so the band plan must follow from the batch size
+//! alone, whoever executes it — the calling thread, the pool, or a pool
+//! worker that is already running one FL client.
+
+use heteroswitch_repro::data::{Dataset, Labels};
+use heteroswitch_repro::fl::{
+    AggregationMethod, ClientData, FedAvgTrainer, FlConfig, FlSimulation, LossKind,
+};
+use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
+use heteroswitch_repro::nn::{CrossEntropyLoss, Network, Target};
+use heteroswitch_repro::parallel::{set_num_threads, sync};
+use heteroswitch_repro::tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
+
+/// `set_num_threads` is process-wide and the two tests share a process.
+static THREADS: Mutex<()> = Mutex::new(());
+
+const KINDS: [ModelKind; 2] = [ModelKind::SimpleCnn, ModelKind::MobileNetV3Small];
+const CLASSES: usize = 4;
+const PX: usize = 16;
+
+fn model(kind: ModelKind, seed: u64) -> Network {
+    let mut rng = StdRng::seed_from_u64(seed);
+    build_vision_model(kind, VisionConfig::new(3, CLASSES, PX), &mut rng)
+}
+
+/// Runs `run` at a 1-, 2- and 4-thread target and asserts it returned the
+/// same bits each time.
+fn assert_same_at_every_thread_target(what: &str, run: impl Fn() -> Vec<f32>) {
+    let _serial = sync::lock(&THREADS);
+    let [one, two, four] = [1usize, 2, 4].map(|threads| {
+        set_num_threads(Some(threads));
+        run().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    });
+    set_num_threads(None);
+    for (threads, got) in [(2, two), (4, four)] {
+        let differing = one.iter().zip(&got).filter(|(a, b)| a != b).count();
+        assert_eq!(
+            differing,
+            0,
+            "{what}: 1 vs {threads} threads, of {}",
+            one.len()
+        );
+    }
+}
+
+#[test]
+fn fl_global_weights_are_bit_identical_at_any_thread_target() {
+    // twelve samples per client: at batch size 10 every epoch trains one
+    // multi-band batch and one ragged single-band batch
+    let mut rng = StdRng::seed_from_u64(77);
+    let clients: Vec<ClientData> = (0..4)
+        .map(|id| {
+            let x = (0..12).map(|_| Tensor::rand_uniform(&[3, PX, PX], 0.0, 1.0, &mut rng));
+            let x = x.collect();
+            let labels = (0..12).map(|_| rng.gen_range(0..CLASSES)).collect();
+            let data = Dataset::new(x, Labels::Classes(labels));
+            ClientData {
+                id,
+                device: format!("device-{}", id % 2),
+                data,
+            }
+        })
+        .collect();
+    let config = FlConfig {
+        clients_per_round: 3,
+        batch_size: 10,
+        ..FlConfig::tiny()
+    };
+    for kind in KINDS {
+        assert_same_at_every_thread_target(&format!("{kind:?} FedAvg, 2 rounds"), || {
+            let mut sim = FlSimulation::new(
+                config,
+                clients.clone(),
+                Box::new(move |seed| model(kind, seed)),
+                Box::new(FedAvgTrainer::new(LossKind::CrossEntropy)),
+                AggregationMethod::FedAvg,
+            );
+            sim.run();
+            sim.global_weights().to_vec()
+        });
+    }
+}
+
+#[test]
+fn centralized_gradients_are_bit_identical_at_any_thread_target() {
+    // outside the pool the bands really do run concurrently
+    let mut rng = StdRng::seed_from_u64(78);
+    let x = Tensor::rand_uniform(&[10, 3, PX, PX], 0.0, 1.0, &mut rng);
+    let target = Target::Classes((0..10).map(|i| i % CLASSES).collect());
+    for kind in KINDS {
+        assert_same_at_every_thread_target(&format!("{kind:?} forward_backward"), || {
+            let mut net = model(kind, 5);
+            let loss = net.forward_backward(&x, &target, &CrossEntropyLoss);
+            let mut grads = net.gradients();
+            grads.push(loss);
+            grads
+        });
+    }
+}

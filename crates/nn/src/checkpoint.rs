@@ -22,11 +22,6 @@
 //!   checksum       u32       CRC-32 (IEEE) over the data bytes
 //! ```
 //!
-//! Version 1 (the PR 2 format: one flat f32 parameter vector, no per-tensor
-//! dtype tags, no checksums) is still **read** — a v1 f32 checkpoint loads
-//! byte-exactly into an f32 network, and quantize-on-load into a
-//! [`Network::to_dtype`]-converted replica. Saving always emits v2.
-//!
 //! The **fingerprint** hashes the parameter and buffer *shapes* in layer
 //! order — the same topology signature [`Network::set_weights`] implicitly
 //! relies on. It walks [`Network::param_stores`], so it is identical before
@@ -62,7 +57,7 @@ use std::path::Path;
 /// First 8 bytes of every checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HSNNCKPT";
 
-/// Current format version (written on save; versions 1 and 2 both load).
+/// Current format version: the one written on save and the only one read.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Dtype tags used in the v2 per-tensor headers.
@@ -95,7 +90,7 @@ pub enum CheckpointError {
         /// The first bytes actually found (at most 8).
         found: Vec<u8>,
     },
-    /// The format version is newer than this build understands.
+    /// The format version is not the one this build reads and writes.
     UnsupportedVersion {
         /// Version read from the file.
         found: u32,
@@ -167,9 +162,8 @@ impl fmt::Display for CheckpointError {
             ),
             CheckpointError::UnsupportedVersion { found } => write!(
                 f,
-                "checkpoint format version {found} is newer than the supported \
-                 version {CHECKPOINT_VERSION}; upgrade this binary or re-save the \
-                 checkpoint with a matching build"
+                "checkpoint format version {found} is not the supported version \
+                 {CHECKPOINT_VERSION}; re-save the checkpoint with a matching build"
             ),
             CheckpointError::FingerprintMismatch { expected, found } => write!(
                 f,
@@ -458,7 +452,7 @@ impl Network {
             });
         }
         let version = r.get_u32("format version")?;
-        if version != 1 && version != 2 {
+        if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion { found: version });
         }
         let fingerprint = r.get_u64("fingerprint")?;
@@ -472,87 +466,64 @@ impl Network {
 
         // stage every parameter tensor before touching the model
         let expected_lens: Vec<usize> = self.param_stores().iter().map(|s| s.len()).collect();
-        let staged_params: Vec<StagedTensor> = if version == 1 {
-            // v1: one flat f32 vector, split at the store boundaries
-            let n_params = r.get_u64("parameter scalar count")?;
-            let total: usize = expected_lens.iter().sum();
-            if n_params != total as u64 {
+        let n_tensors = r.get_u64("parameter tensor count")?;
+        if n_tensors != expected_lens.len() as u64 {
+            return Err(CheckpointError::ParamCountMismatch {
+                expected: expected_lens.len() as u64,
+                found: n_tensors,
+            });
+        }
+        let mut staged_params = Vec::with_capacity(expected_lens.len());
+        for (i, &len_expected) in expected_lens.iter().enumerate() {
+            let tag = r.get_bytes(1, "parameter dtype tag")?[0];
+            let len = r.get_u64("parameter element count")? as usize;
+            if len != len_expected {
                 return Err(CheckpointError::ParamCountMismatch {
-                    expected: total as u64,
-                    found: n_params,
+                    expected: len_expected as u64,
+                    found: len as u64,
                 });
             }
-            let flat = r.get_f32_vec(n_params as usize, "parameter data")?;
-            let mut offset = 0;
-            expected_lens
-                .iter()
-                .map(|&n| {
-                    let chunk = flat[offset..offset + n].to_vec();
-                    offset += n;
-                    StagedTensor::F32(chunk)
-                })
-                .collect()
-        } else {
-            let n_tensors = r.get_u64("parameter tensor count")?;
-            if n_tensors != expected_lens.len() as u64 {
-                return Err(CheckpointError::ParamCountMismatch {
-                    expected: expected_lens.len() as u64,
-                    found: n_tensors,
+            let payload_len = match tag {
+                TAG_F32 => len.checked_mul(4),
+                TAG_F16 => len.checked_mul(2),
+                TAG_I8 => len.checked_add(4),
+                t => return Err(CheckpointError::UnknownDType { found: t }),
+            }
+            .ok_or(CheckpointError::Truncated(TruncatedInput {
+                expected: "parameter payload",
+                offset: r.offset(),
+            }))?;
+            let payload = r.get_bytes(payload_len, "parameter payload")?;
+            let stored = r.get_u32("parameter checksum")?;
+            let computed = crc32(payload);
+            if computed != stored {
+                return Err(CheckpointError::CrcMismatch {
+                    name: format!("param{i}"),
+                    expected: stored,
+                    found: computed,
                 });
             }
-            let mut staged = Vec::with_capacity(expected_lens.len());
-            for (i, &len_expected) in expected_lens.iter().enumerate() {
-                let tag = r.get_bytes(1, "parameter dtype tag")?[0];
-                let len = r.get_u64("parameter element count")? as usize;
-                if len != len_expected {
-                    return Err(CheckpointError::ParamCountMismatch {
-                        expected: len_expected as u64,
-                        found: len as u64,
-                    });
-                }
-                let payload_len = match tag {
-                    TAG_F32 => len.checked_mul(4),
-                    TAG_F16 => len.checked_mul(2),
-                    TAG_I8 => len.checked_add(4),
-                    t => return Err(CheckpointError::UnknownDType { found: t }),
-                }
-                .ok_or(CheckpointError::Truncated(TruncatedInput {
-                    expected: "parameter payload",
-                    offset: r.offset(),
-                }))?;
-                let payload = r.get_bytes(payload_len, "parameter payload")?;
-                let stored = r.get_u32("parameter checksum")?;
-                let computed = crc32(payload);
-                if computed != stored {
-                    return Err(CheckpointError::CrcMismatch {
-                        name: format!("param{i}"),
-                        expected: stored,
-                        found: computed,
-                    });
-                }
-                staged.push(match tag {
-                    TAG_F32 => StagedTensor::F32(
-                        payload
-                            .chunks_exact(4)
-                            .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-                            .collect(),
-                    ),
-                    TAG_F16 => StagedTensor::F16(
-                        payload
-                            .chunks_exact(2)
-                            .map(|b| u16::from_le_bytes([b[0], b[1]]))
-                            .collect(),
-                    ),
-                    _ => StagedTensor::I8 {
-                        scale: f32::from_bits(u32::from_le_bytes([
-                            payload[0], payload[1], payload[2], payload[3],
-                        ])),
-                        data: payload[4..].iter().map(|&b| b as i8).collect(),
-                    },
-                });
-            }
-            staged
-        };
+            staged_params.push(match tag {
+                TAG_F32 => StagedTensor::F32(
+                    payload
+                        .chunks_exact(4)
+                        .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+                        .collect(),
+                ),
+                TAG_F16 => StagedTensor::F16(
+                    payload
+                        .chunks_exact(2)
+                        .map(|b| u16::from_le_bytes([b[0], b[1]]))
+                        .collect(),
+                ),
+                _ => StagedTensor::I8 {
+                    scale: f32::from_bits(u32::from_le_bytes([
+                        payload[0], payload[1], payload[2], payload[3],
+                    ])),
+                    data: payload[4..].iter().map(|&b| b as i8).collect(),
+                },
+            });
+        }
 
         let n_buffers = r.get_u64("buffer count")?;
         let expected_buffers = self.buffers_mut().len();
@@ -585,33 +556,29 @@ impl Network {
                 });
             }
             let len: usize = dims.iter().product();
-            if version == 1 {
-                staged.push(r.get_f32_vec(len, "buffer data")?);
-            } else {
-                let payload = r.get_bytes(
-                    len.checked_mul(4)
-                        .ok_or(CheckpointError::Truncated(TruncatedInput {
-                            expected: "buffer data",
-                            offset: r.offset(),
-                        }))?,
-                    "buffer data",
-                )?;
-                let stored = r.get_u32("buffer checksum")?;
-                let computed = crc32(payload);
-                if computed != stored {
-                    return Err(CheckpointError::CrcMismatch {
-                        name,
-                        expected: stored,
-                        found: computed,
-                    });
-                }
-                staged.push(
-                    payload
-                        .chunks_exact(4)
-                        .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-                        .collect(),
-                );
+            let payload = r.get_bytes(
+                len.checked_mul(4)
+                    .ok_or(CheckpointError::Truncated(TruncatedInput {
+                        expected: "buffer data",
+                        offset: r.offset(),
+                    }))?,
+                "buffer data",
+            )?;
+            let stored = r.get_u32("buffer checksum")?;
+            let computed = crc32(payload);
+            if computed != stored {
+                return Err(CheckpointError::CrcMismatch {
+                    name,
+                    expected: stored,
+                    found: computed,
+                });
             }
+            staged.push(
+                payload
+                    .chunks_exact(4)
+                    .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+                    .collect(),
+            );
         }
         if r.remaining() > 0 {
             return Err(CheckpointError::TrailingBytes {
@@ -784,76 +751,24 @@ mod tests {
 
     #[test]
     fn version_from_the_future_is_rejected() {
-        let mut a = net(9);
-        let mut bytes = a.to_checkpoint_bytes();
-        bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let err = a.load_checkpoint_bytes(&bytes).unwrap_err();
-        assert!(matches!(
-            err,
-            CheckpointError::UnsupportedVersion { found: 99 }
-        ));
-        assert!(err.to_string().contains("version 99"));
-    }
-
-    /// Hand-encodes the PR 2 v1 layout (flat f32 params, no dtype tags, no
-    /// checksums) for an f32 network — the frozen on-disk format old
-    /// checkpoints are stuck in.
-    fn encode_v1(net: &mut Network) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(&CHECKPOINT_MAGIC);
-        w.put_u32(1);
-        w.put_u64(net.fingerprint());
-        let total: usize = net.params_mut().iter().map(|p| p.len()).sum();
-        w.put_u64(total as u64);
-        for p in net.params_mut() {
-            w.put_f32_slice(p.value.as_slice());
+        // ...and so is the retired, checksum-less version 1
+        for version in [99u32, 1] {
+            let mut a = net(9);
+            let before = a.weights();
+            let mut bytes = a.to_checkpoint_bytes();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = a.load_checkpoint_bytes(&bytes).unwrap_err();
+            assert!(matches!(
+                err,
+                CheckpointError::UnsupportedVersion { found } if found == version
+            ));
+            assert!(err.to_string().contains(&format!("version {version}")));
+            assert_eq!(
+                a.weights(),
+                before,
+                "a rejected load must not touch the model"
+            );
         }
-        let buffers = net.buffers_mut();
-        w.put_u64(buffers.len() as u64);
-        for b in buffers {
-            w.put_str("buf");
-            let dims = b.dims();
-            w.put_u32(dims.len() as u32);
-            for &d in dims {
-                w.put_u32(d as u32);
-            }
-            w.put_f32_slice(b.as_slice());
-        }
-        w.into_bytes()
-    }
-
-    #[test]
-    fn v1_checkpoints_still_load_byte_exactly() {
-        let mut a = net(20);
-        let v1 = encode_v1(&mut a);
-        let mut b = net(21);
-        b.load_checkpoint_bytes(&v1).unwrap();
-        let wa: Vec<u32> = a.weights().iter().map(|v| v.to_bits()).collect();
-        let wb: Vec<u32> = b.weights().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(wa, wb, "v1 load must be exact to the bit");
-    }
-
-    #[test]
-    fn v1_checkpoints_quantize_on_load_into_converted_replicas() {
-        use hs_tensor::DType;
-        let mut a = net(22);
-        let v1 = encode_v1(&mut a);
-        let mut b = net(23);
-        b.to_dtype(DType::F16);
-        b.load_checkpoint_bytes(&v1).unwrap();
-        // the replica's f16 weights equal quantize(a's f32 weights)
-        let mut expect = net(24);
-        expect.load_checkpoint_bytes(&v1).unwrap();
-        expect.to_dtype(DType::F16);
-        let xa = {
-            let mut rng = StdRng::seed_from_u64(25);
-            hs_tensor::Tensor::rand_uniform(&[4, 3], -1.0, 1.0, &mut rng)
-        };
-        assert_eq!(
-            b.forward(&xa, false).as_slice(),
-            expect.forward(&xa, false).as_slice(),
-            "quantize-on-load must equal load-then-quantize"
-        );
     }
 
     #[test]

@@ -279,6 +279,11 @@ impl Layer for FusedLinearAct {
         self.linear.backward(&g)
     }
 
+    fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
+        f(self.linear.as_ref());
+        f(self.act.as_ref());
+    }
+
     fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut p = self.linear.params_mut();
         p.extend(self.act.params_mut());

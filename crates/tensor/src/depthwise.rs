@@ -8,10 +8,10 @@
 //! channel directly.
 //!
 //! The mobile zoo's one depthwise geometry — 3×3, pad 1, stride 1 or 2 —
-//! runs a single kernel body ([`conv3x3_channel`]) written over a small
+//! runs a single kernel body ([`conv3x3_channel`]) written over the crate's
 //! lane abstraction ([`Lanes`]) and instantiated for AVX-512 (16 lanes),
 //! AVX2 (8) and a scalar-array portable tier (8) behind the same runtime
-//! [`isa`] decision the GEMM micro-kernels take. One vector of output
+//! [`isa`] decision the GEMM micro-kernel takes. One vector of output
 //! columns accumulates all nine taps in a register, then takes the
 //! per-channel scale/shift and the activation before its one store, so the
 //! epilogue costs no second pass. **Every tier computes the same bits**:
@@ -37,20 +37,18 @@
 //!
 //! # Safety
 //!
-//! The `unsafe` here is the AVX-512 / AVX2 [`Lanes`] implementations and the
-//! two calls into their `#[target_feature]` entry points. A tier's token
-//! type is only ever constructed inside the entry point that [`conv3x3`]
-//! calls after [`tier`] reported that ISA, and every vector memory access is
-//! masked to the lanes that lie inside the slice it was handed — the mask is
-//! derived from the slice's own length inside the access, so the kernel body
-//! above the trait is safe code.
+//! The `unsafe` here is the two calls into the `#[target_feature]` entry
+//! points and the tier tokens those construct: an entry point is only ever
+//! called after [`isa`] reported its ISA, which is the tokens' contract
+//! (`crate::lanes`). The kernel body above the trait is safe code.
 
 #![allow(unsafe_code)]
 
 use crate::gemm::{Epilogue, EpilogueAct};
 use crate::isa::{isa, Isa};
+use crate::lanes::{lane_mask, with_act, ActBody, Lanes, Portable};
 #[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::*;
+use crate::lanes::{Avx2, Avx512};
 
 /// For one kernel tap offset `k` (row or column), the half-open range of
 /// output coordinates whose sampled input coordinate `o*stride + k - pad`
@@ -261,345 +259,6 @@ struct Sample<'a> {
     stride: usize,
 }
 
-/// Bit `l` set for each of the first `n` lanes.
-#[inline(always)]
-fn lane_mask(n: usize) -> u32 {
-    debug_assert!(n <= 16);
-    (1u32 << n) - 1
-}
-
-/// Bit `l` set for each lane `l < n` whose element `start + l` lies inside
-/// a slice of `len` elements.
-#[inline(always)]
-fn in_bounds(len: usize, start: isize, n: usize) -> u32 {
-    let lo = (-start).clamp(0, n as isize) as usize;
-    let hi = (len as isize - start).clamp(0, n as isize) as usize;
-    lane_mask(hi) & !lane_mask(lo)
-}
-
-/// A vector of `N` `f32` lanes and the handful of operations the 3×3 kernel
-/// is written in. Lane masks are plain bit sets (`bit l` ↔ lane `l`). Every
-/// implementation computes each operation to the same bits, lane by lane —
-/// in particular `max` / `min` have the x86 operand-order semantics spelled
-/// out below, which is what makes NaN handling tier-independent.
-trait Lanes: Copy {
-    /// The vector type.
-    type V: Copy;
-    /// Lanes per vector (at most 16).
-    const N: usize;
-    /// All lanes `x`.
-    fn splat(self, x: f32) -> Self::V;
-    /// Lane `l` is `row[start + l]` where that index exists, `0.0` elsewhere.
-    fn load(self, row: &[f32], start: isize) -> Self::V;
-    /// The `2N` elements from `row[start]` on, de-interleaved: lane `l` of
-    /// the pair is `(row[start + 2l], row[start + 2l + 1])` where those
-    /// indices exist, `0.0` elsewhere.
-    fn load2(self, row: &[f32], start: isize) -> (Self::V, Self::V);
-    /// Writes the first `dst.len().min(N)` lanes to `dst`.
-    fn store(self, v: Self::V, dst: &mut [f32]);
-    /// Lane-wise product.
-    fn mul(self, a: Self::V, b: Self::V) -> Self::V;
-    /// Lane-wise sum.
-    fn add(self, a: Self::V, b: Self::V) -> Self::V;
-    /// Lane-wise `if a > b { a } else { b }`: `b` on NaN or equal zeros.
-    fn max(self, a: Self::V, b: Self::V) -> Self::V;
-    /// Lane-wise `if a < b { a } else { b }`: `b` on NaN or equal zeros.
-    fn min(self, a: Self::V, b: Self::V) -> Self::V;
-    /// The lanes where `a > b` (ordered: false on NaN).
-    fn gt(self, a: Self::V, b: Self::V) -> u32;
-    /// `x` in the lanes of `mask`, `y` in the others.
-    fn select(self, mask: u32, x: Self::V, y: Self::V) -> Self::V;
-}
-
-/// The scalar-array tier: the reference the vector tiers must equal, and
-/// what runs where no vector ISA was detected.
-#[derive(Clone, Copy)]
-struct Portable;
-
-impl Lanes for Portable {
-    type V = [f32; 8];
-    const N: usize = 8;
-
-    #[inline(always)]
-    fn splat(self, x: f32) -> [f32; 8] {
-        [x; 8]
-    }
-
-    #[inline(always)]
-    fn load(self, row: &[f32], start: isize) -> [f32; 8] {
-        let whole = usize::try_from(start).ok().and_then(|s| row.get(s..s + 8));
-        if let Some(whole) = whole {
-            return whole.try_into().expect("eight elements");
-        }
-        let mask = in_bounds(row.len(), start, 8);
-        std::array::from_fn(|l| {
-            if mask >> l & 1 == 1 {
-                row[(start + l as isize) as usize]
-            } else {
-                0.0
-            }
-        })
-    }
-
-    #[inline(always)]
-    fn load2(self, row: &[f32], start: isize) -> ([f32; 8], [f32; 8]) {
-        let at = |i: isize| {
-            usize::try_from(i)
-                .ok()
-                .and_then(|i| row.get(i))
-                .copied()
-                .unwrap_or(0.0)
-        };
-        (
-            std::array::from_fn(|l| at(start + 2 * l as isize)),
-            std::array::from_fn(|l| at(start + 2 * l as isize + 1)),
-        )
-    }
-
-    #[inline(always)]
-    fn store(self, v: [f32; 8], dst: &mut [f32]) {
-        for (d, s) in dst.iter_mut().zip(v) {
-            *d = s;
-        }
-    }
-
-    #[inline(always)]
-    fn mul(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        std::array::from_fn(|l| a[l] * b[l])
-    }
-
-    #[inline(always)]
-    fn add(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        std::array::from_fn(|l| a[l] + b[l])
-    }
-
-    #[inline(always)]
-    fn max(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        std::array::from_fn(|l| if a[l] > b[l] { a[l] } else { b[l] })
-    }
-
-    #[inline(always)]
-    fn min(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
-        std::array::from_fn(|l| if a[l] < b[l] { a[l] } else { b[l] })
-    }
-
-    #[inline(always)]
-    fn gt(self, a: [f32; 8], b: [f32; 8]) -> u32 {
-        (0..8).fold(0, |m, l| m | u32::from(a[l] > b[l]) << l)
-    }
-
-    #[inline(always)]
-    fn select(self, mask: u32, x: [f32; 8], y: [f32; 8]) -> [f32; 8] {
-        std::array::from_fn(|l| if mask >> l & 1 == 1 { x[l] } else { y[l] })
-    }
-}
-
-/// The AVX-512F tier. Constructed only in [`conv3x3_avx512`], which is
-/// called only after [`tier`] reported [`Isa::Avx512`] — holding one is the
-/// proof every method's intrinsics are available.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct Avx512(());
-
-#[cfg(target_arch = "x86_64")]
-impl Lanes for Avx512 {
-    type V = __m512;
-    const N: usize = 16;
-
-    #[inline(always)]
-    fn splat(self, x: f32) -> __m512 {
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        unsafe { _mm512_set1_ps(x) }
-    }
-
-    #[inline(always)]
-    fn load(self, row: &[f32], start: isize) -> __m512 {
-        let mask = in_bounds(row.len(), start, 16) as __mmask16;
-        // SAFETY: avx512f by the token. A masked load touches only its
-        // enabled lanes (disabled lanes cannot fault), `in_bounds` enables
-        // exactly the lanes inside `row`, and the base pointer is formed
-        // with wrapping arithmetic, so it may lie outside the slice.
-        unsafe { _mm512_maskz_loadu_ps(mask, row.as_ptr().wrapping_offset(start)) }
-    }
-
-    #[inline(always)]
-    fn load2(self, row: &[f32], start: isize) -> (__m512, __m512) {
-        let (a, b) = (self.load(row, start), self.load(row, start + 16));
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        unsafe {
-            let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
-            let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
-            (
-                _mm512_permutex2var_ps(a, even, b),
-                _mm512_permutex2var_ps(a, odd, b),
-            )
-        }
-    }
-
-    #[inline(always)]
-    fn store(self, v: __m512, dst: &mut [f32]) {
-        let mask = lane_mask(dst.len().min(16)) as __mmask16;
-        // SAFETY: avx512f by the token; the masked store writes only the
-        // first `dst.len().min(16)` lanes, all inside `dst`.
-        unsafe { _mm512_mask_storeu_ps(dst.as_mut_ptr(), mask, v) }
-    }
-
-    #[inline(always)]
-    fn mul(self, a: __m512, b: __m512) -> __m512 {
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        unsafe { _mm512_mul_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn add(self, a: __m512, b: __m512) -> __m512 {
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        unsafe { _mm512_add_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn max(self, a: __m512, b: __m512) -> __m512 {
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        unsafe { _mm512_max_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn min(self, a: __m512, b: __m512) -> __m512 {
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        unsafe { _mm512_min_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn gt(self, a: __m512, b: __m512) -> u32 {
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        u32::from(unsafe { _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ) })
-    }
-
-    #[inline(always)]
-    fn select(self, mask: u32, x: __m512, y: __m512) -> __m512 {
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        unsafe { _mm512_mask_blend_ps(mask as __mmask16, y, x) }
-    }
-}
-
-/// The AVX2 tier; same construction rule as [`Avx512`], through
-/// [`conv3x3_avx2`] and [`Isa::Avx2`].
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct Avx2(());
-
-#[cfg(target_arch = "x86_64")]
-impl Avx2 {
-    /// Expands a lane bit set into the all-ones / all-zeros lane words the
-    /// AVX masked moves and blends take.
-    #[inline(always)]
-    fn lane_words(self, mask: u32) -> __m256i {
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        unsafe {
-            let bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-            _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(mask as i32), bit), bit)
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Lanes for Avx2 {
-    type V = __m256;
-    const N: usize = 8;
-
-    #[inline(always)]
-    fn splat(self, x: f32) -> __m256 {
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        unsafe { _mm256_set1_ps(x) }
-    }
-
-    #[inline(always)]
-    fn load(self, row: &[f32], start: isize) -> __m256 {
-        let mask = in_bounds(row.len(), start, 8);
-        let ptr = row.as_ptr().wrapping_offset(start);
-        // SAFETY: avx2 by the token. With all eight lanes in bounds the
-        // plain load reads `row[start..start + 8]`; otherwise the masked load
-        // touches only its enabled lanes (disabled lanes cannot fault),
-        // which `in_bounds` confines to `row`; the base pointer is formed
-        // with wrapping arithmetic, so it may lie outside the slice.
-        unsafe {
-            if mask == 0xff {
-                _mm256_loadu_ps(ptr)
-            } else {
-                _mm256_maskload_ps(ptr, self.lane_words(mask))
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn load2(self, row: &[f32], start: isize) -> (__m256, __m256) {
-        let (a, b) = (self.load(row, start), self.load(row, start + 8));
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        unsafe {
-            // per 128-bit half: [a0 a2 b0 b2 | a4 a6 b4 b6], likewise the
-            // odd elements; swapping the middle 64-bit quarters orders them
-            let even = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
-            let odd = _mm256_castps_pd(_mm256_shuffle_ps::<0b11_01_11_01>(a, b));
-            (
-                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(even)),
-                _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(odd)),
-            )
-        }
-    }
-
-    #[inline(always)]
-    fn store(self, v: __m256, dst: &mut [f32]) {
-        // SAFETY: avx2 by the token; the plain store writes `dst[..8]`, the
-        // masked one only the first `dst.len()` lanes.
-        unsafe {
-            if dst.len() >= 8 {
-                _mm256_storeu_ps(dst.as_mut_ptr(), v)
-            } else {
-                let words = self.lane_words(lane_mask(dst.len()));
-                _mm256_maskstore_ps(dst.as_mut_ptr(), words, v)
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn mul(self, a: __m256, b: __m256) -> __m256 {
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        unsafe { _mm256_mul_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn add(self, a: __m256, b: __m256) -> __m256 {
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        unsafe { _mm256_add_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn max(self, a: __m256, b: __m256) -> __m256 {
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        unsafe { _mm256_max_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn min(self, a: __m256, b: __m256) -> __m256 {
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        unsafe { _mm256_min_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn gt(self, a: __m256, b: __m256) -> u32 {
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        (unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(a, b)) }) as u32
-    }
-
-    #[inline(always)]
-    fn select(self, mask: u32, x: __m256, y: __m256) -> __m256 {
-        if mask & 0xff == 0xff {
-            return x;
-        }
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        unsafe { _mm256_blendv_ps(y, x, _mm256_castsi256_ps(self.lane_words(mask))) }
-    }
-}
-
 /// One input row's three taps for a vector of output columns whose first
 /// sampled column is `col`: `acc + wl·x[col-1..] + wc·x[col..] + wr·x[col+1..]`
 /// (stepping by the stride `S`), each a multiply then an add, the left and
@@ -684,141 +343,57 @@ fn conv3x3_channel<L: Lanes, const S: usize>(
     }
 }
 
-/// All channels of one sample on tier `L`: the activation is resolved to a
-/// lane closure once, here, not per element. (The closures are
-/// `inline(always)` so they are compiled inside the tier's
-/// `#[target_feature]` entry point, where the intrinsics inline.)
-#[inline(always)]
-fn conv3x3_sample<L: Lanes>(l: L, s: &Sample<'_>, out: &mut [f32]) {
-    let (zero, one) = (l.splat(0.0), l.splat(1.0));
-    match s.post.act {
-        EpilogueAct::None => conv3x3_channels(
-            l,
-            s,
-            out,
-            #[inline(always)]
-            |v| v,
-        ),
-        EpilogueAct::Relu => conv3x3_channels(
-            l,
-            s,
-            out,
-            #[inline(always)]
-            |v| l.max(v, zero),
-        ),
-        EpilogueAct::LeakyRelu(slope) => {
-            let slope = l.splat(slope);
-            conv3x3_channels(
-                l,
-                s,
-                out,
-                #[inline(always)]
-                |v| l.select(l.gt(v, zero), v, l.mul(slope, v)),
-            )
-        }
-        EpilogueAct::Relu6 => {
-            let six = l.splat(6.0);
-            conv3x3_channels(
-                l,
-                s,
-                out,
-                #[inline(always)]
-                |v| l.min(six, l.max(zero, v)),
-            )
-        }
-        EpilogueAct::HardSwish => {
-            let (three, sixth) = (l.splat(3.0), l.splat(1.0 / 6.0));
-            conv3x3_channels(
-                l,
-                s,
-                out,
-                #[inline(always)]
-                |v| {
-                    let t = l.mul(l.add(v, three), sixth);
-                    l.mul(v, l.min(one, l.max(zero, t)))
-                },
-            )
+/// The channel loop of one sample, waiting for its activation.
+struct Channels<'a>(&'a Sample<'a>, &'a mut [f32]);
+
+impl<L: Lanes> ActBody<L> for Channels<'_> {
+    #[inline(always)]
+    fn run(self, l: L, act: impl Fn(L::V) -> L::V + Copy) {
+        let Channels(s, out) = self;
+        let (h, w) = (s.h, s.w);
+        let out_hw = ((h - 1) / s.stride + 1) * ((w - 1) / s.stride + 1);
+        for (ci, chan_out) in out.chunks_exact_mut(out_hw).take(s.c).enumerate() {
+            let chan_in = &s.input[ci * h * w..(ci + 1) * h * w];
+            let chan_w = &s.weights[ci * 9..(ci + 1) * 9];
+            let affine = (
+                s.post.scale.map_or(1.0, |scale| scale[ci]),
+                s.post.shift.map_or(-0.0, |shift| shift[ci]),
+            );
+            match s.stride {
+                1 => conv3x3_channel::<L, 1>(l, chan_in, chan_w, chan_out, h, w, affine, act),
+                _ => conv3x3_channel::<L, 2>(l, chan_in, chan_w, chan_out, h, w, affine, act),
+            }
         }
     }
 }
 
-/// The channel loop of [`conv3x3_sample`] for one resolved activation.
-#[inline(always)]
-fn conv3x3_channels<L: Lanes>(
-    l: L,
-    s: &Sample<'_>,
-    out: &mut [f32],
-    act: impl Fn(L::V) -> L::V + Copy,
-) {
-    let (h, w) = (s.h, s.w);
-    let out_hw = ((h - 1) / s.stride + 1) * ((w - 1) / s.stride + 1);
-    for (ci, chan_out) in out.chunks_exact_mut(out_hw).take(s.c).enumerate() {
-        let chan_in = &s.input[ci * h * w..(ci + 1) * h * w];
-        let chan_w = &s.weights[ci * 9..(ci + 1) * 9];
-        let affine = (
-            s.post.scale.map_or(1.0, |scale| scale[ci]),
-            s.post.shift.map_or(-0.0, |shift| shift[ci]),
-        );
-        match s.stride {
-            1 => conv3x3_channel::<L, 1>(l, chan_in, chan_w, chan_out, h, w, affine, act),
-            _ => conv3x3_channel::<L, 2>(l, chan_in, chan_w, chan_out, h, w, affine, act),
-        }
-    }
-}
-
-/// [`conv3x3_sample`] compiled for AVX-512F.
+/// The AVX-512F instantiation of the kernel.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn conv3x3_avx512(s: &Sample<'_>, out: &mut [f32]) {
-    conv3x3_sample(Avx512(()), s, out);
+    // SAFETY: this function's own target feature is the token's contract.
+    with_act(unsafe { Avx512::new() }, s.post.act, Channels(s, out));
 }
 
-/// [`conv3x3_sample`] compiled for AVX2.
+/// The AVX2 instantiation of the kernel.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn conv3x3_avx2(s: &Sample<'_>, out: &mut [f32]) {
-    conv3x3_sample(Avx2(()), s, out);
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Test builds only: the tier [`conv3x3`] is pinned to on this thread.
-    static FORCED_TIER: std::cell::Cell<Option<Isa>> = const { std::cell::Cell::new(None) };
-}
-
-/// Test builds only: pins the 3×3 kernels to `tier` on the calling thread
-/// (`None` restores detection).
-///
-/// # Panics
-///
-/// Panics if this CPU cannot run `tier`.
-#[cfg(test)]
-pub(crate) fn force_tier(tier: Option<Isa>) {
-    assert!(tier.is_none_or(Isa::supported), "{tier:?} not supported");
-    FORCED_TIER.with(|t| t.set(tier));
-}
-
-/// The tier the 3×3 kernels run on: the best one detected (test builds can
-/// pin a supported one with [`force_tier`]).
-fn tier() -> Isa {
-    #[cfg(test)]
-    if let Some(forced) = FORCED_TIER.with(std::cell::Cell::get) {
-        return forced;
-    }
-    isa()
+    // SAFETY: this function's own target features are the token's contract.
+    with_act(unsafe { Avx2::new() }, s.post.act, Channels(s, out));
 }
 
 /// Runs one sample's 3×3 pad-1 convolution on the tier this CPU supports.
 fn conv3x3(s: &Sample<'_>, out: &mut [f32]) {
     debug_assert!(s.stride == 1 || s.stride == 2);
-    match tier() {
-        // SAFETY: `tier()` returns only ISAs this CPU was detected to have.
+    match isa() {
+        // SAFETY: `isa()` returns only tiers this CPU was detected to have.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => unsafe { conv3x3_avx512(s, out) },
-        // SAFETY: `tier()` returns only ISAs this CPU was detected to have.
+        // SAFETY: `isa()` returns only tiers this CPU was detected to have.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { conv3x3_avx2(s, out) },
-        Isa::Portable => conv3x3_sample(Portable, s, out),
+        Isa::Portable => with_act(Portable, s.post.act, Channels(s, out)),
     }
 }
 
@@ -1074,7 +649,7 @@ fn backward_generic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::supported_tiers;
+    use crate::isa::{force_tier, supported_tiers};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1328,6 +903,10 @@ mod tests {
             (2, 6, 7),
             (1, 16, 16),
             (2, 16, 16),
+            (1, 2, 17),
+            (2, 2, 17),
+            (1, 5, 1),
+            (2, 5, 1),
         ] {
             let c = 3;
             let zero_bias = vec![0.0f32; c];

@@ -13,16 +13,23 @@
 //! * row blocks fan out across the shared [`hs_parallel`] pool when the
 //!   problem is big enough and we are not already inside a pool task.
 //!
-//! Three micro-kernels are selected **at runtime** (the build stays a plain
-//! portable `x86-64`/other target — no `-C target-cpu` required):
+//! The micro-kernel is written **once**, over the crate's lane abstraction
+//! (`crate::lanes`), and instantiated per ISA tier selected **at runtime**
+//! (the build stays a plain portable `x86-64`/other target — no
+//! `-C target-cpu` required):
 //!
-//! * AVX-512F: 8x48 tile, 24 zmm accumulators,
-//! * AVX2+FMA: 8x48 tile processed as two 4x48 half-tiles of ymm registers,
-//! * portable: the same 8x48 tile in autovectorisable scalar code.
+//! * AVX-512F: the 8x48 tile as 8x3 zmm accumulators,
+//! * AVX2+FMA: two 4x48 half-tiles of 4x6 ymm accumulators,
+//! * portable: 8x6 `[f32; 8]` arrays the compiler autovectorises.
 //!
 //! All edges are handled by zero-padding the packs, so every tile runs the
-//! full-speed kernel; partial tiles are written out through a small bounce
-//! buffer. Unlike the seed's i-k-j loop there is **no** `== 0.0` skip branch:
+//! full-speed kernel, and every tile is stored by the same kernel store
+//! (`tile`): a full tile in place, a ragged or item-spanning one through a
+//! small bounce buffer that holds its live destination corner. So on one
+//! tier an output element is rounded by one rule wherever its tile falls:
+//! `out += acc`, or with an epilogue `act(fma(out + acc, scale, shift))` —
+//! a fused multiply-add on the AVX tiers, multiply-then-add on the portable
+//! one. Unlike the seed's i-k-j loop there is **no** `== 0.0` skip branch:
 //! `0 * NaN` correctly stays `NaN` and the inner loop stays branch-free.
 //!
 //! Packing buffers live in a thread-local `GemmScratch`, so steady-state
@@ -30,20 +37,23 @@
 //!
 //! # Safety
 //!
-//! The SIMD micro-kernels are the only `unsafe` code in this crate. They are
-//! `#[target_feature]` functions called strictly behind the corresponding
-//! `is_x86_feature_detected!` check, and every pointer they touch derives
-//! from a slice whose bounds are asserted in `run_kernel_direct` immediately
-//! before the call.
+//! The `unsafe` here is the two calls into the `#[target_feature]` entry
+//! points and the tier tokens those construct — an entry point is only ever
+//! called after `isa()` reported its ISA, which is the tokens' contract
+//! (`crate::lanes`, the one file that names an intrinsic) — and the one
+//! unchecked slice of a `B` row in the kernel's `k` loop, whose bound is
+//! asserted once before the loop. Everything else in the kernel body is
+//! bounds-checked slice code.
 
 #![allow(unsafe_code)]
-// the register-tiled micro-kernels index fixed-size accumulator arrays by
+// the register-tiled micro-kernel indexes fixed-size accumulator arrays by
 // design; iterator chains there obscure the tiling and hurt codegen
 #![allow(clippy::needless_range_loop)]
 
 use crate::isa::{isa, Isa};
+use crate::lanes::{with_act, ActBody, Lanes, Portable};
 #[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::*;
+use crate::lanes::{Avx2, Avx512};
 use std::cell::RefCell;
 
 /// Activation applied by a GEMM [`Epilogue`] after the scale/shift step.
@@ -66,7 +76,7 @@ pub enum EpilogueAct {
 }
 
 /// `1/6` as the hard-swish epilogue multiplies by it.
-const SIXTH: f32 = 1.0 / 6.0;
+pub(crate) const SIXTH: f32 = 1.0 / 6.0;
 
 impl EpilogueAct {
     /// Applies the activation to a single value (the scalar reference the
@@ -129,47 +139,6 @@ impl<'a> Epilogue<'a> {
     }
 }
 
-/// Accumulates one bounce-buffer row into `dst`, applying the epilogue for
-/// output row `row` when present — the shared store step of every
-/// ragged-tile path (where the kernels cannot be handed a full `MR` rows of
-/// scale/shift).
-#[inline]
-fn store_edge_row(dst: &mut [f32], src: &[f32], row: usize, ep: Option<Epilogue<'_>>) {
-    /// `dst = act((dst + src) · scale + shift)`, compiled once per `act`.
-    #[inline(always)]
-    fn store(dst: &mut [f32], src: &[f32], (scale, shift): (f32, f32), act: impl Fn(f32) -> f32) {
-        for (d, s) in dst.iter_mut().zip(src.iter()) {
-            *d = act((*d + s) * scale + shift);
-        }
-    }
-    let Some(e) = ep else {
-        for (d, s) in dst.iter_mut().zip(src.iter()) {
-            *d += s;
-        }
-        return;
-    };
-    // the activation is resolved per row, not per element, so each loop
-    // vectorises (the mobile zoo's small maps store every tile through here)
-    let affine = (e.scale[row], e.shift[row]);
-    match e.act {
-        EpilogueAct::None => store(dst, src, affine, |v| v),
-        EpilogueAct::Relu => store(dst, src, affine, |v| EpilogueAct::Relu.apply(v)),
-        EpilogueAct::Relu6 => store(dst, src, affine, |v| EpilogueAct::Relu6.apply(v)),
-        EpilogueAct::HardSwish => store(dst, src, affine, |v| EpilogueAct::HardSwish.apply(v)),
-        act @ EpilogueAct::LeakyRelu(_) => store(dst, src, affine, |v| act.apply(v)),
-    }
-}
-
-/// Tile-local epilogue view handed to the SIMD micro-kernels: raw pointers
-/// pre-offset to the tile's first output row, valid for `MR` rows.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct KernelEpilogue {
-    scale: *const f32,
-    shift: *const f32,
-    act: EpilogueAct,
-}
-
 /// Rows per micro-kernel tile.
 pub const MR: usize = 8;
 /// Columns per micro-kernel tile.
@@ -191,7 +160,6 @@ const DIRECT_M_MAX: usize = 64;
 struct GemmScratch {
     apack: Vec<f32>,
     bpack: Vec<f32>,
-    edge: Vec<f32>,
 }
 
 impl GemmScratch {
@@ -199,7 +167,6 @@ impl GemmScratch {
         GemmScratch {
             apack: Vec::new(),
             bpack: Vec::new(),
-            edge: Vec::new(),
         }
     }
 }
@@ -214,322 +181,246 @@ thread_local! {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-kernels: out[MR x NR] += apack (kc x MR) * b-window (kc rows)
-//
-// One kernel family, parameterised by the B row stride `ldb`: packed panels
-// pass ldb = NR, the small-m path passes the source matrix's own stride so B
-// is read in place.
+// The micro-kernel: out[MR x NR] += apack (kc x MR) * b-window (kc rows)
 // ---------------------------------------------------------------------------
 
-/// AVX-512 micro-kernel reading `B` directly at row stride `ldb` (no
-/// packing when `ldb` is the source stride; the packed path passes
-/// `ldb = NR`). When `ep` is present the store loop applies the fused
-/// per-row scale/shift + activation epilogue instead of a plain store.
-///
-/// # Safety
-///
-/// Caller must ensure `avx512f` is available, `apack` holds `kc * MR`
-/// floats, rows `b[p*ldb .. p*ldb+NR]` for `p < kc` are in bounds,
-/// `out` rows `out[i*ldc .. i*ldc+NR]` for `i < MR` are in bounds, and
-/// `ep`'s scale/shift pointers (when present) are valid for `MR` reads.
-/// There is **no alignment precondition**: every vector access is an
-/// unaligned `loadu`/`storeu`, so any 4-byte-aligned `f32` slice works.
+/// One micro-kernel invocation: `out[MR x NR]` (row stride `ldc`) takes the
+/// product of the packed `apack` (`kc x MR`) and the `kc` rows of `b` at row
+/// stride `ldb` — packed panels pass `ldb = NR`, the small-m path passes the
+/// source matrix's own stride so `B` is read in place. With `affine` (the
+/// tile's `MR` rows of `[scale, shift]`) the store is
+/// `act(fma(out + acc, scale, shift))`, without it `out + acc`.
+struct Kernel<'a> {
+    apack: &'a [f32],
+    b: &'a [f32],
+    ldb: usize,
+    kc: usize,
+    out: &'a mut [f32],
+    ldc: usize,
+    affine: Option<&'a [[f32; MR]; 2]>,
+}
+
+/// [`Kernel`] with its register blocking: `MR / ROWS` passes, each holding
+/// `ROWS x VECS` accumulator vectors (`VECS` lanes-wide vectors are `NR`
+/// columns).
+struct Blocked<'a, const ROWS: usize, const VECS: usize>(Kernel<'a>);
+
+impl<L: Lanes, const ROWS: usize, const VECS: usize> ActBody<L> for Blocked<'_, ROWS, VECS> {
+    #[inline(always)]
+    fn run(self, l: L, act: impl Fn(L::V) -> L::V + Copy) {
+        let Kernel {
+            apack,
+            b,
+            ldb,
+            kc,
+            out,
+            ldc,
+            affine,
+        } = self.0;
+        const { assert!(VECS * L::N == NR && MR.is_multiple_of(ROWS) && ROWS <= 8) }
+        let last_row = kc.checked_sub(1).and_then(|p| p.checked_mul(ldb));
+        assert!(
+            last_row.is_none_or(|at| at.checked_add(NR).is_some_and(|end| end <= b.len())),
+            "B window too short"
+        );
+        let apack = &apack[..kc * MR];
+        for r0 in (0..MR).step_by(ROWS) {
+            let mut acc = [[l.splat(0.0); VECS]; ROWS];
+            for (p, ap) in apack.chunks_exact(MR).enumerate() {
+                let ap = &ap[r0..r0 + ROWS];
+                // SAFETY: `p <= kc - 1`, and the assert above put the `NR`
+                // elements of row `kc - 1` inside `b`. (Measured: a checked
+                // slice here, with its panicking exit, costs the AVX-512
+                // loop 5-10 %.)
+                let bp = unsafe { b.get_unchecked(p * ldb..p * ldb + NR) };
+                for i in 0..ROWS {
+                    let av = l.splat(ap[i]);
+                    for v in 0..VECS {
+                        let bv = l.load(&bp[v * L::N..(v + 1) * L::N], 0);
+                        acc[i][v] = l.fma(av, bv, acc[i][v]);
+                    }
+                }
+            }
+            // the rows' stores, spelled out with literal indices: indexed
+            // by a loop variable the accumulator array lives on the stack,
+            // through the k loop too
+            macro_rules! store_rows {
+                ($($i:literal)*) => {$(if $i < ROWS {
+                    let row = r0 + $i;
+                    let out_row = &mut out[row * ldc..row * ldc + NR];
+                    // (not `Option::map`: a closure handed to a std
+                    // combinator is compiled without the tier's target
+                    // feature)
+                    let affine = match affine {
+                        Some([scale, shift]) => Some((l.splat(scale[row]), l.splat(shift[row]))),
+                        None => None,
+                    };
+                    for v in 0..VECS {
+                        let dst = &mut out_row[v * L::N..(v + 1) * L::N];
+                        let sum = l.add(l.load(dst, 0), acc[$i][v]);
+                        let val = match affine {
+                            Some((scale, shift)) => act(l.fma(sum, scale, shift)),
+                            None => sum,
+                        };
+                        l.store(val, dst);
+                    }
+                })*};
+            }
+            store_rows!(0 1 2 3 4 5 6 7);
+        }
+    }
+}
+
+/// The AVX-512F instantiation of the kernel.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn kernel_avx512_direct(
-    apack: *const f32,
-    b: *const f32,
-    ldb: usize,
-    out: *mut f32,
-    kc: usize,
-    ldc: usize,
-    ep: Option<KernelEpilogue>,
-) {
-    let mut acc = [[_mm512_setzero_ps(); 3]; MR];
-    let mut ap = apack;
-    let mut bp = b;
-    for _ in 0..kc {
-        let b0 = _mm512_loadu_ps(bp);
-        let b1 = _mm512_loadu_ps(bp.add(16));
-        let b2 = _mm512_loadu_ps(bp.add(32));
-        for i in 0..MR {
-            let av = _mm512_set1_ps(*ap.add(i));
-            acc[i][0] = _mm512_fmadd_ps(av, b0, acc[i][0]);
-            acc[i][1] = _mm512_fmadd_ps(av, b1, acc[i][1]);
-            acc[i][2] = _mm512_fmadd_ps(av, b2, acc[i][2]);
-        }
-        ap = ap.add(MR);
-        bp = bp.add(ldb);
-    }
-    match ep {
-        None => {
-            for (i, acc_row) in acc.iter().enumerate() {
-                for (v, acc_v) in acc_row.iter().enumerate() {
-                    let ptr = out.add(i * ldc + v * 16);
-                    _mm512_storeu_ps(ptr, _mm512_add_ps(_mm512_loadu_ps(ptr), *acc_v));
-                }
-            }
-        }
-        Some(e) => {
-            let zero = _mm512_setzero_ps();
-            for (i, acc_row) in acc.iter().enumerate() {
-                let sc = _mm512_set1_ps(*e.scale.add(i));
-                let sh = _mm512_set1_ps(*e.shift.add(i));
-                for (v, acc_v) in acc_row.iter().enumerate() {
-                    let ptr = out.add(i * ldc + v * 16);
-                    let sum = _mm512_add_ps(_mm512_loadu_ps(ptr), *acc_v);
-                    let mut val = _mm512_fmadd_ps(sum, sc, sh);
-                    // branch-faithful forms of EpilogueAct::apply, so NaN
-                    // behaves identically to the scalar path (compares are
-                    // ordered: NaN lanes keep the "else" value)
-                    val = match e.act {
-                        EpilogueAct::None => val,
-                        EpilogueAct::Relu => _mm512_max_ps(val, zero),
-                        EpilogueAct::LeakyRelu(slope) => {
-                            let gt = _mm512_cmp_ps_mask(val, zero, _CMP_GT_OQ);
-                            let neg = _mm512_mul_ps(val, _mm512_set1_ps(slope));
-                            _mm512_mask_blend_ps(gt, neg, val)
-                        }
-                        EpilogueAct::Relu6 => {
-                            let six = _mm512_set1_ps(6.0);
-                            let lt = _mm512_cmp_ps_mask(val, zero, _CMP_LT_OQ);
-                            let gt = _mm512_cmp_ps_mask(val, six, _CMP_GT_OQ);
-                            let clamped = _mm512_mask_blend_ps(lt, val, zero);
-                            _mm512_mask_blend_ps(gt, clamped, six)
-                        }
-                        EpilogueAct::HardSwish => {
-                            let one = _mm512_set1_ps(1.0);
-                            let t = _mm512_mul_ps(
-                                _mm512_add_ps(val, _mm512_set1_ps(3.0)),
-                                _mm512_set1_ps(SIXTH),
-                            );
-                            // max/min return their second operand on NaN,
-                            // so this order is `t.clamp(0, 1)` exactly
-                            let clamped = _mm512_min_ps(one, _mm512_max_ps(zero, t));
-                            _mm512_mul_ps(val, clamped)
-                        }
-                    };
-                    _mm512_storeu_ps(ptr, val);
-                }
-            }
-        }
-    }
+fn kernel_avx512(kernel: Kernel<'_>, act: EpilogueAct) {
+    // SAFETY: this function's own target feature is the token's contract.
+    with_act(unsafe { Avx512::new() }, act, Blocked::<8, 3>(kernel));
 }
 
-/// AVX2+FMA twin of [`kernel_avx512_direct`].
-///
-/// # Safety
-///
-/// Same contract as [`kernel_avx512_direct`] — bounds as documented there,
-/// no alignment requirement beyond `f32` (unaligned `loadu`/`storeu`
-/// throughout) — requiring the `avx2` and `fma` ISA extensions instead.
+/// The AVX2+FMA instantiation of the kernel.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn kernel_avx2_direct(
-    apack: *const f32,
-    b: *const f32,
-    ldb: usize,
-    out: *mut f32,
-    kc: usize,
-    ldc: usize,
-    ep: Option<KernelEpilogue>,
-) {
-    for half in 0..2 {
-        let mut acc = [[_mm256_setzero_ps(); 6]; 4];
-        let mut ap = apack.add(half * 4);
-        let mut bp = b;
-        for _ in 0..kc {
-            for i in 0..4 {
-                let av = _mm256_set1_ps(*ap.add(i));
-                for v in 0..6 {
-                    acc[i][v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(v * 8)), acc[i][v]);
-                }
-            }
-            ap = ap.add(MR);
-            bp = bp.add(ldb);
-        }
-        match ep {
-            None => {
-                for (i, acc_row) in acc.iter().enumerate() {
-                    for (v, acc_v) in acc_row.iter().enumerate() {
-                        let ptr = out.add((half * 4 + i) * ldc + v * 8);
-                        _mm256_storeu_ps(ptr, _mm256_add_ps(_mm256_loadu_ps(ptr), *acc_v));
-                    }
-                }
-            }
-            Some(e) => {
-                let zero = _mm256_setzero_ps();
-                for (i, acc_row) in acc.iter().enumerate() {
-                    let row = half * 4 + i;
-                    let sc = _mm256_set1_ps(*e.scale.add(row));
-                    let sh = _mm256_set1_ps(*e.shift.add(row));
-                    for (v, acc_v) in acc_row.iter().enumerate() {
-                        let ptr = out.add(row * ldc + v * 8);
-                        let sum = _mm256_add_ps(_mm256_loadu_ps(ptr), *acc_v);
-                        let mut val = _mm256_fmadd_ps(sum, sc, sh);
-                        // branch-faithful forms of EpilogueAct::apply (see
-                        // the AVX-512 kernel for the NaN rationale)
-                        val = match e.act {
-                            EpilogueAct::None => val,
-                            EpilogueAct::Relu => _mm256_max_ps(val, zero),
-                            EpilogueAct::LeakyRelu(slope) => {
-                                let gt = _mm256_cmp_ps(val, zero, _CMP_GT_OQ);
-                                let neg = _mm256_mul_ps(val, _mm256_set1_ps(slope));
-                                _mm256_blendv_ps(neg, val, gt)
-                            }
-                            EpilogueAct::Relu6 => {
-                                let six = _mm256_set1_ps(6.0);
-                                let lt = _mm256_cmp_ps(val, zero, _CMP_LT_OQ);
-                                let gt = _mm256_cmp_ps(val, six, _CMP_GT_OQ);
-                                let clamped = _mm256_blendv_ps(val, zero, lt);
-                                _mm256_blendv_ps(clamped, six, gt)
-                            }
-                            EpilogueAct::HardSwish => {
-                                let one = _mm256_set1_ps(1.0);
-                                let t = _mm256_mul_ps(
-                                    _mm256_add_ps(val, _mm256_set1_ps(3.0)),
-                                    _mm256_set1_ps(SIXTH),
-                                );
-                                // (operand order as in the AVX-512 kernel)
-                                let clamped = _mm256_min_ps(one, _mm256_max_ps(zero, t));
-                                _mm256_mul_ps(val, clamped)
-                            }
-                        };
-                        _mm256_storeu_ps(ptr, val);
-                    }
-                }
-            }
-        }
-    }
+fn kernel_avx2(kernel: Kernel<'_>, act: EpilogueAct) {
+    // SAFETY: this function's own target features are the token's contract.
+    with_act(unsafe { Avx2::new() }, act, Blocked::<4, 6>(kernel));
 }
 
-/// Portable twin of [`kernel_avx512_direct`].
-fn kernel_portable_direct(
-    apack: &[f32],
-    b: &[f32],
-    ldb: usize,
-    out: &mut [f32],
-    kc: usize,
-    ldc: usize,
-    ep: Option<Epilogue<'_>>,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    let apack = &apack[..kc * MR];
-    for p in 0..kc {
-        let ap: &[f32; MR] = apack[p * MR..p * MR + MR].try_into().unwrap();
-        let bp: &[f32; NR] = b[p * ldb..p * ldb + NR].try_into().unwrap();
-        for i in 0..MR {
-            let a_ip = ap[i];
-            for j in 0..NR {
-                acc[i][j] += a_ip * bp[j];
-            }
-        }
-    }
-    match ep {
-        None => {
-            for (i, acc_row) in acc.iter().enumerate() {
-                let out_row = &mut out[i * ldc..i * ldc + NR];
-                for j in 0..NR {
-                    out_row[j] += acc_row[j];
-                }
-            }
-        }
-        Some(e) => {
-            for (i, acc_row) in acc.iter().enumerate() {
-                let (sc, sh) = (e.scale[i], e.shift[i]);
-                let out_row = &mut out[i * ldc..i * ldc + NR];
-                for j in 0..NR {
-                    out_row[j] = e.act.apply((out_row[j] + acc_row[j]) * sc + sh);
-                }
-            }
-        }
-    }
-}
-
-/// Bounds-asserting dispatcher for the direct-`B` kernels. `ep`, when
-/// present, must be pre-offset so its row 0 is this tile's first output row
-/// and carry at least `MR` scale/shift entries.
+/// The portable instantiation of the kernel. Out of line like its two
+/// siblings: inlined, its five activation variants swell every tile loop
+/// (4-10 % on short-`k` GEMMs of the AVX tiers). It takes the kernel's
+/// fields as separate parameters because a slice parameter carries the
+/// no-alias guarantee that a struct field loses, and its autovectorised
+/// loops measure 8 % slower without it (the vector tiers do not care, and
+/// the AVX2 blocking, which spills, measured worse with it).
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
+fn kernel_portable(
+    apack: &[f32],
+    b: &[f32],
+    ldb: usize,
+    kc: usize,
+    out: &mut [f32],
+    ldc: usize,
+    affine: Option<&[[f32; MR]; 2]>,
+    act: EpilogueAct,
+) {
+    let kernel = Kernel {
+        apack,
+        b,
+        ldb,
+        kc,
+        out,
+        ldc,
+        affine,
+    };
+    with_act(Portable, act, Blocked::<8, 6>(kernel));
+}
+
+/// Runs one [`Kernel`] on tier `which`.
 #[inline]
-fn run_kernel_direct(
+fn run_kernel(which: Isa, k: Kernel<'_>, act: EpilogueAct) {
+    match which {
+        // SAFETY: `which` comes from `isa()`, which returns only tiers this
+        // CPU was detected to have.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { kernel_avx512(k, act) },
+        // SAFETY: as above.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { kernel_avx2(k, act) },
+        Isa::Portable => kernel_portable(k.apack, k.b, k.ldb, k.kc, k.out, k.ldc, k.affine, act),
+    }
+}
+
+/// Where a tile's `mr x nr` live corner lands: rows `i0..` of the `[m, n]`
+/// output panels that sit `stride_out` apart in `outs`, at columns
+/// `j0..j0 + nr` of their *virtual column concatenation* (see
+/// [`for_each_segment`]; a plain GEMM is the one-panel case).
+#[derive(Clone, Copy)]
+struct Corner {
+    i0: usize,
+    mr: usize,
+    j0: usize,
+    nr: usize,
+    n: usize,
+    stride_out: usize,
+}
+
+/// Multiplies one packed `A` tile with `kc` rows of `b` (row stride `ldb`)
+/// into its corner of `outs` — the one store path of every GEMM entry
+/// point. A full tile inside one panel runs the kernel in place. A ragged or
+/// panel-spanning one runs the same kernel on a bounce buffer holding the
+/// corner's current values (scale/shift padded to `MR` rows) and copies the
+/// corner back, so an output element is rounded the same way wherever its
+/// tile falls. `ep` is indexed by output row and must only be passed on the
+/// final `k` panel.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile(
     which: Isa,
     apack: &[f32],
     b: &[f32],
     ldb: usize,
-    out: &mut [f32],
     kc: usize,
-    ldc: usize,
+    outs: &mut [f32],
+    at: Corner,
     ep: Option<Epilogue<'_>>,
 ) {
-    assert!(apack.len() >= kc * MR, "A pack too short");
-    assert!(
-        kc == 0 || b.len() >= (kc - 1) * ldb + NR,
-        "B window too short for a direct strip"
-    );
-    assert!(
-        out.len() >= (MR - 1) * ldc + NR,
-        "output window too short for an MRxNR tile"
-    );
-    if let Some(e) = ep {
-        assert!(
-            e.scale.len() >= MR && e.shift.len() >= MR,
-            "epilogue scale/shift too short for an MR-row tile"
-        );
+    let Corner {
+        i0,
+        mr,
+        j0,
+        nr,
+        n,
+        stride_out,
+    } = at;
+    let act = ep.map_or(EpilogueAct::None, |e| e.act);
+    // the tile's scale/shift rows, padded to `MR`
+    let affine = ep.map(|e| {
+        let mut rows = [[0.0f32; MR]; 2];
+        rows[0][..mr].copy_from_slice(&e.scale[i0..i0 + mr]);
+        rows[1][..mr].copy_from_slice(&e.shift[i0..i0 + mr]);
+        rows
+    });
+    let affine = affine.as_ref();
+    // (a plain GEMM's one panel never divides)
+    let (s0, j) = if j0 < n { (0, j0) } else { (j0 / n, j0 % n) };
+    if mr == MR && nr == NR && j + NR <= n {
+        let kernel = Kernel {
+            apack,
+            b,
+            ldb,
+            kc,
+            out: &mut outs[s0 * stride_out + i0 * n + j..],
+            ldc: n,
+            affine,
+        };
+        return run_kernel(which, kernel, act);
     }
-    match which {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe {
-            // SAFETY: avx512f verified by `isa()`; lengths asserted above
-            // (including MR epilogue rows when `ep` is present).
-            kernel_avx512_direct(
-                apack.as_ptr(),
-                b.as_ptr(),
-                ldb,
-                out.as_mut_ptr(),
-                kc,
-                ldc,
-                ep.map(|e| KernelEpilogue {
-                    scale: e.scale.as_ptr(),
-                    shift: e.shift.as_ptr(),
-                    act: e.act,
-                }),
-            )
-        },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe {
-            // SAFETY: avx2+fma verified by `isa()`; lengths asserted above
-            // (including MR epilogue rows when `ep` is present).
-            kernel_avx2_direct(
-                apack.as_ptr(),
-                b.as_ptr(),
-                ldb,
-                out.as_mut_ptr(),
-                kc,
-                ldc,
-                ep.map(|e| KernelEpilogue {
-                    scale: e.scale.as_ptr(),
-                    shift: e.shift.as_ptr(),
-                    act: e.act,
-                }),
-            )
-        },
-        Isa::Portable => kernel_portable_direct(apack, b, ldb, out, kc, ldc, ep),
-    }
-}
-
-/// Packed-panel kernel dispatch: the packed layout is simply the direct
-/// layout with row stride `NR`.
-#[inline]
-fn run_kernel(
-    which: Isa,
-    apack: &[f32],
-    bpack: &[f32],
-    out: &mut [f32],
-    kc: usize,
-    ldc: usize,
-    ep: Option<Epilogue<'_>>,
-) {
-    run_kernel_direct(which, apack, bpack, NR, out, kc, ldc, ep);
+    let mut bounce = [0.0f32; MR * NR];
+    for_each_segment(j0, nr, n, |s, j, off, seg| {
+        for (i, row) in bounce.chunks_exact_mut(NR).take(mr).enumerate() {
+            let base = s * stride_out + (i0 + i) * n + j;
+            row[off..off + seg].copy_from_slice(&outs[base..base + seg]);
+        }
+    });
+    let kernel = Kernel {
+        apack,
+        b,
+        ldb,
+        kc,
+        out: &mut bounce,
+        ldc: NR,
+        affine,
+    };
+    run_kernel(which, kernel, act);
+    for_each_segment(j0, nr, n, |s, j, off, seg| {
+        for (i, row) in bounce.chunks_exact(NR).take(mr).enumerate() {
+            let base = s * stride_out + (i0 + i) * n + j;
+            outs[base..base + seg].copy_from_slice(&row[off..off + seg]);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -750,7 +641,6 @@ fn block_multiply(
     which: Isa,
     apack: &[f32],
     bpack: &[f32],
-    edge: &mut Vec<f32>,
     out: &mut [f32],
     row0: usize,
     rows: usize,
@@ -758,40 +648,18 @@ fn block_multiply(
     n: usize,
     ep: Option<Epilogue<'_>>,
 ) {
-    let m_tiles = rows.div_ceil(MR);
-    let n_strips = n.div_ceil(NR);
-    for it in 0..m_tiles {
+    for (it, ap) in apack.chunks_exact(kc * MR).enumerate() {
         let i0 = row0 + it * MR;
-        let mr = MR.min(row0 + rows - i0);
-        let ap = &apack[it * kc * MR..(it + 1) * kc * MR];
-        for js in 0..n_strips {
-            let j0 = js * NR;
-            let nr = NR.min(n - j0);
-            let bp = &bpack[js * kc * NR..(js + 1) * kc * NR];
-            if mr == MR && nr == NR {
-                run_kernel(
-                    which,
-                    ap,
-                    bp,
-                    &mut out[i0 * n + j0..],
-                    kc,
-                    n,
-                    ep.map(|e| e.offset_rows(i0)),
-                );
-            } else {
-                // partial tile: run full width into a bounce buffer, then
-                // copy out the live mr x nr corner (epilogue applied
-                // scalar-wise here, since the kernel would read MR rows of
-                // scale/shift that a ragged edge does not have)
-                edge.clear();
-                edge.resize(MR * NR, 0.0);
-                run_kernel(which, ap, bp, edge, kc, NR, None);
-                for i in 0..mr {
-                    let src = &edge[i * NR..i * NR + nr];
-                    let dst = &mut out[(i0 + i) * n + j0..(i0 + i) * n + j0 + nr];
-                    store_edge_row(dst, src, i0 + i, ep);
-                }
-            }
+        for (js, bp) in bpack.chunks_exact(kc * NR).enumerate() {
+            let at = Corner {
+                i0,
+                mr: MR.min(row0 + rows - i0),
+                j0: js * NR,
+                nr: NR.min(n - js * NR),
+                n,
+                stride_out: 0,
+            };
+            tile(which, ap, bp, NR, kc, out, at, ep);
         }
     }
 }
@@ -1011,18 +879,7 @@ fn gemm_impl<A: WeightElems>(
                         let rows = (MC_TILES * MR).min(m - row0);
                         pack_a(a, &mut scratch.apack, row0, rows, pc, kc, k);
                         let (apack, bpack) = (&scratch.apack, &scratch.bpack);
-                        block_multiply(
-                            which,
-                            apack,
-                            bpack,
-                            &mut scratch.edge,
-                            out,
-                            row0,
-                            rows,
-                            kc,
-                            n,
-                            ep_panel,
-                        );
+                        block_multiply(which, apack, bpack, out, row0, rows, kc, n, ep_panel);
                         row0 += rows;
                     }
                     pc += kc;
@@ -1055,15 +912,12 @@ fn gemm_impl<A: WeightElems>(
                     // row coordinates are re-based to the band start
                     let ep_band = ep_panel.map(|e| e.offset_rows(row0));
                     let mut apack = Vec::new();
-                    let mut edge = Vec::new();
                     let mut r = 0;
                     while r < rows {
                         let block = (MC_TILES * MR).min(rows - r);
                         pack_a(a, &mut apack, row0 + r, block, pc, kc, k);
                         // out_band is indexed from its own row 0
-                        block_multiply(
-                            which, &apack, bpack, &mut edge, out_band, r, block, kc, n, ep_band,
-                        );
+                        block_multiply(which, &apack, bpack, out_band, r, block, kc, n, ep_band);
                         r += block;
                     }
                 });
@@ -1092,7 +946,6 @@ fn gemm_small_m<A: WeightElems>(
         let scratch = &mut *cell.borrow_mut();
         let full_strips = n / NR;
         let n_edge = n - full_strips * NR;
-        let m_tiles = m.div_ceil(MR);
         let mut pc = 0;
         while pc < k {
             let kc = kc_target.min(k - pc);
@@ -1109,51 +962,25 @@ fn gemm_small_m<A: WeightElems>(
                 }
             }
             // strips outer, tiles inner: one strip's B window (kc x NR) stays
-            // cache-resident while every A tile runs against it
-            for js in 0..full_strips {
+            // cache-resident while every A tile runs against it; full strips
+            // read `b` in place, the ragged one its packed panel
+            for js in 0..n.div_ceil(NR) {
                 let j0 = js * NR;
-                for it in 0..m_tiles {
-                    let i0 = it * MR;
-                    let mr = MR.min(m - i0);
-                    let ap = &scratch.apack[it * kc * MR..(it + 1) * kc * MR];
-                    let bwin = &b[pc * n + j0..];
-                    if mr == MR {
-                        run_kernel_direct(
-                            which,
-                            ap,
-                            bwin,
-                            n,
-                            &mut out[i0 * n + j0..],
-                            kc,
-                            n,
-                            ep_panel.map(|e| e.offset_rows(i0)),
-                        );
-                    } else {
-                        scratch.edge.clear();
-                        scratch.edge.resize(MR * NR, 0.0);
-                        run_kernel_direct(which, ap, bwin, n, &mut scratch.edge, kc, NR, None);
-                        for i in 0..mr {
-                            let src = &scratch.edge[i * NR..i * NR + NR];
-                            let dst = &mut out[(i0 + i) * n + j0..(i0 + i) * n + j0 + NR];
-                            store_edge_row(dst, src, i0 + i, ep_panel);
-                        }
-                    }
-                }
-            }
-            if n_edge > 0 {
-                let j0 = full_strips * NR;
-                for it in 0..m_tiles {
-                    let i0 = it * MR;
-                    let mr = MR.min(m - i0);
-                    let ap = &scratch.apack[it * kc * MR..(it + 1) * kc * MR];
-                    scratch.edge.clear();
-                    scratch.edge.resize(MR * NR, 0.0);
-                    run_kernel(which, ap, &scratch.bpack, &mut scratch.edge, kc, NR, None);
-                    for i in 0..mr {
-                        let src = &scratch.edge[i * NR..i * NR + n_edge];
-                        let dst = &mut out[(i0 + i) * n + j0..(i0 + i) * n + n];
-                        store_edge_row(dst, src, i0 + i, ep_panel);
-                    }
+                let (bwin, ldb) = if js < full_strips {
+                    (&b[pc * n + j0..], n)
+                } else {
+                    (&scratch.bpack[..], NR)
+                };
+                for (it, ap) in scratch.apack.chunks_exact(kc * MR).enumerate() {
+                    let at = Corner {
+                        i0: it * MR,
+                        mr: MR.min(m - it * MR),
+                        j0,
+                        nr: NR.min(n - j0),
+                        n,
+                        stride_out: 0,
+                    };
+                    tile(which, ap, bwin, ldb, kc, out, at, ep_panel);
                 }
             }
             pc += kc;
@@ -1221,10 +1048,9 @@ fn pack_b_batch(
 /// for `batch` items, with `ep` applied at store time on the final `k` panel.
 ///
 /// `A` is packed **once per k-panel** and every item's columns stream through
-/// it; strips of the virtual column concatenation that land fully inside one
-/// item's panel store straight into it, strips spanning an item boundary (the
-/// normal case when `n < NR`) run full-width into the bounce buffer and
-/// scatter per item segment.
+/// it, a strip of the virtual column concatenation at a time; [`tile`]
+/// stores each one, through the bounce buffer where a strip spans an item
+/// boundary (the normal case when `n < NR`).
 #[allow(clippy::too_many_arguments)]
 fn gemm_batch_core<A: WeightElems>(
     which: Isa,
@@ -1242,7 +1068,6 @@ fn gemm_batch_core<A: WeightElems>(
     ep: Option<Epilogue<'_>>,
 ) {
     let n_total = batch * n;
-    let n_strips = n_total.div_ceil(NR);
     let mut pc = 0;
     while pc < k {
         let kc = kc_target.min(k - pc);
@@ -1254,50 +1079,18 @@ fn gemm_batch_core<A: WeightElems>(
         while row0 < m {
             let rows = (MC_TILES * MR).min(m - row0);
             pack_a(a, &mut scratch.apack, row0, rows, pc, kc, k);
-            let m_tiles = rows.div_ceil(MR);
-            for js in 0..n_strips {
-                let j0 = js * NR;
-                let nr = NR.min(n_total - j0);
-                let bp = &scratch.bpack[js * kc * NR..(js + 1) * kc * NR];
-                // a full strip whose columns all belong to one item can store
-                // straight into that item's output panel at row stride n
-                let s0 = j0 / n;
-                let direct = nr == NR && (j0 + NR - 1) / n == s0;
-                for it in 0..m_tiles {
+            for (js, bp) in scratch.bpack.chunks_exact(kc * NR).enumerate() {
+                for (it, ap) in scratch.apack.chunks_exact(kc * MR).enumerate() {
                     let i0 = row0 + it * MR;
-                    let mr = MR.min(row0 + rows - i0);
-                    let ap = &scratch.apack[it * kc * MR..(it + 1) * kc * MR];
-                    if direct && mr == MR {
-                        let j = j0 - s0 * n;
-                        run_kernel(
-                            which,
-                            ap,
-                            bp,
-                            &mut outs[s0 * stride_out + i0 * n + j..],
-                            kc,
-                            n,
-                            ep_panel.map(|e| e.offset_rows(i0)),
-                        );
-                    } else {
-                        // boundary-spanning or ragged tile: full-width kernel
-                        // into the bounce buffer, then scatter each row's
-                        // per-item segments (epilogue applied scalar-wise)
-                        scratch.edge.clear();
-                        scratch.edge.resize(MR * NR, 0.0);
-                        run_kernel(which, ap, bp, &mut scratch.edge, kc, NR, None);
-                        for i in 0..mr {
-                            let src = &scratch.edge[i * NR..i * NR + nr];
-                            for_each_segment(j0, nr, n, |s, j, off, seg| {
-                                let base = s * stride_out + (i0 + i) * n + j;
-                                store_edge_row(
-                                    &mut outs[base..base + seg],
-                                    &src[off..off + seg],
-                                    i0 + i,
-                                    ep_panel,
-                                );
-                            });
-                        }
-                    }
+                    let at = Corner {
+                        i0,
+                        mr: MR.min(row0 + rows - i0),
+                        j0: js * NR,
+                        nr: NR.min(n_total - js * NR),
+                        n,
+                        stride_out,
+                    };
+                    tile(which, ap, bp, NR, kc, outs, at, ep_panel);
                 }
             }
             row0 += rows;
@@ -1966,12 +1759,12 @@ mod tests {
 
     #[test]
     fn epilogue_nan_semantics_match_scalar_reference_on_full_and_ragged_tiles() {
-        // a NaN in A poisons whole output rows; the SIMD store loops (full
-        // tiles) and the scalar bounce path (ragged edge rows/cols) must
-        // treat it exactly like EpilogueAct::apply — ReLU maps NaN to 0,
-        // LeakyReLU and ReLU6 propagate it
+        // a NaN in A poisons whole output rows; the kernel's store must treat
+        // it exactly like EpilogueAct::apply — ReLU maps NaN to 0, LeakyReLU
+        // and ReLU6 propagate it — in place (full tiles) and through the
+        // bounce buffer (ragged edge rows/cols)
         let mut rng = StdRng::seed_from_u64(42);
-        // m = MR+1: rows 0..8 hit the SIMD kernel, row 8 the bounce path;
+        // m = MR+1: rows 0..8 are a full tile, row 8 a ragged one;
         // n = NR+1 adds a ragged column strip
         let (m, k, n) = (MR + 1, 19, NR + 1);
         let mut a = random_matrix(&mut rng, m * k);
@@ -2656,6 +2449,375 @@ mod tests {
             m * n,
         );
         assert_eq!(expect, got);
+    }
+
+    // -----------------------------------------------------------------------
+    // One rounding rule per tier. Every tier this CPU runs is forced through
+    // the crate's test hook, so the AVX2 and portable instantiations execute
+    // on an AVX-512 host too.
+    // -----------------------------------------------------------------------
+
+    use crate::isa::{force_tier, supported_tiers};
+
+    const ACTS: [EpilogueAct; 5] = [
+        EpilogueAct::None,
+        EpilogueAct::Relu,
+        EpilogueAct::LeakyRelu(0.1),
+        EpilogueAct::Relu6,
+        EpilogueAct::HardSwish,
+    ];
+
+    /// Runs `f` with every kernel call on this thread pinned to `tier`.
+    fn on_tier<R>(tier: Isa, f: impl FnOnce() -> R) -> R {
+        force_tier(Some(tier));
+        let r = f();
+        force_tier(None);
+        r
+    }
+
+    /// The bits of `v`, with every NaN collapsed to one pattern (which
+    /// operand's payload a NaN result carries is not something Rust pins).
+    fn bits(v: &[f32]) -> Vec<u32> {
+        let canon = |x: &f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+        v.iter().map(canon).collect()
+    }
+
+    /// `got` is within `tol` of `expect`, with NaNs and infinities in exactly
+    /// the same places.
+    fn assert_close_same_placement(expect: &[f32], got: &[f32], tol: f32, ctx: &str) {
+        assert_eq!(expect.len(), got.len(), "{ctx}");
+        for (i, (e, g)) in expect.iter().zip(got).enumerate() {
+            assert_eq!(e.is_nan(), g.is_nan(), "{ctx}: element {i}: {e} vs {g}");
+            // `e == g` covers matching infinities, whose difference is NaN
+            if !e.is_nan() && e != g {
+                assert!(
+                    (e - g).abs() <= tol * e.abs().max(g.abs()).max(1.0),
+                    "{ctx}: element {i}: {e} vs {g}"
+                );
+            }
+        }
+    }
+
+    /// One cyclic-batch problem under an epilogue with a non-zero shift. The
+    /// weights are f16-representable, so the `F16` operand packs the very
+    /// values the `F32` one does.
+    struct Problem {
+        m: usize,
+        k: usize,
+        n: usize,
+        groups: usize,
+        batch: usize,
+        a: Vec<f32>,
+        a_f16: Vec<u16>,
+        bs: Vec<f32>,
+        scale: Vec<f32>,
+        shift: Vec<f32>,
+        act: EpilogueAct,
+        what: String,
+    }
+
+    impl Problem {
+        fn ep(&self) -> Epilogue<'_> {
+            Epilogue {
+                scale: &self.scale,
+                shift: &self.shift,
+                act: self.act,
+            }
+        }
+
+        fn weights(&self, half: bool) -> WeightMat<'_> {
+            if half {
+                WeightMat::F16(&self.a_f16)
+            } else {
+                WeightMat::F32(&self.a)
+            }
+        }
+
+        /// The whole batch through one [`gemm_batch_cyclic_strided_q`].
+        fn batched(&self, half: bool) -> Vec<f32> {
+            let (m, k, n) = (self.m, self.k, self.n);
+            let mut out = vec![777.0; self.batch * m * n];
+            gemm_batch_cyclic_strided_q(
+                self.weights(half),
+                &self.bs,
+                &mut out,
+                m,
+                k,
+                n,
+                self.batch,
+                self.groups,
+                m * k,
+                k * n,
+                m * n,
+                Some(self.ep()),
+            );
+            out
+        }
+
+        /// Item by item: `f(the item's group, its B panel, its output panel)`.
+        fn per_item(&self, init: f32, f: impl Fn(usize, &[f32], &mut [f32])) -> Vec<f32> {
+            let (m, k, n) = (self.m, self.k, self.n);
+            let mut out = vec![init; self.batch * m * n];
+            for (t, out_t) in out.chunks_mut(m * n).enumerate() {
+                f(t % self.groups, &self.bs[t * k * n..(t + 1) * k * n], out_t);
+            }
+            out
+        }
+
+        /// Group `g`'s weight panel.
+        fn group(&self, half: bool, g: usize) -> WeightMat<'_> {
+            let panel = g * self.m * self.k..(g + 1) * self.m * self.k;
+            if half {
+                WeightMat::F16(&self.a_f16[panel])
+            } else {
+                WeightMat::F32(&self.a[panel])
+            }
+        }
+
+        /// Item by item through [`gemm_epilogue_q`].
+        fn looped(&self, half: bool) -> Vec<f32> {
+            self.per_item(777.0, |g, b, out| {
+                let ep = self.ep().offset_rows(g * self.m);
+                gemm_epilogue_q(self.group(half, g), b, out, self.m, self.k, self.n, &ep)
+            })
+        }
+
+        /// `0.25 + A·B` item by item through [`gemm_acc_q`].
+        fn accumulated(&self) -> Vec<f32> {
+            self.per_item(0.25, |g, b, out| {
+                gemm_acc_q(self.group(false, g), b, out, self.m, self.k, self.n)
+            })
+        }
+
+        /// `init + A·B` item by item through the naive product, then the
+        /// scalar epilogue where `with_ep`.
+        fn reference(&self, init: f32, with_ep: bool) -> Vec<f32> {
+            let (m, k, n) = (self.m, self.k, self.n);
+            self.per_item(init, |g, b, out| {
+                let mut product = vec![0.0; m * n];
+                matmul_naive(
+                    &self.a[g * m * k..(g + 1) * m * k],
+                    b,
+                    &mut product,
+                    m,
+                    k,
+                    n,
+                );
+                for (i, (o, p)) in out.iter_mut().zip(product).enumerate() {
+                    let row = g * m + i / n;
+                    *o += p;
+                    if with_ep {
+                        *o = self.act.apply(*o * self.scale[row] + self.shift[row]);
+                    }
+                }
+            })
+        }
+    }
+
+    /// Ragged `(m, k, n, groups, samples)` shapes × every activation, then
+    /// NaN / ±inf placed in a weight row or one item's column on two of them.
+    fn problems() -> Vec<Problem> {
+        let mut rng = StdRng::seed_from_u64(70);
+        let shapes = [
+            (3usize, 5usize, 2usize, 3usize, 2usize), // far below one tile
+            (MR, 16, 16, 1, 5),                       // item-spanning strips, full rows
+            (MR + 3, 19, NR + 5, 2, 2),               // ragged rows and columns
+            (24, KC + 9, 7, 1, 9),                    // two k panels
+            (2 * MR, 12, 2 * NR, 1, 2),               // full tiles only
+            (70, 33, NR - 1, 1, 2),                   // the packed big-m path
+        ];
+        let poisons = [
+            None,
+            Some((true, f32::NAN)),
+            Some((true, f32::INFINITY)),
+            Some((false, f32::NAN)),
+            Some((false, f32::NEG_INFINITY)),
+        ];
+        let mut out = Vec::new();
+        for (si, (m, k, n, groups, samples)) in shapes.into_iter().enumerate() {
+            let batch = groups * samples;
+            let poisoned = if si == 1 || si == 2 { 5 } else { 1 };
+            for (act, poison) in ACTS
+                .into_iter()
+                .flat_map(|act| poisons[..poisoned].iter().map(move |p| (act, *p)))
+            {
+                let a_f16: Vec<u16> = random_matrix(&mut rng, groups * m * k)
+                    .into_iter()
+                    .map(crate::dtype::f32_to_f16_bits)
+                    .collect();
+                let mut a = widen_f16(&a_f16);
+                let mut bs = random_matrix(&mut rng, batch * k * n);
+                match poison {
+                    // the last row of the last group; the last item's first column
+                    Some((true, v)) => a[(groups * m - 1) * k + k / 2] = v,
+                    Some((false, v)) => bs[(batch - 1) * k * n + (k / 2) * n] = v,
+                    None => {}
+                }
+                let a_f16 = if poison.is_some_and(|(in_a, _)| in_a) {
+                    quantize_f16(&a)
+                } else {
+                    a_f16
+                };
+                out.push(Problem {
+                    m,
+                    k,
+                    n,
+                    groups,
+                    batch,
+                    a,
+                    a_f16,
+                    bs,
+                    scale: random_matrix(&mut rng, groups * m),
+                    shift: random_matrix(&mut rng, groups * m),
+                    act,
+                    what: format!("{m}x{k}x{n} g{groups} b{batch} {act:?} {poison:?}"),
+                });
+            }
+        }
+        out
+    }
+
+    /// On `tier`: both routes (one batched call, a loop of per-item calls)
+    /// and both weight dtypes return the same bits — an output is rounded by
+    /// one rule wherever its tile falls — and those match the scalar
+    /// reference, non-finite values in the same places.
+    fn one_rounding_rule_on(tier: Isa) {
+        if !tier.supported() {
+            return;
+        }
+        for p in problems() {
+            let ctx = format!("{tier:?} {}", p.what);
+            let (batched, looped, batched_q, looped_q, acc) = on_tier(tier, || {
+                (
+                    p.batched(false),
+                    p.looped(false),
+                    p.batched(true),
+                    p.looped(true),
+                    p.accumulated(),
+                )
+            });
+            assert_close_same_placement(&p.reference(0.0, true), &batched, 1e-4, &ctx);
+            assert_eq!(bits(&batched), bits(&looped), "{ctx}: batched vs looped");
+            assert_eq!(bits(&batched), bits(&batched_q), "{ctx}: f16 batched");
+            assert_eq!(bits(&batched), bits(&looped_q), "{ctx}: f16 looped");
+            let plain = p.reference(0.25, false);
+            assert_close_same_placement(&plain, &acc, 1e-4, &format!("{ctx}: acc"));
+        }
+    }
+
+    /// On `tier`: an output computed inside a full tile equals, bit for bit,
+    /// the same output when dropped rows and columns make its tile ragged.
+    fn full_and_ragged_tiles_agree_on(tier: Isa) {
+        if !tier.supported() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(71);
+        // (m, n) of full tiles only, on the small-m and the packed path
+        for (m, n) in [(2 * MR, 2 * NR), (9 * MR, NR)] {
+            let k = 37;
+            let a = random_matrix(&mut rng, m * k);
+            let b = random_matrix(&mut rng, k * n);
+            let (scale, shift) = (random_matrix(&mut rng, m), random_matrix(&mut rng, m));
+            let (m_cut, n_cut) = (m - 3, n - 5);
+            let b_cut: Vec<f32> = b.chunks(n).flat_map(|row| &row[..n_cut]).copied().collect();
+            for act in ACTS {
+                let ep = Epilogue {
+                    scale: &scale,
+                    shift: &shift,
+                    act,
+                };
+                let (full, cut, full_acc, cut_acc) = on_tier(tier, || {
+                    let mut full = vec![0.0; m * n];
+                    gemm_epilogue(&a, &b, &mut full, m, k, n, &ep);
+                    let mut cut = vec![0.0; m_cut * n_cut];
+                    gemm_epilogue(&a, &b_cut, &mut cut, m_cut, k, n_cut, &ep);
+                    let mut full_acc = vec![0.25; m * n];
+                    gemm_acc(&a, &b, &mut full_acc, m, k, n);
+                    let mut cut_acc = vec![0.25; m_cut * n_cut];
+                    gemm_acc(&a, &b_cut, &mut cut_acc, m_cut, k, n_cut);
+                    (full, cut, full_acc, cut_acc)
+                });
+                let crop = |v: &[f32]| -> Vec<f32> {
+                    v.chunks(n)
+                        .take(m_cut)
+                        .flat_map(|row| &row[..n_cut])
+                        .copied()
+                        .collect()
+                };
+                assert_eq!(bits(&crop(&full)), bits(&cut), "{tier:?} {m}x{n} {act:?}");
+                assert_eq!(
+                    bits(&crop(&full_acc)),
+                    bits(&cut_acc),
+                    "{tier:?} {m}x{n} acc"
+                );
+            }
+        }
+    }
+
+    // one test per tier, so a run shows which instantiations executed (a
+    // tier this CPU lacks passes vacuously)
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn one_rounding_rule_on_avx512() {
+        one_rounding_rule_on(Isa::Avx512);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn one_rounding_rule_on_avx2() {
+        one_rounding_rule_on(Isa::Avx2);
+    }
+
+    #[test]
+    fn one_rounding_rule_on_portable() {
+        one_rounding_rule_on(Isa::Portable);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn full_and_ragged_tiles_agree_on_avx512() {
+        full_and_ragged_tiles_agree_on(Isa::Avx512);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn full_and_ragged_tiles_agree_on_avx2() {
+        full_and_ragged_tiles_agree_on(Isa::Avx2);
+    }
+
+    #[test]
+    fn full_and_ragged_tiles_agree_on_portable() {
+        full_and_ragged_tiles_agree_on(Isa::Portable);
+    }
+
+    #[test]
+    fn vector_tiers_agree_bit_for_bit_and_portable_stays_within_rounding() {
+        // AVX-512 and AVX2 both fuse each multiply-add, so they are the same
+        // arithmetic; the portable tier rounds each product first
+        let run = |tier: Isa| -> Vec<(String, Vec<f32>, Vec<f32>)> {
+            on_tier(tier, || {
+                problems()
+                    .into_iter()
+                    .map(|p| (p.what.clone(), p.batched(false), p.accumulated()))
+                    .collect()
+            })
+        };
+        let mut tiers = supported_tiers();
+        let best = tiers.next().expect("the portable tier always runs");
+        let expect = run(best);
+        for tier in tiers {
+            for ((what, e_ep, e_acc), (_, g_ep, g_acc)) in expect.iter().zip(run(tier)) {
+                let ctx = format!("{best:?} vs {tier:?}: {what}");
+                if tier == Isa::Portable {
+                    assert_close_same_placement(e_ep, &g_ep, 1e-5, &ctx);
+                    assert_close_same_placement(e_acc, &g_acc, 1e-5, &ctx);
+                } else {
+                    assert_eq!(bits(e_ep), bits(&g_ep), "{ctx}");
+                    assert_eq!(bits(e_acc), bits(&g_acc), "{ctx}: acc");
+                }
+            }
+        }
     }
 
     #[test]

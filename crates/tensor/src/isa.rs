@@ -1,7 +1,9 @@
 //! Which vector instruction set the running CPU offers — the one runtime
 //! decision every ISA-dispatched kernel in this crate ([`crate::gemm`]'s
-//! micro-kernels, the 3×3 depthwise kernels) is taken behind. Detected once
-//! per process; the build stays a plain portable target.
+//! micro-kernel, the 3×3 depthwise kernel) is taken behind. Detected once
+//! per process; the build stays a plain portable target, and there is no
+//! runtime switch — only this crate's unit tests can pin a tier
+//! ([`force_tier`]).
 
 /// The kernel tier the running CPU supports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -44,9 +46,33 @@ pub(crate) fn supported_tiers() -> impl Iterator<Item = Isa> {
     TIERS.iter().copied().filter(|tier| tier.supported())
 }
 
-/// The best tier this CPU supports (detected on first use).
+#[cfg(test)]
+thread_local! {
+    /// Test builds only: the tier [`isa`] is pinned to on this thread.
+    static FORCED_TIER: std::cell::Cell<Option<Isa>> = const { std::cell::Cell::new(None) };
+}
+
+/// Test builds only: pins every ISA-dispatched kernel to `tier` on the
+/// calling thread (`None` restores detection). A kernel reads [`isa`] once
+/// per call, on the calling thread, so work it fans out follows the pin.
+///
+/// # Panics
+///
+/// Panics if this CPU cannot run `tier`.
+#[cfg(test)]
+pub(crate) fn force_tier(tier: Option<Isa>) {
+    assert!(tier.is_none_or(Isa::supported), "{tier:?} not supported");
+    FORCED_TIER.with(|t| t.set(tier));
+}
+
+/// The tier the kernels run on: the best one this CPU supports, detected on
+/// first use (test builds can pin a supported one with [`force_tier`]).
 pub(crate) fn isa() -> Isa {
     use std::sync::OnceLock;
+    #[cfg(test)]
+    if let Some(forced) = FORCED_TIER.with(std::cell::Cell::get) {
+        return forced;
+    }
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(|| supported_tiers().next().unwrap_or(Isa::Portable))
 }

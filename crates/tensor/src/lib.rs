@@ -12,17 +12,19 @@
 //! * random initialisation helpers with explicit, seedable RNGs.
 //!
 //! The hot paths run on the [`mod@gemm`] kernel layer: a cache-blocked,
-//! register-tiled GEMM with runtime-dispatched AVX-512/AVX2 micro-kernels
-//! and row-block parallelism on the shared `hs_parallel` pool. One
-//! specialised convolution kernel sits beside it — [`depthwise_conv2d`]
-//! (direct per-channel spatial convolution, with its training twin
+//! register-tiled GEMM whose one micro-kernel is instantiated for AVX-512,
+//! AVX2 and a portable tier and dispatched at runtime, with row-block
+//! parallelism on the shared `hs_parallel` pool. One specialised
+//! convolution kernel sits beside it — [`depthwise_conv2d`] (direct
+//! per-channel spatial convolution, with its training twin
 //! [`depthwise_conv2d_backward`]) — sharing the GEMM epilogue's fused
 //! scale/shift+activation semantics.
 //! The seed's scalar kernels are preserved in [`naive`] as the correctness
-//! reference. `unsafe` is confined to the ISA-dispatched kernels — the SIMD
-//! micro-kernels in `gemm.rs` and the vector tiers of the 3×3 depthwise
-//! kernel in `depthwise.rs` (see each module's safety notes); everything
-//! else in the crate denies it.
+//! reference. `unsafe` is confined to the ISA-dispatched kernels — the
+//! vector lane implementations in `lanes.rs` and the `#[target_feature]`
+//! instantiations of the GEMM micro-kernel in `gemm.rs` and of the 3×3
+//! depthwise kernel in `depthwise.rs` (see each module's safety notes);
+//! everything else in the crate denies it.
 //!
 //! ```
 //! use hs_tensor::Tensor;
@@ -34,7 +36,7 @@
 //! ```
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)] // allowed only inside the SIMD kernels of gemm.rs and depthwise.rs
+#![deny(unsafe_code)] // allowed only in lanes.rs and the two kernels over it (gemm.rs, depthwise.rs)
 
 mod depthwise;
 pub mod dtype;
@@ -42,6 +44,7 @@ mod error;
 pub mod gemm;
 mod init;
 mod isa;
+mod lanes;
 pub mod naive;
 mod ops;
 mod shape;

@@ -177,65 +177,6 @@ fn truncated_files_are_rejected_with_actionable_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Hand-encodes the frozen v1 layout (flat f32 params, no dtype tags, no
-/// checksums) for an f32 network — what every pre-v2 checkpoint on disk
-/// looks like.
-fn encode_v1(net: &mut Network) -> Vec<u8> {
-    fn put_str(out: &mut Vec<u8>, s: &str) {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    }
-    let mut out = Vec::new();
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&1u32.to_le_bytes());
-    out.extend_from_slice(&net.fingerprint().to_le_bytes());
-    let total: usize = net.params_mut().iter().map(|p| p.len()).sum();
-    out.extend_from_slice(&(total as u64).to_le_bytes());
-    for p in net.params_mut() {
-        for v in p.value.as_slice() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    let buffers = net.buffers_mut();
-    out.extend_from_slice(&(buffers.len() as u64).to_le_bytes());
-    for b in buffers {
-        put_str(&mut out, "buffer");
-        let dims = b.dims();
-        out.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-        for &d in dims {
-            out.extend_from_slice(&(d as u32).to_le_bytes());
-        }
-        for v in b.as_slice() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    out
-}
-
-#[test]
-fn v1_checkpoints_load_bit_exactly_across_the_zoo() {
-    for kind in ZOO {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut original = zoo_model(kind, 1);
-        train_one_step(&mut original, &mut rng);
-        let v1 = encode_v1(&mut original);
-        let mut replica = zoo_model(kind, 2);
-        replica.load_checkpoint_bytes(&v1).unwrap();
-        assert_eq!(
-            weight_bits(&mut original),
-            weight_bits(&mut replica),
-            "{kind:?}: v1 load must be exact to the bit"
-        );
-        // and the migrated save is v2 with the same fingerprint
-        let v2 = replica.to_checkpoint_bytes();
-        assert_eq!(&v2[8..12], &2u32.to_le_bytes());
-        assert_eq!(v2[12..20], v1[12..20], "fingerprint must survive v1→v2");
-        let mut replica2 = zoo_model(kind, 3);
-        replica2.load_checkpoint_bytes(&v2).unwrap();
-        assert_eq!(weight_bits(&mut replica), weight_bits(&mut replica2));
-    }
-}
-
 #[test]
 fn quantized_replicas_round_trip_and_stay_close_across_the_zoo() {
     for kind in ZOO {

@@ -1,40 +1,13 @@
-//! Tier-1 reach for the ISA-dispatched 3×3 depthwise kernels.
-//!
-//! `hs_tensor::depthwise_conv2d` picks its vector tier (AVX-512, AVX2,
-//! portable) from the CPU, and the only way to pin another one is a
-//! `cfg(test)` override inside `depthwise.rs` — by design there is no runtime
-//! switch. So this suite compiles that source file (and the `isa` module it
-//! dispatches on) *into this test crate*, where `cfg(test)` holds:
-//!
-//! * the file's own unit tests run here too (as `depthwise::tests::*`) —
-//!   every vector tier the host supports against the portable tier with
-//!   `to_bits` equality over stride × extent × channels × epilogue, signed
-//!   zeros, and non-finite pixels / weights against the im2col formulation;
-//! * the tests below pin each tier against the workspace's scalar oracle,
-//!   `Conv2d::forward_reference`, for where NaN and ±inf end up.
-//!
-//! The copy compiled here is the very file `hs-tensor` builds, so it cannot
-//! drift from the shipped kernel.
+//! Where NaN and ±inf end up in a 3×3 depthwise forward, through the shipped
+//! ISA dispatch, against the workspace's scalar oracle
+//! `Conv2d::forward_reference`. (Each tier the host supports is pinned to
+//! the same placement, against the im2col formulation, by `hs-tensor`'s own
+//! `depthwise::tests` — only that crate's unit tests can force a tier.)
 
 use heteroswitch_repro::nn::{Conv2d, Layer};
 use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-#[allow(dead_code)]
-#[path = "../crates/tensor/src/isa.rs"]
-mod isa;
-
-/// What `depthwise.rs` imports from its sibling module inside `hs-tensor`.
-mod gemm {
-    pub use heteroswitch_repro::tensor::{Epilogue, EpilogueAct};
-}
-
-#[allow(dead_code)]
-#[path = "../crates/tensor/src/depthwise.rs"]
-mod depthwise;
-
-use isa::{supported_tiers, Isa};
 
 /// `got` matches `expect` to a relative tolerance, with NaNs (and matching
 /// infinities) in exactly the same places.
@@ -49,41 +22,6 @@ fn assert_same(expect: &[f32], got: &[f32], what: &str) {
             );
         }
     }
-}
-
-/// The layer's forward on `tier`, through the kernel compiled into this
-/// crate, one sample at a time as `Conv2d` drives it.
-fn forward_on(tier: Isa, conv: &mut Conv2d, x: &Tensor, stride: usize) -> Vec<f32> {
-    let dims = x.dims();
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let (oh, ow) = ((h - 1) / stride + 1, (w - 1) / stride + 1);
-    let (weights, bias) = {
-        let params = conv.params_mut();
-        (params[0].value.clone(), params[1].value.clone())
-    };
-    let mut out = vec![0.0f32; n * c * oh * ow];
-    depthwise::force_tier(Some(tier));
-    for (xs, os) in x
-        .as_slice()
-        .chunks(c * h * w)
-        .zip(out.chunks_mut(c * oh * ow))
-    {
-        depthwise::depthwise_conv2d(
-            xs,
-            weights.as_slice(),
-            bias.as_slice(),
-            None,
-            os,
-            c,
-            h,
-            w,
-            3,
-            stride,
-            1,
-        );
-    }
-    depthwise::force_tier(None);
-    out
 }
 
 #[test]
@@ -123,16 +61,9 @@ fn non_finite_border_pixels_and_tap_weights_land_where_forward_reference_puts_th
                         expect.as_slice().iter().any(|v| !v.is_finite()),
                         "test setup: the poison should reach the output"
                     );
-                    for tier in supported_tiers() {
-                        let got = forward_on(tier, &mut conv, &x, stride);
-                        let what = format!(
-                            "{tier:?} s={stride} {h}x{w} pixel={pixel:?} tap={tap:?} {value}"
-                        );
-                        assert_same(expect.as_slice(), &got, &what);
-                    }
-                    // and the shipped dispatch, whatever tier it picked
                     let shipped = conv.forward(&x, false);
-                    assert_same(expect.as_slice(), shipped.as_slice(), "shipped dispatch");
+                    let what = format!("s={stride} {h}x{w} pixel={pixel:?} tap={tap:?} {value}");
+                    assert_same(expect.as_slice(), shipped.as_slice(), &what);
                 }
             }
         }

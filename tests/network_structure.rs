@@ -1,8 +1,10 @@
 //! Structural pins over the public read-only walk (`Network::for_each_layer`,
-//! `Layer::for_each_child`, `name()`, `as_conv2d()`).
+//! `Layer::for_each_child`, `name()`, `as_conv2d()`, `as_linear()`).
 
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
-use heteroswitch_repro::nn::{ConvAlgo, InvertedResidual, Layer};
+use heteroswitch_repro::nn::{
+    ConvAlgo, Flatten, InvertedResidual, Layer, Linear, Network, Relu, Sequential,
+};
 use heteroswitch_repro::tensor::DType;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,4 +99,43 @@ fn fused_mobilenet_keeps_no_stand_alone_activation_layer() {
             "use_hs={use_hs}"
         );
     }
+}
+
+/// A fused layer yields the original layers it owns, so the walk finds every
+/// `Linear` whether or not a `Linear -> ReLU` run was fused around it — on
+/// the zoo and on the `fleet_mlp`-shaped stack.
+#[test]
+fn the_walk_reaches_every_linear_fused_or_not() {
+    let linears = |net: &Network| {
+        let mut count = 0;
+        net.for_each_layer(&mut |_, layer| count += usize::from(layer.as_linear().is_some()));
+        count
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut nets: Vec<(String, Network)> = [
+        ModelKind::SimpleCnn,
+        ModelKind::MobileNetV3Small,
+        ModelKind::ShuffleNetV2,
+        ModelKind::SqueezeNet,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let cfg = VisionConfig::new(3, 12, 32);
+        (format!("{kind:?}"), build_vision_model(kind, cfg, &mut rng))
+    })
+    .collect();
+    let mlp = Sequential::new(vec![
+        Box::new(Flatten::new()),
+        Box::new(Linear::new(48, 16, &mut rng)),
+        Box::new(Relu::new()),
+        Box::new(Linear::new(16, 4, &mut rng)),
+    ]);
+    nets.push(("mlp".into(), Network::new(mlp)));
+    for (name, net) in &mut nets {
+        let unfused = linears(net);
+        net.fuse_inference();
+        assert_eq!(linears(net), unfused, "{name}");
+    }
+    let (_, mlp) = nets.last().expect("pushed above");
+    assert_eq!(linears(mlp), 2);
 }

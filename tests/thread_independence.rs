@@ -1,25 +1,27 @@
-//! Training bits must not depend on the parallelism target.
+//! Training and inference bits must not depend on the parallelism target.
 //!
 //! `docs/SCALE.md`'s replay contract says a run is a pure function of its
 //! seeds; aggregation has always kept that at any thread count. The client
 //! training that feeds it has to as well: `Conv2d::backward` sums per-band
 //! partial gradients, so the band plan must follow from the batch size
 //! alone, whoever executes it — the calling thread, the pool, or a pool
-//! worker that is already running one FL client.
+//! worker that is already running one FL client. Inference splits a batch
+//! over the pool too, which moves where the GEMM cuts its register tiles;
+//! every tile is stored by one rule, so that cannot move a bit either.
 
 use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::{
     AggregationMethod, ClientData, FedAvgTrainer, FlConfig, FlSimulation, LossKind,
 };
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
-use heteroswitch_repro::nn::{CrossEntropyLoss, Network, Target};
+use heteroswitch_repro::nn::{CrossEntropyLoss, Network, Target, Workspace};
 use heteroswitch_repro::parallel::{set_num_threads, sync};
-use heteroswitch_repro::tensor::Tensor;
+use heteroswitch_repro::tensor::{DType, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 
-/// `set_num_threads` is process-wide and the two tests share a process.
+/// `set_num_threads` is process-wide and the tests share a process.
 static THREADS: Mutex<()> = Mutex::new(());
 
 const KINDS: [ModelKind; 2] = [ModelKind::SimpleCnn, ModelKind::MobileNetV3Small];
@@ -103,5 +105,39 @@ fn centralized_gradients_are_bit_identical_at_any_thread_target() {
             grads.push(loss);
             grads
         });
+    }
+}
+
+#[test]
+fn fused_inference_is_bit_identical_at_any_thread_target() {
+    // every weight and buffer perturbed: a fresh model folds to a zero
+    // epilogue shift, which no rounding rule can tell apart
+    let zoo = [
+        ModelKind::SimpleCnn,
+        ModelKind::MobileNetV3Small,
+        ModelKind::ShuffleNetV2,
+        ModelKind::SqueezeNet,
+    ];
+    let mut rng = StdRng::seed_from_u64(79);
+    for kind in zoo {
+        for dtype in [DType::F32, DType::F16, DType::I8] {
+            let mut net = model(kind, 5);
+            let mut trained = net.weights();
+            trained
+                .iter_mut()
+                .for_each(|w| *w += rng.gen_range(0.01..0.1));
+            net.set_weights(&trained);
+            net.fuse_inference();
+            net.to_dtype(dtype);
+            for batch in [1usize, 3, 8, 32] {
+                let x = Tensor::rand_uniform(&[batch, 3, PX, PX], 0.0, 1.0, &mut rng);
+                let what = format!("{kind:?} {dtype:?} batch {batch}");
+                assert_same_at_every_thread_target(&what, || {
+                    net.infer_with(&x, &mut Workspace::new())
+                        .as_slice()
+                        .to_vec()
+                });
+            }
+        }
     }
 }

@@ -122,7 +122,8 @@ pub enum CheckpointError {
         name: String,
         /// Shape the loading network expects.
         expected: Vec<usize>,
-        /// Shape stored in the checkpoint.
+        /// Shape stored in the checkpoint; empty when the stored rank
+        /// already differs (the dims are then not read).
         found: Vec<usize>,
     },
     /// A stored tensor's dtype tag is not one this build understands.
@@ -543,7 +544,15 @@ impl Network {
         let mut staged: Vec<Vec<f32>> = Vec::with_capacity(expected_buffers);
         for dims_expected in &expected_dims {
             let name = r.get_str("buffer name")?;
+            // the rank is untrusted: check it before it sizes anything
             let rank = r.get_u32("buffer rank")? as usize;
+            if rank != dims_expected.len() {
+                return Err(CheckpointError::BufferShapeMismatch {
+                    name,
+                    expected: dims_expected.clone(),
+                    found: Vec::new(),
+                });
+            }
             let mut dims = Vec::with_capacity(rank);
             for _ in 0..rank {
                 dims.push(r.get_u32("buffer dims")? as usize);

@@ -19,12 +19,14 @@
 //!   through ONE [`hs_tensor::gemm_batch_cyclic_strided`] call over the
 //!   whole `groups × samples` item space: each group's weight panel is
 //!   packed once and every sample's columns stream through full-width
-//!   register strips. Wider ones run one GEMM per (sample, group), the
-//!   samples banded over the pool. Each route wins where it is used, and
-//!   they are not bit-interchangeable: they cut the columns into different
-//!   register tiles, and a full tile stores `scale * acc + shift` through
-//!   the kernel's FMA where a ragged one rounds twice — which is why the
-//!   chooser must not vary from process to process.
+//!   register strips. Wider ones run one GEMM per (sample, group). Each
+//!   route wins where it is used; they cut the columns into different
+//!   register tiles, and every tile — full or ragged — is stored by one
+//!   rule, so the choice cannot move an output bit.
+//!
+//! Inference never fans out here: a batch is split across the pool once,
+//! by sample range, above the whole plan (`Network::infer`), and inside a
+//! range every layer — its GEMMs included — runs serially.
 //!
 //! The measurements, and the decision records for what was tried and
 //! dropped (a Winograd backend, a per-process stopwatch choosing the im2col
@@ -493,8 +495,7 @@ impl Conv2d {
     ///
     /// [`Layer::infer`] is this with no epilogue; [`crate::FusedConvBnAct`]
     /// passes its fold. The im2col column matrix lives in a tensor taken from
-    /// `ws` (the batch-parallel path gives each sample band its own
-    /// short-lived buffer instead).
+    /// `ws`.
     ///
     /// # Panics
     ///
@@ -572,11 +573,10 @@ impl Conv2d {
         // (items sample-major, group-minor — exactly the layout of both the
         // input blocks and the output panels), with the weight panels
         // cycling at period `groups`: each group's panel is still packed
-        // once per k-panel, its samples' columns still share full-width
-        // register strips, and the pool fan-out bands over all items at
-        // once instead of one dispatch per group. Identity-col convs read
-        // the input blocks in place; other shapes stage per-(sample, group)
-        // col slabs contiguously in the same item order.
+        // once per k-panel and its samples' columns still share full-width
+        // register strips. Identity-col convs read the input blocks in
+        // place; other shapes stage per-(sample, group) col slabs
+        // contiguously in the same item order.
         if n > 0 && ohw < batched_ohw_max {
             let stride_out = cout_g * ohw;
             let (bs, stride_b): (&[f32], usize) = if identity_col {
@@ -650,11 +650,17 @@ impl Conv2d {
             return;
         }
 
-        // per-(sample, group) body: im2col into `col` (unless the identity
-        // fast path applies), then one GEMM whose store loop carries the
-        // whole epilogue (or the bias as the GEMM's initial value on the
-        // unfused path)
-        let sample_group = |ni: usize, g: usize, col: &mut [f32], out_sample: &mut [f32]| {
+        // per-(sample, group) loop over the output panels (sample-major,
+        // group-minor): im2col into `col` (unless the identity fast path
+        // applies), then one GEMM whose store loop carries the whole
+        // epilogue (or the bias as the GEMM's initial value on the unfused
+        // path)
+        if col_scratch.len() < colsz_eff {
+            col_scratch.resize_to(&[colsz_eff]);
+        }
+        let col = &mut col_scratch.as_mut_slice()[..colsz_eff];
+        for (t, out_g) in out_data.chunks_mut(cout_g * ohw).enumerate() {
+            let (ni, g) = (t / groups, t % groups);
             let in_offset = ni * c * h * w + g * cin_g * h * w;
             let input_block = &x[in_offset..in_offset + cin_g * h * w];
             let col_ref: &[f32] = if identity_col {
@@ -664,7 +670,6 @@ impl Conv2d {
                 col
             };
             let w_g = wmat.slice(g * cout_g * wrow, (g + 1) * cout_g * wrow);
-            let out_g = &mut out_sample[g * cout_g * ohw..(g + 1) * cout_g * ohw];
             match ep {
                 Some((scale, shift, act)) => gemm_epilogue_q(
                     w_g,
@@ -686,50 +691,14 @@ impl Conv2d {
                     gemm_acc_q(w_g, col_ref, out_g, cout_g, wrow, ohw);
                 }
             }
-        };
-
-        let bands = hs_parallel::num_threads().min(n.max(1));
-        if bands <= 1 || hs_parallel::inside_pool() {
-            // single stream (or already on a pool worker, where spawns would
-            // run inline anyway): reuse the workspace's scratch so
-            // steady-state inference allocates nothing
-            if col_scratch.len() < colsz_eff {
-                col_scratch.resize_to(&[colsz_eff]);
-            }
-            let col = &mut col_scratch.as_mut_slice()[..colsz_eff];
-            for (ni, out_sample) in out_data.chunks_mut(out_channels * ohw).enumerate() {
-                for g in 0..groups {
-                    sample_group(ni, g, col, out_sample);
-                }
-            }
-        } else {
-            let band_len = n.div_ceil(bands).max(1);
-            let band_out = band_len * out_channels * ohw;
-            hs_parallel::scope(|s| {
-                for (band, out_band) in out_data.chunks_mut(band_out).enumerate() {
-                    let sample_group = &sample_group;
-                    s.spawn(move || {
-                        let n0 = band * band_len;
-                        let samples = out_band.len() / (out_channels * ohw);
-                        let mut local_col = vec![0.0f32; colsz_eff];
-                        for si in 0..samples {
-                            for g in 0..groups {
-                                let out_sample = &mut out_band
-                                    [si * out_channels * ohw..(si + 1) * out_channels * ohw];
-                                sample_group(n0 + si, g, &mut local_col, out_sample);
-                            }
-                        }
-                    });
-                }
-            });
         }
         ws.give(col_scratch);
     }
 
-    /// The direct depthwise forward over a whole batch: one spatial
-    /// micro-kernel per (sample, channel) — no column matrix, no scratch —
-    /// with the samples fanned out over the pool in bands. Serves both the
-    /// [`ConvAlgo::DirectDepthwise`] inference backend and `forward_train`.
+    /// The direct depthwise forward over the samples of `x`, one after
+    /// another: one spatial micro-kernel per (sample, channel) — no column
+    /// matrix, no scratch. Serves both the [`ConvAlgo::DirectDepthwise`]
+    /// inference backend and each band of `forward_train`.
     fn depthwise_forward(
         &self,
         x: &[f32],
@@ -740,45 +709,13 @@ impl Conv2d {
     ) {
         let c = self.in_channels;
         let (oh, ow) = self.out_size(h, w);
-        let chw = c * h * w;
-        let out_chw = c * oh * ow;
-        let n = x.len() / chw.max(1);
         let wgt = self.weight.value.as_slice();
         let bias = self.bias.value.as_slice();
         let (k, stride, padding) = (self.kernel, self.stride, self.padding);
-        let sample = |ni: usize, out_sample: &mut [f32]| {
+        for (x_sample, out_sample) in x.chunks(c * h * w).zip(out_data.chunks_mut(c * oh * ow)) {
             depthwise_conv2d(
-                &x[ni * chw..(ni + 1) * chw],
-                wgt,
-                bias,
-                epilogue,
-                out_sample,
-                c,
-                h,
-                w,
-                k,
-                stride,
-                padding,
+                x_sample, wgt, bias, epilogue, out_sample, c, h, w, k, stride, padding,
             );
-        };
-        let bands = hs_parallel::num_threads().min(n.max(1));
-        if bands <= 1 || hs_parallel::inside_pool() {
-            for (ni, out_sample) in out_data.chunks_mut(out_chw).enumerate() {
-                sample(ni, out_sample);
-            }
-        } else {
-            let band_len = n.div_ceil(bands).max(1);
-            hs_parallel::scope(|s| {
-                for (band, out_band) in out_data.chunks_mut(band_len * out_chw).enumerate() {
-                    let sample = &sample;
-                    s.spawn(move || {
-                        let n0 = band * band_len;
-                        for (si, out_sample) in out_band.chunks_mut(out_chw).enumerate() {
-                            sample(n0 + si, out_sample);
-                        }
-                    });
-                }
-            });
         }
     }
 
@@ -959,6 +896,7 @@ impl Layer for Conv2d {
         let (stride, padding) = (self.stride, self.padding);
 
         self.cached_input_dims = Some(dims.to_vec());
+        let band_len = train_band_len(n);
         // backward consumes `train_cache`, which only this method writes —
         // an inference between forward_train and backward cannot clobber it
         if self.is_depthwise() {
@@ -967,7 +905,13 @@ impl Layer for Conv2d {
             self.train_cache.clear();
             self.train_cache.extend_from_slice(input.as_slice());
             let mut out = vec![0.0f32; n * self.out_channels * ohw];
-            self.depthwise_forward(input.as_slice(), None, &mut out, h, w);
+            let bands = input
+                .as_slice()
+                .chunks(band_len * c * h * w)
+                .zip(out.chunks_mut(band_len * self.out_channels * ohw));
+            run_bands(bands, n.div_ceil(band_len), |(x_band, out_band)| {
+                self.depthwise_forward(x_band, None, out_band, h, w)
+            });
             return Tensor::from_vec(out, &[n, self.out_channels, oh, ow]);
         }
         // one flat scratch for every sample's im2col, reused across steps
@@ -984,7 +928,6 @@ impl Layer for Conv2d {
         // im2col into the cache, then
         // out_g = bias + W_g (cout_g x wrow) * col (wrow x ohw) — the bias is
         // the GEMM's initial value, saving a read-modify-write pass
-        let band_len = train_band_len(n);
         let band_body = |(band, (out_band, col_band)): (usize, (&mut [f32], &mut [f32]))| {
             let items = out_band
                 .chunks_mut(cout_g * ohw)

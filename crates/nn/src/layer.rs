@@ -59,10 +59,49 @@ impl ParamStore<'_> {
 /// capacity — allocates nothing.
 ///
 /// One workspace serves one inference at a time; concurrent inferences over
-/// a shared `&Network` each bring their own.
+/// a shared `&Network` each bring their own. An inference that is split
+/// across the pool by sample range keeps one sub-workspace per range in
+/// here too, so a warm sharded pass allocates nothing either (beyond the
+/// pool's own per-task boxes).
 #[derive(Default)]
 pub struct Workspace {
     free: Vec<Tensor>,
+    /// Per-sample-range state of a sharded inference ([`infer_sharded`]),
+    /// indexed by range, so each range meets the tensors it sized last time.
+    shards: Vec<Shard>,
+}
+
+/// One sample range of a sharded inference: its input rows, its output
+/// rows, and the workspace the whole plan runs over for them.
+struct Shard {
+    input: Tensor,
+    out: Tensor,
+    ws: Workspace,
+    /// Scratch for a `[batch, ...]` shape: the range's input, and for range
+    /// 0 also the joined output, resized without allocating.
+    dims: Vec<usize>,
+}
+
+impl Shard {
+    fn new() -> Self {
+        Shard {
+            input: Tensor::zeros(&[0]),
+            out: Tensor::zeros(&[0]),
+            ws: Workspace::new(),
+            dims: Vec::new(),
+        }
+    }
+
+    /// Copies `rows` (`len` samples of an input shaped `dims`) into the
+    /// range's input and runs the whole plan over them.
+    fn run<L: Layer + ?Sized>(&mut self, layer: &L, dims: &[usize], rows: &[f32], len: usize) {
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+        self.dims[0] = len;
+        self.input.resize_to(&self.dims);
+        self.input.as_mut_slice().copy_from_slice(rows);
+        layer.infer(&self.input, &mut self.out, &mut self.ws);
+    }
 }
 
 impl Workspace {
@@ -80,6 +119,82 @@ impl Workspace {
     /// Returns a tensor to the pool.
     pub fn give(&mut self, tensor: Tensor) {
         self.free.push(tensor);
+    }
+}
+
+/// Whether `layer` is, or contains, a [`Conv2d`].
+fn has_conv<L: Layer + ?Sized>(layer: &L) -> bool {
+    let mut found = layer.as_conv2d().is_some();
+    layer.for_each_child(&mut |child| found = found || has_conv(child));
+    found
+}
+
+/// How many contiguous sample ranges [`infer_sharded`] splits a batch of `n`
+/// into at a thread target of `threads`: one per thread, at most one per
+/// sample — unless the batch cannot be split, there is no second thread, the
+/// caller already is a pool worker (a fan-out would run inline), or the plan
+/// holds no convolution. A conv-free plan (an MLP) costs a few microseconds
+/// per batch, less than one pool dispatch and join (`docs/PERF.md`, "One
+/// fan-out per batch").
+fn shard_count<L: Layer + ?Sized>(layer: &L, n: usize, threads: usize, on_pool: bool) -> usize {
+    if n < 2 || threads < 2 || on_pool || !has_conv(layer) {
+        1
+    } else {
+        threads.min(n)
+    }
+}
+
+/// The one inference step behind every entry point — [`Layer::forward`]
+/// with `train == false`, [`crate::Network::infer`] and
+/// [`crate::Network::infer_with`]: [`Layer::infer`] over the whole batch on
+/// the calling thread, or, when [`shard_count`] says so, one pool task per
+/// contiguous sample range, each running the whole plan serially over its
+/// own sub-workspace (a pool task's layers do not fan out again), and one
+/// join that concatenates the output rows.
+///
+/// The bits do not depend on the split: no layer mixes samples at
+/// inference, and every GEMM tile is stored by one rule wherever a range
+/// boundary cuts the batched route's register strips.
+pub(crate) fn infer_sharded<L: Layer + ?Sized>(
+    layer: &L,
+    input: &Tensor,
+    out: &mut Tensor,
+    ws: &mut Workspace,
+) {
+    let n = input.dims().first().copied().unwrap_or(0);
+    let shards = shard_count(
+        layer,
+        n,
+        hs_parallel::num_threads(),
+        hs_parallel::inside_pool(),
+    );
+    if shards == 1 {
+        return layer.infer(input, out, ws);
+    }
+    if ws.shards.len() < shards {
+        ws.shards.resize_with(shards, Shard::new);
+    }
+    let shards = &mut ws.shards[..shards];
+    let (in_dims, x) = (input.dims(), input.as_slice());
+    let row = x.len() / n;
+    let count = shards.len();
+    hs_parallel::scope(|s| {
+        for (i, shard) in shards.iter_mut().enumerate() {
+            let (lo, hi) = (i * n / count, (i + 1) * n / count);
+            let rows = &x[lo * row..hi * row];
+            s.spawn(move || shard.run(layer, in_dims, rows, hi - lo));
+        }
+    });
+    let first = &mut shards[0];
+    first.dims.clear();
+    first.dims.extend_from_slice(first.out.dims());
+    first.dims[0] = n;
+    out.resize_to(&first.dims);
+    let mut rows = out.as_mut_slice();
+    for shard in shards.iter() {
+        let (head, rest) = rows.split_at_mut(shard.out.len());
+        head.copy_from_slice(shard.out.as_slice());
+        rows = rest;
     }
 }
 
@@ -110,15 +225,15 @@ impl Workspace {
 pub trait Layer: Send + Sync {
     /// Computes the layer output for `input`: [`Layer::forward_train`] when
     /// `train` (batch-norm batch statistics, dropout masking, gradient
-    /// caches), otherwise [`Layer::infer`] on a cold [`Workspace`] — the
-    /// same arithmetic as [`crate::Network::infer`], paying the allocations
-    /// a kept workspace saves.
+    /// caches), otherwise the inference step of [`crate::Network::infer`]
+    /// (sharded by sample range where that pays) on a cold [`Workspace`] —
+    /// the same arithmetic, paying the allocations a kept workspace saves.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if train {
             return self.forward_train(input);
         }
         let mut out = Tensor::zeros(&[0]);
-        self.infer(input, &mut out, &mut Workspace::new());
+        infer_sharded(&*self, input, &mut out, &mut Workspace::new());
         out
     }
 
@@ -264,6 +379,40 @@ mod tests {
         id.fuse_inference();
         id.to_dtype(DType::F16);
         assert!(id.param_stores().is_empty());
+    }
+
+    #[test]
+    fn the_shard_rule_splits_only_convolutional_batches_off_the_pool() {
+        use crate::{BatchNorm2d, Flatten, Linear, Relu, Sequential};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0);
+        let mlp = Sequential::new(vec![
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(12, 8, &mut rng)),
+            Box::new(Relu::new()),
+            Box::new(Linear::new(8, 2, &mut rng)),
+        ]);
+        let bare = Conv2d::new(3, 4, 3, 1, 1, 1, &mut rng);
+        // the conv of a fused block sits two levels below the top stack
+        let mut fused = Sequential::new(vec![Box::new(Sequential::new(vec![
+            Box::new(Conv2d::new(3, 4, 3, 1, 1, 1, &mut rng)),
+            Box::new(BatchNorm2d::new(4)),
+            Box::new(Relu::new()),
+        ]))]);
+        fused.fuse_inference();
+        for (threads, n) in [(1, 1), (2, 8), (4, 3), (4, 32)] {
+            assert_eq!(shard_count(&mlp, n, threads, false), 1, "conv-free");
+        }
+        for plan in [&bare as &dyn Layer, &fused] {
+            let name = plan.name();
+            assert_eq!(shard_count(plan, 0, 4, false), 1, "{name}: empty batch");
+            assert_eq!(shard_count(plan, 1, 4, false), 1, "{name}: one sample");
+            assert_eq!(shard_count(plan, 8, 1, false), 1, "{name}: one thread");
+            assert_eq!(shard_count(plan, 8, 4, true), 1, "{name}: on a pool worker");
+            for (threads, n, shards) in [(2, 2, 2), (2, 8, 2), (4, 3, 3), (4, 8, 4)] {
+                assert_eq!(shard_count(plan, n, threads, false), shards, "{name}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,11 @@
 //! [`Network::infer`] uses the network's own [`Workspace`] and output
 //! buffer (exclusive access, nothing to manage), [`Network::infer_with`]
 //! takes the caller's (shared access, one workspace per concurrent caller).
+//! Both split a convolutional batch across the pool once, by sample range,
+//! when there is a second thread to use: each range runs the whole plan
+//! serially and one join concatenates the rows (`infer_sharded`).
 
+use crate::layer::infer_sharded;
 use crate::{Layer, Loss, Param, ParamStore, Sequential, Target, Workspace};
 use hs_tensor::{DType, Tensor};
 
@@ -39,11 +43,13 @@ impl Network {
     }
 
     /// The inference forward over the network's own workspace: after the
-    /// first pass at a given input shape it allocates nothing. Returns a
+    /// first pass at a given input shape it allocates nothing on one
+    /// thread, and on more only the pool's task boxes (one per sample
+    /// range, plus the join's counter). Returns a
     /// reference to the network's output buffer (clone it if the result
     /// must outlive the next call).
     pub fn infer(&mut self, x: &Tensor) -> &Tensor {
-        self.layers.infer(x, &mut self.out, &mut self.ws);
+        infer_sharded(&self.layers, x, &mut self.out, &mut self.ws);
         &self.out
     }
 
@@ -55,7 +61,7 @@ impl Network {
     /// Bit-identical to [`Network::infer`] and `forward(x, false)`.
     pub fn infer_with(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut out = ws.take();
-        self.layers.infer(x, &mut out, ws);
+        infer_sharded(&self.layers, x, &mut out, ws);
         out
     }
 

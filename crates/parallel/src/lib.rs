@@ -1,6 +1,7 @@
 //! A minimal scoped thread pool shared by every data-parallel subsystem in
-//! the workspace: the blocked-GEMM row loop, `Conv2d` batch loops, ISP
-//! row-band stages and federated-learning client training.
+//! the workspace: the blocked-GEMM row loop, sample-range shards of a batched
+//! inference, `Conv2d` training bands, ISP row-band stages and
+//! federated-learning client training.
 //!
 //! Design goals, in order:
 //!

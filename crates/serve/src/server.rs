@@ -11,9 +11,11 @@
 //!    [`crate::collect_batch`]), drops requests whose deadline already passed
 //!    ([`ServeError::DeadlineExceeded`]), stacks the survivors into one
 //!    `[b, ...]` tensor and runs **one** batched forward on its own fused +
-//!    planned [`Network`] replica (warm steady-state forwards allocate
-//!    nothing in the planned layers, and skinny per-sample GEMMs coalesce
-//!    across the batch — the whole point of batching here).
+//!    planned [`Network`] replica. Skinny per-sample GEMMs coalesce across
+//!    the batch — the whole point of batching here — and a convolutional
+//!    batch is split across the shared pool once, by sample range, each
+//!    range running the whole plan ([`Network::infer`]); a warm forward
+//!    allocates only that fan-out's task boxes.
 //! 3. Each request's logits row is routed back through its completion slot;
 //!    latency and batch-size metrics are recorded.
 //!

@@ -1,7 +1,7 @@
 //! Checkpoint property tests across the whole model zoo: bit-exact
 //! round trips (fresh and fused, before and after training), cross-model
-//! fingerprint rejection, truncated-file rejection, and the byte-stable
-//! golden header.
+//! fingerprint rejection, truncated-file and hostile-rank rejection, and
+//! the byte-stable golden header.
 
 use hs_nn::models::{build_vision_model, ecg_net, ModelKind, VisionConfig};
 use hs_nn::{CheckpointError, CrossEntropyLoss, Network, Sgd, Target, CHECKPOINT_MAGIC};
@@ -175,6 +175,33 @@ fn truncated_files_are_rejected_with_actionable_errors() {
         .unwrap_err();
     assert!(matches!(err, CheckpointError::Io(_)));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_huge_buffer_rank_is_a_typed_error_not_an_abort() {
+    // the rank field sized an allocation before anything checked it: a
+    // 4-byte edit to u32::MAX asked for 32 GiB and aborted the process
+    let mut original = zoo_model(ModelKind::SimpleCnn, 1);
+    let mut bytes = original.to_checkpoint_bytes();
+    // the last buffer ends with rank (u32), dims (u32 each), f32 payload
+    // and CRC-32 (u32)
+    let (rank, len) = {
+        let buffers = original.buffers_mut();
+        let last = buffers.last().expect("SimpleCnn has batch-norm buffers");
+        (last.rank(), last.len())
+    };
+    let at = bytes.len() - 4 - 4 * len - 4 * rank - 4;
+    assert_eq!(&bytes[at..at + 4], &(rank as u32).to_le_bytes());
+    bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+
+    let mut replica = zoo_model(ModelKind::SimpleCnn, 2);
+    let before = replica.weights();
+    let err = replica.load_checkpoint_bytes(&bytes).unwrap_err();
+    assert!(
+        matches!(err, CheckpointError::BufferShapeMismatch { .. }),
+        "expected a shape mismatch, got {err}"
+    );
+    assert_eq!(replica.weights(), before, "failed load must not mutate");
 }
 
 #[test]

@@ -18,6 +18,7 @@ use heteroswitch_repro::nn::{
     BatchNorm2d, Conv2d, CrossEntropyLoss, HardSwish, Layer, LeakyRelu, Network, Relu, Relu6,
     Sequential, Target, Workspace,
 };
+use heteroswitch_repro::parallel::set_num_threads;
 use heteroswitch_repro::tensor::{DType, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -298,11 +299,14 @@ fn fused_model_zoo_inference_matches_unfused() {
 fn every_inference_entry_point_returns_the_same_bits_across_the_zoo() {
     // one inference body per layer, three ways in: `forward(x, false)` (cold
     // workspace), `Network::infer` (the network's own, warm from the second
-    // batch on) and `Network::infer_with` (the caller's, cold then warm)
+    // batch on) and `Network::infer_with` (the caller's, cold then warm). At
+    // a 2-thread target every batch but the first is split into two sample
+    // ranges — uneven ones at batch 3 and 5
+    set_num_threads(Some(2));
     let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
     let mut rng = StdRng::seed_from_u64(13);
     let x_warm = Tensor::rand_uniform(&[2, 3, 16, 16], 0.0, 1.0, &mut rng);
-    let inputs: Vec<Tensor> = [1usize, 8, 32]
+    let inputs: Vec<Tensor> = [1usize, 3, 5, 8, 32]
         .iter()
         .map(|&batch| Tensor::rand_uniform(&[batch, 3, 16, 16], 0.0, 1.0, &mut rng))
         .collect();
@@ -337,6 +341,7 @@ fn every_inference_entry_point_returns_the_same_bits_across_the_zoo() {
             }
         }
     }
+    set_num_threads(None);
 }
 
 #[test]

@@ -1,24 +1,41 @@
 //! Pins allocation-free inference: after warm-up, `Network::infer` (the
 //! network's own workspace) and `Network::infer_with` (a caller's workspace
 //! over a shared `&Network`) must perform **zero** heap allocations on the
-//! calling thread for every model in the zoo — including inside the
-//! composite blocks (inverted residuals, squeeze-excite, fire modules,
-//! shuffle units) and their nested Sequentials.
+//! calling thread for every model in the zoo on the serial path — including
+//! inside the composite blocks (inverted residuals, squeeze-excite, fire
+//! modules, shuffle units) and their nested Sequentials.
 //!
 //! The pin uses a counting global allocator with a per-thread counter, so
-//! concurrently running tests in this binary cannot perturb the count. The
-//! inputs are deliberately small (batch 1, 16 px) so every conv/GEMM stays
-//! under the kernel layer's parallel thresholds: pool fan-out would box its
-//! task closures (a legitimate allocation that only exists on multi-core
-//! hosts) and is not what this test is about.
+//! concurrently running tests in this binary cannot perturb the count.
+//!
+//! A batch of two or more through a convolutional plan is split across the
+//! pool once, by sample range, when the thread target is two or more; each
+//! range runs the whole plan over its own sub-workspace (kept in the
+//! caller's), so the split costs the calling thread exactly what the pool
+//! charges for one fan-out — the scope's task-group `Arc` and one boxed job
+//! per range — whatever the model's depth. The batch-8 test pins that at a
+//! 1- and a 2-thread target; the batch-1 tests stay on the calling thread
+//! at any target.
 
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::Workspace;
+use heteroswitch_repro::parallel::{pool_stats, set_num_threads, sync};
 use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
+
+/// `set_num_threads` is process-wide and the tests share a process.
+static THREADS: Mutex<()> = Mutex::new(());
+
+const ZOO: [ModelKind; 4] = [
+    ModelKind::SimpleCnn,
+    ModelKind::MobileNetV3Small,
+    ModelKind::ShuffleNetV2,
+    ModelKind::SqueezeNet,
+];
 
 thread_local! {
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
@@ -76,12 +93,7 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 #[test]
 fn warm_infer_performs_zero_allocations_across_the_model_zoo() {
     let cfg = VisionConfig::new(3, 6, 16);
-    for kind in [
-        ModelKind::SimpleCnn,
-        ModelKind::MobileNetV3Small,
-        ModelKind::ShuffleNetV2,
-        ModelKind::SqueezeNet,
-    ] {
+    for kind in ZOO {
         let mut rng = StdRng::seed_from_u64(3);
         let mut net = build_vision_model(kind, cfg, &mut rng);
         net.fuse_inference();
@@ -107,9 +119,8 @@ fn warm_infer_performs_zero_allocations_across_the_model_zoo() {
 fn warm_infer_stays_allocation_free_when_batch_returns_to_a_seen_size() {
     // alternating between two previously-seen shapes must not re-trigger
     // workspace growth (Vec::resize never shrinks capacity). Both shapes stay
-    // at batch 1 so the conv batch loop never fans out on multi-core hosts
-    // (pool spawns box their closures — a legitimate allocation that is not
-    // under test here); the alternation is spatial instead.
+    // at batch 1, which never leaves the calling thread; the alternation is
+    // spatial instead.
     let cfg = VisionConfig::new(3, 6, 16);
     let mut rng = StdRng::seed_from_u64(4);
     let mut net = build_vision_model(ModelKind::MobileNetV3Small, cfg, &mut rng);
@@ -130,12 +141,7 @@ fn warm_infer_stays_allocation_free_when_batch_returns_to_a_seen_size() {
 #[test]
 fn warm_infer_with_on_a_shared_network_performs_zero_allocations_across_the_model_zoo() {
     let cfg = VisionConfig::new(3, 6, 16);
-    for kind in [
-        ModelKind::SimpleCnn,
-        ModelKind::MobileNetV3Small,
-        ModelKind::ShuffleNetV2,
-        ModelKind::SqueezeNet,
-    ] {
+    for kind in ZOO {
         let mut rng = StdRng::seed_from_u64(3);
         let mut net = build_vision_model(kind, cfg, &mut rng);
         net.fuse_inference();
@@ -161,6 +167,53 @@ fn warm_infer_with_on_a_shared_network_performs_zero_allocations_across_the_mode
         );
         assert!(same, "{kind:?}: counted pass diverged from warm-up output");
     }
+}
+
+#[test]
+fn warm_batch_8_allocates_nothing_serially_and_only_the_fan_out_when_sharded() {
+    let cfg = VisionConfig::new(3, 6, 16);
+    let _serial = sync::lock(&THREADS);
+    for kind in ZOO {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut net = build_vision_model(kind, cfg, &mut rng);
+        net.fuse_inference();
+        let x = Tensor::rand_uniform(&[8, 3, 16, 16], 0.0, 1.0, &mut rng);
+        let mut ws = Workspace::new();
+        for threads in [1usize, 2] {
+            set_num_threads(Some(threads));
+            // two ranges: the scope's `Arc<TaskGroup>` plus one boxed job
+            // each. Without pool workers the scope runs its jobs inline,
+            // outside the pool, and the arm does not exist.
+            let budget = match threads {
+                1 => 0,
+                _ if pool_stats().workers == 0 => continue,
+                shards => shards as u64 + 1,
+            };
+            // warm-up: sizes every range's sub-workspace, and the
+            // thread-local packs of whichever thread runs a range
+            for _ in 0..3 {
+                let _ = net.infer(&x);
+                let y = net.infer_with(&x, &mut ws);
+                ws.give(y);
+            }
+            let (allocs, _) = count_allocs(|| {
+                let _ = net.infer(&x);
+            });
+            assert!(
+                allocs <= budget,
+                "{kind:?} at {threads} threads: warm Network::infer allocated {allocs} times"
+            );
+            let (allocs, _) = count_allocs(|| {
+                let y = net.infer_with(&x, &mut ws);
+                ws.give(y);
+            });
+            assert!(
+                allocs <= budget,
+                "{kind:?} at {threads} threads: warm Network::infer_with allocated {allocs} times"
+            );
+        }
+    }
+    set_num_threads(None);
 }
 
 #[test]

@@ -6,8 +6,9 @@
 //! partial gradients, so the band plan must follow from the batch size
 //! alone, whoever executes it — the calling thread, the pool, or a pool
 //! worker that is already running one FL client. Inference splits a batch
-//! over the pool too, which moves where the GEMM cuts its register tiles;
-//! every tile is stored by one rule, so that cannot move a bit either.
+//! over the pool too — once, by sample range, whose boundaries move where
+//! the batched GEMM cuts its register tiles; every tile is stored by one
+//! rule, so that cannot move a bit either, uneven ranges included.
 
 use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::{
@@ -19,6 +20,7 @@ use heteroswitch_repro::parallel::{set_num_threads, sync};
 use heteroswitch_repro::tensor::{DType, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::sync::Mutex;
 
 /// `set_num_threads` is process-wide and the tests share a process.
@@ -129,13 +131,17 @@ fn fused_inference_is_bit_identical_at_any_thread_target() {
             net.set_weights(&trained);
             net.fuse_inference();
             net.to_dtype(dtype);
-            for batch in [1usize, 3, 8, 32] {
+            // `Network::infer` keeps its per-range sub-workspaces across the
+            // three targets; `infer_with` starts cold every time
+            let net = RefCell::new(net);
+            for batch in [1usize, 3, 5, 8, 32] {
                 let x = Tensor::rand_uniform(&[batch, 3, PX, PX], 0.0, 1.0, &mut rng);
                 let what = format!("{kind:?} {dtype:?} batch {batch}");
                 assert_same_at_every_thread_target(&what, || {
-                    net.infer_with(&x, &mut Workspace::new())
-                        .as_slice()
-                        .to_vec()
+                    let mut net = net.borrow_mut();
+                    let mut bits = net.infer_with(&x, &mut Workspace::new()).into_vec();
+                    bits.extend_from_slice(net.infer(&x).as_slice());
+                    bits
                 });
             }
         }

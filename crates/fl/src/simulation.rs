@@ -373,9 +373,9 @@ impl FlSimulation {
     /// before aggregation, and the partial cohort is aggregated with the
     /// usual sample-count weighting.
     ///
-    /// Client training shares one process-wide pool with the tensor kernels
-    /// and the ISP: while clients fan out here, the per-client convolution
-    /// and GEMM calls detect they are already on a pool worker and run
+    /// Client training shares one process-wide pool with inference shards
+    /// and training bands: while clients fan out here, a client's banded
+    /// convolutions detect they are already on a pool worker and run
     /// inline, so a round never oversubscribes the machine.
     pub fn run_round(&mut self) -> RoundStats {
         let round = self.rounds_run;

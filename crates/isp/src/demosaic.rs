@@ -63,60 +63,27 @@ fn neighbour_mean(raw: &RawImage, row: usize, col: usize, target: usize, radius:
 }
 
 /// Runs `per_pixel` over every mosaic location, writing its `[r, g, b]`
-/// result into the three output planes. Rows fan out in bands across the
-/// shared `hs_parallel` pool (the planes are split so each band task owns a
-/// disjoint window of all three).
+/// result into the three output planes.
 fn demosaic_rows<F>(raw: &RawImage, per_pixel: F) -> ImageBuf
 where
-    F: Fn(usize, usize) -> [f32; 3] + Sync,
+    F: Fn(usize, usize) -> [f32; 3],
 {
     let (w, h) = (raw.width, raw.height);
     let mut out = ImageBuf::zeros(w, h, 3);
     let n = w * h;
-    let band = crate::row_band(h, w) * w;
     let (rp, rest) = out.data.split_at_mut(n);
     let (gp, bp) = rest.split_at_mut(n);
-    if band >= n {
-        // single band (small image): skip pool dispatch entirely — this is
-        // the dataset-generation hot path at 16-32 px
-        for (i, ((rv, gv), bv)) in rp
-            .iter_mut()
-            .zip(gp.iter_mut())
-            .zip(bp.iter_mut())
-            .enumerate()
-        {
-            let [pr, pg, pb] = per_pixel(i / w, i % w);
-            *rv = pr;
-            *gv = pg;
-            *bv = pb;
-        }
-        return out;
+    for (i, ((rv, gv), bv)) in rp
+        .iter_mut()
+        .zip(gp.iter_mut())
+        .zip(bp.iter_mut())
+        .enumerate()
+    {
+        let [pr, pg, pb] = per_pixel(i / w, i % w);
+        *rv = pr;
+        *gv = pg;
+        *bv = pb;
     }
-    hs_parallel::scope(|s| {
-        for (((band_idx, r_band), g_band), b_band) in rp
-            .chunks_mut(band)
-            .enumerate()
-            .zip(gp.chunks_mut(band))
-            .zip(bp.chunks_mut(band))
-        {
-            let per_pixel = &per_pixel;
-            s.spawn(move || {
-                let base = band_idx * band;
-                for (i, ((rv, gv), bv)) in r_band
-                    .iter_mut()
-                    .zip(g_band.iter_mut())
-                    .zip(b_band.iter_mut())
-                    .enumerate()
-                {
-                    let idx = base + i;
-                    let [pr, pg, pb] = per_pixel(idx / w, idx % w);
-                    *rv = pr;
-                    *gv = pg;
-                    *bv = pb;
-                }
-            });
-        }
-    });
     out
 }
 

@@ -27,45 +27,37 @@ pub fn denoise(img: &ImageBuf, method: DenoiseMethod) -> ImageBuf {
 /// Edge-preserving 3×3 smoothing: neighbours are weighted by a Gaussian of
 /// their intensity difference to the centre pixel (a small bilateral filter),
 /// which matches FBDD's goal of removing impulse noise without washing out
-/// edges. Each channel plane is filtered over parallel row bands on the
-/// shared `hs_parallel` pool (the input is read-only, output bands are
-/// disjoint).
+/// edges.
 fn fbdd(img: &ImageBuf) -> ImageBuf {
     let mut out = img.clone();
     let sigma_r = 0.1f32;
     let (w, h) = (img.width, img.height);
     let n = w * h;
-    let band = crate::row_band(h, w) * w;
     for (c, plane) in out.data.chunks_mut(n).enumerate() {
-        hs_parallel::parallel_chunks_mut(plane, band, |band_idx, out_band| {
-            let base = band_idx * band;
-            for (i, o) in out_band.iter_mut().enumerate() {
-                let idx = base + i;
-                let (r, col) = (idx / w, idx % w);
-                let centre = img.get(c, r, col);
-                let mut sum = 0.0;
-                let mut weight = 0.0;
-                for dr in -1i32..=1 {
-                    for dc in -1i32..=1 {
-                        let rr = (r as i32 + dr).clamp(0, h as i32 - 1) as usize;
-                        let cc = (col as i32 + dc).clamp(0, w as i32 - 1) as usize;
-                        let v = img.get(c, rr, cc);
-                        let wgt =
-                            (-((v - centre) * (v - centre)) / (2.0 * sigma_r * sigma_r)).exp();
-                        sum += wgt * v;
-                        weight += wgt;
-                    }
+        for (idx, o) in plane.iter_mut().enumerate() {
+            let (r, col) = (idx / w, idx % w);
+            let centre = img.get(c, r, col);
+            let mut sum = 0.0;
+            let mut weight = 0.0;
+            for dr in -1i32..=1 {
+                for dc in -1i32..=1 {
+                    let rr = (r as i32 + dr).clamp(0, h as i32 - 1) as usize;
+                    let cc = (col as i32 + dc).clamp(0, w as i32 - 1) as usize;
+                    let v = img.get(c, rr, cc);
+                    let wgt = (-((v - centre) * (v - centre)) / (2.0 * sigma_r * sigma_r)).exp();
+                    sum += wgt * v;
+                    weight += wgt;
                 }
-                *o = sum / weight;
             }
-        });
+            *o = sum / weight;
+        }
     }
     out
 }
 
 /// Single-level 2-D Haar decomposition, soft-thresholding of the detail
-/// bands with a BayesShrink-style threshold, and reconstruction. Channels
-/// are independent, so each plane runs as its own task on the shared pool.
+/// bands with a BayesShrink-style threshold, and reconstruction, one
+/// channel plane at a time.
 fn wavelet_bayes_shrink(img: &ImageBuf) -> ImageBuf {
     let mut out = img.clone();
     let h = img.height / 2 * 2;
@@ -74,16 +66,8 @@ fn wavelet_bayes_shrink(img: &ImageBuf) -> ImageBuf {
         return out;
     }
     let n = img.width * img.height;
-    if n < crate::PARALLEL_MIN_PIXELS {
-        for (c, plane) in out.data.chunks_mut(n).enumerate() {
-            wavelet_plane(img, c, plane, h, w);
-        }
-    } else {
-        hs_parallel::scope(|s| {
-            for (c, plane) in out.data.chunks_mut(n).enumerate() {
-                s.spawn(move || wavelet_plane(img, c, plane, h, w));
-            }
-        });
+    for (c, plane) in out.data.chunks_mut(n).enumerate() {
+        wavelet_plane(img, c, plane, h, w);
     }
     out
 }

@@ -19,6 +19,11 @@
 //! [`IspConfig`] bundles one choice per stage so every simulated device can
 //! carry its own pipeline.
 //!
+//! Every stage is one serial loop on the calling thread. The simulated
+//! sensors are at most 48×48 px, where a stage takes tens of microseconds:
+//! too little for a fork and join inside it to matter end to end
+//! (`docs/PERF.md`, "Fan-out census").
+//!
 //! ```
 //! use hs_isp::{IspConfig, RawImage, BayerPattern};
 //!
@@ -38,20 +43,6 @@ mod image;
 mod pipeline;
 mod tone;
 mod white_balance;
-
-/// Pixel count below which the per-pixel stages stay serial: pool dispatch
-/// costs more than the loop for thumbnail-sized images.
-pub(crate) const PARALLEL_MIN_PIXELS: usize = 16_384;
-
-/// Rows per parallel band for an `height x width` stage, sized so every pool
-/// thread gets a couple of bands. Returns `height` (one band, i.e. serial)
-/// for small images.
-pub(crate) fn row_band(height: usize, width: usize) -> usize {
-    if height * width < PARALLEL_MIN_PIXELS {
-        return height.max(1);
-    }
-    height.div_ceil(hs_parallel::num_threads() * 2).max(1)
-}
 
 pub use compress::{jpeg_compress, CompressMethod};
 pub use demosaic::{demosaic, DemosaicMethod};

@@ -35,12 +35,9 @@ pub(crate) fn srgb_encode(v: f32) -> f32 {
 
 fn srgb_gamma(img: &ImageBuf) -> ImageBuf {
     let mut out = img.clone();
-    let band = (crate::row_band(img.height, img.width) * img.width).max(1);
-    hs_parallel::parallel_chunks_mut(&mut out.data, band, |_, chunk| {
-        for v in chunk {
-            *v = srgb_encode(*v);
-        }
-    });
+    for v in &mut out.data {
+        *v = srgb_encode(*v);
+    }
     out
 }
 
@@ -71,26 +68,20 @@ fn equalize(img: &ImageBuf) -> ImageBuf {
         acc += hist[b];
         cdf[b] = acc as f32 / n as f32;
     }
-    // per-pixel gains from the CDF, then three independent plane multiplies,
-    // all over parallel row bands
-    let band = (crate::row_band(img.height, img.width) * img.width).max(1);
-    let mut gain = vec![0.0f32; n];
-    hs_parallel::parallel_chunks_mut(&mut gain, band, |band_idx, chunk| {
-        let base = band_idx * band;
-        for (i, g) in chunk.iter_mut().enumerate() {
-            let y = luma[base + i].max(1e-6);
+    // per-pixel gains from the CDF, then three independent plane multiplies
+    let gain: Vec<f32> = luma
+        .iter()
+        .map(|&y| {
+            let y = y.max(1e-6);
             let bin = ((y * (BINS - 1) as f32).round() as usize).min(BINS - 1);
-            *g = cdf[bin] / y;
-        }
-    });
+            cdf[bin] / y
+        })
+        .collect();
     let mut out = img.clone();
     for plane in out.data.chunks_mut(n) {
-        hs_parallel::parallel_chunks_mut(plane, band, |band_idx, chunk| {
-            let base = band_idx * band;
-            for (i, v) in chunk.iter_mut().enumerate() {
-                *v = (*v * gain[base + i]).clamp(0.0, 1.0);
-            }
-        });
+        for (v, g) in plane.iter_mut().zip(&gain) {
+            *v = (*v * g).clamp(0.0, 1.0);
+        }
     }
     out
 }

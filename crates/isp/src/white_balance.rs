@@ -26,19 +26,14 @@ pub fn white_balance(img: &ImageBuf, method: WbMethod) -> ImageBuf {
     }
 }
 
-/// Applies one gain per channel plane, clamping to `[0, 1]`; each plane's
-/// multiply runs over parallel row bands on the shared pool (top-level, so
-/// the full pool fans out per plane).
+/// Applies one gain per channel plane, clamping to `[0, 1]`.
 fn apply_gains(img: &ImageBuf, gains: [f32; 3]) -> ImageBuf {
     let mut out = img.clone();
     let n = img.width * img.height;
-    let band = (crate::row_band(img.height, img.width) * img.width).max(1);
     for (plane, gain) in out.data.chunks_mut(n).zip(gains) {
-        hs_parallel::parallel_chunks_mut(plane, band, |_, chunk| {
-            for v in chunk {
-                *v = (*v * gain).clamp(0.0, 1.0);
-            }
-        });
+        for v in plane {
+            *v = (*v * gain).clamp(0.0, 1.0);
+        }
     }
     out
 }

@@ -111,8 +111,8 @@ fn train_band_len(n: usize) -> usize {
 
 /// Runs `body` on each of the `n_bands` training bands: fanned out over the
 /// pool, or one after another on the calling thread when there is nobody to
-/// share with — or a single band, which stays off the pool so its GEMMs can
-/// use the kernel layer's own row-block parallelism.
+/// share with or only one band. This is the training path's only fan-out;
+/// the GEMMs inside a band run on the band's thread.
 fn run_bands<B: Send>(bands: impl Iterator<Item = B>, n_bands: usize, body: impl Fn(B) + Sync) {
     if n_bands <= 1 || hs_parallel::num_threads() == 1 || hs_parallel::inside_pool() {
         bands.for_each(body);

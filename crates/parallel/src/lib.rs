@@ -1,17 +1,24 @@
-//! A minimal scoped thread pool shared by every data-parallel subsystem in
-//! the workspace: the blocked-GEMM row loop, sample-range shards of a batched
-//! inference, `Conv2d` training bands, ISP row-band stages and
-//! federated-learning client training.
+//! A minimal scoped thread pool shared by the workspace's fan-out owners —
+//! one per call path, each splitting whole units of work:
+//!
+//! * `hs-nn`'s `layer::infer_sharded` — an inference batch, by sample range;
+//! * `hs-nn`'s `conv::run_bands` — a training convolution, by sample band;
+//! * `hs-fl` — a round's clients (`simulation`), evaluation batches
+//!   (`eval`), both through [`for_each_claimed`], and the update reduction
+//!   (`aggregate`).
+//!
+//! The kernels below them (`hs-tensor`'s GEMM, the `hs-isp` stages) do not
+//! depend on this crate and run on the calling thread.
 //!
 //! Design goals, in order:
 //!
 //! 1. **One pool.** All subsystems share a single process-wide pool sized to
 //!    the machine (`HS_PARALLEL_THREADS` overrides). The FL simulator fans
-//!    out client updates on the same pool the tensor kernels use.
+//!    out client updates on the same pool inference shards use.
 //! 2. **No oversubscription.** Work spawned *from inside* a pool worker runs
 //!    inline on that worker instead of being re-queued, so a parallel FL
-//!    round running parallel convolutions degrades to per-client serial
-//!    kernels rather than `clients × bands` runnable threads.
+//!    round whose clients train banded convolutions degrades to per-client
+//!    serial bands rather than `clients × bands` runnable threads.
 //! 3. **Near-zero dependencies.** The build environment has no crates
 //!    registry, so this replaces `rayon` with `std::thread` +
 //!    `Mutex`/`Condvar`. The one workspace dependency is `hs-obs`, whose
@@ -21,9 +28,8 @@
 //!    of the runtime dependency graph.
 //!
 //! The API is deliberately small: [`scope`] with [`Scope::spawn`] (the
-//! crossbeam/rayon-scope shape), plus [`parallel_for`],
-//! [`parallel_chunks_mut`] and the work-conserving [`for_each_claimed`]
-//! conveniences layered on top.
+//! crossbeam/rayon-scope shape), plus the [`parallel_chunks_mut`] and
+//! work-conserving [`for_each_claimed`] conveniences layered on top.
 //!
 //! # Safety model
 //!
@@ -309,9 +315,9 @@ impl<'scope> Scope<'scope> {
 /// and waits for all of them before returning. The calling thread helps
 /// execute queued tasks while it waits — including, as in rayon, tasks
 /// spawned by *other* scopes. Consequently, callers must not hold a
-/// `RefCell`/thread-local borrow across a call that may enter `scope`
-/// (take the value out of the cell instead; see `hs-tensor`'s
-/// `TRANSPOSE_SCRATCH` for the pattern).
+/// `RefCell`/thread-local borrow across a call that may enter `scope`: a
+/// task run while waiting may borrow the same cell. Take the value out of
+/// the cell for the duration instead, or keep the borrow inside the task.
 ///
 /// Nested use (a spawned task calling `scope` again) is allowed and runs its
 /// tasks inline, which keeps one pool's worth of threads busy no matter how
@@ -356,36 +362,6 @@ where
         Ok(r) => r,
         Err(payload) => resume_unwind(payload),
     }
-}
-
-/// Splits `0..total` into contiguous ranges of at least `min_grain` items
-/// and runs `f` on each range in parallel. Falls back to a single inline
-/// call when the work is too small to be worth fanning out, the pool is
-/// single threaded, or we are already inside a pool task.
-pub fn parallel_for<F>(total: usize, min_grain: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    if total == 0 {
-        return;
-    }
-    let threads = num_threads();
-    let min_grain = min_grain.max(1);
-    if threads == 1 || inside_pool() || total <= min_grain {
-        f(0..total);
-        return;
-    }
-    let chunks = (total / min_grain).clamp(1, threads);
-    let per = total.div_ceil(chunks);
-    scope(|s| {
-        let mut start = 0;
-        while start < total {
-            let end = (start + per).min(total);
-            let f = &f;
-            s.spawn(move || f(start..end));
-            start = end;
-        }
-    });
 }
 
 /// Runs `f(chunk_index, chunk)` over `chunk_len`-sized mutable chunks of
@@ -497,17 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_range_exactly_once() {
-        let hits: Vec<AtomicUsize> = (0..537).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(hits.len(), 16, |range| {
-            for i in range {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn parallel_chunks_mut_sees_disjoint_chunks() {
         let mut data = vec![0u32; 777];
         parallel_chunks_mut(&mut data, 64, |idx, chunk| {
@@ -607,15 +572,14 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_inputs_are_fine() {
-        parallel_for(0, 8, |_| panic!("must not run"));
         let mut empty: Vec<u8> = Vec::new();
         parallel_chunks_mut(&mut empty, 4, |_, _| panic!("must not run"));
-        let done = AtomicUsize::new(0);
-        parallel_for(1, 1024, |r| {
-            assert_eq!(r, 0..1);
-            done.fetch_add(1, Ordering::Relaxed);
+        let mut one = [0u8];
+        parallel_chunks_mut(&mut one, 1024, |idx, chunk| {
+            assert_eq!((idx, chunk.len()), (0, 1));
+            chunk[0] = 1;
         });
-        assert_eq!(done.load(Ordering::Relaxed), 1);
+        assert_eq!(one, [1]);
     }
 
     #[test]

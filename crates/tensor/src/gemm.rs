@@ -9,9 +9,11 @@
 //! * `B` panels are packed into `NR`-wide column strips,
 //! * `A` panels are packed into `MR`-tall row tiles (column-major inside the
 //!   tile so the micro-kernel reads both packs sequentially),
-//! * an `MR x NR` register-tiled micro-kernel does all the flops,
-//! * row blocks fan out across the shared [`hs_parallel`] pool when the
-//!   problem is big enough and we are not already inside a pool task.
+//! * an `MR x NR` register-tiled micro-kernel does all the flops.
+//!
+//! Every entry point runs on the calling thread. Parallelism belongs to the
+//! callers that split whole problems: `hs-nn`'s inference sample shards and
+//! training bands, and the FL round's clients.
 //!
 //! The micro-kernel is written **once**, over the crate's lane abstraction
 //! (`crate::lanes`), and instantiated per ISA tier selected **at runtime**
@@ -122,8 +124,8 @@ pub struct Epilogue<'a> {
 }
 
 impl<'a> Epilogue<'a> {
-    /// The epilogue re-based so row `rows` becomes row 0 (used when output
-    /// row bands are dispatched to pool tasks that index from zero).
+    /// The epilogue re-based so row `rows` becomes row 0 (a cyclic batch's
+    /// group `g` uses rows `[g * m, (g + 1) * m)`).
     fn offset_rows(&self, rows: usize) -> Epilogue<'a> {
         Epilogue {
             scale: &self.scale[rows..],
@@ -147,16 +149,13 @@ pub const NR: usize = 48;
 const KC: usize = 256;
 /// `A`-block height in tiles: one block packs `MC_TILES * MR` rows.
 const MC_TILES: usize = 64;
-/// Problems below this flop count stay serial (pool dispatch costs more).
-const PARALLEL_FLOP_THRESHOLD: usize = 1 << 20;
 /// Up to this many output rows, `B` is read in place instead of packed: a
 /// packed panel would be reused at most `m / MR` times, too few to pay for
 /// the packing traffic (the convolution GEMMs sit squarely in this regime).
 const DIRECT_M_MAX: usize = 64;
 
 /// Reusable packing buffers. One lives per thread (the `SCRATCH`
-/// thread-local); parallel row-band tasks allocate their own short-lived
-/// packs.
+/// thread-local).
 struct GemmScratch {
     apack: Vec<f32>,
     bpack: Vec<f32>,
@@ -174,9 +173,6 @@ impl GemmScratch {
 thread_local! {
     static SCRATCH: RefCell<GemmScratch> = const { RefCell::new(GemmScratch::new()) };
     /// Staging buffer for the transposed operand of [`gemm_nt`]/[`gemm_tn`].
-    /// Taken out of the cell (not borrowed) for the duration of the inner
-    /// [`gemm`], since a parallel gemm may run unrelated pool tasks on this
-    /// thread while waiting.
     static TRANSPOSE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -454,7 +450,7 @@ fn pack_b(b: &[f32], bpack: &mut Vec<f32>, pc: usize, kc: usize, n: usize) {
 /// access. The packing routines are generic over this trait, so f16/i8
 /// weights are converted *while being packed* — the micro-kernels and the
 /// epilogue only ever see packed `f32` panels and accumulation stays `f32`.
-pub(crate) trait WeightElems: Copy + Send + Sync {
+pub(crate) trait WeightElems: Copy {
     /// Number of elements in the view.
     fn len(&self) -> usize;
     /// Element `i`, widened to `f32`.
@@ -672,9 +668,7 @@ fn block_multiply(
 ///
 /// Overwrites `out`. Operates on plain slices so callers can reuse output
 /// buffers across calls; packing scratch is thread-local, so steady-state
-/// calls do not allocate. Large problems fan out over row blocks on the
-/// shared [`hs_parallel`] pool; calls made from inside a pool task stay
-/// serial (the pool is already saturated).
+/// calls do not allocate.
 ///
 /// # Panics
 ///
@@ -743,11 +737,7 @@ pub fn gemm_acc_q(a: WeightMat<'_>, b: &[f32], out: &mut [f32], m: usize, k: usi
     if k == 0 {
         return; // out += A(empty k) * B contributes nothing
     }
-    let parallel = 2 * m * k * n >= PARALLEL_FLOP_THRESHOLD
-        && m >= 2 * MR
-        && hs_parallel::num_threads() > 1
-        && !hs_parallel::inside_pool();
-    with_elems!(a, aa => gemm_impl(aa, b, out, m, k, n, parallel, None));
+    with_elems!(a, aa => gemm_impl(aa, b, out, m, k, n, None));
 }
 
 /// `out = act(scale ⊙ (A * B) + shift)` with the per-row affine + activation
@@ -755,8 +745,7 @@ pub fn gemm_acc_q(a: WeightMat<'_>, b: &[f32], out: &mut [f32], m: usize, k: usi
 /// inference path for `Conv2d -> BatchNorm2d -> activation` stacks.
 ///
 /// Overwrites `out` (any stale contents are ignored). Shares every other
-/// property with [`gemm`]: slice-based, thread-local packing scratch,
-/// row-block parallelism on big problems.
+/// property with [`gemm`]: slice-based, thread-local packing scratch.
 ///
 /// # Panics
 ///
@@ -822,33 +811,13 @@ pub fn gemm_epilogue_q(
         return;
     }
     out[..m * n].fill(0.0);
-    let parallel = 2 * m * k * n >= PARALLEL_FLOP_THRESHOLD
-        && m >= 2 * MR
-        && hs_parallel::num_threads() > 1
-        && !hs_parallel::inside_pool();
-    with_elems!(a, aa => gemm_impl(aa, b, out, m, k, n, parallel, Some(*ep)));
-}
-
-/// Internal implementation with an explicit parallel/serial switch so tests
-/// can exercise both paths regardless of the host's core count.
-#[cfg(test)]
-pub(crate) fn gemm_acc_impl(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    parallel: bool,
-) {
-    gemm_impl(a, b, out, m, k, n, parallel, None);
+    with_elems!(a, aa => gemm_impl(aa, b, out, m, k, n, Some(*ep)));
 }
 
 /// The blocked GEMM core behind [`gemm_acc`] and [`gemm_epilogue`]. `ep` is
 /// applied at store time on the final `k` panel only, so every output
 /// element is transformed exactly once. Generic over the `A` element view:
 /// quantized weights widen inside [`pack_a`].
-#[allow(clippy::too_many_arguments)]
 fn gemm_impl<A: WeightElems>(
     a: A,
     b: &[f32],
@@ -856,75 +825,34 @@ fn gemm_impl<A: WeightElems>(
     m: usize,
     k: usize,
     n: usize,
-    parallel: bool,
     ep: Option<Epilogue<'_>>,
 ) {
     let which = isa();
     // balance the k panels: k = 288 runs as 144+144, not 256+32 (a short
     // trailing panel wastes micro-kernel efficiency on its store phase)
     let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
-    if !parallel {
-        if m <= DIRECT_M_MAX {
-            gemm_small_m(which, a, b, out, m, k, n, kc_target, ep);
-        } else {
-            SCRATCH.with(|cell| {
-                let scratch = &mut *cell.borrow_mut();
-                let mut pc = 0;
-                while pc < k {
-                    let kc = kc_target.min(k - pc);
-                    let ep_panel = if pc + kc >= k { ep } else { None };
-                    pack_b(b, &mut scratch.bpack, pc, kc, n);
-                    let mut row0 = 0;
-                    while row0 < m {
-                        let rows = (MC_TILES * MR).min(m - row0);
-                        pack_a(a, &mut scratch.apack, row0, rows, pc, kc, k);
-                        let (apack, bpack) = (&scratch.apack, &scratch.bpack);
-                        block_multiply(which, apack, bpack, out, row0, rows, kc, n, ep_panel);
-                        row0 += rows;
-                    }
-                    pc += kc;
-                }
-            });
-        }
+    if m <= DIRECT_M_MAX {
+        gemm_small_m(which, a, b, out, m, k, n, kc_target, ep);
         return;
     }
-
-    // Parallel path: per KC panel, pack B once (shared read-only), then give
-    // each pool task a disjoint band of output rows. Tasks pack their own A
-    // tiles into short-lived local buffers.
-    let threads = hs_parallel::num_threads();
-    let tiles = m.div_ceil(MR);
-    let tiles_per_band = tiles.div_ceil(threads).max(1);
-    let band_rows = tiles_per_band * MR;
-    let mut bpack_shared = Vec::new();
-    let mut pc = 0;
-    while pc < k {
-        let kc = kc_target.min(k - pc);
-        let ep_panel = if pc + kc >= k { ep } else { None };
-        pack_b(b, &mut bpack_shared, pc, kc, n);
-        let bpack = &bpack_shared;
-        hs_parallel::scope(|s| {
-            for (band_idx, out_band) in out[..m * n].chunks_mut(band_rows * n).enumerate() {
-                s.spawn(move || {
-                    let row0 = band_idx * band_rows;
-                    let rows = out_band.len() / n;
-                    // bands index their output from row 0, so the epilogue's
-                    // row coordinates are re-based to the band start
-                    let ep_band = ep_panel.map(|e| e.offset_rows(row0));
-                    let mut apack = Vec::new();
-                    let mut r = 0;
-                    while r < rows {
-                        let block = (MC_TILES * MR).min(rows - r);
-                        pack_a(a, &mut apack, row0 + r, block, pc, kc, k);
-                        // out_band is indexed from its own row 0
-                        block_multiply(which, &apack, bpack, out_band, r, block, kc, n, ep_band);
-                        r += block;
-                    }
-                });
+    SCRATCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        let mut pc = 0;
+        while pc < k {
+            let kc = kc_target.min(k - pc);
+            let ep_panel = if pc + kc >= k { ep } else { None };
+            pack_b(b, &mut scratch.bpack, pc, kc, n);
+            let mut row0 = 0;
+            while row0 < m {
+                let rows = (MC_TILES * MR).min(m - row0);
+                pack_a(a, &mut scratch.apack, row0, rows, pc, kc, k);
+                let (apack, bpack) = (&scratch.apack, &scratch.bpack);
+                block_multiply(which, apack, bpack, out, row0, rows, kc, n, ep_panel);
+                row0 += rows;
             }
-        });
-        pc += kc;
-    }
+            pc += kc;
+        }
+    });
 }
 
 /// The small-`m` GEMM: `A` is packed (it is reused across every `B` strip),
@@ -1099,15 +1027,6 @@ fn gemm_batch_core<A: WeightElems>(
     }
 }
 
-/// Whether a batched problem is worth fanning out over the pool (the
-/// fan-out bands over samples, so it needs at least two per group).
-fn batch_parallel(m: usize, k: usize, n: usize, batch: usize, groups: usize) -> bool {
-    batch / groups >= 2
-        && 2 * m * k * n * batch >= PARALLEL_FLOP_THRESHOLD
-        && hs_parallel::num_threads() > 1
-        && !hs_parallel::inside_pool()
-}
-
 /// Validates the cyclic-batch contracts shared by
 /// [`gemm_batch_cyclic_strided_q`] and [`gemm_batch_cyclic_acc_strided_q`].
 #[allow(clippy::too_many_arguments)]
@@ -1173,18 +1092,14 @@ fn assert_cyclic_contract(
 }
 
 /// Shared implementation behind [`gemm_batch_cyclic_strided_q`] /
-/// [`gemm_batch_cyclic_acc_strided_q`], with an explicit parallel/serial
-/// switch so tests can exercise both paths regardless of the host's core
-/// count: `batch` items whose `A` panels cycle with period `groups`
-/// (`A_t = a[(t % groups) * stride_a ..]`).
+/// [`gemm_batch_cyclic_acc_strided_q`]: `batch` items whose `A` panels cycle
+/// with period `groups` (`A_t = a[(t % groups) * stride_a ..]`).
 ///
 /// Per group `g`, the item subsequence `t ≡ g (mod groups)` has uniform
 /// strides `groups * stride_b` / `groups * stride_out`, so each group runs
 /// the shared-A batched core ([`gemm_batch_core`]): the group's `A` panel is
 /// packed once per k-panel and its samples' skinny columns share `NR`-wide
-/// strips. The parallel path bands over **samples** (each band covers all
-/// groups for a contiguous sample range, so output bands stay contiguous
-/// and `chunks_mut`-splittable).
+/// strips.
 #[allow(clippy::too_many_arguments)]
 fn gemm_batch_cyclic_impl<A: WeightElems>(
     a: A,
@@ -1200,7 +1115,6 @@ fn gemm_batch_cyclic_impl<A: WeightElems>(
     stride_out: usize,
     acc: bool,
     ep: Option<Epilogue<'_>>,
-    parallel: bool,
 ) {
     debug_assert!(ep.is_none() || !acc, "epilogue implies overwrite semantics");
     if batch == 0 || m == 0 || n == 0 {
@@ -1226,60 +1140,24 @@ fn gemm_batch_cyclic_impl<A: WeightElems>(
     }
     let which = isa();
     let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
-    if !parallel {
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            for g in 0..groups {
-                gemm_batch_core(
-                    which,
-                    scratch,
-                    a.offset(g * stride_a),
-                    &bs[g * stride_b..],
-                    &mut outs[g * stride_out..],
-                    m,
-                    k,
-                    n,
-                    per_group,
-                    groups * stride_b,
-                    groups * stride_out,
-                    kc_target,
-                    ep.map(|e| e.offset_rows(g * m)),
-                );
-            }
-        });
-        return;
-    }
-
-    // Parallel path: contiguous sample bands (each sample = `groups`
-    // consecutive items), every band running all of its groups' shared-A
-    // cores with its own short-lived scratch.
-    let bands = hs_parallel::num_threads().min(per_group);
-    let band_len = per_group.div_ceil(bands).max(1);
-    let outs = &mut outs[..(batch - 1) * stride_out + m * n];
-    hs_parallel::scope(|sc| {
-        for (band, out_band) in outs.chunks_mut(band_len * groups * stride_out).enumerate() {
-            sc.spawn(move || {
-                let s0 = band * band_len;
-                let samples = band_len.min(per_group - s0);
-                let mut scratch = GemmScratch::new();
-                for g in 0..groups {
-                    gemm_batch_core(
-                        which,
-                        &mut scratch,
-                        a.offset(g * stride_a),
-                        &bs[(s0 * groups + g) * stride_b..],
-                        &mut out_band[g * stride_out..],
-                        m,
-                        k,
-                        n,
-                        samples,
-                        groups * stride_b,
-                        groups * stride_out,
-                        kc_target,
-                        ep.map(|e| e.offset_rows(g * m)),
-                    );
-                }
-            });
+    SCRATCH.with(|cell| {
+        let scratch = &mut *cell.borrow_mut();
+        for g in 0..groups {
+            gemm_batch_core(
+                which,
+                scratch,
+                a.offset(g * stride_a),
+                &bs[g * stride_b..],
+                &mut outs[g * stride_out..],
+                m,
+                k,
+                n,
+                per_group,
+                groups * stride_b,
+                groups * stride_out,
+                kc_target,
+                ep.map(|e| e.offset_rows(g * m)),
+            );
         }
     });
 }
@@ -1306,9 +1184,7 @@ fn gemm_batch_cyclic_impl<A: WeightElems>(
 /// `[(t % groups) * m, (t % groups + 1) * m)`.
 ///
 /// Overwrites each `m*n` output panel (elements between panels are left
-/// untouched). Large batches fan sample bands of the whole
-/// `groups × samples` item space out over the shared [`hs_parallel`] pool;
-/// calls from inside a pool task stay serial.
+/// untouched).
 ///
 /// # Panics
 ///
@@ -1394,9 +1270,8 @@ pub fn gemm_batch_cyclic_strided_q(
             groups * m
         );
     }
-    let parallel = batch_parallel(m, k, n, batch, groups);
     with_elems!(a, aa => gemm_batch_cyclic_impl(
-        aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, false, ep, parallel,
+        aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, false, ep,
     ));
 }
 
@@ -1434,9 +1309,8 @@ pub fn gemm_batch_cyclic_acc_strided_q(
         stride_b,
         stride_out,
     );
-    let parallel = batch_parallel(m, k, n, batch, groups);
     with_elems!(a, aa => gemm_batch_cyclic_impl(
-        aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, true, None, parallel,
+        aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, true, None,
     ));
 }
 
@@ -1468,17 +1342,14 @@ pub fn gemm_nt_q(a: &[f32], b: WeightMat<'_>, out: &mut [f32], m: usize, k: usiz
         b.len(),
         n * k
     );
-    // Take the scratch out of its cell rather than holding a RefCell borrow
-    // across the inner gemm: a parallel gemm's scope may execute unrelated
-    // queued tasks on this thread while it waits, and one of those could
-    // re-enter gemm_nt/gemm_tn.
-    let mut buf = TRANSPOSE_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-    if buf.len() < k * n {
-        buf.resize(k * n, 0.0);
-    }
-    with_elems!(b, bb => transpose_elems_into(bb, &mut buf, n, k));
-    gemm(a, &buf, out, m, k, n);
-    TRANSPOSE_SCRATCH.with(|cell| *cell.borrow_mut() = buf);
+    TRANSPOSE_SCRATCH.with(|cell| {
+        let buf = &mut *cell.borrow_mut();
+        if buf.len() < k * n {
+            buf.resize(k * n, 0.0);
+        }
+        with_elems!(b, bb => transpose_elems_into(bb, buf, n, k));
+        gemm(a, buf, out, m, k, n);
+    });
 }
 
 /// `out = A^T * B` for row-major `A: [k, m]`, `B: [k, n]`, `out: [m, n]`.
@@ -1496,14 +1367,14 @@ pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
         a.len(),
         k * m
     );
-    // see gemm_nt for why the scratch is taken, not borrowed
-    let mut buf = TRANSPOSE_SCRATCH.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
-    if buf.len() < k * m {
-        buf.resize(k * m, 0.0);
-    }
-    transpose_into(a, &mut buf, k, m);
-    gemm(&buf, b, out, m, k, n);
-    TRANSPOSE_SCRATCH.with(|cell| *cell.borrow_mut() = buf);
+    TRANSPOSE_SCRATCH.with(|cell| {
+        let buf = &mut *cell.borrow_mut();
+        if buf.len() < k * m {
+            buf.resize(k * m, 0.0);
+        }
+        transpose_into(a, buf, k, m);
+        gemm(buf, b, out, m, k, n);
+    });
 }
 
 /// Transposes row-major `src: [rows, cols]` into `dst: [cols, rows]`.
@@ -1598,20 +1469,6 @@ mod tests {
             let mut got = vec![0.0; m * n];
             gemm(&a, &b, &mut got, m, k, n);
             assert_close(&expect, &got, 1e-5, &format!("{m}x{k}x{n}"));
-        }
-    }
-
-    #[test]
-    fn parallel_path_matches_serial_path() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for (m, k, n) in [(37usize, 65usize, 83usize), (128, 128, 128), (257, 96, 61)] {
-            let a = random_matrix(&mut rng, m * k);
-            let b = random_matrix(&mut rng, k * n);
-            let mut serial = vec![0.0; m * n];
-            gemm_acc_impl(&a, &b, &mut serial, m, k, n, false);
-            let mut parallel = vec![0.0; m * n];
-            gemm_acc_impl(&a, &b, &mut parallel, m, k, n, true);
-            assert_eq!(serial, parallel, "{m}x{k}x{n} parallel/serial divergence");
         }
     }
 
@@ -1730,30 +1587,6 @@ mod tests {
                 gemm_epilogue(&a, &b, &mut got, m, k, n, &ep);
                 assert_close(&expect, &got, 1e-4, &format!("{m}x{k}x{n} {act:?}"));
             }
-        }
-    }
-
-    #[test]
-    fn epilogue_parallel_path_matches_serial_path() {
-        let mut rng = StdRng::seed_from_u64(41);
-        for (m, k, n) in [(37usize, 65usize, 83usize), (128, 300, 61)] {
-            let a = random_matrix(&mut rng, m * k);
-            let b = random_matrix(&mut rng, k * n);
-            let scale = random_matrix(&mut rng, m);
-            let shift = random_matrix(&mut rng, m);
-            let ep = Epilogue {
-                scale: &scale,
-                shift: &shift,
-                act: EpilogueAct::LeakyRelu(0.2),
-            };
-            let mut serial = vec![0.0; m * n];
-            gemm_impl(a.as_slice(), &b, &mut serial, m, k, n, false, Some(ep));
-            let mut parallel = vec![0.0; m * n];
-            gemm_impl(a.as_slice(), &b, &mut parallel, m, k, n, true, Some(ep));
-            assert_eq!(
-                serial, parallel,
-                "{m}x{k}x{n} epilogue parallel/serial divergence"
-            );
         }
     }
 
@@ -2128,45 +1961,6 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_parallel_path_matches_serial_path() {
-        let mut rng = StdRng::seed_from_u64(63);
-        for (m, k, n, groups, per_group) in [
-            (8usize, 24usize, 9usize, 4usize, 16usize),
-            (16, 64, 16, 1, 13),
-            (8, 48, 5, 1, 32),
-        ] {
-            let batch = groups * per_group;
-            let a = random_matrix(&mut rng, groups * m * k);
-            let bs = random_matrix(&mut rng, batch * k * n);
-            let run = |parallel: bool| {
-                let mut out = vec![0.0; batch * m * n];
-                gemm_batch_cyclic_impl(
-                    a.as_slice(),
-                    &bs,
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                    batch,
-                    groups,
-                    m * k,
-                    k * n,
-                    m * n,
-                    false,
-                    None,
-                    parallel,
-                );
-                out
-            };
-            assert_eq!(
-                run(false),
-                run(true),
-                "{m}x{k}x{n} g{groups} b{batch}: band split must not change results"
-            );
-        }
-    }
-
-    #[test]
     fn batched_nan_stays_inside_its_sample() {
         // a NaN in sample 1's B panel must poison only sample 1's output,
         // even though the n-blocked strips pack samples side by side into
@@ -2382,43 +2176,39 @@ mod tests {
             shift: &shift,
             act: EpilogueAct::Relu,
         };
-        for parallel in [false, true] {
-            let mut expect = vec![0.0; batch * m * n];
-            gemm_batch_cyclic_impl(
-                &wide[..],
-                &bs,
-                &mut expect,
-                m,
-                k,
-                n,
-                batch,
-                groups,
-                m * k,
-                k * n,
-                m * n,
-                false,
-                Some(ep),
-                parallel,
-            );
-            let mut got = vec![0.5; batch * m * n];
-            with_elems!(WeightMat::F16(&bits), aa => gemm_batch_cyclic_impl(
-                aa,
-                &bs,
-                &mut got,
-                m,
-                k,
-                n,
-                batch,
-                groups,
-                m * k,
-                k * n,
-                m * n,
-                false,
-                Some(ep),
-                parallel,
-            ));
-            assert_eq!(expect, got, "parallel={parallel}");
-        }
+        let mut expect = vec![0.0; batch * m * n];
+        gemm_batch_cyclic_impl(
+            &wide[..],
+            &bs,
+            &mut expect,
+            m,
+            k,
+            n,
+            batch,
+            groups,
+            m * k,
+            k * n,
+            m * n,
+            false,
+            Some(ep),
+        );
+        let mut got = vec![0.5; batch * m * n];
+        with_elems!(WeightMat::F16(&bits), aa => gemm_batch_cyclic_impl(
+            aa,
+            &bs,
+            &mut got,
+            m,
+            k,
+            n,
+            batch,
+            groups,
+            m * k,
+            k * n,
+            m * n,
+            false,
+            Some(ep),
+        ));
+        assert_eq!(expect, got);
         // the public acc entry: bias-style initial value preserved
         let mut expect = vec![0.3; batch * m * n];
         gemm_batch_cyclic_acc_strided_q(

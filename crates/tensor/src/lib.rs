@@ -13,8 +13,8 @@
 //!
 //! The hot paths run on the [`mod@gemm`] kernel layer: a cache-blocked,
 //! register-tiled GEMM whose one micro-kernel is instantiated for AVX-512,
-//! AVX2 and a portable tier and dispatched at runtime, with row-block
-//! parallelism on the shared `hs_parallel` pool. One specialised
+//! AVX2 and a portable tier and dispatched at runtime. Every kernel runs on
+//! the calling thread; the crate spawns no work of its own. One specialised
 //! convolution kernel sits beside it — [`depthwise_conv2d`] (direct
 //! per-channel spatial convolution, with its training twin
 //! [`depthwise_conv2d_backward`]) — sharing the GEMM epilogue's fused

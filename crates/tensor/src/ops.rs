@@ -9,8 +9,7 @@ impl Tensor {
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
     /// Runs on the blocked, SIMD-dispatched [`gemm`](crate::gemm::gemm)
-    /// kernel layer; large products parallelise over row blocks on the
-    /// shared `hs_parallel` pool.
+    /// kernel layer, on the calling thread.
     ///
     /// # Panics
     ///

@@ -1,13 +1,17 @@
 //! Checkpoint property tests across the whole model zoo: bit-exact
 //! round trips (fresh and fused, before and after training), cross-model
-//! fingerprint rejection, truncated-file and hostile-rank rejection, and
-//! the byte-stable golden header.
+//! fingerprint rejection, truncated-file and hostile-rank rejection, a
+//! fixed-seed mutation fuzz of the loader, and the byte-stable golden
+//! header.
 
 use hs_nn::models::{build_vision_model, ecg_net, ModelKind, VisionConfig};
-use hs_nn::{CheckpointError, CrossEntropyLoss, Network, Sgd, Target, CHECKPOINT_MAGIC};
-use hs_tensor::{DType, Tensor};
+use hs_nn::{
+    CheckpointError, CrossEntropyLoss, Network, ParamStore, Sgd, Target, CHECKPOINT_MAGIC,
+};
+use hs_tensor::{DType, Tensor, WeightMat};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const ZOO: [ModelKind; 4] = [
     ModelKind::SimpleCnn,
@@ -202,6 +206,151 @@ fn a_huge_buffer_rank_is_a_typed_error_not_an_abort() {
         "expected a shape mismatch, got {err}"
     );
     assert_eq!(replica.weights(), before, "failed load must not mutate");
+}
+
+/// The bits of every stored weight (quantized ones in their stored form)
+/// and every buffer.
+fn state_bits(net: &mut Network) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for store in net.param_stores() {
+        match store {
+            ParamStore::F32(p) => bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())),
+            ParamStore::Quant(q) => match q.as_mat() {
+                WeightMat::F32(v) => bits.extend(v.iter().map(|v| v.to_bits())),
+                WeightMat::F16(h) => bits.extend(h.iter().map(|&h| u32::from(h))),
+                WeightMat::I8 { data, scale } => {
+                    bits.push(scale.to_bits());
+                    bits.extend(data.iter().map(|&q| u32::from(q as u8)));
+                }
+            },
+        }
+    }
+    for b in net.buffers_mut() {
+        bits.extend(b.as_slice().iter().map(|v| v.to_bits()));
+    }
+    bits
+}
+
+/// `(offset, width)` of every integer field of a valid v2 checkpoint, in the
+/// layout of `hs_nn::checkpoint`'s module docs: version, fingerprint and
+/// tensor count; per parameter its dtype tag, element count and CRC; the
+/// buffer count; per buffer its name length, rank, dims and CRC.
+fn integer_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let mut fields = vec![(8, 4), (12, 8), (20, 8)];
+    let mut at = 28;
+    for _ in 0..u64_at(20) {
+        let (tag, len) = (bytes[at], u64_at(at + 1));
+        fields.extend([(at, 1), (at + 1, 8)]);
+        at += 9 + match tag {
+            0 => 4 * len,
+            1 => 2 * len,
+            _ => 4 + len,
+        };
+        fields.push((at, 4));
+        at += 4;
+    }
+    fields.push((at, 8));
+    let buffers = u64_at(at);
+    at += 8;
+    for _ in 0..buffers {
+        fields.push((at, 4));
+        at += 4 + u32_at(at);
+        let rank = u32_at(at);
+        let elems: usize = (0..rank).map(|d| u32_at(at + 4 + 4 * d)).product();
+        fields.extend((0..=rank).map(|d| (at + 4 * d, 4)));
+        at += 4 + 4 * rank + 4 * elems;
+        fields.push((at, 4));
+        at += 4;
+    }
+    assert_eq!(at, bytes.len(), "the field walk must cover the checkpoint");
+    fields
+}
+
+/// A bounded, seeded set of hostile edits of `valid`, each with a label that
+/// reproduces it: random bit flips, 0x00/0xFF bytes and truncations, 0 / 1 /
+/// MAX written over every integer field, and appended bytes.
+fn mutants(valid: &[u8], seed: u64) -> Vec<(String, Vec<u8>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let edit = |at: usize, new: &[u8]| {
+        let mut m = valid.to_vec();
+        m[at..at + new.len()].copy_from_slice(new);
+        m
+    };
+    let mut out = Vec::new();
+    for _ in 0..48 {
+        let (at, bit) = (rng.gen_range(0..valid.len()), rng.gen_range(0..8u32));
+        out.push((
+            format!("flip bit {bit} of byte {at}"),
+            edit(at, &[valid[at] ^ (1 << bit)]),
+        ));
+        for byte in [0x00u8, 0xFF] {
+            let at = rng.gen_range(0..valid.len());
+            out.push((format!("byte {at} = {byte:#04x}"), edit(at, &[byte])));
+        }
+        let cut = rng.gen_range(0..valid.len());
+        out.push((format!("truncate to {cut} bytes"), valid[..cut].to_vec()));
+    }
+    for (at, width) in integer_fields(valid) {
+        for value in [0u64, 1, u64::MAX] {
+            out.push((
+                format!("{width}-byte field at {at} = {value:#x}"),
+                edit(at, &value.to_le_bytes()[..width]),
+            ));
+        }
+    }
+    for tail in [&[0u8][..], &[0xFF; 8], &CHECKPOINT_MAGIC] {
+        let mut m = valid.to_vec();
+        m.extend_from_slice(tail);
+        out.push((format!("append {} bytes", tail.len()), m));
+    }
+    out
+}
+
+#[test]
+fn mutated_checkpoints_load_or_fail_typed_and_leave_the_model_alone() {
+    // the loader's contract for untrusted bytes (a hot-swap blob): `Ok`, or
+    // a `CheckpointError` with every weight and buffer untouched — never a
+    // panic or an abort. 8 px keeps SimpleCnn's classifier, and so the bytes
+    // every mutant re-reads, small; the four cases run on their own threads.
+    let fuzz = |kind, dtype| {
+        let model = |seed| {
+            let mut net = build_vision_model(
+                kind,
+                VisionConfig::new(3, 5, 8),
+                &mut StdRng::seed_from_u64(seed),
+            );
+            if dtype != DType::F32 {
+                net.to_dtype(dtype);
+            }
+            net
+        };
+        let (mut donor, mut recipient) = (model(1), model(2));
+        let valid = donor.to_checkpoint_bytes();
+        let own = recipient.to_checkpoint_bytes();
+        let untouched = state_bits(&mut recipient);
+        for (what, bytes) in mutants(&valid, 26) {
+            let loaded = catch_unwind(AssertUnwindSafe(|| recipient.load_checkpoint_bytes(&bytes)))
+                .unwrap_or_else(|_| panic!("{kind:?} {dtype}: {what}: the loader panicked"));
+            match loaded {
+                Ok(()) => recipient
+                    .load_checkpoint_bytes(&own)
+                    .expect("the recipient's own checkpoint reloads"),
+                Err(err) => assert!(
+                    state_bits(&mut recipient) == untouched,
+                    "{kind:?} {dtype}: {what}: rejected ({err}) but the model changed"
+                ),
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        for kind in [ModelKind::SimpleCnn, ModelKind::MobileNetV3Small] {
+            for dtype in [DType::F32, DType::I8] {
+                s.spawn(move || fuzz(kind, dtype));
+            }
+        }
+    });
 }
 
 #[test]

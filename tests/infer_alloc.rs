@@ -15,7 +15,9 @@
 //! charges for one fan-out — the scope's task-group `Arc` and one boxed job
 //! per range — whatever the model's depth. The batch-8 test pins that at a
 //! 1- and a 2-thread target; the batch-1 tests stay on the calling thread
-//! at any target.
+//! at any target. The batch-1 zoo pin includes a 32-px input at a 2-thread
+//! target: no kernel below the shard step fans out, so a large single
+//! sample allocates nothing either.
 
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::Workspace;
@@ -92,27 +94,35 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn warm_infer_performs_zero_allocations_across_the_model_zoo() {
-    let cfg = VisionConfig::new(3, 6, 16);
-    for kind in ZOO {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut net = build_vision_model(kind, cfg, &mut rng);
-        net.fuse_inference();
-        let x = Tensor::rand_uniform(&[1, 3, 16, 16], 0.0, 1.0, &mut rng);
+    let _serial = sync::lock(&THREADS);
+    // 32 px at a 2-thread target puts SimpleCnn's 16→32 conv at 16×16
+    // (≈ 2.4 MFLOP) where the GEMM once split its rows over the pool. The
+    // budget is 0 with or without pool workers, so no leg skips it.
+    for (px, threads) in [(16, None), (32, Some(2))] {
+        set_num_threads(threads);
+        let cfg = VisionConfig::new(3, 6, px);
+        for kind in ZOO {
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut net = build_vision_model(kind, cfg, &mut rng);
+            net.fuse_inference();
+            let x = Tensor::rand_uniform(&[1, 3, px, px], 0.0, 1.0, &mut rng);
 
-        // warm-up: sizes the workspace and the thread-local packs
-        let expect = net.infer(&x).clone();
-        let _ = net.infer(&x);
+            // warm-up: sizes the workspace and the thread-local packs
+            let expect = net.infer(&x).clone();
+            let _ = net.infer(&x);
 
-        let (allocs, sum) = count_allocs(|| net.infer(&x).as_slice().iter().sum::<f32>());
-        assert_eq!(
-            allocs, 0,
-            "{kind:?}: warm Network::infer allocated {allocs} times"
-        );
-        assert!(
-            (sum - expect.as_slice().iter().sum::<f32>()).abs() < 1e-5,
-            "{kind:?}: counted pass diverged from warm-up output"
-        );
+            let (allocs, sum) = count_allocs(|| net.infer(&x).as_slice().iter().sum::<f32>());
+            assert_eq!(
+                allocs, 0,
+                "{kind:?} at {px} px: warm Network::infer allocated {allocs} times"
+            );
+            assert!(
+                (sum - expect.as_slice().iter().sum::<f32>()).abs() < 1e-5,
+                "{kind:?} at {px} px: counted pass diverged from warm-up output"
+            );
+        }
     }
+    set_num_threads(None);
 }
 
 #[test]

@@ -16,8 +16,10 @@
 //! batcher's close rule exists for: a lone client's p50 at `max_batch 8`
 //! over its `max_batch 1` cell (expected ≤ 1.5), and 4-client throughput at
 //! `max_batch 8` over the `max_batch 4` cell (expected ≥ 0.8).
-//! The run ends by printing the batched-GEMM routing rule the served
-//! forwards ran under (`hs_nn::batched_gemm_crossovers`).
+//! A config pass then runs 8 closed-loop clients at `max_batch 8` on
+//! (workers, dtype) ∈ {(1, f32), (1, f16), (2, f32)}: the f16 tier against
+//! f32, and two workers running batches side by side against one worker
+//! whose batch shards across the pool.
 
 use hs_bench::json_out_path;
 use hs_bench::serving_load::{closed_loop, open_loop, LoadOutcome};
@@ -34,6 +36,7 @@ use std::time::Duration;
 struct SweepRecord {
     model: String,
     mode: String,
+    workers: usize,
     dtype: String,
     clients: usize,
     offered_rps: f64,
@@ -70,7 +73,7 @@ fn main() {
         let sample = Tensor::rand_uniform(&input_dims, 0.0, 1.0, &mut rng);
         println!("== {} ==", kind.as_str());
         println!(
-            "{:<8} {:>8} {:>12} {:>10} {:>11} {:>9} {:>9} {:>10} {:>9}",
+            "{:<14} {:>8} {:>12} {:>10} {:>11} {:>9} {:>9} {:>10} {:>9}",
             "mode", "load", "max_batch", "reqs ok", "rej/exp", "p50 us", "p99 us", "req/s", "batch"
         );
         for &max_batch in &max_batches {
@@ -95,6 +98,7 @@ fn main() {
                     &mut records,
                     kind.as_str(),
                     "closed",
+                    1,
                     "f32",
                     clients,
                     0.0,
@@ -118,6 +122,7 @@ fn main() {
                     &mut records,
                     kind.as_str(),
                     "open",
+                    1,
                     "f32",
                     0,
                     rate,
@@ -130,11 +135,10 @@ fn main() {
             server.shutdown();
         }
 
-        // dtype pass: the same closed-loop load on f32 vs f16 worker
-        // replicas (PR 7's quantized inference tier) at one fixed policy —
-        // the serving-level view of the f16 kernel speedup
-        let dtype_batch = 8usize;
-        for dtype in [DType::F32, DType::F16] {
+        // config pass: the same closed-loop load at one fixed policy on the
+        // f16 tier and on two workers, each against one f32 worker
+        let config_batch = 8usize;
+        for (workers, dtype) in [(1, DType::F32), (1, DType::F16), (2, DType::F32)] {
             let registry = Arc::new(ModelRegistry::new());
             registry.publish("m", &mut make());
             let server = Server::start(
@@ -142,7 +146,7 @@ fn main() {
                 "m",
                 make,
                 &input_dims,
-                ServerConfig::new(1, 128, BatchPolicy::new(dtype_batch, max_wait_us))
+                ServerConfig::new(workers, 128, BatchPolicy::new(config_batch, max_wait_us))
                     .with_dtype(dtype),
             )
             .expect("server must start");
@@ -154,11 +158,12 @@ fn main() {
             report(
                 &mut records,
                 kind.as_str(),
-                &format!("closed/{dtype}"),
+                &format!("closed/{workers}w/{dtype}"),
+                workers,
                 dtype.as_str(),
                 8,
                 0.0,
-                dtype_batch,
+                config_batch,
                 max_wait_us,
                 outcome,
                 metrics,
@@ -185,11 +190,6 @@ fn main() {
         println!();
     }
 
-    let (_, _, threshold) = hs_nn::batched_gemm_crossovers()[0];
-    println!(
-        "batched-GEMM routing rule: im2col convs with ohw < {threshold} take the batched route"
-    );
-
     if let Some(path) = json_out_path(&args) {
         serde::json::write_file(&path, &records).expect("failed to write --json-out file");
         println!(
@@ -205,6 +205,7 @@ fn report(
     records: &mut Vec<SweepRecord>,
     model: &str,
     mode: &str,
+    workers: usize,
     dtype: &str,
     clients: usize,
     offered_rps: f64,
@@ -219,7 +220,7 @@ fn report(
         format!("{offered_rps:.0}rps")
     };
     println!(
-        "{:<8} {:>8} {:>12} {:>10} {:>11} {:>9} {:>9} {:>10.0} {:>9.2}",
+        "{:<14} {:>8} {:>12} {:>10} {:>11} {:>9} {:>9} {:>10.0} {:>9.2}",
         mode,
         load,
         max_batch,
@@ -233,6 +234,7 @@ fn report(
     records.push(SweepRecord {
         model: model.to_string(),
         mode: mode.to_string(),
+        workers,
         dtype: dtype.to_string(),
         clients,
         offered_rps,

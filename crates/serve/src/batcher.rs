@@ -36,6 +36,7 @@
 //! against.
 
 use crate::queue::{BoundedQueue, Companion, Popped};
+use hs_obs::{instant_ns, now_ns, trace};
 use std::time::{Duration, Instant};
 
 /// The knobs of the dynamic batching policy.
@@ -90,31 +91,26 @@ pub enum CloseReason {
 pub enum Collected<T> {
     /// A non-empty batch and why it closed.
     Batch(Vec<T>, CloseReason),
-    /// Nothing arrived within `idle_poll`: the caller can do control work
-    /// (hot-swap checks, shutdown checks) and try again.
-    Idle,
     /// The queue is closed and fully drained: time to exit.
     Closed,
 }
 
 /// Collects the next micro-batch from `queue` under `policy`.
 ///
-/// Blocks up to `idle_poll` for the first request (so callers regain
-/// control periodically while idle); once one arrives, keeps popping until
-/// the batch closes (module docs). Requests already waiting in the queue
-/// coalesce immediately — the wait only pays when the queue runs dry
-/// mid-batch with expected companions missing.
-pub fn collect_batch<T>(
-    queue: &BoundedQueue<T>,
-    policy: &BatchPolicy,
-    idle_poll: Duration,
-) -> Collected<T> {
-    let first = match queue.pop_timeout(idle_poll) {
+/// Blocks until the first request arrives (or the queue is closed and
+/// drained); once one arrives, keeps popping until the batch closes
+/// (module docs). Requests already waiting in the queue coalesce
+/// immediately — the wait only pays when the queue runs dry mid-batch with
+/// expected companions missing. Traced as a `batch_collect` span from the
+/// first request to the close, so idle time records nothing.
+pub fn collect_batch<T>(queue: &BoundedQueue<T>, policy: &BatchPolicy) -> Collected<T> {
+    let first = match queue.pop_timeout(Duration::MAX) {
         Popped::Item(item) => item,
-        Popped::Empty => return Collected::Idle,
-        Popped::Closed => return Collected::Closed,
+        // an unbounded wait ends only with an item or a closed, drained queue
+        Popped::Empty | Popped::Closed => return Collected::Closed,
     };
-    let close_at = Instant::now().checked_add(policy.max_wait);
+    let opened = Instant::now();
+    let close_at = opened.checked_add(policy.max_wait);
     let mut batch = Vec::with_capacity(policy.max_batch);
     batch.push(first);
     let reason = loop {
@@ -127,6 +123,10 @@ pub fn collect_batch<T>(
             Companion::TimedOut => break CloseReason::TimedOut,
         }
     };
+    if trace::enabled() {
+        let from = instant_ns(opened);
+        trace::span_at("batch_collect", from, now_ns(), 0, reason as u64);
+    }
     Collected::Batch(batch, reason)
 }
 
@@ -134,8 +134,6 @@ pub fn collect_batch<T>(
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    const NO_IDLE: Duration = Duration::from_millis(1);
 
     fn batch<T: std::fmt::Debug>(collected: Collected<T>) -> (Vec<T>, CloseReason) {
         match collected {
@@ -152,7 +150,7 @@ mod tests {
             for _ in 0..demand {
                 q.try_push(-1).unwrap();
             }
-            let (items, _) = batch(collect_batch(&q, &BatchPolicy::new(demand, 0), NO_IDLE));
+            let (items, _) = batch(collect_batch(&q, &BatchPolicy::new(demand, 0)));
             assert_eq!(items.len(), demand);
             q.finish(demand);
         }
@@ -167,11 +165,11 @@ mod tests {
         }
         let policy = BatchPolicy::new(4, 10_000);
         assert_eq!(
-            batch(collect_batch(&q, &policy, NO_IDLE)),
+            batch(collect_batch(&q, &policy)),
             (vec![0, 1, 2, 3], CloseReason::Full)
         );
         assert_eq!(
-            batch(collect_batch(&q, &policy, NO_IDLE)),
+            batch(collect_batch(&q, &policy)),
             (vec![4], CloseReason::AllPresent)
         );
     }
@@ -183,7 +181,7 @@ mod tests {
         let policy = BatchPolicy::new(8, 50_000); // 50 ms
         let t0 = Instant::now();
         assert_eq!(
-            batch(collect_batch(&q, &policy, NO_IDLE)),
+            batch(collect_batch(&q, &policy)),
             (vec![1], CloseReason::AllPresent)
         );
         assert!(
@@ -201,7 +199,7 @@ mod tests {
         let policy = BatchPolicy::new(8, 2_000); // 2 ms
         let t0 = Instant::now();
         assert_eq!(
-            batch(collect_batch(&q, &policy, NO_IDLE)),
+            batch(collect_batch(&q, &policy)),
             (vec![1], CloseReason::TimedOut)
         );
         let waited = t0.elapsed();
@@ -218,11 +216,8 @@ mod tests {
         let q = Arc::new(queue_with_demand(3));
         let collector = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || loop {
-                match collect_batch(&q, &BatchPolicy::new(8, 3_600_000_000), NO_IDLE) {
-                    Collected::Idle => continue,
-                    other => return batch(other),
-                }
+            std::thread::spawn(move || {
+                batch(collect_batch(&q, &BatchPolicy::new(8, 3_600_000_000)))
             })
         };
         for i in 0..3 {
@@ -242,7 +237,7 @@ mod tests {
         let mut timed_out = 0;
         for i in 0..6 {
             q.try_push(i).unwrap();
-            let (items, reason) = batch(collect_batch(&q, &policy, NO_IDLE));
+            let (items, reason) = batch(collect_batch(&q, &policy));
             assert_eq!(items, vec![i]);
             q.finish(1);
             match reason {
@@ -270,13 +265,13 @@ mod tests {
         let policy = BatchPolicy::new(8, 1_000);
         q.try_push(0).unwrap();
         assert_eq!(
-            batch(collect_batch(&q, &policy, NO_IDLE)),
+            batch(collect_batch(&q, &policy)),
             (vec![0], CloseReason::TimedOut)
         );
         q.try_push(1).unwrap(); // lands while the late batch executes
         q.finish(1);
         assert_eq!(
-            batch(collect_batch(&q, &policy, NO_IDLE)),
+            batch(collect_batch(&q, &policy)),
             (vec![1], CloseReason::AllPresent),
             "waited for the companion the last batch never got"
         );
@@ -285,7 +280,7 @@ mod tests {
         q.finish(1);
         q.try_push(2).unwrap();
         assert_eq!(
-            batch(collect_batch(&q, &policy, NO_IDLE)),
+            batch(collect_batch(&q, &policy)),
             (vec![2], CloseReason::AllPresent)
         );
     }
@@ -307,7 +302,7 @@ mod tests {
                     }
                     let policy = BatchPolicy::new(max_batch, 2_000);
                     let t0 = Instant::now();
-                    let (items, reason) = batch(collect_batch(&q, &policy, NO_IDLE));
+                    let (items, reason) = batch(collect_batch(&q, &policy));
                     let took = t0.elapsed();
                     let case = format!("demand {demand} queued {queued} max_batch {max_batch}");
                     let expect: Vec<i32> = (0..queued.min(max_batch) as i32).collect();
@@ -340,7 +335,7 @@ mod tests {
             ..BatchPolicy::new(2, 0)
         };
         assert_eq!(
-            batch(collect_batch(&q, &policy, NO_IDLE)),
+            batch(collect_batch(&q, &policy)),
             (vec![1, 2], CloseReason::Full)
         );
     }
@@ -351,24 +346,37 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         assert_eq!(
-            batch(collect_batch(&q, &BatchPolicy::batch_of_one(), NO_IDLE)),
+            batch(collect_batch(&q, &BatchPolicy::batch_of_one())),
             (vec![1], CloseReason::Full)
         );
     }
 
     #[test]
-    fn idle_and_closed_are_distinguished() {
-        let q: BoundedQueue<i32> = BoundedQueue::new(4);
-        let policy = BatchPolicy::new(4, 100);
-        assert!(matches!(
-            collect_batch(&q, &policy, Duration::from_micros(200)),
-            Collected::Idle
-        ));
+    fn an_idle_collector_blocks_until_a_request_or_the_close() {
+        let q = Arc::new(BoundedQueue::new(4));
+        let collect = || {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || collect_batch(&q, &BatchPolicy::new(4, 100)))
+        };
+        let waiting = collect();
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!waiting.is_finished(), "returned from an empty, open queue");
+        q.try_push(7).unwrap();
+        assert_eq!(batch(waiting.join().unwrap()).0, vec![7]);
+        let waiting = collect();
+        std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert!(matches!(
-            collect_batch(&q, &policy, Duration::from_micros(200)),
-            Collected::Closed
-        ));
+        assert!(matches!(waiting.join().unwrap(), Collected::Closed));
+    }
+
+    #[test]
+    fn a_closed_queue_yields_what_it_holds_then_closed() {
+        let q = BoundedQueue::new(4);
+        q.try_push(8).unwrap();
+        q.close();
+        let policy = BatchPolicy::new(4, 100);
+        assert_eq!(batch(collect_batch(&q, &policy)).0, vec![8]);
+        assert!(matches!(collect_batch(&q, &policy), Collected::Closed));
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //!
 //! A dynamic micro-batching inference server over the `hs-nn` model zoo —
 //! the subsystem that turns the repository's fast kernels into a *system*:
-//! queueing, replication, versioning and backpressure in one place.
+//! queueing, shared versioned weights and backpressure in one place.
 //!
 //! ## Architecture
 //!
 //! ```text
+//!  ModelRegistry ──► supervisor: build each version once, swap Arc<Network>
 //!  clients ──► ServeClient::submit ──► BoundedQueue (admission control)
 //!                                          │  try_push: full → Backpressure
 //!                                          ▼
-//!                         worker threads (one fused Network replica each)
-//!                           1. poll ModelRegistry, hot-swap between batches
-//!                           2. collect_batch: full / everyone present / max_wait
-//!                           3. drop expired requests (deadlines)
-//!                           4. one batched Network::infer forward
+//!                         worker threads (each owns only a Workspace)
+//!                           1. collect_batch: full / everyone present / max_wait
+//!                           2. drop expired requests (deadlines)
+//!                           3. clone the current Arc: one version per batch
+//!                           4. one batched Network::infer_with forward
 //!                           5. route logits rows via completion slots
 //!                                          │
 //!  clients ◄── Pending::wait ◄─────────────┘      ServerMetrics: p50/p95/p99,
@@ -23,19 +24,19 @@
 //!
 //! Single-sample requests enter a bounded MPMC queue; a batcher coalesces
 //! them under a [`BatchPolicy`] (`max_batch`, `max_wait_us`) into **one**
-//! batched forward on a per-worker replica. That forward is where the
-//! repository's performance stack pays off: the replicas are fused
-//! (conv→BN→activation epilogues) and planned (allocation-free warm
-//! forwards), and the batched small-GEMM path packs each weight panel once
-//! while several samples' skinny columns fill the register strips — the
-//! measured economics the batcher exists to exploit (see `docs/PERF.md` and
+//! batched forward on the server's one network. That forward is where the
+//! repository's performance stack pays off: the network is fused
+//! (conv→BN→activation epilogues), a warm forward allocates nothing, and
+//! the batched small-GEMM path packs each weight panel once while several
+//! samples' skinny columns fill the register strips — the measured
+//! economics the batcher exists to exploit (see `docs/PERF.md` and
 //! `docs/SERVING.md`).
 //!
 //! Model weights come from the [`ModelRegistry`]: named, versioned
 //! checkpoint blobs (the `hs-nn` binary checkpoint format) published by a
-//! training loop — e.g. `hs-fl`'s `run_with_checkpoints` hook — and
-//! atomically hot-swapped into the workers between batches, so a simulated
-//! FL run can keep improving the global model *while it is being served*.
+//! training loop — e.g. `hs-fl`'s `run_with_checkpoints` hook — each built
+//! once and swapped in atomically for the next batch, so a simulated FL run
+//! can keep improving the global model *while it is being served*.
 //!
 //! ## Quick start
 //!

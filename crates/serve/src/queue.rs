@@ -5,8 +5,8 @@
 //! the rejected item when the queue is full — the server turns that into a
 //! `Backpressure` error instead of letting an overload grow an unbounded
 //! backlog (and letting every queued request blow through its deadline).
-//! Consumers (batcher workers) block with a timeout so they can interleave
-//! control work (hot-swap checks, shutdown) with popping.
+//! Consumers (batcher workers) block until an item arrives or the queue
+//! closes; the shutdown drain pops without waiting.
 //!
 //! The queue also keeps the books the batcher's close rule runs on, under
 //! the same lock as the items so the two can never disagree: `outstanding`

@@ -1,15 +1,14 @@
 //! The model registry: named, versioned checkpoint blobs and the atomic
-//! hot-swap contract between a training loop and the serving workers.
+//! hot-swap contract between a training loop and a server.
 //!
 //! A publisher (e.g. the FL simulation via its `checkpoint_every` hook)
 //! calls [`ModelRegistry::publish`] with a fresh global model; the registry
 //! serialises it to checkpoint bytes, assigns the next version number and
-//! appends it under the model's name. Serving workers poll
-//! [`ModelRegistry::latest`] **between batches** and reload their replica
-//! when the version moved — each worker's weights therefore always come
-//! from exactly one published version, and an in-flight batch runs to
-//! completion on the version it started with (no torn weights; pinned by
-//! the hot-swap atomicity test in `hs-serve`).
+//! appends it under the model's name. A server's supervisor polls
+//! [`ModelRegistry::latest`] every tick, builds a new version into one
+//! network once and swaps it in for the next batch — every batch therefore
+//! runs on exactly one published version, to completion (no torn weights;
+//! pinned by the hot-swap atomicity test in `hs-serve`).
 //!
 //! Versions are retained (bounded by [`ModelRegistry::retain`]) so a sweep
 //! can pin, compare or roll back to a specific version.
@@ -21,8 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One published model version: an immutable checkpoint blob plus its
-/// identity. Shared by `Arc`, so publishing never copies weights into
-/// workers — they deserialise straight from the shared blob.
+/// identity. Shared by `Arc`, so reading it never copies the blob — a
+/// server deserialises straight from it, once per version.
 #[derive(Debug)]
 pub struct ModelVersion {
     /// Registry name the version was published under.
@@ -97,8 +96,7 @@ impl ModelRegistry {
         lock(&self.models).get(name).and_then(|v| v.last()).cloned()
     }
 
-    /// The most recent version *number* under `name` — the cheap check a
-    /// worker runs between batches to decide whether to hot-swap.
+    /// The most recent version *number* under `name`.
     pub fn latest_version(&self, name: &str) -> Option<u64> {
         self.latest(name).map(|m| m.version)
     }

@@ -1,5 +1,6 @@
-//! The serving engine: admission, micro-batched execution on a pool of
-//! per-worker model replicas, and response routing.
+//! The serving engine: admission, micro-batched execution by a pool of
+//! workers sharing one built network per published version, and response
+//! routing.
 //!
 //! Request lifecycle:
 //!
@@ -10,12 +11,13 @@
 //!    [`crate::BatchPolicy`] (full, everyone present, or `max_wait` — see
 //!    [`crate::collect_batch`]), drops requests whose deadline already passed
 //!    ([`ServeError::DeadlineExceeded`]), stacks the survivors into one
-//!    `[b, ...]` tensor and runs **one** batched forward on its own fused +
-//!    planned [`Network`] replica. Skinny per-sample GEMMs coalesce across
+//!    `[b, ...]` tensor and runs **one** batched forward on the server's
+//!    current fused [`Network`], over the worker's own [`Workspace`]
+//!    ([`Network::infer_with`]). Skinny per-sample GEMMs coalesce across
 //!    the batch — the whole point of batching here — and a convolutional
 //!    batch is split across the shared pool once, by sample range, each
-//!    range running the whole plan ([`Network::infer`]); a warm forward
-//!    allocates only that fan-out's task boxes.
+//!    range running the whole plan; a warm forward allocates only that
+//!    fan-out's task boxes.
 //! 3. Each request's logits row is routed back through its completion slot;
 //!    latency and batch-size metrics are recorded.
 //!
@@ -25,9 +27,12 @@
 //! shutdown drain. [`Server::in_flight`] reads the balance, and the
 //! batcher's close rule runs on it.
 //!
-//! Between batches every worker polls the [`ModelRegistry`] and atomically
-//! hot-swaps its replica when a newer version of the served model was
-//! published — an in-flight batch always runs on exactly one version.
+//! Which weights are served is one slot: the supervisor checks the
+//! [`ModelRegistry`] every poll tick, builds a newly published version once
+//! (factory, fusion, dtype, checkpoint load) outside any lock, and swaps the
+//! shared `Arc` in. A batch clones that `Arc` when it opens, so it runs on
+//! exactly one version by construction. A version that fails to build is
+//! rejected once and never retried; the current one keeps serving.
 //!
 //! The whole lifecycle is traced through `hs_obs` when `HS_TRACE` is set:
 //! an `admit` span per submission, `batch_collect` (payload: why the batch
@@ -43,11 +48,12 @@ use crate::batcher::{collect_batch, BatchPolicy, Collected};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::queue::{BoundedQueue, Popped, PushError};
 use crate::registry::{ModelRegistry, ModelVersion};
-use hs_nn::{CheckpointError, Network};
+use hs_nn::{CheckpointError, Network, Workspace};
 use hs_obs::{instant_ns, now_ns, trace};
 use hs_parallel::sync::{lock, wait};
 use hs_tensor::{DType, Tensor};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -135,7 +141,7 @@ pub enum StartError {
         /// Names that are published.
         available: Vec<String>,
     },
-    /// The latest published checkpoint does not load into the replica the
+    /// The latest published checkpoint does not load into the network the
     /// factory builds.
     Checkpoint(CheckpointError),
 }
@@ -150,7 +156,7 @@ impl fmt::Display for StartError {
             ),
             StartError::Checkpoint(e) => write!(
                 f,
-                "latest published checkpoint does not load into the server's replica: {e}"
+                "latest published checkpoint does not load into the served network: {e}"
             ),
         }
     }
@@ -328,16 +334,14 @@ impl BrownoutConfig {
 /// Server sizing, batching and self-healing knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Number of worker threads, each with its own model replica.
+    /// Number of worker threads executing batches. Each owns only its
+    /// scratch; all of them run the one network the server holds.
     pub workers: usize,
     /// Admission queue bound (requests beyond it are rejected with
     /// [`ServeError::Backpressure`]).
     pub queue_capacity: usize,
     /// The micro-batching policy.
     pub policy: BatchPolicy,
-    /// How long an idle worker blocks before re-checking the registry for
-    /// hot-swaps (pure idle-path knob; requests wake workers immediately).
-    pub idle_poll: Duration,
     /// Restart budget per worker slot: how many times the supervisor
     /// respawns a panicked worker before declaring the slot dead. When
     /// every slot is dead the server closes its queue and fails remaining
@@ -346,12 +350,13 @@ pub struct ServerConfig {
     /// Base respawn delay; doubles per restart of the same slot (capped at
     /// 64× the base) so a crash-looping model doesn't spin the CPU.
     pub restart_backoff: Duration,
-    /// How often the supervisor reaps panicked workers and samples the
-    /// queue depth for brownout decisions.
+    /// How often the supervisor reaps panicked workers, samples the queue
+    /// depth for brownout decisions and checks the registry for a newer
+    /// version (so, plus one build, how soon a publish starts serving).
     pub supervisor_poll: Duration,
     /// Brownout (overload self-protection) configuration.
     pub brownout: BrownoutConfig,
-    /// Inference dtype for every worker replica. Applied after fusion and
+    /// Inference dtype of the served network. Applied after fusion and
     /// before the checkpoint load, so published f32 checkpoints quantize on
     /// load (see `hs_nn::Network::to_dtype`). f32 unless
     /// [`ServerConfig::with_dtype`] says otherwise.
@@ -359,16 +364,15 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A configuration with the given knobs, a 1 ms idle poll, and default
-    /// self-healing knobs (5 restarts per worker at 5 ms base backoff,
-    /// default [`BrownoutConfig`]) and f32 replicas.
+    /// A configuration with the given knobs, default self-healing knobs
+    /// (5 restarts per worker at 5 ms base backoff, a 1 ms supervisor
+    /// poll, default [`BrownoutConfig`]) and an f32 network.
     pub fn new(workers: usize, queue_capacity: usize, policy: BatchPolicy) -> Self {
         assert!(workers > 0, "server needs at least one worker");
         ServerConfig {
             workers,
             queue_capacity,
             policy,
-            idle_poll: Duration::from_millis(1),
             max_worker_restarts: 5,
             restart_backoff: Duration::from_millis(5),
             supervisor_poll: Duration::from_millis(1),
@@ -385,7 +389,7 @@ impl ServerConfig {
             .unwrap_or(1)
     }
 
-    /// Sets the worker-replica inference dtype.
+    /// Sets the served network's inference dtype.
     pub fn with_dtype(mut self, dtype: DType) -> Self {
         self.replica_dtype = dtype;
         self
@@ -400,15 +404,33 @@ impl Default for ServerConfig {
     }
 }
 
+/// One published version as the server runs it.
+struct Served {
+    version: u64,
+    net: Network,
+}
+
+/// The one place a served network is made: the factory's architecture,
+/// fused, converted to `dtype`, then loaded from the published version's
+/// bytes (so f32 checkpoints quantize on load).
+fn build(make: &Factory, dtype: DType, from: &ModelVersion) -> Result<Served, CheckpointError> {
+    let mut net = make();
+    net.fuse_inference();
+    net.to_dtype(dtype);
+    net.load_checkpoint_bytes(&from.bytes)?;
+    let version = from.version;
+    Ok(Served { version, net })
+}
+
+/// The caller's model constructor ([`Server::start`]'s `replica`).
+type Factory = dyn Fn() -> Network + Send + Sync;
+
 /// State shared by clients, workers and the supervisor.
 struct Shared {
     queue: BoundedQueue<Request>,
     metrics: ServerMetrics,
-    registry: Arc<ModelRegistry>,
-    model_name: String,
     input_dims: Vec<usize>,
     policy: BatchPolicy,
-    idle_poll: Duration,
     brownout: BrownoutConfig,
     /// Set by the supervisor's watermark hysteresis; read by workers to
     /// shrink `max_wait` and shed low-slack requests.
@@ -416,12 +438,9 @@ struct Shared {
     /// Fault-injection hook ([`Server::inject_worker_panic`]): the next
     /// worker to start a batch swaps this to false and panics.
     panic_fuse: AtomicBool,
-    /// The start-validated first checkpoint — the respawn fallback when the
-    /// registry's latest version no longer loads into a fresh replica.
-    initial: Arc<ModelVersion>,
-    /// Inference dtype every worker replica is converted to before loading
-    /// weights (so checkpoints quantize on load).
-    replica_dtype: DType,
+    /// The version every batch that opens from now on runs on. Only the
+    /// supervisor writes it (and `Server::start` seeds it).
+    current: Mutex<Arc<Served>>,
 }
 
 /// A cloneable request-submission handle (the "connection" object load
@@ -514,18 +533,20 @@ pub struct Server {
 impl Server {
     /// Starts a server for registry model `model_name`.
     ///
-    /// `replica` builds one structurally identical, *unweighted* model per
-    /// worker (the same closure shape as `hs-fl`'s `ModelFactory`); each
-    /// replica is fused for inference and loaded from the latest published
-    /// checkpoint before serving. `input_dims` is the per-sample input
-    /// shape (e.g. `[3, 32, 32]`); requests are validated against it at
-    /// admission.
+    /// `replica` builds the structurally identical, *unweighted* model
+    /// (the same closure shape as `hs-fl`'s `ModelFactory`). It runs once
+    /// per served version: here for the latest published checkpoint, then
+    /// on the supervisor thread for every later one. Each build is fused,
+    /// converted to [`ServerConfig::replica_dtype`] and loaded from the
+    /// checkpoint, and every worker serves that one network. `input_dims`
+    /// is the per-sample input shape (e.g. `[3, 32, 32]`); requests are
+    /// validated against it at admission.
     ///
     /// # Errors
     ///
     /// [`StartError::UnknownModel`] when nothing is published under
     /// `model_name`; [`StartError::Checkpoint`] when the latest checkpoint
-    /// does not load into the factory's replica (wrong architecture,
+    /// does not load into the factory's network (wrong architecture,
     /// truncated blob, ...).
     pub fn start(
         registry: Arc<ModelRegistry>,
@@ -534,52 +555,47 @@ impl Server {
         input_dims: &[usize],
         config: ServerConfig,
     ) -> Result<Server, StartError> {
-        let initial = registry
+        let latest = registry
             .latest(model_name)
             .ok_or_else(|| StartError::UnknownModel {
                 name: model_name.to_string(),
                 available: registry.names(),
             })?;
-        // validate once up-front so a bad registry entry fails loudly here,
-        // not inside a worker thread
-        let make_replica: Arc<dyn Fn() -> Network + Send + Sync> = Arc::new(replica);
-        let mut probe = make_replica();
-        probe.fuse_inference();
-        probe.to_dtype(config.replica_dtype);
-        probe.load_checkpoint_bytes(&initial.bytes)?;
-        drop(probe);
+        // built on the caller's thread, so a bad registry entry fails here
+        let served = build(&replica, config.replica_dtype, &latest)?;
 
         config.brownout.validate();
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: ServerMetrics::new(),
-            registry,
-            model_name: model_name.to_string(),
             input_dims: input_dims.to_vec(),
             policy: config.policy,
-            idle_poll: config.idle_poll,
             brownout: config.brownout,
             brownout_active: AtomicBool::new(false),
             panic_fuse: AtomicBool::new(false),
-            initial,
-            replica_dtype: config.replica_dtype,
+            current: Mutex::new(Arc::new(served)),
         });
         let slots: Vec<WorkerSlot> = (0..config.workers)
             .map(|i| WorkerSlot::Running {
-                handle: spawn_worker(&shared, &make_replica, i),
+                handle: spawn_worker(&shared, i),
                 restarts: 0,
             })
             .collect();
         let supervisor = {
             let shared = Arc::clone(&shared);
-            let params = SupervisorParams {
+            let supervisor = Supervisor {
                 max_restarts: config.max_worker_restarts,
                 backoff_base: config.restart_backoff,
                 poll: config.supervisor_poll,
+                registry,
+                name: model_name.to_string(),
+                make: Box::new(replica),
+                dtype: config.replica_dtype,
+                rejected: 0,
             };
             std::thread::Builder::new()
                 .name("hs-serve-supervisor".to_string())
-                .spawn(move || supervisor_loop(&shared, &make_replica, params, slots))
+                .spawn(move || supervisor_loop(&shared, supervisor, slots))
                 .expect("failed to spawn serving supervisor")
         };
         Ok(Server {
@@ -657,55 +673,54 @@ enum WorkerSlot {
     Dead,
 }
 
-/// Supervisor knobs captured at start.
-struct SupervisorParams {
+/// What the supervisor owns: its knobs, captured at start, and where served
+/// versions come from.
+struct Supervisor {
     max_restarts: u32,
     backoff_base: Duration,
     poll: Duration,
+    registry: Arc<ModelRegistry>,
+    name: String,
+    make: Box<Factory>,
+    dtype: DType,
+    /// The last version whose build failed or panicked (0: none yet).
+    rejected: u64,
 }
 
-/// Spawns one worker thread on `slot_index`, loading the freshest weights
-/// it can: the registry's latest version, falling back to the
-/// start-validated initial checkpoint if that version no longer loads.
-fn spawn_worker(
-    shared: &Arc<Shared>,
-    make_replica: &Arc<dyn Fn() -> Network + Send + Sync>,
-    slot_index: usize,
-) -> JoinHandle<()> {
+impl Supervisor {
+    /// Builds the registry's latest version if it is neither the one being
+    /// served nor the last rejected one, and swaps it into `current`. The
+    /// build runs outside the lock; a failed or panicking build (the factory
+    /// is caller code) is recorded as rejected and never retried.
+    fn refresh(&mut self, current: &Mutex<Arc<Served>>) {
+        let Some(latest) = self.registry.latest(&self.name) else {
+            return;
+        };
+        if latest.version == self.rejected || latest.version == lock(current).version {
+            return;
+        }
+        match catch_unwind(AssertUnwindSafe(|| build(&*self.make, self.dtype, &latest))) {
+            Ok(Ok(served)) => *lock(current) = Arc::new(served),
+            Ok(Err(_)) | Err(_) => self.rejected = latest.version,
+        }
+    }
+}
+
+/// Spawns one worker thread on `slot_index`.
+fn spawn_worker(shared: &Arc<Shared>, slot_index: usize) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
-    let make_replica = Arc::clone(make_replica);
     std::thread::Builder::new()
         .name(format!("hs-serve-{slot_index}"))
-        .spawn(move || {
-            let mut net = make_replica();
-            net.fuse_inference();
-            net.to_dtype(shared.replica_dtype);
-            let mut version = shared.initial.version;
-            let loaded_latest = shared
-                .registry
-                .latest(&shared.model_name)
-                .filter(|latest| net.load_checkpoint_bytes(&latest.bytes).is_ok())
-                .map(|latest| version = latest.version)
-                .is_some();
-            if !loaded_latest {
-                net.load_checkpoint_bytes(&shared.initial.bytes)
-                    .expect("validated at start");
-            }
-            worker_loop(&shared, &mut net, version);
-        })
+        .spawn(move || worker_loop(&shared))
         .expect("failed to spawn serving worker")
 }
 
 /// The supervisor: reaps panicked workers, respawns them with exponential
-/// backoff under a bounded restart budget, runs the brownout watermark
-/// hysteresis, and — when the whole pool is dead or the server shuts down —
-/// makes sure no queued request is left hanging.
-fn supervisor_loop(
-    shared: &Arc<Shared>,
-    make_replica: &Arc<dyn Fn() -> Network + Send + Sync>,
-    params: SupervisorParams,
-    mut slots: Vec<WorkerSlot>,
-) {
+/// backoff under a bounded restart budget, picks up newly published
+/// versions, runs the brownout watermark hysteresis, and — when the whole
+/// pool is dead or the server shuts down — makes sure no queued request is
+/// left hanging.
+fn supervisor_loop(shared: &Arc<Shared>, mut sup: Supervisor, mut slots: Vec<WorkerSlot>) {
     let brownout = shared.brownout;
     let capacity = shared.queue.capacity() as f32;
     let high_mark = (brownout.high_watermark * capacity).ceil() as usize;
@@ -747,8 +762,8 @@ fn supervisor_loop(
             }
             shared.metrics.record_worker_panic();
             trace::instant("worker_panic", restarts as u64);
-            if restarts < params.max_restarts {
-                let backoff = params.backoff_base * 2u32.pow(restarts.min(6));
+            if restarts < sup.max_restarts {
+                let backoff = sup.backoff_base * 2u32.pow(restarts.min(6));
                 *slot = WorkerSlot::Backoff {
                     at: Instant::now() + backoff,
                     restarts: restarts + 1,
@@ -765,7 +780,7 @@ fn supervisor_loop(
                     shared.metrics.record_worker_restart();
                     trace::instant("worker_restart", i as u64);
                     *slot = WorkerSlot::Running {
-                        handle: spawn_worker(shared, make_replica, i),
+                        handle: spawn_worker(shared, i),
                         restarts,
                     };
                 }
@@ -779,6 +794,9 @@ fn supervisor_loop(
             fail_queued(shared);
             return;
         }
+
+        // --- serve a newly published version
+        sup.refresh(&shared.current);
 
         // --- brownout watermark hysteresis
         let depth = shared.queue.len();
@@ -802,7 +820,7 @@ fn supervisor_loop(
             trace::instant("brownout_exit", depth as u64);
         }
 
-        std::thread::sleep(params.poll);
+        std::thread::sleep(sup.poll);
     }
 }
 
@@ -815,23 +833,14 @@ fn fail_queued(shared: &Shared) {
     }
 }
 
-/// One worker: hot-swap check, collect, execute, route — until the queue
-/// closes (or a panic unwinds the thread; the supervisor takes it from
-/// there, and the in-flight batch's requests fail via the [`Request`] drop
-/// guard rather than hanging).
-fn worker_loop(shared: &Shared, net: &mut Network, mut version: u64) {
+/// One worker: collect, execute, route — until the queue closes (or a
+/// panic unwinds the thread; the supervisor takes it from there, and the
+/// in-flight batch's requests fail via the [`Request`] drop guard rather
+/// than hanging). It owns only scratch: the network is the server's.
+fn worker_loop(shared: &Shared) {
+    let mut ws = Workspace::new();
     let mut batch_in = Tensor::zeros(&[0]);
     loop {
-        // Hot-swap strictly between batches: the batch that is about to run
-        // sees exactly one published version, never a half-loaded mix. A
-        // version that fails to load (e.g. published for a different
-        // architecture under the same name) is skipped and the worker keeps
-        // serving its current weights.
-        if let Some(latest) = shared.registry.latest(&shared.model_name) {
-            if latest.version != version && net.load_checkpoint_bytes(&latest.bytes).is_ok() {
-                version = latest.version;
-            }
-        }
         // Brownout shrinks max_wait: under sustained overload, waiting for
         // batch companions is pointless (the queue is full of them) and the
         // drain rate is what protects p99.
@@ -839,18 +848,9 @@ fn worker_loop(shared: &Shared, net: &mut Network, mut version: u64) {
         if shared.brownout_active.load(Ordering::Relaxed) {
             policy.max_wait /= shared.brownout.wait_divisor;
         }
-        // Explicit-time span so idle collect rounds (the common case on a
-        // quiet server) record nothing at all.
-        let collect_from = if trace::enabled() { now_ns() } else { 0 };
-        match collect_batch(&shared.queue, &policy, shared.idle_poll) {
+        match collect_batch(&shared.queue, &policy) {
             Collected::Closed => break,
-            Collected::Idle => continue,
-            Collected::Batch(requests, reason) => {
-                if collect_from != 0 {
-                    trace::span_at("batch_collect", collect_from, now_ns(), 0, reason as u64);
-                }
-                run_batch(shared, net, version, &mut batch_in, requests);
-            }
+            Collected::Batch(requests, _) => run_batch(shared, &mut ws, &mut batch_in, requests),
         }
     }
 }
@@ -870,13 +870,7 @@ impl Drop for Departure<'_> {
 }
 
 /// Executes one collected micro-batch and routes the responses.
-fn run_batch(
-    shared: &Shared,
-    net: &mut Network,
-    version: u64,
-    batch_in: &mut Tensor,
-    requests: Vec<Request>,
-) {
+fn run_batch(shared: &Shared, ws: &mut Workspace, batch_in: &mut Tensor, requests: Vec<Request>) {
     // deadline triage first: expired requests are dropped unexecuted so
     // they cost no forward time; in brownout, requests whose remaining
     // slack is below the configured minimum are shed as well — they would
@@ -941,10 +935,13 @@ fn run_batch(
         stacked[i * sample_len..(i + 1) * sample_len].copy_from_slice(request.sample.as_slice());
     }
 
+    // the whole batch runs on the version current as it starts; a swap
+    // meanwhile applies to the next batch
+    let served = Arc::clone(&lock(&shared.current));
     let out = {
         let execute = trace::span("batch_execute");
         execute.set_payload(batch as u64);
-        net.infer(batch_in)
+        served.net.infer_with(batch_in, ws)
     };
     let row = out.len() / batch;
     let out_rows = out.as_slice();
@@ -970,9 +967,10 @@ fn run_batch(
         }
         request.slot.complete(Ok(Response {
             logits: out_rows[i * row..(i + 1) * row].to_vec(),
-            model_version: version,
+            model_version: served.version,
             latency,
             batch_size: batch,
         }));
     }
+    ws.give(out);
 }

@@ -1,13 +1,16 @@
 //! Server-level concurrency tests: request/response routing integrity under
-//! load, deadline expiry, admission backpressure, and hot-swap atomicity.
+//! load, deadline expiry, admission backpressure, hot-swap atomicity, one
+//! build per published version, and served bits against a direct forward.
 
-use hs_nn::{Layer, Linear, Network, Sequential, Workspace};
+use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
+use hs_nn::{CheckpointError, Layer, Linear, Network, Sequential, Workspace};
 use hs_serve::{BatchPolicy, ModelRegistry, ServeError, Server, ServerConfig};
-use hs_tensor::Tensor;
+use hs_tensor::{DType, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A `Linear(4, 4)` network whose weights will be overwritten anyway.
 fn linear_net() -> Network {
@@ -567,7 +570,6 @@ fn requests_without_deadlines_survive_brownout() {
 
 #[test]
 fn f16_replicas_serve_close_to_f32_outputs() {
-    use hs_tensor::DType;
     // a non-trivial weight matrix so quantization actually rounds something
     let registry = Arc::new(ModelRegistry::new());
     let mut rng = StdRng::seed_from_u64(77);
@@ -667,4 +669,248 @@ fn unrepresentable_deadlines_and_waits_mean_none() {
     assert_eq!(client.infer(x, forever).unwrap().logits, vec![3.0; 4]);
     assert_eq!(server.metrics().worker_panics, 0);
     server.shutdown();
+}
+
+/// Polls `done` every millisecond for up to five seconds.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Sends `per_client` requests from each of `clients` threads and asserts
+/// every response is `scale * x` from `version`.
+fn assert_serves(server: &Server, clients: usize, per_client: usize, version: u64, scale: f32) {
+    std::thread::scope(|s| {
+        for t in 0..clients {
+            let client = server.client();
+            s.spawn(move || {
+                for i in 0..per_client {
+                    let v = (t * 100 + i) as f32;
+                    let r = client.infer(Tensor::full(&[4], v), None).unwrap();
+                    assert_eq!(r.model_version, version, "request {v}");
+                    assert_eq!(r.logits, vec![scale * v; 4], "request {v}");
+                }
+            });
+        }
+    });
+}
+
+/// Waits until `server` answers from `version`, then kills a worker with
+/// the chaos fuse and checks the respawned pool still serves `version`.
+fn assert_swap_then_respawn(server: &Server, version: u64, scale: f32) {
+    let client = server.client();
+    let x = Tensor::ones(&[4]);
+    wait_until("the hot-swap", || {
+        client.infer(x.clone(), None).unwrap().model_version == version
+    });
+    assert_serves(server, 2, 10, version, scale);
+    server.inject_worker_panic();
+    match client.infer(x, None) {
+        Err(ServeError::WorkerPanicked) => {}
+        other => panic!("expected WorkerPanicked from the fuse, got {other:?}"),
+    }
+    wait_until("the respawn", || server.metrics().worker_restarts == 1);
+    assert_serves(server, 2, 10, version, scale);
+}
+
+/// A factory for `build` that counts its calls and panics on the next call
+/// once `fail_next` is set.
+fn counting_factory(
+    build: fn() -> Network,
+) -> (
+    impl Fn() -> Network + Send + Sync + 'static,
+    Arc<AtomicUsize>,
+    Arc<AtomicBool>,
+) {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let fail_next = Arc::new(AtomicBool::new(false));
+    let make = {
+        let (calls, fail_next) = (Arc::clone(&calls), Arc::clone(&fail_next));
+        move || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            if fail_next.swap(false, Ordering::SeqCst) {
+                panic!("factory failure (test)");
+            }
+            build()
+        }
+    };
+    (make, calls, fail_next)
+}
+
+#[test]
+fn each_version_is_built_once_whatever_the_worker_count() {
+    let registry = Arc::new(ModelRegistry::new());
+    let v1 = publish_scaled_identity(&registry, "m", 1.0);
+    let (make, calls, _) = counting_factory(linear_net);
+    let server = Server::start(
+        Arc::clone(&registry),
+        "m",
+        make,
+        &[4],
+        ServerConfig::new(2, 64, BatchPolicy::new(4, 200)),
+    )
+    .unwrap();
+    assert_serves(&server, 4, 25, v1, 1.0);
+
+    let v2 = publish_scaled_identity(&registry, "m", 2.0);
+    assert_swap_then_respawn(&server, v2, 2.0);
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        2,
+        "two versions were served: workers, respawns and start-up validation build nothing more"
+    );
+    server.shutdown();
+}
+
+/// An identity layer holding one buffer, so the model's checkpoint ends in
+/// a buffer payload.
+struct Tally(Tensor);
+
+impl Layer for Tally {
+    fn forward_train(&mut self, input: &Tensor) -> Tensor {
+        input.clone()
+    }
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        grad_out.clone()
+    }
+    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
+        out.clone_from(input);
+    }
+    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.0]
+    }
+    fn name(&self) -> &'static str {
+        "tally"
+    }
+}
+
+/// `linear_net` followed by a [`Tally`].
+fn buffered_net() -> Network {
+    let mut rng = StdRng::seed_from_u64(0);
+    Network::new(Sequential::new(vec![
+        Box::new(Linear::new(4, 4, &mut rng)),
+        Box::new(Tally(Tensor::zeros(&[1]))),
+    ]))
+}
+
+/// Checkpoint bytes of a `buffered_net` computing `y = c * x`.
+fn buffered_bytes(c: f32) -> Vec<u8> {
+    let mut net = buffered_net();
+    let mut weights = scaled_identity_weights(c);
+    weights.push(c);
+    net.set_weights(&weights);
+    net.to_checkpoint_bytes()
+}
+
+#[test]
+fn a_bad_publish_is_built_once_rejected_and_never_served() {
+    let registry = Arc::new(ModelRegistry::new());
+    let v1 = registry.publish_bytes("m", buffered_bytes(1.0));
+    let (make, calls, fail_next) = counting_factory(buffered_net);
+    let server = Server::start(
+        Arc::clone(&registry),
+        "m",
+        make,
+        &[4],
+        ServerConfig::new(2, 64, BatchPolicy::new(4, 200)),
+    )
+    .unwrap();
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
+
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut wrong = Network::new(Sequential::new(vec![Box::new(Linear::new(7, 7, &mut rng))]));
+    let mut flipped = buffered_bytes(5.0);
+    let last_buffer_byte = flipped.len() - 5; // the buffer's CRC is the last 4 bytes
+    flipped[last_buffer_byte] ^= 0x01;
+    match buffered_net().load_checkpoint_bytes(&flipped) {
+        Err(CheckpointError::CrcMismatch { .. }) => {}
+        other => panic!("the flipped blob must fail its last CRC, got {other:?}"),
+    }
+    let bad = [
+        (
+            "a wrong-architecture blob",
+            wrong.to_checkpoint_bytes(),
+            false,
+        ),
+        ("a flipped buffer byte", flipped, false),
+        ("a panicking factory", buffered_bytes(6.0), true),
+    ];
+    for (built, (what, bytes, factory_panics)) in (2..).zip(bad) {
+        fail_next.store(factory_panics, Ordering::SeqCst);
+        registry.publish_bytes("m", bytes);
+        wait_until(what, || calls.load(Ordering::SeqCst) == built);
+        // many batches and supervisor ticks later: still v1, never rebuilt
+        for _ in 0..4 {
+            assert_serves(&server, 2, 10, v1, 1.0);
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(calls.load(Ordering::SeqCst), built, "{what} was rebuilt");
+    }
+
+    // a later good version is picked up, and the supervisor still respawns
+    let v5 = registry.publish_bytes("m", buffered_bytes(3.0));
+    assert_swap_then_respawn(&server, v5, 3.0);
+    assert_eq!(calls.load(Ordering::SeqCst), 5);
+    assert_eq!(server.in_flight(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn served_zoo_logits_are_bit_identical_to_a_direct_forward() {
+    let cfg = VisionConfig::new(3, 5, 8);
+    let dims = [3, 8, 8];
+    let samples: Vec<Tensor> = (0..6)
+        .map(|i| Tensor::rand_uniform(&dims, 0.0, 1.0, &mut StdRng::seed_from_u64(100 + i)))
+        .collect();
+    for kind in [
+        ModelKind::SimpleCnn,
+        ModelKind::MobileNetV3Small,
+        ModelKind::ShuffleNetV2,
+        ModelKind::SqueezeNet,
+    ] {
+        let make = move || build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(7));
+        let registry = Arc::new(ModelRegistry::new());
+        let mut trained = build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(11));
+        registry.publish("zoo", &mut trained);
+        let bytes = registry.latest("zoo").unwrap();
+        for dtype in [DType::F32, DType::F16, DType::I8] {
+            let mut direct = make();
+            direct.fuse_inference();
+            direct.to_dtype(dtype);
+            direct.load_checkpoint_bytes(&bytes.bytes).unwrap();
+            let server = Server::start(
+                Arc::clone(&registry),
+                "zoo",
+                make,
+                &dims,
+                ServerConfig::new(2, 64, BatchPolicy::batch_of_one()).with_dtype(dtype),
+            )
+            .unwrap();
+            let client = server.client();
+            let pending: Vec<_> = samples
+                .iter()
+                .map(|s| client.submit(s.clone(), None).unwrap())
+                .collect();
+            for (i, (sample, p)) in samples.iter().zip(pending).enumerate() {
+                let got: Vec<u32> = p
+                    .wait()
+                    .unwrap()
+                    .logits
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let want: Vec<u32> = direct
+                    .infer(&sample.reshape(&[1, 3, 8, 8]))
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(got, want, "{kind:?} {dtype} sample {i}");
+            }
+            server.shutdown();
+        }
+    }
 }

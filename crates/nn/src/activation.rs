@@ -84,7 +84,8 @@ impl Layer for Relu6 {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("backward before forward");
-        grad_out.zip(input, |g, x| if x > 0.0 && x < 6.0 { g } else { 0.0 })
+        // `&`, not `&&`: both compares run, so the select vectorises
+        grad_out.zip(input, |g, x| if (x > 0.0) & (x < 6.0) { g } else { 0.0 })
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
@@ -276,16 +277,16 @@ impl Layer for HardSigmoid {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("backward before forward");
-        grad_out.zip(
-            input,
-            |g, x| {
-                if x > -3.0 && x < 3.0 {
-                    g / 6.0
-                } else {
-                    0.0
-                }
-            },
-        )
+        // select form: the slope is computed everywhere and both compares
+        // run (`&`, not `&&`), so the loop is branch-free and vectorises
+        grad_out.zip(input, |g, x| {
+            let slope = g / 6.0;
+            if (x > -3.0) & (x < 3.0) {
+                slope
+            } else {
+                0.0
+            }
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -323,14 +324,15 @@ impl Layer for HardSwish {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let input = self.cached_input.as_ref().expect("backward before forward");
+        // select form: the ramp `(2x + 3) / 6` is computed everywhere, then
+        // two selects clamp it — the same bits as the three-way branch (NaN
+        // fails both compares and keeps the ramp's NaN), but branch-free, so
+        // the loop vectorises and a spread of `x` around ±3 cannot
+        // mispredict
         grad_out.zip(input, |g, x| {
-            let d = if x <= -3.0 {
-                0.0
-            } else if x >= 3.0 {
-                1.0
-            } else {
-                (2.0 * x + 3.0) / 6.0
-            };
+            let ramp = (2.0 * x + 3.0) / 6.0;
+            let d = if x <= -3.0 { 0.0 } else { ramp };
+            let d = if x >= 3.0 { 1.0 } else { d };
             g * d
         })
     }
@@ -431,6 +433,85 @@ mod tests {
         numerical_check(&mut HardSwish::new(), 1.0);
         numerical_check(&mut HardSwish::new(), -1.0);
         numerical_check(&mut HardSwish::new(), 4.0);
+    }
+
+    #[test]
+    fn backward_is_the_branch_formula_bit_for_bit() {
+        // the branch forms each backward had before it became a select;
+        // `x` sits on and around the kinks, at signed zeros, infinities,
+        // NaN and a subnormal, `g` includes a NaN
+        let up = |x: f32| f32::from_bits(x.to_bits() + 1);
+        let xs = [
+            3.0,
+            -3.0,
+            up(3.0),
+            up(-3.0),
+            f32::from_bits(3.0f32.to_bits() - 1),
+            f32::from_bits((-3.0f32).to_bits() - 1),
+            0.0,
+            -0.0,
+            6.0,
+            up(6.0),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+        ];
+        let gs = [1.0f32, -2.5, f32::NAN];
+        type Formula = fn(f32, f32) -> f32;
+        let table: [(Box<dyn Layer>, Formula); 5] = [
+            (Box::new(HardSwish::new()), |g, x| {
+                let d = if x <= -3.0 {
+                    0.0
+                } else if x >= 3.0 {
+                    1.0
+                } else {
+                    (2.0 * x + 3.0) / 6.0
+                };
+                g * d
+            }),
+            (Box::new(HardSigmoid::new()), |g, x| {
+                if x > -3.0 && x < 3.0 {
+                    g / 6.0
+                } else {
+                    0.0
+                }
+            }),
+            (Box::new(Relu::new()), |g, x| if x > 0.0 { g } else { 0.0 }),
+            (Box::new(Relu6::new()), |g, x| {
+                if x > 0.0 && x < 6.0 {
+                    g
+                } else {
+                    0.0
+                }
+            }),
+            (Box::new(LeakyRelu::new(0.1)), |g, x| {
+                if x > 0.0 {
+                    g
+                } else {
+                    0.1 * g
+                }
+            }),
+        ];
+        // every (x, g) pair in one tensor, long enough for the vector body
+        let (x, g): (Vec<f32>, Vec<f32>) = xs
+            .iter()
+            .flat_map(|&x| gs.iter().map(move |&g| (x, g)))
+            .unzip();
+        let dims = [x.len()];
+        for (mut layer, formula) in table {
+            let _ = layer.forward(&Tensor::from_vec(x.clone(), &dims), true);
+            let got = layer.backward(&Tensor::from_vec(g.clone(), &dims));
+            for ((&x, &g), &d) in x.iter().zip(&g).zip(got.as_slice()) {
+                assert_eq!(
+                    d.to_bits(),
+                    formula(g, x).to_bits(),
+                    "{}: x = {x:e}, g = {g}",
+                    layer.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::{
     BatchNorm2d, Conv2d, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, Param, ParamStore,
     Relu, Sequential, Workspace,
 };
-use hs_tensor::{DType, Tensor};
+use hs_tensor::{dot_lanes, DType, Tensor};
 use rand::rngs::StdRng;
 
 /// Extracts channels `[from, to)` of a `[n, c, h, w]` tensor.
@@ -197,17 +197,13 @@ impl Layer for SqueezeExcite {
         let mut grad_direct = vec![0.0f32; x.len()];
         // gradient w.r.t. the per-channel gates
         let mut grad_scale = vec![0.0f32; n * c];
-        for ni in 0..n {
-            for ci in 0..c {
-                let off = (ni * c + ci) * hw;
-                let g = s[ni * c + ci];
-                let mut acc = 0.0;
-                for i in 0..hw {
-                    grad_direct[off + i] = go[off + i] * g;
-                    acc += go[off + i] * x[off + i];
-                }
-                grad_scale[ni * c + ci] = acc;
+        for nc in 0..n * c {
+            let (go, x) = (&go[nc * hw..(nc + 1) * hw], &x[nc * hw..(nc + 1) * hw]);
+            let g = s[nc];
+            for (d, &dy) in grad_direct[nc * hw..(nc + 1) * hw].iter_mut().zip(go) {
+                *d = dy * g;
             }
+            grad_scale[nc] = dot_lanes(go, x);
         }
         let grad_through_squeeze = self
             .squeeze

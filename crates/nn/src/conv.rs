@@ -61,7 +61,8 @@ use hs_tensor::gemm::NR;
 use hs_tensor::{
     depthwise_conv2d, depthwise_conv2d_backward, gemm, gemm_acc, gemm_acc_q,
     gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided_q, gemm_epilogue_q, he_normal,
-    transpose_into, valid_out_range, DType, Epilogue, EpilogueAct, QTensor, Tensor, WeightMat,
+    sum_lanes, transpose_into, valid_out_range, DType, Epilogue, EpilogueAct, QTensor, Tensor,
+    WeightMat,
 };
 use rand::rngs::StdRng;
 
@@ -1058,8 +1059,7 @@ impl Layer for Conv2d {
                         let go_g = &go[go_off..go_off + cout_g * ohw];
                         // bias gradient
                         for oc in 0..cout_g {
-                            gb_part[g * cout_g + oc] +=
-                                go_g[oc * ohw..(oc + 1) * ohw].iter().sum::<f32>();
+                            gb_part[g * cout_g + oc] += sum_lanes(&go_g[oc * ohw..(oc + 1) * ohw]);
                         }
                         // weight gradient: dW_g += dOut_g * col^T
                         transpose_into(col, &mut col_t, wrow, ohw);

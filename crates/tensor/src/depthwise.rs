@@ -33,7 +33,14 @@
 //! the bias gradient straight from the input and `grad_out` blocks, in the
 //! same tap-outer / contiguous-row-inner shape — the im2col route spent its
 //! time building, transposing and multiplying a `k² × (oh·ow)` column matrix
-//! per (sample, channel) for `2·k²·oh·ow` useful multiply-adds.
+//! per (sample, channel) for `2·k²·oh·ow` useful multiply-adds. The zoo's
+//! two 3×3 pad-1 geometries have bodies of their own: at stride 1 the input
+//! gradient is the forward kernel run over `grad_out` with the kernel
+//! rotated; at stride 2 a band of rows is laid out in zero-padded even/odd
+//! column planes, so each tap is one contiguous lane-split dot product and
+//! each input-gradient parity class one contiguous pass
+//! ([`backward_3x3_s2p1`]). Every other geometry, and a stride-2 channel
+//! with a value that is not finite, takes [`backward_generic`].
 //!
 //! # Safety
 //!
@@ -49,6 +56,7 @@ use crate::isa::{isa, Isa};
 use crate::lanes::{lane_mask, with_act, ActBody, Lanes, Portable};
 #[cfg(target_arch = "x86_64")]
 use crate::lanes::{Avx2, Avx512};
+use crate::reduce::{sum_lanes, LaneSum};
 
 /// For one kernel tap offset `k` (row or column), the half-open range of
 /// output coordinates whose sampled input coordinate `o*stride + k - pad`
@@ -442,42 +450,6 @@ fn depthwise_generic(
     }
 }
 
-/// Independent partial sums a row dot product is split over, so the
-/// reduction is not one serial chain of dependent adds (and vectorises).
-const LANES: usize = 8;
-
-/// `acc[i % LANES] += a[i]·b[i]` for two equally long rows; the caller sums
-/// the lanes at the end.
-#[inline]
-fn dot_lanes(acc: &mut [f32; LANES], a: &[f32], b: &[f32]) {
-    debug_assert_eq!(a.len(), b.len());
-    let mut ca = a.chunks_exact(LANES);
-    let mut cb = b.chunks_exact(LANES);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for l in 0..LANES {
-            acc[l] += xa[l] * xb[l];
-        }
-    }
-    for ((lane, x), y) in acc.iter_mut().zip(ca.remainder()).zip(cb.remainder()) {
-        *lane += x * y;
-    }
-}
-
-/// `Σ xs[i]`, split over [`LANES`] partial sums like [`dot_lanes`].
-fn sum_lanes(xs: &[f32]) -> f32 {
-    let mut acc = [0.0f32; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for l in 0..LANES {
-            acc[l] += chunk[l];
-        }
-    }
-    for (lane, x) in acc.iter_mut().zip(chunks.remainder()) {
-        *lane += x;
-    }
-    acc.iter().sum()
-}
-
 /// Backward pass of [`depthwise_conv2d`] for one `[c, h, w]` sample: given
 /// the forward `input`, the `[c, k, k]` `weights` and the `[c, oh, ow]`
 /// output gradient, writes the input gradient into `grad_in` (`[c, h, w]`,
@@ -528,6 +500,8 @@ pub fn depthwise_conv2d_backward(
     assert!(grad_w.len() >= c * k * k, "depthwise grad_w too short");
     assert!(grad_b.len() >= c, "depthwise grad_b too short");
 
+    let mut s2_planes =
+        (k == 3 && stride == 2 && pad == 1 && S2Planes::fits(ow)).then(S2Planes::new);
     for ci in 0..c {
         let chan_in = &input[ci * h * w..(ci + 1) * h * w];
         let chan_w = &weights[ci * k * k..(ci + 1) * k * k];
@@ -556,9 +530,20 @@ pub fn depthwise_conv2d_backward(
             conv3x3(&rotated_conv, chan_gin);
             grad_w_3x3_s1p1(chan_in, chan_go, chan_gw, h, w);
         } else {
-            backward_generic(
-                chan_in, chan_w, chan_go, chan_gin, chan_gw, h, w, k, stride, pad, oh, ow,
-            );
+            // the stride-2 planes multiply padding zeros by real values,
+            // which is only exact when none of them is infinite or NaN: the
+            // weights and grad_out are checked here, the input by the kernel
+            let direct = match s2_planes.as_mut() {
+                Some(planes) if go_sum.is_finite() && chan_w.iter().all(|v| v.is_finite()) => {
+                    backward_3x3_s2p1(chan_in, chan_w, chan_go, chan_gin, chan_gw, h, w, planes)
+                }
+                _ => false,
+            };
+            if !direct {
+                backward_generic(
+                    chan_in, chan_w, chan_go, chan_gin, chan_gw, h, w, k, stride, pad, oh, ow,
+                );
+            }
         }
         if pad > 0 && !go_sum.is_finite() {
             for_each_padding_tap(h, w, k, stride, pad, oh, ow, |tap, o| {
@@ -570,10 +555,10 @@ pub fn depthwise_conv2d_backward(
 
 /// Weight gradient of one 3×3 stride-1 pad-1 channel in a single sweep over
 /// the output rows: each of the (up to) nine taps is a dot product of the
-/// `grad_out` row with a shifted input row, kept as [`LANES`] partial sums
-/// across all rows and reduced once at the end.
+/// `grad_out` row with a shifted input row, kept as one [`LaneSum`] per tap
+/// across all rows and totalled once at the end.
 fn grad_w_3x3_s1p1(input: &[f32], go: &[f32], gw: &mut [f32], h: usize, w: usize) {
-    let mut acc = [[0.0f32; LANES]; 9];
+    let mut acc = [LaneSum::default(); 9];
     for oi in 0..h {
         let go_row = &go[oi * w..(oi + 1) * w];
         // input rows oi-1, oi, oi+1 that exist
@@ -582,14 +567,200 @@ fn grad_w_3x3_s1p1(input: &[f32], go: &[f32], gw: &mut [f32], h: usize, w: usize
         for ki in ki_lo..ki_hi {
             let ii = oi + ki - 1;
             let in_row = &input[ii * w..(ii + 1) * w];
-            dot_lanes(&mut acc[ki * 3], &go_row[1..], &in_row[..w - 1]);
-            dot_lanes(&mut acc[ki * 3 + 1], go_row, in_row);
-            dot_lanes(&mut acc[ki * 3 + 2], &go_row[..w - 1], &in_row[1..]);
+            acc[ki * 3].add_dot(&go_row[1..], &in_row[..w - 1]);
+            acc[ki * 3 + 1].add_dot(go_row, in_row);
+            acc[ki * 3 + 2].add_dot(&go_row[..w - 1], &in_row[1..]);
         }
     }
     for (g, lanes) in gw.iter_mut().zip(acc.iter()) {
-        *g += lanes.iter().sum::<f32>();
+        *g += lanes.total();
     }
+}
+
+/// Floats in one scratch plane of the 3×3 stride-2 backward: a band of
+/// output rows is processed at a time, as many as fit.
+const S2_PLANE: usize = 1024;
+
+/// Scratch of the 3×3 stride-2 backward, with `s = ow + 1` floats per row
+/// and column `t` of a row standing for output column `oj = t − 1`.
+///
+/// `go` holds one band of `grad_out` rows behind a zero column, plus the
+/// row after the band (zero past the end) and a trailing zero. For the
+/// weight gradient, `phase` holds the input rows the band samples, split by
+/// row and column parity, each row behind a zero: `[ev_e, ev_q, od_e,
+/// od_q]`, `ev_*` from input rows `2·oi` (kernel row 1) and `od_*` from
+/// input rows `2·oi − 1` (kernel row 0; one row further down, kernel
+/// row 2). `*_e[t]` is input column `2·oj` (kernel column 1), `*_q[t]` input
+/// column `2·oj + 1` (kernel column 2) and `*_q[t − 1]` input column
+/// `2·oj − 1` (kernel column 0). For the input gradient, `phase` is then
+/// overwritten by its four parity classes: input rows `2·oi` and `2·oi + 1`,
+/// each at input columns `2·oj` and `2·oj + 1`.
+struct S2Planes {
+    go: [f32; S2_PLANE],
+    phase: [[f32; S2_PLANE]; 4],
+}
+
+impl S2Planes {
+    fn new() -> Self {
+        S2Planes {
+            go: [0.0; S2_PLANE],
+            phase: [[0.0; S2_PLANE]; 4],
+        }
+    }
+
+    /// Whether a channel with `ow` output columns fits at least one band.
+    fn fits(ow: usize) -> bool {
+        3 * (ow + 1) < S2_PLANE
+    }
+}
+
+/// Splits input row `row` (all zeros outside `0..h`) into its even columns
+/// `e[1..=ow]` and odd columns `q[1..]`, behind a zero at `e[0]` / `q[0]`
+/// and zero-filled past the row's end.
+fn split_row(chan_in: &[f32], row: isize, h: usize, w: usize, e: &mut [f32], q: &mut [f32]) {
+    if row < 0 || row as usize >= h {
+        e.fill(0.0);
+        q.fill(0.0);
+        return;
+    }
+    let in_row = &chan_in[row as usize * w..][..w];
+    (e[0], q[0]) = (0.0, 0.0);
+    for ((pair, e), q) in in_row.chunks_exact(2).zip(&mut e[1..]).zip(&mut q[1..]) {
+        *e = pair[0];
+        *q = pair[1];
+    }
+    if w % 2 == 1 {
+        // the last even column has no odd partner
+        (e[e.len() - 1], q[q.len() - 1]) = (in_row[w - 1], 0.0);
+    }
+}
+
+/// Writes one input row from its even-column and odd-column values (an
+/// index loop over equally long slices, which vectorises as shuffles).
+fn interleave(row: &mut [f32], even: &[f32], odd: &[f32]) {
+    let half = row.len() / 2;
+    let (pairs, e, o) = (&mut row[..2 * half], &even[..half], &odd[..half]);
+    for b in 0..half {
+        pairs[2 * b] = e[b];
+        pairs[2 * b + 1] = o[b];
+    }
+    if row.len() % 2 == 1 {
+        row[2 * half] = even[half];
+    }
+}
+
+/// The backward body of one 3×3 stride-2 pad-1 channel whose weights and
+/// `grad_out` are all finite, a band of output rows at a time. Returns
+/// `false`, with `chan_gw` untouched, when a weight gradient comes out
+/// infinite or NaN: every input element is sampled by some tap, so that is
+/// the case whenever the input is not all finite, and the caller then runs
+/// [`backward_generic`] instead.
+///
+/// The band's `grad_out` rows and the input rows they sample are laid out in
+/// [`S2Planes`], zero-padded so that every tap reads at one fixed offset
+/// from the `grad_out` element: each of the nine weight gradients is one
+/// flat lane-split dot product over the band, and each parity class of the
+/// input gradient one flat pass of products and sums over it, interleaved
+/// into the input rows at the end. The zero column and the zero padding
+/// only ever contribute products of zero with finite values, which leave a
+/// sum's value alone. The input gradient adds each tap's term in
+/// [`backward_generic`]'s order from a `+0` start, so it is that loop's
+/// bits exactly (an extra `w·0` term adds a zero to a sum that is never
+/// `−0`); the weight gradient's sums run in another lane order than the
+/// generic loop's row-by-row ones, so they may differ in the last bits.
+#[allow(clippy::too_many_arguments)]
+fn backward_3x3_s2p1(
+    chan_in: &[f32],
+    chan_w: &[f32],
+    chan_go: &[f32],
+    chan_gin: &mut [f32],
+    chan_gw: &mut [f32],
+    h: usize,
+    w: usize,
+    p: &mut S2Planes,
+) -> bool {
+    let (oh, ow) = ((h - 1) / 2 + 1, (w - 1) / 2 + 1);
+    let s = ow + 1;
+    // output rows per band: `go` holds the band plus one row and a zero
+    let band = S2_PLANE / s - 2;
+    let [w00, w01, w02, w10, w11, w12, w20, w21, w22] = <[f32; 9]>::try_from(chan_w).unwrap();
+    let mut acc = [LaneSum::default(); 9];
+    for a0 in (0..oh).step_by(band) {
+        let rows = band.min(oh - a0);
+        let n = rows * s;
+        for r in 0..=rows {
+            let g = &mut p.go[r * s..][..s];
+            g[0] = 0.0;
+            match chan_go.get((a0 + r) * ow..(a0 + r + 1) * ow) {
+                Some(go_row) => g[1..].copy_from_slice(go_row),
+                None => g[1..].fill(0.0),
+            }
+        }
+        p.go[(rows + 1) * s] = 0.0;
+        let go = &p.go;
+
+        // weight gradient: tap (ki, kj) pairs `go[t]` with phase element
+        // t + (ki == 2)·s − (kj == 0); `go[0]` is a zero, so the runs
+        // start at 1
+        let [ev_e, ev_q, od_e, od_q] = &mut p.phase;
+        for r in 0..=rows {
+            let a = (a0 + r) as isize;
+            let (e, q) = (&mut od_e[r * s..][..s], &mut od_q[r * s..][..s]);
+            split_row(chan_in, 2 * a - 1, h, w, e, q);
+            if r < rows {
+                let (e, q) = (&mut ev_e[r * s..][..s], &mut ev_q[r * s..][..s]);
+                split_row(chan_in, 2 * a, h, w, e, q);
+            }
+        }
+        for (tap, lanes) in acc.iter_mut().enumerate() {
+            let (ki, kj) = (tap / 3, tap % 3);
+            let phase = &p.phase[2 * usize::from(ki != 1) + usize::from(kj != 1)];
+            let off = if ki == 2 { s } else { 0 } + usize::from(kj != 0);
+            lanes.add_dot(&go[1..n], &phase[off..off + n - 1]);
+        }
+
+        // input gradient: input row 2·oi takes kernel row 1 of grad_out row
+        // oi, input row 2·oi + 1 kernel row 0 of row oi + 1 (`+ s`) and
+        // kernel row 2 of row oi; input column 2·oj likewise takes kernel
+        // column 1 of column oj, input column 2·oj + 1 kernel column 0 of
+        // column oj + 1 (`+ 1`) and kernel column 2 of column oj
+        let (g, g1) = (&go[..n], &go[1..][..n]);
+        let (gs, gs1) = (&go[s..][..n], &go[s + 1..][..n]);
+        let [ee, eo, oe, oo] = &mut p.phase;
+        let (ee, eo, oe, oo) = (&mut ee[..n], &mut eo[..n], &mut oe[..n], &mut oo[..n]);
+        for i in 0..n {
+            ee[i] = 0.0 + w11 * g[i];
+            eo[i] = (0.0 + w10 * g1[i]) + w12 * g[i];
+            oe[i] = (0.0 + w01 * gs[i]) + w21 * g[i];
+            oo[i] = (((0.0 + w00 * gs1[i]) + w02 * gs[i]) + w20 * g1[i]) + w22 * g[i];
+        }
+        for r in 0..rows {
+            let ii = 2 * (a0 + r);
+            let t = r * s + 1;
+            interleave(&mut chan_gin[ii * w..][..w], &ee[t..], &eo[t..]);
+            if ii + 1 < h {
+                interleave(&mut chan_gin[(ii + 1) * w..][..w], &oe[t..], &oo[t..]);
+            }
+        }
+    }
+    let totals = acc.map(|lanes| lanes.total());
+    if !totals.iter().all(|t| t.is_finite()) {
+        return false;
+    }
+    for (tap, (g, total)) in chan_gw.iter_mut().zip(totals).enumerate() {
+        // as in backward_generic, a tap whose column range is empty (the
+        // left one of a one-column output, the right one of a one-column
+        // input) adds nothing, not even a zero
+        let empty = match tap % 3 {
+            0 => ow < 2,
+            2 => w < 2,
+            _ => false,
+        };
+        if !empty {
+            *g += total;
+        }
+    }
+    true
 }
 
 /// The generic tap-by-tap backward body for one channel (any kernel size,
@@ -620,13 +791,13 @@ fn backward_generic(
             if oj_hi <= oj_lo {
                 continue;
             }
-            let mut acc = [0.0f32; LANES];
+            let mut acc = LaneSum::default();
             for oi in oi_lo..oi_hi {
                 let ii = oi * stride + ki - pad;
                 let go_row = &chan_go[oi * ow + oj_lo..oi * ow + oj_hi];
                 if stride == 1 {
                     let jj0 = ii * w + oj_lo + kj - pad;
-                    dot_lanes(&mut acc, go_row, &chan_in[jj0..jj0 + go_row.len()]);
+                    acc.add_dot(go_row, &chan_in[jj0..jj0 + go_row.len()]);
                     let gin_row = &mut chan_gin[jj0..jj0 + go_row.len()];
                     for (g, &o) in gin_row.iter_mut().zip(go_row.iter()) {
                         *g += wv * o;
@@ -634,14 +805,21 @@ fn backward_generic(
                 } else {
                     let in_row = &chan_in[ii * w..(ii + 1) * w];
                     let gin_row = &mut chan_gin[ii * w..(ii + 1) * w];
-                    for (idx, &o) in go_row.iter().enumerate() {
-                        let jj = (oj_lo + idx) * stride + kj - pad;
-                        acc[idx % LANES] += o * in_row[jj];
-                        gin_row[jj] += wv * o;
+                    // gathers the strided inputs under each run of eight
+                    // outputs (a multiple of the lane count, so every
+                    // element keeps its lane)
+                    for (run, go_run) in go_row.chunks(8).enumerate() {
+                        let mut xs = [0.0f32; 8];
+                        for (t, (x, &o)) in xs.iter_mut().zip(go_run).enumerate() {
+                            let jj = (oj_lo + run * 8 + t) * stride + kj - pad;
+                            *x = in_row[jj];
+                            gin_row[jj] += wv * o;
+                        }
+                        acc.add_dot(go_run, &xs[..go_run.len()]);
                     }
                 }
             }
-            chan_gw[ki * k + kj] += acc.iter().sum::<f32>();
+            chan_gw[ki * k + kj] += acc.total();
         }
     }
 }
@@ -1002,14 +1180,16 @@ mod tests {
         (gin, gw, gb)
     }
 
-    /// Shapes for the backward sweeps: the 3×3 s1 p1 special case (square,
-    /// ragged, minimal), strided, 5×5, unpadded and pointwise.
-    const BACKWARD_SHAPES: [(usize, usize, usize, usize, usize, usize); 9] = [
+    /// Shapes for the backward sweeps: the 3×3 s1 p1 and s2 p1 special
+    /// cases (square, ragged, minimal), 5×5, unpadded and pointwise.
+    const BACKWARD_SHAPES: [(usize, usize, usize, usize, usize, usize); 11] = [
         (1, 5, 5, 3, 1, 1),
         (6, 7, 9, 3, 1, 1),
         (3, 16, 16, 3, 1, 1),
         (2, 2, 2, 3, 1, 1),
         (4, 8, 8, 3, 2, 1),
+        (3, 7, 9, 3, 2, 1),
+        (2, 1, 2, 3, 2, 1),
         (3, 6, 6, 5, 1, 2),
         (5, 9, 7, 5, 2, 2),
         (2, 4, 4, 1, 1, 0),
@@ -1064,6 +1244,66 @@ mod tests {
             assert_close_or_both_nan(&gin, &got_gin, &format!("{what} grad_in"));
             assert_close_or_both_nan(&gw, &got_gw, &format!("{what} grad_w"));
             assert_close_or_both_nan(&gb, &got_gb, &format!("{what} grad_b"));
+        }
+    }
+
+    #[test]
+    fn stride_2_backward_matches_the_generic_loop() {
+        // every extent from 1 to 17 in each direction (both parities, the
+        // degenerate one- and two-column rows) and one too tall for a single
+        // band, with signed zeros riding along: the input gradient is the
+        // generic loop's bits, the weight gradient its value; grad_w starts
+        // from a signed zero so a skipped tap and an added empty sum differ
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut planes = S2Planes::new();
+        let extents = (1..=17usize).flat_map(|h| (1..=17usize).map(move |w| (h, w)));
+        for (h, w) in extents.chain([(131, 61)]) {
+            let (oh, ow) = ((h - 1) / 2 + 1, (w - 1) / 2 + 1);
+            let mut input = rand_vec(&mut rng, h * w);
+            let mut go = rand_vec(&mut rng, oh * ow);
+            for v in input.iter_mut().chain(go.iter_mut()) {
+                if rng.gen_bool(0.1) {
+                    *v = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+                }
+            }
+            let weights = rand_vec(&mut rng, 9);
+            let (mut gin, mut gw) = (vec![7.0f32; h * w], vec![-0.0f32; 9]);
+            assert!(backward_3x3_s2p1(
+                &input,
+                &weights,
+                &go,
+                &mut gin,
+                &mut gw,
+                h,
+                w,
+                &mut planes
+            ));
+            let (mut gin_ref, mut gw_ref) = (vec![7.0f32; h * w], vec![-0.0f32; 9]);
+            backward_generic(
+                &input,
+                &weights,
+                &go,
+                &mut gin_ref,
+                &mut gw_ref,
+                h,
+                w,
+                3,
+                2,
+                1,
+                oh,
+                ow,
+            );
+            assert_eq!(bits(&gin_ref), bits(&gin), "{h}x{w} grad_in");
+            for (tap, (e, g)) in gw_ref.iter().zip(&gw).enumerate() {
+                if e.to_bits() == (-0.0f32).to_bits() {
+                    assert_eq!(g.to_bits(), e.to_bits(), "{h}x{w} grad_w[{tap}] skipped");
+                } else {
+                    assert!(
+                        (e - g).abs() <= 1e-5 * e.abs().max(1.0),
+                        "{h}x{w} grad_w[{tap}]: {e} vs {g}"
+                    );
+                }
+            }
         }
     }
 

@@ -47,6 +47,7 @@ mod isa;
 mod lanes;
 pub mod naive;
 mod ops;
+mod reduce;
 mod shape;
 pub mod storage;
 mod tensor;
@@ -61,6 +62,7 @@ pub use gemm::{
 };
 pub use init::{he_normal, uniform, xavier_uniform};
 pub use naive::matmul_naive;
+pub use reduce::{dot_lanes, sum_lanes, LaneSum};
 pub use shape::Shape;
 pub use storage::{F16Storage, I8Storage, QTensor, Storage};
 pub use tensor::{Tensor, TensorBase, TensorF16, TensorI8};

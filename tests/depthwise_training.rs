@@ -4,7 +4,8 @@
 //! pinned here against the scalar `forward_reference` / `backward_reference`
 //! oracle — across kernel sizes, strides, paddings, odd extents and batch
 //! sizes, under every sample-band fan-out width, through an interleaved eval
-//! pass, and for where non-finite values end up.
+//! pass, at the zoo's own stride-2 geometries, and for where non-finite
+//! values end up.
 
 use heteroswitch_repro::nn::{Conv2d, Layer};
 use heteroswitch_repro::parallel::set_num_threads;
@@ -241,6 +242,33 @@ fn non_finite_values_propagate_exactly_where_the_reference_puts_them() {
                 );
                 check_against_reference(&mut conv, &x, &go, &what);
             }
+        }
+    }
+}
+
+#[test]
+fn stride_2_training_matches_reference_at_the_zoo_geometries_and_odd_extents() {
+    // MobileNetV3-small's two 3×3 stride-2 pad-1 depthwise layers at the
+    // client step's batch (32 px input), then every odd extent 3..=17 in
+    // each direction, square and ragged
+    let _threads = ThreadsGuard::lock();
+    let mut rng = StdRng::seed_from_u64(45);
+    let mut shapes = vec![(10usize, 48usize, 16usize, 16usize), (10, 64, 8, 8)];
+    for h in (3..=17).step_by(2) {
+        for w in (3..=17).step_by(4) {
+            shapes.push((3, 4, h, w));
+        }
+    }
+    for threads in [1usize, 2] {
+        set_num_threads(Some(threads));
+        for &(batch, c, h, w) in &shapes {
+            let mut conv = Conv2d::depthwise(c, 3, 2, 1, &mut rng);
+            conv.params_mut()[1].value = Tensor::rand_uniform(&[c], -0.5, 0.5, &mut rng);
+            let x = Tensor::rand_uniform(&[batch, c, h, w], -1.0, 1.0, &mut rng);
+            let y_dims = conv.forward_reference(&x).dims().to_vec();
+            let grad_out = Tensor::rand_uniform(&y_dims, -1.0, 1.0, &mut rng);
+            let what = format!("t={threads} b={batch} c={c} {h}x{w}");
+            check_against_reference(&mut conv, &x, &grad_out, &what);
         }
     }
 }

@@ -3,6 +3,7 @@
 //! The mobile model zoo relies on the ReLU family plus the hard-swish /
 //! hard-sigmoid pair introduced by MobileNetV3.
 
+use crate::layer::{infer_fresh, store};
 use crate::{Layer, Workspace};
 use hs_tensor::{EpilogueAct, Tensor};
 
@@ -35,8 +36,8 @@ impl Default for Relu {
 
 impl Layer for Relu {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
-        input.map(|x| x.max(0.0))
+        store(&mut self.cached_input, input);
+        infer_fresh(self, input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -78,8 +79,8 @@ impl Default for Relu6 {
 
 impl Layer for Relu6 {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
-        input.map(|x| x.clamp(0.0, 6.0))
+        store(&mut self.cached_input, input);
+        infer_fresh(self, input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -119,9 +120,8 @@ impl LeakyRelu {
 
 impl Layer for LeakyRelu {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
-        let s = self.slope;
-        input.map(|x| if x > 0.0 { x } else { s * x })
+        store(&mut self.cached_input, input);
+        infer_fresh(self, input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -176,8 +176,8 @@ pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
 
 impl Layer for Sigmoid {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(sigmoid_scalar);
-        self.cached_output = Some(out.clone());
+        let out = infer_fresh(self, input);
+        store(&mut self.cached_output, &out);
         out
     }
 
@@ -220,8 +220,8 @@ impl Default for Tanh {
 
 impl Layer for Tanh {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        let out = input.map(f32::tanh);
-        self.cached_output = Some(out.clone());
+        let out = infer_fresh(self, input);
+        store(&mut self.cached_output, &out);
         out
     }
 
@@ -267,8 +267,8 @@ pub(crate) fn hard_sigmoid_scalar(x: f32) -> f32 {
 
 impl Layer for HardSigmoid {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
-        input.map(hard_sigmoid_scalar)
+        store(&mut self.cached_input, input);
+        infer_fresh(self, input)
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
@@ -314,8 +314,8 @@ impl Default for HardSwish {
 
 impl Layer for HardSwish {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        self.cached_input = Some(input.clone());
-        input.map(|x| x * hard_sigmoid_scalar(x))
+        store(&mut self.cached_input, input);
+        infer_fresh(self, input)
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {

@@ -2,6 +2,7 @@
 //! connections, squeeze-excite attention, MobileNetV3 inverted residuals,
 //! SqueezeNet fire modules and ShuffleNetV2 units.
 
+use crate::layer::store;
 use crate::{
     BatchNorm2d, Conv2d, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, Param, ParamStore,
     Relu, Sequential, Workspace,
@@ -55,6 +56,24 @@ fn concat_channels_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         o[ni * span..ni * span + ca * hw].copy_from_slice(&xa[ni * ca * hw..(ni + 1) * ca * hw]);
         o[ni * span + ca * hw..(ni + 1) * span]
             .copy_from_slice(&xb[ni * cb * hw..(ni + 1) * cb * hw]);
+    }
+}
+
+/// Scales each channel of the `[n, c, h, w]` input `x` by its gate
+/// (`gates[n * c]`), writing into `out` (resized): the squeeze-excite
+/// gating of both the training and the inference forward.
+fn apply_gates(x: &Tensor, gates: &[f32], out: &mut Tensor) {
+    let dims = x.dims();
+    let hw = dims[2] * dims[3];
+    out.resize_to(dims);
+    let (o, x) = (out.as_mut_slice(), x.as_slice());
+    for (nc, &g) in gates.iter().enumerate() {
+        for (ov, &xv) in o[nc * hw..(nc + 1) * hw]
+            .iter_mut()
+            .zip(&x[nc * hw..(nc + 1) * hw])
+        {
+            *ov = xv * g;
+        }
     }
 }
 
@@ -162,25 +181,12 @@ impl SqueezeExcite {
 
 impl Layer for SqueezeExcite {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let scale = self.squeeze.forward_train(input); // [n, c]
-        let s = scale.as_slice();
-        let x = input.as_slice();
-        let mut out = vec![0.0f32; x.len()];
-        let hw = h * w;
-        for ni in 0..n {
-            for ci in 0..c {
-                let g = s[ni * c + ci];
-                let off = (ni * c + ci) * hw;
-                for i in 0..hw {
-                    out[off + i] = x[off + i] * g;
-                }
-            }
-        }
-        self.cached_input = Some(input.clone());
+        let mut out = Tensor::zeros(&[0]);
+        apply_gates(input, scale.as_slice(), &mut out);
+        store(&mut self.cached_input, input);
         self.cached_scale = Some(scale);
-        Tensor::from_vec(out, dims)
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -212,24 +218,9 @@ impl Layer for SqueezeExcite {
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
-        let dims = input.dims();
-        let (n, c) = (dims[0], dims[1]);
-        let hw = dims[2] * dims[3];
         let mut scale = ws.take();
         self.squeeze.infer(input, &mut scale, ws); // [n, c]
-        let s = scale.as_slice();
-        out.resize_to(dims);
-        let o = out.as_mut_slice();
-        let x = input.as_slice();
-        for nc in 0..n * c {
-            let g = s[nc];
-            for (ov, &xv) in o[nc * hw..(nc + 1) * hw]
-                .iter_mut()
-                .zip(x[nc * hw..(nc + 1) * hw].iter())
-            {
-                *ov = xv * g;
-            }
-        }
+        apply_gates(input, scale.as_slice(), out);
         ws.give(scale);
     }
 

@@ -32,30 +32,31 @@
 //! dropped (a Winograd backend, a per-process stopwatch choosing the im2col
 //! route), are in `docs/PERF.md` ("Conv backend selection").
 //!
-//! **Training** has one path per geometry. Dense and grouped layers keep
-//! im2col→GEMM: forward caches the column matrices and backward consumes
-//! them (`dW_g += dOut_g * col^T`, `dCol = W_g^T * dOut_g` folded by
-//! col2im). Depthwise layers train on the direct kernels: forward is
-//! [`hs_tensor::depthwise_conv2d`] and caches the *input*, backward is
+//! **Training** forwards through the same body: [`Layer::forward_train`]
+//! stores the input and runs [`Conv2d::infer_epilogue`], so the training
+//! output is the inference output bit for bit, routes included. The stored
+//! input is all [`Layer::backward`] reads. Depthwise layers hand it to
 //! [`hs_tensor::depthwise_conv2d_backward`] — no column matrix, transpose
-//! or per-channel GEMM.
+//! or per-channel GEMM. Dense and grouped layers rebuild each (sample,
+//! group) column matrix from it (a 1×1 stride-1 unpadded layer reads the
+//! input block in place, as inference does), then `dW_g += dOut_g * col^T`
+//! and `dCol = W_g^T * dOut_g`, folded back by col2im.
 //!
-//! What backward consumes lives in one flat buffer owned by the layer
-//! (`train_cache`), resized once per input geometry and reused across
-//! steps — the seed's per-sample `Vec` allocations are gone. Only
-//! [`Layer::forward_train`] writes it, so an inference between a training
-//! forward and its backward cannot disturb the gradients. The batch is cut
-//! into sample bands by a plan that depends on the batch size only; each
-//! band accumulates weight/bias gradients into its own partial buffer,
-//! reduced in band order afterwards, so no synchronisation happens inside
-//! the hot loop and the gradient bits are the same however many threads
-//! execute the bands.
+//! Only `forward_train` writes the stored input, so an inference between a
+//! training forward and its backward cannot disturb the gradients. Both
+//! passes take their scratch from one layer-held [`Workspace`], reused
+//! across steps. Backward cuts the batch into sample bands by a plan that
+//! depends on the batch size only; each band accumulates weight/bias
+//! gradients into its own partial buffer, reduced in band order
+//! afterwards, so no synchronisation happens inside the hot loop and the
+//! gradient bits are the same however many threads execute the bands.
 //!
 //! The seed's scalar path survives as [`Conv2d::forward_reference`] /
 //! [`Conv2d::backward_reference`] — the ground truth for parity tests and
 //! the baseline for the `nn_kernels` bench. (Its `== 0.0` weight-skip
 //! branches were removed: they broke NaN/Inf propagation.)
 
+use crate::layer::store;
 use crate::{Layer, Param, ParamStore, Workspace};
 use hs_tensor::gemm::NR;
 use hs_tensor::{
@@ -110,10 +111,11 @@ fn train_band_len(n: usize) -> usize {
     n.div_ceil((n / 4).clamp(1, 8)).max(1)
 }
 
-/// Runs `body` on each of the `n_bands` training bands: fanned out over the
-/// pool, or one after another on the calling thread when there is nobody to
-/// share with or only one band. This is the training path's only fan-out;
-/// the GEMMs inside a band run on the band's thread.
+/// Runs `body` on each of the `n_bands` bands of a [`Layer::backward`]:
+/// fanned out over the pool, or one after another on the calling thread
+/// when there is nobody to share with or only one band. This is the
+/// training path's only fan-out (the forward is the serial inference
+/// body); the GEMMs inside a band run on the band's thread.
 fn run_bands<B: Send>(bands: impl Iterator<Item = B>, n_bands: usize, body: impl Fn(B) + Sync) {
     if n_bands <= 1 || hs_parallel::num_threads() == 1 || hs_parallel::inside_pool() {
         bands.for_each(body);
@@ -352,11 +354,14 @@ pub struct Conv2d {
     stride: usize,
     padding: usize,
     groups: usize,
-    cached_input_dims: Option<Vec<usize>>,
-    /// What `backward` consumes from the last `forward_train`, resized per
-    /// input geometry and reused across steps: the im2col columns
-    /// `[n][groups][wrow * ohw]`, or for a depthwise layer the input itself.
-    train_cache: Vec<f32>,
+    /// The input of the last `forward_train`, the one thing `backward`
+    /// reads: the depthwise kernel takes it as it is, the im2col layers
+    /// rebuild each (sample, group) column matrix from it. Only
+    /// `forward_train` writes it, into the buffer it held last step.
+    train_input: Option<Tensor>,
+    /// Scratch of the training step, reused across steps: the forward's
+    /// im2col columns and backward's per-band column and gradient buffers.
+    train_ws: Workspace,
 }
 
 impl Conv2d {
@@ -404,8 +409,8 @@ impl Conv2d {
             stride,
             padding,
             groups,
-            cached_input_dims: None,
-            train_cache: Vec::new(),
+            train_input: None,
+            train_ws: Workspace::new(),
         }
     }
 
@@ -554,10 +559,15 @@ impl Conv2d {
         let out_channels = self.out_channels;
         out.resize_to(&[n, out_channels, oh, ow]);
         let out_data = out.as_mut_slice();
-        let epilogue = ep.map(|(scale, shift, act)| Epilogue { scale, shift, act });
 
         if self.planned_algo() == ConvAlgo::DirectDepthwise {
-            self.depthwise_forward(x, epilogue, out_data, h, w);
+            // one spatial micro-kernel per (sample, channel): no column
+            // matrix, no scratch
+            let wgt = self.weight.value.as_slice();
+            let ep = ep.map(|(scale, shift, act)| Epilogue { scale, shift, act });
+            for (x_n, out_n) in x.chunks(c * h * w).zip(out_data.chunks_mut(c * ohw)) {
+                depthwise_conv2d(x_n, wgt, bias, ep, out_n, c, h, w, k, stride, padding);
+            }
             return;
         }
 
@@ -694,30 +704,6 @@ impl Conv2d {
             }
         }
         ws.give(col_scratch);
-    }
-
-    /// The direct depthwise forward over the samples of `x`, one after
-    /// another: one spatial micro-kernel per (sample, channel) — no column
-    /// matrix, no scratch. Serves both the [`ConvAlgo::DirectDepthwise`]
-    /// inference backend and each band of `forward_train`.
-    fn depthwise_forward(
-        &self,
-        x: &[f32],
-        epilogue: Option<Epilogue<'_>>,
-        out_data: &mut [f32],
-        h: usize,
-        w: usize,
-    ) {
-        let c = self.in_channels;
-        let (oh, ow) = self.out_size(h, w);
-        let wgt = self.weight.value.as_slice();
-        let bias = self.bias.value.as_slice();
-        let (k, stride, padding) = (self.kernel, self.stride, self.padding);
-        for (x_sample, out_sample) in x.chunks(c * h * w).zip(out_data.chunks_mut(c * oh * ow)) {
-            depthwise_conv2d(
-                x_sample, wgt, bias, epilogue, out_sample, c, h, w, k, stride, padding,
-            );
-        }
     }
 
     /// The seed's scalar forward pass, kept as the reference implementation
@@ -881,87 +867,14 @@ impl Layer for Conv2d {
             self.qweight.is_none(),
             "Conv2d: cannot train a quantized layer — call to_dtype(DType::F32) first"
         );
-
-        assert_eq!(input.rank(), 4, "Conv2d expects a [n, c, h, w] input");
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
-        let (oh, ow) = self.out_size(h, w);
-        let cin_g = self.in_channels / self.groups;
-        let cout_g = self.out_channels / self.groups;
-        let k = self.kernel;
-        let wrow = cin_g * k * k;
-        let ohw = oh * ow;
-        let colsz = wrow * ohw;
-        let groups = self.groups;
-        let (stride, padding) = (self.stride, self.padding);
-
-        self.cached_input_dims = Some(dims.to_vec());
-        let band_len = train_band_len(n);
-        // backward consumes `train_cache`, which only this method writes —
-        // an inference between forward_train and backward cannot clobber it
-        if self.is_depthwise() {
-            // direct kernel; backward needs the input, not a 9×-larger
-            // column matrix
-            self.train_cache.clear();
-            self.train_cache.extend_from_slice(input.as_slice());
-            let mut out = vec![0.0f32; n * self.out_channels * ohw];
-            let bands = input
-                .as_slice()
-                .chunks(band_len * c * h * w)
-                .zip(out.chunks_mut(band_len * self.out_channels * ohw));
-            run_bands(bands, n.div_ceil(band_len), |(x_band, out_band)| {
-                self.depthwise_forward(x_band, None, out_band, h, w)
-            });
-            return Tensor::from_vec(out, &[n, self.out_channels, oh, ow]);
-        }
-        // one flat scratch for every sample's im2col, reused across steps
-        self.train_cache.resize(n * groups * colsz, 0.0);
-
-        let x = input.as_slice();
-        let wgt = self.weight.value.as_slice();
-        let bias = self.bias.value.as_slice();
-        let out_channels = self.out_channels;
-        let mut out = vec![0.0f32; n * out_channels * ohw];
-
-        // one band of the plan `backward` will reduce over. Output and cache
-        // are both laid out sample-major, group-minor; per (sample, group):
-        // im2col into the cache, then
-        // out_g = bias + W_g (cout_g x wrow) * col (wrow x ohw) — the bias is
-        // the GEMM's initial value, saving a read-modify-write pass
-        let band_body = |(band, (out_band, col_band)): (usize, (&mut [f32], &mut [f32]))| {
-            let items = out_band
-                .chunks_mut(cout_g * ohw)
-                .zip(col_band.chunks_mut(colsz));
-            for (t, (out_g, col)) in items.enumerate() {
-                let (ni, g) = (band * band_len + t / groups, t % groups);
-                let in_offset = ni * c * h * w + g * cin_g * h * w;
-                im2col(
-                    &x[in_offset..in_offset + cin_g * h * w],
-                    col,
-                    cin_g,
-                    h,
-                    w,
-                    k,
-                    k,
-                    stride,
-                    padding,
-                    oh,
-                    ow,
-                );
-                for oc in 0..cout_g {
-                    out_g[oc * ohw..(oc + 1) * ohw].fill(bias[g * cout_g + oc]);
-                }
-                let w_g = &wgt[g * cout_g * wrow..(g + 1) * cout_g * wrow];
-                gemm_acc(w_g, col, out_g, cout_g, wrow, ohw);
-            }
-        };
-        let bands = out
-            .chunks_mut(band_len * out_channels * ohw)
-            .zip(self.train_cache.chunks_mut(band_len * groups * colsz))
-            .enumerate();
-        run_bands(bands, n.div_ceil(band_len), band_body);
-        Tensor::from_vec(out, &[n, out_channels, oh, ow])
+        // backward reads `train_input`, which only this method writes — an
+        // inference between forward_train and backward cannot clobber it
+        store(&mut self.train_input, input);
+        let mut out = Tensor::zeros(&[0]);
+        let mut ws = std::mem::take(&mut self.train_ws);
+        self.infer_epilogue(input, None, &mut out, &mut ws);
+        self.train_ws = ws;
+        out
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
@@ -977,10 +890,11 @@ impl Layer for Conv2d {
             self.qweight.is_none(),
             "Conv2d: cannot backprop through a quantized layer — call to_dtype(DType::F32) first"
         );
-        let in_dims = self
-            .cached_input_dims
-            .clone()
+        let input = self
+            .train_input
+            .as_ref()
             .expect("backward called before forward(train=true)");
+        let in_dims = input.dims();
         let (n, c, h, w) = (in_dims[0], in_dims[1], in_dims[2], in_dims[3]);
         let (oh, ow) = self.out_size(h, w);
         let ohw = oh * ow;
@@ -994,6 +908,7 @@ impl Layer for Conv2d {
         let out_channels = self.out_channels;
         let wlen = self.weight.value.len();
 
+        let x = input.as_slice();
         let go = grad_out.as_slice();
         let wgt = self.weight.value.as_slice();
 
@@ -1019,107 +934,95 @@ impl Layer for Conv2d {
         // per-band partial gradients, reduced in band order afterwards
         let mut grad_w_parts = vec![0.0f32; n_bands * wlen];
         let mut grad_b_parts = vec![0.0f32; n_bands * out_channels];
+        // per-band scratch, kept in the layer's workspace across steps:
+        // `col^T`, `dCol` and the columns rebuilt from the input (which a
+        // 1×1 stride-1 unpadded layer reads in place, as inference does)
+        let identity_col = k == 1 && stride == 1 && padding == 0;
+        let scratch_len = match (depthwise, identity_col) {
+            (true, _) => 0,
+            (false, true) => 2 * colsz,
+            (false, false) => 3 * colsz,
+        };
+        let mut scratch: Vec<Tensor> = (0..n_bands).map(|_| self.train_ws.take()).collect();
+        for t in &mut scratch {
+            if t.len() < scratch_len {
+                t.resize_to(&[scratch_len]);
+            }
+        }
 
-        let train_cache = &self.train_cache;
         let wt = &wt;
+        let (chw, cin_hw) = (c * h * w, cin_g * h * w);
+        let bands = grad_in
+            .chunks_mut((band_len * chw).max(1))
+            .zip(grad_w_parts.chunks_mut(wlen))
+            .zip(grad_b_parts.chunks_mut(out_channels))
+            .zip(scratch.iter_mut())
+            .enumerate();
         // one sample band: bias/weight gradients into the band's partial
         // buffers, input gradients into its disjoint grad_in window
-        let band_body =
-            |n0: usize, gin_band: &mut [f32], gw_part: &mut [f32], gb_part: &mut [f32]| {
-                let chw = c * h * w;
+        run_bands(
+            bands,
+            n_bands,
+            |(band, (((gin_band, gw_part), gb_part), scratch))| {
+                let n0 = band * band_len;
                 if depthwise {
-                    for (si, gin_sample) in gin_band.chunks_mut(chw).enumerate() {
+                    for (si, gin_n) in gin_band.chunks_mut(chw).enumerate() {
                         let ni = n0 + si;
+                        let x_n = &x[ni * chw..(ni + 1) * chw];
+                        let go_n = &go[ni * out_channels * ohw..(ni + 1) * out_channels * ohw];
                         depthwise_conv2d_backward(
-                            &train_cache[ni * chw..(ni + 1) * chw],
-                            wgt,
-                            &go[ni * out_channels * ohw..(ni + 1) * out_channels * ohw],
-                            gin_sample,
-                            gw_part,
-                            gb_part,
-                            c,
-                            h,
-                            w,
-                            k,
-                            stride,
-                            padding,
+                            x_n, wgt, go_n, gin_n, gw_part, gb_part, c, h, w, k, stride, padding,
                         );
                     }
                     return;
                 }
-                let samples = gin_band.len() / chw;
-                let mut grad_col = vec![0.0f32; colsz];
-                let mut col_t = vec![0.0f32; colsz];
-                for si in 0..samples {
+                let (col_t, rest) = scratch.as_mut_slice()[..scratch_len].split_at_mut(colsz);
+                let (grad_col, col_buf) = rest.split_at_mut(colsz);
+                for si in 0..gin_band.len() / chw {
                     let ni = n0 + si;
                     for g in 0..groups {
-                        let col =
-                            &train_cache[(ni * groups + g) * colsz..(ni * groups + g + 1) * colsz];
-                        let go_off = ni * out_channels * ohw + g * cout_g * ohw;
-                        let go_g = &go[go_off..go_off + cout_g * ohw];
+                        let block = &x[ni * chw + g * cin_hw..][..cin_hw];
+                        let col: &[f32] = if identity_col {
+                            block
+                        } else {
+                            im2col(block, col_buf, cin_g, h, w, k, k, stride, padding, oh, ow);
+                            col_buf
+                        };
+                        let go_g =
+                            &go[ni * out_channels * ohw + g * cout_g * ohw..][..cout_g * ohw];
                         // bias gradient
                         for oc in 0..cout_g {
                             gb_part[g * cout_g + oc] += sum_lanes(&go_g[oc * ohw..(oc + 1) * ohw]);
                         }
                         // weight gradient: dW_g += dOut_g * col^T
-                        transpose_into(col, &mut col_t, wrow, ohw);
-                        gemm_acc(
-                            go_g,
-                            &col_t,
-                            &mut gw_part[g * cout_g * wrow..(g + 1) * cout_g * wrow],
-                            cout_g,
-                            ohw,
-                            wrow,
-                        );
+                        transpose_into(col, col_t, wrow, ohw);
+                        let gw_g = &mut gw_part[g * cout_g * wrow..(g + 1) * cout_g * wrow];
+                        gemm_acc(go_g, col_t, gw_g, cout_g, ohw, wrow);
                         // input gradient: dCol = W_g^T * dOut_g, then col2im
-                        gemm(
-                            &wt[g * wrow * cout_g..(g + 1) * wrow * cout_g],
-                            go_g,
-                            &mut grad_col,
-                            wrow,
-                            cout_g,
-                            ohw,
-                        );
-                        let in_offset = si * c * h * w + g * cin_g * h * w;
-                        col2im(
-                            &grad_col,
-                            &mut gin_band[in_offset..in_offset + cin_g * h * w],
-                            cin_g,
-                            h,
-                            w,
-                            k,
-                            k,
-                            stride,
-                            padding,
-                            oh,
-                            ow,
-                        );
+                        let wt_g = &wt[g * wrow * cout_g..(g + 1) * wrow * cout_g];
+                        gemm(wt_g, go_g, grad_col, wrow, cout_g, ohw);
+                        let gin_g = &mut gin_band[si * chw + g * cin_hw..][..cin_hw];
+                        col2im(grad_col, gin_g, cin_g, h, w, k, k, stride, padding, oh, ow);
                     }
                 }
-            };
-
-        let bands = grad_in
-            .chunks_mut((band_len * c * h * w).max(1))
-            .zip(grad_w_parts.chunks_mut(wlen))
-            .zip(grad_b_parts.chunks_mut(out_channels))
-            .enumerate();
-        run_bands(bands, n_bands, |(band, ((gin_band, gw_part), gb_part))| {
-            band_body(band * band_len, gin_band, gw_part, gb_part)
-        });
-
-        // reduce band partials
-        let mut grad_w = vec![0.0f32; wlen];
-        for part in grad_w_parts.chunks(wlen) {
-            for (acc, v) in grad_w.iter_mut().zip(part.iter()) {
-                *acc += v;
-            }
+            },
+        );
+        for t in scratch.into_iter().rev() {
+            self.train_ws.give(t);
         }
-        let mut grad_b = vec![0.0f32; out_channels];
-        for part in grad_b_parts.chunks(out_channels) {
-            for (acc, v) in grad_b.iter_mut().zip(part.iter()) {
-                *acc += v;
+
+        // reduce band partials, in band order
+        let reduce = |parts: &[f32], len: usize| {
+            let mut total = vec![0.0f32; len];
+            for part in parts.chunks(len) {
+                total.iter_mut().zip(part).for_each(|(acc, v)| *acc += v);
             }
-        }
+            total
+        };
+        let (grad_w, grad_b) = (
+            reduce(&grad_w_parts, wlen),
+            reduce(&grad_b_parts, out_channels),
+        );
 
         self.weight
             .accumulate_grad(&Tensor::from_vec(grad_w, self.weight.value.dims()));
@@ -1155,7 +1058,7 @@ impl Layer for Conv2d {
             (DType::F32, Some(q)) => {
                 self.weight.value = q.to_f32();
                 self.weight.grad = Tensor::zeros(self.weight.value.dims());
-                self.cached_input_dims = None;
+                self.train_input = None;
             }
             (DType::F32, None) => {}
             (_, prior) => {
@@ -1166,7 +1069,7 @@ impl Layer for Conv2d {
                 self.qweight = QTensor::quantize(&f32_weight, dtype);
                 self.weight.value = Tensor::zeros(&[0]);
                 self.weight.grad = Tensor::zeros(&[0]);
-                self.cached_input_dims = None;
+                self.train_input = None;
             }
         }
     }
@@ -1264,15 +1167,19 @@ mod tests {
     #[test]
     fn backward_matches_reference() {
         let mut rng = StdRng::seed_from_u64(12);
-        for (cin, cout, k, s, p, g, h, w) in [
+        // (cin, cout, kernel, stride, pad, groups, h, w, batch)
+        for (cin, cout, k, s, p, g, h, w, batch) in [
             (
-                3usize, 4usize, 3usize, 1usize, 1usize, 1usize, 8usize, 8usize,
+                3usize, 4usize, 3usize, 1usize, 1usize, 1usize, 8usize, 8usize, 3usize,
             ),
-            (4, 4, 3, 2, 1, 2, 9, 9),
-            (5, 5, 3, 1, 1, 5, 6, 6), // depthwise
+            (4, 4, 3, 2, 1, 2, 9, 9, 3),
+            (5, 5, 3, 1, 1, 5, 6, 6, 3),  // depthwise
+            (6, 8, 1, 1, 0, 1, 5, 5, 3),  // 1×1: columns read in place
+            (6, 8, 1, 1, 0, 2, 5, 5, 3),  // grouped 1×1, in place
+            (4, 6, 3, 1, 1, 1, 6, 6, 10), // batched forward route, two bands
         ] {
             let mut conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
-            let x = Tensor::rand_uniform(&[3, cin, h, w], -1.0, 1.0, &mut rng);
+            let x = Tensor::rand_uniform(&[batch, cin, h, w], -1.0, 1.0, &mut rng);
             let y = conv.forward(&x, true);
             let grad_out = Tensor::rand_uniform(y.dims(), -1.0, 1.0, &mut rng);
             let grad_in = conv.backward(&grad_out);
@@ -1356,8 +1263,8 @@ mod tests {
     #[test]
     fn eval_forward_between_train_forward_and_backward_keeps_gradients() {
         // an eval pass (different batch size AND geometry) between
-        // forward(train=true) and backward() must not clobber the cached
-        // im2col columns the backward pass consumes
+        // forward(train=true) and backward() must not clobber the stored
+        // input the backward pass rebuilds its columns from
         let mut rng = StdRng::seed_from_u64(21);
         let mut conv = Conv2d::new(3, 4, 3, 1, 1, 1, &mut rng);
         let x_train = Tensor::rand_uniform(&[2, 3, 7, 7], -1.0, 1.0, &mut rng);

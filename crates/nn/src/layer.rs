@@ -122,6 +122,23 @@ impl Workspace {
     }
 }
 
+/// [`Layer::infer`] into a fresh output on a cold [`Workspace`]: the
+/// training forward of a layer whose training arithmetic is its inference
+/// body, after it has stored what its backward reads.
+pub(crate) fn infer_fresh<L: Layer + ?Sized>(layer: &L, input: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(&[0]);
+    layer.infer(input, &mut out, &mut Workspace::new());
+    out
+}
+
+/// Copies `t` into a training cache `slot`, reusing the buffer the slot
+/// holds from the last step.
+pub(crate) fn store(slot: &mut Option<Tensor>, t: &Tensor) {
+    let kept = slot.get_or_insert_with(|| Tensor::zeros(&[0]));
+    kept.resize_to(t.dims());
+    kept.as_mut_slice().copy_from_slice(t.as_slice());
+}
+
 /// Whether `layer` is, or contains, a [`Conv2d`].
 fn has_conv<L: Layer + ?Sized>(layer: &L) -> bool {
     let mut found = layer.as_conv2d().is_some();
@@ -205,7 +222,10 @@ pub(crate) fn infer_sharded<L: Layer + ?Sized>(
 /// * [`Layer::forward_train`] caches whatever [`Layer::backward`] needs
 ///   (inputs, masks, intermediate activations); `backward` turns that cache
 ///   into the gradient with respect to the layer input while accumulating
-///   parameter gradients into the layer's [`Param`]s.
+///   parameter gradients into the layer's [`Param`]s. Where training and
+///   inference compute the same function (every leaf but batch norm and
+///   dropout), `forward_train` stores what `backward` reads and runs
+///   `infer`: one forward body per layer.
 /// * [`Layer::infer`] reads only shared state (`&self`), writes into a
 ///   caller-owned output and takes its scratch from a caller-owned
 ///   [`Workspace`] — so one network serves any number of concurrent

@@ -1,5 +1,6 @@
 //! Fully-connected (dense) layer.
 
+use crate::layer::{infer_fresh, store};
 use crate::{Layer, Param, ParamStore, Workspace};
 use hs_tensor::{he_normal, DType, EpilogueAct, QTensor, Tensor, WeightMat};
 use rand::rngs::StdRng;
@@ -97,21 +98,8 @@ impl Layer for Linear {
             self.qweight.is_none(),
             "Linear: cannot train a quantized layer — call to_dtype(DType::F32) first"
         );
-        assert_eq!(input.rank(), 2, "Linear expects a [n, features] input");
-        assert_eq!(
-            input.dims()[1],
-            self.in_features,
-            "Linear expects {} input features, got {}",
-            self.in_features,
-            input.dims()[1]
-        );
-        self.cached_input = Some(input.clone());
-        // y = x W^T + b on the GEMM layer; matmul_nt transposes W through a
-        // scratch buffer instead of materialising a Tensor, and the bias is
-        // added in place rather than via another allocation.
-        let mut out = input.matmul_nt(&self.weight.value);
-        out.add_row_bias_assign(&self.bias.value);
-        out
+        store(&mut self.cached_input, input);
+        infer_fresh(self, input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,13 +1,13 @@
 //! Pooling and reshaping layers.
 
+use crate::layer::{infer_fresh, store};
 use crate::{Layer, Workspace};
 use hs_tensor::Tensor;
 
 /// 2-D max pooling with a square window and stride equal to the window size.
 pub struct MaxPool2d {
     size: usize,
-    cached_argmax: Option<Vec<usize>>,
-    cached_in_dims: Option<Vec<usize>>,
+    cached_input: Option<Tensor>,
 }
 
 impl MaxPool2d {
@@ -20,85 +20,60 @@ impl MaxPool2d {
         assert!(size >= 1, "pool size must be positive");
         MaxPool2d {
             size,
-            cached_argmax: None,
-            cached_in_dims: None,
+            cached_input: None,
+        }
+    }
+
+    /// Visits every window of the `[n, c, h, w]` input `x` with its output
+    /// index, its maximum and the index of the element holding it: the first
+    /// strict maximum in row-major order, or the window's first element when
+    /// nothing beats -inf (all NaN or all -inf). `infer` keeps the maximum,
+    /// `backward` routes the window's gradient to the element.
+    fn for_each_window(&self, x: &Tensor, mut f: impl FnMut(usize, f32, usize)) {
+        let (nc, h, w) = (x.dims()[0] * x.dims()[1], x.dims()[2], x.dims()[3]);
+        let s = self.size;
+        let (oh, ow) = (h / s, w / s);
+        let x = x.as_slice();
+        for p in 0..nc {
+            for oi in 0..oh {
+                for oj in 0..ow {
+                    let first = (p * h + oi * s) * w + oj * s;
+                    let (mut best, mut arg) = (f32::NEG_INFINITY, first);
+                    for di in 0..s {
+                        for dj in 0..s {
+                            let idx = first + di * w + dj;
+                            if x[idx] > best {
+                                (best, arg) = (x[idx], idx);
+                            }
+                        }
+                    }
+                    f((p * oh + oi) * ow + oj, best, arg);
+                }
+            }
         }
     }
 }
 
 impl Layer for MaxPool2d {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        assert_eq!(input.rank(), 4, "MaxPool2d expects a [n, c, h, w] input");
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let s = self.size;
-        let (oh, ow) = (h / s, w / s);
-        let x = input.as_slice();
-        let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        for ni in 0..n {
-            for ci in 0..c {
-                for oi in 0..oh {
-                    for oj in 0..ow {
-                        let o_idx = ((ni * c + ci) * oh + oi) * ow + oj;
-                        for di in 0..s {
-                            for dj in 0..s {
-                                let ii = oi * s + di;
-                                let jj = oj * s + dj;
-                                let i_idx = ((ni * c + ci) * h + ii) * w + jj;
-                                if x[i_idx] > out[o_idx] {
-                                    out[o_idx] = x[i_idx];
-                                    argmax[o_idx] = i_idx;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        self.cached_argmax = Some(argmax);
-        self.cached_in_dims = Some(dims.to_vec());
-        Tensor::from_vec(out, &[n, c, oh, ow])
+        store(&mut self.cached_input, input);
+        infer_fresh(self, input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let argmax = self
-            .cached_argmax
-            .as_ref()
-            .expect("backward before forward");
-        let in_dims = self.cached_in_dims.clone().expect("missing cache");
-        let mut grad_in = vec![0.0f32; in_dims.iter().product()];
-        for (g, &idx) in grad_out.as_slice().iter().zip(argmax.iter()) {
-            grad_in[idx] += g;
-        }
-        Tensor::from_vec(grad_in, &in_dims)
+        let input = self.cached_input.as_ref().expect("backward before forward");
+        let go = grad_out.as_slice();
+        let mut grad_in = vec![0.0f32; input.len()];
+        self.for_each_window(input, |o_idx, _, arg| grad_in[arg] += go[o_idx]);
+        Tensor::from_vec(grad_in, input.dims())
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         assert_eq!(input.rank(), 4, "MaxPool2d expects a [n, c, h, w] input");
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let s = self.size;
-        let (oh, ow) = (h / s, w / s);
-        let x = input.as_slice();
-        out.resize_to(&[n, c, oh, ow]);
+        let (d, s) = (input.dims(), self.size);
+        out.resize_to(&[d[0], d[1], d[2] / s, d[3] / s]);
         let o = out.as_mut_slice();
-        for nc in 0..n * c {
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    for di in 0..s {
-                        for dj in 0..s {
-                            let v = x[(nc * h + oi * s + di) * w + oj * s + dj];
-                            if v > best {
-                                best = v;
-                            }
-                        }
-                    }
-                    o[(nc * oh + oi) * ow + oj] = best;
-                }
-            }
-        }
+        self.for_each_window(input, |o_idx, best, _| o[o_idx] = best);
     }
 
     fn name(&self) -> &'static str {
@@ -131,8 +106,7 @@ impl AvgPool2d {
 impl Layer for AvgPool2d {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
         self.cached_in_dims = Some(input.dims().to_vec());
-        // stateless computation: the inference body is the training forward
-        self.forward(input, false)
+        infer_fresh(self, input)
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
@@ -217,8 +191,7 @@ impl Default for GlobalAvgPool {
 impl Layer for GlobalAvgPool {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
         self.cached_in_dims = Some(input.dims().to_vec());
-        // stateless computation: the inference body is the training forward
-        self.forward(input, false)
+        infer_fresh(self, input)
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
@@ -290,7 +263,7 @@ impl Default for Flatten {
 impl Layer for Flatten {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
         self.cached_in_dims = Some(input.dims().to_vec());
-        self.forward(input, false)
+        infer_fresh(self, input)
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
@@ -338,6 +311,28 @@ mod tests {
         assert_eq!(g.at(&[0, 0, 1, 1]), 1.0);
         assert_eq!(g.at(&[0, 0, 0, 0]), 0.0);
         assert_eq!(g.sum(), 4.0);
+    }
+
+    #[test]
+    fn a_window_without_a_maximum_keeps_its_gradient_inside() {
+        // nothing in sample 1 beats -inf: its forward value stays -inf and
+        // its gradient goes to its own window's first element, not to
+        // element 0 of the batch
+        for fill in [f32::NAN, f32::NEG_INFINITY] {
+            let mut pool = MaxPool2d::new(2);
+            let x = Tensor::from_vec(
+                vec![1.0, 4.0, 3.0, 2.0, fill, fill, fill, fill],
+                &[2, 1, 2, 2],
+            );
+            let y = pool.forward(&x, true);
+            assert_eq!(y.as_slice(), &[4.0, f32::NEG_INFINITY], "{fill}");
+            let g = pool.backward(&Tensor::ones(&[2, 1, 1, 1]));
+            assert_eq!(
+                g.as_slice(),
+                &[0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+                "{fill}"
+            );
+        }
     }
 
     #[test]

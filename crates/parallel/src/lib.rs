@@ -2,7 +2,7 @@
 //! one per call path, each splitting whole units of work:
 //!
 //! * `hs-nn`'s `layer::infer_sharded` — an inference batch, by sample range;
-//! * `hs-nn`'s `conv::run_bands` — a training convolution, by sample band;
+//! * `hs-nn`'s `conv::run_bands` — a convolution's backward, by sample band;
 //! * `hs-fl` — a round's clients (`simulation`), evaluation batches
 //!   (`eval`), both through [`for_each_claimed`], and the update reduction
 //!   (`aggregate`).

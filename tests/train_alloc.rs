@@ -2,16 +2,19 @@
 //! at the FL client's batch (10 samples, 32 px), a `forward_backward` plus
 //! an `Sgd::step` after warm-up, counted in allocation events and in bytes.
 //!
-//! The training path allocates its activations, caches and gradients fresh
-//! on every step today; the budgets below are the measured counts, pinned
-//! as upper bounds so a change can lower them but never raise them. They
-//! are the baseline for making training allocation-free.
+//! Every layer still returns a fresh output from its training forward and a
+//! fresh input gradient from its backward, and the gradients are built per
+//! step. What a layer keeps for its backward — the stored input, a conv's
+//! column and band scratch — reuses the buffers of the last step. The
+//! budgets below are the measured counts, pinned as upper bounds so a
+//! change can lower them but never raise them. They are the baseline for
+//! making training allocation-free.
 //!
-//! Training splits its batch into sample bands on the pool when the thread
-//! target is two or more, and a band that runs on a worker allocates on
-//! that worker's thread, out of this per-thread counter's sight. The step
-//! is therefore counted at a 1-thread target, where every band runs on the
-//! calling thread.
+//! A conv backward splits its batch into sample bands on the pool when the
+//! thread target is two or more, and a band that runs on a worker
+//! allocates on that worker's thread, out of this per-thread counter's
+//! sight. The step is therefore counted at a 1-thread target, where every
+//! band runs on the calling thread.
 
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{CrossEntropyLoss, Sgd, Target};
@@ -86,10 +89,10 @@ fn count_allocs(f: impl FnOnce()) -> (u64, u64) {
 
 /// Upper bounds on one warm step (allocation events, bytes), measured.
 const BUDGETS: [(ModelKind, u64, u64); 4] = [
-    (ModelKind::SimpleCnn, 186, 12_091_216),
-    (ModelKind::MobileNetV3Small, 773, 18_914_096),
-    (ModelKind::ShuffleNetV2, 1_077, 10_447_256),
-    (ModelKind::SqueezeNet, 466, 5_637_000),
+    (ModelKind::SimpleCnn, 169, 9_497_368),
+    (ModelKind::MobileNetV3Small, 722, 16_383_168),
+    (ModelKind::ShuffleNetV2, 1_016, 9_403_472),
+    (ModelKind::SqueezeNet, 407, 4_386_504),
 ];
 
 #[test]

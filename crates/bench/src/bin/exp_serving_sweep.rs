@@ -200,7 +200,10 @@ fn main() {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per field of a sweep record"
+)]
 fn report(
     records: &mut Vec<SweepRecord>,
     model: &str,

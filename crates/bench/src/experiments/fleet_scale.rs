@@ -186,6 +186,10 @@ pub fn fleet_scale_study(cfg: &FleetScaleConfig) -> FleetScaleReport {
     let mut headline_rounds = Vec::new();
     for &fleet_size in &cfg.fleet_sizes {
         let (mut sim, resident_client_bytes) = build_simulation(cfg, fleet_size);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the study reports each fleet size's wall-clock"
+        )]
         let start = Instant::now();
         let history = sim.run();
         let elapsed = start.elapsed().as_secs_f64() * 1_000.0;

@@ -179,6 +179,10 @@ pub fn closed_loop(
     deadline: Option<Duration>,
     retry: Option<&RetryPolicy>,
 ) -> LoadOutcome {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "load generation measures wall-clock throughput"
+    )]
     let start = Instant::now();
     let outcomes: Vec<LoadOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..concurrency)
@@ -216,6 +220,10 @@ pub fn closed_loop(
 /// rate down (the defining property of an open-loop generator). No retry:
 /// re-offering would distort the fixed arrival rate that defines the
 /// driver.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "an open-loop generator paces arrivals in real time"
+)]
 pub fn open_loop(
     client: &ServeClient,
     rate_rps: f64,

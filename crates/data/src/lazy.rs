@@ -15,6 +15,8 @@
 //! and across processes — the property that keeps fleet-scale rounds
 //! exactly replayable.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::{Dataset, Labels, SceneGenerator};
 use hs_device::{random_jitter_profiles, FleetSpec, JitterProfile, SharedFleet};
 use hs_tensor::Tensor;
@@ -183,7 +185,10 @@ mod tests {
         // seed content check is awkward; instead check the profile lookup
         // path: names come from the paper fleet
         let set = tiny_set(1000);
-        // hs-lint: allow(nondeterminism, "test-only coverage check; only len() is read, never iterated")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test-only coverage check; only len() is read, never iterated"
+        )]
         let names: std::collections::HashSet<&str> = (0..1000)
             .step_by(97)
             .map(|id| set.device_name(id))

@@ -14,6 +14,8 @@
 //! fleets behave, and what deadline-driven semi-synchronous FL rounds must
 //! cope with.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::{FleetSpec, Tier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -73,7 +73,10 @@ impl DeviceId {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per sensor parameter of the fleet table"
+)]
 fn sensor(
     res: usize,
     color: [f32; 3],

@@ -27,7 +27,7 @@ impl Vendor {
 }
 
 /// Performance tier (paper Table 1 rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Tier {
     /// Low-end devices (oldest, simplest sensors and ISPs).
     Low,
@@ -35,6 +35,20 @@ pub enum Tier {
     Mid,
     /// High-end devices (newest sensors, most advanced ISPs).
     High,
+}
+
+// Written out, not derived: the derived `PartialOrd` calls `partial_cmp`,
+// which clippy.toml bans. Declaration order, as a derive would give.
+impl Ord for Tier {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for Tier {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Tier {

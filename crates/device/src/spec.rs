@@ -15,6 +15,8 @@
 //! answer every query bit-identically — which is what lets 100k-cohort
 //! rounds replay exactly.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::{DeviceProfile, Tier};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -340,7 +342,10 @@ mod tests {
     #[test]
     fn sample_counts_spread_over_the_range() {
         let fleet = FleetSpec::new(1_000, three_types(), (2, 8), 5);
-        // hs-lint: allow(nondeterminism, "test-only spread check; only len() is read, never iterated")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test-only spread check; only len() is read, never iterated"
+        )]
         let counts: std::collections::HashSet<usize> =
             (0..1_000).map(|id| fleet.client(id).num_samples).collect();
         assert!(counts.len() >= 5, "sample counts should spread: {counts:?}");

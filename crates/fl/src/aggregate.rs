@@ -21,6 +21,8 @@
 //! bit for bit; multi-shard runs differ only by the cross-shard summation
 //! order (documented in `docs/SCALE.md`).
 
+#![deny(clippy::disallowed_types)]
+
 use crate::ClientUpdate;
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +44,10 @@ fn shard_count(n: usize) -> usize {
 /// 4-way blocked inner loop. The per-element addition chain is in update
 /// order, identical to folding the updates one at a time — blocking only
 /// cuts the number of read-modify-write passes over `buf` by 4×.
-#[allow(clippy::assign_op_pattern)] // `+=` would re-group the RHS and break bit-identity
+#[allow(
+    clippy::assign_op_pattern,
+    reason = "`+=` would re-group the RHS and break bit-identity"
+)]
 fn accumulate_into(buf: &mut [f32], updates: &[ClientUpdate], weights: &[f32]) {
     let len = buf.len();
     let mut i = 0;
@@ -398,7 +403,10 @@ impl AggregationMethod {
 }
 
 /// The q-FFL update rule of q-FedAvg.
-#[allow(clippy::assign_op_pattern)] // explicit grouping, see h_sum below
+#[allow(
+    clippy::assign_op_pattern,
+    reason = "explicit grouping, see h_sum below"
+)]
 fn q_fed_avg(global: &[f32], updates: &[ClientUpdate], q: f32, lr: f32) -> Vec<f32> {
     assert!(!updates.is_empty(), "cannot aggregate zero updates");
     let len = global.len();

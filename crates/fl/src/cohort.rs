@@ -14,6 +14,8 @@
 //! no thread-count or iteration-order dependence — so fleet-scale rounds
 //! replay bit-identically (see `docs/SCALE.md`).
 
+#![deny(clippy::disallowed_types)]
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -180,7 +182,10 @@ mod tests {
 
     fn assert_valid_cohort(ids: &[usize], n: usize, k: usize) {
         assert_eq!(ids.len(), k);
-        // hs-lint: allow(nondeterminism, "test-only distinctness check; only len() is read, never iterated")
+        #[expect(
+            clippy::disallowed_types,
+            reason = "test-only distinctness check; only len() is read, never iterated"
+        )]
         let distinct: std::collections::HashSet<usize> = ids.iter().copied().collect();
         assert_eq!(distinct.len(), k, "cohort ids must be distinct");
         assert!(ids.iter().all(|&id| id < n), "ids must be in range");

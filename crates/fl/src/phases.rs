@@ -1,10 +1,10 @@
 //! Round-phase tracing shims.
 //!
-//! The round loop in [`crate::simulation`] is a bit-exact module: the
-//! `hs-lint` nondeterminism rule bans wall-clock reads there so recorded
-//! experiment numbers replay bit-identically. Tracing, however, *is* a
-//! wall-clock consumer — so the clock never appears in the round loop
-//! itself. Instead the loop opens named phase spans through this module,
+//! The round loop in [`crate::simulation`] is a bit-exact module: clippy's
+//! `disallowed_methods` bans wall-clock reads there (`docs/LINTS.md`) so
+//! recorded experiment numbers replay bit-identically. Tracing, however,
+//! *is* a wall-clock consumer — so the clock never appears in the round
+//! loop itself. Instead the loop opens named phase spans through this module,
 //! and all timestamping happens inside `hs-obs` (the one sanctioned
 //! wall-clock home). When `HS_TRACE` is off the guards are inert: one
 //! relaxed atomic load, no allocation, no clock read.

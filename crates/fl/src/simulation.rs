@@ -1,5 +1,7 @@
 //! The federated-learning round loop.
 
+#![deny(clippy::disallowed_types)]
+
 use crate::{
     per_device_accuracy, screen_updates_sharded, AggregationMethod, ClientContext, ClientData,
     ClientSource, ClientTrainer, ClientUpdate, CohortStrategy, FlConfig,
@@ -175,7 +177,10 @@ impl ClientBackend {
         }
     }
 
-    #[allow(clippy::single_range_in_vec_init)] // one all-covering stratum, not a collected range
+    #[allow(
+        clippy::single_range_in_vec_init,
+        reason = "one all-covering stratum, not a collected range"
+    )]
     fn strata(&self) -> Vec<Range<usize>> {
         match self {
             ClientBackend::Eager(clients) => vec![0..clients.len()],

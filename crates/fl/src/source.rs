@@ -33,7 +33,10 @@ pub trait ClientSource: Send + Sync {
     /// The population's device strata (contiguous client-id ranges per
     /// device type), for heterogeneity-aware cohort sampling. Defaults to
     /// one stratum covering everyone.
-    #[allow(clippy::single_range_in_vec_init)] // one all-covering stratum, not a collected range
+    #[allow(
+        clippy::single_range_in_vec_init,
+        reason = "one all-covering stratum, not a collected range"
+    )]
     fn strata(&self) -> Vec<Range<usize>> {
         vec![0..self.num_clients()]
     }

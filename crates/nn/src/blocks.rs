@@ -266,7 +266,10 @@ impl InvertedResidual {
     ///
     /// `use_hs` selects hard-swish (true) or ReLU (false) activations and
     /// `use_se` adds a squeeze-excite stage after the depthwise convolution.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per column of the MobileNetV3 block table"
+    )]
     pub fn new(
         in_channels: usize,
         expand_channels: usize,

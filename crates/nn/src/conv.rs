@@ -139,7 +139,10 @@ fn run_bands<B: Send>(bands: impl Iterator<Item = B>, n_bands: usize, body: impl
 /// (every conv in the model zoo except downsampling layers) degenerates to
 /// `copy_from_slice` row segments, which keeps im2col from dominating the
 /// GEMM it feeds.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn im2col(
     input: &[f32],
     col: &mut [f32],
@@ -197,7 +200,10 @@ fn im2col(
 /// Folds a column matrix `[c*kh*kw, oh*ow]` back into a `[c, h, w]` gradient
 /// block, accumulating overlapping contributions into `out` (the adjoint of
 /// [`im2col`]).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn col2im(
     col: &[f32],
     out: &mut [f32],
@@ -254,7 +260,10 @@ fn col2im(
 /// had no skip branches) for the reference path, so the `nn_kernels` bench
 /// baseline measures the original implementation, not the optimised
 /// transform above.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn im2col_reference(
     input: &[f32],
     col: &mut [f32],
@@ -295,7 +304,10 @@ fn im2col_reference(
 
 /// The seed's branchy col2im adjoint, reference-path twin of
 /// [`im2col_reference`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn col2im_reference(
     col: &[f32],
     out: &mut [f32],

@@ -12,6 +12,10 @@ use std::time::Instant;
 
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process-wide anchor is the one clock every timestamp derives from"
+)]
 fn anchor() -> Instant {
     *ANCHOR.get_or_init(Instant::now)
 }
@@ -50,6 +54,10 @@ mod tests {
     #[test]
     fn instant_roundtrips_onto_anchor_timeline() {
         let before = now_ns();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test maps a raw Instant onto the anchor"
+        )]
         let t = Instant::now();
         let after = now_ns();
         let ns = instant_ns(t);
@@ -58,6 +66,10 @@ mod tests {
 
     #[test]
     fn pre_anchor_instant_clamps_to_zero() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test maps a raw Instant onto the anchor"
+        )]
         let t = Instant::now();
         // Force anchor initialisation after `t` was captured in a fresh
         // process this would clamp; in a shared test binary the anchor may

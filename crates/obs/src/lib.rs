@@ -27,10 +27,11 @@
 //!   (item 1) will serve.
 //!
 //! This crate is the workspace's sanctioned home for wall-clock reads:
-//! `hs-lint`'s `nondeterminism` rule flags `Instant::now` anywhere outside
-//! `crates/obs` and the grandfathered time-semantic modules (deadlines,
-//! batch windows, bench harnesses) — new timing goes through [`now_ns`] or
-//! a [`trace`] span. `hs-obs` therefore sits at the bottom of the
+//! clippy's `disallowed_methods` flags `Instant::now` at every call site
+//! without a written `#[expect]` (`docs/LINTS.md`). Besides this crate's
+//! anchor, only time-semantic code (deadlines, batch windows, bench
+//! harnesses) carries one; new timing goes through [`now_ns`] or a
+//! [`trace`] span. `hs-obs` therefore sits at the bottom of the
 //! dependency graph (vendored `serde` only) so even `hs-parallel` can use
 //! its clock.
 //!
@@ -55,6 +56,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// `hs_parallel::sync::lock`, re-implemented locally because `hs-obs` must
 /// stay below `hs-parallel` in the dependency graph (the pool reads this
 /// crate's clock).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "this is the helper: it recovers from poison"
+)]
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

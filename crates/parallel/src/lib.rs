@@ -299,10 +299,10 @@ impl<'scope> Scope<'scope> {
             state.pending += 1;
         }
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
+        #[allow(unsafe_code, reason = "erases the job's 'scope lifetime")]
         // SAFETY: `scope` (below) does not return until `group.pending` is
         // zero, i.e. until this job has run to completion, so every borrow
         // with lifetime 'scope strictly outlives the job's execution.
-        #[allow(unsafe_code)]
         let job: Job = unsafe { std::mem::transmute(job) };
         self.pool.push(QueuedTask {
             job,

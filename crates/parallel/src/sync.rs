@@ -17,6 +17,11 @@
 //! own copy of this helper for the same reason) so both `hs-serve` and
 //! `hs-fl` share one definition.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the poison-recovering helpers are the one home of raw lock and wait calls"
+)]
+
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
 

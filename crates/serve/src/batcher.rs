@@ -109,6 +109,10 @@ pub fn collect_batch<T>(queue: &BoundedQueue<T>, policy: &BatchPolicy) -> Collec
         // an unbounded wait ends only with an item or a closed, drained queue
         Popped::Empty | Popped::Closed => return Collected::Closed,
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the batch window is measured in real time"
+    )]
     let opened = Instant::now();
     let close_at = opened.checked_add(policy.max_wait);
     let mut batch = Vec::with_capacity(policy.max_batch);
@@ -179,6 +183,7 @@ mod tests {
         let q = BoundedQueue::new(16);
         q.try_push(1).unwrap();
         let policy = BatchPolicy::new(8, 50_000); // 50 ms
+        #[expect(clippy::disallowed_methods, reason = "the test times the batch window")]
         let t0 = Instant::now();
         assert_eq!(
             batch(collect_batch(&q, &policy)),
@@ -197,6 +202,7 @@ mod tests {
         let q = queue_with_demand(3);
         q.try_push(1).unwrap();
         let policy = BatchPolicy::new(8, 2_000); // 2 ms
+        #[expect(clippy::disallowed_methods, reason = "the test times the batch window")]
         let t0 = Instant::now();
         assert_eq!(
             batch(collect_batch(&q, &policy)),
@@ -301,6 +307,10 @@ mod tests {
                         q.try_push(i as i32).unwrap();
                     }
                     let policy = BatchPolicy::new(max_batch, 2_000);
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the test times the batch window"
+                    )]
                     let t0 = Instant::now();
                     let (items, reason) = batch(collect_batch(&q, &policy));
                     let took = t0.elapsed();

@@ -192,7 +192,12 @@ impl<T> BoundedQueue<T> {
     /// drained, then reports [`Popped::Closed`] — so shutdown never strands
     /// accepted requests.
     pub fn pop_timeout(&self, timeout: Duration) -> Popped<T> {
-        match self.pop_until(Instant::now().checked_add(timeout), false) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a blocking pop's timeout is real time"
+        )]
+        let deadline = Instant::now().checked_add(timeout);
+        match self.pop_until(deadline, false) {
             Companion::Item(item) => Popped::Item(item),
             Companion::Closed => Popped::Closed,
             Companion::TimedOut | Companion::AllPresent => Popped::Empty,
@@ -227,6 +232,7 @@ impl<T> BoundedQueue<T> {
                 }
                 return Companion::AllPresent;
             }
+            #[expect(clippy::disallowed_methods, reason = "the remaining wait is real time")]
             let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
             if left == Some(Duration::ZERO) {
                 if holding {
@@ -331,6 +337,10 @@ mod tests {
             .map(|_| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the test bounds the holders' wait in real time"
+                    )]
                     let close_at = Instant::now() + Duration::from_secs(30);
                     let mut taken = 0;
                     loop {

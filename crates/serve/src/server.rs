@@ -476,6 +476,10 @@ impl ServeClient {
         let admit = trace::span("admit");
         admit.set_payload(trace_id);
         let slot = Arc::new(Slot::new());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "request deadlines and queue-wait metrics are real time"
+        )]
         let now = Instant::now();
         let request = Request {
             sample,
@@ -764,8 +768,10 @@ fn supervisor_loop(shared: &Arc<Shared>, mut sup: Supervisor, mut slots: Vec<Wor
             trace::instant("worker_panic", restarts as u64);
             if restarts < sup.max_restarts {
                 let backoff = sup.backoff_base * 2u32.pow(restarts.min(6));
+                #[expect(clippy::disallowed_methods, reason = "restart backoff is real time")]
+                let at = Instant::now() + backoff;
                 *slot = WorkerSlot::Backoff {
-                    at: Instant::now() + backoff,
+                    at,
                     restarts: restarts + 1,
                 };
             }
@@ -773,6 +779,7 @@ fn supervisor_loop(shared: &Arc<Shared>, mut sup: Supervisor, mut slots: Vec<Wor
         }
 
         // --- respawn workers whose backoff elapsed
+        #[expect(clippy::disallowed_methods, reason = "restart backoff is real time")]
         let now = Instant::now();
         for (i, slot) in slots.iter_mut().enumerate() {
             if let WorkerSlot::Backoff { at, restarts } = *slot {
@@ -876,6 +883,10 @@ fn run_batch(shared: &Shared, ws: &mut Workspace, batch_in: &mut Tensor, request
     // slack is below the configured minimum are shed as well — they would
     // expire before their response is useful, and the forward capacity is
     // better spent on requests that can still make it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline triage compares against real time"
+    )]
     let now = Instant::now();
     let browned_out = shared.brownout_active.load(Ordering::Relaxed);
     let min_slack = shared.brownout.min_slack;

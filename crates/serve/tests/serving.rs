@@ -279,6 +279,10 @@ fn hot_swap_is_atomic_no_torn_weights() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds its hot-swap wait in real time"
+)]
 fn hot_swap_picks_up_new_versions_between_batches() {
     let registry = Arc::new(ModelRegistry::new());
     let v1 = publish_scaled_identity(&registry, "m", 1.0);
@@ -451,6 +455,10 @@ fn injected_worker_panic_recovers_via_supervisor_respawn() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds its waits in real time"
+)]
 fn exhausted_restart_budget_kills_the_pool_without_hanging_anyone() {
     let registry = Arc::new(ModelRegistry::new());
     publish_scaled_identity(&registry, "id", 1.0);
@@ -672,6 +680,7 @@ fn unrepresentable_deadlines_and_waits_mean_none() {
 }
 
 /// Polls `done` every millisecond for up to five seconds.
+#[expect(clippy::disallowed_methods, reason = "polling is bounded in real time")]
 fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(5);
     while !done() {

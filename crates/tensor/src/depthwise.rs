@@ -49,7 +49,7 @@
 //! called after [`isa`] reported its ISA, which is the tokens' contract
 //! (`crate::lanes`). The kernel body above the trait is safe code.
 
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "calls into the #[target_feature] kernels")]
 
 use crate::gemm::{Epilogue, EpilogueAct};
 use crate::isa::{isa, Isa};
@@ -97,7 +97,10 @@ pub fn valid_out_range(
 /// # Panics
 ///
 /// Panics if a slice is shorter than its shape contract.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 pub fn depthwise_conv2d(
     input: &[f32],
     weights: &[f32],
@@ -203,7 +206,10 @@ pub fn depthwise_conv2d(
 /// Calls `f(tap, o)` for every pair of a kernel tap and an output position
 /// at which that tap samples the padding: exactly the products by zero the
 /// im2col formulation computes and the direct loops skip.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn for_each_padding_tap(
     h: usize,
     w: usize,
@@ -272,7 +278,10 @@ struct Sample<'a> {
 /// (stepping by the stride `S`), each a multiply then an add, the left and
 /// right tap only in the lanes of `left` / `right`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn row_taps<L: Lanes, const S: usize>(
     l: L,
     acc: L::V,
@@ -305,7 +314,10 @@ fn row_taps<L: Lanes, const S: usize>(
 /// did; elsewhere it starts from `-0.0`, the additive identity, i.e. from
 /// the first product itself — so signed zeros, too, come out as before.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn conv3x3_channel<L: Lanes, const S: usize>(
     l: L,
     input: &[f32],
@@ -376,6 +388,11 @@ impl<L: Lanes> ActBody<L> for Channels<'_> {
 }
 
 /// The AVX-512F instantiation of the kernel.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F: call it only after `isa()` reported
+/// that tier.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn conv3x3_avx512(s: &Sample<'_>, out: &mut [f32]) {
@@ -384,6 +401,11 @@ fn conv3x3_avx512(s: &Sample<'_>, out: &mut [f32]) {
 }
 
 /// The AVX2 instantiation of the kernel.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA: call it only after `isa()` reported
+/// that tier.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn conv3x3_avx2(s: &Sample<'_>, out: &mut [f32]) {
@@ -408,7 +430,10 @@ fn conv3x3(s: &Sample<'_>, out: &mut [f32]) {
 /// The generic tap-by-tap depthwise body for one channel (any kernel size,
 /// stride or padding): accumulates the raw convolution into `out`, whose
 /// padding fringe stays at the zero established by the initial fill.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn depthwise_generic(
     chan_in: &[f32],
     chan_w: &[f32],
@@ -468,7 +493,10 @@ fn depthwise_generic(
 /// # Panics
 ///
 /// Panics if a slice is shorter than its shape contract.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 pub fn depthwise_conv2d_backward(
     input: &[f32],
     weights: &[f32],
@@ -668,7 +696,10 @@ fn interleave(row: &mut [f32], even: &[f32], odd: &[f32]) {
 /// bits exactly (an extra `w·0` term adds a zero to a sum that is never
 /// `−0`); the weight gradient's sums run in another lane order than the
 /// generic loop's row-by-row ones, so they may differ in the last bits.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn backward_3x3_s2p1(
     chan_in: &[f32],
     chan_w: &[f32],
@@ -767,7 +798,10 @@ fn backward_3x3_s2p1(
 /// stride or padding): zeroes `chan_gin`, then per tap scatters
 /// `w_tap · grad_out` into it and reduces `grad_out · input` into the tap's
 /// weight gradient, over the tap's [`valid_out_range`] rectangle.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "convolution geometry travels as scalars"
+)]
 fn backward_generic(
     chan_in: &[f32],
     chan_w: &[f32],
@@ -833,7 +867,10 @@ mod tests {
 
     /// Scalar per-pixel depthwise reference with the im2col formulation's
     /// padding semantics: a padded tap multiplies the weight by zero.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the test oracle takes the kernel's own scalar arguments"
+    )]
     fn reference(
         input: &[f32],
         weights: &[f32],
@@ -977,7 +1014,10 @@ mod tests {
     ];
 
     /// One 3×3 pad-1 forward on `tier`, with `post` as in [`POSTS`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the test oracle takes the kernel's own scalar arguments"
+    )]
     fn run_on(
         tier: Isa,
         input: &[f32],
@@ -1138,7 +1178,10 @@ mod tests {
 
     /// Scalar adjoint of the im2col formulation: padded taps multiply
     /// `grad_out` by a literal zero, as the column matrix does.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the test oracle takes the kernel's own scalar arguments"
+    )]
     fn reference_backward(
         input: &[f32],
         weights: &[f32],

@@ -47,10 +47,10 @@
 //! asserted once before the loop. Everything else in the kernel body is
 //! bounds-checked slice code.
 
-#![allow(unsafe_code)]
-// the register-tiled micro-kernel indexes fixed-size accumulator arrays by
-// design; iterator chains there obscure the tiling and hurt codegen
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    unsafe_code,
+    reason = "calls into the #[target_feature] kernels and one unchecked B-row slice"
+)]
 
 use crate::isa::{isa, Isa};
 use crate::lanes::{with_act, ActBody, Lanes, Portable};
@@ -268,6 +268,11 @@ impl<L: Lanes, const ROWS: usize, const VECS: usize> ActBody<L> for Blocked<'_, 
 }
 
 /// The AVX-512F instantiation of the kernel.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F: call it only after `isa()` reported
+/// that tier.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn kernel_avx512(kernel: Kernel<'_>, act: EpilogueAct) {
@@ -276,6 +281,11 @@ fn kernel_avx512(kernel: Kernel<'_>, act: EpilogueAct) {
 }
 
 /// The AVX2+FMA instantiation of the kernel.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA: call it only after `isa()` reported
+/// that tier.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn kernel_avx2(kernel: Kernel<'_>, act: EpilogueAct) {
@@ -291,7 +301,10 @@ fn kernel_avx2(kernel: Kernel<'_>, act: EpilogueAct) {
 /// loops measure 8 % slower without it (the vector tiers do not care, and
 /// the AVX2 blocking, which spills, measured worse with it).
 #[inline(never)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "separate slices keep the no-alias guarantee a struct field loses"
+)]
 fn kernel_portable(
     apack: &[f32],
     b: &[f32],
@@ -351,7 +364,10 @@ struct Corner {
 /// corner back, so an output element is rounded the same way wherever its
 /// tile falls. `ep` is indexed by output row and must only be passed on the
 /// final `k` panel.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 #[inline(always)]
 fn tile(
     which: Isa,
@@ -632,7 +648,10 @@ fn pack_a<A: WeightElems>(
 /// accumulating into `out` (which must already hold the desired base value).
 /// `ep` (pre-offset to `out`'s row coordinates) is applied at store time and
 /// must only be passed on the final `k` panel.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 fn block_multiply(
     which: Isa,
     apack: &[f32],
@@ -858,7 +877,10 @@ fn gemm_impl<A: WeightElems>(
 /// The small-`m` GEMM: `A` is packed (it is reused across every `B` strip),
 /// `B` full-width strips are read in place by the direct kernels, and only
 /// the ragged `n`-edge strip goes through a small packed panel.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 fn gemm_small_m<A: WeightElems>(
     which: Isa,
     a: A,
@@ -946,7 +968,10 @@ fn for_each_segment(j0: usize, nr: usize, n: usize, mut f: impl FnMut(usize, usi
 /// skinny column panels land side by side in one strip, so the register-tiled
 /// micro-kernel runs at full `NR` width even when each sample's `n` is far
 /// below it.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 fn pack_b_batch(
     bs: &[f32],
     bpack: &mut Vec<f32>,
@@ -979,7 +1004,10 @@ fn pack_b_batch(
 /// it, a strip of the virtual column concatenation at a time; [`tile`]
 /// stores each one, through the bounce buffer where a strip spans an item
 /// boundary (the normal case when `n < NR`).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 fn gemm_batch_core<A: WeightElems>(
     which: Isa,
     scratch: &mut GemmScratch,
@@ -1029,7 +1057,10 @@ fn gemm_batch_core<A: WeightElems>(
 
 /// Validates the cyclic-batch contracts shared by
 /// [`gemm_batch_cyclic_strided_q`] and [`gemm_batch_cyclic_acc_strided_q`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 fn assert_cyclic_contract(
     a_len: usize,
     bs: &[f32],
@@ -1100,7 +1131,10 @@ fn assert_cyclic_contract(
 /// the shared-A batched core ([`gemm_batch_core`]): the group's `A` panel is
 /// packed once per k-panel and its samples' skinny columns share `NR`-wide
 /// strips.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 fn gemm_batch_cyclic_impl<A: WeightElems>(
     a: A,
     bs: &[f32],
@@ -1191,7 +1225,10 @@ fn gemm_batch_cyclic_impl<A: WeightElems>(
 /// Panics if `batch` is not a multiple of `groups`, any slice is shorter
 /// than its strided contract, a stride is smaller than its panel, or the
 /// epilogue's scale/shift hold fewer than `groups * m` entries.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 pub fn gemm_batch_cyclic_strided(
     a: &[f32],
     bs: &[f32],
@@ -1230,7 +1267,10 @@ pub fn gemm_batch_cyclic_strided(
 /// # Panics
 ///
 /// As [`gemm_batch_cyclic_strided`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 pub fn gemm_batch_cyclic_strided_q(
     a: WeightMat<'_>,
     bs: &[f32],
@@ -1282,7 +1322,10 @@ pub fn gemm_batch_cyclic_strided_q(
 /// # Panics
 ///
 /// As [`gemm_batch_cyclic_strided`].
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 pub fn gemm_batch_cyclic_acc_strided_q(
     a: WeightMat<'_>,
     bs: &[f32],
@@ -1699,7 +1742,10 @@ mod tests {
     /// Per-item reference for the batched entry points: item `t` multiplies
     /// `A_{t % groups}` with its own B panel via the plain [`gemm`] /
     /// [`gemm_epilogue`], epilogue rows offset by the item's group.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the test oracle takes the kernel's own scalar arguments"
+    )]
     fn cyclic_reference(
         a: &[f32],
         bs: &[f32],
@@ -1902,9 +1948,8 @@ mod tests {
         }
         // the gap elements specifically must still hold the sentinel
         for s in 0..batch {
-            for gap in (s * stride_out + m * n)..((s + 1) * stride_out).min(got.len()) {
-                assert_eq!(got[gap], -3.5, "gap element {gap} clobbered");
-            }
+            let gap = &got[s * stride_out + m * n..((s + 1) * stride_out).min(got.len())];
+            assert!(gap.iter().all(|&v| v == -3.5), "sample {s}: gap clobbered");
         }
     }
 

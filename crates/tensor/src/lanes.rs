@@ -24,7 +24,7 @@
 //! is derived from the slice's own length inside the access — so the kernel
 //! bodies above the trait are safe code.
 
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "the ISA tier tokens and their intrinsics")]
 
 use crate::gemm::EpilogueAct;
 #[cfg(target_arch = "x86_64")]

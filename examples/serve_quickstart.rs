@@ -49,6 +49,10 @@ fn clients(n: usize, samples: usize) -> Vec<ClientData> {
         .collect()
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the demo bounds its hot-swap wait in real time"
+)]
 fn main() {
     // 1. A federated run that publishes its global model into the registry
     //    every 2 rounds (the `checkpoint_every` hook).

@@ -8,7 +8,7 @@
 //! values end up.
 
 use heteroswitch_repro::nn::{Conv2d, Layer};
-use heteroswitch_repro::parallel::set_num_threads;
+use heteroswitch_repro::parallel::{set_num_threads, sync};
 use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,11 +19,14 @@ use std::sync::{Mutex, MutexGuard};
 /// default when done (also on a failed assertion).
 static THREADS: Mutex<()> = Mutex::new(());
 
-struct ThreadsGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+struct ThreadsGuard(
+    #[allow(dead_code, reason = "held for its drop, which releases the lock")]
+    MutexGuard<'static, ()>,
+);
 
 impl ThreadsGuard {
     fn lock() -> Self {
-        ThreadsGuard(THREADS.lock().unwrap_or_else(|e| e.into_inner()))
+        ThreadsGuard(sync::lock(&THREADS))
     }
 }
 

@@ -58,7 +58,10 @@ fn assert_close_with_nans(got: &Tensor, expect: &Tensor, tol: f32, ctx: &str) {
 
 /// Builds `[conv, bn?, act?]` twice from one seed (identical weights): the
 /// unfused reference and a to-be-fused copy.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per swept layer-stack parameter"
+)]
 fn conv_stack(
     seed: u64,
     cin: usize,

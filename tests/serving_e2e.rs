@@ -60,6 +60,10 @@ fn clients(n: usize, samples: usize) -> Vec<ClientData> {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds its hot-swap wait in real time"
+)]
 fn fl_checkpoints_feed_a_live_dynamically_batched_server() {
     // --- train: an FL run that publishes every 2 rounds into the registry
     let registry = Arc::new(ModelRegistry::new());

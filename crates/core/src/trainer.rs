@@ -2,7 +2,7 @@
 
 use crate::{transform_dataset, AveragingMode, HeteroSwitchConfig, Policy, WeightAverager};
 use hs_data::Dataset;
-use hs_fl::{ClientContext, ClientTrainer, ClientUpdate, LossKind};
+use hs_fl::{initial_loss, ClientContext, ClientTrainer, ClientUpdate, LossKind};
 use hs_nn::{Network, Sgd};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -51,12 +51,7 @@ impl ClientTrainer for HeteroSwitchTrainer {
         // Algorithm 1, lines 1–5: measure L_init and set Switch 1.
         // Comparisons against a NaN EMA (no history yet) are false, so the
         // first round behaves like plain FedAvg under the Selective policy.
-        let init_loss = if data.is_empty() {
-            0.0
-        } else {
-            let (x, target) = data.full_batch();
-            net.eval_loss(&x, &target, loss.as_ref())
-        };
+        let init_loss = initial_loss(net, data, loss.as_ref());
         let switch1 = match self.policy {
             Policy::Selective => init_loss < ctx.loss_ema,
             Policy::AlwaysTransform | Policy::AlwaysTransformAndSwad => true,

@@ -46,5 +46,6 @@ pub use eval::{
 pub use simulation::{FlSimulation, ModelFactory, RoundStats, SemiSyncPolicy};
 pub use source::ClientSource;
 pub use trainer::{
-    sgd_local_update, ClientTrainer, FedAvgTrainer, FedProxTrainer, LossKind, ScaffoldTrainer,
+    initial_loss, sgd_local_update, ClientTrainer, FedAvgTrainer, FedProxTrainer, LossKind,
+    ScaffoldTrainer,
 };

@@ -94,7 +94,7 @@ pub fn sgd_local_update(
 
 /// Evaluates the mean loss of the current weights on the full client dataset
 /// without updating anything (the paper's `L_init`).
-pub(crate) fn initial_loss(net: &mut Network, data: &Dataset, loss: &dyn Loss) -> f32 {
+pub fn initial_loss(net: &mut Network, data: &Dataset, loss: &dyn Loss) -> f32 {
     if data.is_empty() {
         return 0.0;
     }

@@ -1,7 +1,7 @@
 //! Element-wise activation layers.
 //!
-//! The mobile model zoo relies on the ReLU family plus the hard-swish /
-//! hard-sigmoid pair introduced by MobileNetV3.
+//! The model zoo relies on ReLU plus the hard-swish / hard-sigmoid pair
+//! introduced by MobileNetV3.
 
 use crate::layer::{infer_fresh, store};
 use crate::{Layer, Workspace};
@@ -55,190 +55,6 @@ impl Layer for Relu {
 
     fn name(&self) -> &'static str {
         "relu"
-    }
-}
-
-/// Clipped rectified linear unit: `min(max(0, x), 6)`, the mobile-zoo
-/// activation whose bounded range keeps quantised deployments stable.
-pub struct Relu6 {
-    cached_input: Option<Tensor>,
-}
-
-impl Relu6 {
-    /// Creates a ReLU6 activation layer.
-    pub fn new() -> Self {
-        Relu6 { cached_input: None }
-    }
-}
-
-impl Default for Relu6 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for Relu6 {
-    fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        store(&mut self.cached_input, input);
-        infer_fresh(self, input)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        // `&`, not `&&`: both compares run, so the select vectorises
-        grad_out.zip(input, |g, x| if (x > 0.0) & (x < 6.0) { g } else { 0.0 })
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
-        map_into(input, out, |x| x.clamp(0.0, 6.0));
-    }
-
-    fn epilogue_act(&self) -> Option<EpilogueAct> {
-        Some(EpilogueAct::Relu6)
-    }
-
-    fn name(&self) -> &'static str {
-        "relu6"
-    }
-}
-
-/// Leaky rectified linear unit: `x` if positive, `slope * x` otherwise.
-pub struct LeakyRelu {
-    slope: f32,
-    cached_input: Option<Tensor>,
-}
-
-impl LeakyRelu {
-    /// Creates a leaky ReLU with the given negative slope.
-    pub fn new(slope: f32) -> Self {
-        LeakyRelu {
-            slope,
-            cached_input: None,
-        }
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        store(&mut self.cached_input, input);
-        infer_fresh(self, input)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("backward before forward");
-        let s = self.slope;
-        grad_out.zip(input, |g, x| if x > 0.0 { g } else { s * g })
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
-        let s = self.slope;
-        map_into(input, out, |x| if x > 0.0 { x } else { s * x });
-    }
-
-    fn epilogue_act(&self) -> Option<EpilogueAct> {
-        Some(EpilogueAct::LeakyRelu(self.slope))
-    }
-
-    fn name(&self) -> &'static str {
-        "leaky_relu"
-    }
-}
-
-/// Logistic sigmoid activation.
-pub struct Sigmoid {
-    cached_output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid activation layer.
-    pub fn new() -> Self {
-        Sigmoid {
-            cached_output: None,
-        }
-    }
-}
-
-impl Default for Sigmoid {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Numerically-stable scalar sigmoid used by [`Sigmoid`] and the losses.
-pub(crate) fn sigmoid_scalar(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        let out = infer_fresh(self, input);
-        store(&mut self.cached_output, &out);
-        out
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
-        map_into(input, out, sigmoid_scalar);
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward before forward");
-        grad_out.zip(out, |g, y| g * y * (1.0 - y))
-    }
-
-    fn name(&self) -> &'static str {
-        "sigmoid"
-    }
-}
-
-/// Hyperbolic-tangent activation.
-pub struct Tanh {
-    cached_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh activation layer.
-    pub fn new() -> Self {
-        Tanh {
-            cached_output: None,
-        }
-    }
-}
-
-impl Default for Tanh {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        let out = infer_fresh(self, input);
-        store(&mut self.cached_output, &out);
-        out
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
-        map_into(input, out, f32::tanh);
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let out = self
-            .cached_output
-            .as_ref()
-            .expect("backward before forward");
-        grad_out.zip(out, |g, y| g * (1.0 - y * y))
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
     }
 }
 
@@ -384,45 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn relu6_clips_both_ends() {
-        let mut r = Relu6::new();
-        let y = r.forward(&Tensor::from_vec(vec![-1.0, 3.0, 9.0], &[3]), false);
-        assert_eq!(y.as_slice(), &[0.0, 3.0, 6.0]);
-    }
-
-    #[test]
-    fn relu6_gradient() {
-        numerical_check(&mut Relu6::new(), 0.7);
-        numerical_check(&mut Relu6::new(), -0.7);
-        numerical_check(&mut Relu6::new(), 7.0);
-    }
-
-    #[test]
-    fn leaky_relu_gradient() {
-        numerical_check(&mut LeakyRelu::new(0.1), 0.5);
-        numerical_check(&mut LeakyRelu::new(0.1), -0.5);
-    }
-
-    #[test]
-    fn sigmoid_gradient() {
-        numerical_check(&mut Sigmoid::new(), 0.3);
-        numerical_check(&mut Sigmoid::new(), -2.0);
-    }
-
-    #[test]
-    fn sigmoid_is_stable_at_extremes() {
-        let mut s = Sigmoid::new();
-        let y = s.forward(&Tensor::from_vec(vec![-100.0, 100.0], &[2]), false);
-        assert!(y.at(&[0]) >= 0.0 && y.at(&[0]) < 1e-6);
-        assert!(y.at(&[1]) > 1.0 - 1e-6 && y.at(&[1]) <= 1.0);
-    }
-
-    #[test]
-    fn tanh_gradient() {
-        numerical_check(&mut Tanh::new(), 0.4);
-    }
-
-    #[test]
     fn hard_sigmoid_gradient() {
         numerical_check(&mut HardSigmoid::new(), 1.0);
         numerical_check(&mut HardSigmoid::new(), -4.0);
@@ -450,8 +227,6 @@ mod tests {
             f32::from_bits((-3.0f32).to_bits() - 1),
             0.0,
             -0.0,
-            6.0,
-            up(6.0),
             f32::INFINITY,
             f32::NEG_INFINITY,
             f32::NAN,
@@ -460,7 +235,7 @@ mod tests {
         ];
         let gs = [1.0f32, -2.5, f32::NAN];
         type Formula = fn(f32, f32) -> f32;
-        let table: [(Box<dyn Layer>, Formula); 5] = [
+        let table: [(Box<dyn Layer>, Formula); 3] = [
             (Box::new(HardSwish::new()), |g, x| {
                 let d = if x <= -3.0 {
                     0.0
@@ -479,20 +254,6 @@ mod tests {
                 }
             }),
             (Box::new(Relu::new()), |g, x| if x > 0.0 { g } else { 0.0 }),
-            (Box::new(Relu6::new()), |g, x| {
-                if x > 0.0 && x < 6.0 {
-                    g
-                } else {
-                    0.0
-                }
-            }),
-            (Box::new(LeakyRelu::new(0.1)), |g, x| {
-                if x > 0.0 {
-                    g
-                } else {
-                    0.1 * g
-                }
-            }),
         ];
         // every (x, g) pair in one tensor, long enough for the vector body
         let (x, g): (Vec<f32>, Vec<f32>) = xs

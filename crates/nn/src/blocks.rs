@@ -1,6 +1,6 @@
-//! Composite building blocks used by the mobile model zoo: residual
-//! connections, squeeze-excite attention, MobileNetV3 inverted residuals,
-//! SqueezeNet fire modules and ShuffleNetV2 units.
+//! Composite building blocks used by the mobile model zoo: squeeze-excite
+//! attention, MobileNetV3 inverted residuals, SqueezeNet fire modules and
+//! ShuffleNetV2 units with their channel shuffle.
 
 use crate::layer::store;
 use crate::{
@@ -74,78 +74,6 @@ fn apply_gates(x: &Tensor, gates: &[f32], out: &mut Tensor) {
         {
             *ov = xv * g;
         }
-    }
-}
-
-/// A residual connection `y = body(x) + x`.
-///
-/// The body must preserve the input shape.
-pub struct Residual {
-    body: Sequential,
-}
-
-impl Residual {
-    /// Wraps a body whose output shape equals its input shape.
-    pub fn new(body: Sequential) -> Self {
-        Residual { body }
-    }
-}
-
-impl Layer for Residual {
-    fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        let y = self.body.forward_train(input);
-        assert_eq!(
-            y.dims(),
-            input.dims(),
-            "residual body must preserve the input shape"
-        );
-        y.add(input)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.body.backward(grad_out).add(grad_out)
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
-        // the body writes straight into `out`; the skip connection folds the
-        // input in afterwards, in place
-        self.body.infer(input, out, ws);
-        assert_eq!(
-            out.dims(),
-            input.dims(),
-            "residual body must preserve the input shape"
-        );
-        for (o, &x) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
-            *o += x;
-        }
-    }
-
-    fn fuse_inference(&mut self) {
-        self.body.fuse_inference();
-    }
-
-    fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
-        self.body.for_each_child(f);
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.body.params_mut()
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.body.buffers_mut()
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.body.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.body.param_stores()
-    }
-
-    fn name(&self) -> &'static str {
-        "residual"
     }
 }
 
@@ -749,6 +677,7 @@ impl Layer for ShuffleUnit {
             proj.for_each_child(f);
         }
         self.branch_main.for_each_child(f);
+        f(&self.shuffle);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -808,14 +737,20 @@ mod tests {
 
     #[test]
     fn residual_adds_identity() {
+        // a shape-preserving inverted residual whose projection batch-norm
+        // is zeroed: the body contributes nothing, so the skip connection
+        // passes the input forward and the gradient backward unchanged
         let mut r = rng();
-        let body = Sequential::new(vec![Box::new(Conv2d::new(2, 2, 3, 1, 1, 1, &mut r))]);
-        let mut res = Residual::new(body);
-        let x = Tensor::rand_uniform(&[1, 2, 4, 4], -1.0, 1.0, &mut r);
-        let y = res.forward(&x, true);
-        assert_eq!(y.dims(), x.dims());
-        let g = res.backward(&Tensor::ones(y.dims()));
-        assert_eq!(g.dims(), x.dims());
+        let mut block = InvertedResidual::new(4, 8, 4, 3, 1, false, false, &mut r);
+        let n = block.params_mut().len();
+        for p in &mut block.params_mut()[n - 2..] {
+            p.value.as_mut_slice().fill(0.0);
+        }
+        let x = Tensor::rand_uniform(&[2, 4, 5, 5], -1.0, 1.0, &mut r);
+        assert_eq!(block.forward(&x, false), x);
+        assert_eq!(block.forward(&x, true), x);
+        let g = Tensor::rand_uniform(&[2, 4, 5, 5], -1.0, 1.0, &mut r);
+        assert_eq!(block.backward(&g), g);
     }
 
     #[test]

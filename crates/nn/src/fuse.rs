@@ -23,11 +23,11 @@
 //! a workspace tensor), so weight updates and server aggregation between
 //! rounds are always reflected.
 //!
-//! Every activation with an [`EpilogueAct`] form fuses — the ReLU family and
-//! hard-swish, so no `Conv -> BN -> activation` stack of the mobile zoo keeps
-//! a stand-alone activation pass. Patterns that do not match — an activation
-//! without an epilogue form (sigmoid, tanh, hard-sigmoid), a batch-norm whose
-//! width disagrees with the convolution, anything else in between — are left
+//! Every activation with an [`EpilogueAct`] form fuses — ReLU and hard-swish,
+//! so no `Conv -> BN -> activation` stack of the mobile zoo keeps a
+//! stand-alone activation pass. Patterns that do not match — an activation
+//! without an epilogue form (hard-sigmoid), a batch-norm whose width
+//! disagrees with the convolution, anything else in between — are left
 //! untouched, falling back to the exact layer-by-layer path.
 
 use crate::{Layer, Param, ParamStore, Sequential, Workspace};
@@ -322,9 +322,7 @@ pub fn fuse_sequential(mut seq: Sequential) -> Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        BatchNorm2d, Conv2d, HardSigmoid, HardSwish, LeakyRelu, Linear, MaxPool2d, Relu, Relu6,
-    };
+    use crate::{BatchNorm2d, Conv2d, HardSigmoid, HardSwish, Linear, MaxPool2d, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -357,12 +355,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let seq = Sequential::new(vec![
             Box::new(Conv2d::new(2, 4, 3, 1, 1, 1, &mut rng)),
-            Box::new(Relu6::new()),
+            Box::new(Relu::new()),
             Box::new(Conv2d::depthwise(4, 3, 2, 1, &mut rng)),
             Box::new(BatchNorm2d::new(4)),
             Box::new(HardSwish::new()),
             Box::new(Linear::new(4, 4, &mut rng)),
-            Box::new(LeakyRelu::new(0.1)),
+            Box::new(HardSwish::new()),
             Box::new(Linear::new(4, 2, &mut rng)),
         ]);
         let fused = fuse_sequential(seq);

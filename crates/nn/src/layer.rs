@@ -220,12 +220,12 @@ pub(crate) fn infer_sharded<L: Layer + ?Sized>(
 /// A layer has one training forward and one inference forward:
 ///
 /// * [`Layer::forward_train`] caches whatever [`Layer::backward`] needs
-///   (inputs, masks, intermediate activations); `backward` turns that cache
+///   (inputs, intermediate activations); `backward` turns that cache
 ///   into the gradient with respect to the layer input while accumulating
 ///   parameter gradients into the layer's [`Param`]s. Where training and
-///   inference compute the same function (every leaf but batch norm and
-///   dropout), `forward_train` stores what `backward` reads and runs
-///   `infer`: one forward body per layer.
+///   inference compute the same function (every leaf but batch norm),
+///   `forward_train` stores what `backward` reads and runs `infer`: one
+///   forward body per layer.
 /// * [`Layer::infer`] reads only shared state (`&self`), writes into a
 ///   caller-owned output and takes its scratch from a caller-owned
 ///   [`Workspace`] — so one network serves any number of concurrent
@@ -244,10 +244,10 @@ pub(crate) fn infer_sharded<L: Layer + ?Sized>(
 /// what its inference runs.
 pub trait Layer: Send + Sync {
     /// Computes the layer output for `input`: [`Layer::forward_train`] when
-    /// `train` (batch-norm batch statistics, dropout masking, gradient
-    /// caches), otherwise the inference step of [`crate::Network::infer`]
-    /// (sharded by sample range where that pays) on a cold [`Workspace`] —
-    /// the same arithmetic, paying the allocations a kept workspace saves.
+    /// `train` (batch-norm batch statistics, gradient caches), otherwise the
+    /// inference step of [`crate::Network::infer`] (sharded by sample range
+    /// where that pays) on a cold [`Workspace`] — the same arithmetic,
+    /// paying the allocations a kept workspace saves.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if train {
             return self.forward_train(input);
@@ -268,7 +268,7 @@ pub trait Layer: Send + Sync {
     /// Must be called after a [`Layer::forward_train`] pass.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
-    /// The inference forward (running statistics, identity dropout): writes
+    /// The inference forward (batch-norm running statistics): writes
     /// the output for `input` into `out`, resizing it via
     /// [`Tensor::resize_to`] so a warm buffer is reused instead of
     /// reallocated. `out` never aliases `input`. Touches no layer state —
@@ -336,7 +336,7 @@ pub trait Layer: Send + Sync {
     }
 
     /// The element-wise activation this layer computes, when it is expressible
-    /// as a GEMM-epilogue activation (ReLU family, hard-swish). `None` for
+    /// as a GEMM-epilogue activation (ReLU, hard-swish). `None` for
     /// everything else, which keeps such layers out of the fusion pass.
     fn epilogue_act(&self) -> Option<EpilogueAct> {
         None

@@ -40,7 +40,6 @@ mod activation;
 mod blocks;
 mod checkpoint;
 mod conv;
-mod dropout;
 pub mod fuse;
 mod layer;
 mod linear;
@@ -53,11 +52,10 @@ mod param;
 mod pool;
 mod sequential;
 
-pub use activation::{HardSigmoid, HardSwish, LeakyRelu, Relu, Relu6, Sigmoid, Tanh};
-pub use blocks::{ChannelShuffle, Fire, InvertedResidual, Residual, ShuffleUnit, SqueezeExcite};
+pub use activation::{HardSigmoid, HardSwish, Relu};
+pub use blocks::{ChannelShuffle, Fire, InvertedResidual, ShuffleUnit, SqueezeExcite};
 pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use conv::{batched_gemm_crossovers, Conv2d, ConvAlgo};
-pub use dropout::Dropout;
 pub use fuse::{fuse_sequential, FusedConvBnAct, FusedLinearAct};
 pub use hs_tensor::EpilogueAct;
 pub use layer::{Layer, ParamStore, Workspace};
@@ -67,5 +65,5 @@ pub use network::Network;
 pub use norm::BatchNorm2d;
 pub use optim::Sgd;
 pub use param::Param;
-pub use pool::{AvgPool2d, Flatten, GlobalAvgPool, MaxPool2d};
+pub use pool::{Flatten, GlobalAvgPool, MaxPool2d};
 pub use sequential::Sequential;

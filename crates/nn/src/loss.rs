@@ -1,6 +1,5 @@
 //! Loss functions and training targets.
 
-use crate::activation::sigmoid_scalar;
 use hs_tensor::Tensor;
 
 /// The supervision signal for one batch.
@@ -65,6 +64,17 @@ impl Loss for CrossEntropyLoss {
         let scale = 1.0 / n as f32;
         grad.scale_inplace(scale);
         (loss * scale, grad)
+    }
+}
+
+/// Numerically-stable scalar sigmoid: never evaluates `exp` of a positive
+/// argument, so it cannot overflow at either extreme.
+fn sigmoid_scalar(x: f32) -> f32 {
+    if x >= 0.0 {
+        1.0 / (1.0 + (-x).exp())
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
     }
 }
 
@@ -195,6 +205,13 @@ mod tests {
             let numerical = (plus - minus) / (2.0 * eps);
             assert!((grad.as_slice()[i] - numerical).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn sigmoid_is_stable_at_extremes() {
+        let (lo, hi) = (sigmoid_scalar(-100.0), sigmoid_scalar(100.0));
+        assert!((0.0..1e-6).contains(&lo), "{lo}");
+        assert!(hi > 1.0 - 1e-6 && hi <= 1.0, "{hi}");
     }
 
     #[test]

@@ -29,11 +29,10 @@ mod tests {
         let mut net = ecg_net(8, &mut rng);
         let mut opt = Sgd::new(0.05);
         let x = Tensor::rand_uniform(&[32, 8], 0.0, 1.0, &mut rng);
-        let targets: Vec<f32> = (0..32)
-            .map(|i| {
-                let row = x.index_axis0(i);
-                row.mean() * 2.0
-            })
+        let targets: Vec<f32> = x
+            .as_slice()
+            .chunks(8)
+            .map(|row| row.iter().sum::<f32>() / 8.0 * 2.0)
             .collect();
         let target = Target::Values(Tensor::from_vec(targets, &[32, 1]));
 

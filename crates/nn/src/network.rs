@@ -36,7 +36,7 @@ impl Network {
     }
 
     /// Runs a forward pass. `train` enables training-time behaviour
-    /// (batch statistics, dropout, gradient caches); without it this is
+    /// (batch statistics, gradient caches); without it this is
     /// [`Network::infer_with`] on a cold workspace.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         self.layers.forward(x, train)

@@ -519,10 +519,10 @@ mod tests {
         // numerical: fresh layers so running stats do not interfere
         let mut bn_plus = BatchNorm2d::new(1);
         *x.at_mut(&[0, 0, 1, 0]) = base + eps;
-        let plus = bn_plus.forward(&x, true).mul(&weights).sum();
+        let plus = bn_plus.forward(&x, true).zip(&weights, |a, b| a * b).sum();
         let mut bn_minus = BatchNorm2d::new(1);
         *x.at_mut(&[0, 0, 1, 0]) = base - eps;
-        let minus = bn_minus.forward(&x, true).mul(&weights).sum();
+        let minus = bn_minus.forward(&x, true).zip(&weights, |a, b| a * b).sum();
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
             (analytic - numerical).abs() < 0.05,

@@ -1,70 +1,29 @@
 //! Stochastic gradient descent.
 
 use crate::Network;
-use hs_tensor::Tensor;
 
-/// Plain SGD with optional momentum and weight decay.
+/// Vanilla stochastic gradient descent: `w -= lr * grad`.
 ///
-/// The HeteroSwitch paper trains local models with vanilla SGD (appendix A.2);
-/// momentum and weight decay are provided for the centralized robustness
-/// study (Fig. 7) and ablations.
+/// The HeteroSwitch paper trains every local model with plain SGD (appendix
+/// A.2), with no momentum and no weight decay, so the optimiser holds only
+/// the learning rate.
 pub struct Sgd {
     /// Learning rate η.
     pub lr: f32,
-    /// Momentum coefficient (0.0 disables momentum).
-    pub momentum: f32,
-    /// L2 weight-decay coefficient (0.0 disables decay).
-    pub weight_decay: f32,
-    velocity: Vec<Tensor>,
 }
 
 impl Sgd {
     /// Creates a vanilla SGD optimizer with the given learning rate.
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Sets the momentum coefficient, returning the optimizer for chaining.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Sets the weight-decay coefficient, returning the optimizer for chaining.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
+        Sgd { lr }
     }
 
     /// Applies one update step to every parameter of `net` using the
     /// gradients accumulated since the last [`Network::zero_grad`], then
     /// clears the gradients.
     pub fn step(&mut self, net: &mut Network) {
-        let params = net.params_mut();
-        if self.momentum > 0.0 && self.velocity.len() != params.len() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.dims()))
-                .collect();
-        }
-        for (i, p) in params.into_iter().enumerate() {
-            let mut grad = p.grad.clone();
-            if self.weight_decay > 0.0 {
-                grad.add_scaled(&p.value, self.weight_decay);
-            }
-            if self.momentum > 0.0 {
-                let v = &mut self.velocity[i];
-                v.scale_inplace(self.momentum);
-                v.add_assign(&grad);
-                p.value.add_scaled(v, -self.lr);
-            } else {
-                p.value.add_scaled(&grad, -self.lr);
-            }
+        for p in net.params_mut() {
+            p.value.add_scaled(&p.grad, -self.lr);
             p.zero_grad();
         }
     }
@@ -110,25 +69,6 @@ mod tests {
             last < first.unwrap() * 0.5,
             "loss should halve: {first:?} -> {last}"
         );
-    }
-
-    #[test]
-    fn momentum_and_decay_still_learn() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut net = toy_net(&mut rng);
-        let mut opt = Sgd::new(0.1).with_momentum(0.9).with_weight_decay(1e-4);
-        let x = hs_tensor::Tensor::rand_uniform(&[9, 4], -1.0, 1.0, &mut rng);
-        let target = Target::Classes((0..9).map(|i| i % 3).collect());
-
-        let mut losses = Vec::new();
-        for _ in 0..30 {
-            let logits = net.forward(&x, true);
-            let (loss, grad) = CrossEntropyLoss.forward(&logits, &target);
-            net.backward(&grad);
-            opt.step(&mut net);
-            losses.push(loss);
-        }
-        assert!(losses.last().unwrap() < losses.first().unwrap());
     }
 
     #[test]

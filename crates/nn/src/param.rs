@@ -24,9 +24,11 @@ impl Param {
         Param { value, grad }
     }
 
-    /// Resets the gradient to zero.
+    /// Resets the gradient to zero, in place: a gradient of the value's
+    /// shape keeps its buffer.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.dims());
+        self.grad.resize_to(self.value.dims());
+        self.grad.as_mut_slice().fill(0.0);
     }
 
     /// Number of scalar elements in the parameter.

@@ -81,93 +81,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// 2-D average pooling with a square window and stride equal to the window
-/// size.
-pub struct AvgPool2d {
-    size: usize,
-    cached_in_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer with the given window size (and stride).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size` is zero.
-    pub fn new(size: usize) -> Self {
-        assert!(size >= 1, "pool size must be positive");
-        AvgPool2d {
-            size,
-            cached_in_dims: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        self.cached_in_dims = Some(input.dims().to_vec());
-        infer_fresh(self, input)
-    }
-
-    fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
-        assert_eq!(input.rank(), 4, "AvgPool2d expects a [n, c, h, w] input");
-        let dims = input.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let s = self.size;
-        let (oh, ow) = (h / s, w / s);
-        let x = input.as_slice();
-        out.resize_to(&[n, c, oh, ow]);
-        let o = out.as_mut_slice();
-        let norm = 1.0 / (s * s) as f32;
-        for nc in 0..n * c {
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    let mut acc = 0.0;
-                    for di in 0..s {
-                        for dj in 0..s {
-                            acc += x[(nc * h + oi * s + di) * w + oj * s + dj];
-                        }
-                    }
-                    o[(nc * oh + oi) * ow + oj] = acc * norm;
-                }
-            }
-        }
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let in_dims = self
-            .cached_in_dims
-            .clone()
-            .expect("backward before forward");
-        let (n, c, h, w) = (in_dims[0], in_dims[1], in_dims[2], in_dims[3]);
-        let s = self.size;
-        let (oh, ow) = (h / s, w / s);
-        let norm = 1.0 / (s * s) as f32;
-        let go = grad_out.as_slice();
-        let mut grad_in = vec![0.0f32; n * c * h * w];
-        for ni in 0..n {
-            for ci in 0..c {
-                for oi in 0..oh {
-                    for oj in 0..ow {
-                        let g = go[((ni * c + ci) * oh + oi) * ow + oj] * norm;
-                        for di in 0..s {
-                            for dj in 0..s {
-                                let i_idx = ((ni * c + ci) * h + oi * s + di) * w + oj * s + dj;
-                                grad_in[i_idx] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(grad_in, &in_dims)
-    }
-
-    fn name(&self) -> &'static str {
-        "avg_pool2d"
-    }
-}
-
 /// Global average pooling: `[n, c, h, w] -> [n, c]`.
 pub struct GlobalAvgPool {
     cached_in_dims: Option<Vec<usize>>,
@@ -337,11 +250,11 @@ mod tests {
 
     #[test]
     fn avg_pool_averages_and_spreads_gradient() {
-        let mut pool = AvgPool2d::new(2);
+        let mut pool = GlobalAvgPool::new();
         let x = Tensor::from_vec(vec![1.0, 3.0, 5.0, 7.0], &[1, 1, 2, 2]);
         let y = pool.forward(&x, true);
         assert_eq!(y.as_slice(), &[4.0]);
-        let g = pool.backward(&Tensor::ones(&[1, 1, 1, 1]));
+        let g = pool.backward(&Tensor::ones(&[1, 1]));
         assert_eq!(g.as_slice(), &[0.25, 0.25, 0.25, 0.25]);
     }
 

@@ -66,10 +66,6 @@ pub enum EpilogueAct {
     None,
     /// `max(0, x)`.
     Relu,
-    /// `x` for positive inputs, `slope * x` otherwise.
-    LeakyRelu(f32),
-    /// `min(max(0, x), 6)` — the mobile-zoo clipped ReLU.
-    Relu6,
     /// MobileNetV3 hard-swish, `x · clamp((x + 3) / 6, 0, 1)`, with the
     /// division written as a multiplication by `1/6`: every kernel tier
     /// computes this same form, one rounding away from the stand-alone
@@ -83,21 +79,13 @@ pub(crate) const SIXTH: f32 = 1.0 / 6.0;
 impl EpilogueAct {
     /// Applies the activation to a single value (the scalar reference the
     /// SIMD store loops must match, including on NaN: ReLU maps NaN to 0
-    /// like `f32::max`; LeakyReLU, ReLU6 and hard-swish propagate it like
-    /// the corresponding unfused activation layers).
+    /// like `f32::max`; hard-swish propagates it like the unfused
+    /// `HardSwish` layer).
     #[inline]
     pub fn apply(self, v: f32) -> f32 {
         match self {
             EpilogueAct::None => v,
             EpilogueAct::Relu => v.max(0.0),
-            EpilogueAct::LeakyRelu(slope) => {
-                if v > 0.0 {
-                    v
-                } else {
-                    slope * v
-                }
-            }
-            EpilogueAct::Relu6 => v.clamp(0.0, 6.0),
             EpilogueAct::HardSwish => v * ((v + 3.0) * SIXTH).clamp(0.0, 1.0),
         }
     }
@@ -294,7 +282,7 @@ fn kernel_avx2(kernel: Kernel<'_>, act: EpilogueAct) {
 }
 
 /// The portable instantiation of the kernel. Out of line like its two
-/// siblings: inlined, its five activation variants swell every tile loop
+/// siblings: inlined, its three activation variants swell every tile loop
 /// (4-10 % on short-`k` GEMMs of the AVX tiers). It takes the kernel's
 /// fields as separate parameters because a slice parameter carries the
 /// no-alias guarantee that a struct field loses, and its autovectorised
@@ -1465,6 +1453,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Every epilogue activation.
+    const ACTS: [EpilogueAct; 3] = [EpilogueAct::None, EpilogueAct::Relu, EpilogueAct::HardSwish];
+
     fn random_matrix(rng: &mut StdRng, len: usize) -> Vec<f32> {
         (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
     }
@@ -1595,13 +1586,6 @@ mod tests {
     #[test]
     fn epilogue_matches_reference_across_shapes_and_activations() {
         let mut rng = StdRng::seed_from_u64(40);
-        let acts = [
-            EpilogueAct::None,
-            EpilogueAct::Relu,
-            EpilogueAct::LeakyRelu(0.1),
-            EpilogueAct::Relu6,
-            EpilogueAct::HardSwish,
-        ];
         // shapes covering: full/partial tiles, full/edge strips, the
         // small-m direct path (m <= 64), the packed big-m path, and
         // multi-panel k (> KC)
@@ -1618,7 +1602,7 @@ mod tests {
             let b = random_matrix(&mut rng, k * n);
             let scale = random_matrix(&mut rng, m);
             let shift = random_matrix(&mut rng, m);
-            for act in acts {
+            for act in ACTS {
                 let ep = Epilogue {
                     scale: &scale,
                     shift: &shift,
@@ -1636,9 +1620,9 @@ mod tests {
     #[test]
     fn epilogue_nan_semantics_match_scalar_reference_on_full_and_ragged_tiles() {
         // a NaN in A poisons whole output rows; the kernel's store must treat
-        // it exactly like EpilogueAct::apply — ReLU maps NaN to 0, LeakyReLU
-        // and ReLU6 propagate it — in place (full tiles) and through the
-        // bounce buffer (ragged edge rows/cols)
+        // it exactly like EpilogueAct::apply — ReLU maps NaN to 0, hard-swish
+        // propagates it — in place (full tiles) and through the bounce
+        // buffer (ragged edge rows/cols)
         let mut rng = StdRng::seed_from_u64(42);
         // m = MR+1: rows 0..8 are a full tile, row 8 a ragged one;
         // n = NR+1 adds a ragged column strip
@@ -1649,13 +1633,7 @@ mod tests {
         let b = random_matrix(&mut rng, k * n);
         let scale = random_matrix(&mut rng, m);
         let shift = random_matrix(&mut rng, m);
-        for act in [
-            EpilogueAct::None,
-            EpilogueAct::Relu,
-            EpilogueAct::LeakyRelu(0.1),
-            EpilogueAct::Relu6,
-            EpilogueAct::HardSwish,
-        ] {
+        for act in ACTS {
             let ep = Epilogue {
                 scale: &scale,
                 shift: &shift,
@@ -1711,8 +1689,6 @@ mod tests {
         for (act, input, expect) in [
             (EpilogueAct::Relu, -2.0f32, 0.0f32),
             (EpilogueAct::Relu, 2.0, 2.0),
-            (EpilogueAct::LeakyRelu(0.5), -2.0, -1.0),
-            (EpilogueAct::Relu6, 9.0, 6.0),
             (EpilogueAct::HardSwish, -4.0, 0.0),
             (EpilogueAct::HardSwish, 3.0, 3.0),
             (EpilogueAct::HardSwish, 5.0, 5.0),
@@ -1860,13 +1836,7 @@ mod tests {
             // distinct scale/shift per group so a row-offset mistake shows up
             let scale = random_matrix(&mut rng, groups * m);
             let shift = random_matrix(&mut rng, groups * m);
-            for act in [
-                EpilogueAct::None,
-                EpilogueAct::Relu,
-                EpilogueAct::LeakyRelu(0.1),
-                EpilogueAct::Relu6,
-                EpilogueAct::HardSwish,
-            ] {
+            for act in ACTS {
                 let ep = Epilogue {
                     scale: &scale,
                     shift: &shift,
@@ -2160,7 +2130,7 @@ mod tests {
             let ep = Epilogue {
                 scale: &scale,
                 shift: &shift,
-                act: EpilogueAct::LeakyRelu(0.1),
+                act: EpilogueAct::HardSwish,
             };
             let mut expect = vec![0.0; m * n];
             gemm_epilogue(&wide, &b, &mut expect, m, k, n, &ep);
@@ -2293,14 +2263,6 @@ mod tests {
     // -----------------------------------------------------------------------
 
     use crate::isa::{force_tier, supported_tiers};
-
-    const ACTS: [EpilogueAct; 5] = [
-        EpilogueAct::None,
-        EpilogueAct::Relu,
-        EpilogueAct::LeakyRelu(0.1),
-        EpilogueAct::Relu6,
-        EpilogueAct::HardSwish,
-    ];
 
     /// Runs `f` with every kernel call on this thread pinned to `tier`.
     fn on_tier<R>(tier: Isa, f: impl FnOnce() -> R) -> R {

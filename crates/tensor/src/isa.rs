@@ -1,9 +1,9 @@
 //! Which vector instruction set the running CPU offers — the one runtime
-//! decision every ISA-dispatched kernel in this crate ([`crate::gemm`]'s
-//! micro-kernel, the 3×3 depthwise kernel) is taken behind. Detected once
-//! per process; the build stays a plain portable target, and there is no
-//! runtime switch — only this crate's unit tests can pin a tier
-//! ([`force_tier`]).
+//! decision every ISA-dispatched kernel in this crate
+//! ([`gemm`](mod@crate::gemm)'s micro-kernel, the 3×3 depthwise kernel) is
+//! taken behind. Detected once per process; the build stays a plain portable
+//! target, and there is no runtime switch — only this crate's unit tests can
+//! pin a tier (`force_tier`).
 
 /// The kernel tier the running CPU supports.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,7 +66,7 @@ pub(crate) fn force_tier(tier: Option<Isa>) {
 }
 
 /// The tier the kernels run on: the best one this CPU supports, detected on
-/// first use (test builds can pin a supported one with [`force_tier`]).
+/// first use (test builds can pin a supported one with `force_tier`).
 pub(crate) fn isa() -> Isa {
     use std::sync::OnceLock;
     #[cfg(test)]

@@ -1,10 +1,10 @@
 //! The lane abstraction every ISA-dispatched kernel in this crate is written
 //! over: a vector of `f32` lanes and the dozen operations the GEMM
-//! micro-kernel ([`crate::gemm`]) and the 3×3 depthwise kernel are spelled
-//! in, implemented for AVX-512 (16 lanes), AVX2+FMA (8) and a scalar-array
-//! portable tier (8). A kernel is one generic body over [`Lanes`],
-//! instantiated per tier behind a thin `#[target_feature]` entry point that
-//! the runtime [`crate::isa`] decision selects.
+//! micro-kernel ([`gemm`](mod@crate::gemm)) and the 3×3 depthwise kernel
+//! are spelled in, implemented for AVX-512 (16 lanes), AVX2+FMA (8) and a
+//! scalar-array portable tier (8). A kernel is one generic body over
+//! [`Lanes`], instantiated per tier behind a thin `#[target_feature]` entry
+//! point that the runtime [`crate::isa`] decision selects.
 //!
 //! Every operation but [`Lanes::fma`] computes the same bits on every tier,
 //! lane by lane. `fma` is the one place the tiers may differ: the two AVX
@@ -77,8 +77,6 @@ pub(crate) trait Lanes: Copy {
     fn max(self, a: Self::V, b: Self::V) -> Self::V;
     /// Lane-wise `if a < b { a } else { b }`: `b` on NaN or equal zeros.
     fn min(self, a: Self::V, b: Self::V) -> Self::V;
-    /// The lanes where `a > b` (ordered: false on NaN).
-    fn gt(self, a: Self::V, b: Self::V) -> u32;
     /// `x` in the lanes of `mask`, `y` in the others.
     fn select(self, mask: u32, x: Self::V, y: Self::V) -> Self::V;
 }
@@ -158,11 +156,6 @@ impl Lanes for Portable {
     #[inline(always)]
     fn min(self, a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
         std::array::from_fn(|l| if a[l] < b[l] { a[l] } else { b[l] })
-    }
-
-    #[inline(always)]
-    fn gt(self, a: [f32; 8], b: [f32; 8]) -> u32 {
-        (0..8).fold(0, |m, l| m | u32::from(a[l] > b[l]) << l)
     }
 
     #[inline(always)]
@@ -259,12 +252,6 @@ impl Lanes for Avx512 {
     fn min(self, a: __m512, b: __m512) -> __m512 {
         // SAFETY: an `Avx512` exists only where avx512f was detected.
         unsafe { _mm512_min_ps(a, b) }
-    }
-
-    #[inline(always)]
-    fn gt(self, a: __m512, b: __m512) -> u32 {
-        // SAFETY: an `Avx512` exists only where avx512f was detected.
-        u32::from(unsafe { _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ) })
     }
 
     #[inline(always)]
@@ -391,12 +378,6 @@ impl Lanes for Avx2 {
     }
 
     #[inline(always)]
-    fn gt(self, a: __m256, b: __m256) -> u32 {
-        // SAFETY: an `Avx2` exists only where avx2 was detected.
-        (unsafe { _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(a, b)) }) as u32
-    }
-
-    #[inline(always)]
     fn select(self, mask: u32, x: __m256, y: __m256) -> __m256 {
         if mask & 0xff == 0xff {
             return x;
@@ -415,7 +396,7 @@ pub(crate) trait ActBody<L: Lanes> {
 /// Runs `body` with `act` resolved to a lane closure once, here, not per
 /// element: the branch-faithful forms of [`EpilogueAct::apply`], so NaN
 /// behaves as on the scalar path (`max` / `min` return their second operand
-/// on NaN, `gt` is ordered). The closures are `inline(always)` so they are
+/// on NaN). The closures are `inline(always)` so they are
 /// compiled inside the tier's `#[target_feature]` entry point, where the
 /// intrinsics inline.
 #[inline(always)]
@@ -432,22 +413,6 @@ pub(crate) fn with_act<L: Lanes>(l: L, act: EpilogueAct, body: impl ActBody<L>) 
             #[inline(always)]
             |v| l.max(v, zero),
         ),
-        EpilogueAct::LeakyRelu(slope) => {
-            let slope = l.splat(slope);
-            body.run(
-                l,
-                #[inline(always)]
-                |v| l.select(l.gt(v, zero), v, l.mul(slope, v)),
-            )
-        }
-        EpilogueAct::Relu6 => {
-            let six = l.splat(6.0);
-            body.run(
-                l,
-                #[inline(always)]
-                |v| l.min(six, l.max(zero, v)),
-            )
-        }
         EpilogueAct::HardSwish => {
             let (three, sixth) = (l.splat(3.0), l.splat(crate::gemm::SIXTH));
             body.run(

@@ -8,7 +8,8 @@
 //! * contiguous row-major storage with shape/stride bookkeeping,
 //! * element-wise arithmetic and mapping,
 //! * 2-D matrix multiplication and transposition,
-//! * reductions (sum, mean, max, argmax) over the whole tensor or an axis,
+//! * whole-tensor reductions (sum, mean, max), axis sums and row-wise
+//!   argmax and softmax,
 //! * random initialisation helpers with explicit, seedable RNGs.
 //!
 //! The hot paths run on the [`mod@gemm`] kernel layer: a cache-blocked,

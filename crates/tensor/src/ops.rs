@@ -121,17 +121,6 @@ impl Tensor {
         Tensor::from_vec(out, &out_dims)
     }
 
-    /// Mean along `axis`, removing that axis from the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank()` or the axis has zero length.
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let ax = self.dims()[axis];
-        assert!(ax > 0, "mean_axis over an empty axis");
-        self.sum_axis(axis).scale(1.0 / ax as f32)
-    }
-
     /// Row-wise argmax of a rank-2 tensor (`[n, c] -> n indices`).
     ///
     /// # Panics
@@ -182,51 +171,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, &[n, c])
     }
-
-    /// Dot product of two tensors viewed as flat vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.len(), other.len(), "dot requires equal lengths");
-        self.as_slice()
-            .iter()
-            .zip(other.as_slice().iter())
-            .map(|(&a, &b)| a * b)
-            .sum()
-    }
-
-    /// Adds a rank-1 bias of length `c` to every row of a rank-2 `[n, c]`
-    /// tensor, returning a new tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or length mismatches.
-    pub fn add_row_bias(&self, bias: &Tensor) -> Tensor {
-        let mut out = self.clone();
-        out.add_row_bias_assign(bias);
-        out
-    }
-
-    /// In-place variant of [`Tensor::add_row_bias`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or length mismatches.
-    pub fn add_row_bias_assign(&mut self, bias: &Tensor) {
-        assert_eq!(self.rank(), 2, "add_row_bias requires a rank-2 tensor");
-        assert_eq!(bias.rank(), 1, "bias must be rank 1");
-        let (n, c) = (self.dims()[0], self.dims()[1]);
-        assert_eq!(bias.len(), c, "bias length must equal the column count");
-        let b = bias.as_slice();
-        let data = self.as_mut_slice();
-        for i in 0..n {
-            for (o, bv) in data[i * c..(i + 1) * c].iter_mut().zip(b.iter()) {
-                *o += bv;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -270,13 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_axis_first() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let m = t.mean_axis(0);
-        assert_eq!(m.as_slice(), &[2.0, 3.0]);
-    }
-
-    #[test]
     fn argmax_rows_picks_largest() {
         let t = Tensor::from_vec(vec![0.1, 0.9, 0.0, 0.3, 0.2, 0.5], &[2, 3]);
         assert_eq!(t.argmax_rows(), vec![1, 2]);
@@ -298,21 +235,5 @@ mod tests {
         let t = Tensor::from_vec(vec![1000.0, 1001.0], &[1, 2]);
         let s = t.softmax_rows();
         assert!(s.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn dot_product() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]);
-        assert_eq!(a.dot(&b), 32.0);
-    }
-
-    #[test]
-    fn add_row_bias_broadcasts() {
-        let x = Tensor::zeros(&[2, 3]);
-        let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
-        let y = x.add_row_bias(&b);
-        assert_eq!(y.at(&[0, 1]), 2.0);
-        assert_eq!(y.at(&[1, 2]), 3.0);
     }
 }

@@ -74,15 +74,6 @@ impl Shape {
         }
         offset
     }
-
-    /// Returns the size of a given axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `axis >= rank()`.
-    pub fn dim(&self, axis: usize) -> usize {
-        self.0[axis]
-    }
 }
 
 impl From<&[usize]> for Shape {

@@ -86,11 +86,6 @@ impl<S: Storage> TensorBase<S> {
         &self.data
     }
 
-    /// The tensor shape.
-    pub fn shape(&self) -> &Shape {
-        &self.shape
-    }
-
     /// The tensor dimensions as a slice.
     pub fn dims(&self) -> &[usize] {
         self.shape.dims()
@@ -179,14 +174,6 @@ impl Tensor {
         Ok(Tensor { data, shape })
     }
 
-    /// Creates a rank-1 tensor from a slice.
-    pub fn from_slice(data: &[f32]) -> Self {
-        Tensor {
-            data: data.to_vec(),
-            shape: Shape::new(&[data.len()]),
-        }
-    }
-
     /// Creates a tensor with values drawn uniformly from `[low, high)`.
     pub fn rand_uniform(dims: &[usize], low: f32, high: f32, rng: &mut StdRng) -> Self {
         let shape = Shape::new(dims);
@@ -253,16 +240,6 @@ impl Tensor {
         &mut self.data[i]
     }
 
-    /// Returns the single value of a scalar (1-element) tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor has more than one element.
-    pub fn scalar(&self) -> f32 {
-        assert_eq!(self.len(), 1, "scalar() requires exactly one element");
-        self.data[0]
-    }
-
     // ---------------------------------------------------------------------
     // Shape manipulation
     // ---------------------------------------------------------------------
@@ -315,25 +292,6 @@ impl Tensor {
             }
         }
         out
-    }
-
-    /// Extracts the `i`-th slice along the first axis, dropping that axis.
-    ///
-    /// For a `[N, C, H, W]` tensor this returns the `[C, H, W]` sample `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is rank 0 or `i` is out of bounds.
-    pub fn index_axis0(&self, i: usize) -> Tensor {
-        assert!(self.rank() >= 1, "index_axis0 requires rank >= 1");
-        let n = self.dims()[0];
-        assert!(i < n, "index {i} out of bounds for axis 0 (size {n})");
-        let inner: usize = self.dims()[1..].iter().product();
-        let data = self.data[i * inner..(i + 1) * inner].to_vec();
-        Tensor {
-            data,
-            shape: Shape::new(&self.dims()[1..]),
-        }
     }
 
     /// Stacks tensors of identical shape along a new leading axis.
@@ -446,21 +404,6 @@ impl Tensor {
         self.zip(other, |a, b| a + b)
     }
 
-    /// Element-wise subtraction.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a - b)
-    }
-
-    /// Element-wise (Hadamard) multiplication.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a * b)
-    }
-
-    /// Element-wise division.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip(other, |a, b| a / b)
-    }
-
     /// Adds `other` into `self` in place.
     ///
     /// # Panics
@@ -491,16 +434,6 @@ impl Tensor {
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += scale * b;
         }
-    }
-
-    /// Adds a scalar to every element, returning a new tensor.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x + s)
-    }
-
-    /// Multiplies every element by a scalar, returning a new tensor.
-    pub fn scale(&self, s: f32) -> Tensor {
-        self.map(|x| x * s)
     }
 
     /// Multiplies every element by a scalar in place.
@@ -539,32 +472,6 @@ impl Tensor {
     /// Minimum element (positive infinity for an empty tensor).
     pub fn min(&self) -> f32 {
         self.data.iter().copied().fold(f32::INFINITY, f32::min)
-    }
-
-    /// Index of the maximum element (ties resolved to the first occurrence).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is empty.
-    pub fn argmax(&self) -> usize {
-        assert!(!self.data.is_empty(), "argmax of an empty tensor");
-        let mut best = 0;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Sum of squares of all elements.
-    pub fn sum_squares(&self) -> f32 {
-        self.data.iter().map(|&x| x * x).sum()
-    }
-
-    /// Euclidean (L2) norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f32 {
-        self.sum_squares().sqrt()
     }
 
     /// Population variance of all elements.
@@ -655,20 +562,12 @@ mod tests {
     }
 
     #[test]
-    fn index_axis0_extracts_sample() {
-        let t = Tensor::from_vec((0..24).map(|x| x as f32).collect(), &[2, 3, 4]);
-        let s = t.index_axis0(1);
-        assert_eq!(s.dims(), &[3, 4]);
-        assert_eq!(s.at(&[0, 0]), 12.0);
-    }
-
-    #[test]
     fn stack_builds_batch() {
         let a = Tensor::full(&[2, 2], 1.0);
         let b = Tensor::full(&[2, 2], 2.0);
         let s = Tensor::stack(&[a, b]);
         assert_eq!(s.dims(), &[2, 2, 2]);
-        assert_eq!(s.index_axis0(1).sum(), 8.0);
+        assert_eq!(s.as_slice(), &[1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
@@ -685,9 +584,10 @@ mod tests {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
         let b = Tensor::from_vec(vec![4.0, 5.0, 6.0], &[3]);
         assert_eq!(a.add(&b).as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(b.sub(&a).as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).as_slice(), &[4.0, 10.0, 18.0]);
-        assert_eq!(b.div(&a).as_slice(), &[4.0, 2.5, 2.0]);
+        assert_eq!(a.zip(&b, |x, y| y - x).as_slice(), &[3.0, 3.0, 3.0]);
+        let mut c = a.clone();
+        c.scale_inplace(2.0);
+        assert_eq!(c.as_slice(), &[2.0, 4.0, 6.0]);
     }
 
     #[test]
@@ -705,8 +605,6 @@ mod tests {
         assert_eq!(t.mean(), 0.5);
         assert_eq!(t.max(), 3.0);
         assert_eq!(t.min(), -2.0);
-        assert_eq!(t.argmax(), 2);
-        assert_eq!(t.sum_squares(), 14.0);
     }
 
     #[test]

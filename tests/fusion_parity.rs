@@ -15,8 +15,8 @@ use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::evaluate_accuracy;
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{
-    BatchNorm2d, Conv2d, CrossEntropyLoss, HardSwish, Layer, LeakyRelu, Network, Relu, Relu6,
-    Sequential, Target, Workspace,
+    BatchNorm2d, Conv2d, CrossEntropyLoss, HardSwish, Layer, Network, Relu, Sequential, Target,
+    Workspace,
 };
 use heteroswitch_repro::parallel::set_num_threads;
 use heteroswitch_repro::tensor::{DType, Tensor};
@@ -82,9 +82,7 @@ fn conv_stack(
         }
         match act {
             1 => layers.push(Box::new(Relu::new())),
-            2 => layers.push(Box::new(LeakyRelu::new(0.1))),
-            3 => layers.push(Box::new(Relu6::new())),
-            4 => layers.push(Box::new(HardSwish::new())),
+            2 => layers.push(Box::new(HardSwish::new())),
             _ => {}
         }
         Network::new(Sequential::new(layers))
@@ -119,7 +117,7 @@ fn fused_conv_bn_act_matches_unfused_across_configs() {
     ];
     for (case, &(cin, cout, k, s, p, g, h, w)) in configs.iter().enumerate() {
         for with_bn in [true, false] {
-            for act in 0..5usize {
+            for act in 0..3usize {
                 let seed = 1000 + case as u64 * 16 + act as u64 + if with_bn { 8 } else { 0 };
                 let (mut reference, mut fused) =
                     conv_stack(seed, cin, cout, k, s, p, g, with_bn, act);
@@ -154,7 +152,7 @@ fn fused_paths_match_unfused_on_every_planned_conv_backend() {
         (4, 4, 1, 1, 0, 1, 6, 6),  // pointwise
     ];
     for (case, &(cin, cout, k, s, p, g, h, w)) in configs.iter().enumerate() {
-        for act in 0..5usize {
+        for act in 0..3usize {
             let seed = 7000 + case as u64 * 8 + act as u64;
             let (mut reference, mut fused) = conv_stack(seed, cin, cout, k, s, p, g, true, act);
             let x_warm = Tensor::rand_uniform(&[2, cin, h, w], -1.0, 1.0, &mut rng);
@@ -172,9 +170,8 @@ fn fused_paths_match_unfused_on_every_planned_conv_backend() {
 fn depthwise_backend_propagates_nan_like_the_unfused_path() {
     // a NaN pixel must flow through the direct depthwise kernel — fused
     // epilogue included — exactly as through the unfused conv+bn+act stack
-    // (ReLU maps NaN to 0 like f32::max; LeakyReLU and hard-swish propagate
-    // it)
-    for act in [1usize, 2, 4] {
+    // (ReLU maps NaN to 0 like f32::max; hard-swish propagates it)
+    for act in [1usize, 2] {
         let (mut reference, mut fused) = conv_stack(91, 4, 4, 3, 1, 1, 4, true, act);
         let mut rng = StdRng::seed_from_u64(92);
         let x_warm = Tensor::rand_uniform(&[2, 4, 8, 8], -1.0, 1.0, &mut rng);

@@ -1,13 +1,71 @@
 //! Structural pins over the public read-only walk (`Network::for_each_layer`,
 //! `Layer::for_each_child`, `name()`, `as_conv2d()`, `as_linear()`).
 
-use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
+use heteroswitch_repro::nn::models::{build_vision_model, ecg_net, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{
     ConvAlgo, Flatten, InvertedResidual, Layer, Linear, Network, Relu, Sequential,
 };
 use heteroswitch_repro::tensor::DType;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeSet;
+use std::path::Path;
+
+/// The four vision models and the ECG regressor: every network the paper
+/// trains.
+fn zoo(rng: &mut StdRng) -> Vec<(String, Network)> {
+    let mut nets: Vec<(String, Network)> = [
+        ModelKind::SimpleCnn,
+        ModelKind::MobileNetV3Small,
+        ModelKind::ShuffleNetV2,
+        ModelKind::SqueezeNet,
+    ]
+    .into_iter()
+    .map(|kind| {
+        let cfg = VisionConfig::new(3, 12, 32);
+        (format!("{kind:?}"), build_vision_model(kind, cfg, rng))
+    })
+    .collect();
+    nets.push(("ecg_net".into(), ecg_net(16, rng)));
+    nets
+}
+
+/// The non-test part of a source file: everything before its
+/// `#[cfg(test)] mod tests`.
+fn non_test(src: &str) -> &str {
+    src.find("#[cfg(test)]\nmod tests")
+        .map_or(src, |i| &src[..i])
+}
+
+/// `(type, name())` of every `impl Layer for X` outside test modules under
+/// `dir`, reading `name()` from the string literal its body returns.
+fn layer_impls(dir: &Path, out: &mut Vec<(String, String)>) {
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .expect("read source dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            layer_impls(&path, out);
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).expect("read source");
+        let src = non_test(&src);
+        for (at, _) in src.match_indices("impl Layer for ") {
+            let rest = &src[at + "impl Layer for ".len()..];
+            let ty = rest
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .next();
+            let body = &rest[..rest.find("\nimpl ").unwrap_or(rest.len())];
+            let name = body
+                .split_once("fn name(&self) -> &'static str {")
+                .and_then(|(_, b)| b.split('"').nth(1))
+                .unwrap_or_else(|| panic!("{}: no name() literal", path.display()));
+            out.push((ty.expect("type name").to_string(), name.to_string()));
+        }
+    }
+}
 
 /// The traffic claim behind the two-backend dispatch, on the models the
 /// paper trains: every depthwise layer plans the direct kernel and every
@@ -112,18 +170,7 @@ fn the_walk_reaches_every_linear_fused_or_not() {
         count
     };
     let mut rng = StdRng::seed_from_u64(5);
-    let mut nets: Vec<(String, Network)> = [
-        ModelKind::SimpleCnn,
-        ModelKind::MobileNetV3Small,
-        ModelKind::ShuffleNetV2,
-        ModelKind::SqueezeNet,
-    ]
-    .into_iter()
-    .map(|kind| {
-        let cfg = VisionConfig::new(3, 12, 32);
-        (format!("{kind:?}"), build_vision_model(kind, cfg, &mut rng))
-    })
-    .collect();
+    let mut nets = zoo(&mut rng);
     let mlp = Sequential::new(vec![
         Box::new(Flatten::new()),
         Box::new(Linear::new(48, 16, &mut rng)),
@@ -138,4 +185,91 @@ fn the_walk_reaches_every_linear_fused_or_not() {
     }
     let (_, mlp) = nets.last().expect("pushed above");
     assert_eq!(linears(mlp), 2);
+}
+
+/// The layer catalogue is closed: every `Layer` implemented in `hs-nn` is
+/// reached by some network the paper trains, unfused or fused, and every
+/// epilogue activation but `None` is some zoo layer's `epilogue_act()`. A
+/// layer or activation a new experiment needs lands with that experiment.
+/// `Sequential` is exempt: the walk flattens it (a container yields its
+/// children, never itself).
+#[test]
+fn every_layer_and_epilogue_activation_is_reached_by_the_zoo() {
+    let mut rng = StdRng::seed_from_u64(9);
+    let (mut names, mut acts) = (BTreeSet::new(), BTreeSet::new());
+    for (_, mut net) in zoo(&mut rng) {
+        for fused in [false, true] {
+            if fused {
+                net.fuse_inference();
+            }
+            net.for_each_layer(&mut |_, layer| {
+                names.insert(layer.name());
+                if let Some(act) = layer.epilogue_act() {
+                    acts.insert(format!("{act:?}"));
+                }
+            });
+        }
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut impls = Vec::new();
+    layer_impls(&root.join("crates/nn/src"), &mut impls);
+    assert!(impls.len() > 10, "found only {impls:?}");
+    let unreached: Vec<_> = impls
+        .iter()
+        .filter(|(ty, name)| ty != "Sequential" && !names.contains(name.as_str()))
+        .collect();
+
+    let gemm = std::fs::read_to_string(root.join("crates/tensor/src/gemm.rs")).expect("gemm.rs");
+    let (_, body) = gemm
+        .split_once("pub enum EpilogueAct {")
+        .expect("EpilogueAct definition");
+    let variants: Vec<&str> = body[..body.find('}').expect("enum end")]
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with('#'))
+        .map(|l| l.trim_end_matches(',').split('(').next().unwrap_or(l))
+        .collect();
+    assert!(variants.contains(&"None"), "parsed {variants:?}");
+    let unused: Vec<_> = variants
+        .iter()
+        .filter(|v| **v != "None" && !acts.iter().any(|a| a.split('(').next() == Some(**v)))
+        .collect();
+    assert!(
+        unreached.is_empty() && unused.is_empty(),
+        "no zoo network reaches {unreached:?}; no zoo layer computes {unused:?}"
+    );
+}
+
+/// `ShuffleUnit` yields its channel shuffle after its branches, the order
+/// its inference runs them, so a ShuffleNetV2 walk visits one
+/// `channel_shuffle` as the last child of every unit, fused or not.
+#[test]
+fn the_shufflenet_walk_visits_every_channel_shuffle() {
+    let mut rng = StdRng::seed_from_u64(4);
+    let cfg = VisionConfig::new(3, 12, 32);
+    let mut net = build_vision_model(ModelKind::ShuffleNetV2, cfg, &mut rng);
+    for fused in [false, true] {
+        if fused {
+            net.fuse_inference();
+        }
+        let mut visits: Vec<(usize, &'static str)> = Vec::new();
+        net.for_each_layer(&mut |depth, layer| visits.push((depth, layer.name())));
+        let units: Vec<usize> = (0..visits.len())
+            .filter(|&i| visits[i] == (0, "shuffle_unit"))
+            .collect();
+        assert_eq!(units.len(), 4, "fused={fused}");
+        for start in units {
+            let last_child = visits[start + 1..]
+                .iter()
+                .take_while(|(depth, _)| *depth > 0)
+                .filter(|(depth, _)| *depth == 1)
+                .last();
+            assert_eq!(
+                last_child,
+                Some(&(1, "channel_shuffle")),
+                "fused={fused}: unit at visit {start}"
+            );
+        }
+    }
 }

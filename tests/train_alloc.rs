@@ -3,12 +3,12 @@
 //! an `Sgd::step` after warm-up, counted in allocation events and in bytes.
 //!
 //! Every layer still returns a fresh output from its training forward and a
-//! fresh input gradient from its backward, and the gradients are built per
-//! step. What a layer keeps for its backward — the stored input, a conv's
-//! column and band scratch — reuses the buffers of the last step. The
-//! budgets below are the measured counts, pinned as upper bounds so a
-//! change can lower them but never raise them. They are the baseline for
-//! making training allocation-free.
+//! fresh input gradient from its backward. What a layer keeps for its
+//! backward — the stored input, a conv's column and band scratch — reuses
+//! the buffers of the last step, and `Sgd::step` zeroes each parameter
+//! gradient in place. The budgets below are the measured counts, pinned as
+//! upper bounds so a change can lower them but never raise them. They are
+//! the baseline for making training allocation-free.
 //!
 //! A conv backward splits its batch into sample bands on the pool when the
 //! thread target is two or more, and a band that runs on a worker
@@ -89,10 +89,10 @@ fn count_allocs(f: impl FnOnce()) -> (u64, u64) {
 
 /// Upper bounds on one warm step (allocation events, bytes), measured.
 const BUDGETS: [(ModelKind, u64, u64); 4] = [
-    (ModelKind::SimpleCnn, 169, 9_497_368),
-    (ModelKind::MobileNetV3Small, 722, 16_383_168),
-    (ModelKind::ShuffleNetV2, 1_016, 9_403_472),
-    (ModelKind::SqueezeNet, 407, 4_386_504),
+    (ModelKind::SimpleCnn, 121, 8_403_368),
+    (ModelKind::MobileNetV3Small, 506, 16_264_144),
+    (ModelKind::ShuffleNetV2, 720, 9_270_672),
+    (ModelKind::SqueezeNet, 319, 4_308_936),
 ];
 
 #[test]
@@ -109,7 +109,7 @@ fn a_warm_training_step_allocates_no_more_than_its_budget() {
             net.forward_backward(&x, &target, &CrossEntropyLoss);
             opt.step(&mut net);
         };
-        // warm-up: thread-local GEMM packs and the optimiser's state
+        // warm-up: thread-local GEMM packs and the layers' kept buffers
         step();
         step();
         let (allocs, bytes) = count_allocs(&mut step);

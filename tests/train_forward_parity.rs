@@ -11,8 +11,8 @@
 //! sample range at two threads, the training side never is.
 
 use heteroswitch_repro::nn::{
-    AvgPool2d, Conv2d, Flatten, GlobalAvgPool, HardSigmoid, HardSwish, Layer, LeakyRelu, Linear,
-    MaxPool2d, Relu, Relu6, Sigmoid, SqueezeExcite, Tanh,
+    Conv2d, Flatten, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, MaxPool2d, Relu,
+    SqueezeExcite,
 };
 use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -82,14 +82,9 @@ fn the_training_forward_is_the_inference_forward_bit_for_bit() {
         ),
         ("linear", Box::new(Linear::new(40, 12, &mut rng)), vec![40]),
         ("relu", Box::new(Relu::new()), vec![6, 5, 5]),
-        ("relu6", Box::new(Relu6::new()), vec![6, 5, 5]),
-        ("leaky_relu", Box::new(LeakyRelu::new(0.1)), vec![6, 5, 5]),
-        ("sigmoid", Box::new(Sigmoid::new()), vec![6, 5, 5]),
-        ("tanh", Box::new(Tanh::new()), vec![6, 5, 5]),
         ("hard_sigmoid", Box::new(HardSigmoid::new()), vec![6, 5, 5]),
         ("hard_swish", Box::new(HardSwish::new()), vec![6, 5, 5]),
         ("max_pool", Box::new(MaxPool2d::new(2)), vec![6, 9, 8]),
-        ("avg_pool", Box::new(AvgPool2d::new(2)), vec![6, 9, 8]),
         (
             "global_avg_pool",
             Box::new(GlobalAvgPool::new()),
@@ -105,7 +100,7 @@ fn the_training_forward_is_the_inference_forward_bit_for_bit() {
     for (what, mut layer, dims) in table {
         for batch in [1usize, 3, 10] {
             let shape: Vec<usize> = std::iter::once(batch).chain(dims.iter().copied()).collect();
-            // spread over the activations' kinks (±3, 0, 6)
+            // spread over the activations' kinks (±3, 0)
             let x = Tensor::rand_uniform(&shape, -8.0, 8.0, &mut rng);
             let trained = layer.forward(&x, true);
             let inferred = layer.forward(&x, false);

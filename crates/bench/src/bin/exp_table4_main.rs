@@ -30,5 +30,4 @@ fn main() {
             path.display()
         );
     }
-    println!("\nPer-device detail is available via --verbose in the EXPERIMENTS.md workflow.");
 }

@@ -11,7 +11,7 @@ use hs_parallel::sync;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 /// Which loss the local objective uses.
@@ -172,7 +172,7 @@ impl ClientTrainer for FedProxTrainer {
             // add μ (w − w_global) to every parameter gradient; the offset
             // walks the same parameter order as Network::weights()
             let mut offset = 0usize;
-            for p in net.params_mut() {
+            net.for_each_param(|p| {
                 let n = p.value.len();
                 let w = p.value.as_slice();
                 let g = p.grad.as_mut_slice();
@@ -180,7 +180,7 @@ impl ClientTrainer for FedProxTrainer {
                     g[i] += mu * (w[i] - global[offset + i]);
                 }
                 offset += n;
-            }
+            });
         });
         ClientUpdate {
             client_id: ctx.client_id,
@@ -202,12 +202,29 @@ impl ClientTrainer for FedProxTrainer {
 /// Control variates live inside the trainer (per-client map plus the server
 /// variate) guarded by mutexes, so the same trainer instance must be used for
 /// the whole simulation.
+///
+/// A run replays at any thread count: every client of a round reads the
+/// same committed server variate, and what the round's clients contribute
+/// to it is buffered and applied — in ascending client id, whichever client
+/// finished first — by the first client update of the next round.
 pub struct ScaffoldTrainer {
     loss: LossKind,
     client_controls: Mutex<HashMap<usize, Vec<f32>>>,
-    server_control: Mutex<Vec<f32>>,
+    server_control: Mutex<ServerControl>,
     /// Total client population (for the server-control update weight).
     pub num_clients: usize,
+}
+
+/// The server control variate and the contributions waiting to enter it.
+#[derive(Default)]
+struct ServerControl {
+    /// The committed variate `c` every client of `round` reads.
+    c: Vec<f32>,
+    /// The round `c` was committed for.
+    round: usize,
+    /// `(c_i⁺ − c_i) / N` of each client that trained in `round`, by client
+    /// id: applied to `c` when the next round starts.
+    pending: BTreeMap<usize, Vec<f32>>,
 }
 
 impl ScaffoldTrainer {
@@ -216,7 +233,7 @@ impl ScaffoldTrainer {
         ScaffoldTrainer {
             loss,
             client_controls: Mutex::new(HashMap::new()),
-            server_control: Mutex::new(Vec::new()),
+            server_control: Mutex::default(),
             num_clients: num_clients.max(1),
         }
     }
@@ -235,10 +252,21 @@ impl ClientTrainer for ScaffoldTrainer {
         let weight_len = ctx.global_weights.len();
         let server_c = {
             let mut sc = sync::lock(&self.server_control);
-            if sc.len() != weight_len {
-                *sc = vec![0.0; weight_len];
+            if sc.c.len() != weight_len {
+                sc.c = vec![0.0; weight_len];
+                sc.pending.clear();
             }
-            sc.clone()
+            if sc.round != ctx.round {
+                // the first client of a new round commits the last one's
+                // contributions, in client-id order
+                for delta in std::mem::take(&mut sc.pending).into_values() {
+                    for (c, d) in sc.c.iter_mut().zip(delta) {
+                        *c += d;
+                    }
+                }
+                sc.round = ctx.round;
+            }
+            sc.c.clone()
         };
         let client_c = {
             let mut cc = sync::lock(&self.client_controls);
@@ -253,14 +281,14 @@ impl ClientTrainer for ScaffoldTrainer {
             steps += 1;
             // gradient correction: g ← g − c_i + c
             let mut offset = 0usize;
-            for p in net.params_mut() {
+            net.for_each_param(|p| {
                 let n = p.value.len();
                 let g = p.grad.as_mut_slice();
                 for i in 0..n {
                     g[i] += server_c[offset + i] - client_c[offset + i];
                 }
                 offset += n;
-            }
+            });
         });
 
         // option-II control update:
@@ -272,13 +300,13 @@ impl ClientTrainer for ScaffoldTrainer {
             new_client_c[i] =
                 client_c[i] - server_c[i] + (ctx.global_weights[i] - local[i]) / denom;
         }
-        // server control absorbs (c_i⁺ − c_i) / N
-        {
-            let mut sc = sync::lock(&self.server_control);
-            for i in 0..weight_len {
-                sc[i] += (new_client_c[i] - client_c[i]) / self.num_clients as f32;
-            }
-        }
+        // server control absorbs (c_i⁺ − c_i) / N, next round
+        let delta = (0..weight_len)
+            .map(|i| (new_client_c[i] - client_c[i]) / self.num_clients as f32)
+            .collect();
+        sync::lock(&self.server_control)
+            .pending
+            .insert(ctx.client_id, delta);
         sync::lock(&self.client_controls).insert(ctx.client_id, new_client_c);
 
         ClientUpdate {
@@ -385,20 +413,43 @@ mod tests {
     #[test]
     fn scaffold_maintains_control_variates_per_client() {
         let data = toy_data(5, 12);
-        let trainer = ScaffoldTrainer::new(LossKind::CrossEntropy, 4);
-        for client in 0..2 {
-            let mut net = toy_net(0);
-            let global = net.weights();
-            let _ = trainer.client_update(
-                &mut net,
-                &data,
-                &ctx(&global, client),
-                &mut StdRng::seed_from_u64(6),
+        // two clients train in round 0, in either order; one in round 1
+        let run = |order: [usize; 2]| {
+            let trainer = ScaffoldTrainer::new(LossKind::CrossEntropy, 4);
+            let update = |client, round| {
+                let mut net = toy_net(0);
+                let global = net.weights();
+                let ctx = ClientContext {
+                    round,
+                    ..ctx(&global, client)
+                };
+                let _ = trainer.client_update(&mut net, &data, &ctx, &mut StdRng::seed_from_u64(6));
+            };
+            for client in order {
+                update(client, 0);
+            }
+            assert_eq!(sync::lock(&trainer.client_controls).len(), 2);
+            {
+                let sc = sync::lock(&trainer.server_control);
+                assert!(
+                    sc.c.iter().all(|&v| v == 0.0),
+                    "round 0's clients all read the initial server control"
+                );
+                assert_eq!(sc.pending.len(), 2);
+            }
+            update(0, 1);
+            let sc = sync::lock(&trainer.server_control);
+            assert!(
+                sc.c.iter().any(|&v| v != 0.0),
+                "server control should move at the next round"
             );
-        }
-        assert_eq!(sync::lock(&trainer.client_controls).len(), 2);
-        let sc = sync::lock(&trainer.server_control);
-        assert!(sc.iter().any(|&v| v != 0.0), "server control should move");
+            sc.c.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(
+            run([0, 1]),
+            run([1, 0]),
+            "the committed variate must not depend on which client finished first"
+        );
     }
 
     #[test]

@@ -4,10 +4,10 @@
 
 use crate::layer::store;
 use crate::{
-    BatchNorm2d, Conv2d, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, Param, ParamStore,
-    Relu, Sequential, Workspace,
+    BatchNorm2d, Conv2d, GlobalAvgPool, HardSigmoid, HardSwish, Layer, Linear, Relu, Sequential,
+    Workspace,
 };
-use hs_tensor::{dot_lanes, DType, Tensor};
+use hs_tensor::{dot_lanes, Tensor};
 use rand::rngs::StdRng;
 
 /// Extracts channels `[from, to)` of a `[n, c, h, w]` tensor.
@@ -152,28 +152,12 @@ impl Layer for SqueezeExcite {
         ws.give(scale);
     }
 
-    fn fuse_inference(&mut self) {
-        self.squeeze.fuse_inference();
-    }
-
     fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
-        self.squeeze.for_each_child(f);
+        f(&self.squeeze);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.squeeze.params_mut()
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.squeeze.buffers_mut()
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.squeeze.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.squeeze.param_stores()
+    fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut dyn Layer)) {
+        f(&mut self.squeeze);
     }
 
     fn name(&self) -> &'static str {
@@ -294,28 +278,12 @@ impl Layer for InvertedResidual {
         }
     }
 
-    fn fuse_inference(&mut self) {
-        self.body.fuse_inference();
-    }
-
     fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
-        self.body.for_each_child(f);
+        f(&self.body);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.body.params_mut()
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.body.buffers_mut()
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.body.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.body.param_stores()
+    fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut dyn Layer)) {
+        f(&mut self.body);
     }
 
     fn name(&self) -> &'static str {
@@ -419,43 +387,16 @@ impl Layer for Fire {
         ws.give(squeezed);
     }
 
-    fn fuse_inference(&mut self) {
-        self.squeeze.fuse_inference();
-        self.expand1.fuse_inference();
-        self.expand3.fuse_inference();
-    }
-
     fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
-        self.squeeze.for_each_child(f);
-        self.expand1.for_each_child(f);
-        self.expand3.for_each_child(f);
+        f(&self.squeeze);
+        f(&self.expand1);
+        f(&self.expand3);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.squeeze.params_mut();
-        p.extend(self.expand1.params_mut());
-        p.extend(self.expand3.params_mut());
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut b = self.squeeze.buffers_mut();
-        b.extend(self.expand1.buffers_mut());
-        b.extend(self.expand3.buffers_mut());
-        b
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.squeeze.to_dtype(dtype);
-        self.expand1.to_dtype(dtype);
-        self.expand3.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        let mut p = self.squeeze.param_stores();
-        p.extend(self.expand1.param_stores());
-        p.extend(self.expand3.param_stores());
-        p
+    fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut dyn Layer)) {
+        f(&mut self.squeeze);
+        f(&mut self.expand1);
+        f(&mut self.expand3);
     }
 
     fn name(&self) -> &'static str {
@@ -665,50 +606,24 @@ impl Layer for ShuffleUnit {
         ws.give(y1);
     }
 
-    fn fuse_inference(&mut self) {
-        self.branch_main.fuse_inference();
-        if let Some(proj) = &mut self.branch_proj {
-            proj.fuse_inference();
-        }
-    }
-
+    /// Main branch, projection branch, shuffle: the weight order, which
+    /// checkpoints and FL weight vectors depend on. Inference runs the
+    /// projection first; the branches are independent, so this order is
+    /// layout only.
     fn for_each_child(&self, f: &mut dyn FnMut(&dyn Layer)) {
+        f(&self.branch_main);
         if let Some(proj) = &self.branch_proj {
-            proj.for_each_child(f);
+            f(proj);
         }
-        self.branch_main.for_each_child(f);
         f(&self.shuffle);
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.branch_main.params_mut();
+    fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut dyn Layer)) {
+        f(&mut self.branch_main);
         if let Some(proj) = &mut self.branch_proj {
-            p.extend(proj.params_mut());
+            f(proj);
         }
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut b = self.branch_main.buffers_mut();
-        if let Some(proj) = &mut self.branch_proj {
-            b.extend(proj.buffers_mut());
-        }
-        b
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.branch_main.to_dtype(dtype);
-        if let Some(proj) = &mut self.branch_proj {
-            proj.to_dtype(dtype);
-        }
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        let mut p = self.branch_main.param_stores();
-        if let Some(proj) = &mut self.branch_proj {
-            p.extend(proj.param_stores());
-        }
-        p
+        f(&mut self.shuffle);
     }
 
     fn name(&self) -> &'static str {
@@ -719,6 +634,7 @@ impl Layer for ShuffleUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParamStore;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
@@ -742,8 +658,12 @@ mod tests {
         // passes the input forward and the gradient backward unchanged
         let mut r = rng();
         let mut block = InvertedResidual::new(4, 8, 4, 3, 1, false, false, &mut r);
-        let n = block.params_mut().len();
-        for p in &mut block.params_mut()[n - 2..] {
+        let (mut params, _) = crate::layer::states(&mut block);
+        let n = params.len();
+        for p in &mut params[n - 2..] {
+            let ParamStore::F32(p) = p else {
+                unreachable!("an f32 block")
+            };
             p.value.as_mut_slice().fill(0.0);
         }
         let x = Tensor::rand_uniform(&[2, 4, 5, 5], -1.0, 1.0, &mut r);
@@ -787,7 +707,7 @@ mod tests {
         let y = block.forward(&x, true);
         let g = block.backward(&Tensor::ones(y.dims()));
         assert_eq!(g.dims(), x.dims());
-        assert!(!block.params_mut().is_empty());
+        assert!(!crate::layer::states(&mut block).0.is_empty());
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //!   checksum       u32       CRC-32 (IEEE) over the data bytes
 //! ```
 //!
-//! The **fingerprint** hashes the parameter and buffer *shapes* in layer
+//! The **fingerprint** hashes the parameter and buffer *shapes* in walk
 //! order — the same topology signature [`Network::set_weights`] implicitly
-//! relies on. It walks [`Network::param_stores`], so it is identical before
-//! and after quantization (quantized weights occupy the same positions with
-//! the same shapes), and it deliberately excludes layer names, so a
-//! checkpoint saved from a plain model loads into its
-//! [`Network::fuse_inference`]d replica (fusion keeps parameter/buffer order
+//! relies on. It reads the state walk ([`Network::for_each_state`]), where
+//! quantized weights occupy the positions and shapes of their `f32` form,
+//! so it is identical before and after quantization. It deliberately
+//! excludes layer names, so a checkpoint saved from a plain model loads into
+//! its [`Network::fuse_inference`]d replica (fusion keeps parameter/buffer order
 //! and shapes — pinned since PR 2) and vice versa. Dtype is likewise
 //! excluded: an f32 checkpoint loads into an f16 replica (quantize-on-load,
 //! the serving hot-swap case) and a quantized checkpoint widens into an f32
@@ -46,7 +46,7 @@
 //! naming exactly what went wrong; the network is never partially
 //! overwritten by a failed load.
 
-use crate::{Network, ParamStore};
+use crate::{states, Layer, Network, ParamStore, State};
 use hs_tensor::{
     f16_bits_to_f32, DType, F16Storage, I8Storage, QTensor, Tensor, TensorBase, WeightMat,
 };
@@ -316,37 +316,32 @@ impl Fnv {
     fn push_u64(&mut self, v: u64) {
         self.push(&v.to_le_bytes());
     }
+    fn push_dims(&mut self, dims: &[usize]) {
+        self.push_u64(dims.len() as u64);
+        for &d in dims {
+            self.push_u64(d as u64);
+        }
+    }
 }
 
 impl Network {
     /// The layer-topology fingerprint: FNV-1a over every parameter shape and
-    /// every buffer shape in layer order. Two networks with the same
+    /// every buffer shape in walk order. Two networks with the same
     /// fingerprint accept each other's weight vectors; fusion
     /// ([`Network::fuse_inference`]) does not change it because fusion keeps
     /// parameter/buffer order and shapes, and quantization
-    /// ([`Network::to_dtype`]) does not either because the walk goes through
-    /// [`Network::param_stores`], where quantized weights keep their
-    /// position and shape.
+    /// ([`Network::to_dtype`]) does not either because quantized weights
+    /// keep their position and shape in the walk.
     pub fn fingerprint(&mut self) -> u64 {
+        let (params, buffers) = states(&mut self.layers);
         let mut h = Fnv::new();
-        let stores = self.param_stores();
-        h.push_u64(stores.len() as u64);
-        for s in &stores {
-            let dims = s.dims();
-            h.push_u64(dims.len() as u64);
-            for &d in dims {
-                h.push_u64(d as u64);
-            }
+        h.push_u64(params.len() as u64);
+        for p in &params {
+            h.push_dims(p.dims());
         }
-        drop(stores);
-        let buffers = self.buffers_mut();
         h.push_u64(buffers.len() as u64);
-        for b in buffers {
-            let dims = b.dims();
-            h.push_u64(dims.len() as u64);
-            for &d in dims {
-                h.push_u64(d as u64);
-            }
+        for b in &buffers {
+            h.push_dims(b.dims());
         }
         h.0
     }
@@ -357,12 +352,17 @@ impl Network {
     /// block's name).
     fn buffer_names(&mut self) -> Vec<String> {
         let mut names = Vec::new();
-        for (i, layer) in self.layer_stack_mut().layers_mut().iter_mut().enumerate() {
-            let lname = layer.name();
-            for j in 0..layer.buffers_mut().len() {
-                names.push(format!("layer{i}.{lname}.buf{j}"));
-            }
-        }
+        let mut i = 0;
+        self.layers.for_each_child_mut(&mut |layer| {
+            let (lname, mut j) = (layer.name(), 0);
+            layer.for_each_state(&mut |s| {
+                if let State::Buffer(_) = s {
+                    names.push(format!("layer{i}.{lname}.buf{j}"));
+                    j += 1;
+                }
+            });
+            i += 1;
+        });
         names
     }
 
@@ -377,7 +377,7 @@ impl Network {
         w.put_u32(CHECKPOINT_VERSION);
         w.put_u64(fingerprint);
 
-        let stores = self.param_stores();
+        let (stores, buffers) = states(&mut self.layers);
         w.put_u64(stores.len() as u64);
         for store in stores {
             let mut payload = ByteWriter::new();
@@ -412,7 +412,6 @@ impl Network {
             w.put_u32(crc);
         }
 
-        let buffers = self.buffers_mut();
         w.put_u64(buffers.len() as u64);
         for (b, name) in buffers.into_iter().zip(&names) {
             w.put_str(name);
@@ -465,8 +464,14 @@ impl Network {
             });
         }
 
-        // stage every parameter tensor before touching the model
-        let expected_lens: Vec<usize> = self.param_stores().iter().map(|s| s.len()).collect();
+        // stage every parameter tensor and buffer before touching the model
+        let (expected_lens, expected_dims): (Vec<usize>, Vec<Vec<usize>>) = {
+            let (params, buffers) = states(&mut self.layers);
+            (
+                params.iter().map(ParamStore::len).collect(),
+                buffers.iter().map(|b| b.dims().to_vec()).collect(),
+            )
+        };
         let n_tensors = r.get_u64("parameter tensor count")?;
         if n_tensors != expected_lens.len() as u64 {
             return Err(CheckpointError::ParamCountMismatch {
@@ -527,21 +532,15 @@ impl Network {
         }
 
         let n_buffers = r.get_u64("buffer count")?;
-        let expected_buffers = self.buffers_mut().len();
-        if n_buffers != expected_buffers as u64 {
+        if n_buffers != expected_dims.len() as u64 {
             return Err(CheckpointError::BufferCountMismatch {
-                expected: expected_buffers as u64,
+                expected: expected_dims.len() as u64,
                 found: n_buffers,
             });
         }
         // stage every buffer too, so a shape mismatch, checksum failure or
         // truncation midway leaves the network untouched
-        let expected_dims: Vec<Vec<usize>> = self
-            .buffers_mut()
-            .iter()
-            .map(|b| b.dims().to_vec())
-            .collect();
-        let mut staged: Vec<Vec<f32>> = Vec::with_capacity(expected_buffers);
+        let mut staged: Vec<Vec<f32>> = Vec::with_capacity(expected_dims.len());
         for dims_expected in &expected_dims {
             let name = r.get_str("buffer name")?;
             // the rank is untrusted: check it before it sizes anything
@@ -596,10 +595,11 @@ impl Network {
         }
 
         // all validated: commit
-        for (store, tensor) in self.param_stores().into_iter().zip(staged_params) {
+        let (stores, buffers) = states(&mut self.layers);
+        for (store, tensor) in stores.into_iter().zip(staged_params) {
             commit_staged(store, tensor);
         }
-        for (b, data) in self.buffers_mut().into_iter().zip(staged) {
+        for (b, data) in buffers.into_iter().zip(staged) {
             b.as_mut_slice().copy_from_slice(&data);
         }
         Ok(())

@@ -57,7 +57,7 @@
 //! branches were removed: they broke NaN/Inf propagation.)
 
 use crate::layer::store;
-use crate::{Layer, Param, ParamStore, Workspace};
+use crate::{Layer, Param, ParamStore, State, Workspace};
 use hs_tensor::gemm::NR;
 use hs_tensor::{
     depthwise_conv2d, depthwise_conv2d_backward, gemm, gemm_acc, gemm_acc_q,
@@ -463,6 +463,13 @@ impl Conv2d {
     /// Number of output channels.
     pub fn out_channels(&self) -> usize {
         self.out_channels
+    }
+
+    /// The weight's shape, `[out, in / groups, kernel, kernel]`, f32 or
+    /// quantized.
+    pub fn weight_dims(&self) -> [usize; 4] {
+        let k = self.kernel;
+        [self.out_channels, self.in_channels / self.groups, k, k]
     }
 
     /// Whether this layer is a depthwise convolution
@@ -893,10 +900,6 @@ impl Layer for Conv2d {
         self.infer_epilogue(input, None, out, ws);
     }
 
-    fn as_conv2d(&self) -> Option<&Conv2d> {
-        Some(self)
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         assert!(
             self.qweight.is_none(),
@@ -1043,14 +1046,13 @@ impl Layer for Conv2d {
         Tensor::from_vec(grad_in, &[n, c, h, w])
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        if self.qweight.is_some() {
-            // the f32 weight is parked empty while quantized; only the bias
-            // remains a trainable/exchangeable f32 parameter
-            vec![&mut self.bias]
-        } else {
-            vec![&mut self.weight, &mut self.bias]
-        }
+    /// Weight, then bias; a quantized weight keeps the weight's position.
+    fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
+        f(State::Param(match &mut self.qweight {
+            Some(q) => ParamStore::Quant(q),
+            None => ParamStore::F32(&mut self.weight),
+        }));
+        f(State::Param(ParamStore::F32(&mut self.bias)));
     }
 
     fn to_dtype(&mut self, dtype: DType) {
@@ -1086,16 +1088,6 @@ impl Layer for Conv2d {
         }
     }
 
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        match &mut self.qweight {
-            Some(q) => vec![ParamStore::Quant(q), ParamStore::F32(&mut self.bias)],
-            None => vec![
-                ParamStore::F32(&mut self.weight),
-                ParamStore::F32(&mut self.bias),
-            ],
-        }
-    }
-
     fn name(&self) -> &'static str {
         "conv2d"
     }
@@ -1128,7 +1120,7 @@ mod tests {
     fn depthwise_has_grouped_weight_shape() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut conv = Conv2d::depthwise(6, 3, 1, 1, &mut rng);
-        assert_eq!(conv.params_mut()[0].value.dims(), &[6, 1, 3, 3]);
+        assert_eq!(conv.weight.value.dims(), &[6, 1, 3, 3]);
         let x = Tensor::rand_uniform(&[1, 6, 5, 5], -1.0, 1.0, &mut rng);
         assert_eq!(conv.forward(&x, false).dims(), &[1, 6, 5, 5]);
     }
@@ -1140,8 +1132,8 @@ mod tests {
         // centre-one kernel and zero bias -> identity mapping
         let mut w = Tensor::zeros(&[1, 1, 3, 3]);
         *w.at_mut(&[0, 0, 1, 1]) = 1.0;
-        conv.params_mut()[0].value = w;
-        conv.params_mut()[1].value = Tensor::zeros(&[1]);
+        conv.weight.value = w;
+        conv.bias.value = Tensor::zeros(&[1]);
         let x = Tensor::rand_uniform(&[1, 1, 6, 6], -1.0, 1.0, &mut rng);
         let y = conv.forward(&x, false);
         for (a, b) in x.as_slice().iter().zip(y.as_slice()) {
@@ -1200,16 +1192,16 @@ mod tests {
             for (a, b) in grad_in.as_slice().iter().zip(ref_gin.as_slice()) {
                 assert!((a - b).abs() < 1e-3, "grad_in mismatch: {a} vs {b}");
             }
-            let gw = conv.params_mut()[0].grad.clone();
+            let gw = conv.weight.grad.clone();
             for (a, b) in gw.as_slice().iter().zip(ref_gw.as_slice()) {
                 assert!((a - b).abs() < 1e-2, "grad_w mismatch: {a} vs {b}");
             }
-            let gb = conv.params_mut()[1].grad.clone();
+            let gb = conv.bias.grad.clone();
             for (a, b) in gb.as_slice().iter().zip(ref_gb.as_slice()) {
                 assert!((a - b).abs() < 1e-2, "grad_b mismatch: {a} vs {b}");
             }
-            conv.params_mut()[0].grad = Tensor::zeros(gw.dims());
-            conv.params_mut()[1].grad = Tensor::zeros(gb.dims());
+            conv.weight.grad = Tensor::zeros(gw.dims());
+            conv.bias.grad = Tensor::zeros(gb.dims());
         }
     }
 
@@ -1223,13 +1215,13 @@ mod tests {
         let grad_out = Tensor::ones(y.dims());
         let grad_in = conv.backward(&grad_out);
         assert_eq!(grad_in.dims(), x.dims());
-        let analytic = conv.params_mut()[0].grad.at(&[1, 0, 1, 2]);
+        let analytic = conv.weight.grad.at(&[1, 0, 1, 2]);
 
         let eps = 1e-3;
-        let base = conv.params_mut()[0].value.at(&[1, 0, 1, 2]);
-        *conv.params_mut()[0].value.at_mut(&[1, 0, 1, 2]) = base + eps;
+        let base = conv.weight.value.at(&[1, 0, 1, 2]);
+        *conv.weight.value.at_mut(&[1, 0, 1, 2]) = base + eps;
         let plus = conv.forward(&x, false).sum();
-        *conv.params_mut()[0].value.at_mut(&[1, 0, 1, 2]) = base - eps;
+        *conv.weight.value.at_mut(&[1, 0, 1, 2]) = base - eps;
         let minus = conv.forward(&x, false).sum();
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
@@ -1269,7 +1261,7 @@ mod tests {
         let y = conv.forward(&x, true);
         let g = conv.backward(&Tensor::ones(y.dims()));
         assert_eq!(g.dims(), x.dims());
-        assert_eq!(conv.params_mut()[0].grad.dims(), &[4, 2, 3, 3]);
+        assert_eq!(conv.weight.grad.dims(), &[4, 2, 3, 3]);
     }
 
     #[test]
@@ -1294,14 +1286,14 @@ mod tests {
                 "grad_in clobbered by eval pass: {a} vs {b}"
             );
         }
-        let gw = conv.params_mut()[0].grad.clone();
+        let gw = conv.weight.grad.clone();
         for (a, b) in gw.as_slice().iter().zip(ref_gw.as_slice()) {
             assert!(
                 (a - b).abs() < 1e-2,
                 "grad_w clobbered by eval pass: {a} vs {b}"
             );
         }
-        let gb = conv.params_mut()[1].grad.clone();
+        let gb = conv.bias.grad.clone();
         for (a, b) in gb.as_slice().iter().zip(ref_gb.as_slice()) {
             assert!(
                 (a - b).abs() < 1e-2,
@@ -1454,13 +1446,13 @@ mod tests {
         let x = Tensor::rand_uniform(&[2, 3, 7, 7], -1.0, 1.0, &mut rng);
         let y1 = conv.forward(&x, true);
         let g1 = conv.backward(&Tensor::ones(y1.dims()));
-        let gw1 = conv.params_mut()[0].grad.clone();
+        let gw1 = conv.weight.grad.clone();
         let y2 = conv.forward(&x, true);
         let g2 = conv.backward(&Tensor::ones(y2.dims()));
         assert_eq!(y1, y2);
         assert_eq!(g1, g2);
         // grads accumulate: second step doubles the first
-        let gw2 = conv.params_mut()[0].grad.clone();
+        let gw2 = conv.weight.grad.clone();
         for (a, b) in gw2.as_slice().iter().zip(gw1.as_slice()) {
             assert!((a - 2.0 * b).abs() < 1e-3);
         }
@@ -1473,17 +1465,16 @@ mod tests {
         let mut conv = Conv2d::new(4, 6, 3, 1, 1, 2, &mut rng);
         let x = Tensor::rand_uniform(&[2, 4, 9, 9], -1.0, 1.0, &mut rng);
         let reference = conv.forward(&x, false);
-        let w_before = conv.params_mut()[0].value.clone();
+        let w_before = conv.weight.value.clone();
         for requested in [DType::F16, DType::I8] {
             conv.to_dtype(requested);
             assert!(conv.is_quantized());
             // conv weights always quantize to f16 (i8 requests included)
-            let stores = conv.param_stores();
+            let (stores, _) = crate::states(&mut conv);
             assert_eq!(stores.len(), 2);
             assert_eq!(stores[0].dtype(), DType::F16);
             assert_eq!(stores[0].dims(), &[6, 2, 3, 3]);
-            drop(stores);
-            assert_eq!(conv.params_mut().len(), 1);
+            assert_eq!(stores[1].dtype(), DType::F32);
             assert_eq!(conv.planned_algo(), ConvAlgo::Im2colGemm);
             let y = conv.forward(&x, false);
             for (a, b) in reference.as_slice().iter().zip(y.as_slice()) {
@@ -1494,14 +1485,10 @@ mod tests {
         }
         // f16 -> f32 weights round-trip within f16 precision; restore the
         // pristine weights first so prior conversions don't compound
-        conv.params_mut()[0].value = w_before.clone();
+        conv.weight.value = w_before.clone();
         conv.to_dtype(DType::F16);
         conv.to_dtype(DType::F32);
-        for (a, b) in w_before
-            .as_slice()
-            .iter()
-            .zip(conv.params_mut()[0].value.as_slice())
-        {
+        for (a, b) in w_before.as_slice().iter().zip(conv.weight.value.as_slice()) {
             assert!((a - b).abs() <= 4.9e-4 * a.abs().max(1e-3), "{a} vs {b}");
         }
     }
@@ -1528,7 +1515,8 @@ mod tests {
         let mut conv = Conv2d::depthwise(6, 3, 1, 1, &mut rng);
         conv.to_dtype(DType::F16);
         assert!(!conv.is_quantized());
-        assert_eq!(conv.params_mut().len(), 2);
+        let (stores, _) = crate::states(&mut conv);
+        assert!(stores.iter().all(|s| s.dtype() == DType::F32));
     }
 
     #[test]

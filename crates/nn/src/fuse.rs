@@ -12,11 +12,16 @@
 //! * **Training** ([`Layer::forward_train`]) and `backward` delegate to the original
 //!   layers unchanged — a fused network remains exactly trainable, which the
 //!   federated-learning simulator relies on.
-//! * **Weight layout is invariant**: the fused layers expose their children's
-//!   parameters and buffers in the original order, so
-//!   [`crate::Network::weights`] / [`crate::Network::set_weights`] round-trip
-//!   identically before and after fusion and FL aggregation is oblivious to
-//!   it.
+//! * **Weight layout is invariant**: a fused layer is a container whose
+//!   children are the original layers, in their original order, so the
+//!   state walk ([`Layer::for_each_state`]) — and with it
+//!   [`crate::Network::weights`] / [`crate::Network::set_weights`] — visits
+//!   the same tensors in the same order before and after fusion, and FL
+//!   aggregation is oblivious to it.
+//!
+//! The pass recognises a run by the concrete types of its layers
+//! (`<dyn Layer>::downcast_ref` to [`Conv2d`], [`BatchNorm2d`] or
+//! [`Linear`]) and by [`Layer::epilogue_act`] for the activation.
 //!
 //! The scale/shift fold is recomputed from the batch-norm's *current*
 //! running statistics on every inference forward (an `O(channels)` loop into
@@ -30,8 +35,8 @@
 //! disagrees with the convolution, anything else in between — are left
 //! untouched, falling back to the exact layer-by-layer path.
 
-use crate::{Layer, Param, ParamStore, Sequential, Workspace};
-use hs_tensor::{DType, EpilogueAct, Tensor};
+use crate::{BatchNorm2d, Conv2d, Layer, Linear, Sequential, Workspace};
+use hs_tensor::{EpilogueAct, Tensor};
 
 /// Rewrites a layer list, fusing `conv (-> bn) (-> act)` and `linear -> act`
 /// runs. Composite layers are recursed into (via [`Layer::fuse_inference`])
@@ -41,11 +46,11 @@ pub(crate) fn fuse_layers(layers: Vec<Box<dyn Layer>>) -> Vec<Box<dyn Layer>> {
     let mut iter = layers.into_iter().peekable();
     while let Some(mut layer) = iter.next() {
         layer.fuse_inference();
-        if let Some(conv) = layer.as_conv2d() {
+        if let Some(conv) = layer.downcast_ref::<Conv2d>() {
             let out_channels = conv.out_channels();
             let bn_matches = iter
                 .peek()
-                .and_then(|l| l.as_batch_norm())
+                .and_then(|l| l.downcast_ref::<BatchNorm2d>())
                 .is_some_and(|bn| bn.channels() == out_channels);
             let bn = if bn_matches { iter.next() } else { None };
             let act_matches = iter.peek().is_some_and(|l| l.epilogue_act().is_some());
@@ -55,7 +60,7 @@ pub(crate) fn fuse_layers(layers: Vec<Box<dyn Layer>>) -> Vec<Box<dyn Layer>> {
             } else {
                 out.push(layer);
             }
-        } else if layer.as_linear().is_some() {
+        } else if layer.downcast_ref::<Linear>().is_some() {
             if iter.peek().is_some_and(|l| l.epilogue_act().is_some()) {
                 let act = iter.next().expect("peeked activation");
                 out.push(Box::new(FusedLinearAct::new(layer, act)));
@@ -88,22 +93,23 @@ impl FusedConvBnAct {
     ///
     /// # Panics
     ///
-    /// Panics if the typed views of the provided layers do not match those
-    /// expectations.
+    /// Panics if the provided layers are not of those types.
     pub fn new(
         conv: Box<dyn Layer>,
         bn: Option<Box<dyn Layer>>,
         act: Option<Box<dyn Layer>>,
     ) -> Self {
-        assert!(conv.as_conv2d().is_some(), "FusedConvBnAct needs a Conv2d");
+        let out_channels = conv
+            .downcast_ref::<Conv2d>()
+            .expect("FusedConvBnAct needs a Conv2d")
+            .out_channels();
         if let Some(bn) = &bn {
             let bn = bn
-                .as_batch_norm()
+                .downcast_ref::<BatchNorm2d>()
                 .expect("FusedConvBnAct needs a BatchNorm2d");
-            let conv = conv.as_conv2d().expect("checked above");
             assert_eq!(
                 bn.channels(),
-                conv.out_channels(),
+                out_channels,
                 "FusedConvBnAct: batch-norm width must match the conv's output channels"
             );
         }
@@ -142,14 +148,19 @@ impl Layer for FusedConvBnAct {
     /// batch-norm), with the convolution bias folded into `shift` — and the
     /// activation.
     fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace) {
-        let conv = self.conv.as_conv2d().expect("validated in new()");
+        let conv = self
+            .conv
+            .downcast_ref::<Conv2d>()
+            .expect("validated in new()");
         let bias = conv.bias_values();
         let mut fold = ws.take();
         fold.resize_to(&[2, bias.len()]);
         let (scale, shift) = fold.as_mut_slice().split_at_mut(bias.len());
         match &self.bn {
             Some(bn) => {
-                let bn = bn.as_batch_norm().expect("validated in new()");
+                let bn = bn
+                    .downcast_ref::<BatchNorm2d>()
+                    .expect("validated in new()");
                 bn.fold_inference(scale, shift);
                 // y = scale * (conv + bias) + shift
                 for ((sh, &sc), &b) in shift.iter_mut().zip(scale.iter()).zip(bias.iter()) {
@@ -183,47 +194,13 @@ impl Layer for FusedConvBnAct {
         }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.conv.params_mut();
-        if let Some(bn) = &mut self.bn {
-            p.extend(bn.params_mut());
+    fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut dyn Layer)) {
+        for layer in std::iter::once(&mut self.conv)
+            .chain(&mut self.bn)
+            .chain(&mut self.act)
+        {
+            f(layer.as_mut());
         }
-        if let Some(act) = &mut self.act {
-            p.extend(act.params_mut());
-        }
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut b = self.conv.buffers_mut();
-        if let Some(bn) = &mut self.bn {
-            b.extend(bn.buffers_mut());
-        }
-        if let Some(act) = &mut self.act {
-            b.extend(act.buffers_mut());
-        }
-        b
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.conv.to_dtype(dtype);
-        if let Some(bn) = &mut self.bn {
-            bn.to_dtype(dtype);
-        }
-        if let Some(act) = &mut self.act {
-            act.to_dtype(dtype);
-        }
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        let mut p = self.conv.param_stores();
-        if let Some(bn) = &mut self.bn {
-            p.extend(bn.param_stores());
-        }
-        if let Some(act) = &mut self.act {
-            p.extend(act.param_stores());
-        }
-        p
     }
 
     fn name(&self) -> &'static str {
@@ -246,10 +223,10 @@ impl FusedLinearAct {
     ///
     /// # Panics
     ///
-    /// Panics if the typed views of the provided layers do not match.
+    /// Panics if the provided layers are not of those kinds.
     pub fn new(linear: Box<dyn Layer>, act: Box<dyn Layer>) -> Self {
         assert!(
-            linear.as_linear().is_some(),
+            linear.downcast_ref::<Linear>().is_some(),
             "FusedLinearAct needs a Linear"
         );
         let act_kind = act
@@ -270,7 +247,10 @@ impl Layer for FusedLinearAct {
     }
 
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
-        let linear = self.linear.as_linear().expect("validated in new()");
+        let linear = self
+            .linear
+            .downcast_ref::<Linear>()
+            .expect("validated in new()");
         linear.infer_act(input, self.act_kind, out);
     }
 
@@ -284,27 +264,9 @@ impl Layer for FusedLinearAct {
         f(self.act.as_ref());
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.linear.params_mut();
-        p.extend(self.act.params_mut());
-        p
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        let mut b = self.linear.buffers_mut();
-        b.extend(self.act.buffers_mut());
-        b
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        self.linear.to_dtype(dtype);
-        self.act.to_dtype(dtype);
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        let mut p = self.linear.param_stores();
-        p.extend(self.act.param_stores());
-        p
+    fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut dyn Layer)) {
+        f(self.linear.as_mut());
+        f(self.act.as_mut());
     }
 
     fn name(&self) -> &'static str {
@@ -322,7 +284,7 @@ pub fn fuse_sequential(mut seq: Sequential) -> Sequential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchNorm2d, Conv2d, HardSigmoid, HardSwish, Linear, MaxPool2d, Relu};
+    use crate::{HardSigmoid, HardSwish, MaxPool2d, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

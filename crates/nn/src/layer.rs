@@ -1,14 +1,21 @@
 //! The [`Layer`] trait implemented by every building block of the network
-//! stack.
+//! stack, and the one structural walk over a layer tree.
+//!
+//! The walk decides the order state is visited in, and with it the flat
+//! weight layout that FL aggregation, SWAD, the FedProx / Scaffold
+//! corrections and checkpoints all share: a container yields its children
+//! ([`Layer::for_each_child_mut`]) in **weight order**, a leaf yields its
+//! parameters and buffers ([`Layer::for_each_state`]), and the flat vector
+//! is every parameter in walk order followed by every buffer in walk order.
 
-use crate::{BatchNorm2d, Conv2d, Linear, Param};
+use crate::{Conv2d, Param};
 use hs_tensor::{DType, EpilogueAct, QTensor, Tensor};
+use std::any::{Any, TypeId};
 
-/// A view of one stored parameter tensor, in the fixed order the checkpoint
-/// format walks them. For an f32 network every store is `F32`; after
-/// [`crate::Network::to_dtype`] the quantized weights show up as `Quant`
-/// stores in the same positions, so the shape-based fingerprint (and thus
-/// checkpoint compatibility) is dtype-independent.
+/// A view of one stored parameter tensor. For an f32 network every store is
+/// `F32`; after [`crate::Network::to_dtype`] the quantized weights show up
+/// as `Quant` stores in the same positions, so the shape-based fingerprint
+/// (and thus checkpoint compatibility) is dtype-independent.
 pub enum ParamStore<'a> {
     /// An `f32` parameter (value + gradient).
     F32(&'a mut Param),
@@ -46,6 +53,28 @@ impl ParamStore<'_> {
             ParamStore::Quant(q) => q.dtype(),
         }
     }
+}
+
+/// One piece of a leaf's state, as [`Layer::for_each_state`] yields it.
+pub enum State<'a> {
+    /// A parameter tensor: trainable `f32`, or a quantized inference weight.
+    Param(ParamStore<'a>),
+    /// A non-trainable tensor that still travels with the weights (batch-norm
+    /// running statistics).
+    Buffer(&'a mut Tensor),
+}
+
+/// The state under `layer`, collected in walk order and split into the two
+/// halves of the flat layout: every parameter store, then every buffer. This
+/// is the `Vec` view for tests and the checkpoint codec; hot paths walk
+/// ([`Layer::for_each_state`]) and collect nothing.
+pub fn states<L: Layer + ?Sized>(layer: &mut L) -> (Vec<ParamStore<'_>>, Vec<&mut Tensor>) {
+    let (mut params, mut buffers) = (Vec::new(), Vec::new());
+    layer.for_each_state(&mut |s| match s {
+        State::Param(p) => params.push(p),
+        State::Buffer(b) => buffers.push(b),
+    });
+    (params, buffers)
 }
 
 /// Caller-owned scratch for [`Layer::infer`]: a LIFO pool of tensors.
@@ -141,7 +170,9 @@ pub(crate) fn store(slot: &mut Option<Tensor>, t: &Tensor) {
 
 /// Whether `layer` is, or contains, a [`Conv2d`].
 fn has_conv<L: Layer + ?Sized>(layer: &L) -> bool {
-    let mut found = layer.as_conv2d().is_some();
+    // `Any::type_id` reaches an unsized `L` (a `dyn Layer`) through its
+    // vtable, where `downcast_ref` needs the `dyn Layer` itself
+    let mut found = layer.type_id() == TypeId::of::<Conv2d>();
     layer.for_each_child(&mut |child| found = found || has_conv(child));
     found
 }
@@ -236,13 +267,18 @@ pub(crate) fn infer_sharded<L: Layer + ?Sized>(
 /// simulator and evaluation batches can be sharded across the pool against
 /// one shared `&Network`.
 ///
-/// [`Layer::fuse_inference`] plus the typed views ([`Layer::as_conv2d`],
-/// [`Layer::as_batch_norm`], [`Layer::as_linear`], [`Layer::epilogue_act`])
-/// are the hooks the conv/BN/activation fusion pass uses to pattern-match
-/// and rebuild layer runs. [`Layer::for_each_child`] is the read-only
-/// structural walk: nothing outside a layer can reach into it to change
-/// what its inference runs.
-pub trait Layer: Send + Sync {
+/// Structure is one walk. A container implements
+/// [`Layer::for_each_child`] and [`Layer::for_each_child_mut`], yielding
+/// the same children in the same (weight) order; a leaf implements
+/// [`Layer::for_each_state`]. Everything else that recurses —
+/// [`Layer::to_dtype`], [`Layer::fuse_inference`], a container's
+/// `for_each_state` — is a provided method over that walk, so no container
+/// forwards state by hand. `Layer: Any`, so a caller that needs the concrete
+/// type of a visited layer (the fusion pass, a structural test) asks for it
+/// with [`downcast_ref`](#method.downcast_ref); [`Layer::epilogue_act`] says
+/// which activation a layer computes. Nothing outside a layer can reach into
+/// it through the read-only walk to change what its inference runs.
+pub trait Layer: Any + Send + Sync {
     /// Computes the layer output for `input`: [`Layer::forward_train`] when
     /// `train` (batch-norm batch statistics, gradient caches), otherwise the
     /// inference step of [`crate::Network::infer`] (sharded by sample range
@@ -276,63 +312,43 @@ pub trait Layer: Send + Sync {
     /// training cache.
     fn infer(&self, input: &Tensor, out: &mut Tensor, ws: &mut Workspace);
 
-    /// Rewrites this layer's children for fused inference (conv/BN/activation
-    /// and linear/activation runs collapse into fused layers; see
-    /// [`crate::fuse`]). Containers recurse; leaves do nothing.
-    fn fuse_inference(&mut self) {}
-
-    /// Mutable access to the trainable parameters, outermost layers first.
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
+    /// Rewrites runs of layers for fused inference (conv/BN/activation and
+    /// linear/activation runs collapse into fused layers; see
+    /// [`crate::fuse`]). Only [`crate::Sequential`], which owns the runs,
+    /// rewrites; everything else recurses into its children.
+    fn fuse_inference(&mut self) {
+        self.for_each_child_mut(&mut |child| child.fuse_inference());
     }
 
-    /// Mutable access to non-trainable state tensors (e.g. batch-norm running
-    /// statistics) that must still be exchanged between FL clients and the
-    /// server.
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        Vec::new()
+    /// Converts inference weights to the requested storage dtype (see
+    /// [`crate::Network::to_dtype`]). Leaves with weight tensors override;
+    /// containers recurse into their children. Converting back to
+    /// [`DType::F32`] restores dequantized `f32` weights.
+    fn to_dtype(&mut self, dtype: DType) {
+        self.for_each_child_mut(&mut |child| child.to_dtype(dtype));
     }
 
-    /// Converts this layer's inference weights to the requested storage
-    /// dtype (see [`crate::Network::to_dtype`]). Containers recurse; leaves
-    /// with weight tensors override; everything else keeps the no-op
-    /// default. Converting back to [`DType::F32`] restores dequantized `f32`
-    /// weights.
-    fn to_dtype(&mut self, _dtype: DType) {}
-
-    /// Mutable access to every stored parameter tensor, in the same fixed
-    /// order as [`Layer::params_mut`] on an f32 network. This is the walk
-    /// the checkpoint format uses: unlike `params_mut`, quantized weights
-    /// appear here (as [`ParamStore::Quant`]) so fingerprints and save/load
-    /// cover them.
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.params_mut().into_iter().map(ParamStore::F32).collect()
-    }
-
-    /// Typed view for the fusion pass: `Some` iff this layer is a plain
-    /// [`Conv2d`].
-    fn as_conv2d(&self) -> Option<&Conv2d> {
-        None
-    }
-
-    /// Visits this layer's direct children, in execution order: a container
-    /// or block yields the layers of its body (or bodies, one after the
-    /// other), a fused layer the original layers it owns; leaves have none.
-    /// Read-only — with [`Layer::name`] and the typed views this is how a
-    /// caller enumerates what a network is made of
-    /// ([`crate::Network::for_each_layer`] is the recursive walk).
+    /// Visits this layer's direct children, read-only: a container or block
+    /// yields its body (or bodies), a fused layer the original layers it
+    /// owns; leaves have none. The order is **weight order**, the one
+    /// [`Layer::for_each_child_mut`] yields and the flat weight layout
+    /// follows — not necessarily execution order (a ShuffleNetV2
+    /// downsampling unit runs its projection branch first but yields its
+    /// main branch first, where checkpoints and FL vectors put it).
+    /// [`crate::Network::for_each_layer`] is the recursive walk.
     fn for_each_child(&self, _f: &mut dyn FnMut(&dyn Layer)) {}
 
-    /// Typed view for the fusion pass: `Some` iff this layer is a plain
-    /// [`BatchNorm2d`].
-    fn as_batch_norm(&self) -> Option<&BatchNorm2d> {
-        None
-    }
+    /// [`Layer::for_each_child`]'s mutable twin: the same children in the
+    /// same order. The recursion behind [`Layer::for_each_state`],
+    /// [`Layer::to_dtype`] and [`Layer::fuse_inference`].
+    fn for_each_child_mut<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut dyn Layer)) {}
 
-    /// Typed view for the fusion pass: `Some` iff this layer is a plain
-    /// [`Linear`].
-    fn as_linear(&self) -> Option<&Linear> {
-        None
+    /// Visits every parameter and buffer under this layer in walk order. A
+    /// leaf yields its own state — parameters and buffers each in a fixed
+    /// order; quantized weights as [`ParamStore::Quant`] in the position
+    /// their `f32` form had — and a container, by default, its children's.
+    fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
+        self.for_each_child_mut(&mut |child| child.for_each_state(&mut *f));
     }
 
     /// The element-wise activation this layer computes, when it is expressible
@@ -344,6 +360,13 @@ pub trait Layer: Send + Sync {
 
     /// A short human-readable layer name used in debugging output.
     fn name(&self) -> &'static str;
+}
+
+impl dyn Layer {
+    /// This layer as a `T`, when it is one.
+    pub fn downcast_ref<T: Layer>(&self) -> Option<&T> {
+        (self as &dyn Any).downcast_ref()
+    }
 }
 
 #[cfg(test)]
@@ -371,8 +394,8 @@ mod tests {
     #[test]
     fn default_params_and_buffers_are_empty() {
         let mut id = Identity;
-        assert!(id.params_mut().is_empty());
-        assert!(id.buffers_mut().is_empty());
+        let (params, buffers) = states(&mut id);
+        assert!(params.is_empty() && buffers.is_empty());
         let x = Tensor::ones(&[2, 2]);
         assert_eq!(id.forward(&x, true).as_slice(), x.as_slice());
         assert_eq!(id.backward(&x).as_slice(), x.as_slice());
@@ -387,18 +410,27 @@ mod tests {
     fn default_hooks_are_conservative() {
         let mut id = Identity;
         let x = Tensor::ones(&[2, 2]);
-        // typed views: not a conv/bn/linear/activation
-        assert!(id.as_conv2d().is_none());
-        assert!(id.as_batch_norm().is_none());
-        assert!(id.as_linear().is_none());
+        // not an activation, and a leaf: no children either way
         assert!(id.epilogue_act().is_none());
         id.for_each_child(&mut |_| panic!("a leaf has no children"));
+        id.for_each_child_mut(&mut |_| panic!("a leaf has no children"));
         // forward(_, false) is infer on a cold workspace
         assert_eq!(id.forward(&x, false), x);
-        // fuse_inference and to_dtype are no-ops; param_stores mirrors params
+        // fuse_inference and to_dtype recurse into nothing
         id.fuse_inference();
         id.to_dtype(DType::F16);
-        assert!(id.param_stores().is_empty());
+    }
+
+    #[test]
+    fn downcast_ref_names_the_concrete_type() {
+        use crate::{BatchNorm2d, Linear};
+        let layer: Box<dyn Layer> = Box::new(BatchNorm2d::new(3));
+        assert_eq!(
+            layer.downcast_ref::<BatchNorm2d>().map(|bn| bn.channels()),
+            Some(3)
+        );
+        assert!(layer.downcast_ref::<Linear>().is_none());
+        assert!(layer.downcast_ref::<Conv2d>().is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
 use crate::layer::{infer_fresh, store};
-use crate::{Layer, Param, ParamStore, Workspace};
+use crate::{Layer, Param, ParamStore, State, Workspace};
 use hs_tensor::{he_normal, DType, EpilogueAct, QTensor, Tensor, WeightMat};
 use rand::rngs::StdRng;
 
@@ -125,18 +125,13 @@ impl Layer for Linear {
         self.infer_act(input, EpilogueAct::None, out);
     }
 
-    fn as_linear(&self) -> Option<&Linear> {
-        Some(self)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        if self.qweight.is_some() {
-            // the f32 weight is parked empty while quantized; only the bias
-            // remains a trainable/exchangeable f32 parameter
-            vec![&mut self.bias]
-        } else {
-            vec![&mut self.weight, &mut self.bias]
-        }
+    /// Weight, then bias; a quantized weight keeps the weight's position.
+    fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
+        f(State::Param(match &mut self.qweight {
+            Some(q) => ParamStore::Quant(q),
+            None => ParamStore::F32(&mut self.weight),
+        }));
+        f(State::Param(ParamStore::F32(&mut self.bias)));
     }
 
     fn to_dtype(&mut self, dtype: DType) {
@@ -163,16 +158,6 @@ impl Layer for Linear {
         }
     }
 
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        match &mut self.qweight {
-            Some(q) => vec![ParamStore::Quant(q), ParamStore::F32(&mut self.bias)],
-            None => vec![
-                ParamStore::F32(&mut self.weight),
-                ParamStore::F32(&mut self.bias),
-            ],
-        }
-    }
-
     fn name(&self) -> &'static str {
         "linear"
     }
@@ -196,8 +181,8 @@ mod tests {
     fn identity_weight_passthrough() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut l = Linear::new(3, 3, &mut rng);
-        l.params_mut()[0].value = Tensor::eye(3);
-        l.params_mut()[1].value = Tensor::zeros(&[3]);
+        l.weight.value = Tensor::eye(3);
+        l.bias.value = Tensor::zeros(&[3]);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
         let y = l.forward(&x, false);
         assert_eq!(y.as_slice(), x.as_slice());
@@ -213,16 +198,16 @@ mod tests {
         let y = l.forward(&x, true);
         let grad_out = Tensor::ones(y.dims());
         let grad_in = l.backward(&grad_out);
-        let analytic_w = l.params_mut()[0].grad.at(&[0, 0]);
+        let analytic_w = l.weight.grad.at(&[0, 0]);
 
         // numerical gradient
         let eps = 1e-3;
-        let base_w = l.params_mut()[0].value.at(&[0, 0]);
-        *l.params_mut()[0].value.at_mut(&[0, 0]) = base_w + eps;
+        let base_w = l.weight.value.at(&[0, 0]);
+        *l.weight.value.at_mut(&[0, 0]) = base_w + eps;
         let plus = l.forward(&x, false).sum();
-        *l.params_mut()[0].value.at_mut(&[0, 0]) = base_w - eps;
+        *l.weight.value.at_mut(&[0, 0]) = base_w - eps;
         let minus = l.forward(&x, false).sum();
-        *l.params_mut()[0].value.at_mut(&[0, 0]) = base_w;
+        *l.weight.value.at_mut(&[0, 0]) = base_w;
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
             (analytic_w - numerical).abs() < 1e-2,
@@ -230,7 +215,7 @@ mod tests {
         );
 
         // input gradient: d sum(xW^T+b) / dx = column sums of W
-        let w_col_sum = l.params_mut()[0].value.sum_axis(0);
+        let w_col_sum = l.weight.value.sum_axis(0);
         for j in 0..3 {
             assert!((grad_in.at(&[0, j]) - w_col_sum.at(&[j])).abs() < 1e-5);
         }
@@ -240,10 +225,11 @@ mod tests {
     fn params_report_weight_and_bias() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut l = Linear::new(4, 2, &mut rng);
-        let params = l.params_mut();
+        let (params, buffers) = crate::states(&mut l);
+        assert!(buffers.is_empty());
         assert_eq!(params.len(), 2);
-        assert_eq!(params[0].value.dims(), &[2, 4]);
-        assert_eq!(params[1].value.dims(), &[2]);
+        assert_eq!(params[0].dims(), &[2, 4]);
+        assert_eq!(params[1].dims(), &[2]);
     }
 
     #[test]
@@ -252,17 +238,16 @@ mod tests {
         let mut l = Linear::new(16, 8, &mut rng);
         let x = Tensor::rand_uniform(&[4, 16], -1.0, 1.0, &mut rng);
         let reference = l.forward(&x, false);
-        let w_before = l.params_mut()[0].value.clone();
+        let w_before = l.weight.value.clone();
         for dtype in [DType::F16, DType::I8] {
             l.to_dtype(dtype);
             assert!(l.is_quantized());
-            // the f32 weight is parked empty while quantized
-            assert_eq!(l.params_mut().len(), 1);
-            let stores = l.param_stores();
+            // the quantized weight takes the f32 weight's place in the walk
+            let (stores, _) = crate::states(&mut l);
             assert_eq!(stores.len(), 2);
             assert_eq!(stores[0].dtype(), dtype);
             assert_eq!(stores[0].dims(), &[8, 16]);
-            drop(stores);
+            assert_eq!(stores[1].dtype(), DType::F32);
             let y = l.forward(&x, false);
             let tol = if dtype == DType::F16 { 5e-3 } else { 5e-2 };
             for (a, b) in reference.as_slice().iter().zip(y.as_slice()) {
@@ -276,14 +261,10 @@ mod tests {
         }
         // f16 -> f32 -> (weights round-trip within f16 precision); restore
         // the pristine weights first — the i8 round trip above was lossy
-        l.params_mut()[0].value = w_before.clone();
+        l.weight.value = w_before.clone();
         l.to_dtype(DType::F16);
         l.to_dtype(DType::F32);
-        for (a, b) in w_before
-            .as_slice()
-            .iter()
-            .zip(l.params_mut()[0].value.as_slice())
-        {
+        for (a, b) in w_before.as_slice().iter().zip(l.weight.value.as_slice()) {
             assert!((a - b).abs() <= 4.9e-4 * a.abs().max(1e-3), "{a} vs {b}");
         }
     }

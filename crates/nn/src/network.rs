@@ -11,14 +11,16 @@
 //! serially and one join concatenates the rows (`infer_sharded`).
 
 use crate::layer::infer_sharded;
-use crate::{Layer, Loss, Param, ParamStore, Sequential, Target, Workspace};
+use crate::{Layer, Loss, Param, ParamStore, Sequential, State, Target, Workspace};
 use hs_tensor::{DType, Tensor};
 
 /// A trainable model: a [`Sequential`] stack plus the weight-vector plumbing
 /// needed by federated learning (flatten / restore all parameters and
 /// batch-norm buffers).
 pub struct Network {
-    layers: Sequential,
+    /// The top-level stack (the checkpoint codec names buffers by its
+    /// layers).
+    pub(crate) layers: Sequential,
     /// Scratch and output buffer behind [`Network::infer`], warm after the
     /// first pass at each input shape.
     ws: Workspace,
@@ -73,18 +75,24 @@ impl Network {
         self.layers.fuse_inference();
     }
 
-    /// Visits every layer of the network depth-first in execution order,
-    /// parents before their children ([`Layer::for_each_child`]), passing
-    /// each layer's nesting depth (0 for the top-level stack's layers).
-    /// Read-only: with [`Layer::name`] and the typed views
-    /// ([`Layer::as_conv2d`], …) it enumerates what the network is made of
-    /// — e.g. which backend every convolution plans
-    /// ([`crate::Conv2d::planned_algo`]) — without being able to change it.
+    /// Visits every layer of the network depth-first in walk order
+    /// ([`Layer::for_each_child`]), parents before their children, passing
+    /// each layer's nesting depth (0 for the top-level stack's layers). A
+    /// [`Sequential`] nested in a block is that block's body, not a layer of
+    /// its own: it is not visited, and its layers are the block's children.
+    /// Read-only: with [`Layer::name`] and `<dyn Layer>::downcast_ref` it
+    /// enumerates what the network is made of — e.g. which backend every
+    /// convolution plans ([`crate::Conv2d::planned_algo`]) — without being
+    /// able to change it.
     pub fn for_each_layer(&self, f: &mut dyn FnMut(usize, &dyn Layer)) {
         fn walk(layer: &dyn Layer, depth: usize, f: &mut dyn FnMut(usize, &dyn Layer)) {
             layer.for_each_child(&mut |child| {
-                f(depth, child);
-                walk(child, depth + 1, f);
+                if child.downcast_ref::<Sequential>().is_some() {
+                    walk(child, depth, f);
+                } else {
+                    f(depth, child);
+                    walk(child, depth + 1, f);
+                }
             });
         }
         walk(&self.layers, 0, f);
@@ -94,11 +102,6 @@ impl Network {
     /// parameter gradients.
     pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         self.layers.backward(grad)
-    }
-
-    /// Mutable access to all trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.params_mut()
     }
 
     /// Converts every weight-bearing layer's inference weights to `dtype`
@@ -114,54 +117,66 @@ impl Network {
         self.layers.to_dtype(dtype);
     }
 
-    /// Mutable access to every stored parameter tensor — the checkpoint
-    /// walk. Identical to [`Network::params_mut`] on an f32 network; after
-    /// [`Network::to_dtype`] the quantized weights appear as
-    /// [`ParamStore::Quant`] entries in the same positions.
-    pub fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.layers.param_stores()
+    /// Visits every parameter store and buffer in walk order
+    /// ([`Layer::for_each_state`]): the order of the flat layout, which is
+    /// every parameter followed by every buffer. On an f32 network every
+    /// parameter is a [`ParamStore::F32`]; after [`Network::to_dtype`] the
+    /// quantized weights are [`ParamStore::Quant`] in the same positions.
+    pub fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
+        self.layers.for_each_state(f);
     }
 
-    /// Internal access to the top-level layer stack (checkpoint naming
-    /// walks it to pair each buffer with its owning layer's name).
-    pub(crate) fn layer_stack_mut(&mut self) -> &mut crate::Sequential {
-        &mut self.layers
+    /// Visits every trainable (`f32`) parameter in walk order — the first
+    /// half of the flat layout; quantized weights, which hold no gradient,
+    /// are skipped. Collects nothing: the optimizer step, the FedProx and
+    /// Scaffold corrections and the weight-vector plumbing all walk here.
+    pub fn for_each_param(&mut self, mut f: impl FnMut(&mut Param)) {
+        self.for_each_state(&mut |s| {
+            if let State::Param(ParamStore::F32(p)) = s {
+                f(p);
+            }
+        });
     }
 
-    /// Mutable access to all non-trainable buffers (batch-norm statistics).
-    pub fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.layers.buffers_mut()
+    /// Visits every buffer in walk order — the second half of the flat
+    /// layout.
+    fn for_each_buffer(&mut self, mut f: impl FnMut(&mut Tensor)) {
+        self.for_each_state(&mut |s| {
+            if let State::Buffer(b) = s {
+                f(b);
+            }
+        });
     }
 
     /// Clears the accumulated gradient of every parameter.
     pub fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
+        self.for_each_param(Param::zero_grad);
     }
 
     /// Total number of scalars in the flattened weight vector
     /// (parameters followed by buffers).
     pub fn num_weights(&mut self) -> usize {
-        let p: usize = self.params_mut().iter().map(|p| p.len()).sum();
-        let b: usize = self.buffers_mut().iter().map(|b| b.len()).sum();
-        p + b
+        let mut n = 0;
+        self.for_each_state(&mut |s| {
+            n += match s {
+                State::Param(ParamStore::F32(p)) => p.len(),
+                State::Param(ParamStore::Quant(_)) => 0,
+                State::Buffer(b) => b.len(),
+            }
+        });
+        n
     }
 
     /// Flattens all parameters and buffers into a single vector.
     ///
-    /// The layout is: every parameter value in layer order, followed by every
-    /// buffer in layer order. [`Network::set_weights`] expects the same
+    /// The layout is: every parameter value in walk order, followed by every
+    /// buffer in walk order. [`Network::set_weights`] expects the same
     /// layout, so a vector produced by one replica of a model can be loaded
     /// into another replica built by the same constructor.
     pub fn weights(&mut self) -> Vec<f32> {
-        let mut out = Vec::new();
-        for p in self.params_mut() {
-            out.extend_from_slice(p.value.as_slice());
-        }
-        for b in self.buffers_mut() {
-            out.extend_from_slice(b.as_slice());
-        }
+        let mut out = Vec::with_capacity(self.num_weights());
+        self.for_each_param(|p| out.extend_from_slice(p.value.as_slice()));
+        self.for_each_buffer(|b| out.extend_from_slice(b.as_slice()));
         out
     }
 
@@ -180,30 +195,23 @@ impl Network {
             flat.len(),
             expected
         );
-        let mut offset = 0;
-        for p in self.params_mut() {
-            let n = p.value.len();
-            p.value
-                .as_mut_slice()
-                .copy_from_slice(&flat[offset..offset + n]);
-            offset += n;
-        }
-        for b in self.buffers_mut() {
-            let n = b.len();
-            b.as_mut_slice().copy_from_slice(&flat[offset..offset + n]);
-            offset += n;
-        }
+        let mut rest = flat;
+        let mut fill = |dst: &mut [f32]| {
+            let (head, tail) = rest.split_at(dst.len());
+            dst.copy_from_slice(head);
+            rest = tail;
+        };
+        self.for_each_param(|p| fill(p.value.as_mut_slice()));
+        self.for_each_buffer(|b| fill(b.as_mut_slice()));
     }
 
     /// Flattens the current parameter gradients (buffers contribute zeros),
     /// using the same layout as [`Network::weights`].
     pub fn gradients(&mut self) -> Vec<f32> {
-        let mut out = Vec::new();
-        for p in self.params_mut() {
-            out.extend_from_slice(p.grad.as_slice());
-        }
-        let buffer_len: usize = self.buffers_mut().iter().map(|b| b.len()).sum();
-        out.extend(std::iter::repeat_n(0.0, buffer_len));
+        let len = self.num_weights();
+        let mut out = Vec::with_capacity(len);
+        self.for_each_param(|p| out.extend_from_slice(p.grad.as_slice()));
+        out.resize(len, 0.0);
         out
     }
 

@@ -1,14 +1,14 @@
 //! Batch normalisation over the channel axis of `[n, c, h, w]` tensors.
 
-use crate::{Layer, Param, Workspace};
+use crate::{Layer, Param, ParamStore, State, Workspace};
 use hs_tensor::{LaneSum, Tensor};
 
 /// Batch normalisation for convolutional feature maps.
 ///
 /// During training the layer normalises with batch statistics and updates the
 /// running mean/variance buffers; during inference it uses the running
-/// statistics. The running buffers are exposed through
-/// [`Layer::buffers_mut`] so the federated-learning server aggregates them
+/// statistics. The running buffers are yielded by
+/// [`Layer::for_each_state`] so the federated-learning server aggregates them
 /// along with the trainable parameters, matching the behaviour of FedAvg on
 /// standard deep-learning frameworks.
 pub struct BatchNorm2d {
@@ -150,10 +150,6 @@ impl Layer for BatchNorm2d {
         }
     }
 
-    fn as_batch_norm(&self) -> Option<&BatchNorm2d> {
-        Some(self)
-    }
-
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let normalized = self
             .cached_normalized
@@ -203,12 +199,12 @@ impl Layer for BatchNorm2d {
         Tensor::from_vec(grad_in, &dims)
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.running_mean, &mut self.running_var]
+    /// Parameters γ, β, then buffers running mean, running variance.
+    fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
+        f(State::Param(ParamStore::F32(&mut self.gamma)));
+        f(State::Param(ParamStore::F32(&mut self.beta)));
+        f(State::Buffer(&mut self.running_mean));
+        f(State::Buffer(&mut self.running_var));
     }
 
     fn name(&self) -> &'static str {
@@ -324,8 +320,8 @@ mod tests {
     ) -> (BatchNorm2d, Tensor, Tensor) {
         let c = x.dims()[1];
         let mut bn = BatchNorm2d::new(c);
-        bn.params_mut()[0].value = Tensor::from_vec(gamma.to_vec(), &[c]);
-        bn.params_mut()[1].value = Tensor::from_vec(beta.to_vec(), &[c]);
+        bn.gamma.value = Tensor::from_vec(gamma.to_vec(), &[c]);
+        bn.beta.value = Tensor::from_vec(beta.to_vec(), &[c]);
         let y = bn.forward(x, true);
         let gin = bn.backward(go);
         (bn, y, gin)
@@ -363,29 +359,27 @@ mod tests {
                 let beta = Tensor::rand_uniform(&[c], -0.5, 0.5, &mut rng);
                 let (gamma, beta) = (gamma.as_slice(), beta.as_slice());
                 let r = reference(&x, &go, gamma, beta);
-                let (mut bn, y, gin) = train_step(&x, &go, gamma, beta);
+                let (bn, y, gin) = train_step(&x, &go, gamma, beta);
                 assert_close(&r.y, y.as_slice(), &format!("{what}: y"));
                 assert_close(&r.grad_in, gin.as_slice(), &format!("{what}: grad_in"));
-                let buffers = bn.buffers_mut();
                 assert_close(
                     &r.running_mean,
-                    buffers[0].as_slice(),
+                    bn.running_mean.as_slice(),
                     &format!("{what}: running_mean"),
                 );
                 assert_close(
                     &r.running_var,
-                    buffers[1].as_slice(),
+                    bn.running_var.as_slice(),
                     &format!("{what}: running_var"),
                 );
-                let params = bn.params_mut();
                 assert_close(
                     &r.grad_gamma,
-                    params[0].grad.as_slice(),
+                    bn.gamma.grad.as_slice(),
                     &format!("{what}: grad_gamma"),
                 );
                 assert_close(
                     &r.grad_beta,
-                    params[1].grad.as_slice(),
+                    bn.beta.grad.as_slice(),
                     &format!("{what}: grad_beta"),
                 );
             }
@@ -420,8 +414,7 @@ mod tests {
             };
             for ci in 0..c {
                 let grads = |bn: &mut BatchNorm2d| {
-                    let p = bn.params_mut();
-                    (p[0].grad.as_slice()[ci], p[1].grad.as_slice()[ci])
+                    (bn.gamma.grad.as_slice()[ci], bn.beta.grad.as_slice()[ci])
                 };
                 let ((gg, gb), (gg_clean, gb_clean)) = (grads(&mut bn), grads(&mut clean));
                 if ci == poisoned {
@@ -459,7 +452,7 @@ mod tests {
                 }
             }
             let stats = |bn: &mut BatchNorm2d| -> Vec<u32> {
-                bn.buffers_mut()
+                [&bn.running_mean, &bn.running_var]
                     .iter()
                     .flat_map(|b| bits(b.as_slice()))
                     .collect()
@@ -478,8 +471,8 @@ mod tests {
     #[test]
     fn buffers_expose_running_stats() {
         let mut bn = BatchNorm2d::new(4);
-        assert_eq!(bn.buffers_mut().len(), 2);
-        assert_eq!(bn.params_mut().len(), 2);
+        let (params, buffers) = crate::states(&mut bn);
+        assert_eq!((params.len(), buffers.len()), (2, 2));
     }
 
     #[test]
@@ -498,7 +491,7 @@ mod tests {
                     .sum::<f32>()
             })
             .sum();
-        assert!((bn.params_mut()[1].grad.at(&[0]) - expected).abs() < 1e-4);
+        assert!((bn.beta.grad.at(&[0]) - expected).abs() < 1e-4);
     }
 
     #[test]

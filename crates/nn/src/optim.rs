@@ -22,10 +22,10 @@ impl Sgd {
     /// gradients accumulated since the last [`Network::zero_grad`], then
     /// clears the gradients.
     pub fn step(&mut self, net: &mut Network) {
-        for p in net.params_mut() {
+        net.for_each_param(|p| {
             p.value.add_scaled(&p.grad, -self.lr);
             p.zero_grad();
-        }
+        });
     }
 }
 
@@ -81,8 +81,6 @@ mod tests {
         net.backward(&grad);
         let mut opt = Sgd::new(0.01);
         opt.step(&mut net);
-        for p in net.params_mut() {
-            assert_eq!(p.grad.sum(), 0.0);
-        }
+        net.for_each_param(|p| assert_eq!(p.grad.sum(), 0.0));
     }
 }

@@ -5,9 +5,10 @@ use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: the current value and its accumulated gradient.
 ///
-/// Layers create `Param`s for their weights and biases; the optimizer and the
-/// federated-learning weight (de)serialisation walk every `Param` of a
-/// [`crate::Network`] through [`crate::Layer::params_mut`].
+/// Layers create `Param`s for their weights and biases and yield them from
+/// [`crate::Layer::for_each_state`]; the optimizer and the federated-learning
+/// weight (de)serialisation walk every `Param` of a [`crate::Network`]
+/// through [`crate::Network::for_each_param`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     /// Current parameter value.

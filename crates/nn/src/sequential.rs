@@ -6,8 +6,8 @@
 //! depth — including the bodies of the zoo's composite blocks, which are
 //! nested `Sequential`s — costs two pool slots and, warm, no allocation.
 
-use crate::{Layer, Param, ParamStore, Workspace};
-use hs_tensor::{DType, Tensor};
+use crate::{Layer, Workspace};
+use hs_tensor::Tensor;
 
 /// Runs a list of layers in sequence; the workhorse container for every model
 /// in the zoo.
@@ -39,12 +39,6 @@ impl Sequential {
     /// Whether the container holds no layers.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
-    }
-
-    /// Mutable access to the layer list (checkpoint naming walks it to pair
-    /// each buffer with its owning layer's name).
-    pub(crate) fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
     }
 }
 
@@ -101,31 +95,10 @@ impl Layer for Sequential {
         }
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.buffers_mut())
-            .collect()
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
+    fn for_each_child_mut<'a>(&'a mut self, f: &mut dyn FnMut(&'a mut dyn Layer)) {
         for layer in &mut self.layers {
-            layer.to_dtype(dtype);
+            f(layer.as_mut());
         }
-    }
-
-    fn param_stores(&mut self) -> Vec<ParamStore<'_>> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.param_stores())
-            .collect()
     }
 
     fn name(&self) -> &'static str {
@@ -164,7 +137,7 @@ mod tests {
             Box::new(Linear::new(8, 2, &mut rng)),
         ]);
         // two linear layers, each with weight + bias
-        assert_eq!(seq.params_mut().len(), 4);
+        assert_eq!(crate::layer::states(&mut seq).0.len(), 4);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! build per published version, and served bits against a direct forward.
 
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
-use hs_nn::{CheckpointError, Layer, Linear, Network, Sequential, Workspace};
+use hs_nn::{CheckpointError, Layer, Linear, Network, Sequential, State, Workspace};
 use hs_serve::{BatchPolicy, ModelRegistry, ServeError, Server, ServerConfig};
 use hs_tensor::{DType, Tensor};
 use rand::rngs::StdRng;
@@ -788,8 +788,8 @@ impl Layer for Tally {
     fn infer(&self, input: &Tensor, out: &mut Tensor, _ws: &mut Workspace) {
         out.clone_from(input);
     }
-    fn buffers_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.0]
+    fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
+        f(State::Buffer(&mut self.0));
     }
     fn name(&self) -> &'static str {
         "tally"

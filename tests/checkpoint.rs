@@ -6,7 +6,7 @@
 
 use hs_nn::models::{build_vision_model, ecg_net, ModelKind, VisionConfig};
 use hs_nn::{
-    CheckpointError, CrossEntropyLoss, Network, ParamStore, Sgd, Target, CHECKPOINT_MAGIC,
+    CheckpointError, CrossEntropyLoss, Network, ParamStore, Sgd, State, Target, CHECKPOINT_MAGIC,
 };
 use hs_tensor::{DType, Tensor, WeightMat};
 use rand::rngs::StdRng;
@@ -189,11 +189,13 @@ fn a_huge_buffer_rank_is_a_typed_error_not_an_abort() {
     let mut bytes = original.to_checkpoint_bytes();
     // the last buffer ends with rank (u32), dims (u32 each), f32 payload
     // and CRC-32 (u32)
-    let (rank, len) = {
-        let buffers = original.buffers_mut();
-        let last = buffers.last().expect("SimpleCnn has batch-norm buffers");
-        (last.rank(), last.len())
-    };
+    let (mut rank, mut len) = (0, 0);
+    original.for_each_state(&mut |s| {
+        if let State::Buffer(b) = s {
+            (rank, len) = (b.rank(), b.len());
+        }
+    });
+    assert!(len > 0, "SimpleCnn has batch-norm buffers");
     let at = bytes.len() - 4 - 4 * len - 4 * rank - 4;
     assert_eq!(&bytes[at..at + 4], &(rank as u32).to_le_bytes());
     bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -211,23 +213,22 @@ fn a_huge_buffer_rank_is_a_typed_error_not_an_abort() {
 /// The bits of every stored weight (quantized ones in their stored form)
 /// and every buffer.
 fn state_bits(net: &mut Network) -> Vec<u32> {
-    let mut bits = Vec::new();
-    for store in net.param_stores() {
-        match store {
-            ParamStore::F32(p) => bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())),
-            ParamStore::Quant(q) => match q.as_mat() {
-                WeightMat::F32(v) => bits.extend(v.iter().map(|v| v.to_bits())),
-                WeightMat::F16(h) => bits.extend(h.iter().map(|&h| u32::from(h))),
-                WeightMat::I8 { data, scale } => {
-                    bits.push(scale.to_bits());
-                    bits.extend(data.iter().map(|&q| u32::from(q as u8)));
-                }
-            },
+    let (mut bits, mut buffer_bits) = (Vec::new(), Vec::new());
+    net.for_each_state(&mut |s| match s {
+        State::Param(ParamStore::F32(p)) => {
+            bits.extend(p.value.as_slice().iter().map(|v| v.to_bits()))
         }
-    }
-    for b in net.buffers_mut() {
-        bits.extend(b.as_slice().iter().map(|v| v.to_bits()));
-    }
+        State::Param(ParamStore::Quant(q)) => match q.as_mat() {
+            WeightMat::F32(v) => bits.extend(v.iter().map(|v| v.to_bits())),
+            WeightMat::F16(h) => bits.extend(h.iter().map(|&h| u32::from(h))),
+            WeightMat::I8 { data, scale } => {
+                bits.push(scale.to_bits());
+                bits.extend(data.iter().map(|&q| u32::from(q as u8)));
+            }
+        },
+        State::Buffer(b) => buffer_bits.extend(b.as_slice().iter().map(|v| v.to_bits())),
+    });
+    bits.extend(buffer_bits);
     bits
 }
 
@@ -392,36 +393,158 @@ fn quantized_replicas_round_trip_and_stay_close_across_the_zoo() {
     }
 }
 
+/// Every network the paper trains, at the checkpoint tests' scale, with its
+/// pinned topology fingerprint and parameter-tensor count.
+fn golden_zoo() -> Vec<(&'static str, Network, u64, usize)> {
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut vision = |kind| build_vision_model(kind, zoo_cfg(), &mut rng);
+    vec![
+        (
+            "SimpleCnn",
+            vision(ModelKind::SimpleCnn),
+            0x08d9_4900_839b_10a8,
+            12,
+        ),
+        (
+            "MobileNetV3Small",
+            vision(ModelKind::MobileNetV3Small),
+            0xf11e_9952_9803_8ab1,
+            54,
+        ),
+        (
+            "ShuffleNetV2",
+            vision(ModelKind::ShuffleNetV2),
+            0xbc45_e968_a61c_c09b,
+            74,
+        ),
+        (
+            "SqueezeNet",
+            vision(ModelKind::SqueezeNet),
+            0x74e9_f485_58ac_63e5,
+            22,
+        ),
+        ("EcgNet", ecg_net(32, &mut rng), 0x8781_66a7_30b0_5620, 6),
+    ]
+}
+
 #[test]
 fn checkpoint_header_is_byte_stable() {
     // golden pin of the 28-byte header (magic + version + fingerprint +
-    // parameter-tensor count) for the zoo SimpleCnn at VisionConfig(3, 5,
-    // 16). This must only ever change with a deliberate format-version bump
-    // or an intentional architecture change — update the constant in the
-    // same commit and say why. Bumped to version 2 (and the count field
-    // from flat scalars to per-tensor entries) when dtype tags and CRC-32
-    // checksums were added; the fingerprint algorithm was untouched, so
-    // GOLDEN_FINGERPRINT survives from v1.
-    let mut net = zoo_model(ModelKind::SimpleCnn, 1);
-    let bytes = net.to_checkpoint_bytes();
-    assert_eq!(&bytes[..8], &CHECKPOINT_MAGIC);
-    assert_eq!(&bytes[8..12], &2u32.to_le_bytes()); // format version
-    let mut expected_header = Vec::new();
-    expected_header.extend_from_slice(b"HSNNCKPT");
-    expected_header.extend_from_slice(&2u32.to_le_bytes());
-    expected_header.extend_from_slice(&net.fingerprint().to_le_bytes());
-    expected_header.extend_from_slice(&(GOLDEN_PARAM_TENSORS as u64).to_le_bytes());
-    assert_eq!(&bytes[..28], &expected_header[..]);
-    // the golden values themselves, pinned as literals
-    assert_eq!(
-        net.fingerprint(),
-        GOLDEN_FINGERPRINT,
-        "SimpleCnn topology fingerprint moved — format or architecture change?"
-    );
-    assert_eq!(net.param_stores().len(), GOLDEN_PARAM_TENSORS);
+    // parameter-tensor count) for every zoo network at VisionConfig(3, 5,
+    // 16) and the ECG net over 32 samples. This must only ever change with a
+    // deliberate format-version bump or an intentional architecture change —
+    // update the constants in the same commit and say why. Bumped to
+    // version 2 (and the count field from flat scalars to per-tensor
+    // entries) when dtype tags and CRC-32 checksums were added; the
+    // fingerprint algorithm was untouched, so SimpleCnn's fingerprint
+    // survives from v1.
+    for (name, mut net, fingerprint, tensors) in golden_zoo() {
+        let bytes = net.to_checkpoint_bytes();
+        let mut expected_header = Vec::new();
+        expected_header.extend_from_slice(b"HSNNCKPT");
+        expected_header.extend_from_slice(&2u32.to_le_bytes()); // format version
+        expected_header.extend_from_slice(&fingerprint.to_le_bytes());
+        expected_header.extend_from_slice(&(tensors as u64).to_le_bytes());
+        assert_eq!(
+            &bytes[..28],
+            &expected_header[..],
+            "{name}: header moved — format or architecture change?"
+        );
+        assert_eq!(net.fingerprint(), fingerprint, "{name}");
+    }
 }
 
-/// Pinned by `checkpoint_header_is_byte_stable`.
-const GOLDEN_FINGERPRINT: u64 = 0x08d9_4900_839b_10a8;
-/// Pinned by `checkpoint_header_is_byte_stable`.
-const GOLDEN_PARAM_TENSORS: usize = 12;
+/// The flat layout, pinned across commits by what it computes: every
+/// weight and buffer of each zoo network is set, in `set_weights` order,
+/// from a seeded integer draw (buffers positive, so every running variance
+/// is), and the logits of a seeded batch of two are pinned as literals.
+/// The fingerprint pins shapes only; a walk that swapped two same-shaped
+/// tensors would keep it and move these. Tolerance 1e-4 of the largest
+/// logit, so every ISA tier's rounding (≤ 1e-5 apart) passes.
+#[test]
+fn golden_logits_pin_the_flat_layout() {
+    let golden: [&[f32]; 5] = [
+        &[
+            -0.938629,
+            -0.46492735,
+            0.41416818,
+            0.26636153,
+            0.4366085,
+            -0.93868166,
+            -0.46421567,
+            0.44057178,
+            0.28241372,
+            0.47630107,
+        ],
+        &[
+            -0.023113608,
+            -0.41129172,
+            -0.087975495,
+            0.060313776,
+            -0.01963967,
+            -0.023113579,
+            -0.41129172,
+            -0.08797549,
+            0.06031376,
+            -0.019639716,
+        ],
+        &[
+            -0.05655718,
+            -0.1107101,
+            0.07486303,
+            0.049195807,
+            0.3042103,
+            -0.056557253,
+            -0.1107102,
+            0.074862964,
+            0.04919577,
+            0.30421036,
+        ],
+        &[
+            0.011370577,
+            0.0,
+            0.32601225,
+            0.07933095,
+            0.0,
+            0.010967363,
+            0.0,
+            0.32603282,
+            0.07972978,
+            0.0,
+        ],
+        &[0.55464786, 0.60803056],
+    ];
+    for (i, ((name, mut net, _, _), want)) in golden_zoo().into_iter().zip(golden).enumerate() {
+        let mut rng = StdRng::seed_from_u64(100 + i as u64);
+        let (mut params, mut buffers) = (0, 0);
+        net.for_each_state(&mut |s| match s {
+            State::Param(p) => params += p.len(),
+            State::Buffer(b) => buffers += b.len(),
+        });
+        let mut flat: Vec<f32> = (0..params)
+            .map(|_| rng.gen_range(-8i32..=8) as f32 / 32.0)
+            .collect();
+        flat.extend((0..buffers).map(|_| rng.gen_range(1i32..=16) as f32 / 16.0));
+        net.set_weights(&flat);
+        let dims: &[usize] = if name == "EcgNet" {
+            &[2, 32]
+        } else {
+            &[2, 3, 16, 16]
+        };
+        let x = Tensor::rand_uniform(dims, 0.0, 1.0, &mut rng);
+        let scale = want.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        for fused in [false, true] {
+            if fused {
+                net.fuse_inference();
+            }
+            let got = net.infer(&x).as_slice();
+            assert_eq!(got.len(), want.len(), "{name}");
+            for (j, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    (g - w).abs() <= 1e-4 * scale,
+                    "{name} fused={fused}: logit {j} is {g}, pinned {w}"
+                );
+            }
+        }
+    }
+}

@@ -9,6 +9,9 @@ use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod support;
+use support::params;
+
 /// `got` matches `expect` to a relative tolerance, with NaNs (and matching
 /// infinities) in exactly the same places.
 fn assert_same(expect: &[f32], got: &[f32], what: &str) {
@@ -31,7 +34,7 @@ fn non_finite_border_pixels_and_tap_weights_land_where_forward_reference_puts_th
     for stride in [1usize, 2] {
         for (h, w) in [(7usize, 9usize), (16, 16), (2, 17), (5, 1)] {
             let mut conv = Conv2d::depthwise(c, 3, stride, 1, &mut rng);
-            let clean_w = conv.params_mut()[0].value.clone();
+            let clean_w = params(&mut conv)[0].value.clone();
             let clean_x = Tensor::rand_uniform(&[n, c, h, w], -1.0, 1.0, &mut rng);
             // sample 1, channel 1: the four corners and the centre of the
             // image; the corner, edge and centre taps of the kernel
@@ -49,12 +52,12 @@ fn non_finite_border_pixels_and_tap_weights_land_where_forward_reference_puts_th
             for (pixel, tap) in sites {
                 for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
                     let mut x = clean_x.clone();
-                    conv.params_mut()[0].value = clean_w.clone();
+                    params(&mut conv)[0].value = clean_w.clone();
                     if let Some((i, j)) = pixel {
                         *x.at_mut(&[1, 1, i, j]) = value;
                     }
                     if let Some(tap) = tap {
-                        conv.params_mut()[0].value.as_mut_slice()[9 + tap] = value;
+                        params(&mut conv)[0].value.as_mut_slice()[9 + tap] = value;
                     }
                     let expect = conv.forward_reference(&x);
                     assert!(

@@ -14,6 +14,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
 
+mod support;
+use support::params;
+
 /// `set_num_threads` is process-wide and the tests of one file share a
 /// process: every test that sets it holds this lock and restores the
 /// default when done (also on a failed assertion).
@@ -54,7 +57,7 @@ fn assert_same(expect: &[f32], got: &[f32], tol: f32, what: &str) {
 /// Runs `forward(train)` + `backward` on a fresh-gradient layer and checks
 /// output, input gradient and parameter gradients against the reference.
 fn check_against_reference(conv: &mut Conv2d, x: &Tensor, grad_out: &Tensor, what: &str) {
-    for p in conv.params_mut() {
+    for p in params(conv) {
         p.zero_grad();
     }
     let y = conv.forward(x, true);
@@ -70,7 +73,7 @@ fn check_against_reference(conv: &mut Conv2d, x: &Tensor, grad_out: &Tensor, wha
         1e-4,
         &format!("{what}: grad_in"),
     );
-    let params = conv.params_mut();
+    let params = params(conv);
     assert_same(
         gw_ref.as_slice(),
         params[0].grad.as_slice(),
@@ -98,7 +101,7 @@ fn depthwise_training_matches_reference_across_geometries_and_band_widths() {
                         let (c, h, w) = (5usize, 7usize, 9usize);
                         let mut conv = Conv2d::depthwise(c, k, stride, pad, &mut rng);
                         // a non-zero bias, so the forward's bias add is checked
-                        conv.params_mut()[1].value =
+                        params(&mut conv)[1].value =
                             Tensor::rand_uniform(&[c], -0.5, 0.5, &mut rng);
                         let x = Tensor::rand_uniform(&[batch, c, h, w], -1.0, 1.0, &mut rng);
                         let y_dims = conv.forward_reference(&x).dims().to_vec();
@@ -126,13 +129,13 @@ fn depthwise_gradients_match_numerical_differences() {
 
         // d loss / d weight[1, 0, k/2, 0]
         let at = [1usize, 0, k / 2, 0];
-        let analytic = conv.params_mut()[0].grad.at(&at);
-        let base = conv.params_mut()[0].value.at(&at);
-        *conv.params_mut()[0].value.at_mut(&at) = base + eps;
+        let analytic = params(&mut conv)[0].grad.at(&at);
+        let base = params(&mut conv)[0].value.at(&at);
+        *params(&mut conv)[0].value.at_mut(&at) = base + eps;
         let plus = conv.forward_reference(&x).sum();
-        *conv.params_mut()[0].value.at_mut(&at) = base - eps;
+        *params(&mut conv)[0].value.at_mut(&at) = base - eps;
         let minus = conv.forward_reference(&x).sum();
-        *conv.params_mut()[0].value.at_mut(&at) = base;
+        *params(&mut conv)[0].value.at_mut(&at) = base;
         let numerical = (plus - minus) / (2.0 * eps);
         assert!(
             (analytic - numerical).abs() <= 2e-2 * numerical.abs().max(1.0),
@@ -141,7 +144,7 @@ fn depthwise_gradients_match_numerical_differences() {
 
         // d loss / d bias[2]: one per output element of the channel
         let per_channel = (y.len() / (2 * 3)) as f32;
-        let bias_grad = conv.params_mut()[1].grad.at(&[2]);
+        let bias_grad = params(&mut conv)[1].grad.at(&[2]);
         assert!(
             (bias_grad - 2.0 * per_channel).abs() <= 1e-3 * per_channel,
             "{what}: bias gradient {bias_grad}"
@@ -186,7 +189,7 @@ fn eval_forward_between_train_forward_and_backward_keeps_depthwise_gradients() {
             1e-4,
             &format!("{what}: grad_in"),
         );
-        let params = conv.params_mut();
+        let params = params(&mut conv);
         assert_same(
             gw_ref.as_slice(),
             params[0].grad.as_slice(),
@@ -266,7 +269,7 @@ fn stride_2_training_matches_reference_at_the_zoo_geometries_and_odd_extents() {
         set_num_threads(Some(threads));
         for &(batch, c, h, w) in &shapes {
             let mut conv = Conv2d::depthwise(c, 3, 2, 1, &mut rng);
-            conv.params_mut()[1].value = Tensor::rand_uniform(&[c], -0.5, 0.5, &mut rng);
+            params(&mut conv)[1].value = Tensor::rand_uniform(&[c], -0.5, 0.5, &mut rng);
             let x = Tensor::rand_uniform(&[batch, c, h, w], -1.0, 1.0, &mut rng);
             let y_dims = conv.forward_reference(&x).dims().to_vec();
             let grad_out = Tensor::rand_uniform(&y_dims, -1.0, 1.0, &mut rng);

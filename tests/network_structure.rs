@@ -1,9 +1,11 @@
-//! Structural pins over the public read-only walk (`Network::for_each_layer`,
-//! `Layer::for_each_child`, `name()`, `as_conv2d()`, `as_linear()`).
+//! Structural pins over the public walks (`Network::for_each_layer`,
+//! `Layer::for_each_child`, `Network::for_each_state`, `name()`,
+//! `downcast_ref`), and over which layers define which structural hooks.
 
 use heteroswitch_repro::nn::models::{build_vision_model, ecg_net, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{
-    ConvAlgo, Flatten, InvertedResidual, Layer, Linear, Network, Relu, Sequential,
+    BatchNorm2d, Conv2d, ConvAlgo, Flatten, InvertedResidual, Linear, Network, Relu, Sequential,
+    State,
 };
 use heteroswitch_repro::tensor::DType;
 use rand::rngs::StdRng;
@@ -37,9 +39,16 @@ fn non_test(src: &str) -> &str {
         .map_or(src, |i| &src[..i])
 }
 
-/// `(type, name())` of every `impl Layer for X` outside test modules under
-/// `dir`, reading `name()` from the string literal its body returns.
-fn layer_impls(dir: &Path, out: &mut Vec<(String, String)>) {
+/// One `impl Layer for X` of the source: the type, the string literal its
+/// `name()` returns, and the methods its body defines.
+struct LayerImpl {
+    ty: String,
+    name: String,
+    methods: Vec<String>,
+}
+
+/// Every `impl Layer for X` outside test modules under `dir`.
+fn layer_impls(dir: &Path, out: &mut Vec<LayerImpl>) {
     let mut entries: Vec<_> = std::fs::read_dir(dir)
         .expect("read source dir")
         .map(|e| e.expect("dir entry").path())
@@ -57,12 +66,22 @@ fn layer_impls(dir: &Path, out: &mut Vec<(String, String)>) {
             let ty = rest
                 .split(|c: char| !c.is_alphanumeric() && c != '_')
                 .next();
-            let body = &rest[..rest.find("\nimpl ").unwrap_or(rest.len())];
+            // rustfmt closes a top-level impl with a `}` in column 0
+            let body = &rest[..rest.find("\n}").unwrap_or(rest.len())];
             let name = body
                 .split_once("fn name(&self) -> &'static str {")
                 .and_then(|(_, b)| b.split('"').nth(1))
                 .unwrap_or_else(|| panic!("{}: no name() literal", path.display()));
-            out.push((ty.expect("type name").to_string(), name.to_string()));
+            let methods = body
+                .lines()
+                .filter_map(|l| l.strip_prefix("    fn "))
+                .map(|l| l.split(['(', '<']).next().unwrap_or(l).to_string())
+                .collect();
+            out.push(LayerImpl {
+                ty: ty.expect("type name").to_string(),
+                name: name.to_string(),
+                methods,
+            });
         }
     }
 }
@@ -93,7 +112,7 @@ fn zoo_convs_plan_one_route_per_geometry() {
             net.to_dtype(dtype);
             let ctx = format!("{kind:?} fused={fused} {dtype:?}");
             let (mut direct, mut im2col) = (0, 0);
-            net.for_each_layer(&mut |_, layer| match layer.as_conv2d() {
+            net.for_each_layer(&mut |_, layer| match layer.downcast_ref::<Conv2d>() {
                 Some(conv) if conv.is_depthwise() => {
                     assert_eq!(conv.planned_algo(), ConvAlgo::DirectDepthwise, "{ctx}");
                     assert!(!conv.is_quantized(), "{ctx}: depthwise weights stay f32");
@@ -147,10 +166,15 @@ fn fused_mobilenet_keeps_no_stand_alone_activation_layer() {
     );
 
     for use_hs in [true, false] {
-        let mut block = InvertedResidual::new(16, 32, 16, 3, 2, true, use_hs, &mut rng);
-        block.fuse_inference();
+        let block = InvertedResidual::new(16, 32, 16, 3, 2, true, use_hs, &mut rng);
+        let mut net = Network::new(Sequential::new(vec![Box::new(block)]));
+        net.fuse_inference();
         let mut names = Vec::new();
-        block.for_each_child(&mut |layer| names.push(layer.name()));
+        net.for_each_layer(&mut |depth, layer| {
+            if depth == 1 {
+                names.push(layer.name());
+            }
+        });
         assert_eq!(
             names,
             [fused, fused, "squeeze_excite", fused],
@@ -166,7 +190,9 @@ fn fused_mobilenet_keeps_no_stand_alone_activation_layer() {
 fn the_walk_reaches_every_linear_fused_or_not() {
     let linears = |net: &Network| {
         let mut count = 0;
-        net.for_each_layer(&mut |_, layer| count += usize::from(layer.as_linear().is_some()));
+        net.for_each_layer(&mut |_, layer| {
+            count += usize::from(layer.downcast_ref::<Linear>().is_some());
+        });
         count
     };
     let mut rng = StdRng::seed_from_u64(5);
@@ -191,8 +217,8 @@ fn the_walk_reaches_every_linear_fused_or_not() {
 /// reached by some network the paper trains, unfused or fused, and every
 /// epilogue activation but `None` is some zoo layer's `epilogue_act()`. A
 /// layer or activation a new experiment needs lands with that experiment.
-/// `Sequential` is exempt: the walk flattens it (a container yields its
-/// children, never itself).
+/// `Sequential` is exempt: `for_each_layer` flattens it (a nested
+/// `Sequential` is a block's body, its layers the block's children).
 #[test]
 fn every_layer_and_epilogue_activation_is_reached_by_the_zoo() {
     let mut rng = StdRng::seed_from_u64(9);
@@ -214,10 +240,11 @@ fn every_layer_and_epilogue_activation_is_reached_by_the_zoo() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut impls = Vec::new();
     layer_impls(&root.join("crates/nn/src"), &mut impls);
-    assert!(impls.len() > 10, "found only {impls:?}");
+    assert!(impls.len() > 10, "found only {} impls", impls.len());
     let unreached: Vec<_> = impls
         .iter()
-        .filter(|(ty, name)| ty != "Sequential" && !names.contains(name.as_str()))
+        .filter(|i| i.ty != "Sequential" && !names.contains(i.name.as_str()))
+        .map(|i| &i.ty)
         .collect();
 
     let gemm = std::fs::read_to_string(root.join("crates/tensor/src/gemm.rs")).expect("gemm.rs");
@@ -242,7 +269,7 @@ fn every_layer_and_epilogue_activation_is_reached_by_the_zoo() {
 }
 
 /// `ShuffleUnit` yields its channel shuffle after its branches, the order
-/// its inference runs them, so a ShuffleNetV2 walk visits one
+/// its inference runs them in, so a ShuffleNetV2 walk visits one
 /// `channel_shuffle` as the last child of every unit, fused or not.
 #[test]
 fn the_shufflenet_walk_visits_every_channel_shuffle() {
@@ -272,4 +299,97 @@ fn the_shufflenet_walk_visits_every_channel_shuffle() {
             );
         }
     }
+}
+
+/// The shapes `for_each_layer` reads off the stateful leaves it visits — a
+/// convolution's weight and bias, a linear layer's weight and bias, a batch
+/// norm's γ, β and running mean and variance — split into parameters and
+/// buffers.
+fn visited_shapes(net: &Network) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let (mut params, mut buffers) = (Vec::new(), Vec::new());
+    net.for_each_layer(&mut |_, layer| {
+        if let Some(conv) = layer.downcast_ref::<Conv2d>() {
+            params.push(conv.weight_dims().to_vec());
+            params.push(vec![conv.out_channels()]);
+        } else if let Some(linear) = layer.downcast_ref::<Linear>() {
+            params.push(vec![linear.out_features(), linear.in_features()]);
+            params.push(vec![linear.out_features()]);
+        } else if let Some(bn) = layer.downcast_ref::<BatchNorm2d>() {
+            params.extend([vec![bn.channels()], vec![bn.channels()]]);
+            buffers.extend([vec![bn.channels()], vec![bn.channels()]]);
+        }
+    });
+    (params, buffers)
+}
+
+/// Walk order is weight order: the stateful leaves the read-only walk
+/// visits, in visiting order, hold the tensors the state walk yields, in
+/// yielding order — for every zoo network, unfused and fused. A ShuffleNetV2
+/// downsampling unit runs its projection branch first but yields its main
+/// branch first, in both walks.
+#[test]
+fn the_layer_walk_visits_leaves_in_the_state_walks_order() {
+    let mut rng = StdRng::seed_from_u64(6);
+    for (name, mut net) in zoo(&mut rng) {
+        for fused in [false, true] {
+            if fused {
+                net.fuse_inference();
+            }
+            let (mut params, mut buffers) = (Vec::new(), Vec::new());
+            net.for_each_state(&mut |s| match s {
+                State::Param(p) => params.push(p.dims().to_vec()),
+                State::Buffer(b) => buffers.push(b.dims().to_vec()),
+            });
+            let visited = visited_shapes(&net);
+            assert!(!params.is_empty(), "{name}");
+            assert_eq!(visited, (params, buffers), "{name} fused={fused}");
+        }
+    }
+}
+
+/// The structural hooks stay where the one walk puts them: a leaf yields
+/// its state (`for_each_state`) and, if it has weights, converts them
+/// (`to_dtype`); a container yields its children (`for_each_child` and
+/// `for_each_child_mut`, always both) and inherits everything that recurses;
+/// only `Sequential`, which owns the runs fusion rewrites, writes
+/// `fuse_inference`. No layer forwards state to its children by hand.
+#[test]
+fn only_leaves_yield_state_and_only_containers_yield_children() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut impls = Vec::new();
+    layer_impls(&root.join("crates/nn/src"), &mut impls);
+    assert!(impls.len() > 10, "found only {} impls", impls.len());
+    let (mut leaves, mut containers) = (0, 0);
+    for imp in &impls {
+        let defines = |m: &str| imp.methods.iter().any(|d| d == m);
+        let container = defines("for_each_child");
+        assert_eq!(
+            defines("for_each_child_mut"),
+            container,
+            "{}: for_each_child and for_each_child_mut come as a pair",
+            imp.ty
+        );
+        for leaf_hook in ["for_each_state", "to_dtype"] {
+            assert!(
+                !(container && defines(leaf_hook)),
+                "{}: a container inherits {leaf_hook} from the walk",
+                imp.ty
+            );
+        }
+        assert_eq!(
+            defines("fuse_inference"),
+            imp.ty == "Sequential",
+            "{}: only Sequential rewrites for fusion",
+            imp.ty
+        );
+        if container {
+            containers += 1;
+        } else {
+            leaves += 1;
+        }
+    }
+    assert!(
+        leaves > 0 && containers > 0,
+        "{leaves} leaves, {containers} containers"
+    );
 }

@@ -16,6 +16,9 @@ use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+mod support;
+use support::params;
+
 /// Number of random cases per property (mirrors the old proptest config).
 const CASES: u64 = 64;
 
@@ -240,14 +243,14 @@ fn conv2d_gemm_path_matches_reference_across_configs() {
                 "grad_in diverged: {f} vs {r}"
             );
         }
-        let gw = conv.params_mut()[0].grad.clone();
+        let gw = params(&mut conv)[0].grad.clone();
         for (f, r) in gw.as_slice().iter().zip(ref_gw.as_slice()) {
             assert!(
                 (f - r).abs() <= 1e-2 * r.abs().max(1.0),
                 "grad_w diverged: {f} vs {r}"
             );
         }
-        let gb = conv.params_mut()[1].grad.clone();
+        let gb = params(&mut conv)[1].grad.clone();
         for (f, r) in gb.as_slice().iter().zip(ref_gb.as_slice()) {
             assert!(
                 (f - r).abs() <= 1e-2 * r.abs().max(1.0),

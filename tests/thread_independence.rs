@@ -10,14 +10,14 @@
 //! the batched GEMM cuts its register tiles; every tile is stored by one
 //! rule, so that cannot move a bit either, uneven ranges included.
 
+use heteroswitch_repro::core::TransformKind;
 use heteroswitch_repro::data::{Dataset, Labels};
-use heteroswitch_repro::fl::{
-    AggregationMethod, ClientData, FedAvgTrainer, FlConfig, FlSimulation, LossKind,
-};
+use heteroswitch_repro::fl::{ClientData, FlConfig, FlSimulation, LossKind};
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{CrossEntropyLoss, Network, Target, Workspace};
 use heteroswitch_repro::parallel::{set_num_threads, sync};
 use heteroswitch_repro::tensor::{DType, Tensor};
+use hs_bench::experiments::Method;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -55,6 +55,11 @@ fn assert_same_at_every_thread_target(what: &str, run: impl Fn() -> Vec<f32>) {
     }
 }
 
+/// Every Table 4 configuration — FedAvg, HeteroSwitch under its three
+/// policies, FedAvg + q-FedAvg, FedProx and Scaffold — built as the
+/// experiment binaries build it, replays: each client's training and the
+/// state a trainer carries between clients (Scaffold's control variates)
+/// must not depend on which worker ran which client, or when.
 #[test]
 fn fl_global_weights_are_bit_identical_at_any_thread_target() {
     // twelve samples per client: at batch size 10 every epoch trains one
@@ -79,17 +84,23 @@ fn fl_global_weights_are_bit_identical_at_any_thread_target() {
         ..FlConfig::tiny()
     };
     for kind in KINDS {
-        assert_same_at_every_thread_target(&format!("{kind:?} FedAvg, 2 rounds"), || {
-            let mut sim = FlSimulation::new(
-                config,
-                clients.clone(),
-                Box::new(move |seed| model(kind, seed)),
-                Box::new(FedAvgTrainer::new(LossKind::CrossEntropy)),
-                AggregationMethod::FedAvg,
-            );
-            sim.run();
-            sim.global_weights().to_vec()
-        });
+        for method in Method::table4() {
+            let what = format!("{kind:?} {}, 2 rounds", method.as_str());
+            assert_same_at_every_thread_target(&what, || {
+                let transform = TransformKind::paper_vision();
+                let (trainer, aggregation) =
+                    method.build(LossKind::CrossEntropy, transform, &config);
+                let mut sim = FlSimulation::new(
+                    config,
+                    clients.clone(),
+                    Box::new(move |seed| model(kind, seed)),
+                    trainer,
+                    aggregation,
+                );
+                sim.run();
+                sim.global_weights().to_vec()
+            });
+        }
     }
 }
 

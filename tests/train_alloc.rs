@@ -10,6 +10,11 @@
 //! upper bounds so a change can lower them but never raise them. They are
 //! the baseline for making training allocation-free.
 //!
+//! The parameter plumbing around the step walks the network's state
+//! (`Layer::for_each_state`) without collecting it: `Sgd::step`,
+//! `zero_grad` and `set_weights` allocate nothing, and `weights()` only the
+//! vector it returns, reserved once.
+//!
 //! A conv backward splits its batch into sample bands on the pool when the
 //! thread target is two or more, and a band that runs on a worker
 //! allocates on that worker's thread, out of this per-thread counter's
@@ -89,10 +94,10 @@ fn count_allocs(f: impl FnOnce()) -> (u64, u64) {
 
 /// Upper bounds on one warm step (allocation events, bytes), measured.
 const BUDGETS: [(ModelKind, u64, u64); 4] = [
-    (ModelKind::SimpleCnn, 121, 8_403_368),
-    (ModelKind::MobileNetV3Small, 506, 16_264_144),
-    (ModelKind::ShuffleNetV2, 720, 9_270_672),
-    (ModelKind::SqueezeNet, 319, 4_308_936),
+    (ModelKind::SimpleCnn, 112, 8_403_048),
+    (ModelKind::MobileNetV3Small, 464, 16_261_824),
+    (ModelKind::ShuffleNetV2, 661, 9_267_104),
+    (ModelKind::SqueezeNet, 292, 4_307_800),
 ];
 
 #[test]
@@ -123,4 +128,22 @@ fn a_warm_training_step_allocates_no_more_than_its_budget() {
         );
     }
     set_num_threads(None);
+}
+
+#[test]
+fn the_weight_walks_allocate_only_the_vector_they_return() {
+    for (kind, _, _) in BUDGETS {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut net = build_vision_model(kind, VisionConfig::new(3, 6, 32), &mut rng);
+        let flat = net.weights();
+        let mut opt = Sgd::new(0.01);
+        for (what, want, (got, _)) in [
+            ("set_weights", 0, count_allocs(|| net.set_weights(&flat))),
+            ("zero_grad", 0, count_allocs(|| net.zero_grad())),
+            ("Sgd::step", 0, count_allocs(|| opt.step(&mut net))),
+            ("weights", 1, count_allocs(|| drop(net.weights()))),
+        ] {
+            assert_eq!(got, want, "{kind:?}: {what} allocated {got} times");
+        }
+    }
 }

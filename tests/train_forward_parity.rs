@@ -18,10 +18,13 @@ use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod support;
+use support::params;
+
 /// A conv with a non-zero bias, so the bias path is part of the parity.
 fn conv(cin: usize, cout: usize, k: usize, s: usize, groups: usize, rng: &mut StdRng) -> Conv2d {
     let mut conv = Conv2d::new(cin, cout, k, s, k / 2, groups, rng);
-    conv.params_mut()[1].value = Tensor::rand_uniform(&[cout], -0.5, 0.5, rng);
+    params(&mut conv)[1].value = Tensor::rand_uniform(&[cout], -0.5, 0.5, rng);
     conv
 }
 

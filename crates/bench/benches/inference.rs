@@ -88,7 +88,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 fn bench_sharded_eval(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let cfg = VisionConfig::new(3, 10, 32);
-    let (_, mut fused) = model_pair(ModelKind::SimpleCnn, cfg);
+    let (_, fused) = model_pair(ModelKind::SimpleCnn, cfg);
     let n = 256;
     let samples: Vec<Tensor> = (0..n)
         .map(|_| Tensor::rand_uniform(&[3, 32, 32], 0.0, 1.0, &mut rng))
@@ -96,7 +96,7 @@ fn bench_sharded_eval(c: &mut Criterion) {
     let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..10)).collect();
     let data = Dataset::new(samples, Labels::Classes(labels));
     c.bench_function("inference/eval_accuracy_256_simple_cnn", |b| {
-        b.iter(|| evaluate_accuracy(&mut fused, black_box(&data)))
+        b.iter(|| evaluate_accuracy(&fused, black_box(&data)))
     });
 
     // eval-scaling sweep: the same sharded evaluation at a 1/2/4-thread
@@ -109,7 +109,7 @@ fn bench_sharded_eval(c: &mut Criterion) {
         hs_parallel::set_num_threads(Some(threads));
         c.bench_function(
             &format!("inference/eval_accuracy_256_simple_cnn_t{threads}"),
-            |b| b.iter(|| evaluate_accuracy(&mut fused, black_box(&data))),
+            |b| b.iter(|| evaluate_accuracy(&fused, black_box(&data))),
         );
     }
     hs_parallel::set_num_threads(None);

@@ -58,7 +58,7 @@ pub fn cross_device_matrix(scale: &Scale, mode: CaptureMode) -> DegradationMatri
     let names: Vec<String> = datasets.iter().map(|d| d.device.clone()).collect();
     let mut accuracy = Vec::with_capacity(datasets.len());
     for (i, train_ds) in datasets.iter().enumerate() {
-        let mut net = train_centralized(
+        let net = train_centralized(
             scale.model,
             vision,
             &train_ds.train,
@@ -69,7 +69,7 @@ pub fn cross_device_matrix(scale: &Scale, mode: CaptureMode) -> DegradationMatri
         );
         let row: Vec<f32> = datasets
             .iter()
-            .map(|test_ds| evaluate_accuracy(&mut net, &test_ds.test))
+            .map(|test_ds| evaluate_accuracy(&net, &test_ds.test))
             .collect();
         accuracy.push(row);
     }
@@ -141,7 +141,7 @@ pub fn isp_ablation(scale: &Scale) -> Vec<IspAblationRow> {
     let vision = VisionConfig::new(3, cfg.num_classes, cfg.image_size);
     let baseline_isp = IspConfig::baseline();
     let (train, baseline_test) = capture_with_isp(scale, baseline_isp, scale.seed);
-    let mut net = train_centralized(
+    let net = train_centralized(
         scale.model,
         vision,
         &train,
@@ -150,7 +150,7 @@ pub fn isp_ablation(scale: &Scale) -> Vec<IspAblationRow> {
         scale.fl.batch_size,
         scale.seed,
     );
-    let baseline_acc = evaluate_accuracy(&mut net, &baseline_test).max(1e-6);
+    let baseline_acc = evaluate_accuracy(&net, &baseline_test).max(1e-6);
 
     let mut rows = Vec::new();
     for stage in IspStage::all() {
@@ -162,7 +162,7 @@ pub fn isp_ablation(scale: &Scale) -> Vec<IspAblationRow> {
                 continue; // this option does not differ from the baseline for this stage
             }
             let (_, test) = capture_with_isp(scale, isp, scale.seed);
-            let accuracy = evaluate_accuracy(&mut net, &test);
+            let accuracy = evaluate_accuracy(&net, &test);
             rows.push(IspAblationRow {
                 stage,
                 option,

@@ -85,7 +85,7 @@ fn predict_classes(net: &Network, sets: &[&Dataset]) -> Vec<Vec<usize>> {
 /// # Panics
 ///
 /// Panics if the dataset does not carry class labels.
-pub fn evaluate_accuracy(net: &mut Network, data: &Dataset) -> f32 {
+pub fn evaluate_accuracy(net: &Network, data: &Dataset) -> f32 {
     let labels = class_labels(data);
     accuracy(&predict_classes(net, &[data])[0], labels)
 }
@@ -96,7 +96,7 @@ pub fn evaluate_accuracy(net: &mut Network, data: &Dataset) -> f32 {
 /// # Panics
 ///
 /// Panics if the dataset does not carry multi-hot labels.
-pub fn evaluate_average_precision(net: &mut Network, data: &Dataset) -> f32 {
+pub fn evaluate_average_precision(net: &Network, data: &Dataset) -> f32 {
     let Labels::MultiHot(hot) = &data.labels else {
         panic!("evaluate_average_precision requires multi-hot labels");
     };
@@ -126,7 +126,7 @@ pub fn evaluate_average_precision(net: &mut Network, data: &Dataset) -> f32 {
 ///
 /// Panics if the dataset does not carry value labels.
 pub fn evaluate_heart_rate(
-    net: &mut Network,
+    net: &Network,
     data: &Dataset,
     denormalize: f32,
 ) -> (Vec<f32>, Vec<f32>) {
@@ -154,7 +154,7 @@ pub fn evaluate_heart_rate(
 ///
 /// Panics if a test set does not carry class labels.
 pub fn per_device_accuracy(
-    net: &mut Network,
+    net: &Network,
     device_tests: &[(String, Dataset)],
 ) -> Vec<GroupAccuracy> {
     let sets: Vec<&Dataset> = device_tests.iter().map(|(_, test)| test).collect();
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn accuracy_of_a_perfect_model_is_one() {
-        let mut net = identity_like_net(3, 3);
+        let net = identity_like_net(3, 3);
         let x: Vec<Tensor> = (0..3)
             .map(|i| {
                 let mut t = Tensor::zeros(&[3]);
@@ -202,7 +202,7 @@ mod tests {
             })
             .collect();
         let data = Dataset::new(x, Labels::Classes(vec![0, 1, 2]));
-        assert_eq!(evaluate_accuracy(&mut net, &data), 1.0);
+        assert_eq!(evaluate_accuracy(&net, &data), 1.0);
     }
 
     #[test]
@@ -220,7 +220,7 @@ mod tests {
             labels.push(if i % 3 == 0 { (i + 1) % 4 } else { i % 4 });
         }
         let data = Dataset::new(x, Labels::Classes(labels.clone()));
-        let sharded = evaluate_accuracy(&mut net, &data);
+        let sharded = evaluate_accuracy(&net, &data);
 
         // serial reference through the network's own workspace
         let mut serial_preds = Vec::new();
@@ -237,20 +237,20 @@ mod tests {
 
     #[test]
     fn average_precision_of_a_perfect_scorer_is_one() {
-        let mut net = identity_like_net(4, 4);
+        let net = identity_like_net(4, 4);
         let x = vec![
             Tensor::from_vec(vec![5.0, 0.0, 5.0, 0.0], &[4]),
             Tensor::from_vec(vec![0.0, 5.0, 0.0, 0.0], &[4]),
         ];
         let labels = Labels::MultiHot(vec![vec![1.0, 0.0, 1.0, 0.0], vec![0.0, 1.0, 0.0, 0.0]]);
         let data = Dataset::new(x, labels);
-        let ap = evaluate_average_precision(&mut net, &data);
+        let ap = evaluate_average_precision(&net, &data);
         assert!((ap - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn heart_rate_evaluation_denormalises() {
-        let mut net = identity_like_net(1, 1);
+        let net = identity_like_net(1, 1);
         let data = Dataset::new(
             vec![
                 Tensor::from_vec(vec![0.4], &[1]),
@@ -258,21 +258,21 @@ mod tests {
             ],
             Labels::Values(vec![0.4, 0.3]),
         );
-        let (preds, actual) = evaluate_heart_rate(&mut net, &data, 200.0);
+        let (preds, actual) = evaluate_heart_rate(&net, &data, 200.0);
         assert!((actual[0] - 80.0).abs() < 1e-3 && (actual[1] - 60.0).abs() < 1e-3);
         assert!((preds[0] - 80.0).abs() < 1e-3);
     }
 
     #[test]
     fn per_device_accuracy_labels_groups() {
-        let mut net = identity_like_net(2, 2);
+        let net = identity_like_net(2, 2);
         let make = |label: usize| {
             let mut t = Tensor::zeros(&[2]);
             t.as_mut_slice()[label] = 1.0;
             Dataset::new(vec![t], Labels::Classes(vec![label]))
         };
         let tests = vec![("A".to_string(), make(0)), ("B".to_string(), make(1))];
-        let groups = per_device_accuracy(&mut net, &tests);
+        let groups = per_device_accuracy(&net, &tests);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].group, "A");
         assert_eq!(groups[0].accuracy, 1.0);
@@ -301,14 +301,14 @@ mod tests {
             .enumerate()
             .map(|(i, &n)| (format!("dev-{i}"), set(n, i)))
             .collect();
-        let mut net = identity_like_net(4, 4);
-        let groups = per_device_accuracy(&mut net, &tests);
+        let net = identity_like_net(4, 4);
+        let groups = per_device_accuracy(&net, &tests);
         assert_eq!(groups.len(), tests.len());
         for (group, (device, data)) in groups.iter().zip(&tests) {
             assert_eq!(&group.group, device);
             assert_eq!(
                 group.accuracy.to_bits(),
-                evaluate_accuracy(&mut net, data).to_bits(),
+                evaluate_accuracy(&net, data).to_bits(),
                 "{device}"
             );
         }

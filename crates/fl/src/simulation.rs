@@ -1,4 +1,16 @@
 //! The federated-learning round loop.
+//!
+//! Every network the loop runs inference on is fused
+//! ([`Network::fuse_inference`]) where the loop builds it: each worker's
+//! training replica, whose inference forward is a client's `L_init`
+//! ([`crate::initial_loss`]), and the replica
+//! [`FlSimulation::evaluate_per_device`] scores. That is the plan
+//! `hs_serve` answers with, so the losses and accuracies the loop reports
+//! are the served model's. Fusion leaves training and the weight layout bit
+//! for bit as they are, so local SGD, aggregation and
+//! [`FlSimulation::global_weights`] do not see it.
+//! [`FlSimulation::global_model`] stays unfused: it is the checkpoint the
+//! loop publishes.
 
 #![deny(clippy::disallowed_types)]
 
@@ -358,9 +370,23 @@ impl FlSimulation {
     }
 
     /// Builds a model replica loaded with the current global weights.
+    ///
+    /// The replica is *unfused*, layer for layer what the factory builds:
+    /// it is what [`run_with_checkpoints`](Self::run_with_checkpoints)
+    /// publishes, and a checkpoint names its buffers after the top-level
+    /// layers, which [`Network::fuse_inference`] renames. A consumer that
+    /// serves it fuses it itself, as `hs_serve` does.
     pub fn global_model(&self) -> Network {
         let mut net = (self.model_factory)(self.config.seed);
         net.set_weights(&self.global_weights);
+        net
+    }
+
+    /// A fresh factory replica with its inference plan fused: the network
+    /// every inference in the loop runs on (see the module docs).
+    fn fused_replica(&self) -> Network {
+        let mut net = (self.model_factory)(self.config.seed);
+        net.fuse_inference();
         net
     }
 
@@ -457,7 +483,8 @@ impl FlSimulation {
         let train_span = crate::phases::phase("client_train", round);
         // clients differ in size by an order of magnitude, so the workers
         // claim them one at a time, biggest first, instead of each taking a
-        // fixed share of the cohort; one replica per worker, as before
+        // fixed share of the cohort; one replica per worker, fused, so each
+        // client's `L_init` forward runs the plan the server serves
         let order = longest_first(to_train, |cid| self.backend.num_samples(cid));
         let global = &self.global_weights;
         let config = self.config;
@@ -465,7 +492,7 @@ impl FlSimulation {
         hs_parallel::for_each_claimed(
             order.len(),
             hs_parallel::num_threads(),
-            || (self.model_factory)(config.seed),
+            || self.fused_replica(),
             |net, claimed| {
                 let client_id = order[claimed];
                 net.set_weights(global);
@@ -628,9 +655,14 @@ impl FlSimulation {
 
     /// Evaluates the current global model on per-device test sets, returning
     /// one accuracy per device type.
+    ///
+    /// The global weights run through a fused replica, the plan `hs_serve`
+    /// answers with, so the accuracies are those of the model a serving
+    /// deployment of [`global_model`](Self::global_model) returns.
     pub fn evaluate_per_device(&self, device_tests: &[(String, Dataset)]) -> Vec<GroupAccuracy> {
-        let mut net = self.global_model();
-        per_device_accuracy(&mut net, device_tests)
+        let mut net = self.fused_replica();
+        net.set_weights(&self.global_weights);
+        per_device_accuracy(&net, device_tests)
     }
 }
 

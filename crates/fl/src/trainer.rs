@@ -94,6 +94,12 @@ pub fn sgd_local_update(
 
 /// Evaluates the mean loss of the current weights on the full client dataset
 /// without updating anything (the paper's `L_init`).
+///
+/// The forward is [`Network::eval_loss`], i.e. `net`'s inference plan.
+/// [`crate::FlSimulation`] hands trainers a fused replica, so in the FL loop
+/// this is the loss of the plan `hs_serve` answers with; training the same
+/// replica afterwards is unaffected (fusion trains bit for bit as the
+/// unfused network does).
 pub fn initial_loss(net: &mut Network, data: &Dataset, loss: &dyn Loss) -> f32 {
     if data.is_empty() {
         return 0.0;

@@ -15,13 +15,21 @@ use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::evaluate_accuracy;
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{
-    BatchNorm2d, Conv2d, CrossEntropyLoss, HardSwish, Layer, Network, Relu, Sequential, Target,
-    Workspace,
+    BatchNorm2d, Conv2d, CrossEntropyLoss, HardSwish, Layer, Network, Relu, Sequential, Sgd,
+    Target, Workspace,
 };
 use heteroswitch_repro::parallel::set_num_threads;
 use heteroswitch_repro::tensor::{DType, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Every network of the model zoo.
+const ZOO: [ModelKind; 4] = [
+    ModelKind::SimpleCnn,
+    ModelKind::MobileNetV3Small,
+    ModelKind::ShuffleNetV2,
+    ModelKind::SqueezeNet,
+];
 
 /// Relative tolerance of the fused path vs the unfused reference (the
 /// acceptance bar: ≤ 1e-4 rel).
@@ -231,6 +239,7 @@ fn fused_hard_swish_propagates_nan_like_the_unfused_path_on_every_conv_kind() {
 fn fused_train_mode_falls_back_exactly() {
     // training through the fused network must be bit-identical to the
     // unfused stack: same outputs, same gradients, same BN statistics drift
+    // — first on one conv stack, then on every zoo network
     let (mut reference, mut fused) = conv_stack(42, 3, 6, 3, 1, 1, 1, true, 1);
     fused.fuse_inference();
     let mut rng = StdRng::seed_from_u64(43);
@@ -256,16 +265,41 @@ fn fused_train_mode_falls_back_exactly() {
         reference.zero_grad();
         fused.zero_grad();
     }
+    // every zoo network, trained as an FL client trains its fused replica:
+    // forward_backward + an SGD step must leave the same bits in every
+    // weight and buffer (BN running statistics included) as the unfused one
+    let bits =
+        |net: &mut Network| -> Vec<u32> { net.weights().iter().map(|w| w.to_bits()).collect() };
+    for kind in ZOO {
+        let cfg = VisionConfig::new(3, 5, 16);
+        let mut reference = build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(44));
+        let mut fused = build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(44));
+        fused.fuse_inference();
+        let mut opt = Sgd::new(0.05);
+        for step in 0..3 {
+            let x = Tensor::rand_uniform(&[4, 3, 16, 16], 0.0, 1.0, &mut rng);
+            let target = Target::Classes((0..4).map(|i| (i + step) % 5).collect());
+            let l_ref = reference.forward_backward(&x, &target, &CrossEntropyLoss);
+            let l_fused = fused.forward_backward(&x, &target, &CrossEntropyLoss);
+            assert_eq!(
+                l_ref.to_bits(),
+                l_fused.to_bits(),
+                "{kind:?} step {step}: loss"
+            );
+            opt.step(&mut reference);
+            opt.step(&mut fused);
+            assert_eq!(
+                bits(&mut reference),
+                bits(&mut fused),
+                "{kind:?} step {step}: weights/buffers diverged"
+            );
+        }
+    }
 }
 
 #[test]
 fn fusion_is_weight_layout_invariant_on_the_model_zoo() {
-    for kind in [
-        ModelKind::SimpleCnn,
-        ModelKind::MobileNetV3Small,
-        ModelKind::ShuffleNetV2,
-        ModelKind::SqueezeNet,
-    ] {
+    for kind in ZOO {
         let cfg = VisionConfig::new(3, 8, 16);
         let mut rng = StdRng::seed_from_u64(5);
         let mut net = build_vision_model(kind, cfg, &mut rng);
@@ -278,12 +312,7 @@ fn fusion_is_weight_layout_invariant_on_the_model_zoo() {
 #[test]
 fn fused_model_zoo_inference_matches_unfused() {
     let mut rng = StdRng::seed_from_u64(6);
-    for kind in [
-        ModelKind::SimpleCnn,
-        ModelKind::MobileNetV3Small,
-        ModelKind::ShuffleNetV2,
-        ModelKind::SqueezeNet,
-    ] {
+    for kind in ZOO {
         let cfg = VisionConfig::new(3, 8, 16);
         let mut reference = build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(9));
         let mut fused = build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(9));
@@ -310,12 +339,7 @@ fn every_inference_entry_point_returns_the_same_bits_across_the_zoo() {
         .iter()
         .map(|&batch| Tensor::rand_uniform(&[batch, 3, 16, 16], 0.0, 1.0, &mut rng))
         .collect();
-    for kind in [
-        ModelKind::SimpleCnn,
-        ModelKind::MobileNetV3Small,
-        ModelKind::ShuffleNetV2,
-        ModelKind::SqueezeNet,
-    ] {
+    for kind in ZOO {
         for fused in [false, true] {
             for dtype in [DType::F32, DType::F16, DType::I8] {
                 let cfg = VisionConfig::new(3, 8, 16);
@@ -389,7 +413,7 @@ fn eval_paths_never_mutate_bn_running_stats() {
         .collect();
     let labels: Vec<usize> = (0..70).map(|i| i % 4).collect();
     let data = Dataset::new(samples, Labels::Classes(labels));
-    let _ = evaluate_accuracy(&mut net, &data);
+    let _ = evaluate_accuracy(&net, &data);
 
     assert_eq!(
         net.weights(),
@@ -413,7 +437,7 @@ fn sharded_eval_matches_exclusive_eval_on_a_real_cnn() {
         .collect();
     let labels: Vec<usize> = (0..n).map(|i| (i * 7) % 4).collect();
     let data = Dataset::new(samples.clone(), Labels::Classes(labels.clone()));
-    let sharded_acc = evaluate_accuracy(&mut net, &data);
+    let sharded_acc = evaluate_accuracy(&net, &data);
 
     // exclusive-access reference, batch by batch
     let mut correct = 0usize;

@@ -6,7 +6,9 @@
 //! coalesce, and mid-serving publications must hot-swap in. Two smaller
 //! tests pin the batcher's light-load behaviour end to end: a lone client
 //! never pays `max_wait`, and neither do four clients under `max_batch 8`
-//! on two workers.
+//! on two workers. And FL measures what the server serves: every client's
+//! `L_init` is the fused global model's loss, and the per-device accuracies
+//! FL reports are those of the server's answers.
 //!
 //! (The companion throughput claim — dynamic batching ≥ 2× the batch=1
 //! configuration at the same p99 bound — is timed and CI-gated in
@@ -14,14 +16,20 @@
 //! timing would make it flaky.)
 
 use hs_data::{Dataset, Labels};
-use hs_fl::{AggregationMethod, ClientData, FedAvgTrainer, FlConfig, FlSimulation, LossKind};
-use hs_nn::{Linear, Network, Relu, Sequential};
+use hs_fl::{
+    AggregationMethod, ClientContext, ClientData, ClientTrainer, ClientUpdate, FedAvgTrainer,
+    FlConfig, FlSimulation, LossKind,
+};
+use hs_metrics::accuracy;
+use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
+use hs_nn::{CrossEntropyLoss, Linear, Network, Relu, Sequential};
+use hs_parallel::sync;
 use hs_serve::{BatchPolicy, ModelRegistry, Server, ServerConfig};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const IN: usize = 4;
@@ -260,5 +268,143 @@ fn four_clients_under_max_batch_eight_coalesce_without_waiting_out_max_wait() {
         metrics.batch_histogram
     );
     assert_eq!(server.in_flight(), 0);
+    server.shutdown();
+}
+
+/// Input side of the network `fl_measures_the_model_the_server_serves` trains.
+const PX: usize = 16;
+
+/// The paper's MobileNetV3-small: its fused plan rounds its losses
+/// differently from the layer-by-layer one, so the `L_init` check below
+/// tells the two apart.
+fn cnn(seed: u64) -> Network {
+    let cfg = VisionConfig::new(3, CLASSES, PX);
+    build_vision_model(
+        ModelKind::MobileNetV3Small,
+        cfg,
+        &mut StdRng::seed_from_u64(seed),
+    )
+}
+
+/// `n` random images with random class labels.
+fn images(n: usize, rng: &mut StdRng) -> Dataset {
+    let x = (0..n)
+        .map(|_| Tensor::rand_uniform(&[3, PX, PX], 0.0, 1.0, rng))
+        .collect();
+    let labels = (0..n).map(|_| rng.gen_range(0..CLASSES)).collect();
+    Dataset::new(x, Labels::Classes(labels))
+}
+
+/// FedAvg that records the `L_init` of every update it returns, as
+/// `(client, L_init)`.
+struct RecordingFedAvg {
+    inner: FedAvgTrainer,
+    init_losses: Arc<Mutex<Vec<(usize, f32)>>>,
+}
+
+impl ClientTrainer for RecordingFedAvg {
+    fn client_update(
+        &self,
+        net: &mut Network,
+        data: &Dataset,
+        ctx: &ClientContext<'_>,
+        rng: &mut StdRng,
+    ) -> ClientUpdate {
+        let update = self.inner.client_update(net, data, ctx, rng);
+        sync::lock(&self.init_losses).push((ctx.client_id, update.init_loss));
+        update
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+#[test]
+fn fl_measures_the_model_the_server_serves() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let clients: Vec<ClientData> = (0..4)
+        .map(|id| ClientData {
+            id,
+            device: format!("dev-{}", id % 2),
+            data: images(12, &mut rng),
+        })
+        .collect();
+    let init_losses = Arc::new(Mutex::new(Vec::new()));
+    let config = FlConfig {
+        num_clients: 4,
+        clients_per_round: 2,
+        ..FlConfig::tiny()
+    };
+    let mut sim = FlSimulation::new(
+        config,
+        clients.clone(),
+        Box::new(cnn),
+        Box::new(RecordingFedAvg {
+            inner: FedAvgTrainer::new(LossKind::CrossEntropy),
+            init_losses: Arc::clone(&init_losses),
+        }),
+        AggregationMethod::FedAvg,
+    );
+
+    // L_init: every client's is the fused global model's loss on its data
+    for round in 0..3 {
+        let mut served = sim.global_model();
+        served.fuse_inference();
+        sim.run_round();
+        let recorded = std::mem::take(&mut *sync::lock(&init_losses));
+        assert_eq!(recorded.len(), config.clients_per_round);
+        for (client, init_loss) in recorded {
+            let (x, target) = clients[client].data.full_batch();
+            let expect = served.eval_loss(&x, &target, &CrossEntropyLoss);
+            assert_eq!(
+                init_loss.to_bits(),
+                expect.to_bits(),
+                "round {round} client {client}: L_init {init_loss} vs served {expect}"
+            );
+        }
+    }
+
+    // accuracy: FL's per-device figures are those of the server's answers
+    let tests: Vec<(String, Dataset)> = (0..2)
+        .map(|d| (format!("dev-{d}"), images(20, &mut rng)))
+        .collect();
+    let reported = sim.evaluate_per_device(&tests);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("global", &mut sim.global_model());
+    let server = Server::start(
+        registry,
+        "global",
+        || cnn(0),
+        &[3, PX, PX],
+        ServerConfig::new(1, 64, BatchPolicy::new(8, 2_000)),
+    )
+    .unwrap();
+    let client = server.client();
+    for ((device, test), group) in tests.iter().zip(&reported) {
+        let pending: Vec<_> = test
+            .x
+            .iter()
+            .map(|x| client.submit(x.clone(), None).unwrap())
+            .collect();
+        let predicted: Vec<usize> = pending
+            .into_iter()
+            .map(|p| {
+                let logits = p.wait().unwrap().logits;
+                Tensor::from_vec(logits, &[1, CLASSES]).argmax_rows()[0]
+            })
+            .collect();
+        let Labels::Classes(labels) = &test.labels else {
+            unreachable!("class labels")
+        };
+        let served = accuracy(&predicted, labels);
+        assert_eq!(group.group, *device);
+        assert_eq!(
+            group.accuracy.to_bits(),
+            served.to_bits(),
+            "{device}: FL reports {} but the server scores {served}",
+            group.accuracy
+        );
+    }
     server.shutdown();
 }

@@ -35,9 +35,9 @@ fn model(kind: ModelKind, seed: u64) -> Network {
     build_vision_model(kind, VisionConfig::new(3, CLASSES, PX), &mut rng)
 }
 
-/// Runs `run` at a 1-, 2- and 4-thread target and asserts it returned the
-/// same bits each time.
-fn assert_same_at_every_thread_target(what: &str, run: impl Fn() -> Vec<f32>) {
+/// Runs `run` at a 1-, 2- and 4-thread target, asserts it returned the
+/// same bits each time and returns the 1-thread run's bits.
+fn assert_same_at_every_thread_target(what: &str, run: impl Fn() -> Vec<f32>) -> Vec<u32> {
     let _serial = sync::lock(&THREADS);
     let [one, two, four] = [1usize, 2, 4].map(|threads| {
         set_num_threads(Some(threads));
@@ -53,13 +53,48 @@ fn assert_same_at_every_thread_target(what: &str, run: impl Fn() -> Vec<f32>) {
             one.len()
         );
     }
+    one
 }
+
+/// FNV-1a (64-bit) over the little-endian bytes of `bits`.
+fn fnv1a(bits: &[u32]) -> u64 {
+    bits.iter()
+        .flat_map(|b| b.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// [`fnv1a`] of the `global_weights()` bits that
+/// `fl_global_weights_are_bit_identical_at_any_thread_target` ends in, one
+/// row per Table 4 configuration, one column per [`KINDS`] entry. A change
+/// that moves any FL bit moves one of these; it re-baselines the literals
+/// it moves and says why.
+const GOLDEN_FL: [(&str, [u64; 2]); 7] = [
+    ("FedAvg", [0x3285_6199_3416_306f, 0x1a26_38aa_3b2d_7a4b]),
+    (
+        "ISP Transformation",
+        [0xc82f_2698_a96b_7a18, 0x681c_a5d5_fe85_05bb],
+    ),
+    (
+        "ISP Transformation + SWAD",
+        [0x05e2_1885_5cd9_b99c, 0x7881_7b09_2111_2fde],
+    ),
+    (
+        "HeteroSwitch",
+        [0xb3fb_1a62_95cb_c7a8, 0x1a26_38aa_3b2d_7a4b],
+    ),
+    ("q-FedAvg", [0xde4a_ac02_56ed_61ea, 0x717d_c276_db42_3027]),
+    ("FedProx", [0xfa9b_b85f_99d8_8383, 0x3791_0a7d_e9b0_7b87]),
+    ("Scaffold", [0x3da2_ca06_ba23_41cb, 0xbf82_f3f0_8991_1165]),
+];
 
 /// Every Table 4 configuration — FedAvg, HeteroSwitch under its three
 /// policies, FedAvg + q-FedAvg, FedProx and Scaffold — built as the
 /// experiment binaries build it, replays: each client's training and the
 /// state a trainer carries between clients (Scaffold's control variates)
-/// must not depend on which worker ran which client, or when.
+/// must not depend on which worker ran which client, or when. The 1-thread
+/// run's weights are pinned by [`GOLDEN_FL`].
 #[test]
 fn fl_global_weights_are_bit_identical_at_any_thread_target() {
     // twelve samples per client: at batch size 10 every epoch trains one
@@ -83,10 +118,12 @@ fn fl_global_weights_are_bit_identical_at_any_thread_target() {
         batch_size: 10,
         ..FlConfig::tiny()
     };
-    for kind in KINDS {
-        for method in Method::table4() {
-            let what = format!("{kind:?} {}, 2 rounds", method.as_str());
-            assert_same_at_every_thread_target(&what, || {
+    let mut moved = Vec::new();
+    for (column, kind) in KINDS.into_iter().enumerate() {
+        for (method, (name, golden)) in Method::table4().into_iter().zip(GOLDEN_FL) {
+            assert_eq!(method.as_str(), name, "GOLDEN_FL row order");
+            let what = format!("{kind:?} {name}, 2 rounds");
+            let bits = assert_same_at_every_thread_target(&what, || {
                 let transform = TransformKind::paper_vision();
                 let (trainer, aggregation) =
                     method.build(LossKind::CrossEntropy, transform, &config);
@@ -100,8 +137,17 @@ fn fl_global_weights_are_bit_identical_at_any_thread_target() {
                 sim.run();
                 sim.global_weights().to_vec()
             });
+            let got = fnv1a(&bits);
+            if got != golden[column] {
+                moved.push(format!("{what}: {got:#018x}"));
+            }
         }
     }
+    assert!(
+        moved.is_empty(),
+        "FL fingerprints moved:\n{}",
+        moved.join("\n")
+    );
 }
 
 #[test]

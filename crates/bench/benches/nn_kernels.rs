@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the neural-network substrate: convolution,
-//! matmul, and a full forward/backward pass of each model in the zoo.
+//! matmul, the conv backward at each MobileNetV3-small geometry, and a full
+//! forward/backward pass of each model in the zoo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
@@ -124,6 +125,42 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
+/// MobileNetV3-small's convolutions as an FL client trains them (batch 10,
+/// 32 px input): `(geometry, cin, cout, kernel, stride, groups, input px)`,
+/// padding `kernel / 2`. The eight dense layers, then the three depthwise.
+const MOBILENET_CONVS: [(&str, usize, usize, usize, usize, usize, usize); 11] = [
+    ("stem3x3s2_3-16_32px", 3, 16, 3, 2, 1, 32),
+    ("pw_16-32_16px", 16, 32, 1, 1, 1, 16),
+    ("pw_32-16_16px", 32, 16, 1, 1, 1, 16),
+    ("pw_16-48_16px", 16, 48, 1, 1, 1, 16),
+    ("pw_48-24_8px", 48, 24, 1, 1, 1, 8),
+    ("pw_24-64_8px", 24, 64, 1, 1, 1, 8),
+    ("pw_64-32_4px", 64, 32, 1, 1, 1, 4),
+    ("pw_32-64_4px", 32, 64, 1, 1, 1, 4),
+    ("dw3x3s1_32c_16px", 32, 32, 3, 1, 32, 16),
+    ("dw3x3s2_48c_16px", 48, 48, 3, 2, 48, 16),
+    ("dw3x3s2_64c_8px", 64, 64, 3, 2, 64, 8),
+];
+
+/// One `Conv2d::backward` per MobileNetV3-small geometry at the client's
+/// batch, on one thread (its sample bands run inline): the per-geometry
+/// backward table of `docs/PERF.md`. The weight and bias gradients keep
+/// accumulating across iterations, which costs the same as from zero.
+fn bench_conv_backward(c: &mut Criterion) {
+    hs_parallel::set_num_threads(Some(1));
+    let mut rng = StdRng::seed_from_u64(0);
+    for (geometry, cin, cout, k, stride, groups, px) in MOBILENET_CONVS {
+        let mut conv = Conv2d::new(cin, cout, k, stride, k / 2, groups, &mut rng);
+        let x = Tensor::rand_uniform(&[10, cin, px, px], -1.0, 1.0, &mut rng);
+        let y = conv.forward(&x, true);
+        let grad_out = Tensor::rand_uniform(y.dims(), -1.0, 1.0, &mut rng);
+        c.bench_function(&format!("nn/conv_backward_b10/{geometry}"), |b| {
+            b.iter(|| conv.backward(black_box(&grad_out)))
+        });
+    }
+    hs_parallel::set_num_threads(None);
+}
+
 fn bench_models(c: &mut Criterion) {
     let cfg = VisionConfig::new(3, 12, 16);
     for kind in [
@@ -149,6 +186,6 @@ fn bench_models(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_kernels, bench_models
+    targets = bench_kernels, bench_conv_backward, bench_models
 }
 criterion_main!(benches);

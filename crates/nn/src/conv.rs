@@ -39,13 +39,34 @@
 //! [`hs_tensor::depthwise_conv2d_backward`] — no column matrix, transpose
 //! or per-channel GEMM. Dense and grouped layers rebuild each (sample,
 //! group) column matrix from it (a 1×1 stride-1 unpadded layer reads the
-//! input block in place, as inference does), then `dW_g += dOut_g * col^T`
-//! and `dCol = W_g^T * dOut_g`, folded back by col2im.
+//! input block in place, as inference does) and run two GEMMs whose shapes
+//! follow from the geometry alone, each chosen to fill the register tile:
+//!
+//! * the weight gradient is `dW_g += dOut_g * col^T` (`cout_g × wrow`
+//!   tiles) or, when that needs fewer `MR × NR` tiles, its transpose
+//!   `dW_g^T += col * dOut_g^T` (`wrow × cout_g`), summed per band into a
+//!   zeroed `dW^T` that is transposed once into the band's partial — the
+//!   expand convolutions, whose `wrow = cin` is far below a 48-wide strip;
+//!   a tie keeps `dW_g`;
+//! * the input gradient is `dCol = W_g^T * dOut_g`, folded back by col2im
+//!   — written straight into the input gradient when the column is the
+//!   identity. Below two register strips of output pixels it runs on the
+//!   forward's batched route: one [`hs_tensor::gemm_batch_cyclic_strided`]
+//!   per band over its `samples × groups` items.
+//!
+//! None of these choices moves a gradient bit. Either orientation computes
+//! each element as the same chain of multiply-adds over the same `k = ohw`
+//! panels (`fma(a, b, c) = fma(b, a, c)` exactly, as is `a * b + c` on the
+//! portable tier, and the panel depth depends on `k` only); the batched
+//! route stores every tile by the rule the
+//! per-item GEMM does; and an in-place store writes exactly the `0 + v`
+//! col2im would have added (`tests/conv_backward_bits.rs` pins the bits).
 //!
 //! Only `forward_train` writes the stored input, so an inference between a
 //! training forward and its backward cannot disturb the gradients. Both
-//! passes take their scratch from one layer-held [`Workspace`], reused
-//! across steps. Backward cuts the batch into sample bands by a plan that
+//! passes take their scratch — columns, transposes, `W^T` and the band
+//! partials — from one layer-held [`Workspace`], reused across steps.
+//! Backward cuts the batch into sample bands by a plan that
 //! depends on the batch size only; each band accumulates weight/bias
 //! gradients into its own partial buffer, reduced in band order
 //! afterwards, so no synchronisation happens inside the hot loop and the
@@ -58,12 +79,12 @@
 
 use crate::layer::store;
 use crate::{Layer, Param, ParamStore, State, Workspace};
-use hs_tensor::gemm::NR;
+use hs_tensor::gemm::{MR, NR};
 use hs_tensor::{
     depthwise_conv2d, depthwise_conv2d_backward, gemm, gemm_acc, gemm_acc_q,
-    gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided_q, gemm_epilogue_q, he_normal,
-    sum_lanes, transpose_into, valid_out_range, DType, Epilogue, EpilogueAct, QTensor, Tensor,
-    WeightMat,
+    gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided, gemm_batch_cyclic_strided_q,
+    gemm_epilogue_q, he_normal, sum_lanes, transpose_into, valid_out_range, DType, Epilogue,
+    EpilogueAct, QTensor, Tensor, WeightMat,
 };
 use rand::rngs::StdRng;
 
@@ -99,6 +120,13 @@ const BATCHED_OHW_MAX: usize = 2 * NR;
 /// below the same `ohw`, `2 * NR`.
 pub fn batched_gemm_crossovers() -> Vec<(usize, usize, usize)> {
     vec![(1, 1, BATCHED_OHW_MAX)]
+}
+
+/// Register tiles an `m × n` GEMM output is cut into. [`Layer::backward`]
+/// computes a weight gradient as `dW = dOut · colᵀ` or as `dWᵀ = col · dOutᵀ`,
+/// whichever this counts fewer of (a tie keeps `dW`).
+fn tiles(m: usize, n: usize) -> usize {
+    m.div_ceil(MR) * n.div_ceil(NR)
 }
 
 /// Samples per band of a training batch of `n`: `n / 4` bands, at least one
@@ -923,20 +951,28 @@ impl Layer for Conv2d {
         let out_channels = self.out_channels;
         let wlen = self.weight.value.len();
 
+        // the GEMM shapes, all from the geometry: which way round the weight
+        // gradient runs, whether the input gradient is written in place and
+        // whether it runs batched per band (see the module docs)
+        let depthwise = self.is_depthwise();
+        let identity_col = k == 1 && stride == 1 && padding == 0;
+        let batched = ohw < BATCHED_OHW_MAX;
+        let transposed_dw = !depthwise && tiles(wrow, cout_g) < tiles(cout_g, wrow);
+
         let x = input.as_slice();
         let go = grad_out.as_slice();
         let wgt = self.weight.value.as_slice();
+        let ws = &mut self.train_ws;
 
         // W^T per group, shared read-only by every sample band (the
         // depthwise kernel reads W as it is)
-        let depthwise = self.is_depthwise();
-        let mut wt = Vec::new();
+        let mut wt_t = ws.take();
         if !depthwise {
-            wt.resize(groups * wrow * cout_g, 0.0f32);
+            wt_t.resize_to(&[groups * wrow * cout_g]);
             for g in 0..groups {
                 transpose_into(
                     &wgt[g * cout_g * wrow..(g + 1) * cout_g * wrow],
-                    &mut wt[g * wrow * cout_g..(g + 1) * wrow * cout_g],
+                    &mut wt_t.as_mut_slice()[g * wrow * cout_g..(g + 1) * wrow * cout_g],
                     cout_g,
                     wrow,
                 );
@@ -947,26 +983,45 @@ impl Layer for Conv2d {
         let band_len = train_band_len(n);
         let n_bands = n.div_ceil(band_len).max(1);
         // per-band partial gradients, reduced in band order afterwards
-        let mut grad_w_parts = vec![0.0f32; n_bands * wlen];
-        let mut grad_b_parts = vec![0.0f32; n_bands * out_channels];
-        // per-band scratch, kept in the layer's workspace across steps:
-        // `col^T`, `dCol` and the columns rebuilt from the input (which a
-        // 1×1 stride-1 unpadded layer reads in place, as inference does)
-        let identity_col = k == 1 && stride == 1 && padding == 0;
-        let scratch_len = match (depthwise, identity_col) {
-            (true, _) => 0,
-            (false, true) => 2 * colsz,
-            (false, false) => 3 * colsz,
+        let mut parts = ws.take();
+        parts.resize_to(&[n_bands * (wlen + out_channels)]);
+        parts.as_mut_slice().fill(0.0);
+        let (grad_w_parts, grad_b_parts) = parts.as_mut_slice().split_at_mut(n_bands * wlen);
+        // per-band scratch, kept in the layer's workspace across steps: the
+        // weight gradient's transposed operand (`col^T`, or — in the
+        // orientation with fewer register tiles — `dOut_g^T` and the band's
+        // `dW^T`), `dCol` for col2im (one slab per (sample, group) on the
+        // batched route; none when the column is the identity and the input
+        // gradient is written in place), and the columns rebuilt from the
+        // input (none when a 1×1 stride-1 unpadded layer reads the input in
+        // place). These pick where each GEMM runs and which operand is
+        // packed, never the order of an element's products, so no layout
+        // here moves a gradient bit (module docs)
+        let dw_len = if transposed_dw {
+            ohw * cout_g + wlen
+        } else {
+            colsz
         };
-        let mut scratch: Vec<Tensor> = (0..n_bands).map(|_| self.train_ws.take()).collect();
+        let dcol_len = match (identity_col, batched) {
+            (true, _) => 0,
+            (false, true) => band_len * groups * colsz,
+            (false, false) => colsz,
+        };
+        let col_len = if identity_col { 0 } else { colsz };
+        let scratch_len = if depthwise {
+            0
+        } else {
+            col_len + dw_len + dcol_len
+        };
+        let mut scratch: Vec<Tensor> = (0..n_bands).map(|_| ws.take()).collect();
         for t in &mut scratch {
             if t.len() < scratch_len {
                 t.resize_to(&[scratch_len]);
             }
         }
 
-        let wt = &wt;
-        let (chw, cin_hw) = (c * h * w, cin_g * h * w);
+        let wt = wt_t.as_slice();
+        let (chw, cin_hw, ochw) = (c * h * w, cin_g * h * w, out_channels * ohw);
         let bands = grad_in
             .chunks_mut((band_len * chw).max(1))
             .zip(grad_w_parts.chunks_mut(wlen))
@@ -980,20 +1035,26 @@ impl Layer for Conv2d {
             n_bands,
             |(band, (((gin_band, gw_part), gb_part), scratch))| {
                 let n0 = band * band_len;
+                let samples = gin_band.len() / chw;
                 if depthwise {
                     for (si, gin_n) in gin_band.chunks_mut(chw).enumerate() {
                         let ni = n0 + si;
                         let x_n = &x[ni * chw..(ni + 1) * chw];
-                        let go_n = &go[ni * out_channels * ohw..(ni + 1) * out_channels * ohw];
+                        let go_n = &go[ni * ochw..(ni + 1) * ochw];
                         depthwise_conv2d_backward(
                             x_n, wgt, go_n, gin_n, gw_part, gb_part, c, h, w, k, stride, padding,
                         );
                     }
                     return;
                 }
-                let (col_t, rest) = scratch.as_mut_slice()[..scratch_len].split_at_mut(colsz);
-                let (grad_col, col_buf) = rest.split_at_mut(colsz);
-                for si in 0..gin_band.len() / chw {
+                let (dw_buf, rest) = scratch.as_mut_slice()[..scratch_len].split_at_mut(dw_len);
+                let (dcol, col_buf) = rest.split_at_mut(dcol_len);
+                // `col^T`, or `dOut_g^T` and the band's `dW^T`, which
+                // accumulates from zero as the partial does
+                let (t_buf, dwt) =
+                    dw_buf.split_at_mut(if transposed_dw { ohw * cout_g } else { colsz });
+                dwt.fill(0.0);
+                for si in 0..samples {
                     let ni = n0 + si;
                     for g in 0..groups {
                         let block = &x[ni * chw + g * cin_hw..][..cin_hw];
@@ -1003,46 +1064,101 @@ impl Layer for Conv2d {
                             im2col(block, col_buf, cin_g, h, w, k, k, stride, padding, oh, ow);
                             col_buf
                         };
-                        let go_g =
-                            &go[ni * out_channels * ohw + g * cout_g * ohw..][..cout_g * ohw];
+                        let go_g = &go[ni * ochw + g * cout_g * ohw..][..cout_g * ohw];
                         // bias gradient
                         for oc in 0..cout_g {
                             gb_part[g * cout_g + oc] += sum_lanes(&go_g[oc * ohw..(oc + 1) * ohw]);
                         }
-                        // weight gradient: dW_g += dOut_g * col^T
-                        transpose_into(col, col_t, wrow, ohw);
-                        let gw_g = &mut gw_part[g * cout_g * wrow..(g + 1) * cout_g * wrow];
-                        gemm_acc(go_g, col_t, gw_g, cout_g, ohw, wrow);
+                        // weight gradient: dW_g += dOut_g * col^T, or
+                        // dW_g^T += col * dOut_g^T when that fills fewer
+                        // register tiles
+                        if transposed_dw {
+                            transpose_into(go_g, t_buf, cout_g, ohw);
+                            let dwt_g = &mut dwt[g * wrow * cout_g..(g + 1) * wrow * cout_g];
+                            gemm_acc(col, t_buf, dwt_g, wrow, ohw, cout_g);
+                        } else {
+                            transpose_into(col, t_buf, wrow, ohw);
+                            let gw_g = &mut gw_part[g * cout_g * wrow..(g + 1) * cout_g * wrow];
+                            gemm_acc(go_g, t_buf, gw_g, cout_g, ohw, wrow);
+                        }
+                        if batched {
+                            continue;
+                        }
                         // input gradient: dCol = W_g^T * dOut_g, then col2im
+                        // (written in place when the column is the identity)
                         let wt_g = &wt[g * wrow * cout_g..(g + 1) * wrow * cout_g];
-                        gemm(wt_g, go_g, grad_col, wrow, cout_g, ohw);
                         let gin_g = &mut gin_band[si * chw + g * cin_hw..][..cin_hw];
-                        col2im(grad_col, gin_g, cin_g, h, w, k, k, stride, padding, oh, ow);
+                        if identity_col {
+                            gemm(wt_g, go_g, gin_g, wrow, cout_g, ohw);
+                        } else {
+                            gemm(wt_g, go_g, dcol, wrow, cout_g, ohw);
+                            col2im(dcol, gin_g, cin_g, h, w, k, k, stride, padding, oh, ow);
+                        }
                     }
+                }
+                if transposed_dw {
+                    for g in 0..groups {
+                        transpose_into(
+                            &dwt[g * wrow * cout_g..(g + 1) * wrow * cout_g],
+                            &mut gw_part[g * cout_g * wrow..(g + 1) * cout_g * wrow],
+                            wrow,
+                            cout_g,
+                        );
+                    }
+                }
+                if !batched {
+                    return;
+                }
+                // the band's input gradient as one batched GEMM over its
+                // `samples × groups` items, sample-major and group-minor like
+                // the forward's: the `W_g^T` panels cycle at period `groups`
+                // and the items' `dOut_g` blocks sit `cout_g * ohw` apart
+                let items = samples * groups;
+                let go_band = &go[n0 * ochw..(n0 + samples) * ochw];
+                let stride_a = wrow * cout_g;
+                let stride_b = cout_g * ohw;
+                if identity_col {
+                    gemm_batch_cyclic_strided(
+                        wt, go_band, gin_band, wrow, cout_g, ohw, items, groups, stride_a,
+                        stride_b, cin_hw, None,
+                    );
+                    return;
+                }
+                let dcols = &mut dcol[..items * colsz];
+                gemm_batch_cyclic_strided(
+                    wt, go_band, dcols, wrow, cout_g, ohw, items, groups, stride_a, stride_b,
+                    colsz, None,
+                );
+                // item `t` is sample `t / groups`, group `t % groups`: its
+                // block of grad_in sits `t * cin_hw` into the band
+                for (dcol_t, gin_t) in dcols.chunks(colsz).zip(gin_band.chunks_mut(cin_hw)) {
+                    col2im(dcol_t, gin_t, cin_g, h, w, k, k, stride, padding, oh, ow);
                 }
             },
         );
-        for t in scratch.into_iter().rev() {
-            self.train_ws.give(t);
-        }
 
-        // reduce band partials, in band order
-        let reduce = |parts: &[f32], len: usize| {
-            let mut total = vec![0.0f32; len];
+        // reduce band partials, in band order, into a zeroed total
+        let mut total = ws.take();
+        for (param, parts, len) in [
+            (&mut self.weight, &*grad_w_parts, wlen),
+            (&mut self.bias, &*grad_b_parts, out_channels),
+        ] {
+            total.resize_to(param.value.dims());
+            let acc = total.as_mut_slice();
+            acc.fill(0.0);
             for part in parts.chunks(len) {
-                total.iter_mut().zip(part).for_each(|(acc, v)| *acc += v);
+                acc.iter_mut().zip(part).for_each(|(a, v)| *a += v);
             }
-            total
-        };
-        let (grad_w, grad_b) = (
-            reduce(&grad_w_parts, wlen),
-            reduce(&grad_b_parts, out_channels),
-        );
-
-        self.weight
-            .accumulate_grad(&Tensor::from_vec(grad_w, self.weight.value.dims()));
-        self.bias
-            .accumulate_grad(&Tensor::from_vec(grad_b, &[self.out_channels]));
+            param.accumulate_grad(&total);
+        }
+        // give back in reverse order of taking, so each buffer meets the
+        // role it had last step
+        ws.give(total);
+        for t in scratch.into_iter().rev() {
+            ws.give(t);
+        }
+        ws.give(parts);
+        ws.give(wt_t);
         Tensor::from_vec(grad_in, &[n, c, h, w])
     }
 
@@ -1181,6 +1297,21 @@ mod tests {
             (6, 8, 1, 1, 0, 1, 5, 5, 3),  // 1×1: columns read in place
             (6, 8, 1, 1, 0, 2, 5, 5, 3),  // grouped 1×1, in place
             (4, 6, 3, 1, 1, 1, 6, 6, 10), // batched forward route, two bands
+            // the backward's routes at batch 10: `dWt` is the transposed
+            // weight gradient, `dW` today's; `ohw < 96` runs the input
+            // gradient batched per band, wider ones per (sample, group)
+            (16, 48, 1, 1, 0, 1, 2, 2, 10), // ohw 4: dWt, batched, in place
+            (24, 64, 1, 1, 0, 1, 4, 4, 10), // ohw 16: dWt, batched, in place
+            (64, 32, 1, 1, 0, 1, 4, 4, 10), // ohw 16: dW (tie), batched
+            (16, 32, 1, 2, 0, 1, 8, 8, 10), // ohw 16, 1×1 stride 2: dWt, col2im
+            (16, 48, 1, 1, 0, 1, 8, 8, 10), // ohw 64: dWt, batched, in place
+            (48, 24, 1, 1, 0, 1, 8, 8, 10), // ohw 64: dW, batched, in place
+            (16, 48, 1, 1, 0, 1, 10, 10, 10), // ohw 100: dWt, per item, in place
+            (3, 16, 3, 1, 1, 1, 10, 10, 10), // ohw 100: dW, per item, col2im
+            (4, 64, 3, 1, 1, 2, 10, 10, 10), // ohw 100: grouped dWt, per item
+            (16, 64, 1, 1, 0, 2, 4, 4, 10), // grouped dWt, batched, in place
+            (4, 64, 3, 1, 1, 2, 8, 8, 10),  // grouped dWt, batched, col2im
+            (8, 16, 3, 2, 1, 2, 8, 8, 10),  // grouped dW, batched, strided
         ] {
             let mut conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
             let x = Tensor::rand_uniform(&[batch, cin, h, w], -1.0, 1.0, &mut rng);

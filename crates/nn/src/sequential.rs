@@ -5,6 +5,8 @@
 //! last layer write straight into the caller's `out`, so a chain of any
 //! depth — including the bodies of the zoo's composite blocks, which are
 //! nested `Sequential`s — costs two pool slots and, warm, no allocation.
+//! Training hands the caller's input to the first layer and the caller's
+//! output gradient to the last, so a container adds no copy to either pass.
 
 use crate::{Layer, Workspace};
 use hs_tensor::Tensor;
@@ -44,16 +46,24 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        // the first layer reads the caller's input; only an empty container
+        // copies it
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        let mut x = first.forward_train(input);
+        for layer in rest {
             x = layer.forward_train(&x);
         }
         x
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            return grad_out.clone();
+        };
+        let mut g = last.backward(grad_out);
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g);
         }
         g

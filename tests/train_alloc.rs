@@ -3,10 +3,12 @@
 //! an `Sgd::step` after warm-up, counted in allocation events and in bytes.
 //!
 //! Every layer still returns a fresh output from its training forward and a
-//! fresh input gradient from its backward. What a layer keeps for its
-//! backward — the stored input, a conv's column and band scratch — reuses
-//! the buffers of the last step, and `Sgd::step` zeroes each parameter
-//! gradient in place. The budgets below are the measured counts, pinned as
+//! fresh input gradient from its backward; a `Sequential` passes its own
+//! input and output gradient through without copying them. What a layer
+//! keeps for its backward — the stored input, a conv's column, band and
+//! partial-gradient scratch and its transposed weight — reuses the buffers
+//! of the last step, and `Sgd::step` zeroes each parameter gradient in
+//! place. The budgets below are the measured counts, pinned as
 //! upper bounds so a change can lower them but never raise them. They are
 //! the baseline for making training allocation-free.
 //!
@@ -94,10 +96,10 @@ fn count_allocs(f: impl FnOnce()) -> (u64, u64) {
 
 /// Upper bounds on one warm step (allocation events, bytes), measured.
 const BUDGETS: [(ModelKind, u64, u64); 4] = [
-    (ModelKind::SimpleCnn, 112, 8_403_048),
-    (ModelKind::MobileNetV3Small, 464, 16_261_824),
-    (ModelKind::ShuffleNetV2, 661, 9_267_104),
-    (ModelKind::SqueezeNet, 292, 4_307_800),
+    (ModelKind::SimpleCnn, 94, 8_198_584),
+    (ModelKind::MobileNetV3Small, 366, 14_965_608),
+    (ModelKind::ShuffleNetV2, 513, 8_176_432),
+    (ModelKind::SqueezeNet, 175, 3_444_840),
 ];
 
 #[test]

@@ -56,14 +56,6 @@ fn bench_end_to_end(c: &mut Criterion) {
     c.bench_function("inference/simple_cnn_b32_fused_plan", |b| {
         b.iter(|| fused.infer(black_box(&x)).len())
     });
-    // the PR 7 quantized tier: the same fused+planned network with f16
-    // weights (convert-on-pack in the GEMM packing layer; accumulation
-    // stays f32) — the same-run numerator for the CI-gated f16 speedup
-    let (_, mut fused_f16) = model_pair(ModelKind::SimpleCnn, cfg);
-    fused_f16.to_dtype(hs_tensor::DType::F16);
-    c.bench_function("inference/simple_cnn_b32_fused_plan_f16", |b| {
-        b.iter(|| fused_f16.infer(black_box(&x)).len())
-    });
 
     // a mobile-zoo model: fusion reaches the nested block Sequentials, and
     // the depthwise layers run on the direct kernel
@@ -75,13 +67,6 @@ fn bench_end_to_end(c: &mut Criterion) {
     });
     c.bench_function("inference/mobilenet_b8_fused_plan", |b| {
         b.iter(|| fused.infer(black_box(&x)).len())
-    });
-    // f16 weights on the same fused+planned network (depthwise convs stay
-    // f32 by design; the pointwise convs dominate the time anyway)
-    let (_, mut fused_f16) = model_pair(ModelKind::MobileNetV3Small, cfg);
-    fused_f16.to_dtype(hs_tensor::DType::F16);
-    c.bench_function("inference/mobilenet_b8_fused_plan_f16", |b| {
-        b.iter(|| fused_f16.infer(black_box(&x)).len())
     });
 }
 

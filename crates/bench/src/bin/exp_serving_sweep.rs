@@ -16,16 +16,15 @@
 //! batcher's close rule exists for: a lone client's p50 at `max_batch 8`
 //! over its `max_batch 1` cell (expected ≤ 1.5), and 4-client throughput at
 //! `max_batch 8` over the `max_batch 4` cell (expected ≥ 0.8).
-//! A config pass then runs 8 closed-loop clients at `max_batch 8` on
-//! (workers, dtype) ∈ {(1, f32), (1, f16), (2, f32)}: the f16 tier against
-//! f32, and two workers running batches side by side against one worker
-//! whose batch shards across the pool.
+//! A config pass then runs 8 closed-loop clients at `max_batch 8` on one
+//! and on two workers: two workers running batches side by side against
+//! one worker whose batch shards across the pool.
 
 use hs_bench::json_out_path;
 use hs_bench::serving_load::{closed_loop, open_loop, LoadOutcome};
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
 use hs_serve::{BatchPolicy, MetricsSnapshot, ModelRegistry, Server, ServerConfig};
-use hs_tensor::{DType, Tensor};
+use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -37,7 +36,6 @@ struct SweepRecord {
     model: String,
     mode: String,
     workers: usize,
-    dtype: String,
     clients: usize,
     offered_rps: f64,
     max_batch: usize,
@@ -99,7 +97,6 @@ fn main() {
                     kind.as_str(),
                     "closed",
                     1,
-                    "f32",
                     clients,
                     0.0,
                     max_batch,
@@ -123,7 +120,6 @@ fn main() {
                     kind.as_str(),
                     "open",
                     1,
-                    "f32",
                     0,
                     rate,
                     max_batch,
@@ -135,10 +131,10 @@ fn main() {
             server.shutdown();
         }
 
-        // config pass: the same closed-loop load at one fixed policy on the
-        // f16 tier and on two workers, each against one f32 worker
+        // config pass: the same closed-loop load at one fixed policy on two
+        // workers against one
         let config_batch = 8usize;
-        for (workers, dtype) in [(1, DType::F32), (1, DType::F16), (2, DType::F32)] {
+        for workers in [1, 2] {
             let registry = Arc::new(ModelRegistry::new());
             registry.publish("m", &mut make());
             let server = Server::start(
@@ -146,8 +142,7 @@ fn main() {
                 "m",
                 make,
                 &input_dims,
-                ServerConfig::new(workers, 128, BatchPolicy::new(config_batch, max_wait_us))
-                    .with_dtype(dtype),
+                ServerConfig::new(workers, 128, BatchPolicy::new(config_batch, max_wait_us)),
             )
             .expect("server must start");
             let client = server.client();
@@ -158,9 +153,8 @@ fn main() {
             report(
                 &mut records,
                 kind.as_str(),
-                &format!("closed/{workers}w/{dtype}"),
+                &format!("closed/{workers}w"),
                 workers,
-                dtype.as_str(),
                 8,
                 0.0,
                 config_batch,
@@ -209,7 +203,6 @@ fn report(
     model: &str,
     mode: &str,
     workers: usize,
-    dtype: &str,
     clients: usize,
     offered_rps: f64,
     max_batch: usize,
@@ -238,7 +231,6 @@ fn report(
         model: model.to_string(),
         mode: mode.to_string(),
         workers,
-        dtype: dtype.to_string(),
         clients,
         offered_rps,
         max_batch,

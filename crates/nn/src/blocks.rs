@@ -634,7 +634,6 @@ impl Layer for ShuffleUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParamStore;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
@@ -661,9 +660,6 @@ mod tests {
         let (mut params, _) = crate::layer::states(&mut block);
         let n = params.len();
         for p in &mut params[n - 2..] {
-            let ParamStore::F32(p) = p else {
-                unreachable!("an f32 block")
-            };
             p.value.as_mut_slice().fill(0.0);
         }
         let x = Tensor::rand_uniform(&[2, 4, 5, 5], -1.0, 1.0, &mut r);

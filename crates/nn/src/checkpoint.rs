@@ -9,9 +9,10 @@
 //! fingerprint      u64       FNV-1a over the layer topology (below)
 //! param tensors    u64       number of stored parameter tensors
 //! per param tensor (in layer order):
-//!   dtype tag      u8        0 = f32, 1 = f16, 2 = i8
+//!   dtype tag      u8        0 = f32 (1 and 2, the retired f16/i8 tags,
+//!                              are rejected as unknown)
 //!   element count  u64
-//!   payload        f32: f32 bits × n · f16: u16 bits × n · i8: scale f32 + i8 × n
+//!   payload        f32 bits × n
 //!   checksum       u32       CRC-32 (IEEE) over the payload bytes
 //! buffer count     u64       number of named buffer tensors
 //! per buffer:
@@ -24,32 +25,24 @@
 //!
 //! The **fingerprint** hashes the parameter and buffer *shapes* in walk
 //! order — the same topology signature [`Network::set_weights`] implicitly
-//! relies on. It reads the state walk ([`Network::for_each_state`]), where
-//! quantized weights occupy the positions and shapes of their `f32` form,
-//! so it is identical before and after quantization. It deliberately
-//! excludes layer names, so a checkpoint saved from a plain model loads into
-//! its [`Network::fuse_inference`]d replica (fusion keeps parameter/buffer order
-//! and shapes — pinned since PR 2) and vice versa. Dtype is likewise
-//! excluded: an f32 checkpoint loads into an f16 replica (quantize-on-load,
-//! the serving hot-swap case) and a quantized checkpoint widens into an f32
-//! network. Buffer names are carried for diagnostics
-//! (`layer3.batch_norm2d.buf0`) but loading validates shapes, not names,
-//! for the same reason.
+//! relies on. It reads the state walk ([`Network::for_each_state`]). It
+//! deliberately excludes layer names, so a checkpoint saved from a plain
+//! model loads into its [`Network::fuse_inference`]d replica (fusion keeps
+//! parameter/buffer order and shapes — pinned since PR 2) and vice versa.
+//! Buffer names are carried for diagnostics (`layer3.batch_norm2d.buf0`)
+//! but loading validates shapes, not names, for the same reason.
 //!
 //! Floats are stored as raw bit patterns, so a save → load round trip is
-//! exact to the bit (NaN payloads included, f16/i8 payloads too) and the
-//! byte stream is identical across platforms —
-//! `checkpoint_header_is_byte_stable` pins the header.
+//! exact to the bit (NaN payloads included) and the byte stream is
+//! identical across platforms — `checkpoint_header_is_byte_stable` pins
+//! the header.
 //!
 //! Loading validates magic, version, fingerprint, every length and every
 //! checksum before touching the model, and returns a [`CheckpointError`]
 //! naming exactly what went wrong; the network is never partially
 //! overwritten by a failed load.
 
-use crate::{states, Layer, Network, ParamStore, State};
-use hs_tensor::{
-    f16_bits_to_f32, DType, F16Storage, I8Storage, QTensor, Tensor, TensorBase, WeightMat,
-};
+use crate::{states, Layer, Network, State};
 use serde::bin::{ByteReader, ByteWriter, TruncatedInput};
 use std::fmt;
 use std::path::Path;
@@ -60,10 +53,9 @@ pub const CHECKPOINT_MAGIC: [u8; 8] = *b"HSNNCKPT";
 /// Current format version: the one written on save and the only one read.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// Dtype tags used in the v2 per-tensor headers.
+/// The dtype tag of an f32 tensor in the v2 per-tensor headers, the only
+/// one written or read.
 const TAG_F32: u8 = 0;
-const TAG_F16: u8 = 1;
-const TAG_I8: u8 = 2;
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`), bitwise — checkpoints are
 /// megabytes at most, so a lookup table buys nothing worth its cache lines.
@@ -195,8 +187,8 @@ impl fmt::Display for CheckpointError {
             CheckpointError::UnknownDType { found } => write!(
                 f,
                 "checkpoint stores a tensor with dtype tag {found} but this build \
-                 only understands 0 (f32), 1 (f16) and 2 (i8) — the file is corrupt \
-                 or from a newer format revision"
+                 only understands 0 (f32) — tags 1 (f16) and 2 (i8) are retired; the \
+                 file is corrupt, quantized, or from a newer format revision"
             ),
             CheckpointError::CrcMismatch {
                 name,
@@ -244,60 +236,13 @@ impl From<TruncatedInput> for CheckpointError {
     }
 }
 
-/// One parameter tensor decoded from a checkpoint, staged before commit so
-/// a validation failure later in the file leaves the network untouched.
-enum StagedTensor {
-    F32(Vec<f32>),
-    F16(Vec<u16>),
-    I8 { data: Vec<i8>, scale: f32 },
-}
-
-impl StagedTensor {
-    /// Widens the staged payload to f32 (exact for f32, dequantized
-    /// otherwise) — the cross-dtype commit route.
-    fn to_f32(&self) -> Vec<f32> {
-        match self {
-            StagedTensor::F32(v) => v.clone(),
-            StagedTensor::F16(bits) => bits.iter().map(|&b| f16_bits_to_f32(b)).collect(),
-            StagedTensor::I8 { data, scale } => data.iter().map(|&q| q as f32 * scale).collect(),
-        }
-    }
-}
-
-/// Commits f32 data into a store: bit-exact copy for f32 stores,
-/// quantize-on-load for quantized ones (the serving hot-swap case — an f32
-/// training checkpoint lands in an f16/i8 replica).
-fn commit_f32(store: ParamStore<'_>, data: &[f32]) {
-    match store {
-        ParamStore::F32(p) => p.value.as_mut_slice().copy_from_slice(data),
-        ParamStore::Quant(q) => {
-            let dims = q.dims().to_vec();
-            *q = QTensor::quantize(&Tensor::from_vec(data.to_vec(), &dims), q.dtype())
-                .expect("a quantized store never has dtype f32");
-        }
-    }
-}
-
-/// Commits a staged tensor into a store. Same-dtype pairs restore the raw
-/// payload bit-exactly; everything else routes through f32.
-fn commit_staged(store: ParamStore<'_>, staged: StagedTensor) {
-    match (store, staged) {
-        (ParamStore::F32(p), StagedTensor::F32(v)) => {
-            p.value.as_mut_slice().copy_from_slice(&v);
-        }
-        (ParamStore::Quant(q), StagedTensor::F16(bits)) if q.dtype() == DType::F16 => {
-            let dims = q.dims().to_vec();
-            *q = QTensor::F16(TensorBase::from_storage(F16Storage::from_bits(bits), &dims));
-        }
-        (ParamStore::Quant(q), StagedTensor::I8 { data, scale }) if q.dtype() == DType::I8 => {
-            let dims = q.dims().to_vec();
-            *q = QTensor::I8(TensorBase::from_storage(
-                I8Storage::from_parts(data, scale),
-                &dims,
-            ));
-        }
-        (store, staged) => commit_f32(store, &staged.to_f32()),
-    }
+/// Decodes a payload of little-endian f32 bit patterns, staged before commit
+/// so a validation failure later in the file leaves the network untouched.
+fn decode_f32(payload: &[u8]) -> Vec<f32> {
+    payload
+        .chunks_exact(4)
+        .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
+        .collect()
 }
 
 /// Incremental FNV-1a (64-bit) over the topology description.
@@ -329,15 +274,13 @@ impl Network {
     /// every buffer shape in walk order. Two networks with the same
     /// fingerprint accept each other's weight vectors; fusion
     /// ([`Network::fuse_inference`]) does not change it because fusion keeps
-    /// parameter/buffer order and shapes, and quantization
-    /// ([`Network::to_dtype`]) does not either because quantized weights
-    /// keep their position and shape in the walk.
+    /// parameter/buffer order and shapes.
     pub fn fingerprint(&mut self) -> u64 {
         let (params, buffers) = states(&mut self.layers);
         let mut h = Fnv::new();
         h.push_u64(params.len() as u64);
         for p in &params {
-            h.push_dims(p.dims());
+            h.push_dims(p.value.dims());
         }
         h.push_u64(buffers.len() as u64);
         for b in &buffers {
@@ -377,35 +320,13 @@ impl Network {
         w.put_u32(CHECKPOINT_VERSION);
         w.put_u64(fingerprint);
 
-        let (stores, buffers) = states(&mut self.layers);
-        w.put_u64(stores.len() as u64);
-        for store in stores {
+        let (params, buffers) = states(&mut self.layers);
+        w.put_u64(params.len() as u64);
+        for p in params {
             let mut payload = ByteWriter::new();
-            let tag = match &store {
-                ParamStore::F32(p) => {
-                    payload.put_f32_slice(p.value.as_slice());
-                    TAG_F32
-                }
-                ParamStore::Quant(q) => match q.as_mat() {
-                    WeightMat::F16(bits) => {
-                        for &b in bits {
-                            payload.put_bytes(&b.to_le_bytes());
-                        }
-                        TAG_F16
-                    }
-                    WeightMat::I8 { data, scale } => {
-                        payload.put_f32(scale);
-                        for &v in data {
-                            payload.put_bytes(&[v as u8]);
-                        }
-                        TAG_I8
-                    }
-                    // QTensor::as_mat only yields quantized views
-                    WeightMat::F32(_) => unreachable!("quantized store with f32 view"),
-                },
-            };
-            w.put_bytes(&[tag]);
-            w.put_u64(store.len() as u64);
+            payload.put_f32_slice(p.value.as_slice());
+            w.put_bytes(&[TAG_F32]);
+            w.put_u64(p.len() as u64);
             let payload = payload.into_bytes();
             let crc = crc32(&payload);
             w.put_bytes(&payload);
@@ -468,7 +389,7 @@ impl Network {
         let (expected_lens, expected_dims): (Vec<usize>, Vec<Vec<usize>>) = {
             let (params, buffers) = states(&mut self.layers);
             (
-                params.iter().map(ParamStore::len).collect(),
+                params.iter().map(|p| p.len()).collect(),
                 buffers.iter().map(|b| b.dims().to_vec()).collect(),
             )
         };
@@ -489,16 +410,15 @@ impl Network {
                     found: len as u64,
                 });
             }
-            let payload_len = match tag {
-                TAG_F32 => len.checked_mul(4),
-                TAG_F16 => len.checked_mul(2),
-                TAG_I8 => len.checked_add(4),
-                t => return Err(CheckpointError::UnknownDType { found: t }),
+            if tag != TAG_F32 {
+                return Err(CheckpointError::UnknownDType { found: tag });
             }
-            .ok_or(CheckpointError::Truncated(TruncatedInput {
-                expected: "parameter payload",
-                offset: r.offset(),
-            }))?;
+            let payload_len =
+                len.checked_mul(4)
+                    .ok_or(CheckpointError::Truncated(TruncatedInput {
+                        expected: "parameter payload",
+                        offset: r.offset(),
+                    }))?;
             let payload = r.get_bytes(payload_len, "parameter payload")?;
             let stored = r.get_u32("parameter checksum")?;
             let computed = crc32(payload);
@@ -509,26 +429,7 @@ impl Network {
                     found: computed,
                 });
             }
-            staged_params.push(match tag {
-                TAG_F32 => StagedTensor::F32(
-                    payload
-                        .chunks_exact(4)
-                        .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-                        .collect(),
-                ),
-                TAG_F16 => StagedTensor::F16(
-                    payload
-                        .chunks_exact(2)
-                        .map(|b| u16::from_le_bytes([b[0], b[1]]))
-                        .collect(),
-                ),
-                _ => StagedTensor::I8 {
-                    scale: f32::from_bits(u32::from_le_bytes([
-                        payload[0], payload[1], payload[2], payload[3],
-                    ])),
-                    data: payload[4..].iter().map(|&b| b as i8).collect(),
-                },
-            });
+            staged_params.push(decode_f32(payload));
         }
 
         let n_buffers = r.get_u64("buffer count")?;
@@ -581,12 +482,7 @@ impl Network {
                     found: computed,
                 });
             }
-            staged.push(
-                payload
-                    .chunks_exact(4)
-                    .map(|b| f32::from_bits(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-                    .collect(),
-            );
+            staged.push(decode_f32(payload));
         }
         if r.remaining() > 0 {
             return Err(CheckpointError::TrailingBytes {
@@ -595,9 +491,9 @@ impl Network {
         }
 
         // all validated: commit
-        let (stores, buffers) = states(&mut self.layers);
-        for (store, tensor) in stores.into_iter().zip(staged_params) {
-            commit_staged(store, tensor);
+        let (params, buffers) = states(&mut self.layers);
+        for (p, data) in params.into_iter().zip(staged_params) {
+            p.value.as_mut_slice().copy_from_slice(&data);
         }
         for (b, data) in buffers.into_iter().zip(staged) {
             b.as_mut_slice().copy_from_slice(&data);
@@ -807,56 +703,17 @@ mod tests {
         let err = b.load_checkpoint_bytes(&tail).unwrap_err();
         assert!(matches!(err, CheckpointError::CrcMismatch { .. }));
         assert_eq!(b.weights(), before);
-    }
-
-    #[test]
-    fn quantized_save_load_is_bit_stable() {
-        use hs_tensor::DType;
-        for dtype in [DType::F16, DType::I8] {
-            let mut a = net(28);
-            a.to_dtype(dtype);
-            let bytes = a.to_checkpoint_bytes();
-            let mut b = net(29);
-            b.to_dtype(dtype);
-            b.load_checkpoint_bytes(&bytes).unwrap();
-            // identical quantized payloads → identical re-saved bytes
-            assert_eq!(
-                b.to_checkpoint_bytes(),
-                bytes,
-                "{dtype}: quantized round trip must be byte-stable"
-            );
-        }
-    }
-
-    #[test]
-    fn cross_dtype_loads_share_the_fingerprint() {
-        use hs_tensor::DType;
-        let mut f32_net = net(30);
-        let mut f16_net = net(31);
-        f16_net.to_dtype(DType::F16);
-        assert_eq!(
-            f32_net.fingerprint(),
-            f16_net.fingerprint(),
-            "quantization must not change the topology fingerprint"
-        );
-        // f32 checkpoint → f16 replica (quantize-on-load)
-        let f32_bytes = f32_net.to_checkpoint_bytes();
-        f16_net.load_checkpoint_bytes(&f32_bytes).unwrap();
-        // f16 checkpoint → f32 replica (widen-on-load)
-        let f16_bytes = f16_net.to_checkpoint_bytes();
-        let mut widened = net(32);
-        widened.load_checkpoint_bytes(&f16_bytes).unwrap();
-        let x = {
-            let mut rng = StdRng::seed_from_u64(33);
-            hs_tensor::Tensor::rand_uniform(&[4, 3], -1.0, 1.0, &mut rng)
-        };
-        let quantized_out = f16_net.forward(&x, false);
-        let widened_out = widened.forward(&x, false);
-        for (a, b) in quantized_out.as_slice().iter().zip(widened_out.as_slice()) {
+        // the retired f16 (1) and i8 (2) tags on the first tensor (byte 28)
+        // are a typed error before its payload is read
+        for tag in [1u8, 2] {
+            let mut retired = bytes.clone();
+            retired[28] = tag;
+            let err = b.load_checkpoint_bytes(&retired).unwrap_err();
             assert!(
-                (a - b).abs() <= 1e-5 * a.abs().max(1.0),
-                "widened replica diverged: {a} vs {b}"
+                matches!(err, CheckpointError::UnknownDType { found } if found == tag),
+                "tag {tag} gave {err}"
             );
+            assert_eq!(b.weights(), before);
         }
     }
 }

@@ -78,13 +78,12 @@
 //! branches were removed: they broke NaN/Inf propagation.)
 
 use crate::layer::store;
-use crate::{Layer, Param, ParamStore, State, Workspace};
+use crate::{Layer, Param, State, Workspace};
 use hs_tensor::gemm::{MR, NR};
 use hs_tensor::{
-    depthwise_conv2d, depthwise_conv2d_backward, gemm, gemm_acc, gemm_acc_q,
-    gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided, gemm_batch_cyclic_strided_q,
-    gemm_epilogue_q, he_normal, sum_lanes, transpose_into, valid_out_range, DType, Epilogue,
-    EpilogueAct, QTensor, Tensor, WeightMat,
+    depthwise_conv2d, depthwise_conv2d_backward, gemm, gemm_acc, gemm_batch_cyclic_acc_strided,
+    gemm_batch_cyclic_strided, gemm_epilogue, he_normal, sum_lanes, transpose_into,
+    valid_out_range, Epilogue, EpilogueAct, Tensor,
 };
 use rand::rngs::StdRng;
 
@@ -380,14 +379,6 @@ fn col2im_reference(
 pub struct Conv2d {
     weight: Param,
     bias: Param,
-    /// Quantized inference weight. When set, `weight` is emptied (the halved
-    /// resident bytes and halved GEMM weight traffic are the point) and
-    /// training is disabled. The layer then runs on im2col-GEMM, whose
-    /// packing layer widens quantized panels on the fly; depthwise layers
-    /// never hold one (`to_dtype` leaves their weights f32). Conv weights
-    /// quantize to f16 only — the per-tensor i8 scale is too coarse for
-    /// conv stacks, so an i8 request also stores f16 here.
-    qweight: Option<QTensor>,
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
@@ -442,7 +433,6 @@ impl Conv2d {
         Conv2d {
             weight,
             bias,
-            qweight: None,
             in_channels,
             out_channels,
             kernel,
@@ -493,8 +483,7 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// The weight's shape, `[out, in / groups, kernel, kernel]`, f32 or
-    /// quantized.
+    /// The weight's shape, `[out, in / groups, kernel, kernel]`.
     pub fn weight_dims(&self) -> [usize; 4] {
         let k = self.kernel;
         [self.out_channels, self.in_channels / self.groups, k, k]
@@ -504,19 +493,6 @@ impl Conv2d {
     /// (`groups == in_channels == out_channels`).
     pub fn is_depthwise(&self) -> bool {
         self.groups == self.in_channels && self.groups == self.out_channels
-    }
-
-    /// Whether the layer currently holds a quantized weight.
-    pub fn is_quantized(&self) -> bool {
-        self.qweight.is_some()
-    }
-
-    /// The weight as a runtime-dtype GEMM operand.
-    fn weight_mat(&self) -> WeightMat<'_> {
-        match &self.qweight {
-            Some(q) => q.as_mat(),
-            None => WeightMat::F32(self.weight.value.as_slice()),
-        }
     }
 
     /// The backend inference runs on: a depthwise layer takes the direct
@@ -598,10 +574,7 @@ impl Conv2d {
         }
 
         let x = input.as_slice();
-        // the depthwise branch reads the f32 weight directly: it never runs
-        // on a quantized layer (depthwise weights stay f32); the GEMM route
-        // takes `wmat`
-        let wmat = self.weight_mat();
+        let wgt = self.weight.value.as_slice();
         let bias = self.bias.value.as_slice();
         let out_channels = self.out_channels;
         out.resize_to(&[n, out_channels, oh, ow]);
@@ -610,7 +583,6 @@ impl Conv2d {
         if self.planned_algo() == ConvAlgo::DirectDepthwise {
             // one spatial micro-kernel per (sample, channel): no column
             // matrix, no scratch
-            let wgt = self.weight.value.as_slice();
             let ep = ep.map(|(scale, shift, act)| Epilogue { scale, shift, act });
             for (x_n, out_n) in x.chunks(c * h * w).zip(out_data.chunks_mut(c * ohw)) {
                 depthwise_conv2d(x_n, wgt, bias, ep, out_n, c, h, w, k, stride, padding);
@@ -667,8 +639,8 @@ impl Conv2d {
                 (&col_scratch.as_slice()[..n * groups * colsz], colsz)
             };
             match ep {
-                Some((scale, shift, act)) => gemm_batch_cyclic_strided_q(
-                    wmat,
+                Some((scale, shift, act)) => gemm_batch_cyclic_strided(
+                    wgt,
                     bs,
                     out_data,
                     cout_g,
@@ -689,8 +661,8 @@ impl Conv2d {
                             out_t[oc * ohw..(oc + 1) * ohw].fill(bias[g * cout_g + oc]);
                         }
                     }
-                    gemm_batch_cyclic_acc_strided_q(
-                        wmat,
+                    gemm_batch_cyclic_acc_strided(
+                        wgt,
                         bs,
                         out_data,
                         cout_g,
@@ -727,9 +699,9 @@ impl Conv2d {
                 im2col(input_block, col, cin_g, h, w, k, k, stride, padding, oh, ow);
                 col
             };
-            let w_g = wmat.slice(g * cout_g * wrow, (g + 1) * cout_g * wrow);
+            let w_g = &wgt[g * cout_g * wrow..(g + 1) * cout_g * wrow];
             match ep {
-                Some((scale, shift, act)) => gemm_epilogue_q(
+                Some((scale, shift, act)) => gemm_epilogue(
                     w_g,
                     col_ref,
                     out_g,
@@ -746,7 +718,7 @@ impl Conv2d {
                     for oc in 0..cout_g {
                         out_g[oc * ohw..(oc + 1) * ohw].fill(bias[g * cout_g + oc]);
                     }
-                    gemm_acc_q(w_g, col_ref, out_g, cout_g, wrow, ohw);
+                    gemm_acc(w_g, col_ref, out_g, cout_g, wrow, ohw);
                 }
             }
         }
@@ -910,10 +882,6 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Conv2d: cannot train a quantized layer — call to_dtype(DType::F32) first"
-        );
         // backward reads `train_input`, which only this method writes — an
         // inference between forward_train and backward cannot clobber it
         store(&mut self.train_input, input);
@@ -929,10 +897,6 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Conv2d: cannot backprop through a quantized layer — call to_dtype(DType::F32) first"
-        );
         let input = self
             .train_input
             .as_ref()
@@ -1162,46 +1126,10 @@ impl Layer for Conv2d {
         Tensor::from_vec(grad_in, &[n, c, h, w])
     }
 
-    /// Weight, then bias; a quantized weight keeps the weight's position.
+    /// Weight, then bias.
     fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
-        f(State::Param(match &mut self.qweight {
-            Some(q) => ParamStore::Quant(q),
-            None => ParamStore::F32(&mut self.weight),
-        }));
-        f(State::Param(ParamStore::F32(&mut self.bias)));
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        // depthwise convolutions stay f32: their direct spatial micro-kernel
-        // has no packing layer to widen through, and their weights are tiny
-        // (k*k per channel) so there is nothing to win
-        if self.is_depthwise() && dtype != DType::F32 {
-            return;
-        }
-        // conv weights quantize to f16 only; per-tensor i8 is too coarse for
-        // conv stacks, so an i8 request also stores f16 here
-        let dtype = match dtype {
-            DType::I8 => DType::F16,
-            other => other,
-        };
-        match (dtype, self.qweight.take()) {
-            (DType::F32, Some(q)) => {
-                self.weight.value = q.to_f32();
-                self.weight.grad = Tensor::zeros(self.weight.value.dims());
-                self.train_input = None;
-            }
-            (DType::F32, None) => {}
-            (_, prior) => {
-                let f32_weight = match &prior {
-                    Some(q) => q.to_f32(),
-                    None => std::mem::replace(&mut self.weight.value, Tensor::zeros(&[0])),
-                };
-                self.qweight = QTensor::quantize(&f32_weight, dtype);
-                self.weight.value = Tensor::zeros(&[0]);
-                self.weight.grad = Tensor::zeros(&[0]);
-                self.train_input = None;
-            }
-        }
+        f(State::Param(&mut self.weight));
+        f(State::Param(&mut self.bias));
     }
 
     fn name(&self) -> &'static str {
@@ -1495,14 +1423,10 @@ mod tests {
             (4, 6, 3, 1, 1, 1, 9, 9, 3),   // ohw = 81: just below the constant
             (4, 6, 3, 1, 1, 1, 10, 10, 3), // ohw = 100: just above it
         ] {
-            let mut conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
+            let conv = Conv2d::new(cin, cout, k, s, p, g, &mut rng);
             let x = Tensor::rand_uniform(&[batch, cin, h, w], -1.0, 1.0, &mut rng);
-            for dtype in [DType::F32, DType::F16] {
-                conv.to_dtype(dtype);
-                let ctx =
-                    format!("{cin}->{cout} k={k} s={s} p={p} g={g} {h}x{w} b={batch} {dtype:?}");
-                both_routes_agree(&conv, &x, &mut rng, &ctx);
-            }
+            let ctx = format!("{cin}->{cout} k={k} s={s} p={p} g={g} {h}x{w} b={batch}");
+            both_routes_agree(&conv, &x, &mut rng, &ctx);
         }
     }
 
@@ -1546,13 +1470,10 @@ mod tests {
             };
             let mut conv = Conv2d::new(cin, cout, k, 1, k / 2, 1, &mut rng);
             conv.bias.value = Tensor::rand_uniform(&[cout], -0.5, 0.5, &mut rng);
-            for dtype in [DType::F32, DType::F16] {
-                conv.to_dtype(dtype);
-                for (&side, batch) in sides.iter().flat_map(|s| [1usize, 3, 8].map(|b| (s, b))) {
-                    let x = Tensor::rand_uniform(&[batch, cin, side, side], -1.0, 1.0, &mut rng);
-                    let ctx = format!("cout_g={cout} wrow={wrow} side={side} b={batch} {dtype:?}");
-                    both_routes_agree(&conv, &x, &mut rng, &ctx);
-                }
+            for (&side, batch) in sides.iter().flat_map(|s| [1usize, 3, 8].map(|b| (s, b))) {
+                let x = Tensor::rand_uniform(&[batch, cin, side, side], -1.0, 1.0, &mut rng);
+                let ctx = format!("cout_g={cout} wrow={wrow} side={side} b={batch}");
+                both_routes_agree(&conv, &x, &mut rng, &ctx);
             }
         }
     }
@@ -1587,76 +1508,5 @@ mod tests {
         for (a, b) in gw2.as_slice().iter().zip(gw1.as_slice()) {
             assert!((a - 2.0 * b).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn quantized_inference_stays_close_and_round_trips() {
-        let mut rng = StdRng::seed_from_u64(17);
-        // grouped conv so the per-group wmat.slice path is exercised too
-        let mut conv = Conv2d::new(4, 6, 3, 1, 1, 2, &mut rng);
-        let x = Tensor::rand_uniform(&[2, 4, 9, 9], -1.0, 1.0, &mut rng);
-        let reference = conv.forward(&x, false);
-        let w_before = conv.weight.value.clone();
-        for requested in [DType::F16, DType::I8] {
-            conv.to_dtype(requested);
-            assert!(conv.is_quantized());
-            // conv weights always quantize to f16 (i8 requests included)
-            let (stores, _) = crate::states(&mut conv);
-            assert_eq!(stores.len(), 2);
-            assert_eq!(stores[0].dtype(), DType::F16);
-            assert_eq!(stores[0].dims(), &[6, 2, 3, 3]);
-            assert_eq!(stores[1].dtype(), DType::F32);
-            assert_eq!(conv.planned_algo(), ConvAlgo::Im2colGemm);
-            let y = conv.forward(&x, false);
-            for (a, b) in reference.as_slice().iter().zip(y.as_slice()) {
-                assert!((a - b).abs() <= 5e-3 * a.abs().max(1.0), "{a} vs {b}");
-            }
-            conv.to_dtype(DType::F32);
-            assert!(!conv.is_quantized());
-        }
-        // f16 -> f32 weights round-trip within f16 precision; restore the
-        // pristine weights first so prior conversions don't compound
-        conv.weight.value = w_before.clone();
-        conv.to_dtype(DType::F16);
-        conv.to_dtype(DType::F32);
-        for (a, b) in w_before.as_slice().iter().zip(conv.weight.value.as_slice()) {
-            assert!((a - b).abs() <= 4.9e-4 * a.abs().max(1e-3), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn quantized_batched_route_matches_f32() {
-        // the quantized weight must flow through the batched route's packing
-        // layer and stay within f16 precision of the f32 layer
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut conv = Conv2d::new(8, 16, 1, 1, 0, 1, &mut rng);
-        let x = Tensor::rand_uniform(&[4, 8, 4, 4], -1.0, 1.0, &mut rng);
-        let reference = routed(&conv, &x, None, usize::MAX);
-        conv.to_dtype(DType::F16);
-        let y = routed(&conv, &x, None, usize::MAX);
-        assert_eq!(y.dims(), reference.dims());
-        for (a, b) in reference.as_slice().iter().zip(y.as_slice()) {
-            assert!((a - b).abs() <= 5e-3 * a.abs().max(1.0), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn depthwise_layers_ignore_quantization() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut conv = Conv2d::depthwise(6, 3, 1, 1, &mut rng);
-        conv.to_dtype(DType::F16);
-        assert!(!conv.is_quantized());
-        let (stores, _) = crate::states(&mut conv);
-        assert!(stores.iter().all(|s| s.dtype() == DType::F32));
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot train a quantized layer")]
-    fn training_a_quantized_conv_panics() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut conv = Conv2d::new(2, 2, 3, 1, 1, 1, &mut rng);
-        conv.to_dtype(DType::F16);
-        let x = Tensor::zeros(&[1, 2, 5, 5]);
-        let _ = conv.forward(&x, true);
     }
 }

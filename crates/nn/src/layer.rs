@@ -9,56 +9,13 @@
 //! is every parameter in walk order followed by every buffer in walk order.
 
 use crate::{Conv2d, Param};
-use hs_tensor::{DType, EpilogueAct, QTensor, Tensor};
+use hs_tensor::{EpilogueAct, Tensor};
 use std::any::{Any, TypeId};
-
-/// A view of one stored parameter tensor. For an f32 network every store is
-/// `F32`; after [`crate::Network::to_dtype`] the quantized weights show up
-/// as `Quant` stores in the same positions, so the shape-based fingerprint
-/// (and thus checkpoint compatibility) is dtype-independent.
-pub enum ParamStore<'a> {
-    /// An `f32` parameter (value + gradient).
-    F32(&'a mut Param),
-    /// A quantized inference weight (no gradient; training is disabled on
-    /// quantized layers).
-    Quant(&'a mut QTensor),
-}
-
-impl ParamStore<'_> {
-    /// The stored tensor's dimensions.
-    pub fn dims(&self) -> &[usize] {
-        match self {
-            ParamStore::F32(p) => p.value.dims(),
-            ParamStore::Quant(q) => q.dims(),
-        }
-    }
-
-    /// Number of scalar elements in the stored tensor.
-    pub fn len(&self) -> usize {
-        match self {
-            ParamStore::F32(p) => p.len(),
-            ParamStore::Quant(q) => q.len(),
-        }
-    }
-
-    /// Whether the stored tensor is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The storage dtype of the stored tensor.
-    pub fn dtype(&self) -> DType {
-        match self {
-            ParamStore::F32(_) => DType::F32,
-            ParamStore::Quant(q) => q.dtype(),
-        }
-    }
-}
 
 /// One piece of a leaf's state, as [`Layer::for_each_state`] yields it.
 pub enum State<'a> {
-    /// A parameter tensor: trainable `f32`, or a quantized inference weight.
-    Param(ParamStore<'a>),
+    /// A trainable parameter (value + gradient).
+    Param(&'a mut Param),
     /// A non-trainable tensor that still travels with the weights (batch-norm
     /// running statistics).
     Buffer(&'a mut Tensor),
@@ -68,7 +25,7 @@ pub enum State<'a> {
 /// halves of the flat layout: every parameter store, then every buffer. This
 /// is the `Vec` view for tests and the checkpoint codec; hot paths walk
 /// ([`Layer::for_each_state`]) and collect nothing.
-pub fn states<L: Layer + ?Sized>(layer: &mut L) -> (Vec<ParamStore<'_>>, Vec<&mut Tensor>) {
+pub fn states<L: Layer + ?Sized>(layer: &mut L) -> (Vec<&mut Param>, Vec<&mut Tensor>) {
     let (mut params, mut buffers) = (Vec::new(), Vec::new());
     layer.for_each_state(&mut |s| match s {
         State::Param(p) => params.push(p),
@@ -271,7 +228,7 @@ pub(crate) fn infer_sharded<L: Layer + ?Sized>(
 /// [`Layer::for_each_child`] and [`Layer::for_each_child_mut`], yielding
 /// the same children in the same (weight) order; a leaf implements
 /// [`Layer::for_each_state`]. Everything else that recurses —
-/// [`Layer::to_dtype`], [`Layer::fuse_inference`], a container's
+/// [`Layer::fuse_inference`], a container's
 /// `for_each_state` — is a provided method over that walk, so no container
 /// forwards state by hand. `Layer: Any`, so a caller that needs the concrete
 /// type of a visited layer (the fusion pass, a structural test) asks for it
@@ -320,14 +277,6 @@ pub trait Layer: Any + Send + Sync {
         self.for_each_child_mut(&mut |child| child.fuse_inference());
     }
 
-    /// Converts inference weights to the requested storage dtype (see
-    /// [`crate::Network::to_dtype`]). Leaves with weight tensors override;
-    /// containers recurse into their children. Converting back to
-    /// [`DType::F32`] restores dequantized `f32` weights.
-    fn to_dtype(&mut self, dtype: DType) {
-        self.for_each_child_mut(&mut |child| child.to_dtype(dtype));
-    }
-
     /// Visits this layer's direct children, read-only: a container or block
     /// yields its body (or bodies), a fused layer the original layers it
     /// owns; leaves have none. The order is **weight order**, the one
@@ -339,14 +288,13 @@ pub trait Layer: Any + Send + Sync {
     fn for_each_child(&self, _f: &mut dyn FnMut(&dyn Layer)) {}
 
     /// [`Layer::for_each_child`]'s mutable twin: the same children in the
-    /// same order. The recursion behind [`Layer::for_each_state`],
-    /// [`Layer::to_dtype`] and [`Layer::fuse_inference`].
+    /// same order. The recursion behind [`Layer::for_each_state`] and
+    /// [`Layer::fuse_inference`].
     fn for_each_child_mut<'a>(&'a mut self, _f: &mut dyn FnMut(&'a mut dyn Layer)) {}
 
     /// Visits every parameter and buffer under this layer in walk order. A
     /// leaf yields its own state — parameters and buffers each in a fixed
-    /// order; quantized weights as [`ParamStore::Quant`] in the position
-    /// their `f32` form had — and a container, by default, its children's.
+    /// order — and a container, by default, its children's.
     fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
         self.for_each_child_mut(&mut |child| child.for_each_state(&mut *f));
     }
@@ -416,9 +364,8 @@ mod tests {
         id.for_each_child_mut(&mut |_| panic!("a leaf has no children"));
         // forward(_, false) is infer on a cold workspace
         assert_eq!(id.forward(&x, false), x);
-        // fuse_inference and to_dtype recurse into nothing
+        // fuse_inference recurses into nothing
         id.fuse_inference();
-        id.to_dtype(DType::F16);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use conv::{batched_gemm_crossovers, Conv2d, ConvAlgo};
 pub use fuse::{fuse_sequential, FusedConvBnAct, FusedLinearAct};
 pub use hs_tensor::EpilogueAct;
-pub use layer::{states, Layer, ParamStore, State, Workspace};
+pub use layer::{states, Layer, State, Workspace};
 pub use linear::Linear;
 pub use loss::{BceWithLogitsLoss, CrossEntropyLoss, Loss, MseLoss, Target};
 pub use network::Network;

@@ -1,8 +1,8 @@
 //! Fully-connected (dense) layer.
 
 use crate::layer::{infer_fresh, store};
-use crate::{Layer, Param, ParamStore, State, Workspace};
-use hs_tensor::{he_normal, DType, EpilogueAct, QTensor, Tensor, WeightMat};
+use crate::{Layer, Param, State, Workspace};
+use hs_tensor::{he_normal, EpilogueAct, Tensor};
 use rand::rngs::StdRng;
 
 /// A fully-connected layer computing `y = x W^T + b`.
@@ -11,11 +11,6 @@ use rand::rngs::StdRng;
 pub struct Linear {
     weight: Param,
     bias: Param,
-    /// Quantized inference weight (f16 or i8). When set, `weight` is emptied
-    /// (halved/quartered resident bytes are the point) and the inference
-    /// GEMM streams the quantized buffer, widening on transpose. Training is
-    /// disabled while quantized.
-    qweight: Option<QTensor>,
     in_features: usize,
     out_features: usize,
     cached_input: Option<Tensor>,
@@ -29,7 +24,6 @@ impl Linear {
         Linear {
             weight,
             bias,
-            qweight: None,
             in_features,
             out_features,
             cached_input: None,
@@ -44,19 +38,6 @@ impl Linear {
     /// Number of output features.
     pub fn out_features(&self) -> usize {
         self.out_features
-    }
-
-    /// Whether the layer currently holds a quantized weight.
-    pub fn is_quantized(&self) -> bool {
-        self.qweight.is_some()
-    }
-
-    /// The weight as a runtime-dtype GEMM operand.
-    fn weight_mat(&self) -> WeightMat<'_> {
-        match &self.qweight {
-            Some(q) => q.as_mat(),
-            None => WeightMat::F32(self.weight.value.as_slice()),
-        }
     }
 
     /// The inference forward into `out` (resized in place): `y = x W^T + b`
@@ -75,9 +56,9 @@ impl Linear {
         );
         let n = input.dims()[0];
         out.resize_to(&[n, self.out_features]);
-        hs_tensor::gemm_nt_q(
+        hs_tensor::gemm_nt(
             input.as_slice(),
-            self.weight_mat(),
+            self.weight.value.as_slice(),
             out.as_mut_slice(),
             n,
             self.in_features,
@@ -94,19 +75,11 @@ impl Linear {
 
 impl Layer for Linear {
     fn forward_train(&mut self, input: &Tensor) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Linear: cannot train a quantized layer — call to_dtype(DType::F32) first"
-        );
         store(&mut self.cached_input, input);
         infer_fresh(self, input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert!(
-            self.qweight.is_none(),
-            "Linear: cannot backprop through a quantized layer — call to_dtype(DType::F32) first"
-        );
         let input = self
             .cached_input
             .as_ref()
@@ -125,37 +98,10 @@ impl Layer for Linear {
         self.infer_act(input, EpilogueAct::None, out);
     }
 
-    /// Weight, then bias; a quantized weight keeps the weight's position.
+    /// Weight, then bias.
     fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
-        f(State::Param(match &mut self.qweight {
-            Some(q) => ParamStore::Quant(q),
-            None => ParamStore::F32(&mut self.weight),
-        }));
-        f(State::Param(ParamStore::F32(&mut self.bias)));
-    }
-
-    fn to_dtype(&mut self, dtype: DType) {
-        match (dtype, self.qweight.take()) {
-            (DType::F32, Some(q)) => {
-                self.weight.value = q.to_f32();
-                self.weight.grad = Tensor::zeros(self.weight.value.dims());
-                self.cached_input = None;
-            }
-            (DType::F32, None) => {}
-            (_, prior) => {
-                // quantize from the full-precision weight when we still have
-                // it; otherwise re-quantize through f32 (lossless for the
-                // same dtype, best-effort across dtypes)
-                let f32_weight = match &prior {
-                    Some(q) => q.to_f32(),
-                    None => std::mem::replace(&mut self.weight.value, Tensor::zeros(&[0])),
-                };
-                self.qweight = QTensor::quantize(&f32_weight, dtype);
-                self.weight.value = Tensor::zeros(&[0]);
-                self.weight.grad = Tensor::zeros(&[0]);
-                self.cached_input = None;
-            }
-        }
+        f(State::Param(&mut self.weight));
+        f(State::Param(&mut self.bias));
     }
 
     fn name(&self) -> &'static str {
@@ -228,54 +174,7 @@ mod tests {
         let (params, buffers) = crate::states(&mut l);
         assert!(buffers.is_empty());
         assert_eq!(params.len(), 2);
-        assert_eq!(params[0].dims(), &[2, 4]);
-        assert_eq!(params[1].dims(), &[2]);
-    }
-
-    #[test]
-    fn quantized_inference_stays_close_and_round_trips() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut l = Linear::new(16, 8, &mut rng);
-        let x = Tensor::rand_uniform(&[4, 16], -1.0, 1.0, &mut rng);
-        let reference = l.forward(&x, false);
-        let w_before = l.weight.value.clone();
-        for dtype in [DType::F16, DType::I8] {
-            l.to_dtype(dtype);
-            assert!(l.is_quantized());
-            // the quantized weight takes the f32 weight's place in the walk
-            let (stores, _) = crate::states(&mut l);
-            assert_eq!(stores.len(), 2);
-            assert_eq!(stores[0].dtype(), dtype);
-            assert_eq!(stores[0].dims(), &[8, 16]);
-            assert_eq!(stores[1].dtype(), DType::F32);
-            let y = l.forward(&x, false);
-            let tol = if dtype == DType::F16 { 5e-3 } else { 5e-2 };
-            for (a, b) in reference.as_slice().iter().zip(y.as_slice()) {
-                assert!(
-                    (a - b).abs() <= tol * a.abs().max(1.0),
-                    "{dtype}: {a} vs {b}"
-                );
-            }
-            l.to_dtype(DType::F32);
-            assert!(!l.is_quantized());
-        }
-        // f16 -> f32 -> (weights round-trip within f16 precision); restore
-        // the pristine weights first — the i8 round trip above was lossy
-        l.weight.value = w_before.clone();
-        l.to_dtype(DType::F16);
-        l.to_dtype(DType::F32);
-        for (a, b) in w_before.as_slice().iter().zip(l.weight.value.as_slice()) {
-            assert!((a - b).abs() <= 4.9e-4 * a.abs().max(1e-3), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot train a quantized layer")]
-    fn training_a_quantized_layer_panics() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut l = Linear::new(4, 2, &mut rng);
-        l.to_dtype(DType::I8);
-        let x = Tensor::zeros(&[1, 4]);
-        let _ = l.forward(&x, true);
+        assert_eq!(params[0].value.dims(), &[2, 4]);
+        assert_eq!(params[1].value.dims(), &[2]);
     }
 }

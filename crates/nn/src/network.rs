@@ -11,8 +11,8 @@
 //! serially and one join concatenates the rows (`infer_sharded`).
 
 use crate::layer::infer_sharded;
-use crate::{Layer, Loss, Param, ParamStore, Sequential, State, Target, Workspace};
-use hs_tensor::{DType, Tensor};
+use crate::{Layer, Loss, Param, Sequential, State, Target, Workspace};
+use hs_tensor::Tensor;
 
 /// A trainable model: a [`Sequential`] stack plus the weight-vector plumbing
 /// needed by federated learning (flatten / restore all parameters and
@@ -104,35 +104,19 @@ impl Network {
         self.layers.backward(grad)
     }
 
-    /// Converts every weight-bearing layer's inference weights to `dtype`
-    /// (recursively, through blocks and fused layers). `DType::F16` halves
-    /// the resident weight bytes and streams less memory through the GEMM
-    /// packing layer; `DType::I8` additionally quantizes [`crate::Linear`]
-    /// weights to symmetric per-tensor int8 (convolutions stay f16 — the
-    /// per-tensor scale is too coarse for conv stacks — and depthwise
-    /// convolutions stay f32). Converting back to `DType::F32` restores
-    /// dequantized f32 weights and re-enables training; while quantized,
-    /// training panics.
-    pub fn to_dtype(&mut self, dtype: DType) {
-        self.layers.to_dtype(dtype);
-    }
-
-    /// Visits every parameter store and buffer in walk order
+    /// Visits every parameter and buffer in walk order
     /// ([`Layer::for_each_state`]): the order of the flat layout, which is
-    /// every parameter followed by every buffer. On an f32 network every
-    /// parameter is a [`ParamStore::F32`]; after [`Network::to_dtype`] the
-    /// quantized weights are [`ParamStore::Quant`] in the same positions.
+    /// every parameter followed by every buffer.
     pub fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
         self.layers.for_each_state(f);
     }
 
-    /// Visits every trainable (`f32`) parameter in walk order — the first
-    /// half of the flat layout; quantized weights, which hold no gradient,
-    /// are skipped. Collects nothing: the optimizer step, the FedProx and
+    /// Visits every parameter in walk order — the first half of the flat
+    /// layout. Collects nothing: the optimizer step, the FedProx and
     /// Scaffold corrections and the weight-vector plumbing all walk here.
     pub fn for_each_param(&mut self, mut f: impl FnMut(&mut Param)) {
         self.for_each_state(&mut |s| {
-            if let State::Param(ParamStore::F32(p)) = s {
+            if let State::Param(p) = s {
                 f(p);
             }
         });
@@ -159,8 +143,7 @@ impl Network {
         let mut n = 0;
         self.for_each_state(&mut |s| {
             n += match s {
-                State::Param(ParamStore::F32(p)) => p.len(),
-                State::Param(ParamStore::Quant(_)) => 0,
+                State::Param(p) => p.len(),
                 State::Buffer(b) => b.len(),
             }
         });

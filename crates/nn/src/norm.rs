@@ -1,6 +1,6 @@
 //! Batch normalisation over the channel axis of `[n, c, h, w]` tensors.
 
-use crate::{Layer, Param, ParamStore, State, Workspace};
+use crate::{Layer, Param, State, Workspace};
 use hs_tensor::{LaneSum, Tensor};
 
 /// Batch normalisation for convolutional feature maps.
@@ -201,8 +201,8 @@ impl Layer for BatchNorm2d {
 
     /// Parameters γ, β, then buffers running mean, running variance.
     fn for_each_state<'a>(&'a mut self, f: &mut dyn FnMut(State<'a>)) {
-        f(State::Param(ParamStore::F32(&mut self.gamma)));
-        f(State::Param(ParamStore::F32(&mut self.beta)));
+        f(State::Param(&mut self.gamma));
+        f(State::Param(&mut self.beta));
         f(State::Buffer(&mut self.running_mean));
         f(State::Buffer(&mut self.running_var));
     }

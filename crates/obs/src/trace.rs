@@ -16,9 +16,9 @@
 //! `obs_overhead` bench pin this).
 //!
 //! Ring capacity is `HS_TRACE_CAPACITY` records per thread (default
-//! 8192). When a ring wraps, the oldest records are overwritten and
-//! counted in [`ThreadTrace::dropped`] — tracing sheds history rather
-//! than ever stalling the traced code.
+//! 8192, clamped to 16..=262144). When a ring wraps, the oldest records
+//! are overwritten and counted in [`ThreadTrace::dropped`] — tracing sheds
+//! history rather than ever stalling the traced code.
 
 use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -213,15 +213,31 @@ impl Ring {
     }
 }
 
+/// Records per ring when `HS_TRACE_CAPACITY` is unset or not a number.
+const DEFAULT_RING_CAPACITY: usize = 8192;
+
+/// The fewest and the most records per ring `HS_TRACE_CAPACITY` can ask
+/// for. Every recording thread allocates its ring up front at 64 bytes a
+/// slot, so the ceiling bounds that at 16 MiB per thread.
+const MIN_RING_CAPACITY: usize = 16;
+const MAX_RING_CAPACITY: usize = 1 << 18;
+
 fn ring_capacity() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("HS_TRACE_CAPACITY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(8192)
-            .max(16)
-    })
+    *CAP.get_or_init(|| env_ring_capacity(std::env::var("HS_TRACE_CAPACITY").ok().as_deref()))
+}
+
+/// Reads an `HS_TRACE_CAPACITY` value: an integer (surrounding whitespace
+/// ignored) clamped to `MIN_RING_CAPACITY..=MAX_RING_CAPACITY`, a number
+/// too large for `usize` included; [`DEFAULT_RING_CAPACITY`] when unset or
+/// not a plain integer (`-1`, `1e3`).
+fn env_ring_capacity(v: Option<&str>) -> usize {
+    let n = match v.map(|v| v.trim().parse::<usize>()) {
+        Some(Ok(n)) => n,
+        Some(Err(e)) if *e.kind() == std::num::IntErrorKind::PosOverflow => MAX_RING_CAPACITY,
+        _ => DEFAULT_RING_CAPACITY,
+    };
+    n.clamp(MIN_RING_CAPACITY, MAX_RING_CAPACITY)
 }
 
 fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
@@ -482,6 +498,26 @@ pub fn reset() {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+
+    #[test]
+    fn hostile_ring_capacities_fall_back_or_clamp() {
+        // parsing only: nothing here allocates a ring from these values
+        let max = usize::MAX.to_string();
+        for (v, want) in [
+            (None, DEFAULT_RING_CAPACITY),
+            (Some(""), DEFAULT_RING_CAPACITY),
+            (Some("-1"), DEFAULT_RING_CAPACITY),
+            (Some("1e3"), DEFAULT_RING_CAPACITY),
+            (Some("0"), MIN_RING_CAPACITY),
+            (Some(" 4"), MIN_RING_CAPACITY),
+            (Some("4\n"), MIN_RING_CAPACITY),
+            (Some(" 1000\n"), 1000),
+            (Some(max.as_str()), MAX_RING_CAPACITY),
+            (Some("18446744073709551616"), MAX_RING_CAPACITY), // 2^64
+        ] {
+            assert_eq!(env_ring_capacity(v), want, "{v:?}");
+        }
+    }
 
     fn rec(i: u64) -> SpanRecord {
         SpanRecord {

@@ -192,6 +192,11 @@ fn global_pool() -> &'static Arc<Pool> {
 /// Runtime override installed by [`set_num_threads`] (0 = none).
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// The most threads `HS_PARALLEL_THREADS` can ask for. A larger value is
+/// clamped to it, so a typo cannot make the pool spawn thousands of OS
+/// threads (and panic when a spawn fails).
+const MAX_ENV_THREADS: usize = 256;
+
 /// The env/machine-derived parallelism target: `HS_PARALLEL_THREADS` if set,
 /// otherwise the machine's available parallelism. At least 1. Cached after
 /// the first read.
@@ -201,17 +206,26 @@ fn base_threads() -> usize {
     if cached != 0 {
         return cached;
     }
-    let n = std::env::var("HS_PARALLEL_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-        });
+    let n = match env_threads(std::env::var("HS_PARALLEL_THREADS").ok().as_deref()) {
+        0 => std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1),
+        n => n,
+    };
     N.store(n, Ordering::Relaxed);
     n
+}
+
+/// Reads an `HS_PARALLEL_THREADS` value: a positive integer (surrounding
+/// whitespace ignored) clamped to [`MAX_ENV_THREADS`], a number too large
+/// for `usize` included. 0 when unset, zero or not a plain integer
+/// (`-1`, `1e3`), which means "use the machine's parallelism".
+fn env_threads(v: Option<&str>) -> usize {
+    match v.map(|v| v.trim().parse::<usize>()) {
+        Some(Ok(n)) => n.min(MAX_ENV_THREADS),
+        Some(Err(e)) if *e.kind() == std::num::IntErrorKind::PosOverflow => MAX_ENV_THREADS,
+        _ => 0,
+    }
 }
 
 /// The parallelism the pool targets: the [`set_num_threads`] override when
@@ -441,6 +455,26 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn hostile_thread_counts_fall_back_or_clamp() {
+        // parsing only: nothing here builds a pool from these values
+        let max = usize::MAX.to_string();
+        for (v, want) in [
+            (None, 0),
+            (Some(""), 0),
+            (Some("0"), 0),
+            (Some("-1"), 0),
+            (Some("1e3"), 0),
+            (Some(" 4"), 4),
+            (Some("4\n"), 4),
+            (Some("300"), MAX_ENV_THREADS),
+            (Some(max.as_str()), MAX_ENV_THREADS),
+            (Some("18446744073709551616"), MAX_ENV_THREADS), // 2^64
+        ] {
+            assert_eq!(env_threads(v), want, "{v:?}");
+        }
+    }
 
     #[test]
     fn scope_runs_every_task() {

@@ -29,7 +29,7 @@
 //!
 //! Which weights are served is one slot: the supervisor checks the
 //! [`ModelRegistry`] every poll tick, builds a newly published version once
-//! (factory, fusion, dtype, checkpoint load) outside any lock, and swaps the
+//! (factory, fusion, checkpoint load) outside any lock, and swaps the
 //! shared `Arc` in. A batch clones that `Arc` when it opens, so it runs on
 //! exactly one version by construction. A version that fails to build is
 //! rejected once and never retried; the current one keeps serving.
@@ -356,17 +356,12 @@ pub struct ServerConfig {
     pub supervisor_poll: Duration,
     /// Brownout (overload self-protection) configuration.
     pub brownout: BrownoutConfig,
-    /// Inference dtype of the served network. Applied after fusion and
-    /// before the checkpoint load, so published f32 checkpoints quantize on
-    /// load (see `hs_nn::Network::to_dtype`). f32 unless
-    /// [`ServerConfig::with_dtype`] says otherwise.
-    pub replica_dtype: DType,
 }
 
 impl ServerConfig {
     /// A configuration with the given knobs, default self-healing knobs
     /// (5 restarts per worker at 5 ms base backoff, a 1 ms supervisor
-    /// poll, default [`BrownoutConfig`]) and an f32 network.
+    /// poll, default [`BrownoutConfig`]).
     pub fn new(workers: usize, queue_capacity: usize, policy: BatchPolicy) -> Self {
         assert!(workers > 0, "server needs at least one worker");
         ServerConfig {
@@ -377,7 +372,6 @@ impl ServerConfig {
             restart_backoff: Duration::from_millis(5),
             supervisor_poll: Duration::from_millis(1),
             brownout: BrownoutConfig::default(),
-            replica_dtype: DType::F32,
         }
     }
 
@@ -389,9 +383,11 @@ impl ServerConfig {
             .unwrap_or(1)
     }
 
-    /// Sets the served network's inference dtype.
-    pub fn with_dtype(mut self, dtype: DType) -> Self {
-        self.replica_dtype = dtype;
+    /// Returns `self` unchanged: f32 is the only weight dtype. This exists
+    /// only for the perf ledger's serving phase, which calls
+    /// `.with_dtype(DType::F32)`; it goes, with [`DType`], when ROADMAP
+    /// item 2 drops that call.
+    pub fn with_dtype(self, _: DType) -> Self {
         self
     }
 }
@@ -411,12 +407,10 @@ struct Served {
 }
 
 /// The one place a served network is made: the factory's architecture,
-/// fused, converted to `dtype`, then loaded from the published version's
-/// bytes (so f32 checkpoints quantize on load).
-fn build(make: &Factory, dtype: DType, from: &ModelVersion) -> Result<Served, CheckpointError> {
+/// fused, then loaded from the published version's bytes.
+fn build(make: &Factory, from: &ModelVersion) -> Result<Served, CheckpointError> {
     let mut net = make();
     net.fuse_inference();
-    net.to_dtype(dtype);
     net.load_checkpoint_bytes(&from.bytes)?;
     let version = from.version;
     Ok(Served { version, net })
@@ -540,9 +534,9 @@ impl Server {
     /// `replica` builds the structurally identical, *unweighted* model
     /// (the same closure shape as `hs-fl`'s `ModelFactory`). It runs once
     /// per served version: here for the latest published checkpoint, then
-    /// on the supervisor thread for every later one. Each build is fused,
-    /// converted to [`ServerConfig::replica_dtype`] and loaded from the
-    /// checkpoint, and every worker serves that one network. `input_dims`
+    /// on the supervisor thread for every later one. Each build is fused
+    /// and loaded from the checkpoint, and every worker serves that one
+    /// network. `input_dims`
     /// is the per-sample input shape (e.g. `[3, 32, 32]`); requests are
     /// validated against it at admission.
     ///
@@ -566,7 +560,7 @@ impl Server {
                 available: registry.names(),
             })?;
         // built on the caller's thread, so a bad registry entry fails here
-        let served = build(&replica, config.replica_dtype, &latest)?;
+        let served = build(&replica, &latest)?;
 
         config.brownout.validate();
         let shared = Arc::new(Shared {
@@ -594,7 +588,6 @@ impl Server {
                 registry,
                 name: model_name.to_string(),
                 make: Box::new(replica),
-                dtype: config.replica_dtype,
                 rejected: 0,
             };
             std::thread::Builder::new()
@@ -686,7 +679,6 @@ struct Supervisor {
     registry: Arc<ModelRegistry>,
     name: String,
     make: Box<Factory>,
-    dtype: DType,
     /// The last version whose build failed or panicked (0: none yet).
     rejected: u64,
 }
@@ -703,7 +695,7 @@ impl Supervisor {
         if latest.version == self.rejected || latest.version == lock(current).version {
             return;
         }
-        match catch_unwind(AssertUnwindSafe(|| build(&*self.make, self.dtype, &latest))) {
+        match catch_unwind(AssertUnwindSafe(|| build(&*self.make, &latest))) {
             Ok(Ok(served)) => *lock(current) = Arc::new(served),
             Ok(Err(_)) | Err(_) => self.rejected = latest.version,
         }

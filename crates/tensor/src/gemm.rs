@@ -446,169 +446,10 @@ fn pack_b(b: &[f32], bpack: &mut Vec<f32>, pc: usize, kc: usize, n: usize) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Weight element views: convert-on-pack for quantized storage
-// ---------------------------------------------------------------------------
-
-/// A read-only view of a GEMM `A` operand whose elements widen to `f32` on
-/// access. The packing routines are generic over this trait, so f16/i8
-/// weights are converted *while being packed* — the micro-kernels and the
-/// epilogue only ever see packed `f32` panels and accumulation stays `f32`.
-pub(crate) trait WeightElems: Copy {
-    /// Number of elements in the view.
-    fn len(&self) -> usize;
-    /// Element `i`, widened to `f32`.
-    fn at(&self, i: usize) -> f32;
-    /// The view starting at element `start` (the generic twin of
-    /// `&a[start..]`).
-    fn offset(&self, start: usize) -> Self;
-}
-
-impl WeightElems for &[f32] {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-    #[inline(always)]
-    fn at(&self, i: usize) -> f32 {
-        self[i]
-    }
-    #[inline(always)]
-    fn offset(&self, start: usize) -> Self {
-        &self[start..]
-    }
-}
-
-/// IEEE binary16 weight elements (raw bit patterns), widened on access.
-#[derive(Clone, Copy)]
-pub(crate) struct F16Elems<'a>(pub &'a [u16]);
-
-impl WeightElems for F16Elems<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    #[inline(always)]
-    fn at(&self, i: usize) -> f32 {
-        crate::dtype::f16_bits_to_f32(self.0[i])
-    }
-    #[inline(always)]
-    fn offset(&self, start: usize) -> Self {
-        F16Elems(&self.0[start..])
-    }
-}
-
-/// Symmetric per-tensor int8 weight elements; the scale is folded in during
-/// widening, so the packed panels carry real-valued weights.
-#[derive(Clone, Copy)]
-pub(crate) struct I8Elems<'a> {
-    pub q: &'a [i8],
-    pub scale: f32,
-}
-
-impl WeightElems for I8Elems<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.q.len()
-    }
-    #[inline(always)]
-    fn at(&self, i: usize) -> f32 {
-        self.q[i] as f32 * self.scale
-    }
-    #[inline(always)]
-    fn offset(&self, start: usize) -> Self {
-        I8Elems {
-            q: &self.q[start..],
-            scale: self.scale,
-        }
-    }
-}
-
-/// A borrowed GEMM weight operand of runtime dtype — the argument type of
-/// the `_q` entry points ([`gemm_epilogue_q`], [`gemm_nt_q`], …). `F32`
-/// routes to exactly the same code as the plain-slice entries; `F16`/`I8`
-/// widen to `f32` inside the packing routines (convert-on-pack), so the
-/// bandwidth saving comes from streaming half/quarter-width weights while
-/// the arithmetic stays identical.
-#[derive(Clone, Copy, Debug)]
-pub enum WeightMat<'a> {
-    /// Plain `f32` weights.
-    F32(&'a [f32]),
-    /// IEEE binary16 bit patterns.
-    F16(&'a [u16]),
-    /// Symmetric per-tensor int8 values plus their dequantisation scale.
-    I8 {
-        /// The quantized values.
-        data: &'a [i8],
-        /// The per-tensor dequantisation scale.
-        scale: f32,
-    },
-}
-
-impl WeightMat<'_> {
-    /// Number of elements in the operand.
-    pub fn len(&self) -> usize {
-        match self {
-            WeightMat::F32(s) => s.len(),
-            WeightMat::F16(s) => s.len(),
-            WeightMat::I8 { data, .. } => data.len(),
-        }
-    }
-
-    /// Whether the operand holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The element dtype.
-    pub fn dtype(&self) -> crate::dtype::DType {
-        match self {
-            WeightMat::F32(_) => crate::dtype::DType::F32,
-            WeightMat::F16(_) => crate::dtype::DType::F16,
-            WeightMat::I8 { .. } => crate::dtype::DType::I8,
-        }
-    }
-
-    /// The sub-range `[start, end)` of the operand (the runtime twin of
-    /// `&w[start..end]`, used for grouped-conv per-group panels).
-    pub fn slice(&self, start: usize, end: usize) -> WeightMat<'_> {
-        match self {
-            WeightMat::F32(s) => WeightMat::F32(&s[start..end]),
-            WeightMat::F16(s) => WeightMat::F16(&s[start..end]),
-            WeightMat::I8 { data, scale } => WeightMat::I8 {
-                data: &data[start..end],
-                scale: *scale,
-            },
-        }
-    }
-}
-
-/// Dispatches a [`WeightMat`] to a monomorphised [`WeightElems`] body.
-macro_rules! with_elems {
-    ($w:expr, $a:ident => $body:expr) => {
-        match $w {
-            WeightMat::F32(s) => {
-                let $a: &[f32] = s;
-                $body
-            }
-            WeightMat::F16(s) => {
-                let $a = F16Elems(s);
-                $body
-            }
-            WeightMat::I8 { data, scale } => {
-                let $a = I8Elems { q: data, scale };
-                $body
-            }
-        }
-    };
-}
-
 /// Packs `A[row0..row0+rows, pc..pc+kc]` into `MR`-tall zero-padded tiles,
-/// column-major inside each tile: `apack[tile][p][i]`. Generic over the
-/// element view: quantized weights widen to `f32` here, in the same pass
-/// that rearranges them.
-fn pack_a<A: WeightElems>(
-    a: A,
+/// column-major inside each tile: `apack[tile][p][i]`.
+fn pack_a(
+    a: &[f32],
     apack: &mut Vec<f32>,
     row0: usize,
     rows: usize,
@@ -625,7 +466,7 @@ fn pack_a<A: WeightElems>(
         let dst = &mut apack[it * kc * MR..(it + 1) * kc * MR];
         for p in 0..kc {
             for i in 0..mr {
-                dst[p * MR + i] = a.at((i0 + i) * k + pc + p);
+                dst[p * MR + i] = a[(i0 + i) * k + pc + p];
             }
             dst[p * MR + mr..(p + 1) * MR].fill(0.0);
         }
@@ -709,17 +550,6 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` contract.
 pub fn gemm_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_acc_q(WeightMat::F32(a), b, out, m, k, n);
-}
-
-/// [`gemm_acc`] over a runtime-dtype `A` operand: quantized weights widen
-/// to `f32` inside the packing pass (convert-on-pack), the micro-kernels
-/// and accumulation stay `f32`.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its `m`/`k`/`n` contract.
-pub fn gemm_acc_q(a: WeightMat<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     assert!(
         a.len() >= m * k,
         "A is {} elements, need m*k = {}",
@@ -744,7 +574,7 @@ pub fn gemm_acc_q(a: WeightMat<'_>, b: &[f32], out: &mut [f32], m: usize, k: usi
     if k == 0 {
         return; // out += A(empty k) * B contributes nothing
     }
-    with_elems!(a, aa => gemm_impl(aa, b, out, m, k, n, None));
+    gemm_impl(a, b, out, m, k, n, None);
 }
 
 /// `out = act(scale ⊙ (A * B) + shift)` with the per-row affine + activation
@@ -760,26 +590,6 @@ pub fn gemm_acc_q(a: WeightMat<'_>, b: &[f32], out: &mut [f32], m: usize, k: usi
 /// epilogue's scale/shift hold fewer than `m` entries.
 pub fn gemm_epilogue(
     a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    ep: &Epilogue<'_>,
-) {
-    gemm_epilogue_q(WeightMat::F32(a), b, out, m, k, n, ep);
-}
-
-/// [`gemm_epilogue`] over a runtime-dtype `A` operand: the fused
-/// scale/shift + activation path of the quantized inference tier. Quantized
-/// weights widen to `f32` while being packed; the epilogue semantics are
-/// identical to the `f32` entry.
-///
-/// # Panics
-///
-/// As [`gemm_epilogue`].
-pub fn gemm_epilogue_q(
-    a: WeightMat<'_>,
     b: &[f32],
     out: &mut [f32],
     m: usize,
@@ -818,15 +628,14 @@ pub fn gemm_epilogue_q(
         return;
     }
     out[..m * n].fill(0.0);
-    with_elems!(a, aa => gemm_impl(aa, b, out, m, k, n, Some(*ep)));
+    gemm_impl(a, b, out, m, k, n, Some(*ep));
 }
 
 /// The blocked GEMM core behind [`gemm_acc`] and [`gemm_epilogue`]. `ep` is
 /// applied at store time on the final `k` panel only, so every output
-/// element is transformed exactly once. Generic over the `A` element view:
-/// quantized weights widen inside [`pack_a`].
-fn gemm_impl<A: WeightElems>(
-    a: A,
+/// element is transformed exactly once.
+fn gemm_impl(
+    a: &[f32],
     b: &[f32],
     out: &mut [f32],
     m: usize,
@@ -869,9 +678,9 @@ fn gemm_impl<A: WeightElems>(
     clippy::too_many_arguments,
     reason = "GEMM geometry travels as scalars, as in BLAS"
 )]
-fn gemm_small_m<A: WeightElems>(
+fn gemm_small_m(
     which: Isa,
-    a: A,
+    a: &[f32],
     b: &[f32],
     out: &mut [f32],
     m: usize,
@@ -996,10 +805,10 @@ fn pack_b_batch(
     clippy::too_many_arguments,
     reason = "GEMM geometry travels as scalars, as in BLAS"
 )]
-fn gemm_batch_core<A: WeightElems>(
+fn gemm_batch_core(
     which: Isa,
     scratch: &mut GemmScratch,
-    a: A,
+    a: &[f32],
     bs: &[f32],
     outs: &mut [f32],
     m: usize,
@@ -1044,7 +853,7 @@ fn gemm_batch_core<A: WeightElems>(
 }
 
 /// Validates the cyclic-batch contracts shared by
-/// [`gemm_batch_cyclic_strided_q`] and [`gemm_batch_cyclic_acc_strided_q`].
+/// [`gemm_batch_cyclic_strided`] and [`gemm_batch_cyclic_acc_strided`].
 #[allow(
     clippy::too_many_arguments,
     reason = "GEMM geometry travels as scalars, as in BLAS"
@@ -1110,8 +919,8 @@ fn assert_cyclic_contract(
     );
 }
 
-/// Shared implementation behind [`gemm_batch_cyclic_strided_q`] /
-/// [`gemm_batch_cyclic_acc_strided_q`]: `batch` items whose `A` panels cycle
+/// Shared implementation behind [`gemm_batch_cyclic_strided`] /
+/// [`gemm_batch_cyclic_acc_strided`]: `batch` items whose `A` panels cycle
 /// with period `groups` (`A_t = a[(t % groups) * stride_a ..]`).
 ///
 /// Per group `g`, the item subsequence `t ≡ g (mod groups)` has uniform
@@ -1123,8 +932,8 @@ fn assert_cyclic_contract(
     clippy::too_many_arguments,
     reason = "GEMM geometry travels as scalars, as in BLAS"
 )]
-fn gemm_batch_cyclic_impl<A: WeightElems>(
-    a: A,
+fn gemm_batch_cyclic_impl(
+    a: &[f32],
     bs: &[f32],
     outs: &mut [f32],
     m: usize,
@@ -1168,7 +977,7 @@ fn gemm_batch_cyclic_impl<A: WeightElems>(
             gemm_batch_core(
                 which,
                 scratch,
-                a.offset(g * stride_a),
+                &a[g * stride_a..],
                 &bs[g * stride_b..],
                 &mut outs[g * stride_out..],
                 m,
@@ -1231,48 +1040,6 @@ pub fn gemm_batch_cyclic_strided(
     stride_out: usize,
     ep: Option<Epilogue<'_>>,
 ) {
-    gemm_batch_cyclic_strided_q(
-        WeightMat::F32(a),
-        bs,
-        outs,
-        m,
-        k,
-        n,
-        batch,
-        groups,
-        stride_a,
-        stride_b,
-        stride_out,
-        ep,
-    );
-}
-
-/// [`gemm_batch_cyclic_strided`] over a runtime-dtype weight operand:
-/// quantized `A` panels widen to `f32` while being packed (once per
-/// k-panel), so the per-sample streaming cost of the weights is halved
-/// (f16) or quartered (i8) while the arithmetic stays `f32`.
-///
-/// # Panics
-///
-/// As [`gemm_batch_cyclic_strided`].
-#[allow(
-    clippy::too_many_arguments,
-    reason = "GEMM geometry travels as scalars, as in BLAS"
-)]
-pub fn gemm_batch_cyclic_strided_q(
-    a: WeightMat<'_>,
-    bs: &[f32],
-    outs: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    batch: usize,
-    groups: usize,
-    stride_a: usize,
-    stride_b: usize,
-    stride_out: usize,
-    ep: Option<Epilogue<'_>>,
-) {
     assert_cyclic_contract(
         a.len(),
         bs,
@@ -1298,13 +1065,13 @@ pub fn gemm_batch_cyclic_strided_q(
             groups * m
         );
     }
-    with_elems!(a, aa => gemm_batch_cyclic_impl(
-        aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, false, ep,
-    ));
+    gemm_batch_cyclic_impl(
+        a, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, false, ep,
+    );
 }
 
 /// `outs[t] += A_{t % groups} * B_t` for `t < batch`; otherwise identical to
-/// [`gemm_batch_cyclic_strided_q`] (no epilogue — accumulation implies the
+/// [`gemm_batch_cyclic_strided`] (no epilogue — accumulation implies the
 /// caller provides the initial value, e.g. a bias fill).
 ///
 /// # Panics
@@ -1314,8 +1081,8 @@ pub fn gemm_batch_cyclic_strided_q(
     clippy::too_many_arguments,
     reason = "GEMM geometry travels as scalars, as in BLAS"
 )]
-pub fn gemm_batch_cyclic_acc_strided_q(
-    a: WeightMat<'_>,
+pub fn gemm_batch_cyclic_acc_strided(
+    a: &[f32],
     bs: &[f32],
     outs: &mut [f32],
     m: usize,
@@ -1340,9 +1107,9 @@ pub fn gemm_batch_cyclic_acc_strided_q(
         stride_b,
         stride_out,
     );
-    with_elems!(a, aa => gemm_batch_cyclic_impl(
-        aa, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, true, None,
-    ));
+    gemm_batch_cyclic_impl(
+        a, bs, outs, m, k, n, batch, groups, stride_a, stride_b, stride_out, true, None,
+    );
 }
 
 /// `out = A * B^T` for row-major `A: [m, k]`, `B: [n, k]`, `out: [m, n]`.
@@ -1354,19 +1121,6 @@ pub fn gemm_batch_cyclic_acc_strided_q(
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` contract.
 pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_nt_q(a, WeightMat::F32(b), out, m, k, n);
-}
-
-/// [`gemm_nt`] over a runtime-dtype `B` operand — the `Linear` inference
-/// path with quantized weights. The weights widen to `f32` *during the
-/// transpose staging pass* (the i8 scale is folded in there), so the inner
-/// GEMM runs all-`f32` and the bandwidth saving comes from streaming the
-/// narrow weight buffer exactly once.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its `m`/`k`/`n` contract.
-pub fn gemm_nt_q(a: &[f32], b: WeightMat<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     assert!(
         b.len() >= n * k,
         "B is {} elements, need n*k = {}",
@@ -1378,7 +1132,7 @@ pub fn gemm_nt_q(a: &[f32], b: WeightMat<'_>, out: &mut [f32], m: usize, k: usiz
         if buf.len() < k * n {
             buf.resize(k * n, 0.0);
         }
-        with_elems!(b, bb => transpose_elems_into(bb, buf, n, k));
+        transpose_into(b, buf, n, k);
         gemm(a, buf, out, m, k, n);
     });
 }
@@ -1418,13 +1172,6 @@ pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
 ///
 /// Panics if either slice is shorter than `rows * cols`.
 pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
-    transpose_elems_into(src, dst, rows, cols);
-}
-
-/// The generic transpose body behind [`transpose_into`] and the quantized
-/// [`gemm_nt_q`] staging pass: elements widen to `f32` as they are scattered
-/// into `dst`.
-fn transpose_elems_into<A: WeightElems>(src: A, dst: &mut [f32], rows: usize, cols: usize) {
     assert!(src.len() >= rows * cols, "transpose src too short");
     assert!(dst.len() >= rows * cols, "transpose dst too short");
     // Tiled to keep both sides cache-resident for large matrices.
@@ -1437,7 +1184,7 @@ fn transpose_elems_into<A: WeightElems>(src: A, dst: &mut [f32], rows: usize, co
             let c1 = (c0 + T).min(cols);
             for r in r0..r1 {
                 for c in c0..c1 {
-                    dst[c * rows + r] = src.at(r * cols + c);
+                    dst[c * rows + r] = src[r * cols + c];
                 }
             }
             c0 = c1;
@@ -1953,8 +1700,8 @@ mod tests {
                 *e += i;
             }
             let mut got = init;
-            gemm_batch_cyclic_acc_strided_q(
-                WeightMat::F32(&a),
+            gemm_batch_cyclic_acc_strided(
+                &a,
                 &bs,
                 &mut got,
                 m,
@@ -2096,167 +1843,6 @@ mod tests {
     }
 
     // -----------------------------------------------------------------------
-    // Quantized (_q) entry points: convert-on-pack must equal quantize-then-
-    // f32-GEMM exactly (the widened values are identical bit patterns).
-    // -----------------------------------------------------------------------
-
-    fn quantize_f16(w: &[f32]) -> Vec<u16> {
-        w.iter()
-            .map(|&v| crate::dtype::f32_to_f16_bits(v))
-            .collect()
-    }
-
-    fn widen_f16(bits: &[u16]) -> Vec<f32> {
-        bits.iter()
-            .map(|&h| crate::dtype::f16_bits_to_f32(h))
-            .collect()
-    }
-
-    #[test]
-    fn gemm_epilogue_q_f16_equals_widened_f32_gemm() {
-        let mut rng = StdRng::seed_from_u64(11);
-        for (m, k, n) in [
-            (5usize, 9usize, 7usize),
-            (MR, KC, NR),
-            (70, 33, 50),
-            (97, 64, 13),
-        ] {
-            let w = random_matrix(&mut rng, m * k);
-            let b = random_matrix(&mut rng, k * n);
-            let bits = quantize_f16(&w);
-            let wide = widen_f16(&bits);
-            let scale: Vec<f32> = (0..m).map(|i| 0.5 + 0.01 * i as f32).collect();
-            let shift: Vec<f32> = (0..m).map(|i| -0.2 + 0.02 * i as f32).collect();
-            let ep = Epilogue {
-                scale: &scale,
-                shift: &shift,
-                act: EpilogueAct::HardSwish,
-            };
-            let mut expect = vec![0.0; m * n];
-            gemm_epilogue(&wide, &b, &mut expect, m, k, n, &ep);
-            let mut got = vec![1.0; m * n];
-            gemm_epilogue_q(WeightMat::F16(&bits), &b, &mut got, m, k, n, &ep);
-            assert_eq!(expect, got, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn gemm_acc_q_i8_equals_dequantized_f32_gemm() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let (m, k, n) = (23usize, 31usize, 19usize);
-        let w = random_matrix(&mut rng, m * k);
-        let b = random_matrix(&mut rng, k * n);
-        let scale = crate::dtype::i8_scale(&w);
-        let q: Vec<i8> = w
-            .iter()
-            .map(|&v| crate::dtype::f32_to_i8(v, scale))
-            .collect();
-        let deq: Vec<f32> = q.iter().map(|&v| v as f32 * scale).collect();
-        let mut expect = vec![0.25; m * n];
-        gemm_acc(&deq, &b, &mut expect, m, k, n);
-        let mut got = vec![0.25; m * n];
-        gemm_acc_q(WeightMat::I8 { data: &q, scale }, &b, &mut got, m, k, n);
-        assert_eq!(expect, got);
-    }
-
-    #[test]
-    fn gemm_nt_q_f16_equals_widened_gemm_nt() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for (m, k, n) in [(4usize, 12usize, 10usize), (32, 64, 48), (1, 100, 257)] {
-            let a = random_matrix(&mut rng, m * k);
-            let w = random_matrix(&mut rng, n * k);
-            let bits = quantize_f16(&w);
-            let wide = widen_f16(&bits);
-            let mut expect = vec![0.0; m * n];
-            gemm_nt(&a, &wide, &mut expect, m, k, n);
-            let mut got = vec![0.0; m * n];
-            gemm_nt_q(&a, WeightMat::F16(&bits), &mut got, m, k, n);
-            assert_eq!(expect, got, "{m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn cyclic_q_f16_equals_widened_cyclic_both_paths() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let (m, k, n, groups, samples) = (6usize, 18usize, 11usize, 3usize, 8usize);
-        let batch = groups * samples;
-        let w = random_matrix(&mut rng, groups * m * k);
-        let bs = random_matrix(&mut rng, batch * k * n);
-        let bits = quantize_f16(&w);
-        let wide = widen_f16(&bits);
-        let scale: Vec<f32> = (0..groups * m).map(|i| 0.8 + 0.01 * i as f32).collect();
-        let shift: Vec<f32> = (0..groups * m).map(|i| 0.1 * i as f32).collect();
-        let ep = Epilogue {
-            scale: &scale,
-            shift: &shift,
-            act: EpilogueAct::Relu,
-        };
-        let mut expect = vec![0.0; batch * m * n];
-        gemm_batch_cyclic_impl(
-            &wide[..],
-            &bs,
-            &mut expect,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-            false,
-            Some(ep),
-        );
-        let mut got = vec![0.5; batch * m * n];
-        with_elems!(WeightMat::F16(&bits), aa => gemm_batch_cyclic_impl(
-            aa,
-            &bs,
-            &mut got,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-            false,
-            Some(ep),
-        ));
-        assert_eq!(expect, got);
-        // the public acc entry: bias-style initial value preserved
-        let mut expect = vec![0.3; batch * m * n];
-        gemm_batch_cyclic_acc_strided_q(
-            WeightMat::F32(&wide),
-            &bs,
-            &mut expect,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-        );
-        let mut got = vec![0.3; batch * m * n];
-        gemm_batch_cyclic_acc_strided_q(
-            WeightMat::F16(&bits),
-            &bs,
-            &mut got,
-            m,
-            k,
-            n,
-            batch,
-            groups,
-            m * k,
-            k * n,
-            m * n,
-        );
-        assert_eq!(expect, got);
-    }
-
-    // -----------------------------------------------------------------------
     // One rounding rule per tier. Every tier this CPU runs is forced through
     // the crate's test hook, so the AVX2 and portable instantiations execute
     // on an AVX-512 host too.
@@ -2295,9 +1881,7 @@ mod tests {
         }
     }
 
-    /// One cyclic-batch problem under an epilogue with a non-zero shift. The
-    /// weights are f16-representable, so the `F16` operand packs the very
-    /// values the `F32` one does.
+    /// One cyclic-batch problem under an epilogue with a non-zero shift.
     struct Problem {
         m: usize,
         k: usize,
@@ -2305,7 +1889,6 @@ mod tests {
         groups: usize,
         batch: usize,
         a: Vec<f32>,
-        a_f16: Vec<u16>,
         bs: Vec<f32>,
         scale: Vec<f32>,
         shift: Vec<f32>,
@@ -2322,20 +1905,12 @@ mod tests {
             }
         }
 
-        fn weights(&self, half: bool) -> WeightMat<'_> {
-            if half {
-                WeightMat::F16(&self.a_f16)
-            } else {
-                WeightMat::F32(&self.a)
-            }
-        }
-
-        /// The whole batch through one [`gemm_batch_cyclic_strided_q`].
-        fn batched(&self, half: bool) -> Vec<f32> {
+        /// The whole batch through one [`gemm_batch_cyclic_strided`].
+        fn batched(&self) -> Vec<f32> {
             let (m, k, n) = (self.m, self.k, self.n);
             let mut out = vec![777.0; self.batch * m * n];
-            gemm_batch_cyclic_strided_q(
-                self.weights(half),
+            gemm_batch_cyclic_strided(
+                &self.a,
                 &self.bs,
                 &mut out,
                 m,
@@ -2362,27 +1937,22 @@ mod tests {
         }
 
         /// Group `g`'s weight panel.
-        fn group(&self, half: bool, g: usize) -> WeightMat<'_> {
-            let panel = g * self.m * self.k..(g + 1) * self.m * self.k;
-            if half {
-                WeightMat::F16(&self.a_f16[panel])
-            } else {
-                WeightMat::F32(&self.a[panel])
-            }
+        fn group(&self, g: usize) -> &[f32] {
+            &self.a[g * self.m * self.k..(g + 1) * self.m * self.k]
         }
 
-        /// Item by item through [`gemm_epilogue_q`].
-        fn looped(&self, half: bool) -> Vec<f32> {
+        /// Item by item through [`gemm_epilogue`].
+        fn looped(&self) -> Vec<f32> {
             self.per_item(777.0, |g, b, out| {
                 let ep = self.ep().offset_rows(g * self.m);
-                gemm_epilogue_q(self.group(half, g), b, out, self.m, self.k, self.n, &ep)
+                gemm_epilogue(self.group(g), b, out, self.m, self.k, self.n, &ep)
             })
         }
 
-        /// `0.25 + A·B` item by item through [`gemm_acc_q`].
+        /// `0.25 + A·B` item by item through [`gemm_acc`].
         fn accumulated(&self) -> Vec<f32> {
             self.per_item(0.25, |g, b, out| {
-                gemm_acc_q(self.group(false, g), b, out, self.m, self.k, self.n)
+                gemm_acc(self.group(g), b, out, self.m, self.k, self.n)
             })
         }
 
@@ -2438,11 +2008,7 @@ mod tests {
                 .into_iter()
                 .flat_map(|act| poisons[..poisoned].iter().map(move |p| (act, *p)))
             {
-                let a_f16: Vec<u16> = random_matrix(&mut rng, groups * m * k)
-                    .into_iter()
-                    .map(crate::dtype::f32_to_f16_bits)
-                    .collect();
-                let mut a = widen_f16(&a_f16);
+                let mut a = random_matrix(&mut rng, groups * m * k);
                 let mut bs = random_matrix(&mut rng, batch * k * n);
                 match poison {
                     // the last row of the last group; the last item's first column
@@ -2450,11 +2016,6 @@ mod tests {
                     Some((false, v)) => bs[(batch - 1) * k * n + (k / 2) * n] = v,
                     None => {}
                 }
-                let a_f16 = if poison.is_some_and(|(in_a, _)| in_a) {
-                    quantize_f16(&a)
-                } else {
-                    a_f16
-                };
                 out.push(Problem {
                     m,
                     k,
@@ -2462,7 +2023,6 @@ mod tests {
                     groups,
                     batch,
                     a,
-                    a_f16,
                     bs,
                     scale: random_matrix(&mut rng, groups * m),
                     shift: random_matrix(&mut rng, groups * m),
@@ -2475,7 +2035,7 @@ mod tests {
     }
 
     /// On `tier`: both routes (one batched call, a loop of per-item calls)
-    /// and both weight dtypes return the same bits — an output is rounded by
+    /// return the same bits — an output is rounded by
     /// one rule wherever its tile falls — and those match the scalar
     /// reference, non-finite values in the same places.
     fn one_rounding_rule_on(tier: Isa) {
@@ -2484,19 +2044,10 @@ mod tests {
         }
         for p in problems() {
             let ctx = format!("{tier:?} {}", p.what);
-            let (batched, looped, batched_q, looped_q, acc) = on_tier(tier, || {
-                (
-                    p.batched(false),
-                    p.looped(false),
-                    p.batched(true),
-                    p.looped(true),
-                    p.accumulated(),
-                )
-            });
+            let (batched, looped, acc) =
+                on_tier(tier, || (p.batched(), p.looped(), p.accumulated()));
             assert_close_same_placement(&p.reference(0.0, true), &batched, 1e-4, &ctx);
             assert_eq!(bits(&batched), bits(&looped), "{ctx}: batched vs looped");
-            assert_eq!(bits(&batched), bits(&batched_q), "{ctx}: f16 batched");
-            assert_eq!(bits(&batched), bits(&looped_q), "{ctx}: f16 looped");
             let plain = p.reference(0.25, false);
             assert_close_same_placement(&plain, &acc, 1e-4, &format!("{ctx}: acc"));
         }
@@ -2596,7 +2147,7 @@ mod tests {
             on_tier(tier, || {
                 problems()
                     .into_iter()
-                    .map(|p| (p.what.clone(), p.batched(false), p.accumulated()))
+                    .map(|p| (p.what.clone(), p.batched(), p.accumulated()))
                     .collect()
             })
         };
@@ -2614,21 +2165,6 @@ mod tests {
                     assert_eq!(bits(e_acc), bits(&g_acc), "{ctx}: acc");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn weight_mat_slice_matches_slice_semantics() {
-        let w: Vec<f32> = (0..12).map(|x| x as f32).collect();
-        let bits = quantize_f16(&w);
-        let mat = WeightMat::F16(&bits);
-        assert_eq!(mat.len(), 12);
-        assert_eq!(mat.dtype(), crate::dtype::DType::F16);
-        let sub = mat.slice(4, 8);
-        assert_eq!(sub.len(), 4);
-        match sub {
-            WeightMat::F16(s) => assert_eq!(s, &bits[4..8]),
-            _ => panic!("slice changed dtype"),
         }
     }
 }

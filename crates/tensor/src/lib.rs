@@ -40,7 +40,7 @@
 #![deny(unsafe_code)] // allowed only in lanes.rs and the two kernels over it (gemm.rs, depthwise.rs)
 
 mod depthwise;
-pub mod dtype;
+mod dtype;
 mod error;
 pub mod gemm;
 mod init;
@@ -50,23 +50,20 @@ pub mod naive;
 mod ops;
 mod reduce;
 mod shape;
-pub mod storage;
 mod tensor;
 
 pub use depthwise::{depthwise_conv2d, depthwise_conv2d_backward, valid_out_range};
-pub use dtype::{f16_bits_to_f32, f32_to_f16_bits, DType};
+pub use dtype::DType;
 pub use error::TensorError;
 pub use gemm::{
-    gemm, gemm_acc, gemm_acc_q, gemm_batch_cyclic_acc_strided_q, gemm_batch_cyclic_strided,
-    gemm_batch_cyclic_strided_q, gemm_epilogue, gemm_epilogue_q, gemm_nt, gemm_nt_q, gemm_tn,
-    transpose_into, Epilogue, EpilogueAct, WeightMat,
+    gemm, gemm_acc, gemm_batch_cyclic_acc_strided, gemm_batch_cyclic_strided, gemm_epilogue,
+    gemm_nt, gemm_tn, transpose_into, Epilogue, EpilogueAct,
 };
 pub use init::{he_normal, uniform, xavier_uniform};
 pub use naive::matmul_naive;
 pub use reduce::{dot_lanes, sum_lanes, LaneSum};
 pub use shape::Shape;
-pub use storage::{F16Storage, I8Storage, QTensor, Storage};
-pub use tensor::{Tensor, TensorBase, TensorF16, TensorI8};
+pub use tensor::Tensor;
 
 /// Convenience alias for results produced by fallible tensor operations.
 pub type Result<T> = std::result::Result<T, TensorError>;

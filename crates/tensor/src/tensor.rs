@@ -1,29 +1,9 @@
-//! The [`Tensor`] type: contiguous, row-major storage with a shape.
-//!
-//! Storage is generic: [`TensorBase<S>`] pairs any [`Storage`] backend with a
-//! [`Shape`], and [`Tensor`] is the alias for the `f32` instantiation that
-//! the whole compute stack is written against. Quantized instantiations
-//! ([`TensorF16`], [`TensorI8`]) carry inference weights at half or quarter
-//! the bytes; the GEMM packing layer widens them back to `f32` on the fly.
+//! The [`Tensor`] type: contiguous, row-major `f32` storage with a shape.
 
-use crate::dtype::DType;
-use crate::storage::Storage;
 use crate::{Result, Shape, TensorError};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// A dense, row-major tensor over a [`Storage`] backend `S`.
-///
-/// The shape bookkeeping lives here; the element representation (and its
-/// dtype) lives in `S`. Compute paths use the `f32` alias [`Tensor`]; the
-/// quantized instantiations exist to hold inference weights compactly and
-/// convert at the storage boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TensorBase<S> {
-    data: S,
-    shape: Shape,
-}
 
 /// A dense, row-major `f32` tensor — the compute dtype everywhere.
 ///
@@ -31,80 +11,10 @@ pub struct TensorBase<S> {
 /// predictable API over generality: every operation allocates its result and
 /// nothing is lazy, which keeps the training stack above it easy to reason
 /// about and to test.
-pub type Tensor = TensorBase<Vec<f32>>;
-
-/// A tensor holding IEEE binary16 weight storage.
-pub type TensorF16 = TensorBase<crate::storage::F16Storage>;
-
-/// A tensor holding symmetric per-tensor int8 weight storage.
-pub type TensorI8 = TensorBase<crate::storage::I8Storage>;
-
-impl<S: Storage> TensorBase<S> {
-    /// Wraps an existing storage buffer with a shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the storage length does not equal the product of `dims`.
-    pub fn from_storage(data: S, dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        assert_eq!(
-            data.len(),
-            shape.num_elements(),
-            "storage holds {} elements but shape {:?} needs {}",
-            data.len(),
-            dims,
-            shape.num_elements()
-        );
-        TensorBase { data, shape }
-    }
-
-    /// Quantises an `f32` tensor into this tensor's storage dtype.
-    pub fn quantize(src: &Tensor) -> Self {
-        TensorBase {
-            data: S::quantize_from(src.as_slice()),
-            shape: src.shape.clone(),
-        }
-    }
-
-    /// Widens back to an `f32` tensor.
-    pub fn to_f32(&self) -> Tensor {
-        let mut data = vec![0.0f32; Storage::len(&self.data)];
-        self.data.dequantize_into(&mut data);
-        Tensor {
-            data,
-            shape: self.shape.clone(),
-        }
-    }
-
-    /// The element dtype of the backing storage.
-    pub fn dtype(&self) -> DType {
-        S::DTYPE
-    }
-
-    /// Read-only view of the backing storage.
-    pub fn storage(&self) -> &S {
-        &self.data
-    }
-
-    /// The tensor dimensions as a slice.
-    pub fn dims(&self) -> &[usize] {
-        self.shape.dims()
-    }
-
-    /// The tensor rank (number of dimensions).
-    pub fn rank(&self) -> usize {
-        self.shape.rank()
-    }
-
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        Storage::len(&self.data)
-    }
-
-    /// Whether the tensor holds no elements.
-    pub fn is_empty(&self) -> bool {
-        Storage::is_empty(&self.data)
-    }
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Tensor {
+    data: Vec<f32>,
+    shape: Shape,
 }
 
 impl Tensor {
@@ -203,8 +113,28 @@ impl Tensor {
     }
 
     // ---------------------------------------------------------------------
-    // Accessors (shape/dims/rank/len/is_empty live on `TensorBase<S>`)
+    // Accessors
     // ---------------------------------------------------------------------
+
+    /// The tensor dimensions as a slice.
+    pub fn dims(&self) -> &[usize] {
+        self.shape.dims()
+    }
+
+    /// The tensor rank (number of dimensions).
+    pub fn rank(&self) -> usize {
+        self.shape.rank()
+    }
+
+    /// Total number of elements.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether the tensor holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
 
     /// Read-only view of the underlying data in row-major order.
     pub fn as_slice(&self) -> &[f32] {
@@ -514,34 +444,6 @@ mod tests {
     #[should_panic(expected = "2 data elements do not fit shape [3]")]
     fn from_vec_panics_with_an_actionable_message() {
         let _ = Tensor::from_vec(vec![1.0, 2.0], &[3]);
-    }
-
-    #[test]
-    fn f32_tensor_reports_its_dtype_and_storage() {
-        let t = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        assert_eq!(t.dtype(), crate::DType::F32);
-        assert_eq!(t.storage().as_slice(), t.as_slice());
-    }
-
-    #[test]
-    fn quantized_tensors_share_the_generic_accessors() {
-        let src = Tensor::from_vec(vec![1.0, -0.5, 0.25, 2.0, -1.0, 0.0], &[2, 3]);
-        let h = crate::TensorF16::quantize(&src);
-        assert_eq!(h.dims(), &[2, 3]);
-        assert_eq!(h.rank(), 2);
-        assert_eq!(h.len(), 6);
-        assert!(!h.is_empty());
-        assert_eq!(h.dtype(), crate::DType::F16);
-        assert_eq!(h.to_f32().as_slice(), src.as_slice()); // exactly representable
-        let q = crate::TensorI8::quantize(&src);
-        assert_eq!(q.dtype(), crate::DType::I8);
-        assert_eq!(q.len(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "storage holds 2 elements but shape [3] needs 3")]
-    fn from_storage_validates_length() {
-        let _ = Tensor::from_storage(vec![1.0, 2.0], &[3]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use heteroswitch_repro::nn::{
     Target, Workspace,
 };
 use heteroswitch_repro::parallel::set_num_threads;
-use heteroswitch_repro::tensor::{DType, Tensor};
+use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -341,26 +341,23 @@ fn every_inference_entry_point_returns_the_same_bits_across_the_zoo() {
         .collect();
     for kind in ZOO {
         for fused in [false, true] {
-            for dtype in [DType::F32, DType::F16, DType::I8] {
-                let cfg = VisionConfig::new(3, 8, 16);
-                let mut net = build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(9));
-                for _ in 0..2 {
-                    let _ = net.forward(&x_warm, true); // non-default BN stats
-                }
-                if fused {
-                    net.fuse_inference();
-                }
-                net.to_dtype(dtype);
-                let mut ws = Workspace::new();
-                for x in &inputs {
-                    let ctx = format!("{kind:?} fused={fused} {dtype:?} batch={}", x.dims()[0]);
-                    let expect = bits(&net.forward(x, false));
-                    assert_eq!(bits(net.infer(x)), expect, "{ctx}: infer");
-                    for pass in ["cold", "warm"] {
-                        let y = net.infer_with(x, &mut ws);
-                        assert_eq!(bits(&y), expect, "{ctx}: infer_with ({pass})");
-                        ws.give(y);
-                    }
+            let cfg = VisionConfig::new(3, 8, 16);
+            let mut net = build_vision_model(kind, cfg, &mut StdRng::seed_from_u64(9));
+            for _ in 0..2 {
+                let _ = net.forward(&x_warm, true); // non-default BN stats
+            }
+            if fused {
+                net.fuse_inference();
+            }
+            let mut ws = Workspace::new();
+            for x in &inputs {
+                let ctx = format!("{kind:?} fused={fused} batch={}", x.dims()[0]);
+                let expect = bits(&net.forward(x, false));
+                assert_eq!(bits(net.infer(x)), expect, "{ctx}: infer");
+                for pass in ["cold", "warm"] {
+                    let y = net.infer_with(x, &mut ws);
+                    assert_eq!(bits(&y), expect, "{ctx}: infer_with ({pass})");
+                    ws.give(y);
                 }
             }
         }

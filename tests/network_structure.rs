@@ -7,7 +7,6 @@ use heteroswitch_repro::nn::{
     BatchNorm2d, Conv2d, ConvAlgo, Flatten, InvertedResidual, Linear, Network, Relu, Sequential,
     State,
 };
-use heteroswitch_repro::tensor::DType;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeSet;
@@ -88,8 +87,7 @@ fn layer_impls(dir: &Path, out: &mut Vec<LayerImpl>) {
 
 /// The traffic claim behind the two-backend dispatch, on the models the
 /// paper trains: every depthwise layer plans the direct kernel and every
-/// other conv im2col→GEMM — unfused or fused, f32 or quantized (whose
-/// weights only the GEMM packing layer can widen).
+/// other conv im2col→GEMM — unfused or fused.
 #[test]
 fn zoo_convs_plan_one_route_per_geometry() {
     for kind in [
@@ -98,29 +96,21 @@ fn zoo_convs_plan_one_route_per_geometry() {
         ModelKind::ShuffleNetV2,
         ModelKind::SqueezeNet,
     ] {
-        for (fused, dtype) in [
-            (false, DType::F32),
-            (true, DType::F32),
-            (false, DType::F16),
-            (true, DType::F16),
-        ] {
+        for fused in [false, true] {
             let mut rng = StdRng::seed_from_u64(3);
             let mut net = build_vision_model(kind, VisionConfig::new(3, 12, 32), &mut rng);
             if fused {
                 net.fuse_inference();
             }
-            net.to_dtype(dtype);
-            let ctx = format!("{kind:?} fused={fused} {dtype:?}");
+            let ctx = format!("{kind:?} fused={fused}");
             let (mut direct, mut im2col) = (0, 0);
             net.for_each_layer(&mut |_, layer| match layer.downcast_ref::<Conv2d>() {
                 Some(conv) if conv.is_depthwise() => {
                     assert_eq!(conv.planned_algo(), ConvAlgo::DirectDepthwise, "{ctx}");
-                    assert!(!conv.is_quantized(), "{ctx}: depthwise weights stay f32");
                     direct += 1;
                 }
                 Some(conv) => {
                     assert_eq!(conv.planned_algo(), ConvAlgo::Im2colGemm, "{ctx}");
-                    assert_eq!(conv.is_quantized(), dtype != DType::F32, "{ctx}");
                     im2col += 1;
                 }
                 None => {}
@@ -337,7 +327,7 @@ fn the_layer_walk_visits_leaves_in_the_state_walks_order() {
             }
             let (mut params, mut buffers) = (Vec::new(), Vec::new());
             net.for_each_state(&mut |s| match s {
-                State::Param(p) => params.push(p.dims().to_vec()),
+                State::Param(p) => params.push(p.value.dims().to_vec()),
                 State::Buffer(b) => buffers.push(b.dims().to_vec()),
             });
             let visited = visited_shapes(&net);
@@ -348,8 +338,7 @@ fn the_layer_walk_visits_leaves_in_the_state_walks_order() {
 }
 
 /// The structural hooks stay where the one walk puts them: a leaf yields
-/// its state (`for_each_state`) and, if it has weights, converts them
-/// (`to_dtype`); a container yields its children (`for_each_child` and
+/// its state (`for_each_state`); a container yields its children (`for_each_child` and
 /// `for_each_child_mut`, always both) and inherits everything that recurses;
 /// only `Sequential`, which owns the runs fusion rewrites, writes
 /// `fuse_inference`. No layer forwards state to its children by hand.
@@ -369,13 +358,11 @@ fn only_leaves_yield_state_and_only_containers_yield_children() {
             "{}: for_each_child and for_each_child_mut come as a pair",
             imp.ty
         );
-        for leaf_hook in ["for_each_state", "to_dtype"] {
-            assert!(
-                !(container && defines(leaf_hook)),
-                "{}: a container inherits {leaf_hook} from the walk",
-                imp.ty
-            );
-        }
+        assert!(
+            !(container && defines("for_each_state")),
+            "{}: a container inherits for_each_state from the walk",
+            imp.ty
+        );
         assert_eq!(
             defines("fuse_inference"),
             imp.ty == "Sequential",

@@ -16,7 +16,7 @@ use heteroswitch_repro::fl::{ClientData, FlConfig, FlSimulation, LossKind};
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{CrossEntropyLoss, Network, Target, Workspace};
 use heteroswitch_repro::parallel::{set_num_threads, sync};
-use heteroswitch_repro::tensor::{DType, Tensor};
+use heteroswitch_repro::tensor::Tensor;
 use hs_bench::experiments::Method;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -179,28 +179,25 @@ fn fused_inference_is_bit_identical_at_any_thread_target() {
     ];
     let mut rng = StdRng::seed_from_u64(79);
     for kind in zoo {
-        for dtype in [DType::F32, DType::F16, DType::I8] {
-            let mut net = model(kind, 5);
-            let mut trained = net.weights();
-            trained
-                .iter_mut()
-                .for_each(|w| *w += rng.gen_range(0.01..0.1));
-            net.set_weights(&trained);
-            net.fuse_inference();
-            net.to_dtype(dtype);
-            // `Network::infer` keeps its per-range sub-workspaces across the
-            // three targets; `infer_with` starts cold every time
-            let net = RefCell::new(net);
-            for batch in [1usize, 3, 5, 8, 32] {
-                let x = Tensor::rand_uniform(&[batch, 3, PX, PX], 0.0, 1.0, &mut rng);
-                let what = format!("{kind:?} {dtype:?} batch {batch}");
-                assert_same_at_every_thread_target(&what, || {
-                    let mut net = net.borrow_mut();
-                    let mut bits = net.infer_with(&x, &mut Workspace::new()).into_vec();
-                    bits.extend_from_slice(net.infer(&x).as_slice());
-                    bits
-                });
-            }
+        let mut net = model(kind, 5);
+        let mut trained = net.weights();
+        trained
+            .iter_mut()
+            .for_each(|w| *w += rng.gen_range(0.01..0.1));
+        net.set_weights(&trained);
+        net.fuse_inference();
+        // `Network::infer` keeps its per-range sub-workspaces across the
+        // three targets; `infer_with` starts cold every time
+        let net = RefCell::new(net);
+        for batch in [1usize, 3, 5, 8, 32] {
+            let x = Tensor::rand_uniform(&[batch, 3, PX, PX], 0.0, 1.0, &mut rng);
+            let what = format!("{kind:?} batch {batch}");
+            assert_same_at_every_thread_target(&what, || {
+                let mut net = net.borrow_mut();
+                let mut bits = net.infer_with(&x, &mut Workspace::new()).into_vec();
+                bits.extend_from_slice(net.infer(&x).as_slice());
+                bits
+            });
         }
     }
 }

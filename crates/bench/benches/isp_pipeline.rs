@@ -1,7 +1,9 @@
-//! Criterion micro-benchmarks for the ISP pipeline: per-stage cost and the
-//! end-to-end sensor→ISP rendering path of the simulated devices.
+//! Criterion micro-benchmarks for the ISP pipeline: per-stage cost, the
+//! end-to-end sensor→ISP rendering path of the simulated devices, and one
+//! whole per-device dataset build (scenes serial, devices on the pool).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hs_data::{build_device_datasets, CaptureMode, Imagenet12Config};
 use hs_device::{paper_devices, DeviceId};
 use hs_isp::{
     demosaic, denoise, jpeg_compress, tone_map, white_balance, BayerPattern, CompressMethod,
@@ -80,9 +82,26 @@ fn bench_pipelines(c: &mut Criterion) {
     });
 }
 
+fn bench_datasets(c: &mut Criterion) {
+    // the perf ledger's `vision` set-up: nine devices, 12 classes, 10 + 3
+    // scenes per class, 48-px scenes captured into 32-px tensors
+    let devices = paper_devices();
+    let cfg = Imagenet12Config {
+        num_classes: 12,
+        image_size: 32,
+        scene_size: 48,
+        train_per_class: 10,
+        test_per_class: 3,
+        mode: CaptureMode::Processed,
+    };
+    c.bench_function("data/build_device_datasets_vision", |b| {
+        b.iter(|| build_device_datasets(black_box(&devices), cfg, 1))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_stages, bench_pipelines
+    targets = bench_stages, bench_pipelines, bench_datasets
 }
 criterion_main!(benches);

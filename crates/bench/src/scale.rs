@@ -132,15 +132,35 @@ impl Scale {
 
     /// Selects a scale from a command-line argument list: `--full` selects
     /// [`Scale::paper`], `--tiny` selects [`Scale::tiny`], anything else (or
-    /// nothing) selects [`Scale::quick`].
+    /// nothing) selects [`Scale::quick`]. `--seed N` then replaces the
+    /// preset's [`Scale::seed`].
+    ///
+    /// Exits the process with a message when `--seed` has no value or one
+    /// that is not an unsigned integer: a typo must not silently rerun the
+    /// default seed.
     pub fn from_args(args: &[String]) -> Self {
-        if args.iter().any(|a| a == "--full") {
+        Scale::parse_args(args).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Scale::from_args`], with the message it exits on as the error.
+    fn parse_args(args: &[String]) -> Result<Self, String> {
+        let mut scale = if args.iter().any(|a| a == "--full") {
             Scale::paper()
         } else if args.iter().any(|a| a == "--tiny") {
             Scale::tiny()
         } else {
             Scale::quick()
+        };
+        if let Some(i) = args.iter().position(|a| a == "--seed") {
+            let value = args.get(i + 1).ok_or("--seed requires a value")?;
+            scale.seed = value
+                .parse()
+                .map_err(|_| format!("--seed {value:?} is not an unsigned integer"))?;
         }
+        Ok(scale)
     }
 }
 
@@ -170,5 +190,26 @@ mod tests {
         assert_eq!(Scale::from_args(&["--full".into()]), Scale::paper());
         assert_eq!(Scale::from_args(&["--tiny".into()]), Scale::tiny());
         assert_eq!(Scale::from_args(&[]), Scale::quick());
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let seeded = |mut scale: Scale| {
+            scale.seed = 3;
+            scale
+        };
+        assert_eq!(
+            Scale::from_args(&args(&["--seed", "3"])),
+            seeded(Scale::quick())
+        );
+        assert_eq!(
+            Scale::from_args(&args(&["--tiny", "--seed", "3"])),
+            seeded(Scale::tiny())
+        );
+        for bad in [
+            &["--seed"][..],
+            &["--seed", "x"],
+            &["--seed", "-1"],
+            &["--seed", "--tiny"],
+        ] {
+            assert!(Scale::parse_args(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 }

@@ -95,6 +95,11 @@ fn multi_label_scene(
 }
 
 /// Builds one multi-label train/test dataset per synthetic device type.
+///
+/// Runs serially on the calling thread: one RNG draws every device's label
+/// sets, scenes and capture noise in turn, so device `d`'s data depends on
+/// every draw before it. (`build_device_datasets` gives each device its own
+/// capture stream, and so can build them on the pool.)
 pub fn build_flair_datasets(cfg: FlairSynthConfig, seed: u64) -> Vec<DeviceDataset> {
     let generator = SceneGenerator::new(cfg.num_labels, cfg.scene_size);
     let fleet: Vec<DeviceProfile> = synthetic_fleet(cfg.num_devices, seed ^ 0xF1A1_0001);

@@ -1,5 +1,12 @@
 //! The per-device 12-class vision dataset standing in for the paper's custom
 //! smartphone-captured ImageNet subset (Sec. 3.1).
+//!
+//! Its datasets feed FL runs that replay bit for bit, so every captured pixel
+//! is a pure function of the configuration and the seed: the scenes come
+//! from one serial stream, and each device captures them on a stream of its
+//! own, whichever pool worker builds it.
+
+#![deny(clippy::disallowed_types)]
 
 use crate::{capture_sample, CaptureMode, Dataset, DeviceDataset, Labels, SceneGenerator};
 use hs_device::DeviceProfile;
@@ -72,6 +79,12 @@ impl Imagenet12Config {
 /// Every device photographs the *same* canonical scenes (the paper shows the
 /// same monitor images to all phones), so any difference between two devices'
 /// datasets is system-induced: sensor plus ISP.
+///
+/// The scenes are generated serially; then each device's train and test sets
+/// are one task on the shared pool (`hs_parallel`), so at most one device per
+/// worker has images in flight. Device `di` captures on its own stream,
+/// seeded `seed ^ (0x9e37_79b9 + di)`, so the result, returned in device
+/// order, does not depend on the schedule or the thread target.
 pub fn build_device_datasets(
     devices: &[DeviceProfile],
     cfg: Imagenet12Config,
@@ -91,30 +104,38 @@ pub fn build_device_datasets(
         }
     }
 
-    devices
-        .iter()
-        .enumerate()
-        .map(|(di, device)| {
-            // each device gets its own capture-noise stream, deterministically
-            let mut capture_rng = StdRng::seed_from_u64(seed ^ (0x9e37_79b9 + di as u64));
-            let build = |scenes: &[(usize, hs_isp::ImageBuf)], rng: &mut StdRng| {
-                let mut x = Vec::with_capacity(scenes.len());
-                let mut y = Vec::with_capacity(scenes.len());
-                for (class, scene) in scenes {
-                    x.push(capture_sample(device, scene, cfg.mode, cfg.image_size, rng));
-                    y.push(*class);
-                }
-                Dataset::new(x, Labels::Classes(y))
-            };
-            let train = build(&train_scenes, &mut capture_rng);
-            let test = build(&test_scenes, &mut capture_rng);
-            DeviceDataset {
-                device: device.name.clone(),
-                share: device.market_share,
-                train,
-                test,
+    let capture = |di: usize| {
+        let device = &devices[di];
+        let mut capture_rng = StdRng::seed_from_u64(seed ^ (0x9e37_79b9 + di as u64));
+        let mut build = |scenes: &[(usize, hs_isp::ImageBuf)]| {
+            let mut x = Vec::with_capacity(scenes.len());
+            let mut y = Vec::with_capacity(scenes.len());
+            for (class, scene) in scenes {
+                x.push(capture_sample(
+                    device,
+                    scene,
+                    cfg.mode,
+                    cfg.image_size,
+                    &mut capture_rng,
+                ));
+                y.push(*class);
             }
-        })
+            Dataset::new(x, Labels::Classes(y))
+        };
+        let train = build(&train_scenes);
+        let test = build(&test_scenes);
+        DeviceDataset {
+            device: device.name.clone(),
+            share: device.market_share,
+            train,
+            test,
+        }
+    };
+    let mut slots: Vec<Option<DeviceDataset>> = devices.iter().map(|_| None).collect();
+    hs_parallel::parallel_chunks_mut(&mut slots, 1, |di, slot| slot[0] = Some(capture(di)));
+    slots
+        .into_iter()
+        .map(|ds| ds.expect("every device is captured"))
         .collect()
 }
 
@@ -172,7 +193,7 @@ mod tests {
     #[test]
     fn class_names_cover_twelve_classes() {
         assert_eq!(IMAGENET12_CLASSES.len(), 12);
-        let unique: std::collections::HashSet<_> = IMAGENET12_CLASSES.iter().collect();
+        let unique: std::collections::BTreeSet<_> = IMAGENET12_CLASSES.iter().collect();
         assert_eq!(unique.len(), 12);
     }
 }

@@ -4,6 +4,23 @@
 //! The paper's ablation varies the JPEG quality factor (85 baseline vs 50),
 //! so what matters here is that the *quantisation loss depends on a quality
 //! knob* in the same way — not byte-level JPEG compatibility.
+//!
+//! # Accumulation order
+//!
+//! Every captured pixel is part of a bit-exact replay (the datasets feed FL
+//! runs whose weights are pinned), so the transforms' rounding is a contract.
+//! The 8×8 cosine basis `B[k][n] = cos((2n + 1)kπ / 16)` is evaluated once
+//! per [`jpeg_compress`] call, by one f32 expression. Each DCT output
+//! `(u, v)` is the chain `acc = 0; acc += (block[x][y] · B[u][x]) · B[v][y]`
+//! over `x` outer, `y` inner, then `((0.25 · c_u) · c_v) · acc`. Each inverse
+//! output `(x, y)` is `acc = 0; acc += (((c_u · c_v) · coeff[u][v]) ·
+//! B[u][x]) · B[v][y]` over `u` outer, `v` inner, then `0.25 · acc`. Eight
+//! outputs of one row accumulate side by side in an `[f32; 8]`, so the
+//! compiler may run them in vector lanes; no output's chain is split,
+//! reordered, fused into an FMA or factored into separable passes, each of
+//! which would move bits.
+
+#![deny(clippy::disallowed_types)]
 
 use crate::ImageBuf;
 use serde::{Deserialize, Serialize};
@@ -56,43 +73,76 @@ fn scaled_table(quality: u8) -> [[f32; 8]; 8] {
     table
 }
 
-fn dct_8(block: &[[f32; 8]; 8]) -> [[f32; 8]; 8] {
+/// `B[k][n] = cos((2n + 1)kπ / 16)`: row `k` is the `k`-th basis vector.
+type Basis = [[f32; 8]; 8];
+
+fn basis() -> Basis {
+    let mut b = [[0.0f32; 8]; 8];
+    for (k, row) in b.iter_mut().enumerate() {
+        for (n, val) in row.iter_mut().enumerate() {
+            *val = ((2.0 * n as f32 + 1.0) * k as f32 * PI / 16.0).cos();
+        }
+    }
+    b
+}
+
+/// `B`'s transpose: row `n` holds `B[0][n] .. B[7][n]`.
+fn transposed(b: &Basis) -> Basis {
+    let mut t = [[0.0f32; 8]; 8];
+    for (k, row) in b.iter().enumerate() {
+        for (n, &val) in row.iter().enumerate() {
+            t[n][k] = val;
+        }
+    }
+    t
+}
+
+/// The DC term's normalisation; every other frequency scales by 1.
+fn norm(k: usize) -> f32 {
+    if k == 0 {
+        1.0 / 2.0f32.sqrt()
+    } else {
+        1.0
+    }
+}
+
+/// Forward 2-D DCT-II; `bt` is [`transposed`] `B`. Row `u` of the output
+/// accumulates its eight `v` lanes together.
+fn dct_8(block: &[[f32; 8]; 8], b: &Basis, bt: &Basis) -> [[f32; 8]; 8] {
     let mut out = [[0.0f32; 8]; 8];
     for (u, out_row) in out.iter_mut().enumerate() {
-        for (v, out_val) in out_row.iter_mut().enumerate() {
-            let cu = if u == 0 { 1.0 / 2.0f32.sqrt() } else { 1.0 };
-            let cv = if v == 0 { 1.0 / 2.0f32.sqrt() } else { 1.0 };
-            let mut acc = 0.0;
-            for (x, row) in block.iter().enumerate() {
-                for (y, &val) in row.iter().enumerate() {
-                    acc += val
-                        * ((2.0 * x as f32 + 1.0) * u as f32 * PI / 16.0).cos()
-                        * ((2.0 * y as f32 + 1.0) * v as f32 * PI / 16.0).cos();
+        let mut acc = [0.0f32; 8];
+        for (x, row) in block.iter().enumerate() {
+            for (y, &val) in row.iter().enumerate() {
+                let t = val * b[u][x];
+                for (a, &bv) in acc.iter_mut().zip(&bt[y]) {
+                    *a += t * bv;
                 }
             }
-            *out_val = 0.25 * cu * cv * acc;
+        }
+        for (v, (out_val, a)) in out_row.iter_mut().zip(acc).enumerate() {
+            *out_val = 0.25 * norm(u) * norm(v) * a;
         }
     }
     out
 }
 
-fn idct_8(coeffs: &[[f32; 8]; 8]) -> [[f32; 8]; 8] {
+/// Inverse 2-D DCT; row `x` of the output accumulates its eight `y` lanes
+/// together.
+fn idct_8(coeffs: &[[f32; 8]; 8], b: &Basis) -> [[f32; 8]; 8] {
     let mut out = [[0.0f32; 8]; 8];
     for (x, out_row) in out.iter_mut().enumerate() {
-        for (y, out_val) in out_row.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (u, row) in coeffs.iter().enumerate() {
-                for (v, &val) in row.iter().enumerate() {
-                    let cu = if u == 0 { 1.0 / 2.0f32.sqrt() } else { 1.0 };
-                    let cv = if v == 0 { 1.0 / 2.0f32.sqrt() } else { 1.0 };
-                    acc += cu
-                        * cv
-                        * val
-                        * ((2.0 * x as f32 + 1.0) * u as f32 * PI / 16.0).cos()
-                        * ((2.0 * y as f32 + 1.0) * v as f32 * PI / 16.0).cos();
+        let mut acc = [0.0f32; 8];
+        for (u, row) in coeffs.iter().enumerate() {
+            for (v, &val) in row.iter().enumerate() {
+                let t = norm(u) * norm(v) * val * b[u][x];
+                for (a, &by) in acc.iter_mut().zip(&b[v]) {
+                    *a += t * by;
                 }
             }
-            *out_val = 0.25 * acc;
+        }
+        for (out_val, a) in out_row.iter_mut().zip(acc) {
+            *out_val = 0.25 * a;
         }
     }
     out
@@ -100,6 +150,8 @@ fn idct_8(coeffs: &[[f32; 8]; 8]) -> [[f32; 8]; 8] {
 
 fn jpeg_roundtrip(img: &ImageBuf, quality: u8) -> ImageBuf {
     let table = scaled_table(quality);
+    let b = basis();
+    let bt = transposed(&b);
     let mut out = img.clone();
     for c in 0..img.channels {
         let mut r0 = 0;
@@ -115,13 +167,13 @@ fn jpeg_roundtrip(img: &ImageBuf, quality: u8) -> ImageBuf {
                         *val = img.get(c, r, col) * 255.0 - 128.0;
                     }
                 }
-                let mut coeffs = dct_8(&block);
+                let mut coeffs = dct_8(&block, &b, &bt);
                 for (i, row) in coeffs.iter_mut().enumerate() {
                     for (j, val) in row.iter_mut().enumerate() {
                         *val = (*val / table[i][j]).round() * table[i][j];
                     }
                 }
-                let rec = idct_8(&coeffs);
+                let rec = idct_8(&coeffs, &b);
                 for (i, row) in rec.iter().enumerate() {
                     for (j, &val) in row.iter().enumerate() {
                         let r = r0 + i;
@@ -165,7 +217,8 @@ mod tests {
                 *v = ((i * 8 + j) as f32).sin() * 50.0;
             }
         }
-        let rec = idct_8(&dct_8(&block));
+        let b = basis();
+        let rec = idct_8(&dct_8(&block, &b, &transposed(&b)), &b);
         for i in 0..8 {
             for j in 0..8 {
                 assert!((rec[i][j] - block[i][j]).abs() < 1e-2);

@@ -5,7 +5,9 @@
 //! * `hs-nn`'s `conv::run_bands` — a convolution's backward, by sample band;
 //! * `hs-fl` — a round's clients (`simulation`), evaluation batches
 //!   (`eval`), both through [`for_each_claimed`], and the update reduction
-//!   (`aggregate`).
+//!   (`aggregate`);
+//! * `hs-data`'s `build_device_datasets` — a fleet's captures, by device,
+//!   through [`parallel_chunks_mut`].
 //!
 //! The kernels below them (`hs-tensor`'s GEMM, the `hs-isp` stages) do not
 //! depend on this crate and run on the calling thread.

@@ -5,13 +5,15 @@
 //! `acc += a + b` is `acc + (a + b)`, one ULP off the chain `acc + a + b`.
 
 /// The bit-exact modules, relative to the workspace root.
-const BIT_EXACT_MODULES: [&str; 6] = [
+const BIT_EXACT_MODULES: [&str; 8] = [
     "crates/fl/src/aggregate.rs",
     "crates/fl/src/cohort.rs",
     "crates/fl/src/simulation.rs",
     "crates/device/src/fault.rs",
     "crates/device/src/spec.rs",
     "crates/data/src/lazy.rs",
+    "crates/data/src/imagenet12.rs",
+    "crates/isp/src/compress.rs",
 ];
 
 /// `(byte offset, token)` pairs: `None` for an operand (identifier, number,

@@ -12,7 +12,9 @@
 //!   loop;
 //! * `*_fused_plan` — the fused network through `Network::infer`, i.e. over
 //!   the network's own warm workspace, so steady-state forwards also stop
-//!   allocating.
+//!   allocating;
+//! * `*_fused_infer_with` — the fused network through `Network::infer_with`
+//!   over a kept workspace, at batches that run in several sample tiles.
 //!
 //! `inference/eval_accuracy_*` measures the FL-facing quantity: whole-batch
 //! sharded evaluation over the `hs_parallel` pool (run with
@@ -22,7 +24,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hs_data::{Dataset, Labels};
 use hs_fl::evaluate_accuracy;
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
-use hs_nn::Network;
+use hs_nn::{Network, Workspace};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,6 +70,20 @@ fn bench_end_to_end(c: &mut Criterion) {
     c.bench_function("inference/mobilenet_b8_fused_plan", |b| {
         b.iter(|| fused.infer(black_box(&x)).len())
     });
+    // larger batches over a kept workspace run in tiles of 8 samples: per
+    // sample they should read about what batch 8 does
+    for n in [32usize, 120] {
+        let x = Tensor::rand_uniform(&[n, 3, 16, 16], 0.0, 1.0, &mut rng);
+        let mut ws = Workspace::new();
+        c.bench_function(&format!("inference/mobilenet_b{n}_fused_infer_with"), |b| {
+            b.iter(|| {
+                let y = fused.infer_with(black_box(&x), &mut ws);
+                let len = y.len();
+                ws.give(y);
+                len
+            })
+        });
+    }
 }
 
 fn bench_sharded_eval(c: &mut Criterion) {

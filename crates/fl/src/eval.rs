@@ -13,8 +13,9 @@ use hs_nn::{Network, Workspace};
 use hs_parallel::sync;
 use std::sync::Mutex;
 
-/// Maximum evaluation batch size (keeps peak memory bounded and is the
-/// sharding granule for the parallel path).
+/// Maximum evaluation batch size: the granule one claiming loop takes at a
+/// time. Peak memory is bounded below it: `Network::infer_with` runs a
+/// convolutional batch in tiles of at most 8 samples.
 const EVAL_BATCH: usize = 32;
 
 /// Runs `consume(set, start, logits)` for every `EVAL_BATCH`-sized batch of

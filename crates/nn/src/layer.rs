@@ -45,48 +45,89 @@ pub fn states<L: Layer + ?Sized>(layer: &mut L) -> (Vec<&mut Param>, Vec<&mut Te
 /// capacity — allocates nothing.
 ///
 /// One workspace serves one inference at a time; concurrent inferences over
-/// a shared `&Network` each bring their own. An inference that is split
-/// across the pool by sample range keeps one sub-workspace per range in
-/// here too, so a warm sharded pass allocates nothing either (beyond the
-/// pool's own per-task boxes).
+/// a shared `&Network` each bring their own. An inference that runs in
+/// sample ranges keeps one sub-workspace per range in here too, sized for
+/// one tile of at most 8 samples whatever the batch, so a warm ranged pass
+/// allocates nothing either (beyond the pool's own per-task boxes when the
+/// ranges fan out).
 #[derive(Default)]
 pub struct Workspace {
     free: Vec<Tensor>,
-    /// Per-sample-range state of a sharded inference ([`infer_sharded`]),
+    /// Per-sample-range state of a ranged inference ([`infer_sharded`]),
     /// indexed by range, so each range meets the tensors it sized last time.
     shards: Vec<Shard>,
 }
 
-/// One sample range of a sharded inference: its input rows, its output
-/// rows, and the workspace the whole plan runs over for them.
+/// One sample range of a ranged inference: the range's output rows, when
+/// the batch was split into several ranges, and the state its tiles pass
+/// through.
 struct Shard {
+    out: Tensor,
+    pass: Pass,
+}
+
+/// What one pass of the plan over a tile of samples reads and writes: the
+/// tile's input rows, its output rows when the range has more than one
+/// tile, and the workspace the whole plan runs over.
+struct Pass {
     input: Tensor,
     out: Tensor,
     ws: Workspace,
-    /// Scratch for a `[batch, ...]` shape: the range's input, and for range
-    /// 0 also the joined output, resized without allocating.
+    /// Scratch for a `[batch, ...]` shape, resized without allocating.
     dims: Vec<usize>,
 }
 
 impl Shard {
     fn new() -> Self {
+        let empty = || Tensor::zeros(&[0]);
         Shard {
-            input: Tensor::zeros(&[0]),
-            out: Tensor::zeros(&[0]),
-            ws: Workspace::new(),
-            dims: Vec::new(),
+            out: empty(),
+            pass: Pass {
+                input: empty(),
+                out: empty(),
+                ws: Workspace::new(),
+                dims: Vec::new(),
+            },
         }
     }
+}
 
-    /// Copies `rows` (`len` samples of an input shaped `dims`) into the
-    /// range's input and runs the whole plan over them.
-    fn run<L: Layer + ?Sized>(&mut self, layer: &L, dims: &[usize], rows: &[f32], len: usize) {
-        self.dims.clear();
-        self.dims.extend_from_slice(dims);
-        self.dims[0] = len;
-        self.input.resize_to(&self.dims);
-        self.input.as_mut_slice().copy_from_slice(rows);
-        layer.infer(&self.input, &mut self.out, &mut self.ws);
+impl Pass {
+    /// Runs the whole plan over `len` samples (`rows`, of an input shaped
+    /// `dims`) in tiles of at most `tile` samples, each tile's output rows
+    /// copied into place in `out`. A range of one tile writes `out` itself.
+    fn run<L: Layer + ?Sized>(
+        &mut self,
+        layer: &L,
+        dims: &[usize],
+        rows: &[f32],
+        len: usize,
+        tile: usize,
+        out: &mut Tensor,
+    ) {
+        let row = rows.len() / len;
+        for lo in (0..len).step_by(tile) {
+            let hi = (lo + tile).min(len);
+            self.dims.clear();
+            self.dims.extend_from_slice(dims);
+            self.dims[0] = hi - lo;
+            self.input.resize_to(&self.dims);
+            self.input
+                .as_mut_slice()
+                .copy_from_slice(&rows[lo * row..hi * row]);
+            if hi - lo == len {
+                return layer.infer(&self.input, out, &mut self.ws);
+            }
+            layer.infer(&self.input, &mut self.out, &mut self.ws);
+            if lo == 0 {
+                self.dims.clear();
+                self.dims.extend_from_slice(self.out.dims());
+                self.dims[0] = len;
+                out.resize_to(&self.dims);
+            }
+            let per = self.out.len() / (hi - lo);
+            out.as_mut_slice()[lo * per..hi * per].copy_from_slice(self.out.as_slice());
+        }
     }
 }
 
@@ -134,31 +175,47 @@ fn has_conv<L: Layer + ?Sized>(layer: &L) -> bool {
     found
 }
 
-/// How many contiguous sample ranges [`infer_sharded`] splits a batch of `n`
-/// into at a thread target of `threads`: one per thread, at most one per
-/// sample — unless the batch cannot be split, there is no second thread, the
-/// caller already is a pool worker (a fan-out would run inline), or the plan
-/// holds no convolution. A conv-free plan (an MLP) costs a few microseconds
-/// per batch, less than one pool dispatch and join (`docs/PERF.md`, "One
-/// fan-out per batch").
-fn shard_count<L: Layer + ?Sized>(layer: &L, n: usize, threads: usize, on_pool: bool) -> usize {
-    if n < 2 || threads < 2 || on_pool || !has_conv(layer) {
+/// The most samples one pass of a convolutional plan runs over: a larger
+/// batch (or sample range) runs in tiles of this many, so its activations
+/// stay cache-sized and its workspace stops growing with the batch. A
+/// serving batch (`BatchPolicy::new(8, …)`) is one tile.
+const INFER_TILE: usize = 8;
+
+/// How [`infer_sharded`] cuts a batch of `n` at a thread target of
+/// `threads`: into `ranges` contiguous sample ranges, each running the plan
+/// over at most `tile` samples at a time.
+///
+/// A convolutional plan takes one range per thread, at most one per sample
+/// — unless the batch cannot be split, there is no second thread, or the
+/// caller already is a pool worker (a fan-out would run inline) — and tiles
+/// of [`INFER_TILE`]. A conv-free plan (an MLP) costs a few microseconds per
+/// batch, less than one pool dispatch and join (`docs/PERF.md`, "One
+/// fan-out per batch"), and runs whole: one range, one tile. So does a
+/// batch of one range and at most one tile, before the plan is walked.
+fn split<L: Layer + ?Sized>(layer: &L, n: usize, threads: usize, on_pool: bool) -> (usize, usize) {
+    let ranges = if n < 2 || threads < 2 || on_pool {
         1
     } else {
         threads.min(n)
+    };
+    if (ranges == 1 && n <= INFER_TILE) || !has_conv(layer) {
+        (1, n)
+    } else {
+        (ranges, INFER_TILE)
     }
 }
 
 /// The one inference step behind every entry point — [`Layer::forward`]
 /// with `train == false`, [`crate::Network::infer`] and
-/// [`crate::Network::infer_with`]: [`Layer::infer`] over the whole batch on
-/// the calling thread, or, when [`shard_count`] says so, one pool task per
-/// contiguous sample range, each running the whole plan serially over its
-/// own sub-workspace (a pool task's layers do not fan out again), and one
-/// join that concatenates the output rows.
+/// [`crate::Network::infer_with`]. A batch of one tile takes
+/// [`Layer::infer`] on the calling thread. Anything else runs the ranges ×
+/// tiles of [`split`]: each range runs the whole plan in tiles of at most
+/// [`INFER_TILE`] samples over its own sub-workspace — one range on the
+/// calling thread, several as one pool task each (a pool task's layers do
+/// not fan out again) — and the output rows are copied into place.
 ///
-/// The bits do not depend on the split: no layer mixes samples at
-/// inference, and every GEMM tile is stored by one rule wherever a range
+/// The bits do not depend on the cut: no layer mixes samples at inference,
+/// and every GEMM tile is stored by one rule wherever a range or tile
 /// boundary cuts the batched route's register strips.
 pub(crate) fn infer_sharded<L: Layer + ?Sized>(
     layer: &L,
@@ -167,34 +224,37 @@ pub(crate) fn infer_sharded<L: Layer + ?Sized>(
     ws: &mut Workspace,
 ) {
     let n = input.dims().first().copied().unwrap_or(0);
-    let shards = shard_count(
+    let (ranges, tile) = split(
         layer,
         n,
         hs_parallel::num_threads(),
         hs_parallel::inside_pool(),
     );
-    if shards == 1 {
+    if ranges == 1 && n <= tile {
         return layer.infer(input, out, ws);
     }
-    if ws.shards.len() < shards {
-        ws.shards.resize_with(shards, Shard::new);
+    if ws.shards.len() < ranges {
+        ws.shards.resize_with(ranges, Shard::new);
     }
-    let shards = &mut ws.shards[..shards];
+    let shards = &mut ws.shards[..ranges];
     let (in_dims, x) = (input.dims(), input.as_slice());
+    if let [only] = shards {
+        return only.pass.run(layer, in_dims, x, n, tile, out);
+    }
     let row = x.len() / n;
-    let count = shards.len();
     hs_parallel::scope(|s| {
         for (i, shard) in shards.iter_mut().enumerate() {
-            let (lo, hi) = (i * n / count, (i + 1) * n / count);
+            let (lo, hi) = (i * n / ranges, (i + 1) * n / ranges);
             let rows = &x[lo * row..hi * row];
-            s.spawn(move || shard.run(layer, in_dims, rows, hi - lo));
+            let Shard { out, pass } = shard;
+            s.spawn(move || pass.run(layer, in_dims, rows, hi - lo, tile, out));
         }
     });
     let first = &mut shards[0];
-    first.dims.clear();
-    first.dims.extend_from_slice(first.out.dims());
-    first.dims[0] = n;
-    out.resize_to(&first.dims);
+    first.pass.dims.clear();
+    first.pass.dims.extend_from_slice(first.out.dims());
+    first.pass.dims[0] = n;
+    out.resize_to(&first.pass.dims);
     let mut rows = out.as_mut_slice();
     for shard in shards.iter() {
         let (head, rest) = rows.split_at_mut(shard.out.len());
@@ -238,8 +298,8 @@ pub(crate) fn infer_sharded<L: Layer + ?Sized>(
 pub trait Layer: Any + Send + Sync {
     /// Computes the layer output for `input`: [`Layer::forward_train`] when
     /// `train` (batch-norm batch statistics, gradient caches), otherwise the
-    /// inference step of [`crate::Network::infer`] (sharded by sample range
-    /// where that pays) on a cold [`Workspace`] — the same arithmetic,
+    /// inference step of [`crate::Network::infer`] (in sample ranges and
+    /// tiles where that pays) on a cold [`Workspace`] — the same arithmetic,
     /// paying the allocations a kept workspace saves.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if train {
@@ -399,19 +459,52 @@ mod tests {
             Box::new(Relu::new()),
         ]))]);
         fused.fuse_inference();
-        for (threads, n) in [(1, 1), (2, 8), (4, 3), (4, 32)] {
-            assert_eq!(shard_count(&mlp, n, threads, false), 1, "conv-free");
+        for (threads, n) in [(1, 1), (2, 8), (4, 3), (4, 32), (1, 120)] {
+            assert_eq!(split(&mlp, n, threads, false), (1, n), "conv-free: whole");
+            assert_eq!(split(&mlp, n, threads, true), (1, n), "conv-free: whole");
         }
         for plan in [&bare as &dyn Layer, &fused] {
             let name = plan.name();
-            assert_eq!(shard_count(plan, 0, 4, false), 1, "{name}: empty batch");
-            assert_eq!(shard_count(plan, 1, 4, false), 1, "{name}: one sample");
-            assert_eq!(shard_count(plan, 8, 1, false), 1, "{name}: one thread");
-            assert_eq!(shard_count(plan, 8, 4, true), 1, "{name}: on a pool worker");
-            for (threads, n, shards) in [(2, 2, 2), (2, 8, 2), (4, 3, 3), (4, 8, 4)] {
-                assert_eq!(shard_count(plan, n, threads, false), shards, "{name}");
+            assert_eq!(split(plan, 0, 4, false), (1, 0), "{name}: empty batch");
+            assert_eq!(split(plan, 1, 4, false), (1, 1), "{name}: one sample");
+            assert_eq!(split(plan, 8, 1, false), (1, 8), "{name}: one thread");
+            assert_eq!(split(plan, 8, 4, true), (1, 8), "{name}: on a pool worker");
+            let tiled = (1, INFER_TILE);
+            assert_eq!(split(plan, 9, 1, false), tiled, "{name}: one thread");
+            assert_eq!(split(plan, 120, 4, true), tiled, "{name}: on a pool worker");
+            for (threads, n, shards) in [(2, 2, 2), (2, 8, 2), (4, 3, 3), (4, 8, 4), (2, 120, 2)] {
+                assert_eq!(
+                    split(plan, n, threads, false),
+                    (shards, INFER_TILE),
+                    "{name}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn a_range_runs_in_tiles_with_the_bits_of_one_pass() {
+        use crate::Sequential;
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(1);
+        let plan = Sequential::new(vec![Box::new(Conv2d::new(2, 3, 3, 1, 1, 1, &mut rng))]);
+        let n = 2 * INFER_TILE + 3; // a ragged last tile
+        let x = Tensor::rand_uniform(&[n, 2, 5, 5], -1.0, 1.0, &mut rng);
+        let (mut out, mut shard) = (Tensor::zeros(&[0]), Shard::new());
+        shard
+            .pass
+            .run(&plan, x.dims(), x.as_slice(), n, INFER_TILE, &mut out);
+        let mut whole = Tensor::zeros(&[0]);
+        plan.infer(&x, &mut whole, &mut Workspace::new());
+        assert_eq!(out.dims(), whole.dims());
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&whole), "tiled vs one pass");
+        assert_eq!(
+            shard.pass.input.dims()[0],
+            n - 2 * INFER_TILE,
+            "ragged last tile"
+        );
+        assert_eq!(shard.pass.out.dims()[0], n - 2 * INFER_TILE);
     }
 
     #[test]

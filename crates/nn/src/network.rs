@@ -7,8 +7,8 @@
 //! buffer (exclusive access, nothing to manage), [`Network::infer_with`]
 //! takes the caller's (shared access, one workspace per concurrent caller).
 //! Both split a convolutional batch across the pool once, by sample range,
-//! when there is a second thread to use: each range runs the whole plan
-//! serially and one join concatenates the rows (`infer_sharded`).
+//! when there is a second thread to use, and each range runs the whole plan
+//! in tiles of ≤ 8 samples, its rows copied into place (`infer_sharded`).
 
 use crate::layer::infer_sharded;
 use crate::{Layer, Loss, Param, Sequential, State, Target, Workspace};

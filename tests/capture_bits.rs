@@ -117,18 +117,14 @@ fn datasets_hash(datasets: &[DeviceDataset]) -> u64 {
     }))
 }
 
-/// `(what, configuration, mode, seed, hash, rebuilt at a 1-thread target)`
-/// over `paper_devices()`. The serial rebuild of the processed `vision` set
-/// would cost half a minute in a debug build; CI's 1-thread leg checks that
-/// one against the same literal, and the `Raw` row drives the same per-device
-/// fan-out at full size.
+/// `(what, configuration, mode, seed, hash)` over `paper_devices()`, each
+/// built at the default thread target and rebuilt at a 1-thread target.
 type DatasetPin = (
     &'static str,
     fn(CaptureMode) -> Imagenet12Config,
     CaptureMode,
     u64,
     u64,
-    bool,
 );
 
 const DATASET_PINS: [DatasetPin; 4] = [
@@ -138,43 +134,26 @@ const DATASET_PINS: [DatasetPin; 4] = [
         CaptureMode::Processed,
         1,
         0x3ebc2f2afed6b39a,
-        false,
     ),
-    (
-        "vision",
-        vision,
-        CaptureMode::Raw,
-        1,
-        0xf7af7312bc079b82,
-        true,
-    ),
-    (
-        "tiny",
-        tiny,
-        CaptureMode::Processed,
-        7,
-        0xc48cfe9e09629c87,
-        true,
-    ),
-    ("tiny", tiny, CaptureMode::Raw, 7, 0x6c757a2b213bc978, true),
+    ("vision", vision, CaptureMode::Raw, 1, 0xf7af7312bc079b82),
+    ("tiny", tiny, CaptureMode::Processed, 7, 0xc48cfe9e09629c87),
+    ("tiny", tiny, CaptureMode::Raw, 7, 0x6c757a2b213bc978),
 ];
 
 #[test]
 fn datasets_are_pinned_at_every_thread_target() {
     let devices = paper_devices();
     let mut moved = Vec::new();
-    for (what, cfg, mode, seed, want, serial_too) in DATASET_PINS {
+    for (what, cfg, mode, seed, want) in DATASET_PINS {
         let build = || datasets_hash(&build_device_datasets(&devices, cfg(mode), seed));
         let got = build();
-        if serial_too {
-            set_num_threads(Some(1));
-            let serial = build();
-            set_num_threads(None);
-            assert_eq!(serial, got, "{what} {mode:?}: 1-thread vs default target");
-        }
+        set_num_threads(Some(1));
+        let serial = build();
+        set_num_threads(None);
+        assert_eq!(serial, got, "{what} {mode:?}: 1-thread vs default target");
         if got != want {
             moved.push(format!(
-                "    ({what:?}, {what}, CaptureMode::{mode:?}, {seed}, {got:#018x}, {serial_too}),"
+                "    ({what:?}, {what}, CaptureMode::{mode:?}, {seed}, {got:#018x}),"
             ));
         }
     }

@@ -5,8 +5,9 @@
 //! inside the composite blocks (inverted residuals, squeeze-excite, fire
 //! modules, shuffle units) and their nested Sequentials.
 //!
-//! The pin uses a counting global allocator with a per-thread counter, so
-//! concurrently running tests in this binary cannot perturb the count.
+//! The pin uses a counting global allocator with per-thread counters (events,
+//! live and peak bytes), so concurrently running tests in this binary cannot
+//! perturb the count.
 //!
 //! A batch of two or more through a convolutional plan is split across the
 //! pool once, by sample range, when the thread target is two or more; each
@@ -18,6 +19,11 @@
 //! at any target. The batch-1 zoo pin includes a 32-px input at a 2-thread
 //! target: no kernel below the shard step fans out, so a large single
 //! sample allocates nothing either.
+//!
+//! A convolutional batch of more than 8 samples runs its plan in tiles of at
+//! most 8 (per range), so inference scratch does not grow with the batch:
+//! a cold batch-120 pass peaks within its input and output rows of a cold
+//! batch-8 pass, and a warm one allocates nothing either.
 
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::Workspace;
@@ -41,25 +47,51 @@ const ZOO: [ModelKind; 4] = [
 
 thread_local! {
     static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread (a block freed on
+    /// another thread than its own stays counted on its allocating one).
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE_BYTES` since [`peak_bytes`] last reset it.
+    static PEAK_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// System allocator wrapper counting allocation events per thread.
+/// Counts one allocation event of `grown` more live bytes on this thread.
+fn on_alloc(grown: i64) {
+    ALLOC_COUNT.with(|c| c.set(c.get() + 1));
+    on_resize(grown);
+}
+
+/// Moves this thread's live bytes by `delta` and raises its peak to match.
+fn on_resize(delta: i64) {
+    let live = LIVE_BYTES.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK_BYTES.with(|p| p.set(p.get().max(live)));
+}
+
+/// `bytes` as a signed byte delta.
+fn signed(bytes: usize) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX)
+}
+
+/// System allocator wrapper counting allocation events and live bytes per
+/// thread.
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the only added
-// behaviour is bumping a thread-local counter, which cannot re-enter the
-// allocator (`Cell<u64>` with const init performs no allocation).
+// behaviour is updating thread-local counters, which cannot re-enter the
+// allocator (`Cell` with const init performs no allocation).
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller's layout contract is passed through to `System` as-is.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.with(|c| c.set(c.get() + 1));
+        on_alloc(signed(layout.size()));
         // SAFETY: same layout the caller vouched for, forwarded unchanged.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: caller's layout contract is passed through to `System` as-is.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.with(|c| c.set(c.get() + 1));
+        on_alloc(signed(layout.size()));
         // SAFETY: same layout the caller vouched for, forwarded unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -67,7 +99,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller's ptr/layout contract is passed through to `System`
     // as-is.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.with(|c| c.set(c.get() + 1));
+        on_alloc(signed(new_size) - signed(layout.size()));
         // SAFETY: same ptr/layout the caller vouched for, forwarded
         // unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -76,6 +108,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller's ptr/layout contract is passed through to `System`
     // as-is.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        on_resize(-signed(layout.size()));
         // SAFETY: same ptr/layout the caller vouched for, forwarded
         // unchanged.
         unsafe { System.dealloc(ptr, layout) }
@@ -90,6 +123,15 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOC_COUNT.with(|c| c.get());
     let result = f();
     (ALLOC_COUNT.with(|c| c.get()) - before, result)
+}
+
+/// The most bytes `f` held live on this thread at once, beyond what the
+/// thread held when it started.
+fn peak_bytes(f: impl FnOnce()) -> i64 {
+    let before = LIVE_BYTES.with(|l| l.get());
+    PEAK_BYTES.with(|p| p.set(before));
+    f();
+    PEAK_BYTES.with(|p| p.get()) - before
 }
 
 #[test]
@@ -265,4 +307,59 @@ fn two_threads_with_two_workspaces_on_one_network_return_identical_logits() {
             });
         }
     });
+}
+
+#[test]
+fn inference_scratch_stays_one_tile_wide_whatever_the_batch() {
+    let _serial = sync::lock(&THREADS);
+    set_num_threads(Some(1));
+    // `vision`'s model and input size
+    let (classes, px) = (6, 32);
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut net = build_vision_model(
+        ModelKind::MobileNetV3Small,
+        VisionConfig::new(3, classes, px),
+        &mut rng,
+    );
+    net.fuse_inference();
+    let net = &net;
+    let batch = |n| Tensor::rand_uniform(&[n, 3, px, px], 0.0, 1.0, &mut StdRng::seed_from_u64(9));
+    // each cold pass on a thread of its own, so the thread-local GEMM packs
+    // start cold too
+    let cold_peak = |x: &Tensor| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                peak_bytes(|| {
+                    net.infer_with(x, &mut Workspace::new());
+                })
+            })
+            .join()
+            .expect("cold pass")
+        })
+    };
+    let (x8, x120) = (batch(8), batch(120));
+    let (peak8, peak120) = (cold_peak(&x8), cold_peak(&x120));
+    // batch 120 may hold 112 more samples' input and output rows than batch
+    // 8, and nothing else that grows with the batch
+    let rows = signed(112 * (3 * px * px + classes) * std::mem::size_of::<f32>());
+    assert!(
+        peak120 <= peak8 + rows,
+        "cold batch-120 infer_with peaked at {peak120} B, batch 8 at {peak8} B \
+         (margin {rows} B)"
+    );
+
+    let mut ws = Workspace::new();
+    for _ in 0..2 {
+        let y = net.infer_with(&x120, &mut ws);
+        ws.give(y);
+    }
+    let (allocs, _) = count_allocs(|| {
+        let y = net.infer_with(&x120, &mut ws);
+        ws.give(y);
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm batch-120 infer_with allocated {allocs} times"
+    );
+    set_num_threads(None);
 }

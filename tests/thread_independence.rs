@@ -6,16 +6,17 @@
 //! partial gradients, so the band plan must follow from the batch size
 //! alone, whoever executes it — the calling thread, the pool, or a pool
 //! worker that is already running one FL client. Inference splits a batch
-//! over the pool too — once, by sample range, whose boundaries move where
-//! the batched GEMM cuts its register tiles; every tile is stored by one
-//! rule, so that cannot move a bit either, uneven ranges included.
+//! over the pool too — once, by sample range — and runs each range in tiles
+//! of at most 8 samples; both boundaries move where the batched GEMM cuts
+//! its register tiles, and every register tile is stored by one rule, so
+//! that cannot move a bit either, uneven ranges and ragged tiles included.
 
 use heteroswitch_repro::core::TransformKind;
 use heteroswitch_repro::data::{Dataset, Labels};
 use heteroswitch_repro::fl::{ClientData, FlConfig, FlSimulation, LossKind};
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
 use heteroswitch_repro::nn::{CrossEntropyLoss, Network, Target, Workspace};
-use heteroswitch_repro::parallel::{set_num_threads, sync};
+use heteroswitch_repro::parallel::{scope, set_num_threads, sync};
 use heteroswitch_repro::tensor::Tensor;
 use hs_bench::experiments::Method;
 use rand::rngs::StdRng;
@@ -187,17 +188,46 @@ fn fused_inference_is_bit_identical_at_any_thread_target() {
         net.set_weights(&trained);
         net.fuse_inference();
         // `Network::infer` keeps its per-range sub-workspaces across the
-        // three targets; `infer_with` starts cold every time
+        // three targets; `infer_with` starts cold every time. 7, 9 and 29
+        // leave a ragged last tile, 120 is `vision`'s largest client.
         let net = RefCell::new(net);
-        for batch in [1usize, 3, 5, 8, 32] {
+        for batch in [1usize, 3, 5, 7, 8, 9, 29, 32, 120] {
             let x = Tensor::rand_uniform(&[batch, 3, PX, PX], 0.0, 1.0, &mut rng);
+            // each sample inferred alone: a batch of one is one tile of one
+            // range at any thread target
+            let row = x.len() / batch;
+            let alone: Vec<u32> = x
+                .as_slice()
+                .chunks(row)
+                .flat_map(|sample| {
+                    let sample = Tensor::from_vec(sample.to_vec(), &[1, 3, PX, PX]);
+                    net.borrow()
+                        .infer_with(&sample, &mut Workspace::new())
+                        .into_vec()
+                })
+                .map(f32::to_bits)
+                .collect();
             let what = format!("{kind:?} batch {batch}");
-            assert_same_at_every_thread_target(&what, || {
+            let bits = assert_same_at_every_thread_target(&what, || {
                 let mut net = net.borrow_mut();
                 let mut bits = net.infer_with(&x, &mut Workspace::new()).into_vec();
                 bits.extend_from_slice(net.infer(&x).as_slice());
+                // from inside a pool task the batch is one range, in tiles
+                let (net, mut pooled) = (&*net, Vec::new());
+                scope(|s| {
+                    s.spawn(|| pooled = net.infer_with(&x, &mut Workspace::new()).into_vec());
+                });
+                bits.extend(pooled);
                 bits
             });
+            assert_eq!(bits.len(), 3 * alone.len(), "{what}: three passes");
+            for (pass, got) in ["infer_with", "infer", "infer_with on the pool"]
+                .iter()
+                .zip(bits.chunks(alone.len()))
+            {
+                let differing = got.iter().zip(&alone).filter(|(a, b)| a != b).count();
+                assert_eq!(differing, 0, "{what}: {pass} vs each sample alone");
+            }
         }
     }
 }

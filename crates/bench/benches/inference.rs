@@ -14,7 +14,8 @@
 //!   the network's own warm workspace, so steady-state forwards also stop
 //!   allocating;
 //! * `*_fused_infer_with` — the fused network through `Network::infer_with`
-//!   over a kept workspace, at batches that run in several sample tiles.
+//!   over a kept workspace, at a batch of one sample tile (32 samples at
+//!   16 px) and one of four.
 //!
 //! `inference/eval_accuracy_*` measures the FL-facing quantity: whole-batch
 //! sharded evaluation over the `hs_parallel` pool (run with
@@ -70,8 +71,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     c.bench_function("inference/mobilenet_b8_fused_plan", |b| {
         b.iter(|| fused.infer(black_box(&x)).len())
     });
-    // larger batches over a kept workspace run in tiles of 8 samples: per
-    // sample they should read about what batch 8 does
+    // at 16 px a tile is 32 samples: batch 32 runs whole, batch 120 in four
+    // tiles, so per sample the two should read alike
     for n in [32usize, 120] {
         let x = Tensor::rand_uniform(&[n, 3, 16, 16], 0.0, 1.0, &mut rng);
         let mut ws = Workspace::new();

@@ -15,7 +15,7 @@ use std::sync::Mutex;
 
 /// Maximum evaluation batch size: the granule one claiming loop takes at a
 /// time. Peak memory is bounded below it: `Network::infer_with` runs a
-/// convolutional batch in tiles of at most 8 samples.
+/// convolutional batch in sample tiles of 8 192 input pixels.
 const EVAL_BATCH: usize = 32;
 
 /// Runs `consume(set, start, logits)` for every `EVAL_BATCH`-sized batch of

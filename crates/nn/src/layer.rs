@@ -45,69 +45,74 @@ pub fn states<L: Layer + ?Sized>(layer: &mut L) -> (Vec<&mut Param>, Vec<&mut Te
 /// capacity — allocates nothing.
 ///
 /// One workspace serves one inference at a time; concurrent inferences over
-/// a shared `&Network` each bring their own. An inference that runs in
-/// sample ranges keeps one sub-workspace per range in here too, sized for
-/// one tile of at most 8 samples whatever the batch, so a warm ranged pass
-/// allocates nothing either (beyond the pool's own per-task boxes when the
-/// ranges fan out).
+/// a shared `&Network` each bring their own. A convolutional batch runs in
+/// sample tiles of 8 192 input pixels (8 samples at 32×32), so the pool
+/// stops growing with the batch; a batch split across the pool keeps one
+/// sub-workspace per sample range in here too. A warm tiled or ranged pass allocates
+/// nothing either (beyond the pool's own per-task boxes when the ranges fan
+/// out).
 #[derive(Default)]
 pub struct Workspace {
     free: Vec<Tensor>,
-    /// Per-sample-range state of a ranged inference ([`infer_sharded`]),
-    /// indexed by range, so each range meets the tensors it sized last time.
+    /// Per-sample-range state of a batch split across the pool
+    /// ([`infer_sharded`]), indexed by range, so each range meets the
+    /// tensors it sized last time. Its first entry's tile buffers also
+    /// serve a batch that runs in tiles on the calling thread.
     shards: Vec<Shard>,
 }
 
-/// One sample range of a ranged inference: the range's output rows, when
-/// the batch was split into several ranges, and the state its tiles pass
-/// through.
+/// One sample range of a batch split across the pool: the range's output
+/// rows, the sub-workspace its tiles run over, and their buffers.
 struct Shard {
     out: Tensor,
-    pass: Pass,
+    ws: Workspace,
+    tiles: Tiles,
 }
 
-/// What one pass of the plan over a tile of samples reads and writes: the
-/// tile's input rows, its output rows when the range has more than one
-/// tile, and the workspace the whole plan runs over.
-struct Pass {
+/// What one tile of samples reads and writes besides the workspace: its
+/// input rows, and its output rows when the range has more than one tile.
+struct Tiles {
     input: Tensor,
     out: Tensor,
-    ws: Workspace,
     /// Scratch for a `[batch, ...]` shape, resized without allocating.
     dims: Vec<usize>,
 }
 
 impl Shard {
     fn new() -> Self {
-        let empty = || Tensor::zeros(&[0]);
         Shard {
-            out: empty(),
-            pass: Pass {
-                input: empty(),
-                out: empty(),
-                ws: Workspace::new(),
-                dims: Vec::new(),
-            },
+            out: Tensor::zeros(&[0]),
+            ws: Workspace::new(),
+            tiles: Tiles::new(),
         }
     }
 }
 
-impl Pass {
+impl Tiles {
+    fn new() -> Self {
+        Tiles {
+            input: Tensor::zeros(&[0]),
+            out: Tensor::zeros(&[0]),
+            dims: Vec::new(),
+        }
+    }
+
     /// Runs the whole plan over `len` samples (`rows`, of an input shaped
-    /// `dims`) in tiles of at most `tile` samples, each tile's output rows
-    /// copied into place in `out`. A range of one tile writes `out` itself.
+    /// `dims`) in tiles of [`tile`] samples over `ws`, each tile's output
+    /// rows copied into place in `out`. A range of one tile writes `out`
+    /// itself.
     fn run<L: Layer + ?Sized>(
         &mut self,
         layer: &L,
         dims: &[usize],
         rows: &[f32],
         len: usize,
-        tile: usize,
         out: &mut Tensor,
+        ws: &mut Workspace,
     ) {
-        let row = rows.len() / len;
-        for lo in (0..len).step_by(tile) {
-            let hi = (lo + tile).min(len);
+        let (row, step) = (rows.len() / len, tile(dims));
+        for lo in (0..len).step_by(step) {
+            let hi = (lo + step).min(len);
             self.dims.clear();
             self.dims.extend_from_slice(dims);
             self.dims[0] = hi - lo;
@@ -116,9 +121,9 @@ impl Pass {
                 .as_mut_slice()
                 .copy_from_slice(&rows[lo * row..hi * row]);
             if hi - lo == len {
-                return layer.infer(&self.input, out, &mut self.ws);
+                return layer.infer(&self.input, out, ws);
             }
-            layer.infer(&self.input, &mut self.out, &mut self.ws);
+            layer.infer(&self.input, &mut self.out, ws);
             if lo == 0 {
                 self.dims.clear();
                 self.dims.extend_from_slice(self.out.dims());
@@ -175,44 +180,62 @@ fn has_conv<L: Layer + ?Sized>(layer: &L) -> bool {
     found
 }
 
-/// The most samples one pass of a convolutional plan runs over: a larger
-/// batch (or sample range) runs in tiles of this many, so its activations
-/// stay cache-sized and its workspace stops growing with the batch. A
-/// serving batch (`BatchPolicy::new(8, …)`) is one tile.
-const INFER_TILE: usize = 8;
+/// The input pixels (spatial positions) one tile of a convolutional plan
+/// covers. A plan's scratch grows with its input's spatial size, and the
+/// most any zoo plan keeps per input pixel is ≈ 270 B (SimpleCnn; 157 B for
+/// MobileNetV3-small, `docs/PERF.md`, "Inference in sample tiles"), so one
+/// tile's workspace stays near 2 MiB, one core's L2 on the reference host
+/// (`nproc=2 simd=avx512f`): 8 samples at 32×32 (`vision`, and every
+/// serving batch there), 32 at 16×16 (a quick-scale client's whole batch).
+const TILE_PIXELS: usize = 8192;
+
+/// The samples one tile of a convolutional plan runs for an input shaped
+/// `dims` (`[batch, channels, spatial...]`): [`TILE_PIXELS`] over the
+/// pixels of one sample, at least one.
+fn tile(dims: &[usize]) -> usize {
+    let pixels: usize = dims.iter().skip(2).product();
+    (TILE_PIXELS / pixels.max(1)).max(1)
+}
 
 /// How [`infer_sharded`] cuts a batch of `n` at a thread target of
-/// `threads`: into `ranges` contiguous sample ranges, each running the plan
-/// over at most `tile` samples at a time.
+/// `threads` when its tile is `tile` samples: `None` for one pass over the
+/// whole batch, else `Some(ranges)` contiguous sample ranges, each running
+/// in tiles.
 ///
 /// A convolutional plan takes one range per thread, at most one per sample
 /// — unless the batch cannot be split, there is no second thread, or the
-/// caller already is a pool worker (a fan-out would run inline) — and tiles
-/// of [`INFER_TILE`]. A conv-free plan (an MLP) costs a few microseconds per
-/// batch, less than one pool dispatch and join (`docs/PERF.md`, "One
-/// fan-out per batch"), and runs whole: one range, one tile. So does a
-/// batch of one range and at most one tile, before the plan is walked.
-fn split<L: Layer + ?Sized>(layer: &L, n: usize, threads: usize, on_pool: bool) -> (usize, usize) {
+/// caller already is a pool worker (a fan-out would run inline) — and runs
+/// a single range whole when it fits one tile, before the plan is walked.
+/// A conv-free plan (an MLP) costs a few microseconds per batch, less than
+/// one pool dispatch and join (`docs/PERF.md`, "One fan-out per batch"),
+/// and runs whole.
+fn split<L: Layer + ?Sized>(
+    layer: &L,
+    n: usize,
+    threads: usize,
+    on_pool: bool,
+    tile: usize,
+) -> Option<usize> {
     let ranges = if n < 2 || threads < 2 || on_pool {
         1
     } else {
         threads.min(n)
     };
-    if (ranges == 1 && n <= INFER_TILE) || !has_conv(layer) {
-        (1, n)
+    if (ranges == 1 && n <= tile) || !has_conv(layer) {
+        None
     } else {
-        (ranges, INFER_TILE)
+        Some(ranges)
     }
 }
 
 /// The one inference step behind every entry point — [`Layer::forward`]
 /// with `train == false`, [`crate::Network::infer`] and
 /// [`crate::Network::infer_with`]. A batch of one tile takes
-/// [`Layer::infer`] on the calling thread. Anything else runs the ranges ×
-/// tiles of [`split`]: each range runs the whole plan in tiles of at most
-/// [`INFER_TILE`] samples over its own sub-workspace — one range on the
-/// calling thread, several as one pool task each (a pool task's layers do
-/// not fan out again) — and the output rows are copied into place.
+/// [`Layer::infer`] on the calling thread. Anything else runs the ranges of
+/// [`split`] in tiles ([`Tiles::run`]): one range on the calling thread over
+/// the caller's workspace, several as one pool task each (a pool task's
+/// layers do not fan out again) over a sub-workspace each, their output
+/// rows concatenated.
 ///
 /// The bits do not depend on the cut: no layer mixes samples at inference,
 /// and every GEMM tile is stored by one rule wherever a range or tile
@@ -224,43 +247,41 @@ pub(crate) fn infer_sharded<L: Layer + ?Sized>(
     ws: &mut Workspace,
 ) {
     let n = input.dims().first().copied().unwrap_or(0);
-    let (ranges, tile) = split(
-        layer,
-        n,
-        hs_parallel::num_threads(),
-        hs_parallel::inside_pool(),
-    );
-    if ranges == 1 && n <= tile {
+    let (threads, on_pool) = (hs_parallel::num_threads(), hs_parallel::inside_pool());
+    let Some(ranges) = split(layer, n, threads, on_pool, tile(input.dims())) else {
         return layer.infer(input, out, ws);
+    };
+    let mut shards = std::mem::take(&mut ws.shards);
+    if shards.len() < ranges {
+        shards.resize_with(ranges, Shard::new);
     }
-    if ws.shards.len() < ranges {
-        ws.shards.resize_with(ranges, Shard::new);
-    }
-    let shards = &mut ws.shards[..ranges];
     let (in_dims, x) = (input.dims(), input.as_slice());
-    if let [only] = shards {
-        return only.pass.run(layer, in_dims, x, n, tile, out);
-    }
-    let row = x.len() / n;
-    hs_parallel::scope(|s| {
-        for (i, shard) in shards.iter_mut().enumerate() {
-            let (lo, hi) = (i * n / ranges, (i + 1) * n / ranges);
-            let rows = &x[lo * row..hi * row];
-            let Shard { out, pass } = shard;
-            s.spawn(move || pass.run(layer, in_dims, rows, hi - lo, tile, out));
+    if ranges == 1 {
+        shards[0].tiles.run(layer, in_dims, x, n, out, ws);
+    } else {
+        let shards = &mut shards[..ranges];
+        let row = x.len() / n;
+        hs_parallel::scope(|s| {
+            for (i, shard) in shards.iter_mut().enumerate() {
+                let (lo, hi) = (i * n / ranges, (i + 1) * n / ranges);
+                let rows = &x[lo * row..hi * row];
+                let Shard { out, ws, tiles } = shard;
+                s.spawn(move || tiles.run(layer, in_dims, rows, hi - lo, out, ws));
+            }
+        });
+        let first = &mut shards[0];
+        first.tiles.dims.clear();
+        first.tiles.dims.extend_from_slice(first.out.dims());
+        first.tiles.dims[0] = n;
+        out.resize_to(&first.tiles.dims);
+        let mut rows = out.as_mut_slice();
+        for shard in shards.iter() {
+            let (head, rest) = rows.split_at_mut(shard.out.len());
+            head.copy_from_slice(shard.out.as_slice());
+            rows = rest;
         }
-    });
-    let first = &mut shards[0];
-    first.pass.dims.clear();
-    first.pass.dims.extend_from_slice(first.out.dims());
-    first.pass.dims[0] = n;
-    out.resize_to(&first.pass.dims);
-    let mut rows = out.as_mut_slice();
-    for shard in shards.iter() {
-        let (head, rest) = rows.split_at_mut(shard.out.len());
-        head.copy_from_slice(shard.out.as_slice());
-        rows = rest;
     }
+    ws.shards = shards;
 }
 
 /// A differentiable network building block.
@@ -460,22 +481,27 @@ mod tests {
         ]))]);
         fused.fuse_inference();
         for (threads, n) in [(1, 1), (2, 8), (4, 3), (4, 32), (1, 120)] {
-            assert_eq!(split(&mlp, n, threads, false), (1, n), "conv-free: whole");
-            assert_eq!(split(&mlp, n, threads, true), (1, n), "conv-free: whole");
+            for on_pool in [false, true] {
+                assert_eq!(
+                    split(&mlp, n, threads, on_pool, 1),
+                    None,
+                    "conv-free: whole"
+                );
+            }
         }
         for plan in [&bare as &dyn Layer, &fused] {
             let name = plan.name();
-            assert_eq!(split(plan, 0, 4, false), (1, 0), "{name}: empty batch");
-            assert_eq!(split(plan, 1, 4, false), (1, 1), "{name}: one sample");
-            assert_eq!(split(plan, 8, 1, false), (1, 8), "{name}: one thread");
-            assert_eq!(split(plan, 8, 4, true), (1, 8), "{name}: on a pool worker");
-            let tiled = (1, INFER_TILE);
-            assert_eq!(split(plan, 9, 1, false), tiled, "{name}: one thread");
-            assert_eq!(split(plan, 120, 4, true), tiled, "{name}: on a pool worker");
+            assert_eq!(split(plan, 0, 4, false, 1), None, "{name}: empty batch");
+            assert_eq!(split(plan, 1, 4, false, 1), None, "{name}: one sample");
+            assert_eq!(split(plan, 8, 1, false, 8), None, "{name}: one tile");
+            assert_eq!(split(plan, 8, 4, true, 32), None, "{name}: on the pool");
+            assert_eq!(split(plan, 9, 1, false, 8), Some(1), "{name}: one thread");
+            assert_eq!(split(plan, 120, 4, true, 8), Some(1), "{name}: on the pool");
+            // off the pool a batch splits whatever its tile
             for (threads, n, shards) in [(2, 2, 2), (2, 8, 2), (4, 3, 3), (4, 8, 4), (2, 120, 2)] {
                 assert_eq!(
-                    split(plan, n, threads, false),
-                    (shards, INFER_TILE),
+                    split(plan, n, threads, false, usize::MAX),
+                    Some(shards),
                     "{name}"
                 );
             }
@@ -483,28 +509,23 @@ mod tests {
     }
 
     #[test]
-    fn a_range_runs_in_tiles_with_the_bits_of_one_pass() {
-        use crate::Sequential;
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(1);
-        let plan = Sequential::new(vec![Box::new(Conv2d::new(2, 3, 3, 1, 1, 1, &mut rng))]);
-        let n = 2 * INFER_TILE + 3; // a ragged last tile
-        let x = Tensor::rand_uniform(&[n, 2, 5, 5], -1.0, 1.0, &mut rng);
-        let (mut out, mut shard) = (Tensor::zeros(&[0]), Shard::new());
-        shard
-            .pass
-            .run(&plan, x.dims(), x.as_slice(), n, INFER_TILE, &mut out);
-        let mut whole = Tensor::zeros(&[0]);
-        plan.infer(&x, &mut whole, &mut Workspace::new());
-        assert_eq!(out.dims(), whole.dims());
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&out), bits(&whole), "tiled vs one pass");
+    fn a_tile_covers_a_fixed_number_of_input_pixels() {
         assert_eq!(
-            shard.pass.input.dims()[0],
-            n - 2 * INFER_TILE,
-            "ragged last tile"
+            tile(&[120, 3, 32, 32]),
+            8,
+            "vision: a serving batch is one tile"
         );
-        assert_eq!(shard.pass.out.dims()[0], n - 2 * INFER_TILE);
+        assert_eq!(
+            tile(&[120, 1, 32, 32]),
+            8,
+            "a RAW mosaic: channels do not count"
+        );
+        assert_eq!(
+            tile(&[24, 3, 16, 16]),
+            32,
+            "quick scale: a client's batch is one tile"
+        );
+        assert_eq!(tile(&[2, 3, 256, 256]), 1, "at least one sample");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! takes the caller's (shared access, one workspace per concurrent caller).
 //! Both split a convolutional batch across the pool once, by sample range,
 //! when there is a second thread to use, and each range runs the whole plan
-//! in tiles of ≤ 8 samples, its rows copied into place (`infer_sharded`).
+//! in sample tiles of 8 192 input pixels (8 samples at 32×32), its rows
+//! copied into place (`infer_sharded`).
 
 use crate::layer::infer_sharded;
 use crate::{Layer, Loss, Param, Sequential, State, Target, Workspace};

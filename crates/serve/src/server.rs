@@ -16,9 +16,9 @@
 //!    ([`Network::infer_with`]). Skinny per-sample GEMMs coalesce across
 //!    the batch — the whole point of batching here — and a convolutional
 //!    batch is split across the shared pool once, by sample range, each
-//!    range running the whole plan in tiles of ≤ 8 samples (a batch of at
-//!    most `max_batch = 8` is one tile); a warm forward allocates only that
-//!    fan-out's task boxes.
+//!    range running the whole plan in sample tiles of 8 192 input pixels
+//!    (at 32 px and below, a batch of at most `max_batch = 8` is one tile);
+//!    a warm forward allocates only that fan-out's task boxes.
 //! 3. Each request's logits row is routed back through its completion slot;
 //!    latency and batch-size metrics are recorded.
 //!

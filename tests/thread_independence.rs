@@ -6,8 +6,9 @@
 //! partial gradients, so the band plan must follow from the batch size
 //! alone, whoever executes it — the calling thread, the pool, or a pool
 //! worker that is already running one FL client. Inference splits a batch
-//! over the pool too — once, by sample range — and runs each range in tiles
-//! of at most 8 samples; both boundaries move where the batched GEMM cuts
+//! over the pool too — once, by sample range — and runs each range in
+//! sample tiles sized by the input's pixels (32 samples at 16 px); both
+//! boundaries move where the batched GEMM cuts
 //! its register tiles, and every register tile is stored by one rule, so
 //! that cannot move a bit either, uneven ranges and ragged tiles included.
 
@@ -188,10 +189,11 @@ fn fused_inference_is_bit_identical_at_any_thread_target() {
         net.set_weights(&trained);
         net.fuse_inference();
         // `Network::infer` keeps its per-range sub-workspaces across the
-        // three targets; `infer_with` starts cold every time. 7, 9 and 29
-        // leave a ragged last tile, 120 is `vision`'s largest client.
+        // three targets; `infer_with` starts cold every time. At 16 px a
+        // tile is 32 samples: 33 and 120 (`vision`'s largest client) run in
+        // several, with a ragged last one; 7, 9 and 29 split unevenly.
         let net = RefCell::new(net);
-        for batch in [1usize, 3, 5, 7, 8, 9, 29, 32, 120] {
+        for batch in [1usize, 3, 5, 7, 8, 9, 29, 32, 33, 120] {
             let x = Tensor::rand_uniform(&[batch, 3, PX, PX], 0.0, 1.0, &mut rng);
             // each sample inferred alone: a batch of one is one tile of one
             // range at any thread target

@@ -1,4 +1,5 @@
-//! Pins the bits of the capture path: the JPEG stage on its own, and whole
+//! Pins the bits of the capture path: each kernel on its own (demosaic,
+//! denoise, resize, every fleet sensor and the JPEG stage), and whole
 //! per-device datasets rendered through each device's sensor and ISP.
 //!
 //! The JPEG stage's DCT and inverse DCT keep one accumulation order per
@@ -19,7 +20,10 @@ use heteroswitch_repro::data::{
     build_device_datasets, CaptureMode, DeviceDataset, Imagenet12Config, Labels,
 };
 use heteroswitch_repro::device::paper_devices;
-use heteroswitch_repro::isp::{jpeg_compress, CompressMethod, ImageBuf};
+use heteroswitch_repro::isp::{
+    demosaic, denoise, jpeg_compress, BayerPattern, CompressMethod, DemosaicMethod, DenoiseMethod,
+    ImageBuf, RawImage,
+};
 use heteroswitch_repro::parallel::set_num_threads;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,6 +81,164 @@ fn jpeg_round_trip_bits_are_pinned() {
         }
     }
     assert!(moved.is_empty(), "moved rows:\n{}", moved.join("\n"));
+}
+
+/// A mosaic of uniform noise over a ramp, so every neighbour read matters.
+fn textured_raw(width: usize, height: usize, pattern: BayerPattern, seed: u64) -> RawImage {
+    let img = textured(width, height, seed);
+    RawImage::from_data(width, height, img.data[..width * height].to_vec(), pattern)
+}
+
+/// Sizes that take every edge case of the windowed kernels: images smaller
+/// than AHD's 5×5 window, odd sizes, one dimension of 1, and the fleet's 48.
+const DEMOSAIC_SIZES: [(usize, usize); 7] =
+    [(1, 1), (2, 2), (3, 5), (5, 3), (10, 6), (45, 33), (48, 48)];
+
+/// `(method, pattern, hash)`: the hash runs over every one of
+/// [`DEMOSAIC_SIZES`], in order.
+const DEMOSAIC_PINS: [(DemosaicMethod, BayerPattern, u64); 9] = [
+    (DemosaicMethod::Ppg, BayerPattern::Rggb, 0xde2be082c29e7859),
+    (DemosaicMethod::Ppg, BayerPattern::Bggr, 0x900857f8e1a536b5),
+    (DemosaicMethod::Ppg, BayerPattern::Grbg, 0x77f271276d16e410),
+    (DemosaicMethod::Ahd, BayerPattern::Rggb, 0x916a08fa7e4cc282),
+    (DemosaicMethod::Ahd, BayerPattern::Bggr, 0xf090aa45c0a6e482),
+    (DemosaicMethod::Ahd, BayerPattern::Grbg, 0x80c3a8f945674671),
+    (
+        DemosaicMethod::PixelBinning,
+        BayerPattern::Rggb,
+        0x646e1934e754cdca,
+    ),
+    (
+        DemosaicMethod::PixelBinning,
+        BayerPattern::Bggr,
+        0x5714875f066ce7ca,
+    ),
+    (
+        DemosaicMethod::PixelBinning,
+        BayerPattern::Grbg,
+        0xd54f651602ec6877,
+    ),
+];
+
+#[test]
+fn demosaic_bits_are_pinned() {
+    let mut moved = Vec::new();
+    for (method, pattern, want) in DEMOSAIC_PINS {
+        let got = fnv1a(DEMOSAIC_SIZES.into_iter().flat_map(|(w, h)| {
+            let raw = textured_raw(w, h, pattern, (w * h) as u64);
+            demosaic(&raw, method).data.into_iter().map(f32::to_bits)
+        }));
+        if got != want {
+            moved.push(format!(
+                "    (DemosaicMethod::{method:?}, BayerPattern::{pattern:?}, {got:#018x}),"
+            ));
+        }
+    }
+    assert!(moved.is_empty(), "moved rows:\n{}", moved.join("\n"));
+}
+
+/// Sizes for the denoisers: a single pixel, a single row, sizes below and at
+/// FBDD's 3×3 window, an odd height for the wavelet's 2×2 blocks, and 48.
+const DENOISE_SIZES: [(usize, usize); 6] = [(1, 1), (1, 7), (2, 2), (3, 3), (10, 6), (48, 48)];
+
+/// `(method, hash)`: the hash runs over every one of [`DENOISE_SIZES`].
+const DENOISE_PINS: [(DenoiseMethod, u64); 2] = [
+    (DenoiseMethod::Fbdd, 0x4c4bf5ec87e39bf4),
+    (DenoiseMethod::WaveletBayesShrink, 0x333fba0522bdcc42),
+];
+
+#[test]
+fn denoise_bits_are_pinned() {
+    let mut moved = Vec::new();
+    for (method, want) in DENOISE_PINS {
+        let got = fnv1a(DENOISE_SIZES.into_iter().flat_map(|(w, h)| {
+            let img = textured(w, h, (w * h) as u64);
+            denoise(&img, method).data.into_iter().map(f32::to_bits)
+        }));
+        if got != want {
+            moved.push(format!("    (DenoiseMethod::{method:?}, {got:#018x}),"));
+        }
+    }
+    assert!(moved.is_empty(), "moved rows:\n{}", moved.join("\n"));
+}
+
+/// `((from width, from height), (to width, to height), hash)`: down, up,
+/// identity, and one non-square resample.
+const RESIZE_PINS: [((usize, usize), (usize, usize), u64); 7] = [
+    ((48, 48), (32, 32), 0x5c95b911af655d16),
+    ((40, 40), (32, 32), 0x55cd2769753489ad),
+    ((32, 32), (48, 48), 0x082bd34f8fc6bb79),
+    ((48, 48), (48, 48), 0xfb837d0a043b7589),
+    ((7, 7), (3, 3), 0x949312ca8823d66d),
+    ((3, 3), (7, 7), 0x8793626e23aee374),
+    ((10, 6), (7, 9), 0xc6a00734c84f0b1c),
+];
+
+#[test]
+fn resize_bits_are_pinned() {
+    let mut moved = Vec::new();
+    for ((w, h), (to_w, to_h), want) in RESIZE_PINS {
+        let img = textured(w, h, (w * h) as u64);
+        let got = fnv1a(img.resize(to_w, to_h).data.into_iter().map(f32::to_bits));
+        if got != want {
+            moved.push(format!("    (({w}, {h}), ({to_w}, {to_h}), {got:#018x}),"));
+        }
+    }
+    assert!(moved.is_empty(), "moved rows:\n{}", moved.join("\n"));
+}
+
+/// `(device, hash)`: each `paper_devices()` sensor captures the same 48-px
+/// scene from a stream seeded by its index.
+const SENSOR_PINS: [(&str, u64); 9] = [
+    ("Pixel5", 0x43aee149fa6a90fa),
+    ("Pixel2", 0x8a6d57c80547c129),
+    ("Nexus5X", 0x4c2bb688ecd15ea0),
+    ("VELVET", 0x230b85ca6be9b336),
+    ("G7", 0xd1dc6022d1a1d606),
+    ("G4", 0x9d3f200ed44130b4),
+    ("S22", 0xdf7658982819f7de),
+    ("S9", 0x97f4652b6402fd26),
+    ("S6", 0x8fc75f73f0b4b0bb),
+];
+
+#[test]
+fn sensor_capture_bits_are_pinned() {
+    let scene = textured(48, 48, 48);
+    let devices = paper_devices();
+    assert_eq!(devices.len(), SENSOR_PINS.len());
+    let mut moved = Vec::new();
+    for (i, (d, (name, want))) in devices.iter().zip(SENSOR_PINS).enumerate() {
+        let mut rng = StdRng::seed_from_u64(i as u64);
+        let raw = d.sensor.capture(&scene, &mut rng);
+        let got = fnv1a(raw.data.into_iter().map(f32::to_bits));
+        if got != want || d.name != name {
+            moved.push(format!("    ({:?}, {got:#018x}),", d.name));
+        }
+    }
+    assert!(moved.is_empty(), "moved rows:\n{}", moved.join("\n"));
+}
+
+/// FBDD weighs every neighbour by `exp` of its squared difference, so one NaN
+/// pixel poisons exactly its own 3×3 window, edge-replicated at the border,
+/// and nothing else.
+#[test]
+fn fbdd_nan_poisons_exactly_its_window() {
+    let (w, h) = (10, 8);
+    for (nan_r, nan_c) in [(3, 4), (0, 0), (7, 9), (0, 5)] {
+        let mut img = textured(w, h, 1);
+        let plane = w * h;
+        img.set(1, nan_r, nan_c, f32::NAN);
+        let out = denoise(&img, DenoiseMethod::Fbdd);
+        for (i, v) in out.data.iter().enumerate() {
+            let (c, r, col) = (i / plane, i % plane / w, i % w);
+            let near = c == 1 && r.abs_diff(nan_r) <= 1 && col.abs_diff(nan_c) <= 1;
+            assert_eq!(
+                v.is_nan(),
+                near,
+                "NaN at ({nan_r}, {nan_c}): output ({c}, {r}, {col}) = {v}"
+            );
+        }
+    }
 }
 
 /// The perf ledger's `vision` set-up: nine devices, 12 classes, 10 + 3

@@ -1,6 +1,7 @@
-//! Criterion micro-benchmarks for the ISP pipeline: per-stage cost, the
-//! end-to-end sensor→ISP rendering path of the simulated devices, and one
-//! whole per-device dataset build (scenes serial, devices on the pool).
+//! Criterion micro-benchmarks for the ISP pipeline: per-stage cost and the
+//! 48→32 px resample, one sensor capture and the end-to-end sensor→ISP
+//! rendering path of the simulated devices, and one whole per-device dataset
+//! build (scenes serial, devices on the pool).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hs_data::{build_device_datasets, CaptureMode, Imagenet12Config};
@@ -55,6 +56,10 @@ fn bench_stages(c: &mut Criterion) {
     c.bench_function("isp/jpeg_q85_48", |b| {
         b.iter(|| jpeg_compress(black_box(&rgb), CompressMethod::Jpeg(85)))
     });
+    // a 48-px capture into the 32-px tensor the models train on
+    c.bench_function("isp/resize_48_to_32", |b| {
+        b.iter(|| black_box(&rgb).resize(32, 32))
+    });
 }
 
 fn bench_pipelines(c: &mut Criterion) {
@@ -76,6 +81,10 @@ fn bench_pipelines(c: &mut Criterion) {
             scene.set(2, r, col, 0.3 + 0.4 * (col as f32 / 47.0));
         }
     }
+    c.bench_function("device/sensor_capture_s22_48", |b| {
+        let mut rng = StdRng::seed_from_u64(1);
+        b.iter(|| device.sensor.capture(black_box(&scene), &mut rng))
+    });
     c.bench_function("device/render_s22_48", |b| {
         let mut rng = StdRng::seed_from_u64(1);
         b.iter(|| device.render(black_box(&scene), &mut rng))

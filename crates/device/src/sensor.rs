@@ -1,4 +1,18 @@
 //! The parametric image-sensor model: scene radiance in, RAW mosaic out.
+//!
+//! # Reads and accumulation order
+//!
+//! Every captured pixel feeds a bit-exact replay (`tests/capture_bits.rs`),
+//! so the reads, the rounding and the RNG draws are a contract. A capture
+//! resamples the scene ([`ImageBuf::resize`]), blurs it, then walks the
+//! mosaic in raster order: each site reads its own colour's plane, computes
+//! `((radiance · exposure) · response) · falloff`, draws its noise from the
+//! stream only when the noise sigma is positive, and quantises. The blur
+//! reads each pixel's 4-neighbourhood with the edge pixel standing in past
+//! the border, and mixes `centre · (1 − s) + ((up + down + left + right) /
+//! 4) · s`.
+
+#![deny(clippy::disallowed_types)]
 
 use hs_isp::{BayerPattern, ImageBuf, RawImage};
 use rand::rngs::StdRng;
@@ -70,17 +84,26 @@ impl SensorModel {
             frame = blur3(&frame, self.blur.min(1.0));
         }
         let mut raw = RawImage::flat(self.width, self.height, 0.0, self.pattern);
+        if raw.data.is_empty() {
+            return raw;
+        }
         let cx = (self.width as f32 - 1.0) / 2.0;
         let cy = (self.height as f32 - 1.0) / 2.0;
         let max_r2 = cx * cx + cy * cy;
         let levels = (1u32 << self.bit_depth) as f32 - 1.0;
-        for r in 0..self.height {
-            for c in 0..self.width {
-                let ch = self.pattern.channel_at(r, c);
-                let mut v = frame.get(ch, r, c) * self.exposure * self.color_response[ch];
+        let n = self.width * self.height;
+        let planes = [0, 1, 2].map(|ch| &frame.data[ch * n..][..n]);
+        let rows = raw.data.chunks_exact_mut(self.width);
+        for (r, out) in rows.enumerate() {
+            // the two colours of this mosaic row, for even and odd columns
+            let colours = [0, 1].map(|c| self.pattern.channel_at(r, c));
+            let dy = r as f32 - cy;
+            for (c, o) in out.iter_mut().enumerate() {
+                let ch = colours[c % 2];
+                let mut v =
+                    planes[ch][r * self.width + c] * self.exposure * self.color_response[ch];
                 if self.vignetting > 0.0 {
                     let dx = c as f32 - cx;
-                    let dy = r as f32 - cy;
                     let falloff = 1.0 - self.vignetting * (dx * dx + dy * dy) / max_r2;
                     v *= falloff.max(0.0);
                 }
@@ -90,8 +113,7 @@ impl SensorModel {
                     v += gaussian(rng) * sigma;
                 }
                 // ADC quantisation
-                let v = (v.clamp(0.0, 1.0) * levels).round() / levels;
-                raw.set(r, c, v);
+                *o = (v.clamp(0.0, 1.0) * levels).round() / levels;
             }
         }
         raw
@@ -109,21 +131,21 @@ fn gaussian(rng: &mut StdRng) -> f32 {
 /// `strength`.
 fn blur3(img: &ImageBuf, strength: f32) -> ImageBuf {
     let mut out = img.clone();
-    for c in 0..img.channels {
-        for r in 0..img.height {
-            for col in 0..img.width {
-                let up = img.get(c, r.saturating_sub(1), col);
-                let down = img.get(c, (r + 1).min(img.height - 1), col);
-                let left = img.get(c, r, col.saturating_sub(1));
-                let right = img.get(c, r, (col + 1).min(img.width - 1));
-                let centre = img.get(c, r, col);
-                let neighbour_mean = (up + down + left + right) / 4.0;
-                out.set(
-                    c,
-                    r,
-                    col,
-                    centre * (1.0 - strength) + neighbour_mean * strength,
-                );
+    let (w, h) = (img.width, img.height);
+    let n = w * h;
+    if n == 0 {
+        return out;
+    }
+    for (src, dst) in img.data.chunks_exact(n).zip(out.data.chunks_exact_mut(n)) {
+        let row = |r: usize| &src[r * w..][..w];
+        for (r, o) in dst.chunks_exact_mut(w).enumerate() {
+            let (above, here, below) = (row(r.saturating_sub(1)), row(r), row((r + 1).min(h - 1)));
+            for (col, o) in o.iter_mut().enumerate() {
+                let left = here[col.saturating_sub(1)];
+                let right = here[(col + 1).min(w - 1)];
+                let centre = here[col];
+                let neighbour_mean = (above[col] + below[col] + left + right) / 4.0;
+                *o = centre * (1.0 - strength) + neighbour_mean * strength;
             }
         }
     }

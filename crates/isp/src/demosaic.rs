@@ -5,7 +5,24 @@
 //! the *behavioural signature* of each algorithm — gradient-directed
 //! interpolation for PPG/AHD, resolution-halving superpixels for binning —
 //! rather than bit-exact ports, which is what the heterogeneity study needs.
+//!
+//! # Reads and accumulation order
+//!
+//! Every captured pixel feeds a bit-exact replay (`tests/capture_bits.rs`),
+//! so the reads and the rounding are a contract. PPG and AHD read a
+//! [`Padded`] copy of the mosaic and of its colour map, edge-replicated by
+//! their window radius (1 and 2): a read past the border sees the nearest
+//! edge pixel and that pixel's colour, which is what clamping both
+//! coordinates reads. A neighbourhood mean is only asked for a colour other
+//! than the centre's. It adds the window's pixels of that colour one by one
+//! in raster order (row outer, column inner) into a zeroed `sum` and returns
+//! `sum / count`, or the centre pixel when no neighbour has that colour.
+//! Pixel binning averages each 2×2 quad per colour the same way and
+//! resamples with [`ImageBuf::resize`].
 
+#![deny(clippy::disallowed_types)]
+
+use crate::image::pad_edges;
 use crate::{ImageBuf, RawImage};
 use serde::{Deserialize, Serialize};
 
@@ -29,60 +46,93 @@ pub fn demosaic(raw: &RawImage, method: DemosaicMethod) -> ImageBuf {
     }
 }
 
-/// Clamped mosaic read used by the interpolators.
-fn sample(raw: &RawImage, row: isize, col: isize) -> f32 {
-    let r = row.clamp(0, raw.height as isize - 1) as usize;
-    let c = col.clamp(0, raw.width as isize - 1) as usize;
-    raw.get(r, c)
+/// The mosaic and its colour map, each edge-replicated by `pad` pixels on
+/// every side, row-major with `stride` values per row.
+struct Padded {
+    pad: usize,
+    stride: usize,
+    values: Vec<f32>,
+    colours: Vec<u8>,
 }
 
-/// Averages the mosaic neighbours of `(row, col)` that carry colour `target`.
-fn neighbour_mean(raw: &RawImage, row: usize, col: usize, target: usize, radius: isize) -> f32 {
-    let mut sum = 0.0;
-    let mut count = 0.0;
-    for dr in -radius..=radius {
-        for dc in -radius..=radius {
-            if dr == 0 && dc == 0 {
-                continue;
-            }
-            let rr = row as isize + dr;
-            let cc = col as isize + dc;
-            let rru = rr.clamp(0, raw.height as isize - 1) as usize;
-            let ccu = cc.clamp(0, raw.width as isize - 1) as usize;
-            if raw.pattern.channel_at(rru, ccu) == target {
-                sum += raw.get(rru, ccu);
-                count += 1.0;
+impl Padded {
+    fn new(raw: &RawImage, pad: usize) -> Self {
+        let (w, h) = (raw.width, raw.height);
+        let colours: Vec<u8> = (0..w * h)
+            .map(|i| raw.pattern.channel_at(i / w, i % w) as u8)
+            .collect();
+        let mut padded = Padded {
+            pad,
+            stride: w + 2 * pad,
+            values: Vec::new(),
+            colours: Vec::new(),
+        };
+        pad_edges(&raw.data, w, h, pad, &mut padded.values);
+        pad_edges(&colours, w, h, pad, &mut padded.colours);
+        padded
+    }
+
+    /// The value `(dr, dc)` away from padded index `i`.
+    fn at(&self, i: usize, dr: isize, dc: isize) -> f32 {
+        self.values[i.wrapping_add_signed(dr * self.stride as isize + dc)]
+    }
+
+    /// Mean of the pixels of colour `target` in the `(2·pad + 1)²` window
+    /// around padded index `i`, centre excluded; the centre when there are
+    /// none.
+    fn neighbour_mean(&self, i: usize, target: u8) -> f32 {
+        // the centre is never of the wanted colour, so it never counts
+        debug_assert_ne!(self.colours[i], target);
+        // gather the hits in raster order (a window is at most 5×5), then add
+        // them one by one
+        let mut hits = [0.0f32; 25];
+        let mut count = 0;
+        let (pad, stride) = (self.pad, self.stride);
+        for dr in 0..=2 * pad {
+            let row = i + dr * stride - pad * stride - pad;
+            let window = row..row + 2 * pad + 1;
+            let pixels = self.values[window.clone()]
+                .iter()
+                .zip(&self.colours[window]);
+            for (&v, &colour) in pixels {
+                hits[count] = v;
+                count += usize::from(colour == target);
             }
         }
-    }
-    if count > 0.0 {
-        sum / count
-    } else {
-        raw.get(row, col)
+        if count > 0 {
+            hits[..count].iter().fold(0.0, |sum, &v| sum + v) / count as f32
+        } else {
+            self.values[i]
+        }
     }
 }
 
-/// Runs `per_pixel` over every mosaic location, writing its `[r, g, b]`
-/// result into the three output planes.
-fn demosaic_rows<F>(raw: &RawImage, per_pixel: F) -> ImageBuf
+/// Runs `per_pixel` over every mosaic location of a [`Padded`] copy of `raw`,
+/// writing its `[r, g, b]` result into the three output planes. `per_pixel`
+/// gets the padded index of the location, its value and its colour.
+fn demosaic_rows<F>(raw: &RawImage, pad: usize, per_pixel: F) -> ImageBuf
 where
-    F: Fn(usize, usize) -> [f32; 3],
+    F: Fn(&Padded, usize, f32, u8) -> [f32; 3],
 {
     let (w, h) = (raw.width, raw.height);
     let mut out = ImageBuf::zeros(w, h, 3);
     let n = w * h;
+    if n == 0 {
+        return out;
+    }
+    let padded = Padded::new(raw, pad);
     let (rp, rest) = out.data.split_at_mut(n);
     let (gp, bp) = rest.split_at_mut(n);
-    for (i, ((rv, gv), bv)) in rp
-        .iter_mut()
-        .zip(gp.iter_mut())
-        .zip(bp.iter_mut())
-        .enumerate()
-    {
-        let [pr, pg, pb] = per_pixel(i / w, i % w);
-        *rv = pr;
-        *gv = pg;
-        *bv = pb;
+    let rows = rp.chunks_exact_mut(w).zip(gp.chunks_exact_mut(w));
+    for (r, ((rr, gr), br)) in rows.zip(bp.chunks_exact_mut(w)).enumerate() {
+        let first = (r + pad) * padded.stride + pad;
+        let outs = rr.iter_mut().zip(gr.iter_mut()).zip(br.iter_mut());
+        for (i, ((rv, gv), bv)) in (first..first + w).zip(outs) {
+            let [pr, pg, pb] = per_pixel(&padded, i, padded.values[i], padded.colours[i]);
+            *rv = pr;
+            *gv = pg;
+            *bv = pb;
+        }
     }
     out
 }
@@ -90,28 +140,27 @@ where
 /// PPG-style demosaic: green is interpolated along the direction of the
 /// smaller gradient, red/blue are filled from local neighbourhood means.
 fn ppg(raw: &RawImage) -> ImageBuf {
-    demosaic_rows(raw, |r, c| {
-        let own = raw.pattern.channel_at(r, c);
-        let v = raw.get(r, c);
-        let (ri, ci) = (r as isize, c as isize);
+    demosaic_rows(raw, 1, |p, i, v, own| {
         let mut px = [0.0f32; 3];
-        px[own] = v;
+        px[own as usize] = v;
         if own != 1 {
             // interpolate green along the lower-gradient axis
-            let gh = (sample(raw, ri, ci - 1) - sample(raw, ri, ci + 1)).abs();
-            let gv = (sample(raw, ri - 1, ci) - sample(raw, ri + 1, ci)).abs();
+            let (west, east) = (p.at(i, 0, -1), p.at(i, 0, 1));
+            let (north, south) = (p.at(i, -1, 0), p.at(i, 1, 0));
+            let gh = (west - east).abs();
+            let gv = (north - south).abs();
             px[1] = if gh <= gv {
-                0.5 * (sample(raw, ri, ci - 1) + sample(raw, ri, ci + 1))
+                0.5 * (west + east)
             } else {
-                0.5 * (sample(raw, ri - 1, ci) + sample(raw, ri + 1, ci))
+                0.5 * (north + south)
             };
             // the remaining colour comes from the diagonal neighbours
             let other = if own == 0 { 2 } else { 0 };
-            px[other] = neighbour_mean(raw, r, c, other, 1);
+            px[other] = p.neighbour_mean(i, other as u8);
         } else {
             // green pixel: interpolate both red and blue from neighbours
-            px[0] = neighbour_mean(raw, r, c, 0, 1);
-            px[2] = neighbour_mean(raw, r, c, 2, 1);
+            px[0] = p.neighbour_mean(i, 0);
+            px[2] = p.neighbour_mean(i, 2);
         }
         px
     })
@@ -121,32 +170,31 @@ fn ppg(raw: &RawImage) -> ImageBuf {
 /// comparing the homogeneity (local variance) of horizontal and vertical
 /// candidate reconstructions over a wider window.
 fn ahd(raw: &RawImage) -> ImageBuf {
-    demosaic_rows(raw, |r, c| {
-        let own = raw.pattern.channel_at(r, c);
-        let v = raw.get(r, c);
-        let (ri, ci) = (r as isize, c as isize);
+    demosaic_rows(raw, 2, |p, i, v, own| {
         let mut px = [0.0f32; 3];
-        px[own] = v;
+        px[own as usize] = v;
         if own != 1 {
             // candidate green values from each direction
-            let gh = 0.5 * (sample(raw, ri, ci - 1) + sample(raw, ri, ci + 1));
-            let gv = 0.5 * (sample(raw, ri - 1, ci) + sample(raw, ri + 1, ci));
+            let gh = 0.5 * (p.at(i, 0, -1) + p.at(i, 0, 1));
+            let gv = 0.5 * (p.at(i, -1, 0) + p.at(i, 1, 0));
             // homogeneity score: variation along each axis over radius 2
-            let hom_h = (sample(raw, ri, ci - 2) - v).abs() + (sample(raw, ri, ci + 2) - v).abs();
-            let hom_v = (sample(raw, ri - 2, ci) - v).abs() + (sample(raw, ri + 2, ci) - v).abs();
+            let (west, east) = (p.at(i, 0, -2), p.at(i, 0, 2));
+            let (north, south) = (p.at(i, -2, 0), p.at(i, 2, 0));
+            let hom_h = (west - v).abs() + (east - v).abs();
+            let hom_v = (north - v).abs() + (south - v).abs();
             let green = if hom_h <= hom_v { gh } else { gv };
             // second-order correction term characteristic of AHD
             let correction = if hom_h <= hom_v {
-                0.25 * (2.0 * v - sample(raw, ri, ci - 2) - sample(raw, ri, ci + 2))
+                0.25 * (2.0 * v - west - east)
             } else {
-                0.25 * (2.0 * v - sample(raw, ri - 2, ci) - sample(raw, ri + 2, ci))
+                0.25 * (2.0 * v - north - south)
             };
             px[1] = (green + correction).clamp(0.0, 1.0);
             let other = if own == 0 { 2 } else { 0 };
-            px[other] = neighbour_mean(raw, r, c, other, 2);
+            px[other] = p.neighbour_mean(i, other as u8);
         } else {
-            px[0] = neighbour_mean(raw, r, c, 0, 2);
-            px[2] = neighbour_mean(raw, r, c, 2, 2);
+            px[0] = p.neighbour_mean(i, 0);
+            px[2] = p.neighbour_mean(i, 2);
         }
         px
     })

@@ -1,5 +1,24 @@
 //! Denoising stage: FBDD-style smoothing and wavelet BayesShrink.
+//!
+//! # Reads and accumulation order
+//!
+//! Every captured pixel feeds a bit-exact replay (`tests/capture_bits.rs`),
+//! so the reads and the rounding are a contract. FBDD reads each channel
+//! plane edge-replicated by one pixel, which is what clamping both
+//! coordinates reads. The weight of a pair of pixels `a`, `b` is
+//! `exp(−((b − a)·(b − a)) / (2σ²))`; `(b − a)²` and `(a − b)²` are the same
+//! f32, so each pair's weight is computed once per plane, for its east,
+//! south, south-east and south-west neighbour, and read by both ends. The
+//! centre's own weight is that expression at `b = a`: 1 for a finite pixel,
+//! and evaluated for a non-finite one. Each output adds its nine
+//! `weight · value` terms and their weights into zeroed accumulators in
+//! raster order (row outer, column inner, the centre included) and returns
+//! `sum / weight`. The wavelet denoiser works on each plane's 2×2 blocks;
+//! an odd last row or column is copied through.
 
+#![deny(clippy::disallowed_types)]
+
+use crate::image::pad_edges;
 use crate::ImageBuf;
 use serde::{Deserialize, Serialize};
 
@@ -30,26 +49,67 @@ pub fn denoise(img: &ImageBuf, method: DenoiseMethod) -> ImageBuf {
 /// edges.
 fn fbdd(img: &ImageBuf) -> ImageBuf {
     let mut out = img.clone();
-    let sigma_r = 0.1f32;
     let (w, h) = (img.width, img.height);
     let n = w * h;
-    for (c, plane) in out.data.chunks_mut(n).enumerate() {
-        for (idx, o) in plane.iter_mut().enumerate() {
-            let (r, col) = (idx / w, idx % w);
-            let centre = img.get(c, r, col);
-            let mut sum = 0.0;
-            let mut weight = 0.0;
-            for dr in -1i32..=1 {
-                for dc in -1i32..=1 {
-                    let rr = (r as i32 + dr).clamp(0, h as i32 - 1) as usize;
-                    let cc = (col as i32 + dc).clamp(0, w as i32 - 1) as usize;
-                    let v = img.get(c, rr, cc);
-                    let wgt = (-((v - centre) * (v - centre)) / (2.0 * sigma_r * sigma_r)).exp();
+    if n == 0 {
+        return out;
+    }
+    type Span = std::ops::RangeInclusive<usize>;
+    let sigma_r = 0.1f32;
+    let two_sigma2 = 2.0 * sigma_r * sigma_r;
+    let pair = |a: f32, b: f32| (-((b - a) * (b - a)) / two_sigma2).exp();
+    // the plane edge-replicated by one pixel, and the weight of each pixel
+    // paired with its east, south, south-east and south-west neighbour
+    let stride = w + 2;
+    let len = stride * (h + 2);
+    let mut padded = Vec::with_capacity(len);
+    let [mut east, mut south, mut south_east, mut south_west] =
+        [0, 1, 2, 3].map(|_| vec![0.0; len]);
+    for (src, o) in img.data.chunks_exact(n).zip(out.data.chunks_exact_mut(n)) {
+        pad_edges(src, w, h, 1, &mut padded);
+        // the pairs some output reads: those with an end inside the image
+        let weigh = |weights: &mut [f32], rows: Span, cols: Span, step: usize| {
+            for pr in rows {
+                for pc in cols.clone() {
+                    let p = pr * stride + pc;
+                    weights[p] = pair(padded[p], padded[p + step]);
+                }
+            }
+        };
+        weigh(&mut east, 1..=h, 0..=w, 1);
+        weigh(&mut south, 0..=h, 1..=w, stride);
+        weigh(&mut south_east, 0..=h, 0..=w, stride + 1);
+        weigh(&mut south_west, 0..=h, 1..=w + 1, stride - 1);
+        for (r, o) in o.chunks_exact_mut(w).enumerate() {
+            let first = (r + 1) * stride + 1;
+            for (i, o) in (first..first + w).zip(o) {
+                let (up, down) = (i - stride, i + stride);
+                let centre = padded[i];
+                // exp(−0) = 1; a non-finite centre weighs itself NaN
+                let own = if centre.is_finite() {
+                    1.0
+                } else {
+                    pair(centre, centre)
+                };
+                let terms = [
+                    (south_east[up - 1], padded[up - 1]),
+                    (south[up], padded[up]),
+                    (south_west[up + 1], padded[up + 1]),
+                    (east[i - 1], padded[i - 1]),
+                    (own, centre),
+                    (east[i], padded[i + 1]),
+                    (south_west[i], padded[down - 1]),
+                    (south[i], padded[down]),
+                    (south_east[i], padded[down + 1]),
+                ];
+                let mut sum = 0.0;
+                let mut weight = 0.0;
+                for (wgt, v) in terms {
                     sum += wgt * v;
                     weight += wgt;
                 }
+                *o = sum / weight;
             }
-            *o = sum / weight;
         }
     }
     out

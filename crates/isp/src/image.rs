@@ -1,4 +1,16 @@
 //! Planar RGB image and RAW Bayer-mosaic buffers.
+//!
+//! # Reads and accumulation order
+//!
+//! [`ImageBuf::resize`] feeds every captured pixel twice (scene to sensor,
+//! ISP output to tensor), and the captures replay bit for bit
+//! (`tests/capture_bits.rs`), so its rounding is a contract. Source
+//! coordinates are `((i + 0.5) · scale − 0.5)` clamped to the image, one f32
+//! expression per output column and per output row; each output pixel is the
+//! left-associated sum of its four `value · row weight · column weight`
+//! products, top-left, top-right, bottom-left, bottom-right.
+
+#![deny(clippy::disallowed_types)]
 
 use serde::{Deserialize, Serialize};
 
@@ -126,28 +138,43 @@ impl ImageBuf {
         }
     }
 
-    /// Bilinearly resamples the image to a new square size.
+    /// Bilinearly resamples the image to `new_width` × `new_height`.
+    ///
+    /// Each output column's source columns and weights `(x0, x1, wx, 1 − wx)`
+    /// and each output row's `(y0, y1, wy, 1 − wy)` are computed once; every
+    /// output pixel is then `v00·(1−wy)·(1−wx) + v01·(1−wy)·wx +
+    /// v10·wy·(1−wx) + v11·wy·wx`, each product and the sum associated left.
     pub fn resize(&self, new_width: usize, new_height: usize) -> ImageBuf {
         let mut out = ImageBuf::zeros(new_width, new_height, self.channels);
-        let sx = self.width as f32 / new_width as f32;
-        let sy = self.height as f32 / new_height as f32;
-        for c in 0..self.channels {
-            for r in 0..new_height {
-                let fy = ((r as f32 + 0.5) * sy - 0.5).clamp(0.0, self.height as f32 - 1.0);
-                let y0 = fy.floor() as usize;
-                let y1 = (y0 + 1).min(self.height - 1);
-                let wy = fy - y0 as f32;
-                for col in 0..new_width {
-                    let fx = ((col as f32 + 0.5) * sx - 0.5).clamp(0.0, self.width as f32 - 1.0);
-                    let x0 = fx.floor() as usize;
-                    let x1 = (x0 + 1).min(self.width - 1);
-                    let wx = fx - x0 as f32;
-                    let v = self.get(c, y0, x0) * (1.0 - wy) * (1.0 - wx)
-                        + self.get(c, y0, x1) * (1.0 - wy) * wx
-                        + self.get(c, y1, x0) * wy * (1.0 - wx)
-                        + self.get(c, y1, x1) * wy * wx;
-                    out.set(c, r, col, v);
-                }
+        if out.data.is_empty() {
+            return out;
+        }
+        let taps = |from: usize, to: usize| -> Vec<(usize, usize, f32, f32)> {
+            let scale = from as f32 / to as f32;
+            (0..to)
+                .map(|i| {
+                    let f = ((i as f32 + 0.5) * scale - 0.5).clamp(0.0, from as f32 - 1.0);
+                    let i0 = f.floor() as usize;
+                    let w = f - i0 as f32;
+                    (i0, (i0 + 1).min(from - 1), w, 1.0 - w)
+                })
+                .collect()
+        };
+        let cols = taps(self.width, new_width);
+        let rows = taps(self.height, new_height);
+        let plane = self.width * self.height;
+        let out_rows = out.data.chunks_exact_mut(new_width);
+        let src_rows = self
+            .data
+            .chunks_exact(plane)
+            .flat_map(|p| rows.iter().map(move |t| (p, t)));
+        for (o, (src, &(y0, y1, wy, wy1))) in out_rows.zip(src_rows) {
+            let (top, bottom) = (&src[y0 * self.width..], &src[y1 * self.width..]);
+            for (v, &(x0, x1, wx, wx1)) in o.iter_mut().zip(&cols) {
+                *v = top[x0] * wy1 * wx1
+                    + top[x1] * wy1 * wx
+                    + bottom[x0] * wy * wx1
+                    + bottom[x1] * wy * wx;
             }
         }
         out
@@ -166,6 +193,26 @@ impl ImageBuf {
             .map(|(a, b)| (a - b).abs())
             .sum::<f32>()
             / self.data.len() as f32
+    }
+}
+
+/// Writes `plane` (`width` × `height`, row-major, both non-zero) into `out`,
+/// edge-replicated by `pad` pixels on every side: the padded pixel at
+/// `(r, c)` is the plane's pixel at both coordinates clamped to the plane,
+/// so a kernel that reads the padded copy reads what clamped reads would.
+pub(crate) fn pad_edges<T: Copy>(
+    plane: &[T],
+    width: usize,
+    height: usize,
+    pad: usize,
+    out: &mut Vec<T>,
+) {
+    out.clear();
+    for pr in 0..height + 2 * pad {
+        let row = &plane[pr.saturating_sub(pad).min(height - 1) * width..][..width];
+        out.extend(std::iter::repeat_n(row[0], pad));
+        out.extend_from_slice(row);
+        out.extend(std::iter::repeat_n(row[width - 1], pad));
     }
 }
 

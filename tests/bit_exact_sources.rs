@@ -5,15 +5,19 @@
 //! `acc += a + b` is `acc + (a + b)`, one ULP off the chain `acc + a + b`.
 
 /// The bit-exact modules, relative to the workspace root.
-const BIT_EXACT_MODULES: [&str; 8] = [
+const BIT_EXACT_MODULES: [&str; 12] = [
     "crates/fl/src/aggregate.rs",
     "crates/fl/src/cohort.rs",
     "crates/fl/src/simulation.rs",
     "crates/device/src/fault.rs",
+    "crates/device/src/sensor.rs",
     "crates/device/src/spec.rs",
     "crates/data/src/lazy.rs",
     "crates/data/src/imagenet12.rs",
     "crates/isp/src/compress.rs",
+    "crates/isp/src/demosaic.rs",
+    "crates/isp/src/denoise.rs",
+    "crates/isp/src/image.rs",
 ];
 
 /// `(byte offset, token)` pairs: `None` for an operand (identifier, number,

@@ -77,7 +77,7 @@ pub fn cross_device_matrix(scale: &Scale, mode: CaptureMode) -> DegradationMatri
 }
 
 /// One row of the ISP-ablation result (paper Fig. 3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, serde::ToJson)]
 pub struct IspAblationRow {
     /// The ISP stage that was modified at test time.
     pub stage: IspStage,
@@ -174,10 +174,20 @@ pub fn isp_ablation(scale: &Scale) -> Vec<IspAblationRow> {
     rows
 }
 
+/// The two arms of paper Fig. 1: a FedAvg global model's mean per-device
+/// accuracy.
+#[derive(Debug, Clone, serde::ToJson)]
+pub struct HomoVsHetero {
+    /// Every client is the same device type.
+    pub homogeneous: f32,
+    /// Clients span the whole fleet.
+    pub heterogeneous: f32,
+}
+
 /// Paper Fig. 1: the accuracy of a FedAvg global model when all clients use
 /// the same device type (homogeneous) versus a mix of device types
-/// (heterogeneous). Returns `(homogeneous_accuracy, heterogeneous_accuracy)`.
-pub fn homo_vs_hetero(scale: &Scale) -> (f32, f32) {
+/// (heterogeneous).
+pub fn homo_vs_hetero(scale: &Scale) -> HomoVsHetero {
     let devices = paper_devices();
     let datasets = build_device_datasets(&devices, scale.imagenet, scale.seed);
     let vision = VisionConfig::new(3, scale.imagenet.num_classes, scale.imagenet.image_size);
@@ -202,9 +212,10 @@ pub fn homo_vs_hetero(scale: &Scale) -> (f32, f32) {
 
     // homogeneous: every client is a Pixel2 (a mid-range, middle-of-the-pack
     // device); heterogeneous: clients span the full fleet
-    let homogeneous = run(&datasets[1..2]);
-    let heterogeneous = run(&datasets);
-    (homogeneous, heterogeneous)
+    HomoVsHetero {
+        homogeneous: run(&datasets[1..2]),
+        heterogeneous: run(&datasets),
+    }
 }
 
 /// Distributes `num_clients` clients uniformly over the given per-device

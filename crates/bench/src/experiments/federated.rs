@@ -16,8 +16,7 @@ use hs_fl::{
     FedAvgTrainer, FedProxTrainer, FlConfig, FlSimulation, LossKind, RoundStats, ScaffoldTrainer,
 };
 use hs_metrics::{heart_rate_deviation, mean, population_variance, worst_case, GroupAccuracy};
-use hs_nn::models::{ModelKind, VisionConfig};
-use hs_nn::{Linear, Network, Relu, Sequential};
+use hs_nn::models::{ecg_net, ModelKind, VisionConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -128,7 +127,7 @@ impl Method {
 }
 
 /// Per-method result over per-device accuracies (the columns of Table 4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize, serde::ToJson)]
 pub struct MethodResult {
     /// Method name.
     pub method: String,
@@ -159,20 +158,6 @@ impl MethodResult {
             per_device,
             rounds: Vec::new(),
         }
-    }
-}
-
-impl serde::json::ToJson for MethodResult {
-    fn to_json(&self) -> serde::json::JsonValue {
-        use serde::json::{JsonValue, ToJson};
-        JsonValue::obj(vec![
-            ("method", ToJson::to_json(&self.method)),
-            ("per_device", ToJson::to_json(&self.per_device)),
-            ("worst_case", ToJson::to_json(&self.worst_case)),
-            ("variance", ToJson::to_json(&self.variance)),
-            ("average", ToJson::to_json(&self.average)),
-            ("rounds", ToJson::to_json(&self.rounds)),
-        ])
     }
 }
 
@@ -242,10 +227,22 @@ pub fn method_suite(scale: &Scale, methods: &[Method]) -> Vec<MethodResult> {
         .collect()
 }
 
+/// One device's row of Fig. 4 or Fig. 5: a FedAvg model's accuracy on the
+/// device, and its relative degradation against a reference accuracy.
+#[derive(Debug, Clone, serde::ToJson)]
+pub struct DeviceDegradation {
+    /// Device name.
+    pub device: String,
+    /// Accuracy of the FedAvg global model on the device.
+    pub accuracy: f32,
+    /// `(reference - accuracy) / reference`: the dominant devices' accuracy
+    /// in Fig. 4, the device's all-device-baseline accuracy in Fig. 5.
+    pub degradation: f32,
+}
+
 /// Paper Fig. 4: per-device degradation of the FedAvg global model relative
-/// to the dominant devices (Galaxy S9 and S6). Returns
-/// `(device, accuracy, degradation_vs_dominant)` rows.
-pub fn fairness_vs_dominant(scale: &Scale) -> Vec<(String, f32, f32)> {
+/// to the dominant devices (Galaxy S9 and S6).
+pub fn fairness_vs_dominant(scale: &Scale) -> Vec<DeviceDegradation> {
     let vision = VisionConfig::new(3, scale.imagenet.num_classes, scale.imagenet.image_size);
     let (clients, tests) = build_fl_population(scale);
     let result = run_fl_method(scale, Method::FedAvg, scale.model, vision, clients, &tests);
@@ -259,12 +256,10 @@ pub fn fairness_vs_dominant(scale: &Scale) -> Vec<(String, f32, f32)> {
     result
         .per_device
         .iter()
-        .map(|g| {
-            (
-                g.group.clone(),
-                g.accuracy,
-                (dominant - g.accuracy) / dominant,
-            )
+        .map(|g| DeviceDegradation {
+            device: g.group.clone(),
+            accuracy: g.accuracy,
+            degradation: (dominant - g.accuracy) / dominant,
         })
         .collect()
 }
@@ -272,7 +267,7 @@ pub fn fairness_vs_dominant(scale: &Scale) -> Vec<(String, f32, f32)> {
 /// Paper Fig. 5: leave-one-device-out domain generalization. For each held
 /// out device, train FedAvg on the remaining devices and report the accuracy
 /// on the held-out device relative to the all-device baseline.
-pub fn dg_leave_one_out(scale: &Scale) -> Vec<(String, f32, f32)> {
+pub fn dg_leave_one_out(scale: &Scale) -> Vec<DeviceDegradation> {
     let devices = paper_devices();
     let datasets = build_device_datasets(&devices, scale.imagenet, scale.seed);
     let vision = VisionConfig::new(3, scale.imagenet.num_classes, scale.imagenet.image_size);
@@ -302,11 +297,11 @@ pub fn dg_leave_one_out(scale: &Scale) -> Vec<(String, f32, f32)> {
                 .map(|g| g.accuracy)
                 .unwrap_or(0.0)
                 .max(1e-6);
-            (
-                held_out.device.clone(),
-                excluded_acc,
-                (baseline_acc - excluded_acc) / baseline_acc,
-            )
+            DeviceDegradation {
+                device: held_out.device.clone(),
+                accuracy: excluded_acc,
+                degradation: (baseline_acc - excluded_acc) / baseline_acc,
+            }
         })
         .collect()
 }
@@ -343,7 +338,7 @@ pub fn table5_models(
 }
 
 /// One row of the FLAIR-style comparison (paper Table 6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize, serde::ToJson)]
 pub struct FlairResult {
     /// Method name.
     pub method: String,
@@ -414,28 +409,23 @@ pub fn synthetic_cifar_study(scale: &Scale) -> (MethodResult, MethodResult) {
 }
 
 /// Result of the ECG sensor-heterogeneity study (paper Sec. 6.6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize, serde::ToJson)]
 pub struct EcgResult {
     /// Method name.
     pub method: String,
     /// Mean relative heart-rate deviation (percent) across sensor types.
     pub mean_deviation: f32,
     /// Per-sensor deviation rows.
-    pub per_sensor: Vec<(String, f32)>,
+    pub per_sensor: Vec<SensorDeviation>,
 }
 
-/// Builds the small regression MLP used for the ECG study.
-fn ecg_model_factory(window: usize) -> hs_fl::ModelFactory {
-    Box::new(move |seed| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Network::new(Sequential::new(vec![
-            Box::new(Linear::new(window, 64, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Linear::new(64, 32, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Linear::new(32, 1, &mut rng)),
-        ]))
-    })
+/// One sensor type's row of the ECG study.
+#[derive(Debug, Clone, Serialize, Deserialize, serde::ToJson)]
+pub struct SensorDeviation {
+    /// Sensor type.
+    pub sensor: String,
+    /// Relative heart-rate deviation (percent) on the sensor's test set.
+    pub deviation: f32,
 }
 
 /// Paper Sec. 6.6: FedAvg vs HeteroSwitch (with the random Gaussian filter)
@@ -444,6 +434,7 @@ fn ecg_model_factory(window: usize) -> hs_fl::ModelFactory {
 pub fn ecg_study(scale: &Scale) -> Vec<EcgResult> {
     let datasets = build_ecg_datasets(scale.ecg, scale.seed);
     let (clients, tests) = population_from_datasets(&datasets, scale, false);
+    let window = scale.ecg.window;
 
     [Method::FedAvg, Method::HeteroSwitch]
         .iter()
@@ -453,20 +444,23 @@ pub fn ecg_study(scale: &Scale) -> Vec<EcgResult> {
             let mut sim = FlSimulation::new(
                 scale.fl,
                 clients.clone(),
-                ecg_model_factory(scale.ecg.window),
+                Box::new(move |seed| ecg_net(window, &mut StdRng::seed_from_u64(seed))),
                 trainer,
                 aggregation,
             );
             sim.run();
             let net = sim.global_model();
-            let per_sensor: Vec<(String, f32)> = tests
+            let per_sensor: Vec<SensorDeviation> = tests
                 .iter()
                 .map(|(sensor, test)| {
                     let (pred, actual) = evaluate_heart_rate(&net, test, 200.0);
-                    (sensor.clone(), heart_rate_deviation(&pred, &actual))
+                    SensorDeviation {
+                        sensor: sensor.clone(),
+                        deviation: heart_rate_deviation(&pred, &actual),
+                    }
                 })
                 .collect();
-            let deviations: Vec<f32> = per_sensor.iter().map(|(_, d)| *d).collect();
+            let deviations: Vec<f32> = per_sensor.iter().map(|s| s.deviation).collect();
             EcgResult {
                 method: method.as_str().to_string(),
                 mean_deviation: mean(&deviations),
@@ -477,7 +471,7 @@ pub fn ecg_study(scale: &Scale) -> Vec<EcgResult> {
 }
 
 /// One point of the hyper-parameter sensitivity sweep (paper Fig. 9).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize, serde::ToJson)]
 pub struct SensitivityPoint {
     /// Which hyper-parameter was varied.
     pub parameter: String,

@@ -54,9 +54,16 @@ impl TrainingVariant {
     }
 }
 
+impl serde::json::ToJson for TrainingVariant {
+    /// The variant's [`TrainingVariant::as_str`] label.
+    fn to_json(&self) -> serde::json::JsonValue {
+        serde::json::ToJson::to_json(self.as_str())
+    }
+}
+
 /// One row of the Fig. 7 result: a training variant evaluated against one
 /// test-time transformation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize, serde::ToJson)]
 pub struct RobustnessRow {
     /// Training variant.
     pub variant: TrainingVariant,

@@ -4,10 +4,11 @@
 //! HeteroSwitch paper's evaluation, plus the Criterion micro-benchmarks for
 //! the substrates (ISP stages, NN kernels, FL round mechanics).
 //!
-//! Each paper artifact has a binary under `src/bin/` (see DESIGN.md's
-//! experiment index); the binaries are thin wrappers over the functions in
-//! [`experiments`], so integration tests and the Criterion harness can call
-//! the same code at smaller scales.
+//! Each paper artifact is one entry of the experiment index,
+//! [`experiments::EXPERIMENTS`], which the `exp` binary runs by name; the
+//! entries are thin wrappers over the functions in [`experiments`], so
+//! integration tests and the Criterion harness can call the same code at
+//! smaller scales.
 //!
 //! Scale: every experiment function takes a [`Scale`] describing dataset and
 //! FL sizes. [`Scale::quick`] finishes in minutes on a laptop CPU and

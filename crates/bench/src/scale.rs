@@ -131,35 +131,42 @@ impl Scale {
     }
 
     /// Selects a scale from a command-line argument list: `--full` selects
-    /// [`Scale::paper`], `--tiny` selects [`Scale::tiny`], anything else (or
-    /// nothing) selects [`Scale::quick`]. `--seed N` then replaces the
-    /// preset's [`Scale::seed`].
+    /// [`Scale::paper`], `--tiny` selects [`Scale::tiny`], neither selects
+    /// [`Scale::quick`]. `--seed N` then replaces the preset's
+    /// [`Scale::seed`].
     ///
-    /// Exits the process with a message when `--seed` has no value or one
-    /// that is not an unsigned integer: a typo must not silently rerun the
-    /// default seed.
-    pub fn from_args(args: &[String]) -> Self {
-        Scale::parse_args(args).unwrap_or_else(|msg| {
-            eprintln!("error: {msg}");
-            std::process::exit(2)
-        })
-    }
-
-    /// [`Scale::from_args`], with the message it exits on as the error.
-    fn parse_args(args: &[String]) -> Result<Self, String> {
-        let mut scale = if args.iter().any(|a| a == "--full") {
-            Scale::paper()
-        } else if args.iter().any(|a| a == "--tiny") {
-            Scale::tiny()
-        } else {
-            Scale::quick()
-        };
-        if let Some(i) = args.iter().position(|a| a == "--seed") {
-            let value = args.get(i + 1).ok_or("--seed requires a value")?;
-            scale.seed = value
-                .parse()
-                .map_err(|_| format!("--seed {value:?} is not an unsigned integer"))?;
+    /// Any other argument, a second scale flag or `--seed`, or a `--seed`
+    /// without an unsigned integer value is an error: a typo must not
+    /// silently run another scale or the default seed.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
+        let mut preset: Option<&str> = None;
+        let mut seed = None;
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--tiny" | "--full" => {
+                    if let Some(first) = preset.replace(arg) {
+                        return Err(format!("{first} and {arg} both select a scale"));
+                    }
+                }
+                "--seed" => {
+                    let value = args.next().ok_or("--seed requires a value")?;
+                    let parsed = value
+                        .parse()
+                        .map_err(|_| format!("--seed {value:?} is not an unsigned integer"))?;
+                    if seed.replace(parsed).is_some() {
+                        return Err("--seed given twice".to_string());
+                    }
+                }
+                other => return Err(format!("unknown argument {other:?}")),
+            }
         }
+        let mut scale = match preset {
+            Some("--full") => Scale::paper(),
+            Some(_) => Scale::tiny(),
+            None => Scale::quick(),
+        };
+        scale.seed = seed.unwrap_or(scale.seed);
         Ok(scale)
     }
 }
@@ -187,29 +194,30 @@ mod tests {
 
     #[test]
     fn from_args_selects_scales() {
-        assert_eq!(Scale::from_args(&["--full".into()]), Scale::paper());
-        assert_eq!(Scale::from_args(&["--tiny".into()]), Scale::tiny());
-        assert_eq!(Scale::from_args(&[]), Scale::quick());
         let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let parse = |list: &[&str]| Scale::from_args(&args(list));
+        assert_eq!(parse(&["--full"]), Ok(Scale::paper()));
+        assert_eq!(parse(&["--tiny"]), Ok(Scale::tiny()));
+        assert_eq!(parse(&[]), Ok(Scale::quick()));
         let seeded = |mut scale: Scale| {
             scale.seed = 3;
-            scale
+            Ok(scale)
         };
-        assert_eq!(
-            Scale::from_args(&args(&["--seed", "3"])),
-            seeded(Scale::quick())
-        );
-        assert_eq!(
-            Scale::from_args(&args(&["--tiny", "--seed", "3"])),
-            seeded(Scale::tiny())
-        );
+        assert_eq!(parse(&["--seed", "3"]), seeded(Scale::quick()));
+        assert_eq!(parse(&["--tiny", "--seed", "3"]), seeded(Scale::tiny()));
+        assert_eq!(parse(&["--seed", "3", "--tiny"]), seeded(Scale::tiny()));
         for bad in [
             &["--seed"][..],
             &["--seed", "x"],
             &["--seed", "-1"],
             &["--seed", "--tiny"],
+            &["--seed", "3", "--seed", "4"],
+            &["--tiny", "--full"],
+            &["--tiny", "--tiny"],
+            &["--tinny"],
+            &["table4"],
         ] {
-            assert!(Scale::parse_args(&args(bad)).is_err(), "{bad:?}");
+            assert!(parse(bad).is_err(), "{bad:?}");
         }
     }
 }

@@ -49,6 +49,13 @@ impl IspStage {
     }
 }
 
+impl serde::json::ToJson for IspStage {
+    /// The stage's [`IspStage::as_str`] name.
+    fn to_json(&self) -> serde::json::JsonValue {
+        serde::json::ToJson::to_json(self.as_str())
+    }
+}
+
 /// A complete ISP configuration: one algorithm per stage.
 ///
 /// The three named constructors reproduce the paper's Table 3 columns; the

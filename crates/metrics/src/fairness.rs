@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 /// Accuracy of the global model on one group (device type), as used by the
 /// paper's fairness (variance) and DG (worst-case) metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, serde::ToJson)]
 pub struct GroupAccuracy {
     /// Group name (device type).
     pub group: String,
@@ -20,16 +20,6 @@ impl GroupAccuracy {
             group: group.into(),
             accuracy,
         }
-    }
-}
-
-impl serde::json::ToJson for GroupAccuracy {
-    fn to_json(&self) -> serde::json::JsonValue {
-        use serde::json::{JsonValue, ToJson};
-        JsonValue::obj(vec![
-            ("group", ToJson::to_json(&self.group)),
-            ("accuracy", ToJson::to_json(&self.accuracy)),
-        ])
     }
 }
 

@@ -21,6 +21,9 @@
 //! bench_check [--results PATH] [--baseline PATH] [--threshold 0.15]
 //! ```
 //!
+//! An unknown argument, an option without its value or given twice, or a
+//! threshold that is not a number exits with status 2 and the usage line.
+//!
 //! The threshold (fraction, default 0.15 = 15%) can also come from
 //! `HS_BENCH_THRESHOLD`. Benches present in the baseline but missing from
 //! the results are reported and count as failures — a renamed or deleted
@@ -41,24 +44,35 @@ fn load(path: &PathBuf) -> Vec<BenchRecord> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| -> Option<String> {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-                .clone()
-        })
+    let usage_error = |msg: String| -> ! {
+        eprintln!("bench_check: {msg}\nusage: bench_check [--results PATH] [--baseline PATH] [--threshold FRACTION]");
+        std::process::exit(2)
     };
-    let results_file = flag("--results")
-        .map(PathBuf::from)
-        .unwrap_or_else(results_path);
-    let baseline_file = flag("--baseline")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("crates/bench/bench-baseline.json"));
-    let threshold: f64 = flag("--threshold")
+    let (mut results, mut baseline, mut threshold) = (None, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let slot = match flag.as_str() {
+            "--results" => &mut results,
+            "--baseline" => &mut baseline,
+            "--threshold" => &mut threshold,
+            _ => usage_error(format!("unknown argument {flag:?}")),
+        };
+        let value = args.next().filter(|v| !v.starts_with("--"));
+        let value = value.unwrap_or_else(|| usage_error(format!("{flag} requires a value")));
+        if slot.replace(value).is_some() {
+            usage_error(format!("{flag} given twice"));
+        }
+    }
+    let results_file = results.map_or_else(results_path, PathBuf::from);
+    let baseline_file = PathBuf::from(
+        baseline
+            .as_deref()
+            .unwrap_or("crates/bench/bench-baseline.json"),
+    );
+    let threshold: f64 = threshold
         .or_else(|| std::env::var("HS_BENCH_THRESHOLD").ok())
-        .map(|v| v.parse().expect("threshold must be a number"))
-        .unwrap_or(0.15);
+        .map_or(Ok(0.15), |v| v.parse().map_err(|_| v))
+        .unwrap_or_else(|v| usage_error(format!("threshold {v:?} is not a number")));
 
     let results = load(&results_file);
     let baseline = load(&baseline_file);

@@ -20,7 +20,7 @@
 //! Everything on the FL side is deterministic in the seeds: two runs of the
 //! same [`ChaosConfig`] produce bit-identical round histories and
 //! accuracies (the serving-side latency numbers naturally vary with
-//! scheduling). `exp_chaos` is the binary wrapper; `tests/chaos_e2e.rs`
+//! scheduling). `exp chaos` runs it; `tests/chaos_e2e.rs`
 //! asserts the acceptance bar at a small scale.
 
 use super::federated::{population_from_datasets, run_fl_method, Method};
@@ -106,7 +106,7 @@ impl ChaosConfig {
     }
 }
 
-/// The outcome of one chaos run, serialised by `exp_chaos --json-out`.
+/// The outcome of one chaos run, serialised by `exp chaos --json-out`.
 #[derive(Debug, Clone, serde::ToJson)]
 pub struct ChaosReport {
     /// Mean per-device accuracy of the fault-free baseline run.

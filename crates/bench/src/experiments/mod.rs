@@ -1,13 +1,15 @@
-//! Experiment implementations, one function per paper table/figure.
+//! Experiment implementations: one function per paper table/figure, and
+//! the chaos, fleet-scale and serving-sweep studies.
 //!
-//! [`EXPERIMENTS`], the experiment index, maps each paper artifact to the
-//! function that regenerates it and the name the `exp` binary runs it by.
+//! The experiment index, [`EXPERIMENTS`] and [`HARNESSES`], maps each one
+//! to the name the `exp` binary runs it by.
 
 mod chaos;
 mod characterization;
 mod federated;
 mod fleet_scale;
 mod index;
+mod serving_sweep;
 mod swad_study;
 
 pub use chaos::{chaos_study, ChaosConfig, ChaosReport};
@@ -22,7 +24,8 @@ pub use federated::{
     SensorDeviation,
 };
 pub use fleet_scale::{fleet_scale_study, FleetScaleConfig, FleetScaleReport, FleetSizeRow};
-pub use index::{usage, Command, Experiment, Report, EXPERIMENTS};
+pub use index::{usage, Command, Experiment, Report, Run, EXPERIMENTS, HARNESSES};
+pub use serving_sweep::{serving_sweep, SweepRecord};
 pub use swad_study::{swad_robustness, RobustnessRow, TrainingVariant};
 
 use hs_fl::ModelFactory;

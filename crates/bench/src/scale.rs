@@ -129,46 +129,18 @@ impl Scale {
         s.centralized_epochs = 60;
         s
     }
+}
 
-    /// Selects a scale from a command-line argument list: `--full` selects
-    /// [`Scale::paper`], `--tiny` selects [`Scale::tiny`], neither selects
-    /// [`Scale::quick`]. `--seed N` then replaces the preset's
-    /// [`Scale::seed`].
-    ///
-    /// Any other argument, a second scale flag or `--seed`, or a `--seed`
-    /// without an unsigned integer value is an error: a typo must not
-    /// silently run another scale or the default seed.
-    pub fn from_args(args: &[String]) -> Result<Self, String> {
-        let mut preset: Option<&str> = None;
-        let mut seed = None;
-        let mut args = args.iter();
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--tiny" | "--full" => {
-                    if let Some(first) = preset.replace(arg) {
-                        return Err(format!("{first} and {arg} both select a scale"));
-                    }
-                }
-                "--seed" => {
-                    let value = args.next().ok_or("--seed requires a value")?;
-                    let parsed = value
-                        .parse()
-                        .map_err(|_| format!("--seed {value:?} is not an unsigned integer"))?;
-                    if seed.replace(parsed).is_some() {
-                        return Err("--seed given twice".to_string());
-                    }
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        let mut scale = match preset {
-            Some("--full") => Scale::paper(),
-            Some(_) => Scale::tiny(),
-            None => Scale::quick(),
-        };
-        scale.seed = seed.unwrap_or(scale.seed);
-        Ok(scale)
-    }
+/// A run size as the command line selects it: `--tiny`, no flag, or
+/// `--full`. Each experiment maps it to its own sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preset {
+    /// `--tiny`: the smallest run (seconds).
+    Tiny,
+    /// No size flag: the experiment's default run.
+    Default,
+    /// `--full`: the paper's scale.
+    Full,
 }
 
 #[cfg(test)]
@@ -190,34 +162,5 @@ mod tests {
         assert_eq!(s.fl.num_clients, 100);
         assert_eq!(s.fl.rounds, 1000);
         assert_eq!(s.imagenet.num_classes, 12);
-    }
-
-    #[test]
-    fn from_args_selects_scales() {
-        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let parse = |list: &[&str]| Scale::from_args(&args(list));
-        assert_eq!(parse(&["--full"]), Ok(Scale::paper()));
-        assert_eq!(parse(&["--tiny"]), Ok(Scale::tiny()));
-        assert_eq!(parse(&[]), Ok(Scale::quick()));
-        let seeded = |mut scale: Scale| {
-            scale.seed = 3;
-            Ok(scale)
-        };
-        assert_eq!(parse(&["--seed", "3"]), seeded(Scale::quick()));
-        assert_eq!(parse(&["--tiny", "--seed", "3"]), seeded(Scale::tiny()));
-        assert_eq!(parse(&["--seed", "3", "--tiny"]), seeded(Scale::tiny()));
-        for bad in [
-            &["--seed"][..],
-            &["--seed", "x"],
-            &["--seed", "-1"],
-            &["--seed", "--tiny"],
-            &["--seed", "3", "--seed", "4"],
-            &["--tiny", "--full"],
-            &["--tiny", "--tiny"],
-            &["--tinny"],
-            &["table4"],
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?}");
-        }
     }
 }

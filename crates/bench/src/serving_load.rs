@@ -1,8 +1,8 @@
 //! The serving load generator: closed- and open-loop drivers over an
 //! [`hs_serve::ServeClient`], shared by the `serving` bench (the CI-gated
-//! batched-vs-batch=1 ratio), the `exp_serving_sweep` binary (the
+//! batched-vs-batch=1 ratio), the serving sweep (`exp serving-sweep`, the
 //! offered-load × batcher-policy sweep behind `docs/PERF.md`'s table) and
-//! the `exp_chaos` fault harness.
+//! the chaos study (`exp chaos`).
 //!
 //! The closed-loop driver optionally retries `Backpressure`/`Shed`
 //! rejections with capped exponential backoff and decorrelated jitter

@@ -5,7 +5,7 @@
 //! must cover ≥ 95% of every `request` span's wall-clock — no unexplained
 //! gaps inside a request's lifetime.
 //!
-//! This is the same span topology `exp_chaos --trace-out` exports; the
+//! This is the same span topology `exp chaos --trace-out` exports; the
 //! test exists so a refactor of the serve instrumentation cannot silently
 //! break the artifact CI uploads.
 

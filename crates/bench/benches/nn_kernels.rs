@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the neural-network substrate: convolution,
-//! matmul, the conv backward at each MobileNetV3-small geometry, and a full
-//! forward/backward pass of each model in the zoo.
+//! matmul, `Linear`'s `x · Wᵀ`, the conv backward at each MobileNetV3-small
+//! geometry, and a full forward/backward pass of each model in the zoo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hs_nn::models::{build_vision_model, ModelKind, VisionConfig};
@@ -125,6 +125,44 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
+/// `Linear`'s `x · Wᵀ` (`hs_tensor::gemm_nt`) at the geometries that carry
+/// `fleet_mlp` and the SE blocks: the 192 → 16 first layer of the fleet MLP
+/// at batch 1, 8 and 32, and the 16 → 64 SE expand layer at batch 8. The
+/// `m8` row has a `_naive` twin, a straight dot loop per output, and their
+/// same-run ratio is gated in CI.
+fn bench_linear_nt(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(0);
+    for (name, m, k, n) in [
+        ("m1", 1, 192, 16),
+        ("m8", 8, 192, 16),
+        ("m32", 32, 192, 16),
+        ("se_expand_m8", 8, 16, 64),
+    ] {
+        let x = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
+        let w = Tensor::rand_uniform(&[n, k], -1.0, 1.0, &mut rng);
+        let mut out = vec![0.0f32; m * n];
+        c.bench_function(&format!("nn/linear_nt/{name}"), |b| {
+            b.iter(|| {
+                hs_tensor::gemm_nt(black_box(x.as_slice()), w.as_slice(), &mut out, m, k, n);
+                out[0]
+            })
+        });
+        if name == "m8" {
+            c.bench_function("nn/linear_nt/m8_naive", |b| {
+                b.iter(|| {
+                    let (x, w) = (black_box(x.as_slice()), w.as_slice());
+                    for (xi, row) in x.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                        for (o, wj) in row.iter_mut().zip(w.chunks_exact(k)) {
+                            *o = xi.iter().zip(wj).map(|(a, b)| a * b).sum();
+                        }
+                    }
+                    out[0]
+                })
+            });
+        }
+    }
+}
+
 /// MobileNetV3-small's convolutions as an FL client trains them (batch 10,
 /// 32 px input): `(geometry, cin, cout, kernel, stride, groups, input px)`,
 /// padding `kernel / 2`. The eight dense layers, then the three depthwise.
@@ -186,6 +224,6 @@ fn bench_models(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(15);
-    targets = bench_kernels, bench_conv_backward, bench_models
+    targets = bench_kernels, bench_linear_nt, bench_conv_backward, bench_models
 }
 criterion_main!(benches);

@@ -11,6 +11,19 @@
 //!   tile so the micro-kernel reads both packs sequentially),
 //! * an `MR x NR` register-tiled micro-kernel does all the flops.
 //!
+//! Up to `DIRECT_M_MAX` rows nothing is packed that can be read where it
+//! lies: the kernel broadcasts `A` straight from its source at the source's
+//! strides and reads full-width `B` strips in place; only a ragged row tile
+//! and a ragged or transposed strip are packed, and a remainder of at most
+//! two `NW`-wide strips runs on a narrow tile instead of a zero-padded wide
+//! one.
+//!
+//! An operand's layout is data (`Mat`: a slice and two strides), so
+//! [`gemm_nt`] and [`gemm_tn`] are the same core over a transposed view:
+//! no entry point stages a transpose. `gemm_nt` picks, by shape, between
+//! gathering `Bᵀ`'s strips and computing `outᵀ = B · Aᵀ` with `B` read in
+//! place and every tile stored transposed.
+//!
 //! Every entry point runs on the calling thread. Parallelism belongs to the
 //! callers that split whole problems: `hs-nn`'s inference sample shards and
 //! training bands, and the FL round's clients.
@@ -20,17 +33,18 @@
 //! (the build stays a plain portable `x86-64`/other target — no
 //! `-C target-cpu` required):
 //!
-//! * AVX-512F: the 8x48 tile as 8x3 zmm accumulators,
-//! * AVX2+FMA: two 4x48 half-tiles of 4x6 ymm accumulators,
-//! * portable: 8x6 `[f32; 8]` arrays the compiler autovectorises.
+//! * AVX-512F: the 8x48 tile as 8x3 zmm accumulators (8x1 narrow),
+//! * AVX2+FMA: two 4x48 half-tiles of 4x6 ymm accumulators (4x2 narrow),
+//! * portable: 8x6 `[f32; 8]` arrays the compiler autovectorises (8x2).
 //!
-//! All edges are handled by zero-padding the packs, so every tile runs the
-//! full-speed kernel, and every tile is stored by the same kernel store
-//! (`tile`): a full tile in place, a ragged or item-spanning one through a
-//! small bounce buffer that holds its live destination corner. So on one
-//! tier an output element is rounded by one rule wherever its tile falls:
-//! `out += acc`, or with an epilogue `act(fma(out + acc, scale, shift))` —
-//! a fused multiply-add on the AVX tiers, multiply-then-add on the portable
+//! Every tile runs the full-speed kernel, and every tile is stored by the
+//! same kernel store (`tile`): a full tile in place, a ragged,
+//! item-spanning or transposed one through a small bounce buffer that holds
+//! its live destination corner. So on one tier an output element is rounded
+//! by one rule wherever its tile falls and whichever operand is broadcast:
+//! the fused multiply-add chain over `k` from zero, then `out += acc` per
+//! `k` panel, or with an epilogue `act(fma(out + acc, scale, shift))` — a
+//! fused multiply-add on the AVX tiers, multiply-then-add on the portable
 //! one. Unlike the seed's i-k-j loop there is **no** `== 0.0` skip branch:
 //! `0 * NaN` correctly stays `NaN` and the inner loop stays branch-free.
 //!
@@ -42,14 +56,14 @@
 //! The `unsafe` here is the two calls into the `#[target_feature]` entry
 //! points and the tier tokens those construct — an entry point is only ever
 //! called after `isa()` reported its ISA, which is the tokens' contract
-//! (`crate::lanes`, the one file that names an intrinsic) — and the one
-//! unchecked slice of a `B` row in the kernel's `k` loop, whose bound is
-//! asserted once before the loop. Everything else in the kernel body is
-//! bounds-checked slice code.
+//! (`crate::lanes`, the one file that names an intrinsic) — and the
+//! unchecked reads of an `A` element and a `B` row in the kernel's `k`
+//! loop, whose bounds are asserted once before the loop. Everything else in
+//! the kernel body is bounds-checked slice code.
 
 #![allow(
     unsafe_code,
-    reason = "calls into the #[target_feature] kernels and one unchecked B-row slice"
+    reason = "calls into the #[target_feature] kernels and the kernel's unchecked operand reads"
 )]
 
 use crate::isa::{isa, Isa};
@@ -133,6 +147,9 @@ impl<'a> Epilogue<'a> {
 pub const MR: usize = 8;
 /// Columns per micro-kernel tile.
 pub const NR: usize = 48;
+/// Columns of the narrow tile the direct path runs on a strip remainder of
+/// at most `2 * NW` columns (one AVX-512 vector, two AVX2 / portable ones).
+const NW: usize = 16;
 /// Depth of one packed `k` panel.
 const KC: usize = 256;
 /// `A`-block height in tiles: one block packs `MC_TILES * MR` rows.
@@ -160,68 +177,129 @@ impl GemmScratch {
 
 thread_local! {
     static SCRATCH: RefCell<GemmScratch> = const { RefCell::new(GemmScratch::new()) };
-    /// Staging buffer for the transposed operand of [`gemm_nt`]/[`gemm_tn`].
-    static TRANSPOSE_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A read-only strided matrix: element `(r, c)` is `data[r * rs + c * cs]`.
+/// An operand's layout is data, not a code path: the transpose of a
+/// row-major matrix is the same slice with its two strides swapped, so
+/// `A·B`, `A·Bᵀ` and `Aᵀ·B` run through one core.
+#[derive(Clone, Copy)]
+struct Mat<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+}
+
+impl<'a> Mat<'a> {
+    /// A row-major matrix with `cols` columns.
+    fn rows(data: &'a [f32], cols: usize) -> Self {
+        Mat {
+            data,
+            rs: cols,
+            cs: 1,
+        }
+    }
+
+    /// A packed `A` tile (`apack[p][i]`, `MR` rows per `p`).
+    fn packed(data: &'a [f32]) -> Self {
+        Mat {
+            data,
+            rs: 1,
+            cs: MR,
+        }
+    }
+
+    /// The transpose.
+    fn t(self) -> Self {
+        Mat {
+            rs: self.cs,
+            cs: self.rs,
+            ..self
+        }
+    }
+
+    /// The sub-matrix whose `(0, 0)` is this one's `(r, c)`.
+    fn at(self, r: usize, c: usize) -> Self {
+        Mat {
+            data: &self.data[r * self.rs + c * self.cs..],
+            ..self
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// The micro-kernel: out[MR x NR] += apack (kc x MR) * b-window (kc rows)
+// The micro-kernel: out[MR x width] += a (MR x kc) * b-window (kc rows)
 // ---------------------------------------------------------------------------
 
-/// One micro-kernel invocation: `out[MR x NR]` (row stride `ldc`) takes the
-/// product of the packed `apack` (`kc x MR`) and the `kc` rows of `b` at row
-/// stride `ldb` — packed panels pass `ldb = NR`, the small-m path passes the
-/// source matrix's own stride so `B` is read in place. With `affine` (the
-/// tile's `MR` rows of `[scale, shift]`) the store is
-/// `act(fma(out + acc, scale, shift))`, without it `out + acc`.
+/// One micro-kernel invocation: `out[MR x width]` (row stride `ldc`) takes
+/// the product of `a`'s `MR x kc` tile, each element broadcast from where it
+/// lies — a packed tile, or a source matrix read in place at any strides —
+/// and the `kc` rows of `b` at row stride `ldb`: packed panels pass their
+/// own width, the direct path the source matrix's stride so `B` is read in
+/// place. `width` is `NR` or `NW`. With `affine` (the tile's `MR` rows of
+/// `[scale, shift]`) the store is `act(fma(out + acc, scale, shift))`,
+/// without it `out + acc`.
 struct Kernel<'a> {
-    apack: &'a [f32],
+    a: Mat<'a>,
     b: &'a [f32],
     ldb: usize,
     kc: usize,
+    width: usize,
     out: &'a mut [f32],
     ldc: usize,
     affine: Option<&'a [[f32; MR]; 2]>,
 }
 
 /// [`Kernel`] with its register blocking: `MR / ROWS` passes, each holding
-/// `ROWS x VECS` accumulator vectors (`VECS` lanes-wide vectors are `NR`
-/// columns).
+/// `ROWS x VECS` accumulator vectors (`VECS` lanes-wide vectors are the
+/// tile's `width` columns).
 struct Blocked<'a, const ROWS: usize, const VECS: usize>(Kernel<'a>);
 
 impl<L: Lanes, const ROWS: usize, const VECS: usize> ActBody<L> for Blocked<'_, ROWS, VECS> {
     #[inline(always)]
     fn run(self, l: L, act: impl Fn(L::V) -> L::V + Copy) {
         let Kernel {
-            apack,
+            a,
             b,
             ldb,
             kc,
+            width,
             out,
             ldc,
             affine,
         } = self.0;
-        const { assert!(VECS * L::N == NR && MR.is_multiple_of(ROWS) && ROWS <= 8) }
+        const { assert!(VECS * L::N <= NR && MR.is_multiple_of(ROWS) && ROWS <= 8) }
+        let w = VECS * L::N;
+        debug_assert_eq!(w, width, "tile width and blocking disagree");
         let last_row = kc.checked_sub(1).and_then(|p| p.checked_mul(ldb));
         assert!(
-            last_row.is_none_or(|at| at.checked_add(NR).is_some_and(|end| end <= b.len())),
+            last_row.is_none_or(|at| at.checked_add(w).is_some_and(|end| end <= b.len())),
             "B window too short"
         );
-        let apack = &apack[..kc * MR];
+        let last_a = kc.checked_sub(1).and_then(|p| {
+            let rows = (MR - 1).checked_mul(a.rs)?;
+            p.checked_mul(a.cs)?.checked_add(rows)
+        });
+        assert!(
+            last_a.is_none_or(|at| at < a.data.len()),
+            "A tile too short"
+        );
         for r0 in (0..MR).step_by(ROWS) {
             let mut acc = [[l.splat(0.0); VECS]; ROWS];
-            for (p, ap) in apack.chunks_exact(MR).enumerate() {
-                let ap = &ap[r0..r0 + ROWS];
-                // SAFETY: `p <= kc - 1`, and the assert above put the `NR`
+            for p in 0..kc {
+                // SAFETY: `p <= kc - 1`, and the assert above put the `w`
                 // elements of row `kc - 1` inside `b`. (Measured: a checked
                 // slice here, with its panicking exit, costs the AVX-512
                 // loop 5-10 %.)
-                let bp = unsafe { b.get_unchecked(p * ldb..p * ldb + NR) };
-                for i in 0..ROWS {
-                    let av = l.splat(ap[i]);
-                    for v in 0..VECS {
+                let bp = unsafe { b.get_unchecked(p * ldb..p * ldb + w) };
+                let ap = p * a.cs + r0 * a.rs;
+                for (i, acc_i) in acc.iter_mut().enumerate() {
+                    // SAFETY: `r0 + i <= MR - 1` and `p <= kc - 1`, and the
+                    // assert above put element `(MR - 1, kc - 1)` inside `a`.
+                    let av = l.splat(unsafe { *a.data.get_unchecked(ap + i * a.rs) });
+                    for (v, acc_iv) in acc_i.iter_mut().enumerate() {
                         let bv = l.load(&bp[v * L::N..(v + 1) * L::N], 0);
-                        acc[i][v] = l.fma(av, bv, acc[i][v]);
+                        *acc_iv = l.fma(av, bv, *acc_iv);
                     }
                 }
             }
@@ -231,7 +309,7 @@ impl<L: Lanes, const ROWS: usize, const VECS: usize> ActBody<L> for Blocked<'_, 
             macro_rules! store_rows {
                 ($($i:literal)*) => {$(if $i < ROWS {
                     let row = r0 + $i;
-                    let out_row = &mut out[row * ldc..row * ldc + NR];
+                    let out_row = &mut out[row * ldc..row * ldc + w];
                     // (not `Option::map`: a closure handed to a std
                     // combinator is compiled without the tier's target
                     // feature)
@@ -255,7 +333,8 @@ impl<L: Lanes, const ROWS: usize, const VECS: usize> ActBody<L> for Blocked<'_, 
     }
 }
 
-/// The AVX-512F instantiation of the kernel.
+/// The AVX-512F instantiation of the kernel: 8x3 zmm accumulators, or 8x1
+/// on a narrow tile.
 ///
 /// # Safety
 ///
@@ -265,10 +344,16 @@ impl<L: Lanes, const ROWS: usize, const VECS: usize> ActBody<L> for Blocked<'_, 
 #[target_feature(enable = "avx512f")]
 fn kernel_avx512(kernel: Kernel<'_>, act: EpilogueAct) {
     // SAFETY: this function's own target feature is the token's contract.
-    with_act(unsafe { Avx512::new() }, act, Blocked::<8, 3>(kernel));
+    let l = unsafe { Avx512::new() };
+    if kernel.width == NR {
+        with_act(l, act, Blocked::<8, 3>(kernel));
+    } else {
+        with_act(l, act, Blocked::<8, 1>(kernel));
+    }
 }
 
-/// The AVX2+FMA instantiation of the kernel.
+/// The AVX2+FMA instantiation of the kernel: two 4x6 ymm half-tiles, or
+/// two 4x2 on a narrow tile.
 ///
 /// # Safety
 ///
@@ -278,7 +363,12 @@ fn kernel_avx512(kernel: Kernel<'_>, act: EpilogueAct) {
 #[target_feature(enable = "avx2,fma")]
 fn kernel_avx2(kernel: Kernel<'_>, act: EpilogueAct) {
     // SAFETY: this function's own target features are the token's contract.
-    with_act(unsafe { Avx2::new() }, act, Blocked::<4, 6>(kernel));
+    let l = unsafe { Avx2::new() };
+    if kernel.width == NR {
+        with_act(l, act, Blocked::<4, 6>(kernel));
+    } else {
+        with_act(l, act, Blocked::<4, 2>(kernel));
+    }
 }
 
 /// The portable instantiation of the kernel. Out of line like its two
@@ -294,25 +384,36 @@ fn kernel_avx2(kernel: Kernel<'_>, act: EpilogueAct) {
     reason = "separate slices keep the no-alias guarantee a struct field loses"
 )]
 fn kernel_portable(
-    apack: &[f32],
+    a: &[f32],
+    (a_rs, a_cs): (usize, usize),
     b: &[f32],
     ldb: usize,
     kc: usize,
+    width: usize,
     out: &mut [f32],
     ldc: usize,
     affine: Option<&[[f32; MR]; 2]>,
     act: EpilogueAct,
 ) {
     let kernel = Kernel {
-        apack,
+        a: Mat {
+            data: a,
+            rs: a_rs,
+            cs: a_cs,
+        },
         b,
         ldb,
         kc,
+        width,
         out,
         ldc,
         affine,
     };
-    with_act(Portable, act, Blocked::<8, 6>(kernel));
+    if width == NR {
+        with_act(Portable, act, Blocked::<8, 6>(kernel));
+    } else {
+        with_act(Portable, act, Blocked::<8, 2>(kernel));
+    }
 }
 
 /// Runs one [`Kernel`] on tier `which`.
@@ -326,14 +427,28 @@ fn run_kernel(which: Isa, k: Kernel<'_>, act: EpilogueAct) {
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { kernel_avx2(k, act) },
-        Isa::Portable => kernel_portable(k.apack, k.b, k.ldb, k.kc, k.out, k.ldc, k.affine, act),
+        Isa::Portable => kernel_portable(
+            k.a.data,
+            (k.a.rs, k.a.cs),
+            k.b,
+            k.ldb,
+            k.kc,
+            k.width,
+            k.out,
+            k.ldc,
+            k.affine,
+            act,
+        ),
     }
 }
 
 /// Where a tile's `mr x nr` live corner lands: rows `i0..` of the `[m, n]`
 /// output panels that sit `stride_out` apart in `outs`, at columns
 /// `j0..j0 + nr` of their *virtual column concatenation* (see
-/// [`for_each_segment`]; a plain GEMM is the one-panel case).
+/// [`for_each_segment`]; a plain GEMM is the one-panel case). The tile is
+/// `width` (`NR` or `NW`) columns wide. A `trans` corner is stored
+/// transposed: tile element `(i, j)` is `outs[j * n + i]`, so the kernel
+/// computes `outᵀ` of an `[n, ·]` output (one panel, no epilogue).
 #[derive(Clone, Copy)]
 struct Corner {
     i0: usize,
@@ -342,12 +457,14 @@ struct Corner {
     nr: usize,
     n: usize,
     stride_out: usize,
+    width: usize,
+    trans: bool,
 }
 
-/// Multiplies one packed `A` tile with `kc` rows of `b` (row stride `ldb`)
-/// into its corner of `outs` — the one store path of every GEMM entry
-/// point. A full tile inside one panel runs the kernel in place. A ragged or
-/// panel-spanning one runs the same kernel on a bounce buffer holding the
+/// Multiplies one `A` tile with `kc` rows of `b` (row stride `ldb`) into its
+/// corner of `outs` — the one store path of every GEMM entry point. A full
+/// tile inside one panel runs the kernel in place. A ragged, panel-spanning
+/// or transposed one runs the same kernel on a bounce buffer holding the
 /// corner's current values (scale/shift padded to `MR` rows) and copies the
 /// corner back, so an output element is rounded the same way wherever its
 /// tile falls. `ep` is indexed by output row and must only be passed on the
@@ -359,7 +476,7 @@ struct Corner {
 #[inline(always)]
 fn tile(
     which: Isa,
-    apack: &[f32],
+    a: Mat<'_>,
     b: &[f32],
     ldb: usize,
     kc: usize,
@@ -374,7 +491,10 @@ fn tile(
         nr,
         n,
         stride_out,
+        width,
+        trans,
     } = at;
+    debug_assert!(!trans || (ep.is_none() && stride_out == 0));
     let act = ep.map_or(EpilogueAct::None, |e| e.act);
     // the tile's scale/shift rows, padded to `MR`
     let affine = ep.map(|e| {
@@ -386,12 +506,13 @@ fn tile(
     let affine = affine.as_ref();
     // (a plain GEMM's one panel never divides)
     let (s0, j) = if j0 < n { (0, j0) } else { (j0 / n, j0 % n) };
-    if mr == MR && nr == NR && j + NR <= n {
+    if !trans && mr == MR && nr == width && j + width <= n {
         let kernel = Kernel {
-            apack,
+            a,
             b,
             ldb,
             kc,
+            width,
             out: &mut outs[s0 * stride_out + i0 * n + j..],
             ldc: n,
             affine,
@@ -399,77 +520,103 @@ fn tile(
         return run_kernel(which, kernel, act);
     }
     let mut bounce = [0.0f32; MR * NR];
-    for_each_segment(j0, nr, n, |s, j, off, seg| {
-        for (i, row) in bounce.chunks_exact_mut(NR).take(mr).enumerate() {
-            let base = s * stride_out + (i0 + i) * n + j;
-            row[off..off + seg].copy_from_slice(&outs[base..base + seg]);
+    let bounce = &mut bounce[..MR * width];
+    if trans {
+        for c in 0..nr {
+            let src = &outs[(j0 + c) * n + i0..][..mr];
+            for (r, &v) in src.iter().enumerate() {
+                bounce[r * width + c] = v;
+            }
         }
-    });
+    } else {
+        for_each_segment(j0, nr, n, |s, j, off, seg| {
+            for (i, row) in bounce.chunks_exact_mut(width).take(mr).enumerate() {
+                let base = s * stride_out + (i0 + i) * n + j;
+                row[off..off + seg].copy_from_slice(&outs[base..base + seg]);
+            }
+        });
+    }
     let kernel = Kernel {
-        apack,
+        a,
         b,
         ldb,
         kc,
-        out: &mut bounce,
-        ldc: NR,
+        width,
+        out: bounce,
+        ldc: width,
         affine,
     };
     run_kernel(which, kernel, act);
-    for_each_segment(j0, nr, n, |s, j, off, seg| {
-        for (i, row) in bounce.chunks_exact(NR).take(mr).enumerate() {
-            let base = s * stride_out + (i0 + i) * n + j;
-            outs[base..base + seg].copy_from_slice(&row[off..off + seg]);
+    if trans {
+        for c in 0..nr {
+            let dst = &mut outs[(j0 + c) * n + i0..][..mr];
+            for (r, v) in dst.iter_mut().enumerate() {
+                *v = bounce[r * width + c];
+            }
         }
-    });
+    } else {
+        for_each_segment(j0, nr, n, |s, j, off, seg| {
+            for (i, row) in bounce.chunks_exact(width).take(mr).enumerate() {
+                let base = s * stride_out + (i0 + i) * n + j;
+                outs[base..base + seg].copy_from_slice(&row[off..off + seg]);
+            }
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Packing
 // ---------------------------------------------------------------------------
 
+/// Packs the `rows x cols` block of `src` at `(r0, c0)` into the first
+/// `rows` rows of `dst` at row stride `ld >= cols`, zero-padding columns
+/// `cols..ld`: the one packing routine, since a `B` strip is a block of `B`
+/// and an `A` tile a block of `Aᵀ`. The block is copied run by run along
+/// whichever of its axes is contiguous in the source, so a transposed
+/// operand is read where it lies instead of being staged.
+fn pack_block(
+    src: Mat<'_>,
+    (r0, c0): (usize, usize),
+    (rows, cols): (usize, usize),
+    dst: &mut [f32],
+    ld: usize,
+) {
+    let dst = &mut dst[..rows * ld];
+    if src.cs == 1 {
+        for (r, row) in dst.chunks_exact_mut(ld).enumerate() {
+            row[..cols].copy_from_slice(&src.at(r0 + r, c0).data[..cols]);
+            row[cols..].fill(0.0);
+        }
+        return;
+    }
+    for row in dst.chunks_exact_mut(ld) {
+        row[cols..].fill(0.0);
+    }
+    for c in 0..cols {
+        let col = src.at(r0, c0 + c).data.iter().step_by(src.rs);
+        for (row, &v) in dst.chunks_exact_mut(ld).zip(col) {
+            row[c] = v;
+        }
+    }
+}
+
 /// Packs `B[pc..pc+kc, :]` into `NR`-wide zero-padded strips:
 /// `bpack[strip][p][j]` for `j < NR`.
-fn pack_b(b: &[f32], bpack: &mut Vec<f32>, pc: usize, kc: usize, n: usize) {
-    let n_strips = n.div_ceil(NR);
-    bpack.clear();
-    bpack.resize(n_strips * kc * NR, 0.0);
-    for js in 0..n_strips {
+fn pack_b(b: Mat<'_>, bpack: &mut Vec<f32>, pc: usize, kc: usize, n: usize) {
+    bpack.resize(n.div_ceil(NR) * kc * NR, 0.0);
+    for (js, dst) in bpack.chunks_exact_mut(kc * NR).enumerate() {
         let j0 = js * NR;
-        let nr = NR.min(n - j0);
-        let dst = &mut bpack[js * kc * NR..(js + 1) * kc * NR];
-        // the resize above zero-filled the buffer, which also provides the
-        // zero padding on the ragged edge strip
-        for p in 0..kc {
-            let src = &b[(pc + p) * n + j0..(pc + p) * n + j0 + nr];
-            dst[p * NR..p * NR + nr].copy_from_slice(src);
-        }
+        pack_block(b, (pc, j0), (kc, NR.min(n - j0)), dst, NR);
     }
 }
 
 /// Packs `A[row0..row0+rows, pc..pc+kc]` into `MR`-tall zero-padded tiles,
 /// column-major inside each tile: `apack[tile][p][i]`.
-fn pack_a(
-    a: &[f32],
-    apack: &mut Vec<f32>,
-    row0: usize,
-    rows: usize,
-    pc: usize,
-    kc: usize,
-    k: usize,
-) {
-    let m_tiles = rows.div_ceil(MR);
-    apack.clear();
-    apack.resize(m_tiles * kc * MR, 0.0);
-    for it in 0..m_tiles {
+fn pack_a(a: Mat<'_>, apack: &mut Vec<f32>, row0: usize, rows: usize, pc: usize, kc: usize) {
+    apack.resize(rows.div_ceil(MR) * kc * MR, 0.0);
+    for (it, dst) in apack.chunks_exact_mut(kc * MR).enumerate() {
         let i0 = row0 + it * MR;
-        let mr = MR.min(row0 + rows - i0);
-        let dst = &mut apack[it * kc * MR..(it + 1) * kc * MR];
-        for p in 0..kc {
-            for i in 0..mr {
-                dst[p * MR + i] = a[(i0 + i) * k + pc + p];
-            }
-            dst[p * MR + mr..(p + 1) * MR].fill(0.0);
-        }
+        pack_block(a.t(), (pc, i0), (kc, MR.min(row0 + rows - i0)), dst, MR);
     }
 }
 
@@ -502,10 +649,25 @@ fn block_multiply(
                 nr: NR.min(n - js * NR),
                 n,
                 stride_out: 0,
+                width: NR,
+                trans: false,
             };
-            tile(which, ap, bp, NR, kc, out, at, ep);
+            tile(which, Mat::packed(ap), bp, NR, kc, out, at, ep);
         }
     }
+}
+
+/// The column strips the direct path covers `n` columns with, as
+/// `(j0, width)`: full `NR`-wide strips, then the remainder in `NW`-wide
+/// ones when one of them covers it, or two and `pair` holds; otherwise one
+/// more `NR` strip. A narrow tile spends its flops on live columns instead
+/// of zero padding, but a second one is one more tile to store.
+fn strips(n: usize, pair: bool) -> impl Iterator<Item = (usize, usize)> {
+    let full = n - n % NR;
+    let narrow_max = if pair { 2 * NW } else { NW };
+    let w = if n - full > narrow_max { NR } else { NW };
+    let wide = (0..full).step_by(NR).map(|j0| (j0, NR));
+    wide.chain((full..n).step_by(w).map(move |j0| (j0, w)))
 }
 
 // ---------------------------------------------------------------------------
@@ -522,26 +684,31 @@ fn block_multiply(
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` contract.
 pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(
-        a.len() >= m * k,
-        "A is {} elements, need m*k = {}",
-        a.len(),
-        m * k
-    );
-    assert!(
-        b.len() >= k * n,
-        "B is {} elements, need k*n = {}",
-        b.len(),
-        k * n
-    );
-    assert!(
-        out.len() >= m * n,
-        "out is {} elements, need m*n = {}",
-        out.len(),
-        m * n
-    );
+    assert_contract(a, b, out, (m * k, k * n, m * n));
     out[..m * n].fill(0.0);
-    gemm_acc(a, b, out, m, k, n);
+    gemm_impl(Mat::rows(a, k), Mat::rows(b, n), out, m, k, n, None, false);
+}
+
+/// The slice-length contract every entry point but the batched ones
+/// checks: `a` holds at least `need.0` elements, `b` `need.1`, `out`
+/// `need.2`.
+fn assert_contract(a: &[f32], b: &[f32], out: &[f32], need: (usize, usize, usize)) {
+    let (a_need, b_need, out_need) = need;
+    assert!(
+        a.len() >= a_need,
+        "A is {} elements, need {a_need}",
+        a.len()
+    );
+    assert!(
+        b.len() >= b_need,
+        "B is {} elements, need {b_need}",
+        b.len()
+    );
+    assert!(
+        out.len() >= out_need,
+        "out is {} elements, need {out_need}",
+        out.len()
+    );
 }
 
 /// `out += A * B`; otherwise identical to [`gemm`].
@@ -550,31 +717,8 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize)
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` contract.
 pub fn gemm_acc(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(
-        a.len() >= m * k,
-        "A is {} elements, need m*k = {}",
-        a.len(),
-        m * k
-    );
-    assert!(
-        b.len() >= k * n,
-        "B is {} elements, need k*n = {}",
-        b.len(),
-        k * n
-    );
-    assert!(
-        out.len() >= m * n,
-        "out is {} elements, need m*n = {}",
-        out.len(),
-        m * n
-    );
-    if m == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        return; // out += A(empty k) * B contributes nothing
-    }
-    gemm_impl(a, b, out, m, k, n, None);
+    assert_contract(a, b, out, (m * k, k * n, m * n));
+    gemm_impl(Mat::rows(a, k), Mat::rows(b, n), out, m, k, n, None, false);
 }
 
 /// `out = act(scale ⊙ (A * B) + shift)` with the per-row affine + activation
@@ -597,140 +741,147 @@ pub fn gemm_epilogue(
     n: usize,
     ep: &Epilogue<'_>,
 ) {
-    assert!(
-        a.len() >= m * k,
-        "A is {} elements, need m*k = {}",
-        a.len(),
-        m * k
-    );
-    assert!(
-        b.len() >= k * n,
-        "B is {} elements, need k*n = {}",
-        b.len(),
-        k * n
-    );
-    assert!(
-        out.len() >= m * n,
-        "out is {} elements, need m*n = {}",
-        out.len(),
-        m * n
-    );
+    assert_contract(a, b, out, (m * k, k * n, m * n));
     assert!(ep.scale.len() >= m, "epilogue scale needs {m} entries");
     assert!(ep.shift.len() >= m, "epilogue shift needs {m} entries");
-    if m == 0 || n == 0 {
-        return;
-    }
     if k == 0 {
         // A*B is all zeros; the epilogue still applies
-        for (i, row) in out[..m * n].chunks_mut(n).enumerate() {
+        for (i, row) in out[..m * n].chunks_mut(n.max(1)).enumerate() {
             row.fill(ep.apply_scalar(i, 0.0));
         }
         return;
     }
     out[..m * n].fill(0.0);
-    gemm_impl(a, b, out, m, k, n, Some(*ep));
+    gemm_impl(
+        Mat::rows(a, k),
+        Mat::rows(b, n),
+        out,
+        m,
+        k,
+        n,
+        Some(*ep),
+        false,
+    );
 }
 
-/// The blocked GEMM core behind [`gemm_acc`] and [`gemm_epilogue`]. `ep` is
-/// applied at store time on the final `k` panel only, so every output
+/// The blocked GEMM core behind every entry point but the batched ones:
+/// `out += a · b` for `a: [m, k]` and `b: [k, n]` at any strides, stored
+/// transposed into an `[n, m]` output with `trans` (see [`Corner`]). `ep`
+/// is applied at store time on the final `k` panel only, so every output
 /// element is transformed exactly once.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "GEMM geometry travels as scalars, as in BLAS"
+)]
 fn gemm_impl(
-    a: &[f32],
-    b: &[f32],
+    a: Mat<'_>,
+    b: Mat<'_>,
     out: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
     ep: Option<Epilogue<'_>>,
+    trans: bool,
 ) {
+    if m == 0 || n == 0 || k == 0 {
+        return; // an empty `k` contributes nothing
+    }
     let which = isa();
-    // balance the k panels: k = 288 runs as 144+144, not 256+32 (a short
-    // trailing panel wastes micro-kernel efficiency on its store phase)
-    let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
-    if m <= DIRECT_M_MAX {
-        gemm_small_m(which, a, b, out, m, k, n, kc_target, ep);
+    if trans || m <= DIRECT_M_MAX {
+        gemm_direct(which, a, b, out, m, k, n, ep, trans);
         return;
     }
     SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
-        let mut pc = 0;
-        while pc < k {
-            let kc = kc_target.min(k - pc);
+        for (pc, kc) in k_panels(k) {
             let ep_panel = if pc + kc >= k { ep } else { None };
             pack_b(b, &mut scratch.bpack, pc, kc, n);
             let mut row0 = 0;
             while row0 < m {
                 let rows = (MC_TILES * MR).min(m - row0);
-                pack_a(a, &mut scratch.apack, row0, rows, pc, kc, k);
+                pack_a(a, &mut scratch.apack, row0, rows, pc, kc);
                 let (apack, bpack) = (&scratch.apack, &scratch.bpack);
                 block_multiply(which, apack, bpack, out, row0, rows, kc, n, ep_panel);
                 row0 += rows;
             }
-            pc += kc;
         }
     });
 }
 
-/// The small-`m` GEMM: `A` is packed (it is reused across every `B` strip),
-/// `B` full-width strips are read in place by the direct kernels, and only
-/// the ragged `n`-edge strip goes through a small packed panel.
+/// The `k` panels `(pc, kc)`, balanced: k = 288 runs as 144+144, not
+/// 256+32 (a short trailing panel wastes micro-kernel efficiency on its
+/// store phase). A pure function of `k`, so every route splits a product's
+/// sums at the same places.
+fn k_panels(k: usize) -> impl Iterator<Item = (usize, usize)> {
+    let kc = k.div_ceil(k.div_ceil(KC)).max(1);
+    (0..k).step_by(kc).map(move |pc| (pc, kc.min(k - pc)))
+}
+
+/// The direct GEMM, for `m <= DIRECT_M_MAX` rows or a transposed store:
+/// every full `MR`-row tile of
+/// `A` is broadcast from where it lies, at its own strides, and only the
+/// ragged last one is packed (zero-padded); every strip of `B` with unit
+/// column stride and full width is read in place, and the rest are packed
+/// into one small panel per strip. With `trans` the tiles are stored
+/// transposed into an `[n, m]` output (see [`Corner`]).
 #[allow(
     clippy::too_many_arguments,
     reason = "GEMM geometry travels as scalars, as in BLAS"
 )]
-fn gemm_small_m(
+fn gemm_direct(
     which: Isa,
-    a: &[f32],
-    b: &[f32],
+    a: Mat<'_>,
+    b: Mat<'_>,
     out: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
-    kc_target: usize,
     ep: Option<Epilogue<'_>>,
+    trans: bool,
 ) {
+    let full = m - m % MR;
+    let ld = if trans { m } else { n };
+    // two narrow strips beat one wide one unless every tile is ragged and
+    // `k` too shallow for the spared flops to pay for the extra bounce
+    // (measured: 1 x 2..8 x 32 lost up to 1.3x, 1 x 16 x 32 won)
+    let pair = full > 0 || k >= 16;
     SCRATCH.with(|cell| {
-        let scratch = &mut *cell.borrow_mut();
-        let full_strips = n / NR;
-        let n_edge = n - full_strips * NR;
-        let mut pc = 0;
-        while pc < k {
-            let kc = kc_target.min(k - pc);
+        let GemmScratch { apack, bpack } = &mut *cell.borrow_mut();
+        for (pc, kc) in k_panels(k) {
             let ep_panel = if pc + kc >= k { ep } else { None };
-            pack_a(a, &mut scratch.apack, 0, m, pc, kc, k);
-            // ragged right edge of B: pack once per panel, zero-padded
-            if n_edge > 0 {
-                scratch.bpack.clear();
-                scratch.bpack.resize(kc * NR, 0.0);
-                let j0 = full_strips * NR;
-                for p in 0..kc {
-                    let src = &b[(pc + p) * n + j0..(pc + p) * n + n];
-                    scratch.bpack[p * NR..p * NR + n_edge].copy_from_slice(src);
-                }
+            if full < m {
+                pack_a(a, apack, full, m - full, pc, kc);
             }
-            // strips outer, tiles inner: one strip's B window (kc x NR) stays
-            // cache-resident while every A tile runs against it; full strips
-            // read `b` in place, the ragged one its packed panel
-            for js in 0..n.div_ceil(NR) {
-                let j0 = js * NR;
-                let (bwin, ldb) = if js < full_strips {
-                    (&b[pc * n + j0..], n)
+            // strips outer, tiles inner: one strip's B window (kc x width)
+            // stays cache-resident while every A tile runs against it
+            for (j0, width) in strips(n, pair) {
+                let nr = width.min(n - j0);
+                let (bwin, ldb) = if b.cs == 1 && nr == width {
+                    (b.at(pc, j0).data, b.rs)
                 } else {
-                    (&scratch.bpack[..], NR)
+                    bpack.resize(kc * width, 0.0);
+                    pack_block(b, (pc, j0), (kc, nr), bpack, width);
+                    (&bpack[..], width)
                 };
-                for (it, ap) in scratch.apack.chunks_exact(kc * MR).enumerate() {
-                    let at = Corner {
-                        i0: it * MR,
-                        mr: MR.min(m - it * MR),
-                        j0,
-                        nr: NR.min(n - j0),
-                        n,
-                        stride_out: 0,
+                for i0 in (0..m).step_by(MR) {
+                    let a_tile = if i0 < full {
+                        a.at(i0, pc)
+                    } else {
+                        Mat::packed(apack)
                     };
-                    tile(which, ap, bwin, ldb, kc, out, at, ep_panel);
+                    let at = Corner {
+                        i0,
+                        mr: MR.min(m - i0),
+                        j0,
+                        nr,
+                        n: ld,
+                        stride_out: 0,
+                        width,
+                        trans,
+                    };
+                    tile(which, a_tile, bwin, ldb, kc, out, at, ep_panel);
                 }
             }
-            pc += kc;
         }
     });
 }
@@ -817,13 +968,10 @@ fn gemm_batch_core(
     batch: usize,
     stride_b: usize,
     stride_out: usize,
-    kc_target: usize,
     ep: Option<Epilogue<'_>>,
 ) {
     let n_total = batch * n;
-    let mut pc = 0;
-    while pc < k {
-        let kc = kc_target.min(k - pc);
+    for (pc, kc) in k_panels(k) {
         let ep_panel = if pc + kc >= k { ep } else { None };
         // every strip of the whole batch is gather-packed once per k-panel
         // (outside the A row-block loop, like gemm_impl's pack_b)
@@ -831,7 +979,7 @@ fn gemm_batch_core(
         let mut row0 = 0;
         while row0 < m {
             let rows = (MC_TILES * MR).min(m - row0);
-            pack_a(a, &mut scratch.apack, row0, rows, pc, kc, k);
+            pack_a(Mat::rows(a, k), &mut scratch.apack, row0, rows, pc, kc);
             for (js, bp) in scratch.bpack.chunks_exact(kc * NR).enumerate() {
                 for (it, ap) in scratch.apack.chunks_exact(kc * MR).enumerate() {
                     let i0 = row0 + it * MR;
@@ -842,13 +990,14 @@ fn gemm_batch_core(
                         nr: NR.min(n_total - js * NR),
                         n,
                         stride_out,
+                        width: NR,
+                        trans: false,
                     };
-                    tile(which, ap, bp, NR, kc, outs, at, ep_panel);
+                    tile(which, Mat::packed(ap), bp, NR, kc, outs, at, ep_panel);
                 }
             }
             row0 += rows;
         }
-        pc += kc;
     }
 }
 
@@ -970,7 +1119,6 @@ fn gemm_batch_cyclic_impl(
         return;
     }
     let which = isa();
-    let kc_target = k.div_ceil(k.div_ceil(KC)).max(1);
     SCRATCH.with(|cell| {
         let scratch = &mut *cell.borrow_mut();
         for g in 0..groups {
@@ -986,7 +1134,6 @@ fn gemm_batch_cyclic_impl(
                 per_group,
                 groups * stride_b,
                 groups * stride_out,
-                kc_target,
                 ep.map(|e| e.offset_rows(g * m)),
             );
         }
@@ -1114,59 +1261,76 @@ pub fn gemm_batch_cyclic_acc_strided(
 
 /// `out = A * B^T` for row-major `A: [m, k]`, `B: [n, k]`, `out: [m, n]`.
 ///
-/// The transpose of `B` is staged in a thread-local scratch buffer, so
-/// steady-state calls do not allocate.
+/// Nothing is transposed up front: `Bᵀ` is `B`'s slice with its strides
+/// swapped. The product runs in whichever orientation packs less, a pure
+/// function of the shape (`nt_swapped`): as `A · Bᵀ`, with `Bᵀ`'s
+/// strips gathered from `B`'s contiguous rows, or as `outᵀ = B · Aᵀ`, with
+/// `B` broadcast in place, a small `Aᵀ` panel gathered from `A`'s rows and
+/// each tile stored transposed. Either way every output element is the same
+/// fused multiply-add chain over `k` as [`gemm`] of the transposed matrix
+/// (the product `a·b` is commutative), so the bits are those of `gemm(a,
+/// transpose(b))`. Packing scratch is thread-local, so steady-state calls
+/// do not allocate.
 ///
 /// # Panics
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` contract.
 pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(
-        b.len() >= n * k,
-        "B is {} elements, need n*k = {}",
-        b.len(),
-        n * k
-    );
-    TRANSPOSE_SCRATCH.with(|cell| {
-        let buf = &mut *cell.borrow_mut();
-        if buf.len() < k * n {
-            buf.resize(k * n, 0.0);
-        }
-        transpose_into(b, buf, n, k);
-        gemm(a, buf, out, m, k, n);
-    });
+    assert_contract(a, b, out, (m * k, n * k, m * n));
+    out[..m * n].fill(0.0);
+    let (x, w) = (Mat::rows(a, k), Mat::rows(b, k));
+    if nt_swapped(m, k, n) {
+        gemm_impl(w, x.t(), out, n, k, m, None, true);
+    } else {
+        gemm_impl(x, w.t(), out, m, k, n, None, false);
+    }
+}
+
+/// Whether [`gemm_nt`] runs as `outᵀ = B · Aᵀ`: when that packs less.
+/// The swapped route gathers `Aᵀ` (`m·k` elements) and stores every tile
+/// through a transposing bounce (`2·m·n` copies); the other one gathers
+/// `Bᵀ` (`n·k`) and stores full tiles in place. Over `m` 1–64, `k` 2–512
+/// and `n` 1–64 on the AVX-512 host this rule's total time was within 1 %
+/// of always taking the faster route, and no shape lost more than 1.7×
+/// to it (`docs/PERF.md`).
+fn nt_swapped(m: usize, k: usize, n: usize) -> bool {
+    m * (k + 2 * n) < n * k
 }
 
 /// `out = A^T * B` for row-major `A: [k, m]`, `B: [k, n]`, `out: [m, n]`.
 ///
-/// The transpose of `A` is staged in a thread-local scratch buffer, so
-/// steady-state calls do not allocate.
+/// Nothing is transposed up front: `Aᵀ` is `A`'s slice with its strides
+/// swapped, each `p` of an `MR`-row tile one contiguous run of `A`. The
+/// direct path (`m <= 64`) broadcasts the full tiles from `A` in place and
+/// packs only a ragged one; larger `m` packs its tiles from those runs. So
+/// the bits are those of `gemm(transpose(a), b)`, and steady-state calls do
+/// not allocate.
 ///
 /// # Panics
 ///
 /// Panics if any slice is shorter than its `m`/`k`/`n` contract.
 pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(
-        a.len() >= k * m,
-        "A is {} elements, need k*m = {}",
-        a.len(),
-        k * m
+    assert_contract(a, b, out, (k * m, k * n, m * n));
+    out[..m * n].fill(0.0);
+    gemm_impl(
+        Mat::rows(a, m).t(),
+        Mat::rows(b, n),
+        out,
+        m,
+        k,
+        n,
+        None,
+        false,
     );
-    TRANSPOSE_SCRATCH.with(|cell| {
-        let buf = &mut *cell.borrow_mut();
-        if buf.len() < k * m {
-            buf.resize(k * m, 0.0);
-        }
-        transpose_into(a, buf, k, m);
-        gemm(buf, b, out, m, k, n);
-    });
 }
 
 /// Transposes row-major `src: [rows, cols]` into `dst: [cols, rows]`.
 ///
-/// `dst` is overwritten and must hold at least `rows * cols` elements; this
-/// is the cheap companion that lets callers express `A^T * B` / `A * B^T`
-/// products as [`gemm`] over a reused scratch buffer.
+/// `dst` is overwritten and must hold at least `rows * cols` elements. The
+/// GEMM entry points never stage a transpose (an operand's transpose is a
+/// stride swap, see [`gemm_nt`] / [`gemm_tn`]); this is for callers that
+/// keep a transposed copy of their own, such as `hs-nn`'s convolution
+/// backward.
 ///
 /// # Panics
 ///
@@ -2102,6 +2266,65 @@ mod tests {
         }
     }
 
+    /// On `tier`: `gemm_nt(a, b)` ≡ `gemm(a, bᵀ)` and `gemm_tn(a, b)` ≡
+    /// `gemm(aᵀ, b)` bit for bit, with the transposes materialised by
+    /// [`transpose_into`], over full and ragged tiles, wide and narrow
+    /// strips, both `gemm_nt` orientations, the direct and the packed path
+    /// and one to three `k` panels. The left operand holds a NaN that
+    /// reaches one output row and the right one a ±∞ that reaches one
+    /// column, so the non-finite outputs must land in the same places too.
+    fn transposed_products_match_gemm_on(tier: Isa) {
+        if !tier.supported() {
+            return;
+        }
+        const NS: [usize; 13] = [1, 4, 8, 12, 15, 16, 17, 32, 47, 48, 49, 64, 97];
+        const KS: [usize; 8] = [1, 8, 16, 64, 192, KC, KC + 1, 2 * KC + 3];
+        let ms = (1..=17).chain(31..=33).chain(47..=49).chain(65..=70);
+        let mut rng = StdRng::seed_from_u64(80);
+        for (m, n, k) in ms
+            .flat_map(|m| NS.map(|n| (m, n)))
+            .flat_map(|(m, n)| KS.map(|k| (m, n, k)))
+        {
+            let inf = if (m + n + k) % 2 == 0 {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            };
+            // `A * Bᵀ`: a row of `a` is a row of the output, a row of `b` a
+            // column
+            let mut a = random_matrix(&mut rng, m * k);
+            let mut b = random_matrix(&mut rng, n * k);
+            a[(m / 2) * k + k / 2] = f32::NAN;
+            b[(n - 1) * k + k - 1] = inf;
+            let mut bt = vec![0.0; k * n];
+            transpose_into(&b, &mut bt, n, k);
+            let (nt, expect) = on_tier(tier, || {
+                let mut nt = vec![777.0; m * n];
+                gemm_nt(&a, &b, &mut nt, m, k, n);
+                let mut expect = vec![0.0; m * n];
+                gemm(&a, &bt, &mut expect, m, k, n);
+                (nt, expect)
+            });
+            assert_eq!(bits(&nt), bits(&expect), "{tier:?} gemm_nt {m}x{k}x{n}");
+            // `Aᵀ * B`: a column of `a` is a row of the output, a column of
+            // `b` a column
+            let mut a = random_matrix(&mut rng, k * m);
+            let mut b = random_matrix(&mut rng, k * n);
+            a[(k / 2) * m + m / 2] = f32::NAN;
+            b[(k - 1) * n + n - 1] = inf;
+            let mut at = vec![0.0; m * k];
+            transpose_into(&a, &mut at, k, m);
+            let (tn, expect) = on_tier(tier, || {
+                let mut tn = vec![777.0; m * n];
+                gemm_tn(&a, &b, &mut tn, m, k, n);
+                let mut expect = vec![0.0; m * n];
+                gemm(&at, &b, &mut expect, m, k, n);
+                (tn, expect)
+            });
+            assert_eq!(bits(&tn), bits(&expect), "{tier:?} gemm_tn {m}x{k}x{n}");
+        }
+    }
+
     // one test per tier, so a run shows which instantiations executed (a
     // tier this CPU lacks passes vacuously)
 
@@ -2137,6 +2360,23 @@ mod tests {
     #[test]
     fn full_and_ragged_tiles_agree_on_portable() {
         full_and_ragged_tiles_agree_on(Isa::Portable);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn transposed_products_match_gemm_on_avx512() {
+        transposed_products_match_gemm_on(Isa::Avx512);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn transposed_products_match_gemm_on_avx2() {
+        transposed_products_match_gemm_on(Isa::Avx2);
+    }
+
+    #[test]
+    fn transposed_products_match_gemm_on_portable() {
+        transposed_products_match_gemm_on(Isa::Portable);
     }
 
     #[test]

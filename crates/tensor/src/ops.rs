@@ -33,9 +33,9 @@ impl Tensor {
     }
 
     /// `A * B^T` for `A: [m, k]`, `B: [n, k]`, without materialising the
-    /// transpose as a `Tensor` — it is staged in the kernel layer's
-    /// thread-local scratch ([`crate::gemm::gemm_nt`]), so steady-state
-    /// calls allocate only the result.
+    /// transpose anywhere: the kernel reads `B` where it lies
+    /// ([`crate::gemm::gemm_nt`]), so steady-state calls allocate only the
+    /// result, and the bits are those of `self.matmul(&other.transpose())`.
     ///
     /// # Panics
     ///
@@ -52,7 +52,9 @@ impl Tensor {
     }
 
     /// `A^T * B` for `A: [k, m]`, `B: [k, n]`, without materialising the
-    /// transpose as a `Tensor` ([`crate::gemm::gemm_tn`]).
+    /// transpose anywhere: the kernel reads `A` where it lies
+    /// ([`crate::gemm::gemm_tn`]), and the bits are those of
+    /// `self.transpose().matmul(other)`.
     ///
     /// # Panics
     ///

@@ -20,6 +20,9 @@
 //! target: no kernel below the shard step fans out, so a large single
 //! sample allocates nothing either.
 //!
+//! `fleet_mlp`'s MLP, whose `Linear`s run `gemm_nt` with its thread-local
+//! packing scratch, allocates nothing warm at batch 1, 8 or 32 either.
+//!
 //! A convolutional batch runs its plan in sample tiles (per range) of
 //! 8 192 input pixels — 8 samples at `vision`'s 32×32 — so inference
 //! scratch does not grow with the batch: a cold batch-120 pass peaks within
@@ -27,7 +30,7 @@
 //! (one tile, no copy), and a warm one allocates nothing either.
 
 use heteroswitch_repro::nn::models::{build_vision_model, ModelKind, VisionConfig};
-use heteroswitch_repro::nn::Workspace;
+use heteroswitch_repro::nn::{Flatten, Linear, Network, Relu, Sequential, Workspace};
 use heteroswitch_repro::parallel::{pool_stats, set_num_threads, sync};
 use heteroswitch_repro::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -263,6 +266,48 @@ fn warm_batch_8_allocates_nothing_serially_and_only_the_fan_out_when_sharded() {
             assert!(
                 allocs <= budget,
                 "{kind:?} at {threads} threads: warm Network::infer_with allocated {allocs} times"
+            );
+        }
+    }
+    set_num_threads(None);
+}
+
+/// The fleet-scale workload's model: a 3·8·8 → 16 → 4 MLP.
+fn fleet_mlp(rng: &mut StdRng) -> Network {
+    Network::new(Sequential::new(vec![
+        Box::new(Flatten::new()),
+        Box::new(Linear::new(3 * 8 * 8, 16, rng)),
+        Box::new(Relu::new()),
+        Box::new(Linear::new(16, 4, rng)),
+    ]))
+}
+
+#[test]
+fn warm_fleet_mlp_infer_with_performs_zero_allocations() {
+    // every `Linear` runs `gemm_nt`, whose packing scratch (the `Bᵀ` strips
+    // or the `Aᵀ` panel, by shape) is thread-local: once warm at a batch
+    // size, a pass allocates nothing. An MLP never shards, at any target.
+    let _serial = sync::lock(&THREADS);
+    let mut rng = StdRng::seed_from_u64(10);
+    let mut net = fleet_mlp(&mut rng);
+    net.fuse_inference();
+    let net = &net;
+    for threads in [1usize, 2] {
+        set_num_threads(Some(threads));
+        for batch in [1usize, 8, 32] {
+            let x = Tensor::rand_uniform(&[batch, 3, 8, 8], 0.0, 1.0, &mut rng);
+            let mut ws = Workspace::new();
+            for _ in 0..2 {
+                let y = net.infer_with(&x, &mut ws);
+                ws.give(y);
+            }
+            let (allocs, _) = count_allocs(|| {
+                let y = net.infer_with(&x, &mut ws);
+                ws.give(y);
+            });
+            assert_eq!(
+                allocs, 0,
+                "batch {batch} at {threads} threads: warm infer_with allocated {allocs} times"
             );
         }
     }

@@ -163,9 +163,12 @@ fn blocked_gemm_matches_naive_on_boundary_shapes() {
     }
 }
 
-/// The transpose-fused products agree with their composed equivalents.
+/// The transpose-fused products equal their composed equivalents bit for
+/// bit: a transposed operand only changes where the kernel reads it, never
+/// an output's multiply-add chain.
 #[test]
 fn matmul_nt_and_tn_match_composed_transpose() {
+    let bits = |t: &Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
     for seed in 0..CASES / 2 {
         let mut rng = StdRng::seed_from_u64(600 + seed);
         let m = rng.gen_range(1usize..20);
@@ -175,16 +178,12 @@ fn matmul_nt_and_tn_match_composed_transpose() {
         let bt = Tensor::rand_uniform(&[n, k], -2.0, 2.0, &mut rng);
         let nt = a.matmul_nt(&bt);
         let composed = a.matmul(&bt.transpose());
-        for (f, r) in nt.as_slice().iter().zip(composed.as_slice()) {
-            assert!((f - r).abs() <= 1e-4 * r.abs().max(1.0));
-        }
+        assert_eq!(bits(&nt), bits(&composed), "matmul_nt {m}x{k}x{n}");
         let at = Tensor::rand_uniform(&[k, m], -2.0, 2.0, &mut rng);
         let b = Tensor::rand_uniform(&[k, n], -2.0, 2.0, &mut rng);
         let tn = at.matmul_tn(&b);
         let composed = at.transpose().matmul(&b);
-        for (f, r) in tn.as_slice().iter().zip(composed.as_slice()) {
-            assert!((f - r).abs() <= 1e-4 * r.abs().max(1.0));
-        }
+        assert_eq!(bits(&tn), bits(&composed), "matmul_tn {m}x{k}x{n}");
     }
 }
 

@@ -36,6 +36,11 @@ use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long the report waits, after the load, for the supervisor to respawn
+/// the injected panic's worker.
+const RESPAWN_WAIT: Duration = Duration::from_secs(2);
 
 /// Configuration of one chaos run: the population scale, the fault mix, the
 /// semi-sync round policy and the serving-load shape.
@@ -180,12 +185,15 @@ pub fn chaos_study(cfg: &ChaosConfig) -> ChaosReport {
     let registry = Arc::new(ModelRegistry::new());
     registry.publish("global", &mut sim.global_model());
     let input_dims = [3, scale.cifar.image_size, scale.cifar.image_size];
+    let server_config =
+        ServerConfig::new(cfg.workers, cfg.queue_capacity, BatchPolicy::new(8, 500));
+    let supervisor_poll = server_config.supervisor_poll;
     let server = Server::start(
         Arc::clone(&registry),
         "global",
         serving_replica(vision),
         &input_dims,
-        ServerConfig::new(cfg.workers, cfg.queue_capacity, BatchPolicy::new(8, 500)),
+        server_config,
     )
     .expect("chaos server must start");
 
@@ -236,7 +244,19 @@ pub fn chaos_study(cfg: &ChaosConfig) -> ChaosReport {
         (rounds, load_handle.join().expect("load thread panicked"))
     });
 
-    let serving = server.metrics();
+    // the load can finish before the supervisor has reaped and respawned
+    // the panicked worker: give it up to RESPAWN_WAIT, one poll per sleep
+    let respawned =
+        |m: &MetricsSnapshot| m.worker_panics >= 1 && m.worker_restarts >= m.worker_panics;
+    let mut serving = server.metrics();
+    let polls = RESPAWN_WAIT.as_micros() / supervisor_poll.as_micros();
+    for _ in 0..polls {
+        if !cfg.inject_worker_panic || respawned(&serving) {
+            break;
+        }
+        std::thread::sleep(supervisor_poll);
+        serving = server.metrics();
+    }
     let in_flight_after_load = server.in_flight();
     server.shutdown();
 

@@ -22,7 +22,6 @@ use hs_device::{random_jitter_profiles, FleetSpec, JitterProfile, SharedFleet};
 use hs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 /// An O(bytes) description of every client's local dataset, synthesized on
 /// demand per sampled client (see the module docs).
@@ -65,12 +64,6 @@ impl LazyClientSet {
     /// The underlying fleet description.
     pub fn fleet(&self) -> &FleetSpec {
         &self.fleet
-    }
-
-    /// A clone of the shared fleet handle (for wiring the same spec into a
-    /// fault injector or sampler).
-    pub fn shared_fleet(&self) -> SharedFleet {
-        Arc::clone(&self.fleet)
     }
 
     /// Number of clients described.
@@ -124,6 +117,7 @@ impl LazyClientSet {
 mod tests {
     use super::*;
     use hs_device::paper_devices;
+    use std::sync::Arc;
 
     fn tiny_set(num_clients: usize) -> LazyClientSet {
         let fleet = Arc::new(FleetSpec::from_profiles(

@@ -133,21 +133,6 @@ pub enum FaultKind {
     Corrupt(Corruption),
 }
 
-/// Where an injector looks up a client's device [`Tier`].
-///
-/// A 100k-client fleet cannot afford the O(fleet) `Vec<Tier>` the
-/// per-client variant stores, so fleet-scale simulations hand the injector
-/// a shared [`FleetSpec`] and tiers are derived in O(log device-types).
-#[derive(Debug, Clone)]
-enum TierSource {
-    /// Tier-agnostic: every client scales 1×.
-    Flat,
-    /// Explicit per-client tiers (`tiers[client_id]`; missing ids scale 1×).
-    PerClient(Vec<Tier>),
-    /// Tiers derived on demand from an O(bytes) fleet description.
-    Fleet(Arc<FleetSpec>),
-}
-
 /// Deterministic fault oracle over a [`FaultPlan`]: every query is a pure
 /// function of `(plan.seed, client_id, round)`, so simulations replaying
 /// the same plan observe the same faults in the same order regardless of
@@ -155,9 +140,10 @@ enum TierSource {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Optional per-client device tiers; a low-tier device's baseline
-    /// compute factor is scaled up (see [`FaultInjector::compute_factor`]).
-    tiers: TierSource,
+    /// The fleet whose device tiers scale the baseline compute factors
+    /// (see [`FaultInjector::compute_factor`]); `None` is tier-agnostic.
+    /// Tiers are derived on demand, in O(log device-types) per client.
+    fleet: Option<Arc<FleetSpec>>,
 }
 
 impl FaultInjector {
@@ -168,35 +154,15 @@ impl FaultInjector {
     /// Panics if the plan is invalid (see [`FaultPlan::validate`]).
     pub fn new(plan: FaultPlan) -> Self {
         plan.validate();
-        FaultInjector {
-            plan,
-            tiers: TierSource::Flat,
-        }
+        FaultInjector { plan, fleet: None }
     }
 
     /// Creates an injector whose per-client baseline compute factors are
-    /// additionally weighted by each client's device [`Tier`]
-    /// (`tiers[client_id]`; low-end 2×, mid 1.3×, high 1×) — the fleet's
-    /// compute-heterogeneity axis feeding straight into round wall-clocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan is invalid.
-    pub fn with_client_tiers(plan: FaultPlan, tiers: Vec<Tier>) -> Self {
-        plan.validate();
-        FaultInjector {
-            plan,
-            tiers: TierSource::PerClient(tiers),
-        }
-    }
-
-    /// Creates an injector whose tiers come from an O(bytes) [`FleetSpec`]
-    /// instead of an O(fleet) vector: a client in one of the fleet's
-    /// device-type blocks gets that type's tier scaling (low-end 2×, mid
-    /// 1.3×, high 1×). This is the fleet-scale variant of
-    /// [`FaultInjector::with_client_tiers`] — same per-(client, round)
-    /// seeding, so swapping a `Vec<Tier>` for the equivalent fleet
-    /// reproduces identical factors.
+    /// additionally weighted by each client's device [`Tier`], read off an
+    /// O(bytes) [`FleetSpec`]: a client in one of the fleet's device-type
+    /// blocks gets that type's tier scaling (low-end 2×, mid 1.3×, high
+    /// 1×) — the fleet's compute-heterogeneity axis feeding straight into
+    /// round wall-clocks. Ids outside the fleet scale 1×.
     ///
     /// # Panics
     ///
@@ -205,7 +171,7 @@ impl FaultInjector {
         plan.validate();
         FaultInjector {
             plan,
-            tiers: TierSource::Fleet(fleet),
+            fleet: Some(fleet),
         }
     }
 
@@ -255,20 +221,18 @@ impl FaultInjector {
     /// The client's persistent baseline compute factor (1.0 = fleet
     /// median): a fixed per-client multiplier in `[0.6, 1.8)` (drawn from
     /// the plan seed), scaled by the client's device tier when the injector
-    /// was built with [`FaultInjector::with_client_tiers`]. Slow clients
+    /// was built with [`FaultInjector::with_fleet`]. Slow clients
     /// stay slow across rounds.
     pub fn compute_factor(&self, client_id: usize) -> f32 {
         let mut rng = StdRng::seed_from_u64(
             self.plan.seed.wrapping_add(FACTOR_MIX) ^ (client_id as u64).wrapping_mul(CLIENT_MIX),
         );
         let base: f32 = rng.gen_range(0.6..1.8);
-        let tier = match &self.tiers {
-            TierSource::Flat => None,
-            TierSource::PerClient(tiers) => tiers.get(client_id).copied(),
-            TierSource::Fleet(fleet) => {
-                (client_id < fleet.num_clients()).then(|| fleet.tier_of(client_id))
-            }
-        };
+        let tier = self
+            .fleet
+            .as_ref()
+            .filter(|fleet| client_id < fleet.num_clients())
+            .map(|fleet| fleet.tier_of(client_id));
         let tier_scale = match tier {
             Some(Tier::Low) => 2.0,
             Some(Tier::Mid) => 1.3,
@@ -414,37 +378,25 @@ mod tests {
 
     #[test]
     fn tier_weighting_slows_low_end_clients() {
+        use crate::{DeviceTypeSpec, FleetSpec};
         let plan = FaultPlan::none(3);
+        let types = [Tier::Low, Tier::Mid, Tier::High]
+            .into_iter()
+            .map(|tier| DeviceTypeSpec {
+                name: format!("{tier:?}"),
+                tier,
+                share: 1.0,
+            })
+            .collect();
+        // one client per type: ids 0, 1, 2 are low, mid, high
+        let fleet = Arc::new(FleetSpec::new(3, types, (1, 1), 0));
         let flat = FaultInjector::new(plan);
-        let tiered = FaultInjector::with_client_tiers(plan, vec![Tier::Low, Tier::Mid, Tier::High]);
+        let tiered = FaultInjector::with_fleet(plan, fleet);
         assert!(tiered.compute_factor(0) > flat.compute_factor(0));
         assert!(tiered.compute_factor(1) > flat.compute_factor(1));
         assert_eq!(tiered.compute_factor(2), flat.compute_factor(2));
-    }
-
-    #[test]
-    fn fleet_tiers_match_equivalent_per_client_tiers() {
-        use crate::{DeviceTypeSpec, FleetSpec};
-        let plan = FaultPlan::none(13);
-        let types = vec![
-            DeviceTypeSpec {
-                name: "low".into(),
-                tier: Tier::Low,
-                share: 0.5,
-            },
-            DeviceTypeSpec {
-                name: "high".into(),
-                tier: Tier::High,
-                share: 0.5,
-            },
-        ];
-        let fleet = Arc::new(FleetSpec::new(10, types, (1, 1), 0));
-        let tiers: Vec<Tier> = (0..10).map(|c| fleet.tier_of(c)).collect();
-        let by_fleet = FaultInjector::with_fleet(plan, fleet);
-        let by_vec = FaultInjector::with_client_tiers(plan, tiers);
-        for c in 0..10 {
-            assert_eq!(by_fleet.compute_factor(c), by_vec.compute_factor(c));
-        }
+        // an id outside the fleet is tier-agnostic
+        assert_eq!(tiered.compute_factor(3), flat.compute_factor(3));
     }
 
     #[test]

@@ -366,22 +366,10 @@ pub fn screen_updates(
 
 impl AggregationMethod {
     /// Produces the next global weight vector from the previous one and the
-    /// round's client updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `updates` is empty or weight lengths disagree.
-    pub fn aggregate(&self, global: &[f32], updates: &[ClientUpdate]) -> Vec<f32> {
-        match *self {
-            AggregationMethod::FedAvg => weighted_average(updates),
-            AggregationMethod::QFedAvg { q, lr } => q_fed_avg(global, updates, q, lr),
-        }
-    }
-
-    /// Owning variant of [`aggregate`](Self::aggregate) used by the round
-    /// loop: FedAvg routes to the sharded [`tree_reduce_weighted`] (which
-    /// recycles update buffers instead of cloning them); q-FedAvg keeps its
-    /// serial rule — its per-client state coupling does not shard.
+    /// round's client updates, consuming them: FedAvg routes to the sharded
+    /// [`tree_reduce_weighted`] (which recycles update buffers instead of
+    /// cloning them); q-FedAvg keeps its serial rule — its per-client state
+    /// coupling does not shard.
     ///
     /// # Panics
     ///
@@ -463,7 +451,7 @@ mod tests {
     #[test]
     fn fedavg_of_identical_updates_is_identity() {
         let updates = vec![update(vec![1.5, -2.0], 5, 0.3); 3];
-        let avg = AggregationMethod::FedAvg.aggregate(&[0.0, 0.0], &updates);
+        let avg = AggregationMethod::FedAvg.aggregate_owned(&[0.0, 0.0], updates);
         assert_eq!(avg, vec![1.5, -2.0]);
     }
 
@@ -474,7 +462,8 @@ mod tests {
             update(vec![0.5, 1.0], 10, 0.8),
             update(vec![1.0, 0.5], 10, 0.8),
         ];
-        let next = AggregationMethod::QFedAvg { q: 1e-6, lr: 0.1 }.aggregate(&global, &updates);
+        let next =
+            AggregationMethod::QFedAvg { q: 1e-6, lr: 0.1 }.aggregate_owned(&global, updates);
         // the update moves the global weights towards the client average
         assert!(next[0] < 1.0 && next[0] > 0.4);
         assert!(next[1] < 1.0 && next[1] > 0.4);
@@ -486,8 +475,9 @@ mod tests {
         // the low-loss client pulls the weight up (and more strongly), the
         // high-loss client pulls it down
         let updates = vec![update(vec![1.2], 10, 0.1), update(vec![0.9], 10, 2.0)];
-        let plain = AggregationMethod::QFedAvg { q: 1e-6, lr: 0.1 }.aggregate(&global, &updates);
-        let fair = AggregationMethod::QFedAvg { q: 2.0, lr: 0.1 }.aggregate(&global, &updates);
+        let plain = AggregationMethod::QFedAvg { q: 1e-6, lr: 0.1 }
+            .aggregate_owned(&global, updates.clone());
+        let fair = AggregationMethod::QFedAvg { q: 2.0, lr: 0.1 }.aggregate_owned(&global, updates);
         // with q ≈ 0 the stronger (low-loss) pull wins; with a large q the
         // high-loss client dominates the update direction
         assert!(plain[0] > global[0], "plain {plain:?}");
@@ -677,17 +667,15 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_owned_matches_aggregate_for_both_methods() {
+    fn aggregate_owned_matches_the_serial_rules_bit_for_bit() {
         let updates = random_updates(40, 16, 3);
         let global: Vec<f32> = (0..16).map(|i| i as f32 * 0.1).collect();
-        for method in [
-            AggregationMethod::FedAvg,
-            AggregationMethod::QFedAvg { q: 1.0, lr: 0.1 },
-        ] {
-            let borrowed = method.aggregate(&global, &updates);
-            let owned = method.aggregate_owned(&global, updates.clone());
-            assert_eq!(borrowed, owned, "{} diverged", method.name());
-        }
+        let bits = |w: &[f32]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let fedavg = AggregationMethod::FedAvg.aggregate_owned(&global, updates.clone());
+        assert_eq!(bits(&fedavg), bits(&weighted_average(&updates)));
+        let (q, lr) = (1.0, 0.1);
+        let qffl = AggregationMethod::QFedAvg { q, lr }.aggregate_owned(&global, updates.clone());
+        assert_eq!(bits(&qffl), bits(&q_fed_avg(&global, &updates, q, lr)));
     }
 
     #[test]

@@ -27,11 +27,12 @@ use std::ops::Range;
 pub enum CohortStrategy {
     /// The legacy sampler: seed a `StdRng`, shuffle all `n` ids, take the
     /// prefix. Bit-compatible with the pre-fleet-scale round loop (and so
-    /// the default for eagerly-materialized simulations, whose recorded
-    /// experiment numbers it preserves) — but O(fleet) per round.
+    /// [`FlSimulation::new`](crate::FlSimulation::new)'s default, which
+    /// keeps recorded experiment numbers) — but O(fleet) per round.
     UniformShuffle,
-    /// Uniform O(cohort) sampling via the seeded Feistel permutation; the
-    /// default for lazily-materialized fleets. Ignores strata.
+    /// Uniform O(cohort) sampling via the seeded Feistel permutation;
+    /// [`FlSimulation::with_source`](crate::FlSimulation::with_source)'s
+    /// default. Ignores strata.
     Uniform,
     /// Heterogeneity-aware O(cohort) sampling: the cohort is divided across
     /// the source's device strata by largest-remainder quotas proportional

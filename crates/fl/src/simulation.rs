@@ -1,5 +1,11 @@
 //! The federated-learning round loop.
 //!
+//! The loop reads client data through one [`ClientSource`], whatever the
+//! population: a resident `Vec<ClientData>` ([`FlSimulation::new`]) lends
+//! its stored datasets, an on-demand source ([`FlSimulation::with_source`])
+//! synthesizes a sampled client's dataset for its local update only. The
+//! two differ in their default cohort sampler, not in the round.
+//!
 //! Every network the loop runs inference on is fused
 //! ([`Network::fuse_inference`]) where the loop builds it: each worker's
 //! training replica, whose inference forward is a client's `L_init`
@@ -26,7 +32,6 @@ use hs_parallel::sync;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Builds a fresh, structurally identical model replica. The argument is a
@@ -149,58 +154,6 @@ pub struct RoundStats {
     pub deadline: f32,
 }
 
-/// Where the simulation's client data lives: materialized up front
-/// (O(fleet) resident memory, the classic constructor) or synthesized per
-/// sampled client from an O(bytes) [`ClientSource`] (the fleet-scale path).
-enum ClientBackend {
-    /// Every client's dataset held in memory for the whole run.
-    Eager(Vec<ClientData>),
-    /// Datasets materialized on demand for sampled clients only and dropped
-    /// when their local training finishes.
-    Lazy(Arc<dyn ClientSource>),
-}
-
-impl ClientBackend {
-    fn num_clients(&self) -> usize {
-        match self {
-            ClientBackend::Eager(clients) => clients.len(),
-            ClientBackend::Lazy(source) => source.num_clients(),
-        }
-    }
-
-    /// O(1) sample count for deadline cost modelling — never synthesizes.
-    fn num_samples(&self, client_id: usize) -> usize {
-        match self {
-            ClientBackend::Eager(clients) => clients[client_id].data.len(),
-            ClientBackend::Lazy(source) => source.num_samples(client_id),
-        }
-    }
-
-    /// Runs `f` over `client_id`'s dataset. On the lazy path the dataset
-    /// exists only for the duration of the call — this is what keeps
-    /// resident client state O(cohort) instead of O(fleet).
-    fn with_data<R>(&self, client_id: usize, f: impl FnOnce(&Dataset) -> R) -> R {
-        match self {
-            ClientBackend::Eager(clients) => f(&clients[client_id].data),
-            ClientBackend::Lazy(source) => {
-                let data = source.materialize(client_id);
-                f(&data)
-            }
-        }
-    }
-
-    #[allow(
-        clippy::single_range_in_vec_init,
-        reason = "one all-covering stratum, not a collected range"
-    )]
-    fn strata(&self) -> Vec<Range<usize>> {
-        match self {
-            ClientBackend::Eager(clients) => vec![0..clients.len()],
-            ClientBackend::Lazy(source) => source.strata(),
-        }
-    }
-}
-
 /// The order a round's workers claim its trainees in: most samples first,
 /// ties by ascending client id. A permutation of `trainees`; it decides only
 /// which worker trains whom and when, never the numerics (updates are
@@ -215,7 +168,7 @@ fn longest_first(trainees: &[usize], num_samples: impl Fn(usize) -> usize) -> Ve
 /// strategy and aggregation rule.
 pub struct FlSimulation {
     config: FlConfig,
-    backend: ClientBackend,
+    clients: Arc<dyn ClientSource>,
     cohort_strategy: CohortStrategy,
     model_factory: ModelFactory,
     trainer: Box<dyn ClientTrainer>,
@@ -227,8 +180,11 @@ pub struct FlSimulation {
 }
 
 impl FlSimulation {
-    /// Creates a simulation. The initial global model comes from
-    /// `model_factory(config.seed)`.
+    /// Creates a simulation over a resident population: every client's
+    /// dataset is held for the whole run and lent to its local updates.
+    /// The initial global model comes from `model_factory(config.seed)`.
+    /// Draws cohorts with [`CohortStrategy::UniformShuffle`], the sampler
+    /// every recorded experiment over a resident population used.
     ///
     /// # Panics
     ///
@@ -241,22 +197,20 @@ impl FlSimulation {
         trainer: Box<dyn ClientTrainer>,
         aggregation: AggregationMethod,
     ) -> Self {
-        Self::build(
+        Self::with_source(
             config,
-            ClientBackend::Eager(clients),
-            // bit-compatible with the original round loop, so recorded
-            // experiment numbers for eager simulations are preserved
-            CohortStrategy::UniformShuffle,
+            Arc::new(clients),
             model_factory,
             trainer,
             aggregation,
         )
+        .with_cohort_strategy(CohortStrategy::UniformShuffle)
     }
 
-    /// Creates a **fleet-scale** simulation over an on-demand
-    /// [`ClientSource`]: resident client state is the source's O(bytes)
-    /// description, and a sampled client's dataset exists only while its
-    /// local update runs. Defaults to the O(cohort)
+    /// Creates a simulation over any [`ClientSource`]; with an on-demand
+    /// one (the **fleet-scale** path) resident client state is the source's
+    /// O(bytes) description, and a sampled client's dataset exists only
+    /// while its local update runs. Defaults to the O(cohort)
     /// [`CohortStrategy::Uniform`] sampler (see
     /// [`with_cohort_strategy`](Self::with_cohort_strategy)).
     ///
@@ -266,42 +220,24 @@ impl FlSimulation {
     /// clients than `config.num_clients` requires.
     pub fn with_source(
         config: FlConfig,
-        source: Arc<dyn ClientSource>,
-        model_factory: ModelFactory,
-        trainer: Box<dyn ClientTrainer>,
-        aggregation: AggregationMethod,
-    ) -> Self {
-        Self::build(
-            config,
-            ClientBackend::Lazy(source),
-            CohortStrategy::Uniform,
-            model_factory,
-            trainer,
-            aggregation,
-        )
-    }
-
-    fn build(
-        config: FlConfig,
-        backend: ClientBackend,
-        cohort_strategy: CohortStrategy,
+        clients: Arc<dyn ClientSource>,
         model_factory: ModelFactory,
         trainer: Box<dyn ClientTrainer>,
         aggregation: AggregationMethod,
     ) -> Self {
         config.validate();
         assert!(
-            backend.num_clients() >= config.num_clients,
+            clients.num_clients() >= config.num_clients,
             "need at least {} clients, got {}",
             config.num_clients,
-            backend.num_clients()
+            clients.num_clients()
         );
         let mut initial = model_factory(config.seed);
         let global_weights = initial.weights();
         FlSimulation {
             config,
-            backend,
-            cohort_strategy,
+            clients,
+            cohort_strategy: CohortStrategy::Uniform,
             model_factory,
             trainer,
             aggregation,
@@ -423,7 +359,7 @@ impl FlSimulation {
         };
         let draw_span = crate::phases::phase("cohort_draw", round);
         let strata = match self.cohort_strategy {
-            CohortStrategy::DeviceStratified => self.backend.strata(),
+            CohortStrategy::DeviceStratified => self.clients.strata(),
             _ => Vec::new(),
         };
         let selected =
@@ -445,7 +381,7 @@ impl FlSimulation {
             // one unit of work per sample per local epoch; sample counts are
             // O(1) metadata — no dataset is materialized to cost the cohort
             let base_cost =
-                |cid: usize| self.backend.num_samples(cid) as f32 * self.config.local_epochs as f32;
+                |cid: usize| self.clients.num_samples(cid) as f32 * self.config.local_epochs as f32;
             let mut healthy: Vec<f32> = selected
                 .iter()
                 .map(|&c| base_cost(c) * injector.compute_factor(c))
@@ -485,7 +421,7 @@ impl FlSimulation {
         // claim them one at a time, biggest first, instead of each taking a
         // fixed share of the cohort; one replica per worker, fused, so each
         // client's `L_init` forward runs the plan the server serves
-        let order = longest_first(to_train, |cid| self.backend.num_samples(cid));
+        let order = longest_first(to_train, |cid| self.clients.num_samples(cid));
         let global = &self.global_weights;
         let config = self.config;
         let loss_ema = self.loss_ema;
@@ -511,12 +447,12 @@ impl FlSimulation {
                         ^ (client_id as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
                         ^ (round as u64).wrapping_mul(0x2545_f491_4f6c_dd1d),
                 );
-                // on the lazy backend the dataset lives exactly as long as
-                // this closure — O(cohort) resident state
-                let update = self.backend.with_data(client_id, |data| {
-                    self.trainer.client_update(net, data, &ctx, &mut client_rng)
+                // an on-demand source's dataset lives exactly as long as
+                // this call — O(cohort) resident state
+                self.clients.with_dataset(client_id, &mut |data| {
+                    let update = self.trainer.client_update(net, data, &ctx, &mut client_rng);
+                    sync::lock(&updates).push(update);
                 });
-                sync::lock(&updates).push(update);
             },
         );
 

@@ -1,15 +1,22 @@
 //! Where client training data comes from.
 //!
-//! The original [`FlSimulation`](crate::FlSimulation) constructor takes a
-//! `Vec<ClientData>` — every client's dataset materialized up front, which
-//! is O(fleet) resident memory and rules out 100k+ populations. A
-//! [`ClientSource`] inverts that: the simulation holds only the O(bytes)
-//! description and asks for a client's dataset **when that client is
-//! sampled into a cohort**, dropping it again when local training
-//! finishes. Metadata queries (`num_samples`, used for deadline costing)
-//! must stay O(1) and allocation-free so the semi-sync scheduler can cost
-//! an over-provisioned cohort without synthesizing anyone.
+//! [`FlSimulation`](crate::FlSimulation) holds one [`ClientSource`] and asks
+//! it for a client's dataset **when that client is sampled into a cohort**.
+//! Two sources cover the paper's two populations:
+//!
+//! * `Vec<ClientData>` — the resident population (the captured nine-device
+//!   fleet): every dataset is built up front, and
+//!   [`with_dataset`](ClientSource::with_dataset) lends the stored one, so
+//!   a round copies no client data.
+//! * [`LazyClientSet`] — the fleet-scale population: only the O(bytes)
+//!   description is resident, a sampled client's dataset is synthesized for
+//!   its local update and dropped when training finishes.
+//!
+//! Metadata queries (`num_samples`, used for deadline costing) must stay
+//! O(1) and allocation-free so the semi-sync scheduler can cost an
+//! over-provisioned cohort without synthesizing anyone.
 
+use crate::ClientData;
 use hs_data::{Dataset, LazyClientSet};
 use std::ops::Range;
 
@@ -30,6 +37,14 @@ pub trait ClientSource: Send + Sync {
     /// clients; the caller drops the dataset when training completes.
     fn materialize(&self, client_id: usize) -> Dataset;
 
+    /// Runs `f` over `client_id`'s dataset: the round loop's only data
+    /// access. Defaults to `f(&self.materialize(client_id))`, so the
+    /// dataset lives exactly as long as the call; a source that holds its
+    /// datasets lends them instead.
+    fn with_dataset(&self, client_id: usize, f: &mut dyn FnMut(&Dataset)) {
+        f(&self.materialize(client_id));
+    }
+
     /// The population's device strata (contiguous client-id ranges per
     /// device type), for heterogeneity-aware cohort sampling. Defaults to
     /// one stratum covering everyone.
@@ -39,6 +54,25 @@ pub trait ClientSource: Send + Sync {
     )]
     fn strata(&self) -> Vec<Range<usize>> {
         vec![0..self.num_clients()]
+    }
+}
+
+/// The resident population: client `i` is `self[i]`.
+impl ClientSource for Vec<ClientData> {
+    fn num_clients(&self) -> usize {
+        self.len()
+    }
+
+    fn num_samples(&self, client_id: usize) -> usize {
+        self[client_id].data.len()
+    }
+
+    fn materialize(&self, client_id: usize) -> Dataset {
+        self[client_id].data.clone()
+    }
+
+    fn with_dataset(&self, client_id: usize, f: &mut dyn FnMut(&Dataset)) {
+        f(&self[client_id].data);
     }
 }
 
@@ -63,7 +97,9 @@ impl ClientSource for LazyClientSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hs_data::Labels;
     use hs_device::{paper_devices, FleetSpec};
+    use hs_tensor::Tensor;
     use std::sync::Arc;
 
     #[test]
@@ -75,5 +111,34 @@ mod tests {
         assert_eq!(source.strata().len(), 9);
         let id = 123;
         assert_eq!(source.materialize(id).len(), source.num_samples(id));
+        let mut lent = 0;
+        source.with_dataset(id, &mut |data| lent = data.len());
+        assert_eq!(lent, source.num_samples(id));
+    }
+
+    #[test]
+    fn resident_clients_lend_the_stored_dataset() {
+        let clients: Vec<ClientData> = (0..3)
+            .map(|id| ClientData {
+                id,
+                device: format!("dev-{id}"),
+                data: Dataset::new(
+                    (0..id + 1).map(|_| Tensor::zeros(&[2])).collect(),
+                    Labels::Classes(vec![0; id + 1]),
+                ),
+            })
+            .collect();
+        let source: &dyn ClientSource = &clients;
+        assert_eq!(source.num_clients(), 3);
+        assert_eq!(source.strata(), vec![0..3]);
+        for (id, client) in clients.iter().enumerate() {
+            assert_eq!(source.num_samples(id), id + 1);
+            let mut calls = 0;
+            source.with_dataset(id, &mut |data| {
+                assert!(std::ptr::eq(data, &client.data), "client {id} was copied");
+                calls += 1;
+            });
+            assert_eq!(calls, 1);
+        }
     }
 }

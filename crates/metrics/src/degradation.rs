@@ -47,11 +47,6 @@ impl DegradationMatrix {
         &self.devices
     }
 
-    /// Raw accuracy of the model trained on `train` when tested on `test`.
-    pub fn accuracy_at(&self, train: usize, test: usize) -> f32 {
-        self.accuracy[train][test]
-    }
-
     /// Relative degradation (fraction, ≥ 0 when cross-device accuracy is
     /// lower) of cell `(train, test)` versus the row's own-device accuracy.
     pub fn degradation(&self, train: usize, test: usize) -> f32 {

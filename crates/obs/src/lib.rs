@@ -18,8 +18,8 @@
 //! * [`metrics`] — [`Counter`], [`Gauge`] and the streaming log-bucketed
 //!   [`Histogram`] (O(1) record on atomics, mergeable, relative quantile
 //!   error bounded by one sub-bucket: ≤ 1/16 ≈ 6.25%), plus a named
-//!   [`Registry`]. The histogram replaces the serving layer's
-//!   sort-a-copy latency window.
+//!   [`Registry`]. Each `hs_serve` server keeps its counters and latency
+//!   histograms in a registry of its own, as handles fetched once.
 //! * [`export`] — byte-stable JSON snapshots, Chrome trace-event JSON
 //!   (loadable in Perfetto / `chrome://tracing`) and a Prometheus-style
 //!   text exposition, all over the vendored `serde::json` writer. The

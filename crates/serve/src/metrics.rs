@@ -2,23 +2,30 @@
 //! percentiles, the batch-size histogram (the direct read-out of how well
 //! the batcher is coalescing), and admission/expiry counters.
 //!
+//! Every counter and both latency series live in one `hs_obs::Registry`
+//! per server, under `serve.*` names. [`ServerMetrics`] fetches each handle
+//! once, in [`ServerMetrics::new`], and the server records on the handles
+//! directly: an event is a relaxed atomic add, with no registry lookup and
+//! no lock. The registry is what the `hs_obs::export` renderers take
+//! (`Server::metrics_registry`), so a live server exports through the same
+//! code as any other registry.
+//!
 //! Latency and queue-wait series are `hs_obs::Histogram`s — streaming
 //! log-bucketed histograms with O(1) wait-free recording and quantile
-//! error bounded by one sub-bucket (≤ 1/16 of the value). This replaced
-//! the earlier fixed 65 536-sample ring that copied and sorted on every
-//! snapshot: recording no longer takes a lock, snapshots are O(buckets)
-//! instead of O(n·log n), and the statistics cover every completion since
-//! the last [`ServerMetrics::reset`] rather than a recency window.
+//! error bounded by one sub-bucket (≤ 1/16 of the value); the statistics
+//! cover every completion since the last [`ServerMetrics::reset`].
 //! Percentiles use the histogram's upper-bound convention, so they never
-//! under-report (see `crates/obs` and `docs/OBSERVABILITY.md`).
+//! under-report (see `crates/obs` and `docs/OBSERVABILITY.md`). The
+//! executed batch sizes are the one series kept outside the registry: its
+//! histogram rounds values above 16, and `mean_batch` needs them exact.
 //!
-//! [`MetricsSnapshot`] derives `serde::ToJson`, so the load-generator
-//! harness dumps it straight into the experiment JSON.
+//! [`MetricsSnapshot`] is a view over those handles; it derives
+//! `serde::ToJson`, so the load-generator harness dumps it straight into
+//! the experiment JSON.
 
-use hs_obs::Histogram;
+use hs_obs::{Counter, Histogram, Registry};
 use hs_parallel::sync::lock;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// One bar of the batch-size histogram.
@@ -77,74 +84,71 @@ pub struct MetricsSnapshot {
     pub batch_histogram: Vec<BatchBucket>,
 }
 
-/// The shared recorder every worker and client reports into.
-#[derive(Default)]
+/// The shared recorder every worker and client reports into: handles on
+/// its own [`Registry`], plus the exact batch-size table.
 pub struct ServerMetrics {
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    expired: AtomicU64,
-    shed: AtomicU64,
-    worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
-    brownout_entries: AtomicU64,
-    /// End-to-end completion latencies, microseconds.
-    latency_us: Histogram,
-    /// Admission→batch-open waits, microseconds.
-    queue_wait_us: Histogram,
+    /// The registry the handles below live in.
+    pub(crate) registry: Registry,
+    /// Requests completed successfully (`serve.completed`).
+    pub(crate) completed: Arc<Counter>,
+    /// Requests rejected at admission (`serve.rejected`).
+    pub(crate) rejected: Arc<Counter>,
+    /// Requests dropped past their deadline (`serve.expired`).
+    pub(crate) expired: Arc<Counter>,
+    /// Requests shed by brownout mode (`serve.shed`).
+    pub(crate) shed: Arc<Counter>,
+    /// Worker deaths by panic (`serve.worker_panics`).
+    pub(crate) worker_panics: Arc<Counter>,
+    /// Supervisor worker respawns (`serve.worker_restarts`).
+    pub(crate) worker_restarts: Arc<Counter>,
+    /// Transitions into brownout mode (`serve.brownout_entries`).
+    pub(crate) brownout_entries: Arc<Counter>,
+    /// End-to-end completion latencies, microseconds (`serve.latency_us`).
+    pub(crate) latency_us: Arc<Histogram>,
+    /// Admission→batch-open waits, microseconds (`serve.queue_wait_us`).
+    pub(crate) queue_wait_us: Arc<Histogram>,
     /// `batch_counts[size]` = number of batches executed with that many
     /// requests (index 0 unused).
     batch_counts: Mutex<Vec<u64>>,
 }
 
-fn as_micros(d: Duration) -> u64 {
+/// A duration in whole microseconds, saturating at `u64::MAX`.
+pub(crate) fn micros(d: Duration) -> u64 {
     d.as_micros().min(u64::MAX as u128) as u64
 }
 
+impl Default for ServerMetrics {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ServerMetrics {
-    /// Creates an empty recorder.
+    /// Creates an empty recorder over a fresh registry.
     pub fn new() -> Self {
-        Self::default()
+        let registry = Registry::new();
+        let counter = |name: &str| registry.counter(&format!("serve.{name}"));
+        let histogram = |name: &str| registry.histogram(&format!("serve.{name}"));
+        ServerMetrics {
+            completed: counter("completed"),
+            rejected: counter("rejected"),
+            expired: counter("expired"),
+            shed: counter("shed"),
+            worker_panics: counter("worker_panics"),
+            worker_restarts: counter("worker_restarts"),
+            brownout_entries: counter("brownout_entries"),
+            latency_us: histogram("latency_us"),
+            queue_wait_us: histogram("queue_wait_us"),
+            batch_counts: Mutex::new(Vec::new()),
+            registry,
+        }
     }
 
-    /// Records one successfully completed request. Lock-free.
+    /// Records one successfully completed request: a completion and its
+    /// latency. Lock-free.
     pub fn record_completion(&self, latency: Duration) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency_us.record(as_micros(latency));
-    }
-
-    /// Records one request's admission→batch-open queue wait. Lock-free.
-    pub fn record_queue_wait(&self, wait: Duration) {
-        self.queue_wait_us.record(as_micros(wait));
-    }
-
-    /// Records one admission rejection (backpressure).
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one deadline expiry.
-    pub fn record_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one brownout shed.
-    pub fn record_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one worker death by panic.
-    pub fn record_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one supervisor worker respawn.
-    pub fn record_worker_restart(&self) {
-        self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one transition into brownout mode.
-    pub fn record_brownout_entry(&self) {
-        self.brownout_entries.fetch_add(1, Ordering::Relaxed);
+        self.completed.inc();
+        self.latency_us.record(micros(latency));
     }
 
     /// Records the size of one executed batch.
@@ -154,26 +158,6 @@ impl ServerMetrics {
             counts.resize(size + 1, 0);
         }
         counts[size] += 1;
-    }
-
-    /// Requests completed so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Requests rejected at admission so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Requests expired before execution so far.
-    pub fn expired(&self) -> u64 {
-        self.expired.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed by brownout mode so far.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// Aggregates everything recorded so far.
@@ -195,10 +179,10 @@ impl ServerMetrics {
             requests as f64 / batches as f64
         };
         MetricsSnapshot {
-            completed: self.completed(),
-            rejected: self.rejected(),
-            expired: self.expired(),
-            shed: self.shed(),
+            completed: self.completed.get(),
+            rejected: self.rejected.get(),
+            expired: self.expired.get(),
+            shed: self.shed.get(),
             p50_us: lat.p50,
             p95_us: lat.p95,
             p99_us: lat.p99,
@@ -208,22 +192,26 @@ impl ServerMetrics {
             queue_p95_us: queue.p95,
             queue_p99_us: queue.p99,
             mean_batch,
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            worker_restarts: self.worker_restarts.load(Ordering::Relaxed),
-            brownout_entries: self.brownout_entries.load(Ordering::Relaxed),
+            worker_panics: self.worker_panics.get(),
+            worker_restarts: self.worker_restarts.get(),
+            brownout_entries: self.brownout_entries.get(),
             batch_histogram,
         }
     }
 
     /// Clears every counter and series (between sweep configurations).
     pub fn reset(&self) {
-        self.completed.store(0, Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
-        self.expired.store(0, Ordering::Relaxed);
-        self.shed.store(0, Ordering::Relaxed);
-        self.worker_panics.store(0, Ordering::Relaxed);
-        self.worker_restarts.store(0, Ordering::Relaxed);
-        self.brownout_entries.store(0, Ordering::Relaxed);
+        for counter in [
+            &self.completed,
+            &self.rejected,
+            &self.expired,
+            &self.shed,
+            &self.worker_panics,
+            &self.worker_restarts,
+            &self.brownout_entries,
+        ] {
+            counter.reset();
+        }
         self.latency_us.reset();
         self.queue_wait_us.reset();
         lock(&self.batch_counts).clear();
@@ -243,8 +231,8 @@ mod tests {
         m.record_batch(4);
         m.record_batch(4);
         m.record_batch(1);
-        m.record_rejected();
-        m.record_expired();
+        m.rejected.inc();
+        m.expired.inc();
         let snap = m.snapshot();
         assert_eq!(snap.completed, 100);
         assert_eq!(snap.rejected, 1);
@@ -310,7 +298,7 @@ mod tests {
         let m = ServerMetrics::new();
         for us in 1..=100u64 {
             m.record_completion(Duration::from_micros(us * 10));
-            m.record_queue_wait(Duration::from_micros(us));
+            m.queue_wait_us.record(us);
         }
         let snap = m.snapshot();
         assert_eq!(snap.queue_p50_us, 51);
@@ -350,11 +338,10 @@ mod tests {
     #[test]
     fn robustness_counters_record_and_reset() {
         let m = ServerMetrics::new();
-        m.record_shed();
-        m.record_shed();
-        m.record_worker_panic();
-        m.record_worker_restart();
-        m.record_brownout_entry();
+        m.shed.add(2);
+        m.worker_panics.inc();
+        m.worker_restarts.inc();
+        m.brownout_entries.inc();
         let snap = m.snapshot();
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.worker_panics, 1);
@@ -377,7 +364,7 @@ mod tests {
     fn reset_clears_everything() {
         let m = ServerMetrics::new();
         m.record_completion(Duration::from_micros(10));
-        m.record_queue_wait(Duration::from_micros(3));
+        m.queue_wait_us.record(3);
         m.record_batch(2);
         m.reset();
         let snap = m.snapshot();

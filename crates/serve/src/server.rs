@@ -46,11 +46,11 @@
 //! atomic load (see `docs/OBSERVABILITY.md`).
 
 use crate::batcher::{collect_batch, BatchPolicy, Collected};
-use crate::metrics::{MetricsSnapshot, ServerMetrics};
+use crate::metrics::{micros, MetricsSnapshot, ServerMetrics};
 use crate::queue::{BoundedQueue, Popped, PushError};
 use crate::registry::{ModelRegistry, ModelVersion};
 use hs_nn::{CheckpointError, Network, Workspace};
-use hs_obs::{instant_ns, now_ns, trace};
+use hs_obs::{instant_ns, now_ns, trace, Registry};
 use hs_parallel::sync::{lock, wait};
 use hs_tensor::{DType, Tensor};
 use std::fmt;
@@ -486,7 +486,7 @@ impl ServeClient {
         match self.shared.queue.try_push(request) {
             Ok(()) => Ok(Pending { slot }),
             Err(PushError::Full(_)) => {
-                self.shared.metrics.record_rejected();
+                self.shared.metrics.rejected.inc();
                 trace::instant("rejected", trace_id);
                 Err(ServeError::Backpressure {
                     capacity: self.shared.queue.capacity(),
@@ -508,11 +508,6 @@ impl ServeClient {
         deadline: Option<Duration>,
     ) -> Result<Response, ServeError> {
         self.submit(sample, deadline)?.wait()
-    }
-
-    /// Current admission-queue depth (diagnostic).
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.len()
     }
 
     /// Requests admitted and not yet answered: queued, held in an open
@@ -612,6 +607,13 @@ impl Server {
     /// Aggregated metrics so far.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.metrics.snapshot()
+    }
+
+    /// The registry behind [`metrics`](Self::metrics): every `serve.*`
+    /// counter and latency histogram, live, for the `hs_obs::export`
+    /// renderers (`registry_json`, `prometheus_text`).
+    pub fn metrics_registry(&self) -> &Registry {
+        &self.shared.metrics.registry
     }
 
     /// Clears the metrics (between load-sweep configurations).
@@ -757,7 +759,7 @@ fn supervisor_loop(shared: &Arc<Shared>, mut sup: Supervisor, mut slots: Vec<Wor
                 // close() race right before shutdown; Dead is correct
                 continue;
             }
-            shared.metrics.record_worker_panic();
+            shared.metrics.worker_panics.inc();
             trace::instant("worker_panic", restarts as u64);
             if restarts < sup.max_restarts {
                 let backoff = sup.backoff_base * 2u32.pow(restarts.min(6));
@@ -777,7 +779,7 @@ fn supervisor_loop(shared: &Arc<Shared>, mut sup: Supervisor, mut slots: Vec<Wor
         for (i, slot) in slots.iter_mut().enumerate() {
             if let WorkerSlot::Backoff { at, restarts } = *slot {
                 if now >= at {
-                    shared.metrics.record_worker_restart();
+                    shared.metrics.worker_restarts.inc();
                     trace::instant("worker_restart", i as u64);
                     *slot = WorkerSlot::Running {
                         handle: spawn_worker(shared, i),
@@ -813,7 +815,7 @@ fn supervisor_loop(shared: &Arc<Shared>, mut sup: Supervisor, mut slots: Vec<Wor
         let active = shared.brownout_active.load(Ordering::Relaxed);
         if !active && high_ticks >= brownout.enter_ticks {
             shared.brownout_active.store(true, Ordering::Relaxed);
-            shared.metrics.record_brownout_entry();
+            shared.metrics.brownout_entries.inc();
             trace::instant("brownout_enter", depth as u64);
         } else if active && low_ticks >= brownout.exit_ticks {
             shared.brownout_active.store(false, Ordering::Relaxed);
@@ -887,7 +889,7 @@ fn run_batch(shared: &Shared, ws: &mut Workspace, batch_in: &mut Tensor, request
     for request in requests {
         match request.deadline {
             Some(d) if now > d => {
-                shared.metrics.record_expired();
+                shared.metrics.expired.inc();
                 trace::instant("expired", request.trace_id);
                 shared.queue.finish(1);
                 request.slot.complete(Err(ServeError::DeadlineExceeded {
@@ -895,7 +897,7 @@ fn run_batch(shared: &Shared, ws: &mut Workspace, batch_in: &mut Tensor, request
                 }));
             }
             Some(d) if browned_out && d - now < min_slack => {
-                shared.metrics.record_shed();
+                shared.metrics.shed.inc();
                 trace::instant("shed", request.trace_id);
                 shared.queue.finish(1);
                 request.slot.complete(Err(ServeError::Shed {
@@ -906,9 +908,8 @@ fn run_batch(shared: &Shared, ws: &mut Workspace, batch_in: &mut Tensor, request
                 // `now` is batch-open: everything before it was queue wait,
                 // everything after is service (the split MetricsSnapshot's
                 // queue_p* fields report).
-                shared
-                    .metrics
-                    .record_queue_wait(now.saturating_duration_since(request.enqueued));
+                let wait = now.saturating_duration_since(request.enqueued);
+                shared.metrics.queue_wait_us.record(micros(wait));
                 live.push(request);
             }
         }

@@ -77,6 +77,38 @@ fn no_cross_request_sample_mixing_under_load() {
 }
 
 #[test]
+fn the_metrics_registry_exports_a_live_server() {
+    let registry = Arc::new(ModelRegistry::new());
+    publish_scaled_identity(&registry, "id", 1.0);
+    let server = Server::start(
+        Arc::clone(&registry),
+        "id",
+        linear_net,
+        &[4],
+        ServerConfig::new(1, 64, BatchPolicy::new(4, 500)),
+    )
+    .unwrap();
+    let client = server.client();
+    let n = 13;
+    for i in 0..n {
+        client.infer(Tensor::full(&[4], i as f32), None).unwrap();
+    }
+    let json = hs_obs::export::registry_json(server.metrics_registry()).render();
+    let counters = format!(
+        "{{\"counters\":{{\"serve.brownout_entries\":0,\"serve.completed\":{n},\
+         \"serve.expired\":0,\"serve.rejected\":0,\"serve.shed\":0,\
+         \"serve.worker_panics\":0,\"serve.worker_restarts\":0}},\"gauges\":{{}},\
+         \"histograms\":{{\"serve.latency_us\":{{\"count\":{n},"
+    );
+    assert!(json.starts_with(&counters), "{json}");
+    assert!(
+        json.contains(&format!("\"serve.queue_wait_us\":{{\"count\":{n},")),
+        "{json}"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn async_submissions_coalesce_into_real_batches() {
     let registry = Arc::new(ModelRegistry::new());
     publish_scaled_identity(&registry, "id", 1.0);
